@@ -64,4 +64,4 @@ from .parabolic import (
     riemann_hurwitz_genus,
     tameness_check,
 )
-from .poly import Poly, is_squarefree, poly_gcd, roots_in_field
+from .poly import Poly, poly_gcd, roots_in_field

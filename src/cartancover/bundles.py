@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from .cartan import CartanStatus, classify_subspace, conjugate_subspace
+from .cartan import CartanStatus, CartanVerdict, classify_subspace, conjugate_subspace
 from .errors import (
     DimensionMismatch,
     DisconnectedBase,
@@ -43,13 +43,6 @@ class BaseGraph:
                 raise DimensionMismatch(f"edge ({u}, {v}) leaves the vertex range")
         object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "edges", edges)
-
-    def is_connected(self) -> bool:
-        try:
-            self.spanning_tree()
-            return True
-        except DisconnectedBase:
-            return False
 
     def spanning_tree(self, tree_edges=None) -> "SpanningTree":
         """BFS spanning tree rooted at vertex 0.
@@ -183,20 +176,37 @@ def validate_bundle(bundle: BundleRep) -> None:
         bundle.transition_inverse(idx)
 
 
-def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> None:
-    """Split Cartan fibers everywhere, compatible under every edge conjugation."""
+def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> CartanVerdict:
+    """Split Cartan fibers everywhere, compatible under every edge conjugation.
+
+    Returns the verdict of the root fiber (vertex 0), the only fiber
+    classified when the bundle is valid. That suffices: the base is
+    connected and every edge conjugates its source fiber onto its target
+    fiber, so each fiber is the root fiber conjugated by the transport
+    along a tree path, and a conjugate of a split Cartan subalgebra is
+    split Cartan. When some edge is incompatible, fibers 1..n-1 are
+    classified in order before the edge is reported, so the first bad
+    vertex still takes precedence over the first bad edge.
+    """
     validate_bundle(bundle)
     d = bundle.rank
-    for v, fiber in enumerate(algebra.fibers):
-        verdict = classify_subspace(fiber, d)
-        if verdict.status is CartanStatus.NONSPLIT:
-            raise NonSplitAtVertex(v, verdict.witness_poly)
-        if verdict.status is CartanStatus.NOT_CARTAN:
-            raise NotCartanAtVertex(v, str(verdict))
+    verdict = _classify_fiber(algebra, 0, d)
     for idx, (u, v) in enumerate(bundle.graph.edges):
         moved = conjugate_subspace(algebra.fibers[u], bundle.transitions[idx])
         if moved != algebra.fibers[v]:
+            for w in range(1, len(algebra.fibers)):
+                _classify_fiber(algebra, w, d)
             raise IncompatibleEdge(idx)
+    return verdict
+
+
+def _classify_fiber(algebra: SubalgebraBundle, v: int, d: int) -> CartanVerdict:
+    verdict = classify_subspace(algebra.fibers[v], d)
+    if verdict.status is CartanStatus.NONSPLIT:
+        raise NonSplitAtVertex(v, verdict.witness_poly)
+    if verdict.status is CartanStatus.NOT_CARTAN:
+        raise NotCartanAtVertex(v, str(verdict))
+    return verdict
 
 
 def conjugation_operator(t: Matrix) -> Matrix:

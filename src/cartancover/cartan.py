@@ -166,18 +166,35 @@ def _line_sort_key(field, vec):
     return (pivot, tuple(field.element_key(x) for x in vec))
 
 
+def canonical_lines(field, vectors) -> tuple:
+    """The lines spanned by nonzero ``vectors``, leading-one normalized and
+    in the deterministic order of ``EigenlineSet.lines``."""
+    lines = [_normalize_line(v) for v in vectors]
+    lines.sort(key=lambda v: _line_sort_key(field, v))
+    return tuple(lines)
+
+
 def simultaneous_eigenlines(a: MatrixSubspace) -> EigenlineSet:
+    """Classify a subspace and split k^d into its d common eigenlines.
+
+    Raises ``NotSplitCartan`` unless the subspace is split Cartan.
+    """
+    return split_eigenlines(a, classify_subspace(a, a.ambient_dim))
+
+
+def split_eigenlines(a: MatrixSubspace, verdict: CartanVerdict) -> EigenlineSet:
     """Split k^d into the d common eigenlines of a split Cartan subspace.
 
+    ``verdict`` is the subspace's ``classify_subspace`` verdict, already
+    computed by the caller; anything but split raises ``NotSplitCartan``.
     Starting from the full space, each basis matrix refines every current
     block into its eigenspaces intersected with the block; a split Cartan
     subspace ends with d one-dimensional blocks. Deterministic: basis
     matrices are taken in canonical order and no randomization is used.
     """
-    d = a.ambient_dim
-    verdict = classify_subspace(a, d)
     if not verdict.is_split():
         raise NotSplitCartan(verdict)
+    d = a.ambient_dim
     field = a.field
     basis = a.basis_matrices()
     blocks = [Subspace.full(field, d)]
@@ -198,8 +215,7 @@ def simultaneous_eigenlines(a: MatrixSubspace) -> EigenlineSet:
     if len(blocks) != d or any(b.dim != 1 for b in blocks):
         raise NotSplitCartan(verdict)
 
-    lines = [_normalize_line(b.basis[0]) for b in blocks]
-    lines.sort(key=lambda v: _line_sort_key(field, v))
+    lines = canonical_lines(field, (b.basis[0] for b in blocks))
     functionals = []
     for vec in lines:
         pivot = next(i for i, x in enumerate(vec) if x != 0)
@@ -211,7 +227,7 @@ def simultaneous_eigenlines(a: MatrixSubspace) -> EigenlineSet:
                 raise NotSplitCartan(verdict)
             mu.append(scalar)
         functionals.append(tuple(mu))
-    return EigenlineSet(field, d, tuple(lines), tuple(functionals))
+    return EigenlineSet(field, d, lines, tuple(functionals))
 
 
 def conjugate_subspace(a: MatrixSubspace, t: Matrix) -> MatrixSubspace:

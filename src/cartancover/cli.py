@@ -20,7 +20,7 @@ from random import Random
 
 from . import __version__
 from .bundles import flat_sections
-from .cartan import CartanStatus, classify_subspace, simultaneous_eigenlines
+from .cartan import CartanStatus, classify_subspace, split_eigenlines
 from .covers import (
     canonical_algebra_map,
     cover_report,
@@ -135,7 +135,7 @@ def cmd_classify(instance: CartanInstance) -> Report:
     if verdict.witness_pair is not None:
         machine["witness"] = {"basis_pair": list(verdict.witness_pair)}
     if verdict.is_split():
-        eig = simultaneous_eigenlines(subspace)
+        eig = split_eigenlines(subspace, verdict)
         machine["eigenlines"] = [render_vector(field, line) for line in eig.lines]
         machine["functionals"] = [render_vector(field, mu) for mu in eig.functionals]
         for t, (line, mu) in enumerate(zip(eig.lines, eig.functionals)):

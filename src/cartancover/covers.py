@@ -8,6 +8,12 @@ In the other direction, a split Cartan algebra subbundle of End(E)
 yields, through its common eigenlines, a cover, a line bundle on it, and
 an identification of E with the pushforward. Both directions are
 implemented constructively and every claimed identity is machine-checked.
+
+Over a connected base, "split Cartan" is a fact about one fiber: a
+subbundle that every transition carries onto the next fiber is fixed by
+its root fiber and parallel transport. So the Cartan test and the
+eigenline split run once, at the root, and the eigenlines elsewhere are
+the root ones transported along a spanning tree.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .bundles import BaseGraph, BundleRep, SubalgebraBundle, flat_sections, validate_cartan_bundle
-from .cartan import CartanStatus, conjugate_subspace, simultaneous_eigenlines
-from .errors import DimensionMismatch, LineNotMapped, NonSplitAtVertex, NotSplitCartan, ParseError
+from .cartan import canonical_lines, conjugate_subspace, split_eigenlines
+from .errors import DimensionMismatch, DisconnectedBase, LineNotMapped, ParseError
 from .linalg import Matrix, MatrixSubspace
 
 
@@ -110,16 +116,17 @@ class CoverReport:
 
 
 def cover_report(cover: CoverRep) -> CoverReport:
-    """Component count and degrees; split means d disjoint copies of the base."""
+    """Component count and degrees; split means d disjoint copies of the base.
+
+    A component missing a vertex shows a disconnected base, which is refused.
+    """
     comps = cover.total_components()
+    n = cover.base.num_vertices
     degrees = []
     for comp in comps:
-        per_vertex = {}
-        for v, _t in comp:
-            per_vertex[v] = per_vertex.get(v, 0) + 1
-        counts = set(per_vertex.values())
-        assert len(counts) == 1 and len(per_vertex) == cover.base.num_vertices
-        degrees.append(counts.pop())
+        if len({v for v, _t in comp}) != n:
+            raise DisconnectedBase("base graph is not connected")
+        degrees.append(len(comp) // n)
     degrees.sort(reverse=True)
     return CoverReport(len(comps), tuple(degrees), all(k == 1 for k in degrees))
 
@@ -167,27 +174,31 @@ class SpectralCoverResult:
 def build_spectral_cover(bundle: BundleRep, algebra: SubalgebraBundle) -> SpectralCoverResult:
     """Rebuild the cover and line bundle from a split Cartan algebra subbundle.
 
-    At each vertex the fiber splits into d common eigenlines; the cover's
-    labels are those lines in canonical order. Each transition maps the
-    line t over the source to a unique line over the target, which fixes
-    the label bijection, and the scaling factor between the normalized
-    line vectors is the line-bundle scalar. The matrix of eigenline
-    columns identifies the pushforward with the original bundle; that
-    identity is machine-checked on every edge before returning.
+    The input is validated first (``validate_cartan_bundle``). Then only
+    the root fiber is split into its d common eigenlines; every other
+    vertex gets the root lines transported along the spanning tree. That
+    is sound: every tree edge is compatible, so the path operator P_v
+    conjugates the root fiber A_0 onto A_v and carries the common
+    eigenlines of A_0 to common eigenlines of A_v, and a split Cartan
+    subalgebra has exactly d of them. The cover's labels at each vertex
+    are its lines in canonical order. Each transition maps the line t over
+    the source to a unique line over the target, which fixes the label
+    bijection, and the scaling factor between the normalized line vectors
+    is the line-bundle scalar. The matrix of eigenline columns identifies
+    the pushforward with the original bundle; that identity is
+    machine-checked on every edge before returning.
     """
+    verdict = validate_cartan_bundle(bundle, algebra)
     d = bundle.rank
     field = bundle.field
-    lines_per_vertex = []
-    index_per_vertex = []
-    for v, fiber in enumerate(algebra.fibers):
-        try:
-            eig = simultaneous_eigenlines(fiber)
-        except NotSplitCartan as exc:
-            if exc.verdict.status is CartanStatus.NONSPLIT:
-                raise NonSplitAtVertex(v, exc.verdict.witness_poly) from None
-            raise
-        lines_per_vertex.append(eig.lines)
-        index_per_vertex.append({line: t for t, line in enumerate(eig.lines)})
+    lines_per_vertex = [None] * bundle.graph.num_vertices
+    lines_per_vertex[0] = split_eigenlines(algebra.fibers[0], verdict).lines
+    for vertex, via, forward in bundle.graph.spanning_tree().order[1:]:
+        u, v = bundle.graph.edges[via]
+        op = bundle.transitions[via] if forward else bundle.transition_inverse(via)
+        moved = [op.apply(line) for line in lines_per_vertex[u if forward else v]]
+        lines_per_vertex[vertex] = canonical_lines(field, moved)
+    index_per_vertex = [{line: t for t, line in enumerate(lines)} for lines in lines_per_vertex]
 
     sigma = []
     scalars = []
@@ -245,7 +256,6 @@ def roundtrip_verify(bundle: BundleRep, algebra: SubalgebraBundle) -> RoundtripR
     component count of the cover equals the flat-section dimension of the
     algebra subbundle.
     """
-    validate_cartan_bundle(bundle, algebra)
     result = build_spectral_cover(bundle, algebra)
     pushed = direct_image_line_bundle(result.cover, result.line_bundle)
     rebuilt = canonical_algebra_map(result.cover, result.line_bundle)
@@ -323,16 +333,6 @@ def tree_gauge(cover: CoverRep, tree_edges=None) -> TreeGauge:
         new_sigma.append(_compose(_invert_perm(taus[v]), _compose(cover.sigma[e], taus[u])))
     gauged = CoverRep(cover.base, d, tuple(new_sigma))
     return TreeGauge(tree, tuple(taus), gauged)
-
-
-def relabel_line_bundle(line: LineBundleOnCover, gauge: TreeGauge) -> LineBundleOnCover:
-    """Transport scalars through the gauge relabeling."""
-    cover = line.cover
-    scalars = []
-    for e, (u, _v) in enumerate(cover.base.edges):
-        tau_u = gauge.taus[u]
-        scalars.append(tuple(line.scalars[e][tau_u[t]] for t in range(cover.degree)))
-    return LineBundleOnCover(gauge.gauged, line.field, tuple(scalars))
 
 
 def cover_isomorphisms(first: CoverRep, second: CoverRep):

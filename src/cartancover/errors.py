@@ -18,10 +18,6 @@ class DimensionMismatch(CartanCoverError):
     """Operands live in different ambient dimensions."""
 
 
-class DegreeVsCharacteristic(CartanCoverError):
-    """Squarefreeness test refused: polynomial degree >= field characteristic."""
-
-
 class SingularMatrix(CartanCoverError):
     """A matrix that must be invertible is not."""
 
@@ -101,3 +97,7 @@ class NonIntegralGenus(CartanCoverError):
 
 class NegativeGenus(CartanCoverError):
     """Ramification data forces a negative genus."""
+
+
+class DegreeMismatch(CartanCoverError):
+    """Two independent evaluations of a pushforward degree disagree."""

@@ -108,11 +108,11 @@ class Fp:
         if isinstance(other, Fp):
             return self.p == other.p and self.val == other.val
         if isinstance(other, int):
-            return self.val == other % self.p
+            # only the least residue, so that equality agrees with hashing
+            return self.val == other
         return NotImplemented
 
     def __hash__(self):
-        # consistent with int equality above
         return hash(self.val)
 
     def __bool__(self):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bundles import BaseGraph, BundleRep, SubalgebraBundle
 from .covers import CoverRep, LineBundleOnCover
@@ -301,7 +300,3 @@ def bundle_instance_to_json(field, bundle: BundleRep, algebra: SubalgebraBundle 
             for fiber in algebra.fibers
         ]
     return {"field": field_to_json(field), "kind": "bundle", "payload": payload}
-
-
-def weight_to_str(w: Fraction) -> str:
-    return str(w)

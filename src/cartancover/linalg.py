@@ -237,10 +237,6 @@ class Subspace:
             raise ValueError("vector is not in the subspace")
         return coords
 
-    def add(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return Subspace(self.field, self.ambient, self.basis + other.basis)
-
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the kernel of stacked coefficient constraints."""
         self._check_compatible(other)
@@ -257,12 +253,6 @@ class Subspace:
                     vec = [x + c * y for x, y in zip(vec, row)]
             vecs.append(vec)
         return Subspace(self.field, self.ambient, vecs)
-
-    def annihilator_rows(self) -> tuple:
-        """Rows whose common kernel is exactly this subspace."""
-        if self.dim == 0:
-            return tuple(Matrix.identity(self.field, self.ambient).rows)
-        return kernel(Matrix(self.field, self.basis, ncols=self.ambient)).basis
 
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field or self.ambient != other.ambient:
@@ -374,13 +364,6 @@ class MatrixSubspace:
             self.field,
             self.ambient_dim,
             [t @ a @ ti for a in self.basis_matrices()],
-        )
-
-    def add(self, other: "MatrixSubspace") -> "MatrixSubspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        return MatrixSubspace._from_space(
-            self.field, self.ambient_dim, self.space.add(other.space)
         )
 
     def intersect(self, other: "MatrixSubspace") -> "MatrixSubspace":

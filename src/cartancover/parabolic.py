@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .errors import DimensionMismatch, NegativeGenus, NonIntegralGenus, ParseError
+from .errors import DegreeMismatch, DimensionMismatch, NegativeGenus, NonIntegralGenus, ParseError
 
 
 def parse_weight(w) -> Fraction:
@@ -221,7 +221,8 @@ def degree_direct_image(data: RamifiedCoverData, line_degree: int) -> int:
 
     The Euler-characteristic route uses the component genera; the
     ramification route subtracts half the total ramification from the
-    line-bundle degree. The two evaluations are asserted equal.
+    line-bundle degree. Riemann-Hurwitz makes the two agree; a
+    disagreement raises ``DegreeMismatch``.
     """
     genus = riemann_hurwitz_genus(data)
     chi = genus.euler_characteristic
@@ -230,7 +231,8 @@ def degree_direct_image(data: RamifiedCoverData, line_degree: int) -> int:
     if ram % 2 != 0:
         raise NonIntegralGenus("total ramification is odd")
     drop_route = line_degree - ram // 2
-    assert euler_route == drop_route
+    if euler_route != drop_route:
+        raise DegreeMismatch(f"Euler route gives {euler_route}, ramification route {drop_route}")
     return euler_route
 
 

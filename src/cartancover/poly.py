@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DegreeVsCharacteristic
 from .fields import PrimeField, Rationals
 
 
@@ -279,22 +278,6 @@ def squarefree_no_guard(p: Poly) -> bool:
     return poly_gcd(p, d).is_constant()
 
 
-def is_squarefree(p: Poly) -> bool:
-    """Whether gcd(p, p') is constant.
-
-    Over GF(q) the degree must stay below the characteristic; larger
-    inputs are rejected rather than risking a degenerate derivative.
-    """
-    if p.is_zero():
-        raise ValueError("squarefreeness of the zero polynomial is undefined")
-    field = p.field
-    if isinstance(field, PrimeField) and p.degree >= field.p:
-        raise DegreeVsCharacteristic(
-            f"degree {p.degree} >= characteristic {field.p}"
-        )
-    return squarefree_no_guard(p)
-
-
 def rootless_cofactor(p: Poly) -> Poly:
     """Monic cofactor of ``p`` after removing all linear factors over the field."""
     roots, _split = roots_in_field(p)
@@ -319,7 +302,8 @@ def squarefree_part(p: Poly) -> Poly:
     d = p.derivative()
     if d.is_zero():
         field = p.field
-        assert isinstance(field, PrimeField)
+        if not isinstance(field, PrimeField):
+            raise ValueError(f"nonconstant {p} has zero derivative outside characteristic p")
         base = Poly(field, p.coeffs[:: field.p])
         return squarefree_part(base)
     g = poly_gcd(p, d)

@@ -168,6 +168,19 @@ def test_pushforward_parity_violation_is_input_error(tmp_path, capsys):
     assert json.loads(out)["error"]["type"] == "NonIntegralGenus"
 
 
+def test_pushforward_disconnected_base_is_input_error(tmp_path, capsys):
+    doc = {
+        "field": {"kind": "Q"},
+        "kind": "cover",
+        "payload": {"graph": {"vertices": 2, "edges": []}, "degree": 2, "sigma": []},
+    }
+    bad = tmp_path / "disconnected.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "--format", "machine", "pushforward", str(bad))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "DisconnectedBase"
+
+
 # --- factor -------------------------------------------------------------------------
 
 

@@ -32,6 +32,18 @@ def test_prime_field_arithmetic():
         a / f.zero()
 
 
+def test_fp_equality_with_ints_agrees_with_hash():
+    for p in (2, 5, 7):
+        for v in range(p):
+            x = Fp(v, p)
+            for n in range(-2 * p, 2 * p):
+                assert (x == n) == (n == v)
+                if x == n:
+                    assert hash(x) == hash(n)
+    assert Fp(3, 7) != 10
+    assert len({Fp(3, 7), 3}) == 1
+
+
 @given(rationals, rationals, rationals)
 def test_field_axioms_rationals(x, y, z):
     assert (x + y) + z == x + (y + z)

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartancover.errors import DimensionMismatch, NegativeGenus, NonIntegralGenus, ParseError
+from cartancover import parabolic
+from cartancover.errors import (
+    DegreeMismatch,
+    DimensionMismatch,
+    NegativeGenus,
+    NonIntegralGenus,
+    ParseError,
+)
 from cartancover.parabolic import (
     BranchPoint,
     RamifiedCoverData,
@@ -185,6 +192,19 @@ def test_degree_disconnected_cover():
     data = RamifiedCoverData(1, 2, (1, 1), ())
     assert riemann_hurwitz_genus(data).per_component == (1, 1)
     assert degree_direct_image(data, 3) == 3
+
+
+def test_degree_routes_disagreeing_raise_typed_error(monkeypatch):
+    # a genus off by one breaks Riemann-Hurwitz; the check must survive python -O
+    real = parabolic.riemann_hurwitz_genus
+
+    def shifted(data):
+        genus = real(data)
+        return parabolic.GenusReport(tuple(g + 1 for g in genus.per_component), genus.total + 1)
+
+    monkeypatch.setattr(parabolic, "riemann_hurwitz_genus", shifted)
+    with pytest.raises(DegreeMismatch):
+        degree_direct_image(P1_DOUBLE, 0)
 
 
 # --- pushforward ---------------------------------------------------------------------

@@ -1,12 +1,8 @@
 from fractions import Fraction
 
-import pytest
-
-from cartancover.errors import DegreeVsCharacteristic
 from cartancover.fields import GF, QQ
 from cartancover.poly import (
     Poly,
-    is_squarefree,
     nonsplit_witness,
     poly_gcd,
     roots_in_field,
@@ -58,20 +54,14 @@ def test_zero_root_is_found():
     assert split
 
 
-def test_is_squarefree_examples():
-    assert is_squarefree(P(QQ, -1, 0, 1))
-    assert not is_squarefree(P(QQ, 0, 0, 1))
+def test_squarefree_no_guard_examples():
+    assert squarefree_no_guard(P(QQ, -1, 0, 1))
+    assert not squarefree_no_guard(P(QQ, 0, 0, 1))
     # (x-1)^2 (x-2), expanded
     p = Poly.from_roots(QQ, [1, 1, 2])
-    assert not is_squarefree(p)
-
-
-def test_is_squarefree_degree_guard_over_prime_field():
+    assert not squarefree_no_guard(p)
+    # over GF(3) the degree may reach the characteristic
     f = GF(3)
-    cubic = P(f, 1, 1, 0, 1)
-    with pytest.raises(DegreeVsCharacteristic):
-        is_squarefree(cubic)
-    # the unguarded test still answers, and correctly
     assert squarefree_no_guard(P(f, 0, 2, 0, 1))  # x^3 - x = x(x-1)(x-2)
     assert not squarefree_no_guard(P(f, 0, 0, 0, 1))  # x^3
 

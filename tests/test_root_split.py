@@ -1,0 +1,178 @@
+"""The Cartan test and the eigenline split run once per bundle, at the root.
+
+The per-vertex path they replace (classify every fiber, then split every
+fiber) survives here only as the oracle the root path is compared with.
+"""
+
+import sys
+from pathlib import Path
+from random import Random
+
+import pytest
+
+from cartancover import cartan
+from cartancover.bundles import (
+    BaseGraph,
+    BundleRep,
+    SubalgebraBundle,
+    validate_bundle,
+    validate_cartan_bundle,
+)
+from cartancover.cartan import (
+    CartanStatus,
+    classify_subspace,
+    conjugate_subspace,
+    simultaneous_eigenlines,
+)
+from cartancover.cli import main
+from cartancover.covers import build_spectral_cover, direct_image_line_bundle, roundtrip_verify
+from cartancover.errors import (
+    CartanCoverError,
+    IncompatibleEdge,
+    NonSplitAtVertex,
+    NotCartanAtVertex,
+)
+from cartancover.fields import GF, QQ
+from cartancover.linalg import Matrix, MatrixSubspace
+from cartancover.randgen import (
+    CoverInstanceConfig,
+    random_cover_instance,
+    random_invertible_matrix,
+    random_subspace_for_cartan_test,
+)
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+FIELDS = (QQ, GF(5), GF(7))
+
+
+def per_vertex_validate(bundle, algebra):
+    """Oracle: classify every fiber in vertex order, then check every edge."""
+    validate_bundle(bundle)
+    for v, fiber in enumerate(algebra.fibers):
+        verdict = classify_subspace(fiber, bundle.rank)
+        if verdict.status is CartanStatus.NONSPLIT:
+            raise NonSplitAtVertex(v, verdict.witness_poly)
+        if verdict.status is CartanStatus.NOT_CARTAN:
+            raise NotCartanAtVertex(v, str(verdict))
+    for idx, (u, v) in enumerate(bundle.graph.edges):
+        if conjugate_subspace(algebra.fibers[u], bundle.transitions[idx]) != algebra.fibers[v]:
+            raise IncompatibleEdge(idx)
+
+
+def gauged_bundle(rng, field, min_vertices=1):
+    """A pushforward re-gauged by a random invertible matrix at each vertex,
+    with the diagonal algebra carried along."""
+    config = CoverInstanceConfig(max_vertices=6, max_edges=9, max_degree=4)
+    while True:
+        cover, line = random_cover_instance(rng, field, config)
+        if cover.base.num_vertices >= min_vertices and cover.degree >= 2:
+            break
+    pushed = direct_image_line_bundle(cover, line)
+    d = cover.degree
+    gauges = [random_invertible_matrix(rng, field, d) for _ in range(cover.base.num_vertices)]
+    transitions = [
+        gauges[v] @ t @ gauges[u].inverse()
+        for t, (u, v) in zip(pushed.transitions, cover.base.edges)
+    ]
+    bundle = BundleRep(field, cover.base, d, transitions)
+    diag = MatrixSubspace.diagonal_algebra(field, d)
+    return bundle, SubalgebraBundle(bundle, [diag.conjugated(g) for g in gauges])
+
+
+def error_signature(call, bundle, algebra):
+    try:
+        call(bundle, algebra)
+    except CartanCoverError as exc:
+        return (
+            type(exc).__name__,
+            getattr(exc, "vertex", None),
+            getattr(exc, "edge", None),
+            str(exc),
+        )
+    return None
+
+
+def plant_faults(rng, bundle, algebra):
+    """Replace fibers away from the root and shear transitions, at random."""
+    field, d, n = bundle.field, bundle.rank, bundle.graph.num_vertices
+    fibers = list(algebra.fibers)
+    for v in rng.sample(range(1, n), rng.randint(0, n - 1)):
+        fibers[v] = random_subspace_for_cartan_test(rng, field, d)
+    transitions = list(bundle.transitions)
+    shear = Matrix(field, [[int(i == j or (i, j) == (0, 1)) for j in range(d)] for i in range(d)])
+    for e in rng.sample(range(len(transitions)), rng.randint(0, min(2, len(transitions)))):
+        transitions[e] = transitions[e] @ shear
+    faulty = BundleRep(field, bundle.graph, d, transitions)
+    return faulty, SubalgebraBundle(faulty, fibers)
+
+
+def test_errors_match_the_per_vertex_oracle():
+    rng = Random(2024)
+    seen = set()
+    for i in range(90):
+        bundle, algebra = plant_faults(rng, *gauged_bundle(rng, FIELDS[i % 3], min_vertices=2))
+        expected = error_signature(per_vertex_validate, bundle, algebra)
+        assert error_signature(validate_cartan_bundle, bundle, algebra) == expected
+        assert error_signature(build_spectral_cover, bundle, algebra) == expected
+        if expected is not None:
+            seen.add(expected[0])
+            assert expected[1] != 0  # the root fiber is never replaced
+    assert seen == {"NonSplitAtVertex", "NotCartanAtVertex", "IncompatibleEdge"}
+
+
+def test_bad_root_fiber_is_reported_at_the_root():
+    # every fiber one conjugate of a non-split algebra, every edge compatible
+    field = QQ
+    companion = Matrix(field, [[0, 2], [1, 0]])
+    nonsplit = MatrixSubspace(field, 2, [Matrix.identity(field, 2), companion])
+    rng = Random(5)
+    graph = BaseGraph(4, [(0, 1), (2, 1), (1, 3), (3, 3), (0, 2)])
+    gauges = [random_invertible_matrix(rng, field, 2) for _ in range(graph.num_vertices)]
+    bundle = BundleRep(field, graph, 2, [gauges[v] @ gauges[u].inverse() for u, v in graph.edges])
+    algebra = SubalgebraBundle(bundle, [nonsplit.conjugated(g) for g in gauges])
+    expected = error_signature(per_vertex_validate, bundle, algebra)
+    assert expected[:2] == ("NonSplitAtVertex", 0)
+    assert error_signature(build_spectral_cover, bundle, algebra) == expected
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_transported_lines_equal_per_vertex_split(field):
+    rng = Random(31 + getattr(field, "p", 0))
+    for _ in range(15):
+        bundle, algebra = gauged_bundle(rng, field)
+        result = build_spectral_cover(bundle, algebra)
+        for eta, fiber in zip(result.eta, algebra.fibers):
+            expected = simultaneous_eigenlines(fiber).lines
+            assert eta == Matrix.from_columns(field, expected)
+
+
+@pytest.fixture
+def classify_calls(monkeypatch):
+    """Counts calls of ``classify_subspace`` from anywhere in the package."""
+    calls = []
+    real = cartan.classify_subspace
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cartancover") and getattr(module, "classify_subspace", None) is real:
+            monkeypatch.setattr(module, "classify_subspace", counting)
+    return calls
+
+
+def test_roundtrip_classifies_once(classify_calls):
+    rng = Random(8)
+    for i in range(6):
+        bundle, algebra = gauged_bundle(rng, FIELDS[i % 3], min_vertices=3)
+        del classify_calls[:]
+        assert roundtrip_verify(bundle, algebra).all_ok()
+        assert len(classify_calls) == 1
+
+
+@pytest.mark.parametrize("name", ["cartan_diagonal_q", "cartan_nilpotent_q", "cartan_nonsplit_q"])
+def test_classify_command_classifies_once(classify_calls, capsys, name):
+    main(["--format", "machine", "classify", str(INSTANCES / f"{name}.json")])
+    capsys.readouterr()
+    assert len(classify_calls) == 1
