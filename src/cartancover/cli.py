@@ -19,7 +19,6 @@ import sys
 from random import Random
 
 from . import __version__
-from .bundles import flat_sections
 from .cartan import CartanStatus, classify_subspace, split_eigenlines
 from .covers import (
     canonical_algebra_map,
@@ -31,6 +30,7 @@ from .covers import (
 )
 from .errors import (
     CartanCoverError,
+    DegreeMismatch,
     DegreeTooLarge,
     DimensionMismatch,
     DisconnectedBase,
@@ -39,10 +39,12 @@ from .errors import (
     NegativeGenus,
     NonIntegralGenus,
     NonSplitAtVertex,
+    NonSplitError,
     NotABlockSystem,
     NotCartanAtVertex,
     NotSplitCartan,
     ParseError,
+    SingularMatrix,
     SingularTransition,
 )
 from .factorization import block_systems, intermediate_cover, monodromy_generators, summand_embedding_check
@@ -83,6 +85,8 @@ INPUT_ERRORS = (
     NegativeGenus,
 )
 
+# every concrete error type is in exactly one of the two tuples; errors
+# outside INPUT_ERRORS are failed mathematical checks and exit with 1
 MATH_ERRORS = (
     NonSplitAtVertex,
     NotCartanAtVertex,
@@ -90,6 +94,9 @@ MATH_ERRORS = (
     LineNotMapped,
     NotABlockSystem,
     NotSplitCartan,
+    SingularMatrix,
+    NonSplitError,
+    DegreeMismatch,
 )
 
 
@@ -270,7 +277,7 @@ def cmd_factor(instance: CoverInstance, max_degree: int) -> Report:
     all_ok = True
     for system in catalog.proper:
         inter = intermediate_cover(cover, system)
-        check = summand_embedding_check(cover, system, field)
+        check = summand_embedding_check(cover, system, field, inter)
         all_ok = all_ok and check.ok and inter.consistent
         systems.append(
             {

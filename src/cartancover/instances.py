@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .bundles import BaseGraph, BundleRep, SubalgebraBundle
 from .covers import CoverRep, LineBundleOnCover
 from .errors import ParseError
-from .fields import QQ, field_from_json, field_to_json
+from .fields import field_from_json, field_to_json
 from .linalg import Matrix, MatrixSubspace
 from .parabolic import BranchPoint, RamifiedCoverData, RamifiedSheet, parse_weight
 

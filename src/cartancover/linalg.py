@@ -390,25 +390,35 @@ class MatrixSubspace:
 def min_poly(m: Matrix) -> Poly:
     """Monic minimal polynomial, via the first dependence among I, M, M^2, ...
 
-    Powers are flattened to vectors; the first power lying in the span of
-    the earlier ones yields the coefficients.
+    One incremental elimination: each flattened power M^k is reduced
+    against the leading-one rows kept from I, ..., M^(k-1), and the row
+    carries its coefficients in I, ..., M^k along. The first zero residue
+    is a relation with coefficient one on M^k, the monic minimal
+    polynomial.
     """
     if not m.is_square():
         raise DimensionMismatch("minimal polynomial needs a square matrix")
     field = m.field
     d = m.nrows
-    powers = [Matrix.identity(field, d)]
-    flat = [powers[0].flatten()]
-    for k in range(1, d + 1):
-        nxt = powers[-1] @ m
-        target = nxt.flatten()
-        coeff_matrix = Matrix.from_columns(field, flat)
-        sol = solve(coeff_matrix, target)
-        if sol is not None:
-            coeffs = [-c for c in sol] + [field.one()]
+    zero, one = field.zero(), field.one()
+    reduced = []  # (pivot, leading-one residue, its coefficients in the powers)
+    power = Matrix.identity(field, d)
+    for k in range(d + 1):
+        if k:
+            power = power @ m
+        vec = list(power.flatten())
+        coeffs = [zero] * (d + 1)
+        coeffs[k] = one
+        for pivot, row, row_coeffs in reduced:
+            c = vec[pivot]
+            if c != 0:
+                vec = [a - c * b for a, b in zip(vec, row)]
+                coeffs = [a - c * b for a, b in zip(coeffs, row_coeffs)]
+        pivot = next((j for j, x in enumerate(vec) if x != 0), None)
+        if pivot is None:
             return Poly(field, coeffs)
-        powers.append(nxt)
-        flat.append(target)
+        inv = one / vec[pivot]
+        reduced.append((pivot, [x * inv for x in vec], [x * inv for x in coeffs]))
     raise AssertionError("minimal polynomial must have degree <= d")
 
 

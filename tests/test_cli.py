@@ -324,3 +324,21 @@ def test_elliptic_analogue_instance(capsys):
 def test_instance_files_load(capsys):
     for path in sorted(INSTANCES.glob("*.json")):
         load_instance(str(path))
+
+
+def test_every_error_type_has_one_exit_class():
+    # each concrete error is either a rejected input (exit 2) or a failed check (exit 1)
+    from cartancover import errors
+    from cartancover.cli import INPUT_ERRORS, MATH_ERRORS
+
+    concrete = [
+        obj
+        for obj in vars(errors).values()
+        if isinstance(obj, type)
+        and issubclass(obj, errors.CartanCoverError)
+        and obj is not errors.CartanCoverError
+    ]
+    assert concrete
+    for exc_type in concrete:
+        assert (exc_type in INPUT_ERRORS) + (exc_type in MATH_ERRORS) == 1, exc_type.__name__
+    assert set(INPUT_ERRORS) | set(MATH_ERRORS) == set(concrete)

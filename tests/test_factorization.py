@@ -1,8 +1,10 @@
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import pytest
 
+from cartancover import cli, factorization, linalg
 from cartancover.bundles import BaseGraph
 from cartancover.covers import (
     CoverRep,
@@ -21,8 +23,11 @@ from cartancover.factorization import (
     summand_embedding_check,
 )
 from cartancover.fields import GF, QQ
-from cartancover.linalg import Subspace
+from cartancover.instances import CoverInstance, load_instance
+from cartancover.linalg import Matrix, Subspace
 from cartancover.randgen import random_cover_instance
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 LOOP = BaseGraph(1, [(0, 0)])
 LOOP2 = BaseGraph(1, [(0, 0), (0, 0)])
@@ -284,3 +289,111 @@ def test_nested_block_systems_compose():
     composed = intermediate_cover(inter_fine.quotient, induced_system)
     direct = intermediate_cover(cover, coarse)
     assert list(cover_isomorphisms(composed.quotient, direct.quotient))
+
+
+# --- the compression square as one product ---------------------------------------------
+
+
+def square_commutes_oracle(p, include, num_vertices):
+    """Oracle: the compression square tested vertex by vertex, basis vector by basis vector."""
+    field = include.field
+    m = include.ncols
+    zero, one = field.zero(), field.one()
+
+    def diag(vec):
+        n = len(vec)
+        return Matrix(field, [[vec[i] if i == j else zero for j in range(n)] for i in range(n)])
+
+    for _vertex in range(num_vertices):
+        for j in range(m):
+            basis_vec = tuple(one if i == j else zero for i in range(m))
+            compressed = p @ diag(include.apply(basis_vec)) @ include
+            if compressed != diag(basis_vec):
+                return False
+    return True
+
+
+def _random_block_system(rng, d):
+    b = rng.choice([k for k in range(1, d + 1) if d % k == 0])
+    labels = list(range(d))
+    rng.shuffle(labels)
+    return normalize_partition([labels[i : i + b] for i in range(0, d, b)], d)
+
+
+def _random_compression(rng, field, system, retraction):
+    """A random m x d matrix; made to satisfy p . i = I when ``retraction`` is set."""
+    m, d = system.num_blocks, system.degree
+    rows = [[field.coerce(rng.randint(-2, 2)) for _ in range(d)] for _ in range(m)]
+    if retraction:
+        for i in range(m):
+            for j, block in enumerate(system.blocks):
+                rest = sum((rows[i][t] for t in block[1:]), field.zero())
+                rows[i][block[0]] = (field.one() if i == j else field.zero()) - rest
+    return Matrix(field, rows)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7)], ids=str)
+def test_compression_square_is_one_product(field):
+    rng = Random(f"square-{field}")
+    verdicts = []
+    for _ in range(60):
+        d = rng.randint(1, 6)
+        system = _random_block_system(rng, d)
+        one, zero = field.one(), field.zero()
+        include = Matrix(
+            field,
+            [[one if t in block else zero for block in system.blocks] for t in range(d)],
+        )
+        p = _random_compression(rng, field, system, rng.random() < 0.5)
+        new = p @ include == Matrix.identity(field, system.num_blocks)
+        assert new == square_commutes_oracle(p, include, rng.randint(1, 3))
+        verdicts.append(new)
+    assert True in verdicts and False in verdicts
+
+
+# --- work done per check --------------------------------------------------------------
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts ``linalg.solve`` calls and matrix products."""
+    calls = {"solve": 0, "matmul": 0}
+    real_solve, real_matmul = linalg.solve, Matrix.__matmul__
+
+    def solve(*args, **kwargs):
+        calls["solve"] += 1
+        return real_solve(*args, **kwargs)
+
+    def matmul(self, other):
+        calls["matmul"] += 1
+        return real_matmul(self, other)
+
+    monkeypatch.setattr(linalg, "solve", solve)
+    monkeypatch.setattr(Matrix, "__matmul__", matmul)
+    return calls
+
+
+def test_summand_check_work_on_the_4_cycle_instance(linalg_calls):
+    cover = load_instance(str(INSTANCES / "cover_c4_loop_q.json")).cover
+    (system,) = block_systems(monodromy_generators(cover)).proper
+    linalg_calls.update(solve=0, matmul=0)
+    assert summand_embedding_check(cover, system, QQ).ok
+    assert linalg_calls["solve"] == 0
+    assert linalg_calls["matmul"] <= 12
+
+
+def test_factor_builds_each_intermediate_cover_once(monkeypatch):
+    calls = []
+    real = factorization.intermediate_cover
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(factorization, "intermediate_cover", counting)
+    monkeypatch.setattr(cli, "intermediate_cover", counting)
+    cover = CoverRep(LOOP, 8, [(1, 2, 3, 4, 5, 6, 7, 0)])
+    instance = CoverInstance(QQ, cover, None)
+    report = cli.cmd_factor(instance, 12)
+    assert report.exit_code == 0
+    assert len(calls) == report.machine["proper_count"] == 2

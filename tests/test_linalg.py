@@ -17,7 +17,8 @@ from cartancover.linalg import (
     rref,
     solve,
 )
-from cartancover.poly import Poly
+from cartancover.poly import Poly, roots_in_field
+from cartancover.randgen import random_invertible_matrix
 
 
 def M(field, rows):
@@ -213,3 +214,87 @@ def test_coordinates_of_reads_off_pivots():
     assert coords == (Fraction(3), Fraction(-2))
     with pytest.raises(ValueError):
         s.coordinates_of((1, 0, 0))
+
+
+# --- min_poly against the solve-per-power oracle ------------------------
+
+
+def min_poly_by_solves(m):
+    """Oracle: a fresh linear solve for each power, until M^k depends on the earlier ones."""
+    field, d = m.field, m.nrows
+    powers = [Matrix.identity(field, d)]
+    for _k in range(1, d + 1):
+        nxt = powers[-1] @ m
+        sol = solve(Matrix.from_columns(field, [p.flatten() for p in powers]), nxt.flatten())
+        if sol is not None:
+            return Poly(field, [-c for c in sol] + [field.one()])
+        powers.append(nxt)
+    raise AssertionError("no dependence among I, M, ..., M^d")
+
+
+def _scalar(field, rng, d):
+    return Matrix.identity(field, d).scale(rng.randint(-3, 3)), 1
+
+
+def _nilpotent(field, rng, d):
+    zero = field.zero()
+    rows = [[field.coerce(rng.randint(-2, 2)) if j > i else zero for j in range(d)] for i in range(d)]
+    return Matrix(field, rows), None
+
+
+def _jordan_blocks(field, rng, d):
+    # blocks of eigenvalue lam, or a Jordan block plus a scalar tail of another eigenvalue
+    lam, mu = rng.randint(-3, 3), rng.randint(-3, 3)
+    k = rng.randint(1, d)
+    zero = field.zero()
+    rows = [[zero] * d for _ in range(d)]
+    for i in range(d):
+        rows[i][i] = field.coerce(lam if i < k else mu)
+        if i + 1 < k:
+            rows[i][i + 1] = field.one()
+    distinct = field.coerce(lam) != field.coerce(mu) and k < d
+    return Matrix(field, rows), k + 1 if distinct else None
+
+
+def _has_root(field, coeffs):
+    return bool(roots_in_field(Poly(field, coeffs))[0])
+
+
+def _irreducible_companion(field, rng, d):
+    # a monic of degree 2 or 3 without a root in the field is irreducible
+    k = rng.choice((2, 3))
+    while True:
+        low = [field.coerce(rng.randint(-5, 5)) for _ in range(k)]
+        if not _has_root(field, low + [field.one()]):
+            break
+    zero, one = field.zero(), field.one()
+    rows = [[zero] * k for _ in range(k)]
+    for i in range(1, k):
+        rows[i][i - 1] = one
+    for i in range(k):
+        rows[i][k - 1] = -low[i]
+    return Matrix(field, rows), k
+
+
+def _dense(field, rng, d):
+    return Matrix(field, [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]), None
+
+
+MIN_POLY_FIELDS = (QQ, GF(2), GF(5), GF(1009))
+MIN_POLY_CASES = (_scalar, _nilpotent, _jordan_blocks, _irreducible_companion, _dense)
+
+
+@pytest.mark.parametrize("field", MIN_POLY_FIELDS, ids=str)
+@pytest.mark.parametrize("case", MIN_POLY_CASES, ids=lambda c: c.__name__.strip("_"))
+def test_min_poly_matches_the_solve_oracle(field, case):
+    rng = Random(f"{case.__name__}-{field}")
+    for _ in range(12):
+        d = rng.randint(1, 6)
+        m, degree = case(field, rng, d)
+        t = random_invertible_matrix(rng, field, m.nrows)
+        conjugated = t @ m @ t.inverse()
+        for mat in (m, conjugated):
+            mp = min_poly(mat)
+            assert mp == min_poly_by_solves(mat)
+            if degree is not None:
+                assert mp.degree == degree

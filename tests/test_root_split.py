@@ -10,7 +10,7 @@ from random import Random
 
 import pytest
 
-from cartancover import cartan
+from cartancover import cartan, covers
 from cartancover.bundles import (
     BaseGraph,
     BundleRep,
@@ -176,3 +176,22 @@ def test_classify_command_classifies_once(classify_calls, capsys, name):
     main(["--format", "machine", "classify", str(INSTANCES / f"{name}.json")])
     capsys.readouterr()
     assert len(classify_calls) == 1
+
+
+def test_roundtrip_pushes_forward_once(monkeypatch):
+    # build_spectral_cover's own intertwining check is the only pushforward
+    calls = []
+    real = covers.direct_image_line_bundle
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(covers, "direct_image_line_bundle", counting)
+    rng = Random(9)
+    for i in range(6):
+        bundle, algebra = gauged_bundle(rng, FIELDS[i % 3], min_vertices=3)
+        del calls[:]
+        record = roundtrip_verify(bundle, algebra)
+        assert record.all_ok() and record.eta_intertwines
+        assert len(calls) == 1
