@@ -14,7 +14,14 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from .cartan import CartanStatus, CartanVerdict, classify_subspace, conjugate_subspace
+from .cartan import (
+    CartanStatus,
+    CartanVerdict,
+    canonical_lines,
+    classify_subspace,
+    conjugate_subspace,
+    split_eigenlines,
+)
 from .errors import (
     DimensionMismatch,
     DisconnectedBase,
@@ -24,7 +31,7 @@ from .errors import (
     SingularMatrix,
     SingularTransition,
 )
-from .linalg import Matrix, MatrixSubspace, Subspace, kernel
+from .linalg import Matrix, MatrixSubspace, Subspace, kernel, rref
 
 
 @dataclass(frozen=True)
@@ -86,19 +93,25 @@ class SpanningTree:
     tree_edges: frozenset
     cotree_edges: tuple
 
-    def path_operators(self, identity, ops, inverses) -> list:
-        """Per-vertex composite operator from the root along tree edges."""
+    def path_operators(self, identity, ops, inverse_of) -> tuple:
+        """Per-vertex composite operator P_v from the root along tree edges,
+        and its inverse, in one walk: through an edge T from u to v,
+        P_v = T P_u and P_v^-1 = P_u^-1 T^-1. ``inverse_of(e)`` gives the
+        inverse of ``ops[e]``, so no composite is ever inverted."""
         paths = [None] * self.graph.num_vertices
+        path_inverses = [None] * self.graph.num_vertices
         for vertex, via, forward in self.order:
             if via is None:
-                paths[vertex] = identity
+                paths[vertex] = path_inverses[vertex] = identity
                 continue
             u, v = self.graph.edges[via]
             if forward:
                 paths[v] = ops[via] @ paths[u]
+                path_inverses[v] = path_inverses[u] @ inverse_of(via)
             else:
-                paths[u] = inverses[via] @ paths[v]
-        return paths
+                paths[u] = inverse_of(via) @ paths[v]
+                path_inverses[u] = path_inverses[v] @ ops[via]
+        return paths, path_inverses
 
 
 class BundleRep:
@@ -169,35 +182,84 @@ class FlatSectionSpace:
     sections: tuple
 
 
-def validate_bundle(bundle: BundleRep) -> None:
-    """Check base connectivity and invertibility of every transition."""
-    bundle.graph.spanning_tree()
+def validate_bundle(bundle: BundleRep) -> SpanningTree:
+    """Check base connectivity and invertibility of every transition.
+
+    Returns the BFS spanning tree that witnesses connectivity.
+    """
+    tree = bundle.graph.spanning_tree()
     for idx in range(len(bundle.transitions)):
         bundle.transition_inverse(idx)
+    return tree
 
 
-def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> CartanVerdict:
+@dataclass(frozen=True)
+class CartanLines:
+    """A validated split Cartan bundle, read through its common eigenlines.
+
+    ``lines[v]`` holds the d common eigenlines of the fiber at vertex v,
+    leading-one normalized and in the order of ``cartan.canonical_lines``.
+    Transition e carries line t over its source to ``factors[e][t]`` times
+    line ``images[e][t]`` over its target.
+    """
+
+    lines: tuple
+    images: tuple
+    factors: tuple
+
+
+def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> CartanLines:
     """Split Cartan fibers everywhere, compatible under every edge conjugation.
 
-    Returns the verdict of the root fiber (vertex 0), the only fiber
-    classified when the bundle is valid. That suffices: the base is
-    connected and every edge conjugates its source fiber onto its target
-    fiber, so each fiber is the root fiber conjugated by the transport
-    along a tree path, and a conjugate of a split Cartan subalgebra is
-    split Cartan. When some edge is incompatible, fibers 1..n-1 are
-    classified in order before the edge is reported, so the first bad
-    vertex still takes precedence over the first bad edge.
+    Only the root fiber A_0 is classified and split into its d common
+    eigenlines; the lines are carried along the spanning tree, giving
+    lines L_v at every vertex. Then two checks, neither of which inverts,
+    multiplies or row-reduces a matrix:
+
+    - at each vertex v >= 1, A_v has dimension d and every line of L_v is
+      an eigenline of every canonical basis matrix of A_v;
+    - each transition T_e maps the lines over its source onto the lines
+      over its target.
+
+    They hold exactly when the bundle is a compatible split Cartan bundle.
+    If they hold, A_v lies in the diagonal algebra D(L_v) of the basis L_v
+    and has its dimension d, so A_v = D(L_v) is split Cartan; and
+    T_e D(L_u) T_e^-1 = D(T_e L_u), where the common eigenlines of D(L) are
+    exactly the lines of L, so T_e is compatible exactly when it permutes
+    the lines. Conversely, on a compatible split Cartan bundle the tree
+    transport P_v conjugates A_0 onto A_v and so carries the eigenlines of
+    A_0 to those of A_v, and every edge, conjugating D(L_u) onto D(L_v),
+    permutes the lines.
+
+    When a check fails, the fiber-by-fiber test runs instead and raises:
+    fibers 1..n-1 are classified in order, then every edge's conjugation
+    is compared, so the first bad vertex comes before the first
+    incompatible edge, and every error keeps its type, vertex, edge and
+    message. The returned lines, with the label bijection and the scalar
+    of every edge, are what the spectral cover is built from.
     """
-    validate_bundle(bundle)
+    tree = validate_bundle(bundle)
     d = bundle.rank
+    field = bundle.field
+    edges = bundle.graph.edges
     verdict = _classify_fiber(algebra, 0, d)
-    for idx, (u, v) in enumerate(bundle.graph.edges):
-        moved = conjugate_subspace(algebra.fibers[u], bundle.transitions[idx])
-        if moved != algebra.fibers[v]:
-            for w in range(1, len(algebra.fibers)):
-                _classify_fiber(algebra, w, d)
-            raise IncompatibleEdge(idx)
-    return verdict
+    lines = [None] * bundle.graph.num_vertices
+    lines[0] = split_eigenlines(algebra.fibers[0], verdict).lines
+    for vertex, via, forward in tree.order[1:]:
+        u, v = edges[via]
+        op = bundle.transitions[via] if forward else bundle.transition_inverse(via)
+        lines[vertex] = canonical_lines(field, [op.apply(x) for x in lines[u if forward else v]])
+        if not _diagonal_in(algebra.fibers[vertex], lines[vertex], d):
+            _raise_first_fault(bundle, algebra, d)
+    index = [{line: t for t, line in enumerate(ls)} for ls in lines]
+    images, factors = [], []
+    for e, (u, v) in enumerate(edges):
+        mapped = _map_lines(bundle.transitions[e], lines[u], index[v])
+        if mapped is None:
+            _raise_first_fault(bundle, algebra, d)
+        images.append(mapped[0])
+        factors.append(mapped[1])
+    return CartanLines(tuple(lines), tuple(images), tuple(factors))
 
 
 def _classify_fiber(algebra: SubalgebraBundle, v: int, d: int) -> CartanVerdict:
@@ -207,6 +269,48 @@ def _classify_fiber(algebra: SubalgebraBundle, v: int, d: int) -> CartanVerdict:
     if verdict.status is CartanStatus.NOT_CARTAN:
         raise NotCartanAtVertex(v, str(verdict))
     return verdict
+
+
+def _diagonal_in(fiber: MatrixSubspace, lines, d: int) -> bool:
+    """Whether ``fiber`` is the diagonal algebra in the basis ``lines`` (d
+    independent leading-one vectors): d-dimensional, with every line an
+    eigenline of every basis matrix."""
+    if fiber.dim != d:
+        return False
+    pivots = [next(i for i, x in enumerate(line) if x != 0) for line in lines]
+    for m in fiber.basis_matrices():
+        for line, pivot in zip(lines, pivots):
+            image = m.apply(line)
+            scalar = image[pivot]
+            if any(y != scalar * x for x, y in zip(line, image)):
+                return False
+    return True
+
+
+def _map_lines(t: Matrix, lines, target_index):
+    """Per line, the index of its image line under the invertible ``t`` and
+    the scale of the image over the normalized line, or None when some
+    image is not among the target lines."""
+    images, factors = [], []
+    for line in lines:
+        w = t.apply(line)
+        lead = next(x for x in w if x != 0)
+        target = target_index.get(tuple(x / lead for x in w))
+        if target is None:
+            return None
+        images.append(target)
+        factors.append(lead)
+    return tuple(images), tuple(factors)
+
+
+def _raise_first_fault(bundle: BundleRep, algebra: SubalgebraBundle, d: int):
+    """Raise the error of the fiber-by-fiber test, on a bundle that fails it."""
+    for w in range(1, len(algebra.fibers)):
+        _classify_fiber(algebra, w, d)
+    for idx, (u, v) in enumerate(bundle.graph.edges):
+        if conjugate_subspace(algebra.fibers[u], bundle.transitions[idx]) != algebra.fibers[v]:
+            raise IncompatibleEdge(idx)
+    raise RuntimeError("eigenline check failed on a compatible split Cartan bundle")
 
 
 def conjugation_operator(t: Matrix) -> Matrix:
@@ -238,8 +342,7 @@ def end_bundle(bundle: BundleRep) -> BundleRep:
 
 
 def _stack_rows(field, blocks, width: int) -> Matrix:
-    rows = [row for b in blocks for row in b.rows]
-    return Matrix(field, rows, ncols=width)
+    return Matrix._trusted(field, tuple(row for b in blocks for row in b.rows), width)
 
 
 def flat_sections(obj, tree_edges=None) -> FlatSectionSpace:
@@ -250,80 +353,95 @@ def flat_sections(obj, tree_edges=None) -> FlatSectionSpace:
     a compatible subbundle preserves it). The result does not depend on
     the spanning tree; ``tree_edges`` exists so tests can witness that.
     """
-    if isinstance(obj, SubalgebraBundle):
-        return _flat_algebra_sections(obj, tree_edges)
-    if isinstance(obj, BundleRep):
-        return _flat_vector_sections(obj, tree_edges)
-    raise TypeError("flat_sections expects a BundleRep or SubalgebraBundle")
+    root = _root_constraint(obj, tree_edges)
+    field = root.bundle.field
+    if root.rows is None:
+        space = Subspace.full(field, root.dim)
+    else:
+        space = kernel(root.rows)
+    paths, path_inverses = root.paths, root.path_inverses
+    if root.basis is None:
+        sections = tuple(tuple(p.apply(x) for p in paths) for x in space.basis)
+        return FlatSectionSpace("vector", space.dim, sections)
+    d = root.bundle.rank
+    sections = []
+    for coeffs in space.basis:
+        x = Matrix.zeros(field, d, d)
+        for c, b in zip(coeffs, root.basis):
+            if c != 0:
+                x = x + b.scale(c)
+        sections.append(tuple(p @ x @ pi for p, pi in zip(paths, path_inverses)))
+    return FlatSectionSpace("endomorphism", space.dim, tuple(sections))
 
 
 def flat_sections_dim(obj, tree_edges=None) -> int:
-    return flat_sections(obj, tree_edges).dimension
+    """The dimension of ``flat_sections(obj)`` alone: the root-fiber
+    dimension minus the rank of the holonomy constraints, with no kernel
+    basis and no sections built."""
+    root = _root_constraint(obj, tree_edges)
+    if root.rows is None:
+        return root.dim
+    return root.dim - rref(root.rows).rank
 
 
-def _flat_vector_sections(bundle: BundleRep, tree_edges) -> FlatSectionSpace:
-    field = bundle.field
-    tree = bundle.graph.spanning_tree(tree_edges)
-    inverses = {e: bundle.transition_inverse(e) for e in range(len(bundle.transitions))}
-    paths = tree.path_operators(
-        Matrix.identity(field, bundle.rank), bundle.transitions, inverses
-    )
-    path_inverses = [p.inverse() for p in paths]
-    ident = Matrix.identity(field, bundle.rank)
-    blocks = []
-    for e in tree.cotree_edges:
-        u, v = bundle.graph.edges[e]
-        holonomy = path_inverses[v] @ bundle.transitions[e] @ paths[u]
-        blocks.append(holonomy - ident)
-    if blocks:
-        space = kernel(_stack_rows(field, blocks, bundle.rank))
+@dataclass(frozen=True)
+class _RootConstraint:
+    """Flat sections in root-fiber coordinates.
+
+    A flat section is fixed by its root value x, and exists exactly when x
+    is fixed by the holonomy of every cotree edge. ``rows`` stacks
+    (holonomy - 1) over the cotree edges (None when there are none), in
+    the coordinates of ``basis`` for an algebra subbundle and in the
+    standard ones for a vector bundle (``basis`` None); ``dim`` is the
+    root-fiber dimension.
+    """
+
+    bundle: BundleRep
+    paths: list
+    path_inverses: list
+    basis: tuple | None
+    dim: int
+    rows: Matrix | None
+
+
+def _root_constraint(obj, tree_edges) -> _RootConstraint:
+    """The holonomy of cotree edge e = (u, v) is h = P_v^-1 T_e P_u, and
+    h^-1 = P_u^-1 T_e^-1 P_v; every inverse is a cached transition inverse."""
+    if isinstance(obj, SubalgebraBundle):
+        bundle, root = obj.parent, obj.fibers[0]
+    elif isinstance(obj, BundleRep):
+        bundle, root = obj, None
     else:
-        space = Subspace.full(field, bundle.rank)
-    sections = tuple(
-        tuple(p.apply(x) for p in paths) for x in space.basis
-    )
-    return FlatSectionSpace("vector", space.dim, sections)
-
-
-def _flat_algebra_sections(algebra: SubalgebraBundle, tree_edges) -> FlatSectionSpace:
-    bundle = algebra.parent
+        raise TypeError("flat_sections expects a BundleRep or SubalgebraBundle")
     field = bundle.field
-    d = bundle.rank
-    tree = bundle.graph.spanning_tree(tree_edges)
-    inverses = {e: bundle.transition_inverse(e) for e in range(len(bundle.transitions))}
-    paths = tree.path_operators(Matrix.identity(field, d), bundle.transitions, inverses)
-    path_inverses = [p.inverse() for p in paths]
-    root = algebra.fibers[0]
-    r = root.dim
-    basis = root.basis_matrices()
-    ident = Matrix.identity(field, r)
+    tree = validate_bundle(bundle)
+    if tree_edges is not None:
+        tree = bundle.graph.spanning_tree(tree_edges)
+    paths, path_inverses = tree.path_operators(
+        Matrix.identity(field, bundle.rank), bundle.transitions, bundle.transition_inverse
+    )
+    basis = None if root is None else root.basis_matrices()
+    dim = bundle.rank if root is None else root.dim
+    ident = Matrix.identity(field, dim)
     blocks = []
     for e in tree.cotree_edges:
         u, v = bundle.graph.edges[e]
         h = path_inverses[v] @ bundle.transitions[e] @ paths[u]
-        hi = h.inverse()
+        if root is None:
+            blocks.append(h - ident)
+            continue
+        hi = path_inverses[u] @ bundle.transition_inverse(e) @ paths[v]
         cols = []
         for b in basis:
-            moved = h @ b @ hi
             try:
-                cols.append(root.coordinates_of(moved))
+                cols.append(root.coordinates_of(h @ b @ hi))
             except ValueError:
                 raise IncompatibleEdge(
                     e, "holonomy does not preserve the root fiber subspace"
                 ) from None
         blocks.append(Matrix.from_columns(field, cols) - ident)
-    if blocks:
-        space = kernel(_stack_rows(field, blocks, r))
-    else:
-        space = Subspace.full(field, r)
-    sections = []
-    for coeffs in space.basis:
-        x = Matrix.zeros(field, d, d)
-        for c, b in zip(coeffs, basis):
-            if c != 0:
-                x = x + b.scale(c)
-        sections.append(tuple(p @ x @ pi for p, pi in zip(paths, path_inverses)))
-    return FlatSectionSpace("endomorphism", space.dim, tuple(sections))
+    rows = _stack_rows(field, blocks, dim) if blocks else None
+    return _RootConstraint(bundle, paths, path_inverses, basis, dim, rows)
 
 
 @dataclass(frozen=True)
@@ -353,12 +471,11 @@ def flat_hom_space(source: BundleRep, target: BundleRep, tree_edges=None):
     field = source.field
     d = source.rank
     tree = source.graph.spanning_tree(tree_edges)
-    inv_s = {e: source.transition_inverse(e) for e in range(len(source.transitions))}
-    inv_t = {e: target.transition_inverse(e) for e in range(len(target.transitions))}
-    paths_s = tree.path_operators(Matrix.identity(field, d), source.transitions, inv_s)
-    paths_t = tree.path_operators(Matrix.identity(field, d), target.transitions, inv_t)
-    pinv_s = [p.inverse() for p in paths_s]
-    pinv_t = [p.inverse() for p in paths_t]
+    validate_bundle(source)
+    validate_bundle(target)
+    ident_d = Matrix.identity(field, d)
+    paths_s, pinv_s = tree.path_operators(ident_d, source.transitions, source.transition_inverse)
+    paths_t, pinv_t = tree.path_operators(ident_d, target.transitions, target.transition_inverse)
     ident = Matrix.identity(field, d * d)
     blocks = []
     for e in tree.cotree_edges:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .bundles import BaseGraph, BundleRep, SubalgebraBundle
 from .covers import CoverRep, LineBundleOnCover
-from .errors import ParseError
+from .errors import DisconnectedBase, ParseError
 from .fields import field_from_json, field_to_json
 from .linalg import Matrix, MatrixSubspace
 from .parabolic import BranchPoint, RamifiedCoverData, RamifiedSheet, parse_weight
@@ -106,9 +106,14 @@ def parse_graph(value, where) -> BaseGraph:
             raise ParseError(f"{where}.edges[{i}]: expected a pair [u, v]")
         edges.append((_expect_int(e[0], where), _expect_int(e[1], where)))
     try:
-        return BaseGraph(n, tuple(edges))
+        graph = BaseGraph(n, tuple(edges))
     except Exception as exc:
         raise ParseError(f"{where}: {exc}") from None
+    # a connected graph on n vertices has at least n - 1 edges; refusing
+    # here keeps a huge vertex count from reaching any per-vertex table
+    if n > len(edges) + 1:
+        raise DisconnectedBase("base graph is not connected")
+    return graph
 
 
 def graph_to_json(graph: BaseGraph):

@@ -33,14 +33,27 @@ class Matrix:
         self.ncols = ncols
 
     @classmethod
+    def _trusted(cls, field, rows: tuple, ncols: int) -> "Matrix":
+        """Internal constructor for computed results: ``rows`` is already a
+        tuple of ``ncols``-long tuples of elements of ``field``, so neither
+        coercion nor the shape check is repeated."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        return m
+
+    @classmethod
     def identity(cls, field, n: int) -> "Matrix":
         one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        return cls._trusted(field, rows, n)
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
-        zero = field.zero()
-        return cls(field, [[zero] * ncols for _ in range(nrows)], ncols=ncols)
+        row = (field.zero(),) * ncols
+        return cls._trusted(field, (row,) * nrows, ncols)
 
     @classmethod
     def from_columns(cls, field, cols) -> "Matrix":
@@ -51,36 +64,35 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise DimensionMismatch("matrix product shape mismatch")
-        ocols = list(zip(*other.rows)) if other.rows else []
+        ocols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
         zero = self.field.zero()
-        out = []
-        for r in self.rows:
-            out.append(
-                [sum((a * b for a, b in zip(r, c) if a != 0), zero) for c in ocols]
-            )
-        return Matrix(self.field, out, ncols=other.ncols)
+        out = tuple(
+            tuple(sum((a * b for a, b in zip(r, c) if a != 0), zero) for c in ocols)
+            for r in self.rows
+        )
+        return Matrix._trusted(self.field, out, other.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("matrix sum shape mismatch")
-        return Matrix(
-            self.field,
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            ncols=self.ncols,
+        rows = tuple(
+            tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)
         )
+        return Matrix._trusted(self.field, rows, self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + other.scale(-self.field.one())
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
-        return Matrix(self.field, [[c * a for a in r] for r in self.rows], ncols=self.ncols)
+        rows = tuple(tuple(c * a for a in r) for r in self.rows)
+        return Matrix._trusted(self.field, rows, self.ncols)
 
     def __neg__(self) -> "Matrix":
         return self.scale(-self.field.one())
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.rows)), ncols=self.nrows)
+        return Matrix._trusted(self.field, tuple(zip(*self.rows)), self.nrows)
 
     def apply(self, vec) -> tuple:
         if len(vec) != self.ncols:
@@ -95,7 +107,8 @@ class Matrix:
     def unflatten(cls, field, vec, nrows: int, ncols: int) -> "Matrix":
         if len(vec) != nrows * ncols:
             raise DimensionMismatch("flattened length mismatch")
-        return cls(field, [vec[i * ncols : (i + 1) * ncols] for i in range(nrows)], ncols=ncols)
+        rows = tuple(tuple(vec[i * ncols : (i + 1) * ncols]) for i in range(nrows))
+        return cls._trusted(field, rows, ncols)
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -122,7 +135,7 @@ class Matrix:
                 if r != col and aug[r][col] != 0:
                     f = aug[r][col]
                     aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return Matrix(field, [r[n:] for r in aug], ncols=n)
+        return Matrix._trusted(field, tuple(tuple(r[n:]) for r in aug), n)
 
     def is_invertible(self) -> bool:
         try:
@@ -176,7 +189,8 @@ def rref(m: Matrix) -> RrefResult:
         r += 1
         if r == nrows:
             break
-    return RrefResult(Matrix(field, rows, ncols=ncols), len(pivots), tuple(pivots))
+    rows = tuple(tuple(row) for row in rows)
+    return RrefResult(Matrix._trusted(field, rows, ncols), len(pivots), tuple(pivots))
 
 
 class Subspace:

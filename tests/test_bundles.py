@@ -171,6 +171,50 @@ def test_flat_sections_independent_of_spanning_tree():
     assert a1.dimension == a2.dimension == 1
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)
+def test_flat_sections_on_gauged_bundles(field):
+    # non-trivial transitions on tree and cotree edges alike: the sections
+    # satisfy every edge equation, and the dimension-only path agrees
+    from test_root_split import gauged_bundle
+
+    rng = Random(61 + getattr(field, "p", 0))
+    for _ in range(6):
+        bundle, algebra = gauged_bundle(rng, field, min_vertices=2)
+        vector = flat_sections(bundle)
+        for section in vector.sections:
+            for t, (u, v) in zip(bundle.transitions, bundle.graph.edges):
+                assert t.apply(section[u]) == section[v]
+        endo = flat_sections(algebra)
+        for section in endo.sections:
+            for t, (u, v) in zip(bundle.transitions, bundle.graph.edges):
+                assert t @ section[u] == section[v] @ t
+        assert flat_sections_dim(bundle) == vector.dimension
+        assert flat_sections_dim(algebra) == endo.dimension
+
+
+def test_flat_sections_invert_no_matrix_once_transitions_are(monkeypatch):
+    # path inverses and holonomy inverses come from the cached transition inverses
+    from test_root_split import gauged_bundle
+
+    rng = Random(62)
+    cases = [gauged_bundle(rng, (QQ, GF(5), GF(7))[i], min_vertices=3) for i in range(3)]
+    for bundle, _algebra in cases:
+        validate_bundle(bundle)
+    calls = []
+    real = Matrix.inverse
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counting)
+    for bundle, algebra in cases:
+        flat_sections(bundle)
+        flat_sections(algebra)
+        flat_sections_dim(algebra)
+    assert calls == []
+
+
 # --- isomorphism search ----------------------------------------------------------
 
 

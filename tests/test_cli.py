@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,34 @@ def test_pushforward_disconnected_base_is_input_error(tmp_path, capsys):
     code, out = run_cli(capsys, "--format", "machine", "pushforward", str(bad))
     assert code == 2
     assert json.loads(out)["error"]["type"] == "DisconnectedBase"
+
+
+@pytest.mark.parametrize("command", ["classify", "cover-build", "pushforward", "factor"])
+def test_huge_vertex_count_is_refused_before_any_work(tmp_path, capsys, command):
+    # fewer than n - 1 edges cannot connect n vertices: refused at parse time,
+    # before any per-vertex table is allocated
+    doc = {
+        "field": {"kind": "Q"},
+        "kind": "cover",
+        "payload": {"graph": {"vertices": 10**9, "edges": []}, "degree": 2, "sigma": []},
+    }
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "--format", "machine", command, str(bad))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error == {"type": "DisconnectedBase", "message": "base graph is not connected"}
+
+
+def test_parse_graph_refuses_too_few_edges_unwrapped():
+    from cartancover.errors import DisconnectedBase
+    from cartancover.instances import parse_graph
+
+    with pytest.raises(DisconnectedBase):
+        parse_graph({"vertices": 4, "edges": [[0, 1], [1, 2]]}, "graph")
+    assert parse_graph({"vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, "graph")
 
 
 # --- factor -------------------------------------------------------------------------

@@ -298,3 +298,41 @@ def test_min_poly_matches_the_solve_oracle(field, case):
             assert mp == min_poly_by_solves(mat)
             if degree is not None:
                 assert mp.degree == degree
+
+
+# --- computed results -------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_computed_matrices_equal_checked_construction(field):
+    # results are built without re-coercing their entries; they must still
+    # hold field elements and equal the checked constructor's matrices
+    rng = Random(12)
+    a = random_invertible_matrix(rng, field, 3)
+    b = random_invertible_matrix(rng, field, 3)
+    scalar_type = type(field.one())
+    results = [
+        a @ b,
+        a + b,
+        a - b,
+        a.scale(3),
+        -a,
+        a.transpose(),
+        a.inverse(),
+        rref(a @ b).matrix,
+        Matrix.unflatten(field, a.flatten(), 3, 3),
+        Matrix.identity(field, 3),
+        Matrix.zeros(field, 2, 3),
+    ]
+    for m in results:
+        assert all(type(x) is scalar_type for row in m.rows for x in row)
+        assert isinstance(m.rows, tuple) and all(isinstance(r, tuple) for r in m.rows)
+        assert m == Matrix(field, m.rows, ncols=m.ncols)
+        assert (m.nrows, m.ncols) == (len(m.rows), len(m.rows[0]))
+    assert a @ a.inverse() == Matrix.identity(field, 3)
+
+
+def test_product_through_zero_columns_has_the_outer_shape():
+    left = Matrix(QQ, [[], []], ncols=0)
+    right = Matrix(QQ, [], ncols=3)
+    assert left @ right == Matrix.zeros(QQ, 2, 3)

@@ -120,6 +120,91 @@ def test_errors_match_the_per_vertex_oracle():
     assert seen == {"NonSplitAtVertex", "NotCartanAtVertex", "IncompatibleEdge"}
 
 
+def shear_edges(bundle, algebra, edges):
+    """The same fibers over a bundle whose transitions on ``edges`` are sheared."""
+    field, d = bundle.field, bundle.rank
+    shear = Matrix(field, [[int(i == j or (i, j) == (0, 1)) for j in range(d)] for i in range(d)])
+    transitions = list(bundle.transitions)
+    for e in edges:
+        transitions[e] = transitions[e] @ shear
+    faulty = BundleRep(field, bundle.graph, d, transitions)
+    return faulty, SubalgebraBundle(faulty, algebra.fibers)
+
+
+@pytest.mark.parametrize("part", ["tree", "cotree"])
+def test_edge_faults_match_the_per_vertex_oracle(part):
+    # a sheared tree edge spoils the transported lines (the vertex check
+    # fails); a sheared cotree edge leaves them intact (the edge check fails)
+    rng = Random(77 if part == "tree" else 78)
+    caught = 0
+    for i in range(45):
+        bundle, algebra = gauged_bundle(rng, FIELDS[i % 3], min_vertices=2)
+        tree = bundle.graph.spanning_tree()
+        pool = sorted(tree.tree_edges) if part == "tree" else list(tree.cotree_edges)
+        if not pool:
+            continue
+        chosen = rng.sample(pool, rng.randint(1, min(2, len(pool))))
+        faulty, fibers = shear_edges(bundle, algebra, chosen)
+        expected = error_signature(per_vertex_validate, faulty, fibers)
+        assert error_signature(validate_cartan_bundle, faulty, fibers) == expected
+        assert error_signature(build_spectral_cover, faulty, fibers) == expected
+        if expected is not None:
+            caught += 1
+            assert expected[0] == "IncompatibleEdge" and expected[2] in chosen
+    assert caught >= 20
+
+
+def test_wrong_dimension_fibers_match_the_per_vertex_oracle():
+    # a fiber spanned by d - 1 of its basis matrices is still diagonal in the
+    # transported lines, so only the dimension check catches it
+    rng = Random(79)
+    for i in range(30):
+        field = FIELDS[i % 3]
+        bundle, algebra = gauged_bundle(rng, field, min_vertices=2)
+        d, v = bundle.rank, rng.randrange(1, bundle.graph.num_vertices)
+        basis = algebra.fibers[v].basis_matrices()
+        if i % 2:
+            fiber = MatrixSubspace(field, d, basis[:-1])
+        else:
+            fiber = MatrixSubspace(field, d, basis + (random_invertible_matrix(rng, field, d),))
+            if fiber.dim != d + 1:
+                continue
+        fibers = list(algebra.fibers)
+        fibers[v] = fiber
+        faulty = SubalgebraBundle(bundle, fibers)
+        expected = error_signature(per_vertex_validate, bundle, faulty)
+        assert expected[:2] == ("NotCartanAtVertex", v)
+        assert "WrongDimension" in expected[3]
+        assert error_signature(validate_cartan_bundle, bundle, faulty) == expected
+        assert error_signature(build_spectral_cover, bundle, faulty) == expected
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_valid_roundtrip_conjugates_no_subspace(field, monkeypatch):
+    calls = []
+    real_conjugate = cartan.conjugate_subspace
+    real_conjugated = MatrixSubspace.conjugated
+
+    def counting_conjugate(*args, **kwargs):
+        calls.append("conjugate_subspace")
+        return real_conjugate(*args, **kwargs)
+
+    def counting_conjugated(self, t):
+        calls.append("conjugated")
+        return real_conjugated(self, t)
+
+    rng = Random(90 + getattr(field, "p", 0))
+    cases = [gauged_bundle(rng, field, min_vertices=3) for _ in range(5)]
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cartancover") and getattr(module, "conjugate_subspace", None) is real_conjugate:
+            monkeypatch.setattr(module, "conjugate_subspace", counting_conjugate)
+    monkeypatch.setattr(MatrixSubspace, "conjugated", counting_conjugated)
+    for bundle, algebra in cases:
+        record = roundtrip_verify(bundle, algebra)
+        assert record.all_ok() and record.algebra_matches
+    assert calls == []
+
+
 def test_bad_root_fiber_is_reported_at_the_root():
     # every fiber one conjugate of a non-split algebra, every edge compatible
     field = QQ
