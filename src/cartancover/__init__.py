@@ -14,8 +14,6 @@ from .bundles import (
     BundleRep,
     FlatSectionSpace,
     SubalgebraBundle,
-    bundle_iso_check,
-    end_bundle,
     flat_sections,
     flat_sections_dim,
     validate_bundle,
@@ -43,7 +41,6 @@ from .covers import (
 )
 from .factorization import (
     BlockSystem,
-    MonodromyData,
     block_systems,
     intermediate_cover,
     monodromy_generators,
@@ -62,6 +59,5 @@ from .parabolic import (
     parabolic_degree,
     pushforward_parabolic,
     riemann_hurwitz_genus,
-    tameness_check,
 )
 from .poly import Poly, poly_gcd, roots_in_field

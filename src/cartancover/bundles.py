@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
 
 from .cartan import (
     CartanStatus,
@@ -93,25 +92,16 @@ class SpanningTree:
     tree_edges: frozenset
     cotree_edges: tuple
 
-    def path_operators(self, identity, ops, inverse_of) -> tuple:
-        """Per-vertex composite operator P_v from the root along tree edges,
-        and its inverse, in one walk: through an edge T from u to v,
-        P_v = T P_u and P_v^-1 = P_u^-1 T^-1. ``inverse_of(e)`` gives the
-        inverse of ``ops[e]``, so no composite is ever inverted."""
-        paths = [None] * self.graph.num_vertices
-        path_inverses = [None] * self.graph.num_vertices
-        for vertex, via, forward in self.order:
-            if via is None:
-                paths[vertex] = path_inverses[vertex] = identity
-                continue
+    def transport(self, root_value, step) -> list:
+        """The value at each vertex, carried from ``root_value`` at the root
+        along the tree: ``step(e, forward, x)`` moves x across tree edge e,
+        through T_e or sigma_e when ``forward``, else through the inverse."""
+        values = [None] * self.graph.num_vertices
+        values[0] = root_value
+        for vertex, via, forward in self.order[1:]:
             u, v = self.graph.edges[via]
-            if forward:
-                paths[v] = ops[via] @ paths[u]
-                path_inverses[v] = path_inverses[u] @ inverse_of(via)
-            else:
-                paths[u] = inverse_of(via) @ paths[v]
-                path_inverses[u] = path_inverses[v] @ ops[via]
-        return paths, path_inverses
+            values[vertex] = step(via, forward, values[u if forward else v])
+        return values
 
 
 class BundleRep:
@@ -240,20 +230,18 @@ def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> Cart
     """
     tree = validate_bundle(bundle)
     d = bundle.rank
-    field = bundle.field
-    edges = bundle.graph.edges
     verdict = _classify_fiber(algebra, 0, d)
-    lines = [None] * bundle.graph.num_vertices
-    lines[0] = split_eigenlines(algebra.fibers[0], verdict).lines
-    for vertex, via, forward in tree.order[1:]:
-        u, v = edges[via]
-        op = bundle.transitions[via] if forward else bundle.transition_inverse(via)
-        lines[vertex] = canonical_lines(field, [op.apply(x) for x in lines[u if forward else v]])
-        if not _diagonal_in(algebra.fibers[vertex], lines[vertex], d):
-            _raise_first_fault(bundle, algebra, d)
+
+    def step(e, forward, lines):
+        op = bundle.transitions[e] if forward else bundle.transition_inverse(e)
+        return canonical_lines(bundle.field, [op.apply(x) for x in lines])
+
+    lines = tree.transport(split_eigenlines(algebra.fibers[0], verdict).lines, step)
+    if not all(_diagonal_in(algebra.fibers[v], lines[v], d) for v in range(1, len(lines))):
+        _raise_first_fault(bundle, algebra, d)
     index = [{line: t for t, line in enumerate(ls)} for ls in lines]
     images, factors = [], []
-    for e, (u, v) in enumerate(edges):
+    for e, (u, v) in enumerate(bundle.graph.edges):
         mapped = _map_lines(bundle.transitions[e], lines[u], index[v])
         if mapped is None:
             _raise_first_fault(bundle, algebra, d)
@@ -313,32 +301,20 @@ def _raise_first_fault(bundle: BundleRep, algebra: SubalgebraBundle, d: int):
     raise RuntimeError("eigenline check failed on a compatible split Cartan bundle")
 
 
-def conjugation_operator(t: Matrix) -> Matrix:
-    """The map m -> t m t^-1 as a d^2 x d^2 matrix on row-major coordinates."""
-    return hom_operator(t, t)
+def tree_paths(bundle: BundleRep, tree: SpanningTree) -> list:
+    """Per vertex v, the composite P_v of the transitions along the tree
+    path from the root, with its inverse: through an edge T from u to v,
+    P_v = T P_u and P_v^-1 = P_u^-1 T^-1. T^-1 is the cached transition
+    inverse, so no composite is ever inverted."""
 
+    def step(e, forward, path):
+        t, ti = bundle.transitions[e], bundle.transition_inverse(e)
+        if not forward:
+            t, ti = ti, t
+        return t @ path[0], path[1] @ ti
 
-def hom_operator(t_target: Matrix, t_source: Matrix) -> Matrix:
-    """The map m -> t_target m t_source^-1 on row-major coordinates."""
-    field = t_target.field
-    d = t_target.nrows
-    ti = t_source.inverse()
-    zero, one = field.zero(), field.one()
-    cols = []
-    for i in range(d):
-        for j in range(d):
-            e = Matrix(
-                field,
-                [[one if (r == i and c == j) else zero for c in range(d)] for r in range(d)],
-            )
-            cols.append((t_target @ e @ ti).flatten())
-    return Matrix.from_columns(field, cols)
-
-
-def end_bundle(bundle: BundleRep) -> BundleRep:
-    """The endomorphism bundle, rank d^2, with conjugation as edge action."""
-    ops = [conjugation_operator(t) for t in bundle.transitions]
-    return BundleRep(bundle.field, bundle.graph, bundle.rank**2, ops)
+    ident = Matrix.identity(bundle.field, bundle.rank)
+    return tree.transport((ident, ident), step)
 
 
 def _stack_rows(field, blocks, width: int) -> Matrix:
@@ -359,9 +335,8 @@ def flat_sections(obj, tree_edges=None) -> FlatSectionSpace:
         space = Subspace.full(field, root.dim)
     else:
         space = kernel(root.rows)
-    paths, path_inverses = root.paths, root.path_inverses
     if root.basis is None:
-        sections = tuple(tuple(p.apply(x) for p in paths) for x in space.basis)
+        sections = tuple(tuple(p.apply(x) for p, _pi in root.paths) for x in space.basis)
         return FlatSectionSpace("vector", space.dim, sections)
     d = root.bundle.rank
     sections = []
@@ -370,15 +345,15 @@ def flat_sections(obj, tree_edges=None) -> FlatSectionSpace:
         for c, b in zip(coeffs, root.basis):
             if c != 0:
                 x = x + b.scale(c)
-        sections.append(tuple(p @ x @ pi for p, pi in zip(paths, path_inverses)))
+        sections.append(tuple(p @ x @ pi for p, pi in root.paths))
     return FlatSectionSpace("endomorphism", space.dim, tuple(sections))
 
 
-def flat_sections_dim(obj, tree_edges=None) -> int:
+def flat_sections_dim(obj) -> int:
     """The dimension of ``flat_sections(obj)`` alone: the root-fiber
     dimension minus the rank of the holonomy constraints, with no kernel
     basis and no sections built."""
-    root = _root_constraint(obj, tree_edges)
+    root = _root_constraint(obj, None)
     if root.rows is None:
         return root.dim
     return root.dim - rref(root.rows).rank
@@ -393,12 +368,11 @@ class _RootConstraint:
     (holonomy - 1) over the cotree edges (None when there are none), in
     the coordinates of ``basis`` for an algebra subbundle and in the
     standard ones for a vector bundle (``basis`` None); ``dim`` is the
-    root-fiber dimension.
+    root-fiber dimension; ``paths`` is ``tree_paths`` of the bundle.
     """
 
     bundle: BundleRep
     paths: list
-    path_inverses: list
     basis: tuple | None
     dim: int
     rows: Matrix | None
@@ -417,20 +391,18 @@ def _root_constraint(obj, tree_edges) -> _RootConstraint:
     tree = validate_bundle(bundle)
     if tree_edges is not None:
         tree = bundle.graph.spanning_tree(tree_edges)
-    paths, path_inverses = tree.path_operators(
-        Matrix.identity(field, bundle.rank), bundle.transitions, bundle.transition_inverse
-    )
+    paths = tree_paths(bundle, tree)
     basis = None if root is None else root.basis_matrices()
     dim = bundle.rank if root is None else root.dim
     ident = Matrix.identity(field, dim)
     blocks = []
     for e in tree.cotree_edges:
         u, v = bundle.graph.edges[e]
-        h = path_inverses[v] @ bundle.transitions[e] @ paths[u]
+        h = paths[v][1] @ bundle.transitions[e] @ paths[u][0]
         if root is None:
             blocks.append(h - ident)
             continue
-        hi = path_inverses[u] @ bundle.transition_inverse(e) @ paths[v]
+        hi = paths[u][1] @ bundle.transition_inverse(e) @ paths[v][0]
         cols = []
         for b in basis:
             try:
@@ -441,91 +413,4 @@ def _root_constraint(obj, tree_edges) -> _RootConstraint:
                 ) from None
         blocks.append(Matrix.from_columns(field, cols) - ident)
     rows = _stack_rows(field, blocks, dim) if blocks else None
-    return _RootConstraint(bundle, paths, path_inverses, basis, dim, rows)
-
-
-@dataclass(frozen=True)
-class BundleIsoResult:
-    """Outcome of the bounded flat-isomorphism search between two bundles.
-
-    ``witness`` holds one invertible flat homomorphism (a matrix per
-    vertex) when found. A miss is conclusive only when the flat-Hom
-    space is zero; otherwise the bounded search may simply not have
-    reached an invertible combination.
-    """
-
-    witness: tuple | None
-    hom_dimension: int
-    conclusive: bool
-
-    @property
-    def found(self) -> bool:
-        return self.witness is not None
-
-
-def flat_hom_space(source: BundleRep, target: BundleRep, tree_edges=None):
-    """Basis of flat homomorphisms source -> target, as root-fiber matrices
-    together with the per-vertex transport operators."""
-    if source.graph != target.graph or source.rank != target.rank:
-        raise DimensionMismatch("bundles must share base and rank")
-    field = source.field
-    d = source.rank
-    tree = source.graph.spanning_tree(tree_edges)
-    validate_bundle(source)
-    validate_bundle(target)
-    ident_d = Matrix.identity(field, d)
-    paths_s, pinv_s = tree.path_operators(ident_d, source.transitions, source.transition_inverse)
-    paths_t, pinv_t = tree.path_operators(ident_d, target.transitions, target.transition_inverse)
-    ident = Matrix.identity(field, d * d)
-    blocks = []
-    for e in tree.cotree_edges:
-        u, v = source.graph.edges[e]
-        h_t = pinv_t[v] @ target.transitions[e] @ paths_t[u]
-        h_s = pinv_s[v] @ source.transitions[e] @ paths_s[u]
-        blocks.append(hom_operator(h_t, h_s) - ident)
-    if blocks:
-        space = kernel(_stack_rows(field, blocks, d * d))
-    else:
-        space = Subspace.full(field, d * d)
-    basis = tuple(Matrix.unflatten(field, vec, d, d) for vec in space.basis)
-    return basis, paths_t, pinv_s
-
-
-def bundle_iso_check(
-    source: BundleRep,
-    target: BundleRep,
-    coefficient_bound: int = 3,
-    max_candidates: int = 200000,
-) -> BundleIsoResult:
-    """Search the flat-Hom space for an invertible element.
-
-    Each basis element is tried first, then integer-coefficient
-    combinations with entries in [-bound, bound] in a fixed order, so the
-    outcome is deterministic. A flat homomorphism invertible at the root
-    is invertible everywhere (transport is by invertible operators).
-    """
-    basis, paths_t, pinv_s = flat_hom_space(source, target)
-    dim = len(basis)
-
-    def transport(m0):
-        return tuple(pt @ m0 @ ps for pt, ps in zip(paths_t, pinv_s))
-
-    for m0 in basis:
-        if m0.is_invertible():
-            return BundleIsoResult(transport(m0), dim, True)
-    field = source.field
-    coeff_range = [field.coerce(c) for c in range(-coefficient_bound, coefficient_bound + 1)]
-    tried = 0
-    for combo in product(coeff_range, repeat=dim):
-        tried += 1
-        if tried > max_candidates:
-            break
-        if all(c == 0 for c in combo):
-            continue
-        m0 = Matrix.zeros(field, source.rank, source.rank)
-        for c, b in zip(combo, basis):
-            if c != 0:
-                m0 = m0 + b.scale(c)
-        if m0.is_invertible():
-            return BundleIsoResult(transport(m0), dim, True)
-    return BundleIsoResult(None, dim, dim == 0)
+    return _RootConstraint(bundle, paths, basis, dim, rows)

@@ -117,21 +117,6 @@ def classify_subspace(a: MatrixSubspace, d: int) -> CartanVerdict:
     return CartanVerdict(CartanStatus.SPLIT)
 
 
-def subalgebra_closure_defect(a: MatrixSubspace) -> Matrix | None:
-    """Debug check: a product of basis elements escaping the span, if any.
-
-    Closure is implied for subspaces passing the Cartan test, so this is
-    not part of classification.
-    """
-    basis = a.basis_matrices()
-    for x in basis:
-        for y in basis:
-            prod = x @ y
-            if not a.contains(prod):
-                return prod
-    return None
-
-
 @dataclass(frozen=True)
 class EigenlineSet:
     """The d common eigenlines of a split Cartan subspace.

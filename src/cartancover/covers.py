@@ -28,6 +28,7 @@ with no subspace conjugated on the way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 from .bundles import BaseGraph, BundleRep, SubalgebraBundle, flat_sections_dim, validate_cartan_bundle
@@ -59,6 +60,11 @@ class CoverRep:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "sigma", sigma)
+
+    @cached_property
+    def gauge(self) -> "TreeGauge":
+        """``tree_gauge(self)``, computed once per cover."""
+        return tree_gauge(self)
 
     def total_components(self):
         """Connected components of the total space, via union-find on (vertex, label)."""
@@ -261,11 +267,22 @@ def roundtrip_verify(bundle: BundleRep, algebra: SubalgebraBundle) -> RoundtripR
 
 @dataclass(frozen=True)
 class TreeGauge:
-    """Per-vertex relabelings making every tree edge carry the identity."""
+    """A cover after tree gauge: per-vertex relabelings making every tree
+    edge carry the identity, so that its monodromy is one permutation per
+    cotree edge."""
 
     tree: object
     taus: tuple  # per vertex, a permutation: root labels -> vertex labels
     gauged: CoverRep
+
+    @property
+    def tree_edge_indices(self) -> tuple:
+        return tuple(sorted(self.tree.tree_edges))
+
+    @property
+    def generators(self) -> tuple:
+        """(edge index, gauged permutation) per cotree edge."""
+        return tuple((e, self.gauged.sigma[e]) for e in self.tree.cotree_edges)
 
 
 def _invert_perm(p):
@@ -280,24 +297,19 @@ def _compose(p, q):
     return tuple(p[q[i]] for i in range(len(q)))
 
 
-def tree_gauge(cover: CoverRep, tree_edges=None) -> TreeGauge:
+def tree_gauge(cover: CoverRep) -> TreeGauge:
     """Relabel all fibers through a spanning tree so tree edges are identities."""
-    d = cover.degree
-    tree = cover.base.spanning_tree(tree_edges)
-    taus = [None] * cover.base.num_vertices
-    for vertex, via, forward in tree.order:
-        if via is None:
-            taus[vertex] = tuple(range(d))
-            continue
-        u, v = cover.base.edges[via]
-        if forward:
-            taus[v] = _compose(cover.sigma[via], taus[u])
-        else:
-            taus[u] = _compose(_invert_perm(cover.sigma[via]), taus[v])
+    tree = cover.base.spanning_tree()
+
+    def step(e, forward, tau):
+        sigma = cover.sigma[e]
+        return _compose(sigma if forward else _invert_perm(sigma), tau)
+
+    taus = tree.transport(tuple(range(cover.degree)), step)
     new_sigma = []
     for e, (u, v) in enumerate(cover.base.edges):
         new_sigma.append(_compose(_invert_perm(taus[v]), _compose(cover.sigma[e], taus[u])))
-    gauged = CoverRep(cover.base, d, tuple(new_sigma))
+    gauged = CoverRep(cover.base, cover.degree, tuple(new_sigma))
     return TreeGauge(tree, tuple(taus), gauged)
 
 
@@ -312,8 +324,8 @@ def cover_isomorphisms(first: CoverRep, second: CoverRep):
     if first.base != second.base or first.degree != second.degree:
         return
     d = first.degree
-    g1 = tree_gauge(first)
-    g2 = tree_gauge(second)
+    g1 = first.gauge
+    g2 = second.gauge
     cotree = g1.tree.cotree_edges
     for beta in permutations(range(d)):
         ok = True

@@ -1,13 +1,15 @@
 """Factoring covers through intermediate covers via block systems.
 
 After gauge-fixing along a spanning tree, a cover is encoded by one
-permutation per remaining edge. A partition of the fiber into equal
-blocks preserved by all those permutations determines an intermediate
-cover whose fibers are the blocks, and the pushforward of the structure
-sheaf along the intermediate cover sits inside the full pushforward as
-the span of block indicator vectors. The fiberwise diagonal embeddings
-then fit into a commuting square through the compression map
-m -> p . m . i, which is what the summand check certifies.
+permutation per remaining edge; the gauge comes from the cover
+(``CoverRep.gauge``), computed once however many block systems read it.
+A partition of the fiber into equal blocks preserved by all those
+permutations determines an intermediate cover whose fibers are the
+blocks, and the pushforward of the structure sheaf along the
+intermediate cover sits inside the full pushforward as the span of block
+indicator vectors. The fiberwise diagonal embeddings then fit into a
+commuting square through the compression map m -> p . m . i, which is
+what the summand check certifies.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .covers import CoverRep, direct_image_line_bundle, tree_gauge, trivial_line_bundle
+from .covers import CoverRep, TreeGauge, direct_image_line_bundle, trivial_line_bundle
+from .covers import _compose, _invert_perm
 from .errors import DegreeTooLarge, NotABlockSystem
 from .fields import QQ, PrimeField
 from .cartan import classify_subspace
@@ -24,26 +27,9 @@ from .linalg import Matrix, MatrixSubspace
 ENUMERATION_DEGREE_BOUND = 12
 
 
-@dataclass(frozen=True)
-class MonodromyData:
-    """A cover after tree gauge: identity on tree edges, a permutation elsewhere."""
-
-    degree: int
-    tree_edge_indices: tuple
-    generators: tuple  # (edge_index, permutation) per non-tree edge
-    vertex_relabelings: tuple  # per vertex, root labels -> original labels
-
-
-def monodromy_generators(cover: CoverRep) -> MonodromyData:
-    """Gauge-fix a cover along a spanning tree and read off the holonomy."""
-    gauge = tree_gauge(cover)
-    gens = tuple((e, gauge.gauged.sigma[e]) for e in gauge.tree.cotree_edges)
-    return MonodromyData(
-        cover.degree,
-        tuple(sorted(gauge.tree.tree_edges)),
-        gens,
-        gauge.taus,
-    )
+def monodromy_generators(cover: CoverRep) -> TreeGauge:
+    """The cover's tree gauge, whose ``generators`` are its holonomy."""
+    return cover.gauge
 
 
 @dataclass(frozen=True)
@@ -135,13 +121,13 @@ def _partitions_with_block_size(d: int, b: int, gens):
         yield normalize_partition(blocks, d)
 
 
-def block_systems(mono: MonodromyData) -> BlockSystemCatalog:
+def block_systems(mono: TreeGauge) -> BlockSystemCatalog:
     """Enumerate all block systems, separating the two trivial ones.
 
     Proper systems have block size strictly between 1 and the degree.
     Refuses degrees beyond the enumeration bound instead of sampling.
     """
-    d = mono.degree
+    d = mono.gauged.degree
     if d > ENUMERATION_DEGREE_BOUND:
         raise DegreeTooLarge(f"degree {d} exceeds enumeration bound {ENUMERATION_DEGREE_BOUND}")
     gens = [g for _e, g in mono.generators]
@@ -173,10 +159,9 @@ def intermediate_cover(cover: CoverRep, system: BlockSystem) -> IntermediateCove
     quotient cover's own projection is checked to reproduce the original
     edge bijections.
     """
-    mono = monodromy_generators(cover)
-    if not is_block_system(mono.generators, system):
+    gauge = cover.gauge
+    if not is_block_system(gauge.generators, system):
         raise NotABlockSystem("partition is not preserved by the monodromy")
-    gauge = tree_gauge(cover)
     block_of = system.block_of()
     m = system.num_blocks
     quotient_sigma = []
@@ -188,19 +173,14 @@ def intermediate_cover(cover: CoverRep, system: BlockSystem) -> IntermediateCove
         quotient_sigma.append(tuple(images))
     quotient = CoverRep(cover.base, m, tuple(quotient_sigma))
 
-    label_map = []
-    for v in range(cover.base.num_vertices):
-        tau_inv = [0] * cover.degree
-        for root_label, orig_label in enumerate(gauge.taus[v]):
-            tau_inv[orig_label] = root_label
-        label_map.append(tuple(block_of[tau_inv[t]] for t in range(cover.degree)))
+    label_map = tuple(_compose(block_of, _invert_perm(tau)) for tau in gauge.taus)
 
     consistent = True
     for e, (u, v) in enumerate(cover.base.edges):
         for t in range(cover.degree):
             if label_map[v][cover.sigma[e][t]] != quotient_sigma[e][label_map[u][t]]:
                 consistent = False
-    return IntermediateCover(quotient, tuple(label_map), consistent)
+    return IntermediateCover(quotient, label_map, consistent)
 
 
 @dataclass(frozen=True)
@@ -242,8 +222,8 @@ def summand_embedding_check(
     """
     if inter is None:
         inter = intermediate_cover(cover, system)
-    gauge = tree_gauge(cover)
-    w = direct_image_line_bundle(gauge.gauged, trivial_line_bundle(gauge.gauged, field))
+    gauged = cover.gauge.gauged
+    w = direct_image_line_bundle(gauged, trivial_line_bundle(gauged, field))
     v = direct_image_line_bundle(inter.quotient, trivial_line_bundle(inter.quotient, field))
     d, m, b = cover.degree, system.num_blocks, system.block_size
     zero, one = field.zero(), field.one()

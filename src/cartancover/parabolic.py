@@ -303,16 +303,3 @@ def check_pardeg_conservation(data: RamifiedCoverData, line_degree: int) -> Cons
             upstairs += parse_weight(w)
     downstairs = parabolic_degree(pushforward_parabolic(data, line_degree))
     return ConservationReport(upstairs, downstairs)
-
-
-def tameness_check(weights, p: int) -> tuple:
-    """Per weight: the reduced denominator is not divisible by the characteristic."""
-    from .fields import is_prime
-
-    if not is_prime(p):
-        raise ParseError(f"{p} is not prime")
-    out = []
-    for w in weights:
-        w = parse_weight(w)
-        out.append(w.denominator % p != 0)
-    return tuple(out)

@@ -1,0 +1,158 @@
+"""Debug checks and the bounded bundle-isomorphism search, used by tests only.
+
+None of these is reached from the command line or from the package's own
+constructions; they check the package's outputs from the outside.
+"""
+
+from dataclasses import dataclass
+from itertools import product
+
+from cartancover.bundles import BundleRep, tree_paths, validate_bundle
+from cartancover.errors import DimensionMismatch, ParseError
+from cartancover.fields import is_prime
+from cartancover.linalg import Matrix, MatrixSubspace, Subspace, kernel
+from cartancover.parabolic import parse_weight
+
+# --- endomorphism bundles -------------------------------------------------------
+
+
+def conjugation_operator(t: Matrix) -> Matrix:
+    """The map m -> t m t^-1 as a d^2 x d^2 matrix on row-major coordinates."""
+    return hom_operator(t, t)
+
+
+def hom_operator(t_target: Matrix, t_source: Matrix) -> Matrix:
+    """The map m -> t_target m t_source^-1 on row-major coordinates."""
+    field = t_target.field
+    d = t_target.nrows
+    ti = t_source.inverse()
+    zero, one = field.zero(), field.one()
+    cols = []
+    for i in range(d):
+        for j in range(d):
+            e = Matrix(
+                field,
+                [[one if (r == i and c == j) else zero for c in range(d)] for r in range(d)],
+            )
+            cols.append((t_target @ e @ ti).flatten())
+    return Matrix.from_columns(field, cols)
+
+
+def end_bundle(bundle: BundleRep) -> BundleRep:
+    """The endomorphism bundle, rank d^2, with conjugation as edge action."""
+    ops = [conjugation_operator(t) for t in bundle.transitions]
+    return BundleRep(bundle.field, bundle.graph, bundle.rank**2, ops)
+
+
+# --- bundle isomorphism ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BundleIsoResult:
+    """Outcome of the bounded flat-isomorphism search between two bundles.
+
+    ``witness`` holds one invertible flat homomorphism (a matrix per
+    vertex) when found. A miss is conclusive only when the flat-Hom
+    space is zero; otherwise the bounded search may simply not have
+    reached an invertible combination.
+    """
+
+    witness: tuple | None
+    hom_dimension: int
+    conclusive: bool
+
+    @property
+    def found(self) -> bool:
+        return self.witness is not None
+
+
+def flat_hom_space(source: BundleRep, target: BundleRep):
+    """Basis of flat homomorphisms source -> target, as root-fiber matrices
+    together with the per-vertex transport operators."""
+    if source.graph != target.graph or source.rank != target.rank:
+        raise DimensionMismatch("bundles must share base and rank")
+    field = source.field
+    d = source.rank
+    tree = validate_bundle(source)
+    validate_bundle(target)
+    paths_s = tree_paths(source, tree)
+    paths_t = tree_paths(target, tree)
+    ident = Matrix.identity(field, d * d)
+    rows = []
+    for e in tree.cotree_edges:
+        u, v = source.graph.edges[e]
+        h_t = paths_t[v][1] @ target.transitions[e] @ paths_t[u][0]
+        h_s = paths_s[v][1] @ source.transitions[e] @ paths_s[u][0]
+        rows += (hom_operator(h_t, h_s) - ident).rows
+    space = kernel(Matrix(field, rows)) if rows else Subspace.full(field, d * d)
+    basis = tuple(Matrix.unflatten(field, vec, d, d) for vec in space.basis)
+    return basis, [p for p, _pi in paths_t], [pi for _p, pi in paths_s]
+
+
+def bundle_iso_check(
+    source: BundleRep,
+    target: BundleRep,
+    coefficient_bound: int = 3,
+    max_candidates: int = 200000,
+) -> BundleIsoResult:
+    """Search the flat-Hom space for an invertible element.
+
+    Each basis element is tried first, then integer-coefficient
+    combinations with entries in [-bound, bound] in a fixed order, so the
+    outcome is deterministic. A flat homomorphism invertible at the root
+    is invertible everywhere (transport is by invertible operators).
+    """
+    basis, paths_t, pinv_s = flat_hom_space(source, target)
+    dim = len(basis)
+
+    def transport(m0):
+        return tuple(pt @ m0 @ ps for pt, ps in zip(paths_t, pinv_s))
+
+    for m0 in basis:
+        if m0.is_invertible():
+            return BundleIsoResult(transport(m0), dim, True)
+    field = source.field
+    coeff_range = [field.coerce(c) for c in range(-coefficient_bound, coefficient_bound + 1)]
+    tried = 0
+    for combo in product(coeff_range, repeat=dim):
+        tried += 1
+        if tried > max_candidates:
+            break
+        if all(c == 0 for c in combo):
+            continue
+        m0 = Matrix.zeros(field, source.rank, source.rank)
+        for c, b in zip(combo, basis):
+            if c != 0:
+                m0 = m0 + b.scale(c)
+        if m0.is_invertible():
+            return BundleIsoResult(transport(m0), dim, True)
+    return BundleIsoResult(None, dim, dim == 0)
+
+
+# --- algebra and weight checks ----------------------------------------------------
+
+
+def subalgebra_closure_defect(a: MatrixSubspace) -> Matrix | None:
+    """Debug check: a product of basis elements escaping the span, if any.
+
+    Closure is implied for subspaces passing the Cartan test, so this is
+    not part of classification.
+    """
+    basis = a.basis_matrices()
+    for x in basis:
+        for y in basis:
+            prod = x @ y
+            if not a.contains(prod):
+                return prod
+    return None
+
+
+def tameness_check(weights, p: int) -> tuple:
+    """Per weight: the reduced denominator is not divisible by the characteristic."""
+    if not is_prime(p):
+        raise ParseError(f"{p} is not prime")
+    out = []
+    for w in weights:
+        w = parse_weight(w)
+        out.append(w.denominator % p != 0)
+    return tuple(out)

@@ -7,9 +7,6 @@ from cartancover.bundles import (
     BaseGraph,
     BundleRep,
     SubalgebraBundle,
-    bundle_iso_check,
-    conjugation_operator,
-    end_bundle,
     flat_sections,
     flat_sections_dim,
     validate_bundle,
@@ -24,6 +21,7 @@ from cartancover.errors import (
 from cartancover.fields import GF, QQ
 from cartancover.linalg import Matrix, MatrixSubspace
 from cartancover.randgen import random_invertible_matrix
+from helpers import bundle_iso_check, conjugation_operator, end_bundle
 
 
 def M(rows, field=QQ):

@@ -10,13 +10,13 @@ from cartancover.cartan import (
     classify_subspace,
     conjugate_subspace,
     simultaneous_eigenlines,
-    subalgebra_closure_defect,
 )
 from cartancover.errors import DimensionMismatch, NotSplitCartan, SingularMatrix
 from cartancover.fields import GF, QQ
 from cartancover.linalg import Matrix, MatrixSubspace, Subspace, rref
 from cartancover.poly import Poly
 from cartancover.randgen import random_invertible_matrix, random_subspace_for_cartan_test
+from helpers import subalgebra_closure_defect
 
 
 def M(field, rows):

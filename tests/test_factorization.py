@@ -397,3 +397,20 @@ def test_factor_builds_each_intermediate_cover_once(monkeypatch):
     report = cli.cmd_factor(instance, 12)
     assert report.exit_code == 0
     assert len(calls) == report.machine["proper_count"] == 2
+
+
+def test_factor_gauges_its_cover_once(monkeypatch):
+    # the monodromy, every quotient and every summand check read one gauge
+    calls = []
+    real = BaseGraph.spanning_tree
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(BaseGraph, "spanning_tree", counting)
+    cover = CoverRep(LOOP, 8, [(1, 2, 3, 4, 5, 6, 7, 0)])
+    report = cli.cmd_factor(CoverInstance(QQ, cover, None), 12)
+    assert report.exit_code == 0
+    assert report.machine["proper_count"] == 2
+    assert len(calls) == 1

@@ -38,3 +38,18 @@ def test_no_unused_imports_in_package_modules():
                     if name not in used
                 ]
     assert found == []
+
+
+def test_one_spanning_tree_walk_in_package():
+    # every walk along a spanning tree goes through SpanningTree.transport;
+    # another loop over a tree's ``order`` would be a second copy of it
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)) and any(
+                isinstance(sub, ast.Attribute) and sub.attr == "order"
+                for sub in ast.walk(node.iter)
+            ):
+                found.append(f"{path.name}:{node.iter.lineno}")
+    assert len(found) == 1 and found[0].startswith("bundles.py:"), found

@@ -25,9 +25,9 @@ from cartancover.parabolic import (
     parse_weight,
     pushforward_parabolic,
     riemann_hurwitz_genus,
-    tameness_check,
 )
 from cartancover.randgen import random_ramified_cover_data
+from helpers import tameness_check
 
 F = Fraction
 
