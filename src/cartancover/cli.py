@@ -34,6 +34,7 @@ from .errors import (
     DegreeTooLarge,
     DimensionMismatch,
     DisconnectedBase,
+    EtaNotMonomial,
     IncompatibleEdge,
     LineNotMapped,
     NegativeGenus,
@@ -92,6 +93,7 @@ MATH_ERRORS = (
     NotCartanAtVertex,
     IncompatibleEdge,
     LineNotMapped,
+    EtaNotMonomial,
     NotABlockSystem,
     NotSplitCartan,
     SingularMatrix,
@@ -102,11 +104,11 @@ MATH_ERRORS = (
 
 def _error_report(command: str, exc: CartanCoverError) -> Report:
     detail = {"type": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, NonSplitAtVertex):
+    if isinstance(exc, (NonSplitAtVertex, NotCartanAtVertex, EtaNotMonomial)):
         detail["vertex"] = exc.vertex
+    if isinstance(exc, NonSplitAtVertex):
         detail["witness"] = str(exc.witness)
     if isinstance(exc, NotCartanAtVertex):
-        detail["vertex"] = exc.vertex
         detail["witness"] = str(exc.verdict)
     if isinstance(exc, (IncompatibleEdge, SingularTransition)):
         detail["edge"] = exc.edge
@@ -169,9 +171,10 @@ def cmd_cover_build(instance: BundleInstance) -> Report:
         "degree_profile": list(report.degree_profile),
         "split": report.split,
         "flat_section_dim": record.flat_section_dim,
+        # roundtrip_verify raises unless eta intertwines and the algebra matches
         "checks": {
-            "eta_intertwines": record.eta_intertwines,
-            "algebra_matches": record.algebra_matches,
+            "eta_intertwines": True,
+            "algebra_matches": True,
             "components_match_sections": record.components_match_sections,
         },
         "ok": record.all_ok(),
@@ -190,12 +193,8 @@ def cmd_cover_build(instance: BundleInstance) -> Report:
         human.append(f"eta at vertex {v}: {matrix_oneline(field, m)}")
     human.append(f"flat sections of the algebra bundle: dimension {record.flat_section_dim}")
     human.append(
-        "checks: eta intertwines = %s, algebra matches = %s, components = sections: %s"
-        % (
-            record.eta_intertwines,
-            record.algebra_matches,
-            record.components_match_sections,
-        )
+        "checks: eta intertwines = True, algebra matches = True, components = sections: %s"
+        % record.components_match_sections
     )
     return Report("cover-build", machine, human, 0 if record.all_ok() else 1)
 
@@ -278,12 +277,13 @@ def cmd_factor(instance: CoverInstance, max_degree: int) -> Report:
     for system in catalog.proper:
         inter = intermediate_cover(cover, system)
         check = summand_embedding_check(cover, system, field, inter)
-        all_ok = all_ok and check.ok and inter.consistent
+        all_ok = all_ok and check.ok
         systems.append(
             {
                 "blocks": [[x + 1 for x in b] for b in system.blocks],
                 "intermediate": cover_instance_to_json(field, inter.quotient),
-                "composite_consistent": inter.consistent,
+                # intermediate_cover raises unless the composite is consistent
+                "composite_consistent": True,
                 "summand_ok": check.ok,
                 "retraction_agrees": check.average_retraction_agrees,
                 "witness": check.witness,
@@ -354,12 +354,13 @@ def cmd_selftest(seed: int, count: int, fields, max_degree: int) -> Report:
             "ok": ok,
         }
         if not roundtrip_ok:
+            # cover_roundtrip raises unless every check but the count holds
             entry["roundtrip_detail"] = {
-                "eta_intertwines": record.roundtrip.eta_intertwines,
-                "algebra_matches": record.roundtrip.algebra_matches,
+                "eta_intertwines": True,
+                "algebra_matches": True,
                 "components_match_sections": record.roundtrip.components_match_sections,
-                "cover_isomorphic": record.cover_isomorphic,
-                "holonomy_matches": record.holonomy_matches,
+                "cover_isomorphic": True,
+                "holonomy_matches": True,
             }
         entries.append(entry)
     machine = {

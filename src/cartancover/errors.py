@@ -83,6 +83,14 @@ class LineNotMapped(CartanCoverError):
     """A transition fails to map an eigenline onto an eigenline (invalid input)."""
 
 
+class EtaNotMonomial(CartanCoverError):
+    """A pushforward's eigenline matrix is not monomial: a fault of the reconstruction."""
+
+    def __init__(self, vertex):
+        self.vertex = vertex
+        super().__init__(f"eigenline matrix at vertex {vertex} is not monomial")
+
+
 class NotABlockSystem(CartanCoverError):
     """A partition is not preserved by the monodromy generators."""
 

@@ -8,6 +8,12 @@ from dataclasses import dataclass
 from itertools import product
 
 from cartancover.bundles import BundleRep, tree_paths, validate_bundle
+from cartancover.covers import (
+    CoverRep,
+    LineBundleOnCover,
+    cover_isomorphisms,
+    line_bundles_gauge_equivalent,
+)
 from cartancover.errors import DimensionMismatch, ParseError
 from cartancover.fields import is_prime
 from cartancover.linalg import Matrix, MatrixSubspace, Subspace, kernel
@@ -127,6 +133,43 @@ def bundle_iso_check(
         if m0.is_invertible():
             return BundleIsoResult(transport(m0), dim, True)
     return BundleIsoResult(None, dim, dim == 0)
+
+
+# --- covers ----------------------------------------------------------------------
+
+
+def pullback_scalars(
+    iso_maps, source_cover: CoverRep, target_line: LineBundleOnCover
+) -> LineBundleOnCover:
+    """Scalars on the source cover induced by an isomorphism onto the target."""
+    scalars = []
+    for e, (u, _v) in enumerate(source_cover.base.edges):
+        beta_u = iso_maps[u]
+        scalars.append(
+            tuple(target_line.scalars[e][beta_u[t]] for t in range(source_cover.degree))
+        )
+    return LineBundleOnCover(source_cover, target_line.field, tuple(scalars))
+
+
+def roundtrip_witness_holds(cover: CoverRep, line: LineBundleOnCover, record) -> bool:
+    """Oracle for a ``cover_roundtrip`` record: its isomorphism is among the
+    ``cover_isomorphisms`` onto the rebuilt cover, and pulls the rebuilt
+    scalars back to a line bundle gauge-equivalent to ``line``."""
+    rebuilt = record.roundtrip.result
+    if record.isomorphism not in set(cover_isomorphisms(cover, rebuilt.cover)):
+        return False
+    pulled = pullback_scalars(record.isomorphism, cover, rebuilt.line_bundle)
+    return line_bundles_gauge_equivalent(line, pulled)
+
+
+def composite_consistent(cover: CoverRep, inter) -> bool:
+    """Oracle: the quotient map followed by the intermediate cover's own
+    projection reproduces every edge bijection of the cover."""
+    for e, (u, v) in enumerate(cover.base.edges):
+        for t in range(cover.degree):
+            if inter.label_map[v][cover.sigma[e][t]] != inter.quotient.sigma[e][inter.label_map[u][t]]:
+                return False
+    return True
 
 
 # --- algebra and weight checks ----------------------------------------------------

@@ -41,6 +41,7 @@ from cartancover.randgen import (
     random_subspace_for_cartan_test,
 )
 
+from helpers import roundtrip_witness_holds
 from test_cartan import diagonalizable_by_conjugation_oracle
 from test_covers import brute_force_diagonalizable_by_relabeling
 from test_factorization import count_flat_summand_partitions
@@ -75,7 +76,7 @@ def _roundtrip_records():
         for i in range(ROUNDTRIP_COUNT):
             rng = Random(900_000 + i)
             cover, line = random_cover_instance(rng, fields[i % 3])
-            records.append((i, cover.degree, cover_roundtrip(cover, line)))
+            records.append((i, cover, line, cover_roundtrip(cover, line)))
         elapsed = time.perf_counter() - start
         _roundtrip_cache = (records, elapsed)
     return _roundtrip_cache
@@ -83,15 +84,12 @@ def _roundtrip_records():
 
 def test_c1_roundtrip_reconstruction():
     records, elapsed = _roundtrip_records()
+    # a returned record certifies the round trip; its witness is checked
+    # here against the isomorphism search and the holonomy comparison
     failures = [
-        (i, d)
-        for i, d, rec in records
-        if not (
-            rec.roundtrip.eta_intertwines
-            and rec.roundtrip.algebra_matches
-            and rec.cover_isomorphic
-            and rec.holonomy_matches
-        )
+        (i, cover.degree)
+        for i, cover, line, rec in records
+        if not roundtrip_witness_holds(cover, line, rec)
     ]
     ok = not failures and elapsed < ROUNDTRIP_TIME_BUDGET
     _line(
@@ -106,7 +104,7 @@ def test_c2_components_equal_flat_sections():
     records, _ = _roundtrip_records()
     failures = [
         (i, rec.roundtrip.component_count, rec.roundtrip.flat_section_dim)
-        for i, _d, rec in records
+        for i, _cover, _line, rec in records
         if rec.roundtrip.component_count != rec.roundtrip.flat_section_dim
     ]
     _line(

