@@ -15,7 +15,6 @@ from .bundles import (
     FlatSectionSpace,
     SubalgebraBundle,
     flat_sections,
-    flat_sections_dim,
     validate_bundle,
     validate_cartan_bundle,
 )

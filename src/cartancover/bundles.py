@@ -30,7 +30,7 @@ from .errors import (
     SingularMatrix,
     SingularTransition,
 )
-from .linalg import Matrix, MatrixSubspace, Subspace, kernel, rref
+from .linalg import Matrix, MatrixSubspace, Subspace, kernel
 
 
 @dataclass(frozen=True)
@@ -317,70 +317,18 @@ def tree_paths(bundle: BundleRep, tree: SpanningTree) -> list:
     return tree.transport((ident, ident), step)
 
 
-def _stack_rows(field, blocks, width: int) -> Matrix:
-    return Matrix._trusted(field, tuple(row for b in blocks for row in b.rows), width)
-
-
 def flat_sections(obj, tree_edges=None) -> FlatSectionSpace:
     """Flat global sections of a bundle, or of an algebra subbundle of End(E).
 
-    Vector bundles use the edge action s -> T s; algebra subbundles use
-    conjugation, solved in coordinates on the root fiber (the holonomy of
-    a compatible subbundle preserves it). The result does not depend on
-    the spanning tree; ``tree_edges`` exists so tests can witness that.
-    """
-    root = _root_constraint(obj, tree_edges)
-    field = root.bundle.field
-    if root.rows is None:
-        space = Subspace.full(field, root.dim)
-    else:
-        space = kernel(root.rows)
-    if root.basis is None:
-        sections = tuple(tuple(p.apply(x) for p, _pi in root.paths) for x in space.basis)
-        return FlatSectionSpace("vector", space.dim, sections)
-    d = root.bundle.rank
-    sections = []
-    for coeffs in space.basis:
-        x = Matrix.zeros(field, d, d)
-        for c, b in zip(coeffs, root.basis):
-            if c != 0:
-                x = x + b.scale(c)
-        sections.append(tuple(p @ x @ pi for p, pi in root.paths))
-    return FlatSectionSpace("endomorphism", space.dim, tuple(sections))
-
-
-def flat_sections_dim(obj) -> int:
-    """The dimension of ``flat_sections(obj)`` alone: the root-fiber
-    dimension minus the rank of the holonomy constraints, with no kernel
-    basis and no sections built."""
-    root = _root_constraint(obj, None)
-    if root.rows is None:
-        return root.dim
-    return root.dim - rref(root.rows).rank
-
-
-@dataclass(frozen=True)
-class _RootConstraint:
-    """Flat sections in root-fiber coordinates.
-
     A flat section is fixed by its root value x, and exists exactly when x
-    is fixed by the holonomy of every cotree edge. ``rows`` stacks
-    (holonomy - 1) over the cotree edges (None when there are none), in
-    the coordinates of ``basis`` for an algebra subbundle and in the
-    standard ones for a vector bundle (``basis`` None); ``dim`` is the
-    root-fiber dimension; ``paths`` is ``tree_paths`` of the bundle.
+    is fixed by the holonomy h = P_v^-1 T_e P_u of every cotree edge
+    e = (u, v). Vector bundles use the edge action s -> T s; algebra
+    subbundles use conjugation x -> h x h^-1, with
+    h^-1 = P_u^-1 T_e^-1 P_v, solved in coordinates on the root fiber (the
+    holonomy of a compatible subbundle preserves it). Every inverse is a
+    cached transition inverse. The result does not depend on the spanning
+    tree; ``tree_edges`` exists so tests can witness that.
     """
-
-    bundle: BundleRep
-    paths: list
-    basis: tuple | None
-    dim: int
-    rows: Matrix | None
-
-
-def _root_constraint(obj, tree_edges) -> _RootConstraint:
-    """The holonomy of cotree edge e = (u, v) is h = P_v^-1 T_e P_u, and
-    h^-1 = P_u^-1 T_e^-1 P_v; every inverse is a cached transition inverse."""
     if isinstance(obj, SubalgebraBundle):
         bundle, root = obj.parent, obj.fibers[0]
     elif isinstance(obj, BundleRep):
@@ -412,5 +360,19 @@ def _root_constraint(obj, tree_edges) -> _RootConstraint:
                     e, "holonomy does not preserve the root fiber subspace"
                 ) from None
         blocks.append(Matrix.from_columns(field, cols) - ident)
-    rows = _stack_rows(field, blocks, dim) if blocks else None
-    return _RootConstraint(bundle, paths, basis, dim, rows)
+    if blocks:
+        space = kernel(Matrix._trusted(field, tuple(row for b in blocks for row in b.rows), dim))
+    else:
+        space = Subspace.full(field, dim)
+    if root is None:
+        sections = tuple(tuple(p.apply(x) for p, _pi in paths) for x in space.basis)
+        return FlatSectionSpace("vector", space.dim, sections)
+    d = bundle.rank
+    sections = []
+    for coeffs in space.basis:
+        x = Matrix.zeros(field, d, d)
+        for c, b in zip(coeffs, basis):
+            if c != 0:
+                x = x + b.scale(c)
+        sections.append(tuple(p @ x @ pi for p, pi in paths))
+    return FlatSectionSpace("endomorphism", space.dim, tuple(sections))

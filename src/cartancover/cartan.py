@@ -134,10 +134,6 @@ class EigenlineSet:
     lines: tuple
     functionals: tuple
 
-    def line_matrix(self) -> Matrix:
-        """Invertible matrix whose columns are the eigenline vectors."""
-        return Matrix.from_columns(self.field, self.lines)
-
 
 def _normalize_line(vec):
     lead = next((x for x in vec if x != 0), None)

@@ -79,10 +79,6 @@ class IncompatibleEdge(CartanCoverError):
         super().__init__(message or f"fiber subspaces incompatible along edge {edge}")
 
 
-class LineNotMapped(CartanCoverError):
-    """A transition fails to map an eigenline onto an eigenline (invalid input)."""
-
-
 class EtaNotMonomial(CartanCoverError):
     """A pushforward's eigenline matrix is not monomial: a fault of the reconstruction."""
 

@@ -113,11 +113,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def is_diagonal(self) -> bool:
-        return all(
-            x == 0 for i, r in enumerate(self.rows) for j, x in enumerate(r) if i != j
-        )
-
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise DimensionMismatch("only square matrices invert")

@@ -36,10 +36,6 @@ class Poly:
         return cls(field, (c,))
 
     @classmethod
-    def x(cls, field):
-        return cls(field, (field.zero(), field.one()))
-
-    @classmethod
     def from_roots(cls, field, roots):
         p = cls(field, (field.one(),))
         for r in roots:

@@ -8,7 +8,6 @@ from cartancover.bundles import (
     BundleRep,
     SubalgebraBundle,
     flat_sections,
-    flat_sections_dim,
     validate_bundle,
     validate_cartan_bundle,
 )
@@ -172,7 +171,7 @@ def test_flat_sections_independent_of_spanning_tree():
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)
 def test_flat_sections_on_gauged_bundles(field):
     # non-trivial transitions on tree and cotree edges alike: the sections
-    # satisfy every edge equation, and the dimension-only path agrees
+    # satisfy every edge equation
     from test_root_split import gauged_bundle
 
     rng = Random(61 + getattr(field, "p", 0))
@@ -186,8 +185,6 @@ def test_flat_sections_on_gauged_bundles(field):
         for section in endo.sections:
             for t, (u, v) in zip(bundle.transitions, bundle.graph.edges):
                 assert t @ section[u] == section[v] @ t
-        assert flat_sections_dim(bundle) == vector.dimension
-        assert flat_sections_dim(algebra) == endo.dimension
 
 
 def test_flat_sections_invert_no_matrix_once_transitions_are(monkeypatch):
@@ -209,7 +206,6 @@ def test_flat_sections_invert_no_matrix_once_transitions_are(monkeypatch):
     for bundle, algebra in cases:
         flat_sections(bundle)
         flat_sections(algebra)
-        flat_sections_dim(algebra)
     assert calls == []
 
 
@@ -259,8 +255,3 @@ def test_iso_witness_intertwines_on_all_edges():
     assert result.found
     for idx, (u, v) in enumerate(graph.edges):
         assert f.transitions[idx] @ result.witness[u] == result.witness[v] @ e.transitions[idx]
-
-
-def test_flat_sections_dim_shortcut():
-    e = BundleRep(QQ, LOOP, 2, [Matrix.identity(QQ, 2)])
-    assert flat_sections_dim(e) == 2

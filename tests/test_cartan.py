@@ -183,7 +183,7 @@ def test_eigenline_invariants_on_random_split_instances():
             for m, scalar in zip(a.basis_matrices(), mu):
                 assert m.apply(line) == tuple(scalar * x for x in line)
         # conjugating by the line matrix recovers the full diagonal algebra
-        eta = eig.line_matrix()
+        eta = Matrix.from_columns(field, eig.lines)
         moved = conjugate_subspace(a, eta.inverse())
         assert moved == MatrixSubspace.diagonal_algebra(field, d)
 

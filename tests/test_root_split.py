@@ -10,11 +10,12 @@ from random import Random
 
 import pytest
 
-from cartancover import cartan, covers
+from cartancover import bundles, cartan, covers
 from cartancover.bundles import (
     BaseGraph,
     BundleRep,
     SubalgebraBundle,
+    flat_sections,
     validate_bundle,
     validate_cartan_bundle,
 )
@@ -25,7 +26,12 @@ from cartancover.cartan import (
     simultaneous_eigenlines,
 )
 from cartancover.cli import main
-from cartancover.covers import build_spectral_cover, direct_image_line_bundle, roundtrip_verify
+from cartancover.covers import (
+    build_spectral_cover,
+    cover_roundtrip,
+    direct_image_line_bundle,
+    roundtrip_verify,
+)
 from cartancover.errors import (
     CartanCoverError,
     IncompatibleEdge,
@@ -264,19 +270,39 @@ def test_classify_command_classifies_once(classify_calls, capsys, name):
 
 
 def test_roundtrip_pushes_forward_once(monkeypatch):
-    # build_spectral_cover's own intertwining check is the only pushforward
+    # only the input line bundle is pushed forward, to make the algebra
+    # bundle; the rebuilt one is not, and the flat-section dimension is
+    # read off the cover, with no tree paths and so no holonomy
     calls = []
-    real = covers.direct_image_line_bundle
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(covers, "direct_image_line_bundle", counting)
+        return wrapper
+
+    monkeypatch.setattr(
+        covers, "direct_image_line_bundle", counting("pushforward", covers.direct_image_line_bundle)
+    )
+    monkeypatch.setattr(bundles, "tree_paths", counting("tree_paths", bundles.tree_paths))
     rng = Random(9)
     for i in range(6):
         bundle, algebra = gauged_bundle(rng, FIELDS[i % 3], min_vertices=3)
         del calls[:]
+        assert roundtrip_verify(bundle, algebra).all_ok()
+        assert calls == []
+        cover, line = random_cover_instance(rng, FIELDS[i % 3])
+        assert cover_roundtrip(cover, line).all_ok()
+        assert calls == ["pushforward"]
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(3), GF(5), GF(7)), ids=str)
+def test_flat_section_dim_matches_linear_algebra(field):
+    # the component count the round trip reports, against the holonomy
+    # linear algebra of the reference flat sections
+    rng = Random(400 + getattr(field, "p", 0))
+    for _ in range(40):
+        bundle, algebra = gauged_bundle(rng, field)
         record = roundtrip_verify(bundle, algebra)
-        assert record.all_ok()
-        assert len(calls) == 1
+        assert record.flat_section_dim == flat_sections(algebra).dimension
