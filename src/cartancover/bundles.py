@@ -15,11 +15,9 @@ from dataclasses import dataclass
 
 from .cartan import (
     CartanStatus,
-    CartanVerdict,
     canonical_lines,
-    classify_subspace,
-    conjugate_subspace,
-    split_eigenlines,
+    diagonal_functionals,
+    simultaneous_eigenlines,
 )
 from .errors import (
     DimensionMismatch,
@@ -27,6 +25,7 @@ from .errors import (
     IncompatibleEdge,
     NonSplitAtVertex,
     NotCartanAtVertex,
+    NotSplitCartan,
     SingularMatrix,
     SingularTransition,
 )
@@ -108,6 +107,8 @@ class BundleRep:
     """A rank-d bundle: one invertible d x d transition matrix per oriented edge."""
 
     def __init__(self, field, graph: BaseGraph, rank: int, transitions):
+        if rank < 1:
+            raise DimensionMismatch("bundle rank must be positive")
         transitions = tuple(transitions)
         if len(transitions) != len(graph.edges):
             raise DimensionMismatch("one transition matrix per edge required")
@@ -201,19 +202,17 @@ class CartanLines:
 def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> CartanLines:
     """Split Cartan fibers everywhere, compatible under every edge conjugation.
 
-    Only the root fiber A_0 is classified and split into its d common
-    eigenlines; the lines are carried along the spanning tree, giving
-    lines L_v at every vertex. Then two checks, neither of which inverts,
-    multiplies or row-reduces a matrix:
+    ``simultaneous_eigenlines`` splits the root fiber A_0 into its d common
+    eigenlines, which certifies it split Cartan, and the lines are carried
+    along the spanning tree to lines L_v at every vertex. Then two checks,
+    neither of which inverts, multiplies or row-reduces a matrix:
 
-    - at each vertex v >= 1, A_v has dimension d and every line of L_v is
-      an eigenline of every canonical basis matrix of A_v;
+    - every A_v, the root included, is the diagonal algebra D(L_v) of the
+      basis L_v (``cartan.diagonal_functionals``);
     - each transition T_e maps the lines over its source onto the lines
-      over its target.
+      over its target (``_map_lines``).
 
-    They hold exactly when the bundle is a compatible split Cartan bundle.
-    If they hold, A_v lies in the diagonal algebra D(L_v) of the basis L_v
-    and has its dimension d, so A_v = D(L_v) is split Cartan; and
+    They hold exactly when the bundle is a compatible split Cartan bundle:
     T_e D(L_u) T_e^-1 = D(T_e L_u), where the common eigenlines of D(L) are
     exactly the lines of L, so T_e is compatible exactly when it permutes
     the lines. Conversely, on a compatible split Cartan bundle the tree
@@ -221,84 +220,61 @@ def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> Cart
     A_0 to those of A_v, and every edge, conjugating D(L_u) onto D(L_v),
     permutes the lines.
 
-    When a check fails, the fiber-by-fiber test runs instead and raises:
-    fibers 1..n-1 are classified in order, then every edge's conjugation
-    is compared, so the first bad vertex comes before the first
-    incompatible edge, and every error keeps its type, vertex, edge and
-    message. The returned lines, with the label bijection and the scalar
-    of every edge, are what the spectral cover is built from.
+    Errors are those of the fiber-by-fiber test, which classifies the
+    fibers in vertex order and then checks the edges in order. A fiber
+    diagonal in its transported lines is split Cartan with these as its
+    own eigenlines; any other fiber, in vertex order, is split on its own,
+    which raises its vertex's error unless it is split Cartan. Then every
+    fiber carries its own eigenlines, and the first edge that does not
+    permute them is the first incompatible edge. The returned lines, with
+    the label bijection and the scalar of every edge, are what the
+    spectral cover is built from.
     """
     tree = validate_bundle(bundle)
-    d = bundle.rank
-    verdict = _classify_fiber(algebra, 0, d)
 
     def step(e, forward, lines):
         op = bundle.transitions[e] if forward else bundle.transition_inverse(e)
         return canonical_lines(bundle.field, [op.apply(x) for x in lines])
 
-    lines = tree.transport(split_eigenlines(algebra.fibers[0], verdict).lines, step)
-    if not all(_diagonal_in(algebra.fibers[v], lines[v], d) for v in range(1, len(lines))):
-        _raise_first_fault(bundle, algebra, d)
+    transported = tree.transport(_fiber_lines(algebra, 0), step)
+    lines = [
+        ls if diagonal_functionals(fiber, ls) is not None else _fiber_lines(algebra, v)
+        for v, (fiber, ls) in enumerate(zip(algebra.fibers, transported))
+    ]
+    return CartanLines(tuple(lines), *_map_lines(bundle, lines))
+
+
+def _fiber_lines(algebra: SubalgebraBundle, v: int) -> tuple:
+    """The common eigenlines of the fiber at v; raises the vertex's error
+    when the fiber is not split Cartan."""
+    try:
+        return simultaneous_eigenlines(algebra.fibers[v]).lines
+    except NotSplitCartan as exc:
+        verdict = exc.verdict
+    if verdict.status is CartanStatus.NONSPLIT:
+        raise NonSplitAtVertex(v, verdict.witness_poly)
+    raise NotCartanAtVertex(v, str(verdict))
+
+
+def _map_lines(bundle: BundleRep, lines) -> tuple:
+    """Per edge e = (u, v) and line t over u: the index of the line over v
+    that T_e carries line t onto, and the scale of the image over that
+    normalized line. Raises ``IncompatibleEdge`` at the first edge whose
+    transition does not carry the lines over u onto the lines over v."""
     index = [{line: t for t, line in enumerate(ls)} for ls in lines]
     images, factors = [], []
     for e, (u, v) in enumerate(bundle.graph.edges):
-        mapped = _map_lines(bundle.transitions[e], lines[u], index[v])
-        if mapped is None:
-            _raise_first_fault(bundle, algebra, d)
-        images.append(mapped[0])
-        factors.append(mapped[1])
-    return CartanLines(tuple(lines), tuple(images), tuple(factors))
-
-
-def _classify_fiber(algebra: SubalgebraBundle, v: int, d: int) -> CartanVerdict:
-    verdict = classify_subspace(algebra.fibers[v], d)
-    if verdict.status is CartanStatus.NONSPLIT:
-        raise NonSplitAtVertex(v, verdict.witness_poly)
-    if verdict.status is CartanStatus.NOT_CARTAN:
-        raise NotCartanAtVertex(v, str(verdict))
-    return verdict
-
-
-def _diagonal_in(fiber: MatrixSubspace, lines, d: int) -> bool:
-    """Whether ``fiber`` is the diagonal algebra in the basis ``lines`` (d
-    independent leading-one vectors): d-dimensional, with every line an
-    eigenline of every basis matrix."""
-    if fiber.dim != d:
-        return False
-    pivots = [next(i for i, x in enumerate(line) if x != 0) for line in lines]
-    for m in fiber.basis_matrices():
-        for line, pivot in zip(lines, pivots):
-            image = m.apply(line)
-            scalar = image[pivot]
-            if any(y != scalar * x for x, y in zip(line, image)):
-                return False
-    return True
-
-
-def _map_lines(t: Matrix, lines, target_index):
-    """Per line, the index of its image line under the invertible ``t`` and
-    the scale of the image over the normalized line, or None when some
-    image is not among the target lines."""
-    images, factors = [], []
-    for line in lines:
-        w = t.apply(line)
-        lead = next(x for x in w if x != 0)
-        target = target_index.get(tuple(x / lead for x in w))
-        if target is None:
-            return None
-        images.append(target)
-        factors.append(lead)
+        mapped = []
+        for line in lines[u]:
+            w = bundle.transitions[e].apply(line)
+            lead = next(x for x in w if x != 0)
+            target = index[v].get(tuple(x / lead for x in w))
+            if target is None:
+                raise IncompatibleEdge(e)
+            mapped.append((target, lead))
+        images.append(tuple(t for t, _lead in mapped))
+        factors.append(tuple(lead for _t, lead in mapped))
     return tuple(images), tuple(factors)
-
-
-def _raise_first_fault(bundle: BundleRep, algebra: SubalgebraBundle, d: int):
-    """Raise the error of the fiber-by-fiber test, on a bundle that fails it."""
-    for w in range(1, len(algebra.fibers)):
-        _classify_fiber(algebra, w, d)
-    for idx, (u, v) in enumerate(bundle.graph.edges):
-        if conjugate_subspace(algebra.fibers[u], bundle.transitions[idx]) != algebra.fibers[v]:
-            raise IncompatibleEdge(idx)
-    raise RuntimeError("eigenline check failed on a compatible split Cartan bundle")
 
 
 def tree_paths(bundle: BundleRep, tree: SpanningTree) -> list:

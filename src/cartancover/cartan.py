@@ -1,16 +1,19 @@
 """Deciding whether a matrix subspace is a Cartan subalgebra of gl_d.
 
-A subspace passes as split Cartan when it has dimension d, its basis
-matrices pairwise commute, and every basis matrix is diagonalizable over
-the working field. Commuting diagonalizable matrices admit a common
-eigenbasis, and a d-dimensional simultaneously diagonal subspace must be
-the full diagonal algebra in that basis, so the three checks together
-certify a conjugation into the diagonal matrices. When some minimal
-polynomial is squarefree but refuses to split, the subspace is Cartan
-only after a field extension; that verdict is first class, not an error.
+A d-dimensional subspace that is diagonal in d independent lines is the
+whole diagonal algebra of those lines, so it is split Cartan; conversely a
+split Cartan subspace is the diagonal algebra of its d common eigenlines.
+``simultaneous_eigenlines`` finds those lines by refining k^d through the
+eigenspaces of the basis matrices and then checks that the subspace is
+diagonal in them, so the split is its own certificate and yields, for
+each line, the functional reading off the scalar by which the subspace
+acts on it.
 
-The split case yields the d common eigenlines and, for each line, the
-functional reading off the scalar by which the subspace acts on it.
+``classify_subspace`` names every outcome: split Cartan, Cartan only after
+a field extension (some minimal polynomial is squarefree but refuses to
+split; that verdict is first class, not an error), or not Cartan, with a
+witness: wrong dimension, a non-commuting basis pair, or a basis matrix
+that no extension diagonalizes. The split runs it only to name a failure.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DimensionMismatch, NotSplitCartan, SingularMatrix
+from .errors import DimensionMismatch, NonSplitError, NotSplitCartan, SingularMatrix
 from .linalg import Matrix, MatrixSubspace, Subspace, eigenspaces, min_poly
 from .poly import Poly, nonsplit_witness, roots_in_field, squarefree_no_guard
 
@@ -129,8 +132,6 @@ class EigenlineSet:
     on line ``t``.
     """
 
-    field: object
-    dimension: int
     lines: tuple
     functionals: tuple
 
@@ -155,60 +156,79 @@ def canonical_lines(field, vectors) -> tuple:
     return tuple(lines)
 
 
-def simultaneous_eigenlines(a: MatrixSubspace) -> EigenlineSet:
-    """Classify a subspace and split k^d into its d common eigenlines.
+def diagonal_functionals(a: MatrixSubspace, lines):
+    """The functionals of ``a`` on ``lines`` when ``a`` is their diagonal
+    algebra, else None.
 
-    Raises ``NotSplitCartan`` unless the subspace is split Cartan.
+    ``lines`` are d independent leading-one vectors of k^d. ``a`` is the
+    diagonal algebra D(lines) exactly when it has dimension d and every
+    line is an eigenline of every canonical basis matrix: it then lies in
+    D(lines), which has dimension d. ``functionals[t]`` lists the scalars
+    by which the basis matrices act on line t.
     """
-    return split_eigenlines(a, classify_subspace(a, a.ambient_dim))
-
-
-def split_eigenlines(a: MatrixSubspace, verdict: CartanVerdict) -> EigenlineSet:
-    """Split k^d into the d common eigenlines of a split Cartan subspace.
-
-    ``verdict`` is the subspace's ``classify_subspace`` verdict, already
-    computed by the caller; anything but split raises ``NotSplitCartan``.
-    Starting from the full space, each basis matrix refines every current
-    block into its eigenspaces intersected with the block; a split Cartan
-    subspace ends with d one-dimensional blocks. Deterministic: basis
-    matrices are taken in canonical order and no randomization is used.
-    """
-    if not verdict.is_split():
-        raise NotSplitCartan(verdict)
-    d = a.ambient_dim
-    field = a.field
+    if a.dim != a.ambient_dim:
+        return None
     basis = a.basis_matrices()
-    blocks = [Subspace.full(field, d)]
-    for m in basis:
-        if all(b.dim == 1 for b in blocks):
-            break
-        eigen = eigenspaces(m)
-        refined = []
-        for block in blocks:
-            if block.dim == 1:
-                refined.append(block)
-                continue
-            for _lam, space in eigen:
-                piece = block.intersect(space)
-                if piece.dim > 0:
-                    refined.append(piece)
-        blocks = refined
-    if len(blocks) != d or any(b.dim != 1 for b in blocks):
-        raise NotSplitCartan(verdict)
-
-    lines = canonical_lines(field, (b.basis[0] for b in blocks))
     functionals = []
-    for vec in lines:
-        pivot = next(i for i, x in enumerate(vec) if x != 0)
+    for line in lines:
+        pivot = next(i for i, x in enumerate(line) if x != 0)
         mu = []
         for m in basis:
-            image = m.apply(vec)
+            image = m.apply(line)
             scalar = image[pivot]
-            if tuple(scalar * x for x in vec) != image:
-                raise NotSplitCartan(verdict)
+            if any(y != scalar * x for x, y in zip(line, image)):
+                return None
             mu.append(scalar)
         functionals.append(tuple(mu))
-    return EigenlineSet(field, d, lines, tuple(functionals))
+    return tuple(functionals)
+
+
+def _refined_lines(a: MatrixSubspace):
+    """Canonical lines of k^d refined by the eigenspaces of the basis
+    matrices, or None unless the refinement ends in d lines.
+
+    Starting from the full space, each basis matrix, in canonical order,
+    splits every block into its eigenspaces intersected with the block,
+    until all blocks are lines. Eigenspaces of distinct eigenvalues are
+    independent, so the blocks always form a direct sum and d lines are
+    independent.
+    """
+    d = a.ambient_dim
+    blocks = [Subspace.full(a.field, d)]
+    for m in a.basis_matrices():
+        if all(b.dim == 1 for b in blocks):
+            break
+        try:
+            eigen = eigenspaces(m)
+        except NonSplitError:
+            return None
+        refined = []
+        for block in blocks:
+            pieces = [block] if block.dim == 1 else [block.intersect(s) for _lam, s in eigen]
+            refined += [piece for piece in pieces if piece.dim > 0]
+        blocks = refined
+    if len(blocks) != d or any(b.dim != 1 for b in blocks):
+        return None
+    return canonical_lines(a.field, (b.basis[0] for b in blocks))
+
+
+def simultaneous_eigenlines(a: MatrixSubspace) -> EigenlineSet:
+    """Split k^d into the d common eigenlines of a split Cartan subspace.
+
+    The split certifies itself: when ``a`` has dimension d and is diagonal
+    in the d independent lines of ``_refined_lines`` (``diagonal_functionals``),
+    it is their whole diagonal algebra, so split Cartan. Conversely a split
+    Cartan subspace is the diagonal algebra of its common eigenlines, which
+    the refinement finds. Otherwise ``classify_subspace`` runs, only to name
+    the failure in the raised ``NotSplitCartan``. Deterministic: basis
+    matrices are taken in canonical order and no randomization is used.
+    """
+    d = a.ambient_dim
+    lines = _refined_lines(a) if a.dim == d else None
+    functionals = None if lines is None else diagonal_functionals(a, lines)
+    if functionals is None:
+        raise NotSplitCartan(classify_subspace(a, d))
+    return EigenlineSet(lines, functionals)
 
 
 def conjugate_subspace(a: MatrixSubspace, t: Matrix) -> MatrixSubspace:

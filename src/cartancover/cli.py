@@ -19,7 +19,7 @@ import sys
 from random import Random
 
 from . import __version__
-from .cartan import CartanStatus, classify_subspace, split_eigenlines
+from .cartan import CartanStatus, classify_subspace, simultaneous_eigenlines
 from .covers import (
     canonical_algebra_map,
     cover_report,
@@ -142,7 +142,7 @@ def cmd_classify(instance: CartanInstance) -> Report:
     if verdict.witness_pair is not None:
         machine["witness"] = {"basis_pair": list(verdict.witness_pair)}
     if verdict.is_split():
-        eig = split_eigenlines(subspace, verdict)
+        eig = simultaneous_eigenlines(subspace)
         machine["eigenlines"] = [render_vector(field, line) for line in eig.lines]
         machine["functionals"] = [render_vector(field, mu) for mu in eig.functionals]
         for t, (line, mu) in enumerate(zip(eig.lines, eig.functionals)):
@@ -159,8 +159,7 @@ def cmd_cover_build(instance: BundleInstance) -> Report:
         raise ParseError("payload.cartan_bundle is required for cover-build")
     field = instance.field
     record = roundtrip_verify(instance.bundle, instance.algebra)
-    result = record.result
-    report = cover_report(result.cover)
+    result, report = record.result, record.report
     machine = {
         "field": field_to_json(field),
         "cover": cover_instance_to_json(field, result.cover, result.line_bundle),
@@ -322,6 +321,8 @@ def cmd_factor(instance: CoverInstance, max_degree: int) -> Report:
 
 
 def cmd_selftest(seed: int, count: int, fields, max_degree: int) -> Report:
+    if max_degree < 1:
+        raise ParseError(f"--max-degree expects a positive integer, got {max_degree}")
     config = CoverInstanceConfig(max_degree=min(max_degree, 6))
     entries = []
     failures = 0

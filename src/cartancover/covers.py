@@ -14,16 +14,13 @@ identities they imply are argued in the docstrings, not checked again.
 
 Over a connected base, "split Cartan" is a fact about one fiber: a
 subbundle that every transition carries onto the next fiber is fixed by
-its root fiber and parallel transport. So the Cartan test and the
-eigenline split run once, at the root, and the eigenlines elsewhere are
-the root ones transported along a spanning tree. The bundle is then a
-compatible split Cartan bundle if and only if every fiber is diagonal in
-its transported lines (it has dimension d and each line is an eigenline
-of each of its basis matrices) and every transition permutes the lines:
-a d-dimensional algebra diagonal in a basis is the whole diagonal
-algebra of that basis, whose common eigenlines are exactly the basis
-lines, and a transition carries the diagonal algebra of the lines over
-its source to that of their images. Those lines are the spectral cover's
+its root fiber and parallel transport. So only the root fiber is split
+into its common eigenlines, a split that certifies itself, and the lines
+elsewhere are the root ones transported along a spanning tree. The bundle
+is a compatible split Cartan bundle exactly when every fiber is diagonal
+in its transported lines and every transition permutes them (argued in
+``validate_cartan_bundle``). No fiber is classified unless it fails, and
+then only to name the failure. Those lines are the spectral cover's
 labels, so validating the bundle and building its cover are one pass,
 with no subspace conjugated on the way.
 """
@@ -192,15 +189,9 @@ def build_spectral_cover(bundle: BundleRep, algebra: SubalgebraBundle) -> Spectr
     """Rebuild the cover and line bundle from a split Cartan algebra subbundle.
 
     ``validate_cartan_bundle`` validates the input and hands back what the
-    cover is made of. It splits only the root fiber into its d common
-    eigenlines, carries them along the spanning tree, and accepts the
-    bundle exactly when every fiber is diagonal in its transported lines
-    and every transition permutes the lines. That is the case exactly when
-    the bundle is a compatible split Cartan bundle: a d-dimensional
-    algebra diagonal in a basis is the whole diagonal algebra of that
-    basis, its common eigenlines are exactly the basis lines, and a
-    transition carries the diagonal algebra of the lines over its source
-    to that of their images (the full argument is in its docstring).
+    cover is made of: the root fiber's d common eigenlines carried along
+    the spanning tree, in which every fiber, the root included, is diagonal
+    and which every transition permutes (the argument is in its docstring).
 
     The cover's labels at each vertex are its lines in canonical order:
     transition e maps line t over its source to ``factors[e][t]`` times
@@ -224,16 +215,20 @@ def build_spectral_cover(bundle: BundleRep, algebra: SubalgebraBundle) -> Spectr
 class RoundtripRecord:
     """Round trip bundle -> cover -> bundle. Every identity of the round
     trip raises on failure, so a returned record certifies it (see
-    ``roundtrip_verify``)."""
+    ``roundtrip_verify``). ``report`` is the rebuilt cover's report."""
 
-    component_count: int
+    report: CoverReport
     result: SpectralCoverResult
+
+    @property
+    def component_count(self) -> int:
+        return self.report.component_count
 
     @property
     def flat_section_dim(self) -> int:
         """The flat-section dimension of the algebra bundle: the component
         count, by the argument in ``roundtrip_verify``."""
-        return self.component_count
+        return self.report.component_count
 
     def all_ok(self) -> bool:
         return True
@@ -260,7 +255,7 @@ def roundtrip_verify(bundle: BundleRep, algebra: SubalgebraBundle) -> RoundtripR
       flat sections have one dimension per component of the cover.
     """
     result = build_spectral_cover(bundle, algebra)
-    return RoundtripRecord(cover_report(result.cover).component_count, result)
+    return RoundtripRecord(cover_report(result.cover), result)
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,32 @@ def test_eigenlines_reject_nonsplit_input():
         simultaneous_eigenlines(a)
 
 
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(3), GF(5), GF(7)), ids=str)
+def test_eigenline_split_agrees_with_the_classifier(field):
+    # the split succeeds exactly on split Cartan subspaces, names a failure
+    # with the classifier's verdict, and certifies the lines it returns
+    rng = Random(600 + getattr(field, "p", 0))
+    outcomes = set()
+    for _ in range(60):
+        d = rng.randint(1, 5)
+        a = random_subspace_for_cartan_test(rng, field, d)
+        verdict = classify_subspace(a, d)
+        try:
+            eig = simultaneous_eigenlines(a)
+        except NotSplitCartan as exc:
+            assert not verdict.is_split()
+            assert exc.verdict == verdict
+            outcomes.add(verdict.status)
+            continue
+        assert verdict.is_split()
+        outcomes.add(verdict.status)
+        assert rref(Matrix(field, list(eig.lines), ncols=d)).rank == d
+        for line, mu in zip(eig.lines, eig.functionals):
+            for m, scalar in zip(a.basis_matrices(), mu):
+                assert m.apply(line) == tuple(scalar * x for x in line)
+    assert {CartanStatus.SPLIT, CartanStatus.NOT_CARTAN} <= outcomes
+
+
 def test_eigenline_invariants_on_random_split_instances():
     rng = Random(7)
     for _ in range(20):

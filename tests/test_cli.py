@@ -104,6 +104,42 @@ def test_cover_build_nonsplit_reports_witness(capsys):
     assert "x^2" in doc["error"]["witness"]
 
 
+def test_cover_build_reports_the_cover_once(capsys, monkeypatch):
+    # the round trip's record carries the cover report the CLI prints
+    from cartancover import covers
+
+    calls = []
+    real = covers.cover_report
+
+    def counting(cover):
+        calls.append(cover)
+        return real(cover)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cartancover") and getattr(module, "cover_report", None) is real:
+            monkeypatch.setattr(module, "cover_report", counting)
+    code, _ = run_cli(capsys, "cover-build", str(INSTANCES / "bundle_rank3_trivial_q.json"))
+    assert code == 0 and len(calls) == 1
+
+
+def test_cover_build_rank_zero_is_input_error(tmp_path, capsys):
+    doc = {
+        "field": {"kind": "Q"},
+        "kind": "bundle",
+        "payload": {
+            "graph": {"vertices": 1, "edges": []},
+            "rank": 0,
+            "transitions": [],
+            "cartan_bundle": [[]],
+        },
+    }
+    path = tmp_path / "rank0.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "--format", "machine", "cover-build", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "DimensionMismatch"
+
+
 def test_cover_build_emitted_instance_reparses(capsys):
     _, out = run_cli(
         capsys, "--format", "machine", "cover-build", str(INSTANCES / "bundle_loop_swap2_q.json")
@@ -291,6 +327,13 @@ def test_selftest_count_zero(capsys):
     code, out = run_cli(capsys, "--format", "machine", "selftest", "--count", "0")
     assert code == 0
     assert json.loads(out)["results"] == []
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_selftest_nonpositive_max_degree_is_input_error(capsys, value):
+    code, out = run_cli(capsys, "--format", "machine", "selftest", "--max-degree", value)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
 
 
 def test_selftest_field_restriction(capsys):

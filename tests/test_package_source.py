@@ -57,9 +57,15 @@ def test_one_spanning_tree_walk_in_package():
 
 def test_no_reference_oracle_called_in_package():
     # the round trip reads its isomorphism off eta and its flat-section
-    # dimension off the cover; the search, the holonomy comparison and the
-    # linear-algebra flat sections stay only as references for tests
-    oracles = {"cover_isomorphisms", "line_bundles_gauge_equivalent", "flat_sections"}
+    # dimension off the cover, and edges are checked on eigenlines; the
+    # search, the holonomy comparison, the linear-algebra flat sections and
+    # subspace conjugation stay only as references for tests
+    oracles = {
+        "cover_isomorphisms",
+        "line_bundles_gauge_equivalent",
+        "flat_sections",
+        "conjugate_subspace",
+    }
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

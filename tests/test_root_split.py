@@ -1,7 +1,10 @@
-"""The Cartan test and the eigenline split run once per bundle, at the root.
+"""Only the root fiber is split, and the split is its own Cartan certificate.
 
-The per-vertex path they replace (classify every fiber, then split every
-fiber) survives here only as the oracle the root path is compared with.
+A valid bundle classifies no fiber: the root's eigenlines certify it, and
+every other fiber is checked against the transported lines. The
+per-vertex path this replaces (classify every fiber, then conjugate
+along every edge) survives here only as the oracle the root path is
+compared with, on faults away from the root and at it.
 """
 
 import sys
@@ -226,6 +229,74 @@ def test_bad_root_fiber_is_reported_at_the_root():
     assert error_signature(build_spectral_cover, bundle, algebra) == expected
 
 
+NONSQUARE = {0: 2, 5: 2, 7: 3}  # by characteristic, a c with x^2 - c rootless
+
+
+def nonsplit_algebra(field, d):
+    """k[x]/(x^2 - c) times k^(d-2) in gl_d: commutative and d-dimensional,
+    Cartan only after adjoining a square root of c."""
+    c = NONSQUARE[getattr(field, "p", 0)]
+
+    def unit(entries):
+        rows = [[0] * d for _ in range(d)]
+        for i, j, x in entries:
+            rows[i][j] = x
+        return Matrix(field, rows)
+
+    basis = [unit([(0, 0, 1), (1, 1, 1)]), unit([(0, 1, c), (1, 0, 1)])]
+    basis += [unit([(t, t, 1)]) for t in range(2, d)]
+    return MatrixSubspace(field, d, basis)
+
+
+def root_fault(rng, kind, bundle, algebra):
+    """The bundle with one fault at the root: its fiber replaced, or an
+    edge at the root sheared."""
+    field, d = bundle.field, bundle.rank
+    if kind == "sheared_edge":
+        at_root = [e for e, (u, v) in enumerate(bundle.graph.edges) if 0 in (u, v)]
+        return shear_edges(bundle, algebra, [rng.choice(at_root)])
+    basis = algebra.fibers[0].basis_matrices()
+    if kind == "not_cartan":
+        while True:
+            root = random_subspace_for_cartan_test(rng, field, d)
+            verdict = classify_subspace(root, d)
+            if verdict.status is CartanStatus.NOT_CARTAN and root.dim == d:
+                break
+    elif kind == "wrong_dimension":
+        root = MatrixSubspace(field, d, basis[:-1])
+        if rng.random() < 0.5:
+            while root.dim != d + 1:
+                root = MatrixSubspace(field, d, basis + (random_invertible_matrix(rng, field, d),))
+    else:
+        g = random_invertible_matrix(rng, field, d)
+        root = nonsplit_algebra(field, d).conjugated(g)
+    return bundle, SubalgebraBundle(bundle, (root,) + algebra.fibers[1:])
+
+
+@pytest.mark.parametrize("kind", ["not_cartan", "wrong_dimension", "nonsplit", "sheared_edge"])
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_root_faults_match_the_per_vertex_oracle(field, kind):
+    rng = Random(f"{kind} {field}")
+    expected_type = {
+        "not_cartan": "NotCartanAtVertex",
+        "wrong_dimension": "NotCartanAtVertex",
+        "nonsplit": "NonSplitAtVertex",
+        "sheared_edge": "IncompatibleEdge",
+    }[kind]
+    caught = 0
+    for _ in range(8):
+        bundle, algebra = root_fault(rng, kind, *gauged_bundle(rng, field, min_vertices=2))
+        expected = error_signature(per_vertex_validate, bundle, algebra)
+        assert error_signature(validate_cartan_bundle, bundle, algebra) == expected
+        assert error_signature(build_spectral_cover, bundle, algebra) == expected
+        if expected is not None:
+            caught += 1
+            assert expected[0] == expected_type
+            if kind != "sheared_edge":
+                assert expected[1] == 0
+    assert caught >= 6
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_transported_lines_equal_per_vertex_split(field):
     rng = Random(31 + getattr(field, "p", 0))
@@ -253,13 +324,14 @@ def classify_calls(monkeypatch):
     return calls
 
 
-def test_roundtrip_classifies_once(classify_calls):
+def test_roundtrip_classifies_no_fiber(classify_calls):
+    # the root split certifies itself; the classifier only names failures
     rng = Random(8)
     for i in range(6):
         bundle, algebra = gauged_bundle(rng, FIELDS[i % 3], min_vertices=3)
         del classify_calls[:]
         assert roundtrip_verify(bundle, algebra).all_ok()
-        assert len(classify_calls) == 1
+        assert classify_calls == []
 
 
 @pytest.mark.parametrize("name", ["cartan_diagonal_q", "cartan_nilpotent_q", "cartan_nonsplit_q"])
