@@ -24,7 +24,6 @@ from .covers import (
     canonical_algebra_map,
     cover_report,
     cover_roundtrip,
-    direct_image_line_bundle,
     roundtrip_verify,
     trivial_line_bundle,
 )
@@ -207,8 +206,8 @@ def cmd_pushforward(instance) -> Report:
 def _pushforward_cover(instance: CoverInstance) -> Report:
     field = instance.field
     line = instance.line_bundle or trivial_line_bundle(instance.cover, field)
-    bundle = direct_image_line_bundle(instance.cover, line)
     algebra = canonical_algebra_map(instance.cover, line)
+    bundle = algebra.parent
     report = cover_report(instance.cover)
     machine = {
         "field": field_to_json(field),
@@ -273,7 +272,7 @@ def cmd_factor(instance: CoverInstance, max_degree: int) -> Report:
     all_ok = True
     for system in catalog.proper:
         inter = intermediate_cover(cover, system)
-        check = summand_embedding_check(cover, system, field, inter)
+        check = summand_embedding_check(cover, system, field)
         all_ok = all_ok and check.ok
         systems.append(
             {
@@ -323,6 +322,8 @@ def cmd_factor(instance: CoverInstance, max_degree: int) -> Report:
 def cmd_selftest(seed: int, count: int, fields, max_degree: int) -> Report:
     if max_degree < 1:
         raise ParseError(f"--max-degree expects a positive integer, got {max_degree}")
+    if count < 0:
+        raise ParseError(f"--count expects a non-negative integer, got {count}")
     config = CoverInstanceConfig(max_degree=min(max_degree, 6))
     entries = []
     failures = 0

@@ -12,7 +12,9 @@ from cartancover.covers import (
     CoverRep,
     LineBundleOnCover,
     cover_isomorphisms,
+    direct_image_line_bundle,
     line_bundles_gauge_equivalent,
+    trivial_line_bundle,
 )
 from cartancover.errors import DimensionMismatch, ParseError
 from cartancover.fields import is_prime
@@ -169,6 +171,41 @@ def composite_consistent(cover: CoverRep, inter) -> bool:
         for t in range(cover.degree):
             if inter.label_map[v][cover.sigma[e][t]] != inter.quotient.sigma[e][inter.label_map[u][t]]:
                 return False
+    return True
+
+
+def indicator_embedding_flat(
+    cover: CoverRep, system, field, quotient: CoverRep | None = None
+) -> bool:
+    """Oracle: the block indicator embedding i commutes with every transition.
+
+    Pushes the structure sheaf forward along the cover in its tree gauge,
+    to W, and asks of every edge that W_e . i = i . V_e. With ``quotient``
+    (the intermediate cover of a block system), V is the structure sheaf's
+    pushforward along it. Without, V_e is the only candidate p . W_e . i,
+    for the first-of-block retraction p with p . i = I, which is defined
+    for any equal-size partition of the fiber.
+    """
+    gauged = cover.gauge.gauged
+    w = direct_image_line_bundle(gauged, trivial_line_bundle(gauged, field))
+    v = None
+    if quotient is not None:
+        v = direct_image_line_bundle(quotient, trivial_line_bundle(quotient, field))
+    d, m = cover.degree, system.num_blocks
+    zero, one = field.zero(), field.one()
+    include = Matrix(
+        field,
+        [[one if t in system.blocks[j] else zero for j in range(m)] for t in range(d)],
+    )
+    retract = Matrix(
+        field,
+        [[one if t == system.blocks[i][0] else zero for t in range(d)] for i in range(m)],
+    )
+    for e in range(len(cover.base.edges)):
+        w_include = w.transitions[e] @ include
+        v_e = retract @ w_include if v is None else v.transitions[e]
+        if w_include != include @ v_e:
+            return False
     return True
 
 

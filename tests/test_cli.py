@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cartancover import cli, covers
 from cartancover.cli import main
 from cartancover.instances import load_instance, parse_instance_text
 
@@ -164,6 +165,25 @@ def test_pushforward_cover_emits_reparseable_bundle(capsys):
     instance = parse_instance_text(bundle_doc)
     assert instance.bundle.transitions[0].rows[0][1] == 2
     assert instance.algebra is not None
+
+
+def test_pushforward_cover_builds_the_bundle_once(monkeypatch, capsys):
+    calls = []
+    real = covers.direct_image_line_bundle
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    # count every route the command has to the pushforward
+    for module in (covers, cli):
+        if hasattr(module, "direct_image_line_bundle"):
+            monkeypatch.setattr(module, "direct_image_line_bundle", counting)
+    code, _out = run_cli(
+        capsys, "--format", "machine", "pushforward", str(INSTANCES / "cover_c4_loop_q.json")
+    )
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_pushforward_parabolic_worked_example(capsys):
@@ -327,6 +347,13 @@ def test_selftest_count_zero(capsys):
     code, out = run_cli(capsys, "--format", "machine", "selftest", "--count", "0")
     assert code == 0
     assert json.loads(out)["results"] == []
+
+
+@pytest.mark.parametrize("value", ["-1", "-2"])
+def test_selftest_negative_count_is_input_error(capsys, value):
+    code, out = run_cli(capsys, "--format", "machine", "selftest", "--count", value)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from cartancover import cli, factorization, linalg
+from cartancover import cli, covers, factorization, linalg
 from cartancover.bundles import BaseGraph
 from cartancover.covers import (
     CoverRep,
@@ -25,8 +25,13 @@ from cartancover.factorization import (
 from cartancover.fields import GF, QQ
 from cartancover.instances import CoverInstance, load_instance
 from cartancover.linalg import Matrix, Subspace
-from cartancover.randgen import CoverInstanceConfig, random_cover_instance
-from helpers import composite_consistent
+from cartancover.randgen import (
+    CoverInstanceConfig,
+    random_base_graph,
+    random_cover_instance,
+    random_permutation,
+)
+from helpers import composite_consistent, indicator_embedding_flat
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -219,8 +224,11 @@ def test_non_block_partition_rejected():
     cover = CoverRep(LOOP, 4, [(1, 2, 3, 0)])
     bad = normalize_partition([(0, 1), (2, 3)], 4)
     assert not is_block_system(monodromy_generators(cover).generators, bad)
+    assert not indicator_embedding_flat(cover, bad, QQ)
     with pytest.raises(NotABlockSystem):
         intermediate_cover(cover, bad)
+    with pytest.raises(NotABlockSystem):
+        summand_embedding_check(cover, bad)
 
 
 def test_degree_multiplicativity():
@@ -246,7 +254,7 @@ def test_summand_check_4_cycle_block_system():
     system = normalize_partition([(0, 2), (1, 3)], 4)
     report = summand_embedding_check(cover, system)
     assert report.ok
-    assert report.embedding_flat and report.square_commutes
+    assert report.retraction_identity and indicator_embedding_flat(cover, system, QQ)
     assert report.average_retraction_agrees
 
 
@@ -366,6 +374,52 @@ def test_compression_square_is_one_product(field):
     assert True in verdicts and False in verdicts
 
 
+# --- the block system is the flatness of the indicator embedding ------------------------
+
+
+def _planted_cover(rng, config):
+    """A random cover whose every edge permutes the blocks of one random partition."""
+    base = random_base_graph(rng, config.max_vertices, config.max_edges)
+    d = rng.choice([k for k in range(4, config.max_degree + 1) if k % 2 == 0])
+    b = rng.choice([k for k in range(2, d) if d % k == 0])
+    labels = list(range(d))
+    rng.shuffle(labels)
+    blocks = [labels[i : i + b] for i in range(0, d, b)]
+    sigma = []
+    for _edge in base.edges:
+        image = [None] * d
+        for j, k in enumerate(random_permutation(rng, len(blocks))):
+            target = blocks[k][:]
+            rng.shuffle(target)
+            for x, y in zip(blocks[j], target):
+                image[x] = y
+        sigma.append(tuple(image))
+    return CoverRep(base, d, tuple(sigma))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=str)
+def test_indicator_embedding_is_flat_exactly_on_block_systems(field):
+    rng = Random(f"flat-{field}")
+    config = CoverInstanceConfig(max_vertices=4, max_edges=6, max_degree=8)
+    verdicts = []
+    for i in range(24):
+        if i % 2:
+            cover, _line = random_cover_instance(rng, field, config)
+        else:
+            cover = _planted_cover(rng, config)
+        mono = monodromy_generators(cover)
+        catalog = block_systems(mono)
+        for system in catalog.proper + catalog.trivial:
+            quotient = intermediate_cover(cover, system).quotient
+            assert indicator_embedding_flat(cover, system, field, quotient)
+        partitions = [_random_block_system(rng, cover.degree) for _ in range(4)]
+        for system in partitions + list(catalog.proper[:2]):
+            flat = indicator_embedding_flat(cover, system, field)
+            assert flat == is_block_system(mono.generators, system)
+            verdicts.append(flat)
+    assert True in verdicts and False in verdicts
+
+
 # --- work done per check --------------------------------------------------------------
 
 
@@ -388,13 +442,26 @@ def linalg_calls(monkeypatch):
     return calls
 
 
-def test_summand_check_work_on_the_4_cycle_instance(linalg_calls):
+def test_summand_check_work_on_the_4_cycle_instance(linalg_calls, monkeypatch):
+    # one product per retraction, and no pushforward: the block system is
+    # the flatness of the embedding
+    pushforwards = []
+    real = covers.direct_image_line_bundle
+
+    def counting(*args, **kwargs):
+        pushforwards.append(args)
+        return real(*args, **kwargs)
+
+    for module in (covers, factorization):
+        if hasattr(module, "direct_image_line_bundle"):
+            monkeypatch.setattr(module, "direct_image_line_bundle", counting)
     cover = load_instance(str(INSTANCES / "cover_c4_loop_q.json")).cover
     (system,) = block_systems(monodromy_generators(cover)).proper
     linalg_calls.update(solve=0, matmul=0)
     assert summand_embedding_check(cover, system, QQ).ok
     assert linalg_calls["solve"] == 0
-    assert linalg_calls["matmul"] <= 12
+    assert linalg_calls["matmul"] == 2
+    assert pushforwards == []
 
 
 def test_factor_builds_each_intermediate_cover_once(monkeypatch):
