@@ -15,6 +15,7 @@ carries a witness), 2 the input was rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from random import Random
 
@@ -271,13 +272,13 @@ def cmd_factor(instance: CoverInstance, max_degree: int) -> Report:
     systems = []
     all_ok = True
     for system in catalog.proper:
-        inter = intermediate_cover(cover, system)
+        quotient = intermediate_cover(cover, system)
         check = summand_embedding_check(cover, system, field)
         all_ok = all_ok and check.ok
         systems.append(
             {
                 "blocks": [[x + 1 for x in b] for b in system.blocks],
-                "intermediate": cover_instance_to_json(field, inter.quotient),
+                "intermediate": cover_instance_to_json(field, quotient),
                 # intermediate_cover raises unless the composite is consistent
                 "composite_consistent": True,
                 "summand_ok": check.ok,
@@ -381,7 +382,10 @@ def _parse_field_flag(value: str):
     raise ParseError(f"--field expects Q or F<prime>, got {value!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls
+    in the process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cartancover",
         description="Exact computations with Cartan algebra bundles, covers, and parabolic pushforwards.",

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .covers import CoverRep, TreeGauge
-from .covers import _compose, _invert_perm
 from .errors import DegreeTooLarge, NotABlockSystem
 from .fields import QQ, PrimeField
 from .linalg import Matrix
@@ -141,16 +140,8 @@ def block_systems(mono: TreeGauge) -> BlockSystemCatalog:
     return BlockSystemCatalog(tuple(proper), tuple(trivial))
 
 
-@dataclass(frozen=True)
-class IntermediateCover:
-    """The quotient cover by a block system, with the fiberwise quotient map."""
-
-    quotient: CoverRep
-    label_map: tuple  # per vertex, original label -> block label
-
-
-def intermediate_cover(cover: CoverRep, system: BlockSystem) -> IntermediateCover:
-    """Quotient a cover by a block system of its monodromy.
+def intermediate_cover(cover: CoverRep, system: BlockSystem) -> CoverRep:
+    """The quotient of a cover by a block system of its monodromy.
 
     The quotient's fibers are the blocks; each edge permutes blocks as it
     permutes their members. The quotient map (block_of . tau_v^-1 at v)
@@ -171,10 +162,7 @@ def intermediate_cover(cover: CoverRep, system: BlockSystem) -> IntermediateCove
         for i, block in enumerate(system.blocks):
             images[i] = block_of[g[block[0]]]
         quotient_sigma.append(tuple(images))
-    quotient = CoverRep(cover.base, m, tuple(quotient_sigma))
-
-    label_map = tuple(_compose(block_of, _invert_perm(tau)) for tau in gauge.taus)
-    return IntermediateCover(quotient, label_map)
+    return CoverRep(cover.base, m, tuple(quotient_sigma))
 
 
 @dataclass(frozen=True)

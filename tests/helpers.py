@@ -1,25 +1,30 @@
-"""Debug checks and the bounded bundle-isomorphism search, used by tests only.
+"""Debug checks, the bounded bundle-isomorphism search and the exhaustive
+root search, used by tests only.
 
 None of these is reached from the command line or from the package's own
 constructions; they check the package's outputs from the outside.
 """
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 from cartancover.bundles import BundleRep, tree_paths, validate_bundle
 from cartancover.covers import (
     CoverRep,
     LineBundleOnCover,
+    _invert_perm,
     cover_isomorphisms,
     direct_image_line_bundle,
     line_bundles_gauge_equivalent,
     trivial_line_bundle,
 )
 from cartancover.errors import DimensionMismatch, ParseError
-from cartancover.fields import is_prime
+from cartancover.fields import Fp, PrimeField, is_prime
 from cartancover.linalg import Matrix, MatrixSubspace, Subspace, kernel
 from cartancover.parabolic import parse_weight
+from cartancover.poly import Poly
 
 # --- endomorphism bundles -------------------------------------------------------
 
@@ -164,12 +169,20 @@ def roundtrip_witness_holds(cover: CoverRep, line: LineBundleOnCover, record) ->
     return line_bundles_gauge_equivalent(line, pulled)
 
 
-def composite_consistent(cover: CoverRep, inter) -> bool:
+def composite_consistent(cover: CoverRep, system, quotient: CoverRep) -> bool:
     """Oracle: the quotient map followed by the intermediate cover's own
-    projection reproduces every edge bijection of the cover."""
+    projection reproduces every edge bijection of the cover.
+
+    The quotient map at vertex v sends label t to block_of(tau_v^-1(t)),
+    for the cover's tree gauge tau.
+    """
+    block_of = system.block_of()
+    label_map = [
+        tuple(block_of[x] for x in _invert_perm(tau)) for tau in cover.gauge.taus
+    ]
     for e, (u, v) in enumerate(cover.base.edges):
         for t in range(cover.degree):
-            if inter.label_map[v][cover.sigma[e][t]] != inter.quotient.sigma[e][inter.label_map[u][t]]:
+            if label_map[v][cover.sigma[e][t]] != quotient.sigma[e][label_map[u][t]]:
                 return False
     return True
 
@@ -236,3 +249,83 @@ def tameness_check(weights, p: int) -> tuple:
         w = parse_weight(w)
         out.append(w.denominator % p != 0)
     return tuple(out)
+
+
+# --- exhaustive root search ---------------------------------------------------------
+
+
+def field_elements(field: PrimeField) -> list:
+    """Every element of GF(p), in order of least residue."""
+    return [Fp(i, field.p) for i in range(field.p)]
+
+
+def _divisors(n: int) -> list:
+    n = abs(n)
+    out = []
+    f = 1
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            if f != n // f:
+                out.append(n // f)
+        f += 1
+    return sorted(out)
+
+
+def roots_by_enumeration(p: Poly):
+    """Oracle for ``roots_in_field``: the exhaustive search it replaced.
+
+    Tries every element of GF(p), or over Q every +-a/b for a dividing the
+    constant term and b the leading coefficient, denominators cleared and
+    x^k split off; each root found is divided out as often as it divides.
+    Returns ``(roots, split)`` in the same canonical form. Over GF(p) the
+    scan evaluates on least residues first, so that GF(1009) stays quick.
+    """
+    field = p.field
+    if p.is_constant():
+        return (), True
+    if isinstance(field, PrimeField):
+        ints = [c.val for c in p.coeffs]
+        candidates = [x for x in field_elements(field) if _value_mod(ints, x.val, field.p) == 0]
+    else:
+        denom = 1
+        for c in p.coeffs:
+            denom = math.lcm(denom, c.denominator)
+        ints = [int(c * denom) for c in p.coeffs]
+        k = 0
+        while ints[k] == 0:
+            k += 1
+        candidates = [Fraction(0)] if k > 0 else []
+        seen = set()
+        for num in _divisors(ints[k]):
+            for den in _divisors(ints[-1]):
+                for s in (1, -1):
+                    c = Fraction(s * num, den)
+                    if c not in seen:
+                        seen.add(c)
+                        candidates.append(c)
+    roots = []
+    rem = p
+    for c in candidates:
+        if rem.is_constant():
+            break
+        if rem(c) != 0:
+            continue
+        lin = Poly(field, (-c, field.one()))
+        mult = 0
+        while True:
+            q, r = divmod(rem, lin)
+            if not r.is_zero():
+                break
+            rem = q
+            mult += 1
+        roots.append((c, mult))
+    roots.sort(key=lambda rm: field.element_key(rm[0]))
+    return tuple(roots), sum(m for _, m in roots) == p.degree
+
+
+def _value_mod(coeffs: list, x: int, p: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc

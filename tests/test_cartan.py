@@ -12,11 +12,11 @@ from cartancover.cartan import (
     simultaneous_eigenlines,
 )
 from cartancover.errors import DimensionMismatch, NotSplitCartan, SingularMatrix
-from cartancover.fields import GF, QQ
+from cartancover.fields import GF, QQ, PrimeField
 from cartancover.linalg import Matrix, MatrixSubspace, Subspace, rref
 from cartancover.poly import Poly
 from cartancover.randgen import random_invertible_matrix, random_subspace_for_cartan_test
-from helpers import subalgebra_closure_defect
+from helpers import field_elements, subalgebra_closure_defect
 
 
 def M(field, rows):
@@ -37,8 +37,8 @@ def span(field, d, mats):
 
 
 def _projective_points(field, d):
-    if hasattr(field, "elements"):
-        scalars = field.elements()
+    if isinstance(field, PrimeField):
+        scalars = field_elements(field)
     else:
         scalars = [Fraction(n, m) for n in range(-4, 5) for m in range(1, 4)]
     for pivot in range(d):
@@ -74,7 +74,7 @@ def gl_search_oracle_d2(subspace, field):
     if subspace.dim != 2:
         return False
     diag = MatrixSubspace.diagonal_algebra(field, 2)
-    scalars = field.elements()
+    scalars = field_elements(field)
     for entries in product(scalars, repeat=4):
         t = Matrix(field, [entries[:2], entries[2:]])
         if not t.is_invertible():

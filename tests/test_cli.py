@@ -1,5 +1,6 @@
 import io
 import json
+import signal
 import sys
 import time
 from pathlib import Path
@@ -8,7 +9,9 @@ import pytest
 
 from cartancover import cli, covers
 from cartancover.cli import main
-from cartancover.instances import load_instance, parse_instance_text
+from cartancover.fields import field_from_json, field_to_json
+from cartancover.instances import load_instance, matrix_to_json, parse_instance_text
+from cartancover.linalg import Matrix
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -150,6 +153,77 @@ def test_cover_build_emitted_instance_reparses(capsys):
     instance = parse_instance_text(emitted)
     assert instance.cover.sigma == ((1, 0),)
     assert instance.line_bundle is not None
+
+
+# --- cover-build cost flat in p and in height ----------------------------------------
+
+BIG_PRIME = 2**61 - 1
+TALL = 10**10
+
+
+def _gauged_double_cover_bundle(field, gauges):
+    """The pushforward of a line bundle on the connected double cover of two
+    vertices joined by two edges, re-gauged by ``gauges[v]`` at vertex v.
+
+    Edge 0 (1 -> 0) swaps the sheets and edge 1 (0 -> 1) keeps them; the
+    Cartan fiber at v is spanned by g_v E_ii g_v^-1, so the canonical basis
+    matrices have eigenvalues as tall as the gauges.
+    """
+    edges = [[1, 0], [0, 1]]
+    monomial = [Matrix(field, [[0, 2], [3, 0]]), Matrix(field, [[5, 0], [0, 7]])]
+    transitions = [gauges[v] @ m @ gauges[u].inverse() for (u, v), m in zip(edges, monomial)]
+    units = [Matrix(field, [[1, 0], [0, 0]]), Matrix(field, [[0, 0], [0, 1]])]
+    fibers = [[g @ e @ g.inverse() for e in units] for g in gauges]
+    return {
+        "field": field_to_json(field),
+        "kind": "bundle",
+        "payload": {
+            "graph": {"vertices": 2, "edges": edges},
+            "rank": 2,
+            "transitions": [matrix_to_json(field, t) for t in transitions],
+            "cartan_bundle": [[matrix_to_json(field, b) for b in fiber] for fiber in fibers],
+        },
+    }
+
+
+def _on_alarm(signum, frame):
+    raise TimeoutError("cover-build did not finish within the cap")
+
+
+@pytest.mark.parametrize(
+    "descriptor, gauges",
+    [
+        (
+            {"kind": "Fp", "p": BIG_PRIME},
+            [[[123456789012345678, 987654321098765432], [112233445566778899, 998877665544332211]],
+             [[314159265358979323, 271828182845904523], [161803398874989484, 141421356237309504]]],
+        ),
+        (
+            {"kind": "Q"},
+            [[[TALL + 1, TALL - 3], [TALL + 7, -TALL + 11]],
+             [[TALL - 13, TALL + 17], [-TALL - 19, TALL + 23]]],
+        ),
+    ],
+    ids=["gf_2_61_minus_1", "q_height_1e10"],
+)
+def test_cover_build_large_prime_and_tall_entries_finish(tmp_path, capsys, descriptor, gauges):
+    # cost flat in p and in height: trial division of 2^61 - 1, a scan of GF(p)
+    # or a divisor search up to the square root of a constant term near 10^40
+    # would each run far past the cap
+    path = tmp_path / "bundle.json"
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(5)
+    try:
+        field = field_from_json(descriptor)
+        doc = _gauged_double_cover_bundle(field, [Matrix(field, g) for g in gauges])
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "--format", "machine", "cover-build", str(path))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True and report["component_count"] == 1
 
 
 # --- pushforward -----------------------------------------------------------------
@@ -392,6 +466,34 @@ def test_machine_reports_are_byte_identical(capsys, argv):
     code2, out2 = run_cli(capsys, *argv)
     assert code1 == code2
     assert out1.encode() == out2.encode()
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        code, _ = run_cli(capsys, "classify", str(INSTANCES / "cartan_diagonal_q.json"))
+        assert code == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        (["--version"], 0, "out", "cartancover "),
+        (["--help"], 0, "out", "usage: cartancover"),
+        (["nosuch"], 2, "err", "invalid choice: 'nosuch'"),
+        ([], 2, "err", "the following arguments are required: subcommand"),
+    ],
+)
+def test_shared_parser_exits_as_before(capsys, argv, code, stream, text):
+    # the cached parser answers every call the same, not only the first
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        assert text in getattr(captured, stream)
 
 
 def test_machine_report_json_roundtrip(capsys):

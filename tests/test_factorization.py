@@ -183,27 +183,27 @@ def test_two_transitive_action_has_no_proper_systems():
 def test_intermediate_cover_of_4_cycle():
     cover = CoverRep(LOOP, 4, [(1, 2, 3, 0)])
     system = normalize_partition([(0, 2), (1, 3)], 4)
-    inter = intermediate_cover(cover, system)
-    assert inter.quotient.degree == 2
-    assert inter.quotient.sigma == ((1, 0),)
-    assert composite_consistent(cover, inter)
+    quotient = intermediate_cover(cover, system)
+    assert quotient.degree == 2
+    assert quotient.sigma == ((1, 0),)
+    assert composite_consistent(cover, system, quotient)
 
 
 def test_intermediate_cover_by_singletons_is_the_cover():
     cover = CoverRep(LOOP, 3, [(1, 2, 0)])
     system = normalize_partition([(0,), (1,), (2,)], 3)
-    inter = intermediate_cover(cover, system)
-    assert inter.quotient.degree == 3
-    assert list(cover_isomorphisms(cover, inter.quotient))
-    assert composite_consistent(cover, inter)
+    quotient = intermediate_cover(cover, system)
+    assert quotient.degree == 3
+    assert list(cover_isomorphisms(cover, quotient))
+    assert composite_consistent(cover, system, quotient)
 
 
 def test_intermediate_cover_by_one_block_is_the_base():
     cover = CoverRep(LOOP, 3, [(1, 2, 0)])
     system = normalize_partition([(0, 1, 2)], 3)
-    inter = intermediate_cover(cover, system)
-    assert inter.quotient.degree == 1
-    assert composite_consistent(cover, inter)
+    quotient = intermediate_cover(cover, system)
+    assert quotient.degree == 1
+    assert composite_consistent(cover, system, quotient)
 
 
 def test_intermediate_covers_are_consistent_by_construction():
@@ -215,7 +215,8 @@ def test_intermediate_covers_are_consistent_by_construction():
     for i in range(200):
         cover, _line = random_cover_instance(rng, QQ, config)
         for system in block_systems(monodromy_generators(cover)).proper:
-            assert composite_consistent(cover, intermediate_cover(cover, system)), (i, system)
+            quotient = intermediate_cover(cover, system)
+            assert composite_consistent(cover, system, quotient), (i, system)
             checked += 1
     assert checked > 1000
 
@@ -235,8 +236,7 @@ def test_degree_multiplicativity():
     cover = CoverRep(LOOP, 4, [(1, 2, 3, 0)])
     catalog = block_systems(monodromy_generators(cover))
     for system in catalog.proper:
-        inter = intermediate_cover(cover, system)
-        assert inter.quotient.degree * system.block_size == cover.degree
+        assert intermediate_cover(cover, system).degree * system.block_size == cover.degree
 
 
 # --- summand checks -------------------------------------------------------------------
@@ -299,19 +299,19 @@ def test_nested_block_systems_compose():
     catalog = block_systems(monodromy_generators(cover))
     by_size = {s.block_size: s for s in catalog.proper}
     fine, coarse = by_size[2], by_size[4]
-    inter_fine = intermediate_cover(cover, fine)
+    fine_quotient = intermediate_cover(cover, fine)
     # the coarse system induces a partition of the fine quotient's fiber
     fine_block_of = fine.block_of()
     induced = {}
     for coarse_block in coarse.blocks:
         key = tuple(sorted({fine_block_of[x] for x in coarse_block}))
         induced[key] = True
-    induced_system = normalize_partition(list(induced.keys()), inter_fine.quotient.degree)
-    mono_fine = monodromy_generators(inter_fine.quotient)
+    induced_system = normalize_partition(list(induced.keys()), fine_quotient.degree)
+    mono_fine = monodromy_generators(fine_quotient)
     assert is_block_system(mono_fine.generators, induced_system)
-    composed = intermediate_cover(inter_fine.quotient, induced_system)
+    composed = intermediate_cover(fine_quotient, induced_system)
     direct = intermediate_cover(cover, coarse)
-    assert list(cover_isomorphisms(composed.quotient, direct.quotient))
+    assert list(cover_isomorphisms(composed, direct))
 
 
 # --- the compression square as one product ---------------------------------------------
@@ -410,7 +410,7 @@ def test_indicator_embedding_is_flat_exactly_on_block_systems(field):
         mono = monodromy_generators(cover)
         catalog = block_systems(mono)
         for system in catalog.proper + catalog.trivial:
-            quotient = intermediate_cover(cover, system).quotient
+            quotient = intermediate_cover(cover, system)
             assert indicator_embedding_flat(cover, system, field, quotient)
         partitions = [_random_block_system(rng, cover.degree) for _ in range(4)]
         for system in partitions + list(catalog.proper[:2]):

@@ -5,18 +5,69 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cartancover.errors import ParseError
-from cartancover.fields import GF, QQ, Fp, PrimeField, field_from_json, field_to_json, is_prime
+from cartancover.fields import (
+    GF,
+    PRIME_BOUND,
+    QQ,
+    Fp,
+    PrimeField,
+    field_from_json,
+    field_to_json,
+    is_prime,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 f7 = st.integers(min_value=0, max_value=6).map(lambda v: Fp(v, 7))
 
 
-def test_primality_trial_division():
+def test_primality_small_cases():
     assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     with pytest.raises(ParseError):
         PrimeField(6)
     with pytest.raises(ParseError):
         PrimeField(1)
+
+
+def _by_trial_division(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_miller_rabin_agrees_with_trial_division_below_1e5():
+    assert all(is_prime(n) == _by_trial_division(n) for n in range(-5, 10**5))
+
+
+def test_carmichael_numbers_are_composite():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 825265,
+                  321197185, 5394826801, 232250619601, 9746347772161]
+    assert not any(is_prime(n) for n in carmichael)
+
+
+def test_strong_pseudoprimes_to_the_first_prime_bases():
+    # psi_12 passes every base 2..37, so base 41 is needed below psi_13
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    assert not is_prime(psi_12)
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert PRIME_BOUND == 3317044064679887385961981
+    for n in (PRIME_BOUND, PRIME_BOUND + 2, 2**89 - 1):
+        with pytest.raises(ParseError):
+            is_prime(n)
+        with pytest.raises(ParseError):
+            field_from_json({"kind": "Fp", "p": n})
+
+
+def test_large_primes_are_accepted():
+    for p in (2**31 - 1, 2**61 - 1, 10**12 + 39):
+        assert is_prime(p)
+        assert GF(p).p == p
+    assert not is_prime((2**31 - 1) * (2**19 - 1))
 
 
 def test_prime_field_arithmetic():

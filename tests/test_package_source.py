@@ -76,3 +76,26 @@ def test_no_reference_oracle_called_in_package():
                 if name in oracles:
                     found.append(f"{path.name}:{node.lineno}:{name}")
     assert found == []
+
+
+def test_no_scan_over_a_prime_field_in_package():
+    # root finding costs O(log p) products, so no package code may list the
+    # elements of GF(p) or loop over range(field.p)
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "elements":
+                found.append(f"{path.name}:{node.lineno}:elements")
+            if (
+                isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))
+                and isinstance(node.iter, ast.Call)
+                and getattr(node.iter.func, "id", None) == "range"
+                and any(
+                    isinstance(sub, ast.Attribute) and sub.attr == "p"
+                    for arg in node.iter.args
+                    for sub in ast.walk(arg)
+                )
+            ):
+                found.append(f"{path.name}:{node.iter.lineno}:range")
+    assert found == []

@@ -1,4 +1,7 @@
 from fractions import Fraction
+from random import Random
+
+import pytest
 
 from cartancover.fields import GF, QQ
 from cartancover.poly import (
@@ -9,6 +12,7 @@ from cartancover.poly import (
     squarefree_no_guard,
     squarefree_part,
 )
+from helpers import roots_by_enumeration
 
 
 def P(field, *coeffs):
@@ -109,3 +113,56 @@ def test_evaluation_annihilates_roots():
     assert p(Fraction(2, 3)) == 0
     assert p(-1) == 0
     assert p(0) != 0
+
+
+# --- agreement with the exhaustive search ---------------------------------------------
+
+
+def _random_poly(rng, field):
+    """A nonconstant polynomial of degree at most 6: with random coefficients
+    half of the time, else a planted product of linear factors with a
+    repeated root, sometimes times a random monic quadratic."""
+    def scalar():
+        if field == QQ:
+            return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4)))
+        return field.coerce(rng.randrange(field.p))
+
+    if rng.random() < 0.5:
+        d = rng.randint(1, 6)
+        while True:
+            coeffs = [scalar() for _ in range(d + 1)]
+            if coeffs[-1] != 0:
+                return Poly(field, coeffs)
+    roots = []
+    while len(roots) < 2:
+        roots += [scalar()] * rng.randint(2, 3)
+    p = Poly.from_roots(field, roots[: rng.randint(2, 4)])
+    if rng.random() < 0.4:
+        p = p * Poly(field, (scalar(), scalar(), field.one()))
+    lead = scalar()
+    return p.scale(lead if lead != 0 else field.one())
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), GF(7), GF(1009), QQ], ids=repr)
+def test_roots_agree_with_the_exhaustive_search(field):
+    rng = Random(f"roots:{field!r}")
+    repeated = 0
+    for i in range(1000):
+        p = _random_poly(rng, field)
+        found = roots_in_field(p)
+        assert found == roots_by_enumeration(p), (i, str(p))
+        repeated += any(m > 1 for _, m in found[0])
+    assert repeated > 300
+
+
+def test_roots_over_a_large_prime_and_of_tall_rationals():
+    # neither search is feasible for the exhaustive oracle
+    f = GF(2**61 - 1)
+    planted = [3, 3, 2**60 + 7, 123456789123456789]
+    roots, split = roots_in_field(Poly.from_roots(f, planted) * P(f, 1, 0, 1))
+    assert [(r.val, m) for r, m in roots] == [(3, 2), (123456789123456789, 1), (2**60 + 7, 1)]
+    assert not split  # x^2 + 1 is irreducible since 2^61 - 1 = 3 mod 4
+    tall = [Fraction(10**12 + 39, 10**6 + 3), Fraction(-(10**10), 7), Fraction(-(10**10), 7)]
+    roots, split = roots_in_field(Poly.from_roots(QQ, tall) * P(QQ, -2, 0, 1))
+    assert roots == ((Fraction(-(10**10), 7), 2), (Fraction(10**12 + 39, 10**6 + 3), 1))
+    assert not split
