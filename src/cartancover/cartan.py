@@ -3,17 +3,15 @@
 A d-dimensional subspace that is diagonal in d independent lines is the
 whole diagonal algebra of those lines, so it is split Cartan; conversely a
 split Cartan subspace is the diagonal algebra of its d common eigenlines.
-``simultaneous_eigenlines`` finds those lines by refining k^d through the
-eigenspaces of the basis matrices and then checks that the subspace is
-diagonal in them, so the split is its own certificate and yields, for
-each line, the functional reading off the scalar by which the subspace
-acts on it.
-
-``classify_subspace`` names every outcome: split Cartan, Cartan only after
-a field extension (some minimal polynomial is squarefree but refuses to
-split; that verdict is first class, not an error), or not Cartan, with a
-witness: wrong dimension, a non-commuting basis pair, or a basis matrix
-that no extension diagonalizes. The split runs it only to name a failure.
+``simultaneous_eigenlines`` decides a subspace in one pass that computes
+each basis matrix's spectrum at most once. It refines k^d through the
+eigenspaces of the basis matrices and checks that the subspace is diagonal
+in the lines it ends with, so the split certifies itself. A failure is
+named from the spectra already computed: Cartan only after a field
+extension (a minimal polynomial is squarefree but does not split; a first
+class verdict, not an error), or not Cartan, with a witness: wrong
+dimension, a non-commuting basis pair, or a basis matrix that no
+extension diagonalizes.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DimensionMismatch, NonSplitError, NotSplitCartan, SingularMatrix
+from .errors import DimensionMismatch, NotSplitCartan, SingularMatrix
 from .linalg import Matrix, MatrixSubspace, Subspace, eigenspaces, min_poly
 from .poly import Poly, nonsplit_witness, roots_in_field, squarefree_no_guard
 
@@ -40,13 +38,15 @@ class NotCartanReason(Enum):
 
 @dataclass(frozen=True)
 class CartanVerdict:
-    """Outcome of the Cartan test, with a machine-checkable witness on failure."""
+    """Outcome of the Cartan test: the eigenlines when split, else a
+    machine-checkable witness."""
 
     status: CartanStatus
     reason: NotCartanReason | None = None
     witness_pair: tuple[int, int] | None = None
     witness_index: int | None = None
     witness_poly: Poly | None = None
+    eigenlines: EigenlineSet | None = None
 
     def is_split(self) -> bool:
         return self.status is CartanStatus.SPLIT
@@ -68,56 +68,18 @@ class CartanVerdict:
 
 
 def classify_subspace(a: MatrixSubspace, d: int) -> CartanVerdict:
-    """Classify a subspace of d x d matrices as split Cartan, non-split Cartan,
-    or not Cartan, with a witness in the last case.
-
-    Diagonalizability of a basis matrix is read off its minimal polynomial:
-    split with simple roots means diagonalizable here, squarefree without
-    splitting means diagonalizable only after an extension, and anything
-    else is a genuine obstruction.
-    """
+    """Classify a subspace of d x d matrices as split Cartan (with its
+    eigenlines), non-split Cartan, or not Cartan (with a witness): the
+    outcome of ``simultaneous_eigenlines`` as a verdict."""
     if a.ambient_dim != d:
         raise DimensionMismatch(
             f"subspace of M({a.ambient_dim}) tested against d = {d}"
         )
-    if a.dim != d:
-        return CartanVerdict(CartanStatus.NOT_CARTAN, NotCartanReason.WRONG_DIMENSION)
-    basis = a.basis_matrices()
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if basis[i] @ basis[j] != basis[j] @ basis[i]:
-                return CartanVerdict(
-                    CartanStatus.NOT_CARTAN,
-                    NotCartanReason.NOT_COMMUTATIVE,
-                    witness_pair=(i, j),
-                )
-    witness = None
-    for i, m in enumerate(basis):
-        mp = min_poly(m)
-        roots, split = roots_in_field(mp)
-        if any(mult > 1 for _, mult in roots):
-            return CartanVerdict(
-                CartanStatus.NOT_CARTAN,
-                NotCartanReason.NOT_DIAGONALIZABLE,
-                witness_index=i,
-                witness_poly=mp,
-            )
-        if split:
-            continue
-        # squarefreeness of the rootless part decides extension-diagonalizability;
-        # prime fields are perfect, so the gcd test is sound in every degree
-        if not squarefree_no_guard(mp):
-            return CartanVerdict(
-                CartanStatus.NOT_CARTAN,
-                NotCartanReason.NOT_DIAGONALIZABLE,
-                witness_index=i,
-                witness_poly=mp,
-            )
-        if witness is None:
-            witness = nonsplit_witness(mp)
-    if witness is not None:
-        return CartanVerdict(CartanStatus.NONSPLIT, witness_poly=witness)
-    return CartanVerdict(CartanStatus.SPLIT)
+    try:
+        eig = simultaneous_eigenlines(a)
+    except NotSplitCartan as exc:
+        return exc.verdict
+    return CartanVerdict(CartanStatus.SPLIT, eigenlines=eig)
 
 
 @dataclass(frozen=True)
@@ -183,51 +145,93 @@ def diagonal_functionals(a: MatrixSubspace, lines):
     return tuple(functionals)
 
 
-def _refined_lines(a: MatrixSubspace):
+def _refined_lines(a: MatrixSubspace, spectra: list):
     """Canonical lines of k^d refined by the eigenspaces of the basis
     matrices, or None unless the refinement ends in d lines.
 
     Starting from the full space, each basis matrix, in canonical order,
     splits every block into its eigenspaces intersected with the block,
     until all blocks are lines. Eigenspaces of distinct eigenvalues are
-    independent, so the blocks always form a direct sum and d lines are
-    independent.
+    independent, so the blocks always form a direct sum, and d blocks are
+    d independent lines. Each spectrum is appended to ``spectra``, and a matrix
+    not diagonalizable over the field ends the refinement.
     """
     d = a.ambient_dim
     blocks = [Subspace.full(a.field, d)]
     for m in a.basis_matrices():
-        if all(b.dim == 1 for b in blocks):
+        if len(blocks) == d:
             break
-        try:
-            eigen = eigenspaces(m)
-        except NonSplitError:
+        mp, roots, spaces = eigenspaces(m)
+        spectra.append((mp, roots, spaces is not None))
+        if spaces is None or any(mult > 1 for _lam, mult in roots):
             return None
         refined = []
         for block in blocks:
-            pieces = [block] if block.dim == 1 else [block.intersect(s) for _lam, s in eigen]
+            pieces = [block] if block.dim == 1 else [block.intersect(s) for _lam, s in spaces]
             refined += [piece for piece in pieces if piece.dim > 0]
         blocks = refined
-    if len(blocks) != d or any(b.dim != 1 for b in blocks):
+    if len(blocks) != d:
         return None
     return canonical_lines(a.field, (b.basis[0] for b in blocks))
 
 
+def _failure_verdict(a: MatrixSubspace, spectra: list) -> CartanVerdict:
+    """Why ``a`` is not split Cartan: wrong dimension, else the first
+    non-commuting basis pair, else the first basis matrix that no extension
+    diagonalizes, else the non-split witness of the first minimal polynomial
+    that does not split. ``spectra`` are ``(min_poly, roots, split)`` of the
+    basis matrices the refinement reached; only the rest are computed here.
+    """
+    if a.dim != a.ambient_dim:
+        return CartanVerdict(CartanStatus.NOT_CARTAN, NotCartanReason.WRONG_DIMENSION)
+    basis = a.basis_matrices()
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if basis[i] @ basis[j] != basis[j] @ basis[i]:
+                return CartanVerdict(
+                    CartanStatus.NOT_CARTAN,
+                    NotCartanReason.NOT_COMMUTATIVE,
+                    witness_pair=(i, j),
+                )
+    nonsplit = None
+    for i, m in enumerate(basis):
+        if i == len(spectra):
+            mp = min_poly(m)
+            spectra.append((mp, *roots_in_field(mp)))
+        mp, roots, split = spectra[i]
+        # squarefreeness of the rootless part decides extension-diagonalizability;
+        # prime fields are perfect, so the gcd test is sound in every degree
+        if any(mult > 1 for _lam, mult in roots) or not (split or squarefree_no_guard(mp)):
+            return CartanVerdict(
+                CartanStatus.NOT_CARTAN,
+                NotCartanReason.NOT_DIAGONALIZABLE,
+                witness_index=i,
+                witness_poly=mp,
+            )
+        if not split and nonsplit is None:
+            nonsplit = (mp, roots)
+    if nonsplit is None:
+        raise AssertionError("commuting diagonalizable basis matrices must split")
+    return CartanVerdict(CartanStatus.NONSPLIT, witness_poly=nonsplit_witness(*nonsplit))
+
+
 def simultaneous_eigenlines(a: MatrixSubspace) -> EigenlineSet:
-    """Split k^d into the d common eigenlines of a split Cartan subspace.
+    """Split k^d into the d common eigenlines of a split Cartan subspace,
+    or raise ``NotSplitCartan`` with the verdict that names the failure.
 
     The split certifies itself: when ``a`` has dimension d and is diagonal
     in the d independent lines of ``_refined_lines`` (``diagonal_functionals``),
     it is their whole diagonal algebra, so split Cartan. Conversely a split
     Cartan subspace is the diagonal algebra of its common eigenlines, which
-    the refinement finds. Otherwise ``classify_subspace`` runs, only to name
-    the failure in the raised ``NotSplitCartan``. Deterministic: basis
-    matrices are taken in canonical order and no randomization is used.
+    the refinement finds. A failure is named from the spectra the refinement
+    computed (``_failure_verdict``). Deterministic: basis matrices are taken
+    in canonical order and no randomization is used.
     """
-    d = a.ambient_dim
-    lines = _refined_lines(a) if a.dim == d else None
+    spectra = []
+    lines = _refined_lines(a, spectra) if a.dim == a.ambient_dim else None
     functionals = None if lines is None else diagonal_functionals(a, lines)
     if functionals is None:
-        raise NotSplitCartan(classify_subspace(a, d))
+        raise NotSplitCartan(_failure_verdict(a, spectra))
     return EigenlineSet(lines, functionals)
 
 

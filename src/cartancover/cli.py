@@ -20,7 +20,7 @@ import sys
 from random import Random
 
 from . import __version__
-from .cartan import CartanStatus, classify_subspace, simultaneous_eigenlines
+from .cartan import CartanStatus, classify_subspace
 from .covers import (
     canonical_algebra_map,
     cover_report,
@@ -39,7 +39,6 @@ from .errors import (
     NegativeGenus,
     NonIntegralGenus,
     NonSplitAtVertex,
-    NonSplitError,
     NotABlockSystem,
     NotCartanAtVertex,
     NotSplitCartan,
@@ -95,7 +94,6 @@ MATH_ERRORS = (
     NotABlockSystem,
     NotSplitCartan,
     SingularMatrix,
-    NonSplitError,
     DegreeMismatch,
 )
 
@@ -141,8 +139,8 @@ def cmd_classify(instance: CartanInstance) -> Report:
             machine["witness"]["basis_index"] = verdict.witness_index
     if verdict.witness_pair is not None:
         machine["witness"] = {"basis_pair": list(verdict.witness_pair)}
-    if verdict.is_split():
-        eig = simultaneous_eigenlines(subspace)
+    eig = verdict.eigenlines
+    if eig is not None:
         machine["eigenlines"] = [render_vector(field, line) for line in eig.lines]
         machine["functionals"] = [render_vector(field, mu) for mu in eig.functionals]
         for t, (line, mu) in enumerate(zip(eig.lines, eig.functionals)):

@@ -34,17 +34,6 @@ class DisconnectedBase(CartanCoverError):
     """The base graph is not connected."""
 
 
-class NonSplitError(CartanCoverError):
-    """A polynomial does not factor into linear factors over the field.
-
-    ``witness`` is a monic nonconstant factor without roots in the field.
-    """
-
-    def __init__(self, witness, message=None):
-        self.witness = witness
-        super().__init__(message or f"polynomial does not split: {witness}")
-
-
 class NotSplitCartan(CartanCoverError):
     """Operation requires a split Cartan subspace and the input is not one."""
 

@@ -148,6 +148,13 @@ class Fp:
         return str(self.val)
 
 
+def _parse_int(s: str) -> int:
+    try:
+        return int(s)
+    except ValueError:  # more digits than Python's integer-string limit
+        raise ParseError(f"integer of {len(s)} characters exceeds the digit limit") from None
+
+
 class Rationals:
     """The field of rational numbers."""
 
@@ -176,11 +183,10 @@ class Rationals:
         if not _RATIONAL_RE.match(s):
             raise ParseError(f"malformed rational {s!r}; expected 'a' or 'a/b'")
         num, _, den = s.partition("/")
-        if den:
-            if int(den) == 0:
-                raise ParseError(f"malformed rational {s!r}: zero denominator")
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        num, den = _parse_int(num), _parse_int(den or "1")
+        if den == 0:
+            raise ParseError(f"malformed rational {s!r}: zero denominator")
+        return Fraction(num, den)
 
     def render(self, v) -> str:
         return str(v)
@@ -232,7 +238,7 @@ class PrimeField:
         s = s.strip()
         if not re.match(r"^[+-]?\d+$", s):
             raise ParseError(f"malformed GF({self.p}) residue {s!r}")
-        return Fp(int(s), self.p)
+        return Fp(_parse_int(s), self.p)
 
     def render(self, v) -> str:
         return str(v.val)

@@ -254,6 +254,10 @@ def parse_instance_text(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except ValueError:  # an integer past Python's integer-string digit limit
+        raise ParseError("invalid JSON: an integer exceeds the digit limit") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("instance must be a JSON object")
     field = field_from_json(_expect(doc, "field", "instance"))
@@ -273,13 +277,20 @@ def parse_instance_text(text: str):
 def load_instance(path: str):
     import sys
 
-    if path == "-":
-        return parse_instance_text(sys.stdin.read())
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_instance_text(fh.read())
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        # a surrogate-escaping stdin turns bytes that are not UTF-8 into
+        # lone surrogates, which no UTF-8 text holds
+        text.encode("utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    except UnicodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from None
+    return parse_instance_text(text)
 
 
 def cover_instance_to_json(field, cover: CoverRep, line: LineBundleOnCover | None = None):

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NonSplitError, SingularMatrix
-from .poly import Poly, nonsplit_witness, roots_in_field
+from .errors import DimensionMismatch, SingularMatrix
+from .poly import Poly, roots_in_field
 
 
 class Matrix:
@@ -432,20 +432,16 @@ def min_poly(m: Matrix) -> Poly:
 
 
 def eigenspaces(m: Matrix):
-    """Eigenvalues in the field with canonical eigenspaces.
+    """The spectrum of m: ``(min_poly, roots, spaces)``, with the roots of
+    the minimal polynomial in the field as ``roots_in_field`` gives them.
 
-    Raises NonSplitError (with a rootless monic witness factor of the
-    minimal polynomial) when some eigenvalue lives outside the field.
-    The dimensions add up to d exactly when m is diagonalizable over
-    the field.
+    When the minimal polynomial splits, ``spaces`` pairs each root with its
+    canonical eigenspace, and the dimensions add up to d exactly when m is
+    diagonalizable over the field; otherwise ``spaces`` is None.
     """
     mp = min_poly(m)
     roots, split = roots_in_field(mp)
     if not split:
-        raise NonSplitError(nonsplit_witness(mp))
-    field = m.field
-    out = []
-    for lam, _mult in roots:
-        shifted = m - Matrix.identity(field, m.nrows).scale(lam)
-        out.append((lam, kernel(shifted)))
-    return tuple(out)
+        return mp, roots, None
+    ident = Matrix.identity(m.field, m.nrows)
+    return mp, roots, tuple((lam, kernel(m - ident.scale(lam))) for lam, _mult in roots)

@@ -9,8 +9,8 @@ deterministic shifts, and over Q it Hensel-lifts the roots of the
 squarefree part modulo a good prime and reads each rational off a
 symmetric residue. Every candidate is then certified by exact
 evaluation. General factorization is out of scope; when a polynomial
-fails to split, the typed outcome carries a rootless monic cofactor as
-witness.
+fails to split, ``nonsplit_witness`` divides out the roots already found
+and keeps a rootless monic factor as witness.
 """
 
 from __future__ import annotations
@@ -477,17 +477,6 @@ def squarefree_no_guard(p: Poly) -> bool:
     return poly_gcd(p, d).is_constant()
 
 
-def rootless_cofactor(p: Poly) -> Poly:
-    """Monic cofactor of ``p`` after removing all linear factors over the field."""
-    roots, _split = roots_in_field(p)
-    rem = p
-    for c, mult in roots:
-        lin = Poly(p.field, (-c, p.field.one()))
-        for _ in range(mult):
-            rem = rem // lin
-    return rem.monic()
-
-
 def squarefree_part(p: Poly) -> Poly:
     """A monic squarefree nonconstant divisor of a nonconstant ``p``.
 
@@ -511,13 +500,16 @@ def squarefree_part(p: Poly) -> Poly:
     return squarefree_part(p // g)
 
 
-def nonsplit_witness(p: Poly) -> Poly:
-    """A monic nonconstant factor of ``p`` with no roots in the field.
+def nonsplit_witness(p: Poly, roots) -> Poly:
+    """A monic nonconstant factor of ``p`` with no roots in the field: the
+    squarefree part of ``p`` with ``roots`` (as ``roots_in_field`` gives
+    them, which the caller already holds) divided out.
 
     Irreducible whenever its degree is at most three; higher degrees may
     still be products of irreducibles (full factorization is a non-goal).
     """
-    w = squarefree_part(rootless_cofactor(p))
+    linear = Poly.from_roots(p.field, [c for c, mult in roots for _ in range(mult)])
+    w = squarefree_part(p // linear)
     if w.is_constant():
         raise ValueError("polynomial splits; no witness exists")
     return w

@@ -1,5 +1,5 @@
-"""Debug checks, the bounded bundle-isomorphism search and the exhaustive
-root search, used by tests only.
+"""Debug checks, the bounded bundle-isomorphism search, the min-poly Cartan
+classifier and the exhaustive root search, used by tests only.
 
 None of these is reached from the command line or from the package's own
 constructions; they check the package's outputs from the outside.
@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 from cartancover.bundles import BundleRep, tree_paths, validate_bundle
+from cartancover.cartan import CartanStatus, CartanVerdict, NotCartanReason
 from cartancover.covers import (
     CoverRep,
     LineBundleOnCover,
@@ -22,9 +23,9 @@ from cartancover.covers import (
 )
 from cartancover.errors import DimensionMismatch, ParseError
 from cartancover.fields import Fp, PrimeField, is_prime
-from cartancover.linalg import Matrix, MatrixSubspace, Subspace, kernel
+from cartancover.linalg import Matrix, MatrixSubspace, Subspace, kernel, min_poly
 from cartancover.parabolic import parse_weight
-from cartancover.poly import Poly
+from cartancover.poly import Poly, nonsplit_witness, roots_in_field, squarefree_no_guard
 
 # --- endomorphism bundles -------------------------------------------------------
 
@@ -220,6 +221,58 @@ def indicator_embedding_flat(
         if w_include != include @ v_e:
             return False
     return True
+
+
+# --- Cartan classification by minimal polynomials ----------------------------------
+
+
+def classify_by_min_polys(a: MatrixSubspace, d: int) -> CartanVerdict:
+    """Oracle for ``classify_subspace``: the classifier the eigenline split
+    replaced, which names a verdict without splitting anything.
+
+    Wrong dimension first, then every commutator, then the minimal
+    polynomial of each basis matrix in order: split with simple roots means
+    diagonalizable here, squarefree without splitting means diagonalizable
+    only after an extension, and anything else is a genuine obstruction.
+    """
+    if a.ambient_dim != d:
+        raise DimensionMismatch(f"subspace of M({a.ambient_dim}) tested against d = {d}")
+    if a.dim != d:
+        return CartanVerdict(CartanStatus.NOT_CARTAN, NotCartanReason.WRONG_DIMENSION)
+    basis = a.basis_matrices()
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if basis[i] @ basis[j] != basis[j] @ basis[i]:
+                return CartanVerdict(
+                    CartanStatus.NOT_CARTAN,
+                    NotCartanReason.NOT_COMMUTATIVE,
+                    witness_pair=(i, j),
+                )
+    witness = None
+    for i, m in enumerate(basis):
+        mp = min_poly(m)
+        roots, split = roots_in_field(mp)
+        if any(mult > 1 for _, mult in roots):
+            return CartanVerdict(
+                CartanStatus.NOT_CARTAN,
+                NotCartanReason.NOT_DIAGONALIZABLE,
+                witness_index=i,
+                witness_poly=mp,
+            )
+        if split:
+            continue
+        if not squarefree_no_guard(mp):
+            return CartanVerdict(
+                CartanStatus.NOT_CARTAN,
+                NotCartanReason.NOT_DIAGONALIZABLE,
+                witness_index=i,
+                witness_poly=mp,
+            )
+        if witness is None:
+            witness = nonsplit_witness(mp, roots)
+    if witness is not None:
+        return CartanVerdict(CartanStatus.NONSPLIT, witness_poly=witness)
+    return CartanVerdict(CartanStatus.SPLIT)
 
 
 # --- algebra and weight checks ----------------------------------------------------

@@ -16,7 +16,7 @@ from cartancover.fields import GF, QQ, PrimeField
 from cartancover.linalg import Matrix, MatrixSubspace, Subspace, rref
 from cartancover.poly import Poly
 from cartancover.randgen import random_invertible_matrix, random_subspace_for_cartan_test
-from helpers import field_elements, subalgebra_closure_defect
+from helpers import classify_by_min_polys, field_elements, subalgebra_closure_defect
 
 
 def M(field, rows):
@@ -167,25 +167,35 @@ def test_eigenlines_reject_nonsplit_input():
         simultaneous_eigenlines(a)
 
 
-@pytest.mark.parametrize("field", (QQ, GF(2), GF(3), GF(5), GF(7)), ids=str)
+def _verdict_fields(verdict):
+    return (
+        verdict.status,
+        verdict.reason,
+        verdict.witness_pair,
+        verdict.witness_index,
+        verdict.witness_poly,
+        str(verdict),
+    )
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(3), GF(5), GF(7), GF(1009)), ids=str)
 def test_eigenline_split_agrees_with_the_classifier(field):
-    # the split succeeds exactly on split Cartan subspaces, names a failure
-    # with the classifier's verdict, and certifies the lines it returns
+    # the split names every failure with the verdict of the min-poly
+    # classifier it replaced, witness and rendering included, and
+    # certifies the lines it returns exactly on split Cartan subspaces
     rng = Random(600 + getattr(field, "p", 0))
     outcomes = set()
-    for _ in range(60):
+    for _ in range(400):
         d = rng.randint(1, 5)
         a = random_subspace_for_cartan_test(rng, field, d)
+        expected = classify_by_min_polys(a, d)
         verdict = classify_subspace(a, d)
-        try:
-            eig = simultaneous_eigenlines(a)
-        except NotSplitCartan as exc:
-            assert not verdict.is_split()
-            assert exc.verdict == verdict
-            outcomes.add(verdict.status)
-            continue
-        assert verdict.is_split()
+        assert _verdict_fields(verdict) == _verdict_fields(expected)
         outcomes.add(verdict.status)
+        eig = verdict.eigenlines
+        assert (eig is not None) == expected.is_split()
+        if eig is None:
+            continue
         assert rref(Matrix(field, list(eig.lines), ncols=d)).rank == d
         for line, mu in zip(eig.lines, eig.functionals):
             for m, scalar in zip(a.basis_matrices(), mu):

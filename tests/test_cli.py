@@ -75,6 +75,42 @@ def test_stdin_instance(capsys, monkeypatch):
     assert code == 0 and "CartanSplit" in out
 
 
+def _cartan_bytes(basis: bytes, extra: bytes = b"") -> bytes:
+    return b'{"field": {"kind": "Q"}, "kind": "cartan", "payload": {"d": 1, "basis": %s%s}}' % (
+        basis,
+        extra,
+    )
+
+
+@pytest.mark.parametrize("source", ["path", "stdin"])
+@pytest.mark.parametrize(
+    "data",
+    [
+        _cartan_bytes(b'[[["1"]]]', b', "note": "\xff"'),
+        _cartan_bytes(b"[" * 200000 + b"]" * 200000),
+        _cartan_bytes(b'[[["' + b"7" * 5000 + b'"]]]'),
+        _cartan_bytes(b"[[[" + b"7" * 5000 + b"]]]"),
+    ],
+    ids=["not_utf8", "nested_200000_deep", "5000_digit_string", "5000_digit_int"],
+)
+def test_malformed_instance_bytes_are_input_errors(tmp_path, capsys, monkeypatch, source, data):
+    # bytes that are not UTF-8, nesting past the recursion limit and an
+    # integer past the digit limit are refused, not a traceback
+    if source == "path":
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        arg = str(path)
+    else:
+        # as Python sets up stdin under the C locale: bytes that are not
+        # UTF-8 come through as lone surrogates instead of failing the read
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        arg = "-"
+    code, out = run_cli(capsys, "--format", "machine", "classify", arg)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
 # --- cover-build ----------------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartancover.errors import DimensionMismatch, NonSplitError, SingularMatrix
+from cartancover.errors import DimensionMismatch, SingularMatrix
 from cartancover.fields import GF, QQ
 from cartancover.linalg import (
     Matrix,
@@ -17,7 +17,7 @@ from cartancover.linalg import (
     rref,
     solve,
 )
-from cartancover.poly import Poly, roots_in_field
+from cartancover.poly import Poly, nonsplit_witness, roots_in_field
 from cartancover.randgen import random_invertible_matrix
 
 
@@ -120,7 +120,9 @@ def test_min_poly_annihilates(m):
 
 
 def test_eigenspaces_diagonal():
-    spaces = eigenspaces(M(QQ, [[1, 0], [0, 2]]))
+    mp, roots, spaces = eigenspaces(M(QQ, [[1, 0], [0, 2]]))
+    assert mp == Poly.from_roots(QQ, [1, 2])
+    assert roots == ((Fraction(1), 1), (Fraction(2), 1))
     assert [(lam, sp.basis) for lam, sp in spaces] == [
         (Fraction(1), ((Fraction(1), Fraction(0)),)),
         (Fraction(2), ((Fraction(0), Fraction(1)),)),
@@ -128,19 +130,23 @@ def test_eigenspaces_diagonal():
 
 
 def test_eigenspaces_swap():
-    spaces = dict(eigenspaces(M(QQ, [[0, 1], [1, 0]])))
+    _mp, _roots, spaces = eigenspaces(M(QQ, [[0, 1], [1, 0]]))
+    spaces = dict(spaces)
     assert spaces[Fraction(1)].basis == ((Fraction(1), Fraction(1)),)
     assert spaces[Fraction(-1)].basis == ((Fraction(1), Fraction(-1)),)
 
 
 def test_eigenspaces_nonsplit_witness():
-    with pytest.raises(NonSplitError) as err:
-        eigenspaces(M(QQ, [[0, 1], [2, 0]]))
-    assert err.value.witness == Poly(QQ, (-2, 0, 1))
+    # no eigenspaces; the minimal polynomial and its roots name the witness
+    mp, roots, spaces = eigenspaces(M(QQ, [[0, 1], [2, 0]]))
+    assert spaces is None
+    assert (mp, roots) == (Poly(QQ, (-2, 0, 1)), ())
+    assert nonsplit_witness(mp, roots) == Poly(QQ, (-2, 0, 1))
 
 
 def test_eigenspace_dimension_sum_defect_for_nilpotent():
-    spaces = eigenspaces(M(QQ, [[0, 1], [0, 0]]))
+    _mp, roots, spaces = eigenspaces(M(QQ, [[0, 1], [0, 0]]))
+    assert roots == ((Fraction(0), 2),)
     assert sum(sp.dim for _lam, sp in spaces) == 1  # not diagonalizable
 
 

@@ -99,3 +99,23 @@ def test_no_scan_over_a_prime_field_in_package():
             ):
                 found.append(f"{path.name}:{node.iter.lineno}:range")
     assert found == []
+
+
+def test_every_error_type_is_raised_in_package():
+    # an error class no package module raises is dead API; the base classes
+    # that other errors derive from are the only ones exempt
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = [node for node in errors.body if isinstance(node, ast.ClassDef)]
+    bases = {base.id for node in classes for base in node.bases if isinstance(base, ast.Name)}
+    concrete = {node.name for node in classes} - bases
+    raised = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert sorted(concrete - raised) == []

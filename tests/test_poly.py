@@ -88,7 +88,7 @@ def test_gcd_examples():
 
 def test_nonsplit_witness_is_rootless_factor():
     p = Poly.from_roots(QQ, [2]) * P(QQ, -2, 0, 1)  # (x - 2)(x^2 - 2)
-    w = nonsplit_witness(p)
+    w = nonsplit_witness(p, roots_in_field(p)[0])
     assert w == P(QQ, -2, 0, 1)
     assert (p % w).is_zero()
 

@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from cartancover import bundles, cartan, covers
+from cartancover import bundles, cartan, covers, linalg, poly
 from cartancover.bundles import (
     BaseGraph,
     BundleRep,
@@ -308,20 +308,25 @@ def test_transported_lines_equal_per_vertex_split(field):
             assert eta == Matrix.from_columns(field, expected)
 
 
-@pytest.fixture
-def classify_calls(monkeypatch):
-    """Counts calls of ``classify_subspace`` from anywhere in the package."""
+def count_calls(monkeypatch, real):
+    """Counts calls of the package function ``real`` from anywhere in the
+    package, calls inside its own module included."""
     calls = []
-    real = cartan.classify_subspace
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("cartancover") and getattr(module, "classify_subspace", None) is real:
-            monkeypatch.setattr(module, "classify_subspace", counting)
+        if name.startswith("cartancover") and getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, counting)
     return calls
+
+
+@pytest.fixture
+def classify_calls(monkeypatch):
+    """Counts calls of ``classify_subspace`` from anywhere in the package."""
+    return count_calls(monkeypatch, cartan.classify_subspace)
 
 
 def test_roundtrip_classifies_no_fiber(classify_calls):
@@ -339,6 +344,30 @@ def test_classify_command_classifies_once(classify_calls, capsys, name):
     main(["--format", "machine", "classify", str(INSTANCES / f"{name}.json")])
     capsys.readouterr()
     assert len(classify_calls) == 1
+
+
+@pytest.mark.parametrize(
+    "command, name, expected",
+    [
+        ("classify", "cartan_diagonal_q", {"min_poly": 2, "roots_in_field": 2}),
+        ("classify", "cartan_nonsplit_q", {"min_poly": 2, "roots_in_field": 2}),
+        (
+            "cover-build",
+            "bundle_nonsplit_f_q",
+            {"min_poly": 2, "roots_in_field": 2, "nonsplit_witness": 1},
+        ),
+    ],
+)
+def test_each_spectrum_is_computed_once(monkeypatch, capsys, command, name, expected):
+    # the split computes each basis matrix's spectrum at most once and names
+    # a failure from it; the classifier and the witness find no root again
+    counts = {
+        fn.__name__: count_calls(monkeypatch, fn)
+        for fn in (linalg.min_poly, poly.roots_in_field, poly.nonsplit_witness)
+    }
+    main(["--format", "machine", command, str(INSTANCES / f"{name}.json")])
+    capsys.readouterr()
+    assert {fn: len(counts[fn]) for fn in expected} == expected
 
 
 def test_roundtrip_pushes_forward_once(monkeypatch):
