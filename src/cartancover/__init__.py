@@ -22,6 +22,7 @@ from .cartan import (
     CartanStatus,
     CartanVerdict,
     EigenlineSet,
+    MatrixSubspace,
     classify_subspace,
     conjugate_subspace,
     simultaneous_eigenlines,
@@ -46,7 +47,7 @@ from .factorization import (
     summand_embedding_check,
 )
 from .fields import GF, QQ, Fp, PrimeField, Rationals
-from .linalg import Matrix, MatrixSubspace, Subspace, eigenspaces, kernel, min_poly, rref
+from .linalg import Matrix, Subspace, eigenspaces, kernel, min_poly, rref
 from .parabolic import (
     LocalFlagModel,
     ParabolicBundleData,

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 from .cartan import (
     CartanStatus,
-    canonical_lines,
+    MatrixSubspace,
     diagonal_functionals,
     simultaneous_eigenlines,
+    sort_lines,
 )
 from .errors import (
     DimensionMismatch,
@@ -29,7 +30,7 @@ from .errors import (
     SingularMatrix,
     SingularTransition,
 )
-from .linalg import Matrix, MatrixSubspace, Subspace, kernel
+from .linalg import Matrix, Subspace, kernel
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ class CartanLines:
     """A validated split Cartan bundle, read through its common eigenlines.
 
     ``lines[v]`` holds the d common eigenlines of the fiber at vertex v,
-    leading-one normalized and in the order of ``cartan.canonical_lines``.
+    leading-one normalized and in the order of ``cartan.sort_lines``.
     Transition e carries line t over its source to ``factors[e][t]`` times
     line ``images[e][t]`` over its target.
     """
@@ -231,17 +232,35 @@ def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> Cart
     spectral cover is built from.
     """
     tree = validate_bundle(bundle)
+    carried = {}  # tree edge -> its (image index, scalar) per line over its source
 
     def step(e, forward, lines):
         op = bundle.transitions[e] if forward else bundle.transition_inverse(e)
-        return canonical_lines(bundle.field, [op.apply(x) for x in lines])
+        images = [op.line_image(x) for x in lines]
+        moved = sort_lines(bundle.field, [line for _lead, line in images])
+        index = {line: t for t, line in enumerate(moved)}
+        if forward:
+            carried[e] = [(index[line], lead) for lead, line in images]
+        else:
+            # T_e^-1 carries line s over v to lead times a line over u, so
+            # T_e carries that line to 1 / lead times line s
+            carried[e] = [None] * len(lines)
+            for s, (lead, line) in enumerate(images):
+                carried[e][index[line]] = (s, 1 / lead)
+        return moved
 
     transported = tree.transport(_fiber_lines(algebra, 0), step)
     lines = [
         ls if diagonal_functionals(fiber, ls) is not None else _fiber_lines(algebra, v)
         for v, (fiber, ls) in enumerate(zip(algebra.fibers, transported))
     ]
-    return CartanLines(tuple(lines), *_map_lines(bundle, lines))
+    # the step's images stand for a tree edge whose ends kept the transported lines
+    known = {
+        e: mapped
+        for e, mapped in carried.items()
+        if all(lines[x] is transported[x] for x in bundle.graph.edges[e])
+    }
+    return CartanLines(tuple(lines), *_map_lines(bundle, lines, known))
 
 
 def _fiber_lines(algebra: SubalgebraBundle, v: int) -> tuple:
@@ -256,22 +275,24 @@ def _fiber_lines(algebra: SubalgebraBundle, v: int) -> tuple:
     raise NotCartanAtVertex(v, str(verdict))
 
 
-def _map_lines(bundle: BundleRep, lines) -> tuple:
+def _map_lines(bundle: BundleRep, lines, known: dict) -> tuple:
     """Per edge e = (u, v) and line t over u: the index of the line over v
     that T_e carries line t onto, and the scale of the image over that
-    normalized line. Raises ``IncompatibleEdge`` at the first edge whose
-    transition does not carry the lines over u onto the lines over v."""
+    normalized line. ``known`` holds these pairs for edges already mapped.
+    Raises ``IncompatibleEdge`` at the first edge whose transition does not
+    carry the lines over u onto the lines over v."""
     index = [{line: t for t, line in enumerate(ls)} for ls in lines]
     images, factors = [], []
     for e, (u, v) in enumerate(bundle.graph.edges):
-        mapped = []
-        for line in lines[u]:
-            w = bundle.transitions[e].apply(line)
-            lead = next(x for x in w if x != 0)
-            target = index[v].get(tuple(x / lead for x in w))
-            if target is None:
-                raise IncompatibleEdge(e)
-            mapped.append((target, lead))
+        mapped = known.get(e)
+        if mapped is None:
+            mapped = []
+            for line in lines[u]:
+                lead, image = bundle.transitions[e].line_image(line)
+                target = index[v].get(image)
+                if target is None:
+                    raise IncompatibleEdge(e)
+                mapped.append((target, lead))
         images.append(tuple(t for t, _lead in mapped))
         factors.append(tuple(lead for _t, lead in mapped))
     return tuple(images), tuple(factors)

@@ -1,5 +1,8 @@
 """Deciding whether a matrix subspace is a Cartan subalgebra of gl_d.
 
+A ``MatrixSubspace`` is a subspace of d x d matrices, kept canonical as a
+``linalg.Subspace`` of k^(d^2) under row-major flattening.
+
 A d-dimensional subspace that is diagonal in d independent lines is the
 whole diagonal algebra of those lines, so it is split Cartan; conversely a
 split Cartan subspace is the diagonal algebra of its d common eigenlines.
@@ -20,8 +23,92 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DimensionMismatch, NotSplitCartan, SingularMatrix
-from .linalg import Matrix, MatrixSubspace, Subspace, eigenspaces, min_poly
+from .linalg import Matrix, Subspace, eigenspaces, min_poly
 from .poly import Poly, nonsplit_witness, roots_in_field, squarefree_no_guard
+
+
+class MatrixSubspace:
+    """A subspace of d x d matrices, canonical under row-major flattening."""
+
+    __slots__ = ("field", "ambient_dim", "space")
+
+    def __init__(self, field, ambient_dim: int, matrices):
+        rows = []
+        for m in matrices:
+            if not isinstance(m, Matrix):
+                m = Matrix(field, m)
+            if m.nrows != ambient_dim or m.ncols != ambient_dim:
+                raise DimensionMismatch(
+                    f"expected {ambient_dim}x{ambient_dim} matrices"
+                )
+            # each flattened matrix spans on its own scale; a matrix over
+            # another field is refused, and no image is kept on the inputs
+            rows.append(field.to_ints(m.flatten())[1])
+        self.field = field
+        self.ambient_dim = ambient_dim
+        self.space = Subspace._spanned(field, ambient_dim * ambient_dim, rows)
+
+    @classmethod
+    def _from_space(cls, field, ambient_dim: int, space: Subspace) -> "MatrixSubspace":
+        out = cls.__new__(cls)
+        out.field = field
+        out.ambient_dim = ambient_dim
+        out.space = space
+        return out
+
+    @classmethod
+    def diagonal_algebra(cls, field, d: int) -> "MatrixSubspace":
+        zero, one = field.zero(), field.one()
+        mats = []
+        for i in range(d):
+            rows = [[one if (r == i and c == i) else zero for c in range(d)] for r in range(d)]
+            mats.append(Matrix(field, rows))
+        return cls(field, d, mats)
+
+    @property
+    def dim(self) -> int:
+        return self.space.dim
+
+    def basis_matrices(self) -> tuple:
+        d = self.ambient_dim
+        return tuple(Matrix.unflatten(self.field, v, d, d) for v in self.space.basis)
+
+    def contains(self, m: Matrix) -> bool:
+        return self.space.contains(m.flatten())
+
+    def coordinates_of(self, m: Matrix) -> tuple:
+        return self.space.coordinates_of(m.flatten())
+
+    def conjugated(self, t: Matrix) -> "MatrixSubspace":
+        """Canonical form of { t a t^-1 } over the stored basis."""
+        if t.nrows != self.ambient_dim or t.ncols != self.ambient_dim:
+            raise DimensionMismatch("conjugating matrix has wrong size")
+        ti = t.inverse()
+        return MatrixSubspace(
+            self.field,
+            self.ambient_dim,
+            [t @ a @ ti for a in self.basis_matrices()],
+        )
+
+    def intersect(self, other: "MatrixSubspace") -> "MatrixSubspace":
+        if self.ambient_dim != other.ambient_dim:
+            raise DimensionMismatch("ambient dimensions differ")
+        return MatrixSubspace._from_space(
+            self.field, self.ambient_dim, self.space.intersect(other.space)
+        )
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, MatrixSubspace)
+            and self.ambient_dim == other.ambient_dim
+            and self.space == other.space
+        )
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.space))
+
+    def __repr__(self):
+        return f"MatrixSubspace(dim {self.dim} in M({self.ambient_dim}))"
 
 
 class CartanStatus(Enum):
@@ -98,24 +185,15 @@ class EigenlineSet:
     functionals: tuple
 
 
-def _normalize_line(vec):
-    lead = next((x for x in vec if x != 0), None)
-    if lead is None:
-        raise ValueError("zero vector cannot span a line")
-    return tuple(x / lead for x in vec)
-
-
 def _line_sort_key(field, vec):
     pivot = next(i for i, x in enumerate(vec) if x != 0)
     return (pivot, tuple(field.element_key(x) for x in vec))
 
 
-def canonical_lines(field, vectors) -> tuple:
-    """The lines spanned by nonzero ``vectors``, leading-one normalized and
-    in the deterministic order of ``EigenlineSet.lines``."""
-    lines = [_normalize_line(v) for v in vectors]
-    lines.sort(key=lambda v: _line_sort_key(field, v))
-    return tuple(lines)
+def sort_lines(field, lines) -> tuple:
+    """Leading-one normalized ``lines`` in the deterministic order of
+    ``EigenlineSet.lines``."""
+    return tuple(sorted(lines, key=lambda v: _line_sort_key(field, v)))
 
 
 def diagonal_functionals(a: MatrixSubspace, lines):
@@ -133,14 +211,13 @@ def diagonal_functionals(a: MatrixSubspace, lines):
     basis = a.basis_matrices()
     functionals = []
     for line in lines:
-        pivot = next(i for i, x in enumerate(line) if x != 0)
         mu = []
         for m in basis:
-            image = m.apply(line)
-            scalar = image[pivot]
-            if any(y != scalar * x for x, y in zip(line, image)):
+            # m line = lead image, with no image when m line is zero
+            lead, image = m.line_image(line)
+            if image is not None and image != line:
                 return None
-            mu.append(scalar)
+            mu.append(lead)
         functionals.append(tuple(mu))
     return tuple(functionals)
 
@@ -172,7 +249,7 @@ def _refined_lines(a: MatrixSubspace, spectra: list):
         blocks = refined
     if len(blocks) != d:
         return None
-    return canonical_lines(a.field, (b.basis[0] for b in blocks))
+    return sort_lines(a.field, (b.basis[0] for b in blocks))
 
 
 def _failure_verdict(a: MatrixSubspace, spectra: list) -> CartanVerdict:

@@ -20,7 +20,7 @@ import sys
 from random import Random
 
 from . import __version__
-from .cartan import CartanStatus, classify_subspace
+from .cartan import CartanStatus, MatrixSubspace, classify_subspace
 from .covers import (
     canonical_algebra_map,
     cover_report,
@@ -57,7 +57,6 @@ from .instances import (
     cover_instance_to_json,
     load_instance,
 )
-from .linalg import MatrixSubspace
 from .parabolic import check_pardeg_conservation, pushforward_parabolic, riemann_hurwitz_genus
 from .randgen import (
     CoverInstanceConfig,

@@ -32,8 +32,9 @@ from functools import cached_property
 from itertools import permutations
 
 from .bundles import BaseGraph, BundleRep, SubalgebraBundle, validate_cartan_bundle
+from .cartan import MatrixSubspace
 from .errors import DimensionMismatch, DisconnectedBase, EtaNotMonomial, ParseError
-from .linalg import Matrix, MatrixSubspace
+from .linalg import Matrix
 
 
 def _check_permutation(sigma, d: int):

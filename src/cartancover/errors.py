@@ -15,7 +15,7 @@ class ParseError(CartanCoverError):
 
 
 class DimensionMismatch(CartanCoverError):
-    """Operands live in different ambient dimensions."""
+    """Operands live in different ambient dimensions, or over different fields."""
 
 
 class SingularMatrix(CartanCoverError):

@@ -6,18 +6,25 @@ Prime-field scalars are ``Fp`` values holding a least residue in [0, p).
 Both representations are canonical per value, which makes equality of
 derived objects (matrices, subspaces, polynomials) decidable bitwise.
 
-A field object knows how to coerce, parse, render and order its scalars;
-all linear algebra in the package is generic over this interface.
+A field object knows how to coerce, parse, render and order its scalars,
+and these scalars are what matrices, subspaces and polynomials show. The
+linear algebra does not compute on them but on plain ints: ``to_ints``
+gives the integer image of scalars (least residues over GF(p); over Q
+integers over their least common denominator), ``from_ints`` builds the
+scalars of a result, and a scalar of another field is refused there with
+``DimensionMismatch``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
-from .errors import ParseError
+from .errors import DimensionMismatch, ParseError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_ZERO = Fraction(0)
 
 
 # psi_13: the least odd composite that is a strong pseudoprime to every prime
@@ -188,6 +195,26 @@ class Rationals:
             raise ParseError(f"malformed rational {s!r}: zero denominator")
         return Fraction(num, den)
 
+    def to_ints(self, scalars) -> tuple:
+        """``(den, ints)`` with ``scalars[j] == ints[j] / den``, over the
+        least common denominator. A scalar of a prime field raises
+        ``DimensionMismatch``; other values go through ``coerce``."""
+        if not all(type(x) is Fraction for x in scalars):
+            scalars = [self._operand(x) for x in scalars]
+        den = lcm(*[x.denominator for x in scalars])
+        return den, [x.numerator * (den // x.denominator) for x in scalars]
+
+    def from_ints(self, ints, den: int) -> tuple:
+        """The scalars ``ints[j] / den``."""
+        if den == 1:
+            return tuple(Fraction(x) if x else _ZERO for x in ints)
+        return tuple(Fraction(x, den) if x else _ZERO for x in ints)
+
+    def _operand(self, x) -> Fraction:
+        if isinstance(x, Fp):
+            raise DimensionMismatch(f"scalar {x!r} is not an element of Q")
+        return self.coerce(x)
+
     def render(self, v) -> str:
         return str(v)
 
@@ -239,6 +266,28 @@ class PrimeField:
         if not re.match(r"^[+-]?\d+$", s):
             raise ParseError(f"malformed GF({self.p}) residue {s!r}")
         return Fp(_parse_int(s), self.p)
+
+    def to_ints(self, scalars) -> tuple:
+        """``(1, residues)``: the least residues of ``scalars``. A rational
+        or a scalar of another prime field raises ``DimensionMismatch``;
+        other values go through ``coerce``."""
+        p = self.p
+        if not all(type(x) is Fp and x.p == p for x in scalars):
+            scalars = [self._operand(x) for x in scalars]
+        return 1, [x.val for x in scalars]
+
+    def from_ints(self, ints, den: int) -> tuple:
+        """The scalars ``ints[j] / den``."""
+        p = self.p
+        if den % p != 1:
+            inv = pow(den, -1, p)
+            ints = [x * inv for x in ints]
+        return tuple(Fp(x, p) for x in ints)
+
+    def _operand(self, x) -> Fp:
+        if isinstance(x, Fraction) or (isinstance(x, Fp) and x.p != self.p):
+            raise DimensionMismatch(f"scalar {x!r} is not an element of GF({self.p})")
+        return self.coerce(x)
 
     def render(self, v) -> str:
         return str(v.val)

@@ -12,10 +12,11 @@ import json
 from dataclasses import dataclass
 
 from .bundles import BaseGraph, BundleRep, SubalgebraBundle
+from .cartan import MatrixSubspace
 from .covers import CoverRep, LineBundleOnCover
 from .errors import DisconnectedBase, ParseError
 from .fields import field_from_json, field_to_json
-from .linalg import Matrix, MatrixSubspace
+from .linalg import Matrix
 from .parabolic import BranchPoint, RamifiedCoverData, RamifiedSheet, parse_weight
 
 KINDS = ("cartan", "bundle", "cover", "parabolic")
@@ -84,12 +85,13 @@ def parse_matrix(field, value, where) -> Matrix:
     for i, row in enumerate(rows):
         row = _expect_list(row, f"{where}[{i}]")
         parsed.append(
-            [parse_scalar(field, x, f"{where}[{i}][{j}]") for j, x in enumerate(row)]
+            tuple(parse_scalar(field, x, f"{where}[{i}][{j}]") for j, x in enumerate(row))
         )
     width = len(parsed[0])
     if any(len(r) != width for r in parsed) or width == 0:
         raise ParseError(f"{where}: matrix rows must be nonempty and equal length")
-    return Matrix(field, parsed)
+    # every entry is already a scalar of the field, coerced once above
+    return Matrix._trusted(field, tuple(parsed), width)
 
 
 def matrix_to_json(field, m: Matrix):

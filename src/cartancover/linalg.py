@@ -1,23 +1,127 @@
-"""Exact linear algebra over Q and GF(p).
+"""Exact linear algebra over Q and GF(p), computed on plain Python ints.
 
-Matrices are immutable row tuples of field scalars. Subspaces of k^n are
-kept in reduced row echelon form with leading ones, which is a canonical
-form: two subspaces are equal exactly when their stored bases coincide.
-Subspaces of d x d matrices are handled by flattening to k^(d^2) row-major.
+Matrices are immutable row tuples of field scalars (``Fraction`` or
+``Fp``), and those rows are what reports, instance files and equality
+see. The arithmetic runs on an integer image of the rows, which a matrix
+computes once, on first use: over GF(p) the least residues, over Q
+integer rows over one common denominator. Products and applications
+multiply images, and every elimination (``rref``, ``kernel``, ``solve``,
+``Matrix.inverse``, ``min_poly``, ``eigenspaces`` and the subspaces) goes
+through the one Gauss-Jordan loop ``_eliminate``, whose row reduction is
+the only step that differs between the fields: one ``% p``, or the exact
+Bareiss division. Fields convert at the boundary (``to_ints`` and
+``from_ints``, where the leading-one normalisation happens), so field
+scalars are built only for results. RREF and minimal polynomials are
+unique, so the results are those of field-scalar elimination, value for
+value.
+
+Subspaces of k^n are kept in reduced row echelon form with leading ones,
+which is a canonical form: two subspaces are equal exactly when their
+stored bases coincide. Operands over different fields are refused with
+``DimensionMismatch``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
+from operator import mul
 
 from .errors import DimensionMismatch, SingularMatrix
 from .poly import Poly, roots_in_field
+
+# --- integer kernels ----------------------------------------------------------
+#
+# An integer image is a pair (den, rows) of lists of ints. Over GF(p) the
+# rows hold least residues and den is 1; over Q the rational entries are
+# rows[i][j] / den. Image rows are never mutated in place.
+
+
+def _eliminate(rows: list, ncols: int, p: int) -> tuple:
+    """Gauss-Jordan elimination of integer rows in place; returns
+    ``(pivots, scale)``, the pivot columns and the scale of the result.
+
+    Over GF(p) (``p`` > 0) the rows hold residues. Each pivot row is
+    scaled to a leading one, and clearing its column costs one ``% p`` per
+    entry, so ``rows`` ends in reduced row echelon form and the scale is 1.
+
+    Over Q (``p`` == 0) the rows hold integer multiples of rational rows,
+    each row scaled on its own, which changes no echelon form. The
+    elimination is fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22,
+    1968, in the FFGJ form of Nakos-Turner-Williams): clearing column c
+    with pivot a replaces every other row x by (a x - x_c y) / s, an exact
+    division by the previous pivot s. Entries stay minors of the input, so
+    they grow only polynomially. Every pivot entry ends equal to the last
+    pivot, the returned scale, and the reduced row echelon form is
+    ``rows / scale``.
+
+    ``rows`` itself is rebound row by row; the row lists it held are not
+    mutated, so rows shared with an integer image stay intact.
+    """
+    nrows = len(rows)
+    if not p:
+        # primitive rows: a common factor of a row would enter every minor
+        for i, row in enumerate(rows):
+            g = gcd(*row)
+            if g > 1:
+                rows[i] = [x // g for x in row]
+    pivots = []
+    scale = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        a = top[c]
+        if p and a != 1:
+            inv = pow(a, -1, p)
+            top = rows[r] = [x * inv % p for x in top]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i == r:
+                continue
+            if p:
+                if f:
+                    rows[i] = [(x - f * y) % p for x, y in zip(row, top)]
+            elif f or a != scale:
+                rows[i] = [(a * x - f * y) // scale for x, y in zip(row, top)]
+        if not p:
+            scale = a
+        pivots.append(c)
+    return pivots, scale
+
+
+def _null_vectors(rows: list, ncols: int, p: int) -> list:
+    """Integer vectors spanning the null space of the integer rows, which
+    are consumed: one per free column of their elimination, ``scale``
+    there and minus that column of the pivot rows at the pivots."""
+    pivots, scale = _eliminate(rows, ncols, p)
+    out = []
+    for fc in sorted(set(range(ncols)).difference(pivots)):
+        v = [0] * ncols
+        v[fc] = scale
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc] % p if p else -row[fc]
+        out.append(v)
+    return out
+
+
+def _product(left: list, right: list, ncols: int, p: int) -> list:
+    """Integer rows of left . right, reduced mod p over GF(p)."""
+    cols = list(zip(*right)) if right else [()] * ncols
+    if p:
+        return [[sum(map(mul, r, c)) % p for c in cols] for r in left]
+    return [[sum(map(mul, r, c)) for c in cols] for r in left]
 
 
 class Matrix:
     """An immutable matrix with exact entries over a fixed field."""
 
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    __slots__ = ("field", "rows", "nrows", "ncols", "_image")
 
     def __init__(self, field, rows, ncols: int | None = None):
         rows = tuple(tuple(field.coerce(x) for x in r) for r in rows)
@@ -31,18 +135,29 @@ class Matrix:
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = ncols
+        self._image = None
 
     @classmethod
-    def _trusted(cls, field, rows: tuple, ncols: int) -> "Matrix":
+    def _trusted(cls, field, rows: tuple, ncols: int, image: tuple | None = None) -> "Matrix":
         """Internal constructor for computed results: ``rows`` is already a
         tuple of ``ncols``-long tuples of elements of ``field``, so neither
-        coercion nor the shape check is repeated."""
+        coercion nor the shape check is repeated. ``image`` is the integer
+        image when the computation already holds it."""
         m = object.__new__(cls)
         m.field = field
         m.rows = rows
         m.nrows = len(rows)
         m.ncols = ncols
+        m._image = image
         return m
+
+    def _ints(self) -> tuple:
+        """The integer image ``(den, rows)``, computed on first use."""
+        if self._image is None:
+            images = [self.field.to_ints(r) for r in self.rows]
+            den = lcm(*[d for d, _r in images])
+            self._image = den, [[x * (den // d) for x in r] if d != den else r for d, r in images]
+        return self._image
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
@@ -61,27 +176,30 @@ class Matrix:
         n = len(cols[0])
         return cls(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)])
 
+    def _check_field(self, other: "Matrix"):
+        if self.field != other.field:
+            raise DimensionMismatch(f"operands over {self.field!r} and {other.field!r}")
+
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise DimensionMismatch("matrix product shape mismatch")
-        ocols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        zero = self.field.zero()
-        out = tuple(
-            tuple(sum((a * b for a, b in zip(r, c) if a != 0), zero) for c in ocols)
-            for r in self.rows
-        )
-        return Matrix._trusted(self.field, out, other.ncols)
+        self._check_field(other)
+        (a, left), (b, right) = self._ints(), other._ints()
+        rows = _product(left, right, other.ncols, self.field.characteristic)
+        out = tuple(self.field.from_ints(r, a * b) for r in rows)
+        return Matrix._trusted(self.field, out, other.ncols, (a * b, rows))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("matrix sum shape mismatch")
+        self._check_field(other)
         rows = tuple(
             tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)
         )
         return Matrix._trusted(self.field, rows, self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(-self.field.one())
+        return self + -other
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
@@ -97,8 +215,24 @@ class Matrix:
     def apply(self, vec) -> tuple:
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length mismatch")
-        zero = self.field.zero()
-        return tuple(sum((a * x for a, x in zip(r, vec) if a != 0), zero) for r in self.rows)
+        b, v = self.field.to_ints(vec)
+        a, rows = self._ints()
+        return self.field.from_ints([sum(map(mul, r, v)) for r in rows], a * b)
+
+    def line_image(self, vec) -> tuple:
+        """``(lead, line)`` with m vec = lead line and ``line`` leading-one
+        normalized, or ``(0, None)`` when m vec is zero."""
+        if len(vec) != self.ncols:
+            raise DimensionMismatch("vector length mismatch")
+        field = self.field
+        b, v = field.to_ints(vec)
+        a, rows = self._ints()
+        w = [sum(map(mul, r, v)) for r in rows]
+        p = field.characteristic
+        top = next((x for x in w if (x % p if p else x)), 0)
+        if not top:
+            return field.zero(), None
+        return field.from_ints([top], a * b)[0], field.from_ints(w, top)
 
     def flatten(self) -> tuple:
         return tuple(x for r in self.rows for x in r)
@@ -114,23 +248,20 @@ class Matrix:
         return self.nrows == self.ncols
 
     def inverse(self) -> "Matrix":
+        """The right half of the RREF of [M | I]; singular when a pivot
+        falls in that half."""
         if not self.is_square():
             raise DimensionMismatch("only square matrices invert")
         n = self.nrows
-        field = self.field
-        aug = [list(r) + list(ir) for r, ir in zip(self.rows, Matrix.identity(field, n).rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise SingularMatrix("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = field.one() / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return Matrix._trusted(field, tuple(tuple(r[n:]) for r in aug), n)
+        den, image = self._ints()
+        # [M | I] scaled to integers: over Q that is [den M | den I]
+        rows = [[*r, *(den if i == j else 0 for j in range(n))] for i, r in enumerate(image)]
+        pivots, scale = _eliminate(rows, 2 * n, self.field.characteristic)
+        if n and pivots[-1] != n - 1:
+            raise SingularMatrix("matrix is singular")
+        right = [r[n:] for r in rows]
+        out = tuple(self.field.from_ints(r, scale) for r in right)
+        return Matrix._trusted(self.field, out, n, (scale, right))
 
     def is_invertible(self) -> bool:
         try:
@@ -164,47 +295,42 @@ class RrefResult:
 
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form with leading ones; unique for each matrix."""
-    field = m.field
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.one() / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    rows = tuple(tuple(row) for row in rows)
-    return RrefResult(Matrix._trusted(field, rows, ncols), len(pivots), tuple(pivots))
+    rows = list(m._ints()[1])
+    pivots, scale = _eliminate(rows, m.ncols, m.field.characteristic)
+    out = tuple(m.field.from_ints(r, scale) for r in rows)
+    return RrefResult(Matrix._trusted(m.field, out, m.ncols, (scale, rows)), len(pivots), tuple(pivots))
 
 
 class Subspace:
     """A linear subspace of k^n in canonical (RREF, leading-one) form."""
 
-    __slots__ = ("field", "ambient", "basis")
+    __slots__ = ("field", "ambient", "basis", "_image")
 
     def __init__(self, field, ambient: int, vectors):
-        vectors = [tuple(field.coerce(x) for x in v) for v in vectors]
-        if any(len(v) != ambient for v in vectors):
-            raise DimensionMismatch("spanning vector has wrong length")
-        if vectors:
-            red = rref(Matrix(field, vectors, ncols=ambient))
-            basis = tuple(red.matrix.rows[: red.rank])
-        else:
-            basis = ()
+        rows = []
+        for v in vectors:
+            ints = field.to_ints(v)[1]
+            if len(ints) != ambient:
+                raise DimensionMismatch("spanning vector has wrong length")
+            rows.append(ints)
+        self._span(field, ambient, rows)
+
+    @classmethod
+    def _spanned(cls, field, ambient: int, rows: list) -> "Subspace":
+        """The span of integer rows: residues over GF(p), integer multiples
+        of rational vectors over Q. ``rows`` is consumed."""
+        space = cls.__new__(cls)
+        space._span(field, ambient, rows)
+        return space
+
+    def _span(self, field, ambient: int, rows: list):
+        pivots, scale = _eliminate(rows, ambient, field.characteristic)
+        del rows[len(pivots) :]
         self.field = field
         self.ambient = ambient
-        self.basis = basis
+        self.basis = tuple(field.from_ints(r, scale) for r in rows)
+        # the basis as an integer image: the eliminated rows over their scale
+        self._image = (scale, rows)
 
     @classmethod
     def zero(cls, field, ambient: int) -> "Subspace":
@@ -225,43 +351,45 @@ class Subspace:
         return tuple(out)
 
     def reduce(self, vec) -> tuple:
-        """Residual of ``vec`` after elimination against the basis."""
-        v = [self.field.coerce(x) for x in vec]
-        if len(v) != self.ambient:
+        """Residual of ``vec`` after elimination against the basis.
+
+        The basis rows b_i are leading-one and zero at each other's pivots,
+        so the residual is v - sum_i v[pivot_i] b_i, one product with the
+        image rows, which are scale * b_i.
+        """
+        if len(vec) != self.ambient:
             raise DimensionMismatch("vector length mismatch")
-        for row, p in zip(self.basis, self.pivots()):
-            c = v[p]
-            if c != 0:
-                v = [a - c * b for a, b in zip(v, row)]
-        return tuple(v)
+        den, v = self.field.to_ints(vec)
+        scale, basis = self._image
+        p = self.field.characteristic
+        coeffs = [[v[q] for q in self.pivots()]]
+        spent = _product(coeffs, basis, self.ambient, p)[0]
+        residual = [scale * x - y for x, y in zip(v, spent)]
+        return self.field.from_ints(residual, den * scale)
 
     def contains(self, vec) -> bool:
         return all(x == 0 for x in self.reduce(vec))
 
     def coordinates_of(self, vec) -> tuple:
         """Coefficients of ``vec`` in the canonical basis; requires membership."""
-        v = tuple(self.field.coerce(x) for x in vec)
-        coords = tuple(v[p] for p in self.pivots())
-        if not self.contains(v):
+        if not self.contains(vec):
             raise ValueError("vector is not in the subspace")
-        return coords
+        return tuple(self.field.coerce(vec[p]) for p in self.pivots())
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of stacked coefficient constraints."""
+        """Intersection via the null space of the stacked coefficient
+        constraints sum x_i a_i - sum y_j b_j = 0."""
         self._check_compatible(other)
+        field = self.field
         if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient)
-        cols = [list(b) for b in self.basis] + [[-x for x in b] for b in other.basis]
-        constraint = Matrix.from_columns(self.field, cols)
-        vecs = []
-        for coeffs in kernel(constraint).basis:
-            a = coeffs[: self.dim]
-            vec = [self.field.zero()] * self.ambient
-            for c, row in zip(a, self.basis):
-                if c != 0:
-                    vec = [x + c * y for x, y in zip(vec, row)]
-            vecs.append(vec)
-        return Subspace(self.field, self.ambient, vecs)
+            return Subspace.zero(field, self.ambient)
+        p = field.characteristic
+        a, b = self._image[1], other._image[1]
+        negated = [[-x % p if p else -x for x in r] for r in b]
+        constraints = [list(col) for col in zip(*a, *negated)]
+        # x . a for each null vector (x, y) of the columns a_i, -b_j
+        coeffs = [v[: len(a)] for v in _null_vectors(constraints, len(a) + len(b), p)]
+        return Subspace._spanned(field, self.ambient, _product(coeffs, a, self.ambient, p))
 
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field or self.ambient != other.ambient:
@@ -284,151 +412,54 @@ class Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """Canonical basis of the null space of ``m``."""
-    red = rref(m)
-    piv = set(red.pivots)
-    free = [c for c in range(m.ncols) if c not in piv]
-    zero, one = m.field.zero(), m.field.one()
-    vecs = []
-    for fc in free:
-        v = [zero] * m.ncols
-        v[fc] = one
-        for i, pc in enumerate(red.pivots):
-            v[pc] = -red.matrix.rows[i][fc]
-        vecs.append(v)
-    return Subspace(m.field, m.ncols, vecs)
+    vecs = _null_vectors(list(m._ints()[1]), m.ncols, m.field.characteristic)
+    return Subspace._spanned(m.field, m.ncols, vecs)
 
 
 def solve(m: Matrix, b) -> tuple | None:
     """One solution of m x = b, or None when inconsistent."""
     field = m.field
-    b = [field.coerce(x) for x in b]
     if len(b) != m.nrows:
         raise DimensionMismatch("right-hand side length mismatch")
-    aug = Matrix(field, [list(r) + [bb] for r, bb in zip(m.rows, b)], ncols=m.ncols + 1)
-    red = rref(aug)
-    if m.ncols in red.pivots:
+    b_den, rhs = field.to_ints(b)
+    den, image = m._ints()
+    # (image / den) x = rhs / b_den, cleared of both denominators
+    rows = [[*(x * b_den for x in r), y * den] for r, y in zip(image, rhs)]
+    n = m.ncols
+    pivots, scale = _eliminate(rows, n + 1, field.characteristic)
+    if n in pivots:
         return None
-    x = [field.zero()] * m.ncols
-    for i, pc in enumerate(red.pivots):
-        x[pc] = red.matrix.rows[i][m.ncols]
-    return tuple(x)
-
-
-class MatrixSubspace:
-    """A subspace of d x d matrices, canonical under row-major flattening."""
-
-    __slots__ = ("field", "ambient_dim", "space")
-
-    def __init__(self, field, ambient_dim: int, matrices):
-        vecs = []
-        for m in matrices:
-            if not isinstance(m, Matrix):
-                m = Matrix(field, m)
-            if m.nrows != ambient_dim or m.ncols != ambient_dim:
-                raise DimensionMismatch(
-                    f"expected {ambient_dim}x{ambient_dim} matrices"
-                )
-            vecs.append(m.flatten())
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.space = Subspace(field, ambient_dim * ambient_dim, vecs)
-
-    @classmethod
-    def _from_space(cls, field, ambient_dim: int, space: Subspace) -> "MatrixSubspace":
-        out = cls.__new__(cls)
-        out.field = field
-        out.ambient_dim = ambient_dim
-        out.space = space
-        return out
-
-    @classmethod
-    def diagonal_algebra(cls, field, d: int) -> "MatrixSubspace":
-        zero, one = field.zero(), field.one()
-        mats = []
-        for i in range(d):
-            rows = [[one if (r == i and c == i) else zero for c in range(d)] for r in range(d)]
-            mats.append(Matrix(field, rows))
-        return cls(field, d, mats)
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def basis_matrices(self) -> tuple:
-        d = self.ambient_dim
-        return tuple(Matrix.unflatten(self.field, v, d, d) for v in self.space.basis)
-
-    def contains(self, m: Matrix) -> bool:
-        return self.space.contains(m.flatten())
-
-    def coordinates_of(self, m: Matrix) -> tuple:
-        return self.space.coordinates_of(m.flatten())
-
-    def conjugated(self, t: Matrix) -> "MatrixSubspace":
-        """Canonical form of { t a t^-1 } over the stored basis."""
-        if t.nrows != self.ambient_dim or t.ncols != self.ambient_dim:
-            raise DimensionMismatch("conjugating matrix has wrong size")
-        ti = t.inverse()
-        return MatrixSubspace(
-            self.field,
-            self.ambient_dim,
-            [t @ a @ ti for a in self.basis_matrices()],
-        )
-
-    def intersect(self, other: "MatrixSubspace") -> "MatrixSubspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        return MatrixSubspace._from_space(
-            self.field, self.ambient_dim, self.space.intersect(other.space)
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatrixSubspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.space == other.space
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.space))
-
-    def __repr__(self):
-        return f"MatrixSubspace(dim {self.dim} in M({self.ambient_dim}))"
+    x = [0] * n
+    for row, pc in zip(rows, pivots):
+        x[pc] = row[n]
+    return field.from_ints(x, scale)
 
 
 def min_poly(m: Matrix) -> Poly:
     """Monic minimal polynomial, via the first dependence among I, M, M^2, ...
 
-    One incremental elimination: each flattened power M^k is reduced
-    against the leading-one rows kept from I, ..., M^(k-1), and the row
-    carries its coefficients in I, ..., M^k along. The first zero residue
-    is a relation with coefficient one on M^k, the monic minimal
-    polynomial.
+    The flattened integer powers P_k = N^k of the image N = den M, for k up
+    to d, are the columns of one elimination. Once M^k depends on lower
+    powers so do all higher ones, so the pivots are 0, ..., k-1 and column
+    k of the RREF reads P_k = sum_j c_j P_j. With M^k = P_k / den^k that is
+    the monic relation M^k = sum_j c_j den^(j-k) M^j.
     """
     if not m.is_square():
         raise DimensionMismatch("minimal polynomial needs a square matrix")
-    field = m.field
-    d = m.nrows
-    zero, one = field.zero(), field.one()
-    reduced = []  # (pivot, leading-one residue, its coefficients in the powers)
-    power = Matrix.identity(field, d)
-    for k in range(d + 1):
-        if k:
-            power = power @ m
-        vec = list(power.flatten())
-        coeffs = [zero] * (d + 1)
-        coeffs[k] = one
-        for pivot, row, row_coeffs in reduced:
-            c = vec[pivot]
-            if c != 0:
-                vec = [a - c * b for a, b in zip(vec, row)]
-                coeffs = [a - c * b for a, b in zip(coeffs, row_coeffs)]
-        pivot = next((j for j, x in enumerate(vec) if x != 0), None)
-        if pivot is None:
-            return Poly(field, coeffs)
-        inv = one / vec[pivot]
-        reduced.append((pivot, [x * inv for x in vec], [x * inv for x in coeffs]))
-    raise AssertionError("minimal polynomial must have degree <= d")
+    field, d = m.field, m.nrows
+    p = field.characteristic
+    den, image = m._ints()
+    power = [[int(i == j) for j in range(d)] for i in range(d)]
+    flat = [[x for r in power for x in r]]
+    for _ in range(d):
+        power = _product(power, image, d, p)
+        flat.append([x for r in power for x in r])
+    rows = [list(col) for col in zip(*flat)]
+    pivots, scale = _eliminate(rows, d + 1, p)
+    k = len(pivots)
+    lead = scale * den**k
+    coeffs = [-rows[j][k] * den**j for j in range(k)] + [lead]
+    return Poly(field, field.from_ints(coeffs, lead))
 
 
 def eigenspaces(m: Matrix):
@@ -437,11 +468,23 @@ def eigenspaces(m: Matrix):
 
     When the minimal polynomial splits, ``spaces`` pairs each root with its
     canonical eigenspace, and the dimensions add up to d exactly when m is
-    diagonalizable over the field; otherwise ``spaces`` is None.
+    diagonalizable over the field; otherwise ``spaces`` is None. Each
+    eigenspace is the null space of the image with the root subtracted on
+    its diagonal.
     """
     mp = min_poly(m)
     roots, split = roots_in_field(mp)
     if not split:
         return mp, roots, None
-    ident = Matrix.identity(m.field, m.nrows)
-    return mp, roots, tuple((lam, kernel(m - ident.scale(lam))) for lam, _mult in roots)
+    field = m.field
+    p = field.characteristic
+    den, image = m._ints()
+    spaces = []
+    for lam, _mult in roots:
+        # lam = a / b over Q: den b (m - lam I) = b image - den a I
+        b, (a,) = field.to_ints([lam])
+        rows = [[x * b for x in r] for r in image]
+        for i, row in enumerate(rows):
+            row[i] = (row[i] - den * a) % p if p else row[i] - den * a
+        spaces.append((lam, Subspace._spanned(field, m.ncols, _null_vectors(rows, m.ncols, p))))
+    return mp, roots, tuple(spaces)

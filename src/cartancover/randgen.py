@@ -12,9 +12,10 @@ from fractions import Fraction
 from random import Random
 
 from .bundles import BaseGraph
+from .cartan import MatrixSubspace
 from .covers import CoverRep, LineBundleOnCover
 from .fields import GF, QQ, PrimeField, Rationals
-from .linalg import Matrix, MatrixSubspace
+from .linalg import Matrix
 from .errors import CartanCoverError
 from .parabolic import BranchPoint, RamifiedCoverData, RamifiedSheet, riemann_hurwitz_genus
 

@@ -1,5 +1,6 @@
 """Debug checks, the bounded bundle-isomorphism search, the min-poly Cartan
-classifier and the exhaustive root search, used by tests only.
+classifier, the exhaustive root search and the field-scalar linear
+algebra the integer kernels replaced, used by tests only.
 
 None of these is reached from the command line or from the package's own
 constructions; they check the package's outputs from the outside.
@@ -11,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 
 from cartancover.bundles import BundleRep, tree_paths, validate_bundle
-from cartancover.cartan import CartanStatus, CartanVerdict, NotCartanReason
+from cartancover.cartan import CartanStatus, CartanVerdict, MatrixSubspace, NotCartanReason
 from cartancover.covers import (
     CoverRep,
     LineBundleOnCover,
@@ -21,9 +22,9 @@ from cartancover.covers import (
     line_bundles_gauge_equivalent,
     trivial_line_bundle,
 )
-from cartancover.errors import DimensionMismatch, ParseError
+from cartancover.errors import DimensionMismatch, ParseError, SingularMatrix
 from cartancover.fields import Fp, PrimeField, is_prime
-from cartancover.linalg import Matrix, MatrixSubspace, Subspace, kernel, min_poly
+from cartancover.linalg import Matrix, Subspace, kernel, min_poly
 from cartancover.parabolic import parse_weight
 from cartancover.poly import Poly, nonsplit_witness, roots_in_field, squarefree_no_guard
 
@@ -221,6 +222,90 @@ def indicator_embedding_flat(
         if w_include != include @ v_e:
             return False
     return True
+
+
+# --- linear algebra on field scalars -------------------------------------------------
+#
+# Oracles for the integer kernels of ``linalg``: the generic loops they
+# replaced, with every operation on ``Fraction`` or ``Fp`` scalars.
+
+
+def matmul_by_scalars(a: Matrix, b: Matrix) -> tuple:
+    """Rows of a . b, summed in field scalars."""
+    zero = a.field.zero()
+    cols = list(zip(*b.rows)) if b.rows else [()] * b.ncols
+    return tuple(
+        tuple(sum((x * y for x, y in zip(r, c) if x != 0), zero) for c in cols) for r in a.rows
+    )
+
+
+def apply_by_scalars(m: Matrix, vec) -> tuple:
+    """m . vec, summed in field scalars."""
+    zero = m.field.zero()
+    return tuple(sum((a * x for a, x in zip(r, vec) if a != 0), zero) for r in m.rows)
+
+
+def rref_by_scalars(field, rows, ncols: int):
+    """``(rows, pivots)`` of the reduced row echelon form with leading ones,
+    by Gauss-Jordan elimination on field scalars."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = field.one() / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def inverse_by_scalars(m: Matrix) -> tuple:
+    """Rows of m^-1 from the RREF of [m | I] on field scalars; raises
+    ``SingularMatrix`` when a pivot falls in the right half."""
+    n = m.nrows
+    aug = [r + ir for r, ir in zip(m.rows, Matrix.identity(m.field, n).rows)]
+    rows, pivots = rref_by_scalars(m.field, aug, 2 * n)
+    if pivots != tuple(range(n)):
+        raise SingularMatrix("matrix is singular")
+    return tuple(r[n:] for r in rows)
+
+
+def min_poly_by_scalars(m: Matrix) -> Poly:
+    """Monic minimal polynomial by incremental elimination on field scalars:
+    each flattened power M^k is reduced against the leading-one rows of
+    the lower powers, carrying its coefficients in the powers, until a
+    residue vanishes."""
+    field, d = m.field, m.nrows
+    zero, one = field.zero(), field.one()
+    reduced = []
+    power = Matrix.identity(field, d)
+    for k in range(d + 1):
+        if k:
+            power = Matrix(field, matmul_by_scalars(power, m), ncols=d)
+        vec = list(power.flatten())
+        coeffs = [zero] * (d + 1)
+        coeffs[k] = one
+        for pivot, row, row_coeffs in reduced:
+            c = vec[pivot]
+            if c != 0:
+                vec = [a - c * b for a, b in zip(vec, row)]
+                coeffs = [a - c * b for a, b in zip(coeffs, row_coeffs)]
+        pivot = next((j for j, x in enumerate(vec) if x != 0), None)
+        if pivot is None:
+            return Poly(field, coeffs)
+        inv = one / vec[pivot]
+        reduced.append((pivot, [x * inv for x in vec], [x * inv for x in coeffs]))
+    raise AssertionError("minimal polynomial must have degree <= d")
 
 
 # --- Cartan classification by minimal polynomials ----------------------------------

@@ -15,7 +15,7 @@ from random import Random
 import pytest
 
 from cartancover.bundles import BaseGraph, BundleRep, SubalgebraBundle, flat_sections
-from cartancover.cartan import CartanStatus, classify_subspace, conjugate_subspace
+from cartancover.cartan import CartanStatus, MatrixSubspace, classify_subspace, conjugate_subspace
 from cartancover.cli import main as cli_main
 from cartancover.covers import (
     CoverRep,
@@ -29,7 +29,7 @@ from cartancover.covers import (
 from cartancover.errors import NonSplitAtVertex
 from cartancover.factorization import block_systems, monodromy_generators, summand_embedding_check
 from cartancover.fields import GF, QQ
-from cartancover.linalg import Matrix, MatrixSubspace
+from cartancover.linalg import Matrix
 from cartancover.parabolic import (
     check_pardeg_conservation,
     degree_direct_image,

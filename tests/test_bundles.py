@@ -11,6 +11,7 @@ from cartancover.bundles import (
     validate_bundle,
     validate_cartan_bundle,
 )
+from cartancover.cartan import MatrixSubspace
 from cartancover.errors import (
     DisconnectedBase,
     IncompatibleEdge,
@@ -18,7 +19,7 @@ from cartancover.errors import (
     SingularTransition,
 )
 from cartancover.fields import GF, QQ
-from cartancover.linalg import Matrix, MatrixSubspace
+from cartancover.linalg import Matrix
 from cartancover.randgen import random_invertible_matrix
 from helpers import bundle_iso_check, conjugation_operator, end_bundle
 

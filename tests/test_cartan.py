@@ -6,6 +6,7 @@ import pytest
 
 from cartancover.cartan import (
     CartanStatus,
+    MatrixSubspace,
     NotCartanReason,
     classify_subspace,
     conjugate_subspace,
@@ -13,7 +14,7 @@ from cartancover.cartan import (
 )
 from cartancover.errors import DimensionMismatch, NotSplitCartan, SingularMatrix
 from cartancover.fields import GF, QQ, PrimeField
-from cartancover.linalg import Matrix, MatrixSubspace, Subspace, rref
+from cartancover.linalg import Matrix, Subspace, rref
 from cartancover.poly import Poly
 from cartancover.randgen import random_invertible_matrix, random_subspace_for_cartan_test
 from helpers import classify_by_min_polys, field_elements, subalgebra_closure_defect

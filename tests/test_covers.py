@@ -9,7 +9,7 @@ import pytest
 
 from cartancover import covers
 from cartancover.bundles import BaseGraph, BundleRep, SubalgebraBundle, flat_sections
-from cartancover.cartan import CartanStatus, classify_subspace
+from cartancover.cartan import CartanStatus, MatrixSubspace, classify_subspace
 from cartancover.covers import (
     CoverRep,
     LineBundleOnCover,
@@ -27,7 +27,7 @@ from cartancover.covers import (
 from cartancover.cli import run
 from cartancover.errors import EtaNotMonomial, NonSplitAtVertex
 from cartancover.fields import GF, QQ
-from cartancover.linalg import Matrix, MatrixSubspace
+from cartancover.linalg import Matrix
 from cartancover.randgen import random_cover_instance
 from helpers import pullback_scalars, roundtrip_witness_holds
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cartancover.cartan import MatrixSubspace
 from cartancover.errors import DimensionMismatch, SingularMatrix
 from cartancover.fields import GF, QQ
 from cartancover.linalg import (
     Matrix,
-    MatrixSubspace,
     Subspace,
     eigenspaces,
     kernel,

@@ -55,6 +55,57 @@ def test_one_spanning_tree_walk_in_package():
     assert len(found) == 1 and found[0].startswith("bundles.py:"), found
 
 
+def _is_row_swap(node) -> bool:
+    # rows[i], rows[j] = rows[j], rows[i]
+    return (
+        isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Tuple)
+        and isinstance(node.value, ast.Tuple)
+        and len(node.targets[0].elts) == len(node.value.elts) == 2
+        and all(isinstance(e, ast.Subscript) for e in node.targets[0].elts)
+        and [ast.unparse(e) for e in node.targets[0].elts]
+        == [ast.unparse(e) for e in reversed(node.value.elts)]
+    )
+
+
+def _is_row_operation(node) -> bool:
+    # [x - f * y for x, y in zip(row, pivot_row)], possibly reduced afterwards
+    return (
+        isinstance(node, ast.ListComp)
+        and any(
+            isinstance(gen.iter, ast.Call) and getattr(gen.iter.func, "id", None) == "zip"
+            for gen in node.generators
+        )
+        and any(
+            isinstance(sub, ast.BinOp)
+            and isinstance(sub.op, ast.Sub)
+            and isinstance(sub.right, ast.BinOp)
+            and isinstance(sub.right.op, ast.Mult)
+            for sub in ast.walk(node.elt)
+        )
+    )
+
+
+def test_one_gauss_jordan_loop_in_package():
+    # rref, kernel, solve, inverse, min_poly, eigenspaces and the subspaces
+    # all eliminate through linalg._eliminate; a row swap or a row operation
+    # x - f * y in any other function would be a second elimination loop
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split(':')[0]}:{node.name}"
+        if _is_row_swap(node) or _is_row_operation(node):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.name)
+    assert sorted(found) == ["linalg.py:_eliminate"]
+
+
 def test_no_reference_oracle_called_in_package():
     # the round trip reads its isomorphism off eta and its flat-section
     # dimension off the cover, and edges are checked on eigenlines; the

@@ -24,6 +24,7 @@ from cartancover.bundles import (
 )
 from cartancover.cartan import (
     CartanStatus,
+    MatrixSubspace,
     classify_subspace,
     conjugate_subspace,
     simultaneous_eigenlines,
@@ -42,7 +43,7 @@ from cartancover.errors import (
     NotCartanAtVertex,
 )
 from cartancover.fields import GF, QQ
-from cartancover.linalg import Matrix, MatrixSubspace
+from cartancover.linalg import Matrix
 from cartancover.randgen import (
     CoverInstanceConfig,
     random_cover_instance,
