@@ -7,6 +7,7 @@ from cartancover.bundles import (
     BaseGraph,
     BundleRep,
     SubalgebraBundle,
+    _map_lines,
     flat_sections,
     validate_bundle,
     validate_cartan_bundle,
@@ -186,6 +187,37 @@ def test_flat_sections_on_gauged_bundles(field):
         for section in endo.sections:
             for t, (u, v) in zip(bundle.transitions, bundle.graph.edges):
                 assert t @ section[u] == section[v] @ t
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)
+def test_tree_edges_reuse_the_transport_images(field, monkeypatch):
+    # the transport step's images give every tree edge, crossed forward or
+    # backward, the labels and scalars _map_lines computes from scratch, and
+    # no tree transition is applied a second time
+    from test_root_split import gauged_bundle
+
+    rng = Random(63 + getattr(field, "p", 0))
+    backward = 0
+    for _ in range(6):
+        bundle, algebra = gauged_bundle(rng, field, min_vertices=3)
+        tree = bundle.graph.spanning_tree()
+        split = validate_cartan_bundle(bundle, algebra)
+        assert (split.images, split.factors) == _map_lines(bundle, split.lines, {})
+        calls = []
+        real = Matrix.line_image
+
+        def counting(self, vec):
+            calls.append(self)
+            return real(self, vec)
+
+        monkeypatch.setattr(Matrix, "line_image", counting)
+        assert validate_cartan_bundle(bundle, algebra) == split
+        monkeypatch.undo()
+        for _vertex, e, forward in tree.order[1:]:
+            applied = sum(1 for m in calls if m is bundle.transitions[e])
+            assert applied == (bundle.rank if forward else 0)
+            backward += not forward
+    assert backward > 0
 
 
 def test_flat_sections_invert_no_matrix_once_transitions_are(monkeypatch):
