@@ -192,7 +192,7 @@ def test_flat_sections_on_gauged_bundles(field):
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)
 def test_tree_edges_reuse_the_transport_images(field, monkeypatch):
     # the transport step's images give every tree edge, crossed forward or
-    # backward, the labels and scalars _map_lines computes from scratch, and
+    # backward, the labels and scalars _map_lines computes anew, and
     # no tree transition is applied a second time
     from test_root_split import gauged_bundle
 
