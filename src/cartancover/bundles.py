@@ -11,7 +11,7 @@ replacement for H^0.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cartan import (
     CartanStatus,
@@ -33,10 +33,10 @@ from .errors import (
 from .linalg import Matrix, Subspace, kernel
 
 
-@dataclass(frozen=True)
 class BaseGraph:
     """A finite multigraph with oriented edges; loops and multi-edges allowed."""
 
+    __slots__ = ("num_vertices", "edges")
     num_vertices: int
     edges: tuple
 
@@ -47,8 +47,19 @@ class BaseGraph:
         for u, v in edges:
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise DimensionMismatch(f"edge ({u}, {v}) leaves the vertex range")
-        object.__setattr__(self, "num_vertices", num_vertices)
-        object.__setattr__(self, "edges", edges)
+        self.num_vertices = num_vertices
+        self.edges = edges
+
+    def __eq__(self, other):
+        if type(other) is not BaseGraph:
+            return NotImplemented
+        return self.num_vertices == other.num_vertices and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.num_vertices, self.edges))
+
+    def __repr__(self):
+        return f"BaseGraph(num_vertices={self.num_vertices!r}, edges={self.edges!r})"
 
     def spanning_tree(self, tree_edges=None) -> "SpanningTree":
         """BFS spanning tree rooted at vertex 0.
@@ -85,8 +96,7 @@ class BaseGraph:
         return SpanningTree(self, tuple(order), frozenset(used), cotree)
 
 
-@dataclass(frozen=True)
-class SpanningTree:
+class SpanningTree(NamedTuple):
     graph: BaseGraph
     order: tuple  # (vertex, via_edge, forward), root first with via_edge None
     tree_edges: frozenset
@@ -147,10 +157,10 @@ class BundleRep:
         return f"BundleRep(rank {self.rank} over {self.graph.num_vertices} vertices)"
 
 
-@dataclass(frozen=True)
 class SubalgebraBundle:
     """A subspace of End(E) at each vertex, meant to match under conjugation."""
 
+    __slots__ = ("parent", "fibers")
     parent: BundleRep
     fibers: tuple
 
@@ -161,12 +171,23 @@ class SubalgebraBundle:
         for f in fibers:
             if not isinstance(f, MatrixSubspace) or f.ambient_dim != parent.rank:
                 raise DimensionMismatch("fiber subspace has wrong ambient dimension")
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "fibers", fibers)
+        self.parent = parent
+        self.fibers = fibers
+
+    def __eq__(self, other):
+        if type(other) is not SubalgebraBundle:
+            return NotImplemented
+        return self.parent == other.parent and self.fibers == other.fibers
+
+    def __hash__(self):
+        # a BundleRep does not hash; equal algebras have equal fibers
+        return hash(self.fibers)
+
+    def __repr__(self):
+        return f"SubalgebraBundle(parent={self.parent!r}, fibers={self.fibers!r})"
 
 
-@dataclass(frozen=True)
-class FlatSectionSpace:
+class FlatSectionSpace(NamedTuple):
     """Global flat sections: a dimension plus a basis of per-vertex values."""
 
     kind: str
@@ -185,8 +206,7 @@ def validate_bundle(bundle: BundleRep) -> SpanningTree:
     return tree
 
 
-@dataclass(frozen=True)
-class CartanLines:
+class CartanLines(NamedTuple):
     """A validated split Cartan bundle, read through its common eigenlines.
 
     ``lines[v]`` holds the d common eigenlines of the fiber at vertex v,
@@ -208,8 +228,9 @@ def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> Cart
     along the spanning tree to lines L_v at every vertex. Then two checks,
     neither of which inverts, multiplies or row-reduces a matrix:
 
-    - every A_v, the root included, is the diagonal algebra D(L_v) of the
-      basis L_v (``cartan.diagonal_functionals``);
+    - every A_v is the diagonal algebra D(L_v) of the basis L_v
+      (``cartan.diagonal_functionals``; the split has already shown it at
+      the root);
     - each transition T_e maps the lines over its source onto the lines
       over its target (``_map_lines``).
 
@@ -250,9 +271,11 @@ def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> Cart
         return moved
 
     transported = tree.transport(_fiber_lines(algebra, 0), step)
-    lines = [
-        ls if diagonal_functionals(fiber, ls) is not None else _fiber_lines(algebra, v)
-        for v, (fiber, ls) in enumerate(zip(algebra.fibers, transported))
+    # the split has shown A_0 diagonal in its own lines, so the root keeps
+    # them as they are, and ``known`` below relies on that
+    lines = transported[:1] + [
+        ls if diagonal_functionals(algebra.fibers[v], ls) is not None else _fiber_lines(algebra, v)
+        for v, ls in enumerate(transported[1:], start=1)
     ]
     # the step's images stand for a tree edge whose ends kept the transported lines
     known = {

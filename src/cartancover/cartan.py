@@ -19,8 +19,8 @@ extension diagonalizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, NotSplitCartan, SingularMatrix
 from .linalg import Matrix, Subspace, eigenspaces, min_poly
@@ -123,8 +123,7 @@ class NotCartanReason(Enum):
     NOT_DIAGONALIZABLE = "NotDiagonalizable"
 
 
-@dataclass(frozen=True)
-class CartanVerdict:
+class CartanVerdict(NamedTuple):
     """Outcome of the Cartan test: the eigenlines when split, else a
     machine-checkable witness."""
 
@@ -169,8 +168,7 @@ def classify_subspace(a: MatrixSubspace, d: int) -> CartanVerdict:
     return CartanVerdict(CartanStatus.SPLIT, eigenlines=eig)
 
 
-@dataclass(frozen=True)
-class EigenlineSet:
+class EigenlineSet(NamedTuple):
     """The d common eigenlines of a split Cartan subspace.
 
     Lines are leading-one normalized and stored in a deterministic order

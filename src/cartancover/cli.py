@@ -57,7 +57,12 @@ from .instances import (
     cover_instance_to_json,
     load_instance,
 )
-from .parabolic import check_pardeg_conservation, pushforward_parabolic, riemann_hurwitz_genus
+from .parabolic import (
+    _assemble_pushforward,
+    _conservation_report,
+    check_pardeg_conservation,
+    riemann_hurwitz_genus,
+)
 from .randgen import (
     CoverInstanceConfig,
     random_cover_instance,
@@ -225,10 +230,11 @@ def _pushforward_cover(instance: CoverInstance) -> Report:
 
 
 def _pushforward_parabolic(instance: ParabolicInstance) -> Report:
-    data = instance.data
-    result = pushforward_parabolic(data, instance.line_degree)
+    data, line_degree = instance.data, instance.line_degree
+    # one validation: the genus validates the data, the rest reuse it
     genus = riemann_hurwitz_genus(data)
-    conservation = check_pardeg_conservation(data, instance.line_degree)
+    result = _assemble_pushforward(data, line_degree, genus)
+    conservation = _conservation_report(data, line_degree, result)
     machine = {
         "field": field_to_json(instance.field),
         "degree": result.degree,

@@ -27,9 +27,8 @@ with no subspace conjugated on the way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations
+from typing import NamedTuple
 
 from .bundles import BaseGraph, BundleRep, SubalgebraBundle, validate_cartan_bundle
 from .cartan import MatrixSubspace
@@ -42,10 +41,10 @@ def _check_permutation(sigma, d: int):
         raise ParseError(f"{sigma} is not a permutation of 0..{d - 1}")
 
 
-@dataclass(frozen=True)
 class CoverRep:
     """A degree-d cover: labels 0..d-1 over each vertex, a bijection per edge."""
 
+    __slots__ = ("base", "degree", "sigma", "_gauge")
     base: BaseGraph
     degree: int
     sigma: tuple  # per edge, the image list of source-fiber labels
@@ -58,14 +57,28 @@ class CoverRep:
             raise DimensionMismatch("one label bijection per edge required")
         for s in sigma:
             _check_permutation(s, degree)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "sigma", sigma)
+        self.base = base
+        self.degree = degree
+        self.sigma = sigma
+        self._gauge = None
 
-    @cached_property
+    def __eq__(self, other):
+        if type(other) is not CoverRep:
+            return NotImplemented
+        return (self.base, self.degree, self.sigma) == (other.base, other.degree, other.sigma)
+
+    def __hash__(self):
+        return hash((self.base, self.degree, self.sigma))
+
+    def __repr__(self):
+        return f"CoverRep(base={self.base!r}, degree={self.degree!r}, sigma={self.sigma!r})"
+
+    @property
     def gauge(self) -> "TreeGauge":
         """``tree_gauge(self)``, computed once per cover."""
-        return tree_gauge(self)
+        if self._gauge is None:
+            self._gauge = tree_gauge(self)
+        return self._gauge
 
     def total_components(self):
         """Connected components of the total space, via union-find on (vertex, label)."""
@@ -93,10 +106,10 @@ class CoverRep:
         return sorted(comps.values(), key=lambda pts: pts[0])
 
 
-@dataclass(frozen=True)
 class LineBundleOnCover:
     """Nonzero scalar per cover edge: label t over edge e carries s[e][t]."""
 
+    __slots__ = ("cover", "field", "scalars")
     cover: CoverRep
     field: object
     scalars: tuple  # per edge, per source label
@@ -110,9 +123,23 @@ class LineBundleOnCover:
                 raise DimensionMismatch("one scalar per fiber label required")
             if any(x == 0 for x in s):
                 raise DimensionMismatch("line bundle scalars must be nonzero")
-        object.__setattr__(self, "cover", cover)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "scalars", scalars)
+        self.cover = cover
+        self.field = field
+        self.scalars = scalars
+
+    def __eq__(self, other):
+        if type(other) is not LineBundleOnCover:
+            return NotImplemented
+        return (self.cover, self.field, self.scalars) == (other.cover, other.field, other.scalars)
+
+    def __hash__(self):
+        return hash((self.cover, self.field, self.scalars))
+
+    def __repr__(self):
+        return (
+            f"LineBundleOnCover(cover={self.cover!r}, field={self.field!r}, "
+            f"scalars={self.scalars!r})"
+        )
 
 
 def trivial_line_bundle(cover: CoverRep, field) -> LineBundleOnCover:
@@ -123,8 +150,7 @@ def trivial_line_bundle(cover: CoverRep, field) -> LineBundleOnCover:
     )
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(NamedTuple):
     component_count: int
     degree_profile: tuple
     split: bool
@@ -179,8 +205,7 @@ def canonical_algebra_map(cover: CoverRep, line: LineBundleOnCover) -> Subalgebr
     return SubalgebraBundle(bundle, tuple(diag for _ in range(cover.base.num_vertices)))
 
 
-@dataclass(frozen=True)
-class SpectralCoverResult:
+class SpectralCoverResult(NamedTuple):
     cover: CoverRep
     line_bundle: LineBundleOnCover
     eta: tuple  # per vertex, the invertible matrix with eigenline columns
@@ -212,8 +237,7 @@ def build_spectral_cover(bundle: BundleRep, algebra: SubalgebraBundle) -> Spectr
     return SpectralCoverResult(cover, line_bundle, eta)
 
 
-@dataclass(frozen=True)
-class RoundtripRecord:
+class RoundtripRecord(NamedTuple):
     """Round trip bundle -> cover -> bundle. Every identity of the round
     trip raises on failure, so a returned record certifies it (see
     ``roundtrip_verify``). ``report`` is the rebuilt cover's report."""
@@ -259,8 +283,7 @@ def roundtrip_verify(bundle: BundleRep, algebra: SubalgebraBundle) -> RoundtripR
     return RoundtripRecord(cover_report(result.cover), result)
 
 
-@dataclass(frozen=True)
-class CoverRoundtripRecord:
+class CoverRoundtripRecord(NamedTuple):
     """Cover -> bundle -> cover comparison, on top of the bundle round trip.
 
     ``isomorphism`` maps, per vertex, input labels to rebuilt labels. It is
@@ -324,8 +347,7 @@ def cover_roundtrip(cover: CoverRep, line: LineBundleOnCover) -> CoverRoundtripR
 # calls the last two, which tests use as oracles and the benchmark traces
 
 
-@dataclass(frozen=True)
-class TreeGauge:
+class TreeGauge(NamedTuple):
     """A cover after tree gauge: per-vertex relabelings making every tree
     edge carry the identity, so that its monodromy is one permutation per
     cotree edge."""

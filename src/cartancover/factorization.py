@@ -14,8 +14,8 @@ that a retraction splits the indicator embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .covers import CoverRep, TreeGauge
 from .errors import DegreeTooLarge, NotABlockSystem
@@ -30,8 +30,7 @@ def monodromy_generators(cover: CoverRep) -> TreeGauge:
     return cover.gauge
 
 
-@dataclass(frozen=True)
-class BlockSystem:
+class BlockSystem(NamedTuple):
     """A partition of the fiber into equal-size blocks mapped to blocks."""
 
     blocks: tuple  # sorted tuples of labels, ordered by first element
@@ -73,8 +72,7 @@ def is_block_system(generators, system: BlockSystem) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BlockSystemCatalog:
+class BlockSystemCatalog(NamedTuple):
     proper: tuple
     trivial: tuple
 
@@ -165,8 +163,7 @@ def intermediate_cover(cover: CoverRep, system: BlockSystem) -> CoverRep:
     return CoverRep(cover.base, m, tuple(quotient_sigma))
 
 
-@dataclass(frozen=True)
-class SummandCheckReport:
+class SummandCheckReport(NamedTuple):
     """Verdict of the direct-summand test for an intermediate cover."""
 
     ok: bool

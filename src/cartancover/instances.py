@@ -9,7 +9,7 @@ Parsing failures name the offending location.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bundles import BaseGraph, BundleRep, SubalgebraBundle
 from .cartan import MatrixSubspace
@@ -22,29 +22,25 @@ from .parabolic import BranchPoint, RamifiedCoverData, RamifiedSheet, parse_weig
 KINDS = ("cartan", "bundle", "cover", "parabolic")
 
 
-@dataclass(frozen=True)
-class CartanInstance:
+class CartanInstance(NamedTuple):
     field: object
     dimension: int
     basis: tuple
 
 
-@dataclass(frozen=True)
-class BundleInstance:
+class BundleInstance(NamedTuple):
     field: object
     bundle: BundleRep
     algebra: SubalgebraBundle | None
 
 
-@dataclass(frozen=True)
-class CoverInstance:
+class CoverInstance(NamedTuple):
     field: object
     cover: CoverRep
     line_bundle: LineBundleOnCover | None
 
 
-@dataclass(frozen=True)
-class ParabolicInstance:
+class ParabolicInstance(NamedTuple):
     field: object
     data: RamifiedCoverData
     line_degree: int

@@ -23,9 +23,9 @@ stored bases coincide. Operands over different fields are refused with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, SingularMatrix
 from .poly import Poly, roots_in_field
@@ -286,8 +286,7 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-@dataclass(frozen=True)
-class RrefResult:
+class RrefResult(NamedTuple):
     matrix: Matrix
     rank: int
     pivots: tuple

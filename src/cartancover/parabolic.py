@@ -13,8 +13,8 @@ degree is conserved by the pushforward, which the toolkit checks exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DegreeMismatch, DimensionMismatch, NegativeGenus, NonIntegralGenus, ParseError
 
@@ -38,8 +38,7 @@ def parse_weight(w) -> Fraction:
     return w
 
 
-@dataclass(frozen=True)
-class RamifiedSheet:
+class RamifiedSheet(NamedTuple):
     """One point of the fiber over a branch point."""
 
     multiplicity: int
@@ -47,16 +46,14 @@ class RamifiedSheet:
     component: int
 
 
-@dataclass(frozen=True)
-class BranchPoint:
+class BranchPoint(NamedTuple):
     sheets: tuple
 
     def profile(self) -> tuple:
         return tuple(s.multiplicity for s in self.sheets)
 
 
-@dataclass(frozen=True)
-class RamifiedCoverData:
+class RamifiedCoverData(NamedTuple):
     """A ramified cover of curves with weighted parabolic data upstairs.
 
     ``component_degrees`` lists the degree of each component of the cover;
@@ -68,7 +65,7 @@ class RamifiedCoverData:
     degree: int
     component_degrees: tuple
     branch_points: tuple
-    extra_parabolic_points: tuple = dataclass_field(default=())
+    extra_parabolic_points: tuple = ()
 
     def validate(self) -> None:
         if self.base_genus < 0:
@@ -115,16 +112,14 @@ class RamifiedCoverData:
         return total
 
 
-@dataclass(frozen=True)
-class FlagStep:
+class FlagStep(NamedTuple):
     level: int
     weight: Fraction
     dimension: int
     basis_indices: tuple  # the step is the span of e_level .. e_(b-1)
 
 
-@dataclass(frozen=True)
-class LocalFlagModel:
+class LocalFlagModel(NamedTuple):
     """Explicit local model of the pushforward flag for one ramified sheet."""
 
     multiplicity: int
@@ -151,8 +146,7 @@ def local_flags(multiplicity: int, weight) -> LocalFlagModel:
     return LocalFlagModel(b, w, tuple(steps))
 
 
-@dataclass(frozen=True)
-class WeightedFiltration:
+class WeightedFiltration(NamedTuple):
     """Decreasing (weight, dimension-jump) pairs with positive jumps."""
 
     jumps: tuple
@@ -191,8 +185,7 @@ def merge_fiber_filtration(flags, unramified_weights, rank: int) -> WeightedFilt
     return WeightedFiltration(jumps)
 
 
-@dataclass(frozen=True)
-class GenusReport:
+class GenusReport(NamedTuple):
     per_component: tuple
     total: int
 
@@ -204,6 +197,14 @@ class GenusReport:
 def riemann_hurwitz_genus(data: RamifiedCoverData) -> GenusReport:
     """Per-component genus from 2g - 2 = deg * (2g_X - 2) + total ramification."""
     data.validate()
+    return _genus(data)
+
+
+# The public entries validate their data once; the helpers below take
+# data that has been validated.
+
+
+def _genus(data: RamifiedCoverData) -> GenusReport:
     out = []
     for j, dj in enumerate(data.component_degrees):
         rhs = dj * (2 * data.base_genus - 2) + data.ramification_sum(j)
@@ -224,7 +225,10 @@ def degree_direct_image(data: RamifiedCoverData, line_degree: int) -> int:
     line-bundle degree. Riemann-Hurwitz makes the two agree; a
     disagreement raises ``DegreeMismatch``.
     """
-    genus = riemann_hurwitz_genus(data)
+    return _degree(data, line_degree, riemann_hurwitz_genus(data))
+
+
+def _degree(data: RamifiedCoverData, line_degree: int, genus: GenusReport) -> int:
     chi = genus.euler_characteristic
     euler_route = line_degree + chi - data.degree * (1 - data.base_genus)
     ram = data.ramification_sum()
@@ -236,14 +240,12 @@ def degree_direct_image(data: RamifiedCoverData, line_degree: int) -> int:
     return euler_route
 
 
-@dataclass(frozen=True)
-class ParabolicPoint:
+class ParabolicPoint(NamedTuple):
     label: str
     filtration: WeightedFiltration
 
 
-@dataclass(frozen=True)
-class ParabolicBundleData:
+class ParabolicBundleData(NamedTuple):
     """The pushforward with its induced parabolic structure."""
 
     degree: int
@@ -258,8 +260,13 @@ def pushforward_parabolic(data: RamifiedCoverData, line_degree: int) -> Paraboli
     u0, u1, ...; points whose filtration carries only weight zero are
     not part of the parabolic divisor.
     """
-    data.validate()
-    degree = degree_direct_image(data, line_degree)
+    return _assemble_pushforward(data, line_degree, riemann_hurwitz_genus(data))
+
+
+def _assemble_pushforward(
+    data: RamifiedCoverData, line_degree: int, genus: GenusReport
+) -> ParabolicBundleData:
+    degree = _degree(data, line_degree, genus)
     points = []
     for i, bp in enumerate(data.branch_points):
         flags = [local_flags(s.multiplicity, s.weight) for s in bp.sheets]
@@ -281,8 +288,7 @@ def parabolic_degree(bundle: ParabolicBundleData) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class ConservationReport:
+class ConservationReport(NamedTuple):
     upstairs: Fraction
     downstairs: Fraction
 
@@ -293,7 +299,12 @@ class ConservationReport:
 
 def check_pardeg_conservation(data: RamifiedCoverData, line_degree: int) -> ConservationReport:
     """Parabolic degree upstairs equals parabolic degree of the pushforward."""
-    data.validate()
+    return _conservation_report(data, line_degree, pushforward_parabolic(data, line_degree))
+
+
+def _conservation_report(
+    data: RamifiedCoverData, line_degree: int, pushforward: ParabolicBundleData
+) -> ConservationReport:
     upstairs = Fraction(line_degree)
     for bp in data.branch_points:
         for s in bp.sheets:
@@ -301,5 +312,4 @@ def check_pardeg_conservation(data: RamifiedCoverData, line_degree: int) -> Cons
     for weights in data.extra_parabolic_points:
         for w in weights:
             upstairs += parse_weight(w)
-    downstairs = parabolic_degree(pushforward_parabolic(data, line_degree))
-    return ConservationReport(upstairs, downstairs)
+    return ConservationReport(upstairs, parabolic_degree(pushforward))

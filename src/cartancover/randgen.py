@@ -7,9 +7,9 @@ small to bound coefficient growth in exact elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
+from typing import NamedTuple
 
 from .bundles import BaseGraph
 from .cartan import MatrixSubspace
@@ -20,8 +20,7 @@ from .errors import CartanCoverError
 from .parabolic import BranchPoint, RamifiedCoverData, RamifiedSheet, riemann_hurwitz_genus
 
 
-@dataclass(frozen=True)
-class CoverInstanceConfig:
+class CoverInstanceConfig(NamedTuple):
     max_vertices: int = 6
     max_edges: int = 9
     max_degree: int = 6
@@ -151,7 +150,6 @@ def random_ramified_cover_data(
             )
         data = RamifiedCoverData(g_x, d, tuple(comps), tuple(branch), tuple(extra))
         try:
-            data.validate()
             riemann_hurwitz_genus(data)
         except CartanCoverError:
             continue

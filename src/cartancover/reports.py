@@ -8,15 +8,33 @@ given instance always produces byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
-@dataclass
 class Report:
+    """A command's outcome: its machine section, human lines and exit code."""
+
+    __slots__ = ("command", "machine", "human_lines", "exit_code")
     command: str
     machine: dict
-    human_lines: list = field(default_factory=list)
-    exit_code: int = 0
+    human_lines: list
+    exit_code: int
+
+    def __init__(self, command: str, machine: dict, human_lines=None, exit_code: int = 0):
+        self.command = command
+        self.machine = machine
+        self.human_lines = [] if human_lines is None else human_lines
+        self.exit_code = exit_code
+
+    def _key(self) -> tuple:
+        return (self.command, self.machine, self.human_lines, self.exit_code)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is Report else NotImplemented
+
+    def __repr__(self):
+        return "Report(command={!r}, machine={!r}, human_lines={!r}, exit_code={!r})".format(
+            *self._key()
+        )
 
     def to_machine_text(self) -> str:
         doc = {"command": self.command, **self.machine}

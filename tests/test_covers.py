@@ -1,6 +1,5 @@
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 from random import Random
@@ -217,7 +216,7 @@ def _break_eta(monkeypatch, vertex, rows_of):
         result = real(bundle, algebra)
         eta = list(result.eta)
         eta[vertex] = Matrix(bundle.field, rows_of(eta[vertex]))
-        return replace(result, eta=tuple(eta))
+        return result._replace(eta=tuple(eta))
 
     monkeypatch.setattr(covers, "build_spectral_cover", broken)
 
@@ -240,8 +239,7 @@ def _relabeled(result, pis):
         for t, column in enumerate(zip(*m.rows)):
             columns[pis[v][t]] = column
         eta.append(Matrix.from_columns(line.field, columns))
-    return replace(
-        result,
+    return result._replace(
         cover=new_cover,
         line_bundle=LineBundleOnCover(new_cover, line.field, scalars),
         eta=tuple(eta),

@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cartancover"
@@ -170,3 +172,17 @@ def test_every_error_type_is_raised_in_package():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert sorted(concrete - raised) == []
+
+
+def _modules_after(statement: str) -> set:
+    code = f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); {statement}; print(*sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+    return set(done.stdout.split())
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # every CLI process pays this import first; dataclasses, with the inspect
+    # machinery it loads, once took most of it
+    added = _modules_after("import cartancover.cli") - _modules_after("pass")
+    assert "cartancover.cli" in added
+    assert not added & {"dataclasses", "inspect"}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartancover import parabolic
+from cartancover.cli import main
 from cartancover.errors import (
     DegreeMismatch,
     DimensionMismatch,
@@ -295,6 +297,58 @@ def test_conservation_single_component_single_point(b, lam, line_degree):
         return
     report = check_pardeg_conservation(data, line_degree)
     assert report.equal
+
+
+def _count(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_each_entry_validates_its_data_once(monkeypatch, capsys):
+    # a public entry validates once and runs its helpers on validated data;
+    # the pushforward command builds one pushforward (one local flag per sheet)
+    validations = _count(monkeypatch, RamifiedCoverData, "validate")
+    flags = _count(monkeypatch, parabolic, "local_flags")
+    data = simple_data(
+        1, 4, [(2, 1, 1), (2, 1, 1), (2, 2)], [[F(1, 3), F(0), F(1, 2)], [F(0)] * 3, [F(0), F(1, 4)]]
+    )
+    for entry, args in [
+        (riemann_hurwitz_genus, (data,)),
+        (degree_direct_image, (data, 1)),
+        (pushforward_parabolic, (data, 1)),
+        (check_pardeg_conservation, (data, 1)),
+    ]:
+        del validations[:]
+        entry(*args)
+        assert len(validations) == 1, entry.__name__
+    del validations[:], flags[:]
+    path = Path(__file__).resolve().parent.parent / "instances" / "parabolic_p1_double_q.json"
+    assert main(["--format", "machine", "pushforward", str(path)]) == 0
+    assert '"conservation_ok": true' in capsys.readouterr().out
+    assert (len(validations), len(flags)) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (simple_data(0, 2, [(2, 1)]), DimensionMismatch),
+        (simple_data(0, 3, [(2, 1)]), NonIntegralGenus),
+        (simple_data(0, 2, [(2,)], [[F(3, 2)]]), ParseError),
+    ],
+)
+def test_each_entry_raises_the_validation_error(data, error):
+    for entry in (degree_direct_image, pushforward_parabolic, check_pardeg_conservation):
+        with pytest.raises(error):
+            entry(data, 0)
+    with pytest.raises(error):
+        riemann_hurwitz_genus(data)
 
 
 # --- tameness ----------------------------------------------------------------------------

@@ -408,3 +408,16 @@ def test_flat_section_dim_matches_linear_algebra(field):
         bundle, algebra = gauged_bundle(rng, field)
         record = roundtrip_verify(bundle, algebra)
         assert record.flat_section_dim == flat_sections(algebra).dimension
+
+
+def test_valid_bundle_checks_each_fiber_once(monkeypatch):
+    # the root split shows the root fiber diagonal in its own lines, so the
+    # transported lines are checked at the other vertices only: n calls of
+    # diagonal_functionals on n vertices, one of them inside the split
+    calls = count_calls(monkeypatch, cartan.diagonal_functionals)
+    rng = Random(12)
+    for i in range(6):
+        bundle, algebra = gauged_bundle(rng, FIELDS[i % 3], min_vertices=3)
+        del calls[:]
+        validate_cartan_bundle(bundle, algebra)
+        assert [fiber for fiber, _lines in calls] == list(algebra.fibers)
