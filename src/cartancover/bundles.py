@@ -30,7 +30,7 @@ from .errors import (
     SingularMatrix,
     SingularTransition,
 )
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Matrix, Subspace, kernel, line_scalars
 
 
 class BaseGraph:
@@ -251,23 +251,28 @@ def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> Cart
     permute them is the first incompatible edge. The returned lines, with
     the label bijection and the scalar of every edge, are what the
     spectral cover is built from.
+
+    Lines are carried and compared as canonical integer lines
+    (``Matrix.map_line``), which are hashable; field scalars are built only
+    for the returned lines and edge factors.
     """
     tree = validate_bundle(bundle)
-    carried = {}  # tree edge -> its (image index, scalar) per line over its source
+    # tree edge -> per line over its source: (image index, factor as num, den)
+    carried = {}
 
     def step(e, forward, lines):
         op = bundle.transitions[e] if forward else bundle.transition_inverse(e)
-        images = [op.line_image(x) for x in lines]
-        moved = sort_lines(bundle.field, [line for _lead, line in images])
+        images = [op.map_line(x) for x in lines]
+        moved = sort_lines([line for _num, _den, line in images])
         index = {line: t for t, line in enumerate(moved)}
         if forward:
-            carried[e] = [(index[line], lead) for lead, line in images]
+            carried[e] = [(index[line], num, den) for num, den, line in images]
         else:
-            # T_e^-1 carries line s over v to lead times a line over u, so
-            # T_e carries that line to 1 / lead times line s
+            # T_e^-1 carries line s over v to num / den times a line over u,
+            # so T_e carries that line to den / num times line s
             carried[e] = [None] * len(lines)
-            for s, (lead, line) in enumerate(images):
-                carried[e][index[line]] = (s, 1 / lead)
+            for s, (num, den, line) in enumerate(images):
+                carried[e][index[line]] = (s, den, num)
         return moved
 
     transported = tree.transport(_fiber_lines(algebra, 0), step)
@@ -283,14 +288,15 @@ def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> Cart
         for e, mapped in carried.items()
         if all(lines[x] is transported[x] for x in bundle.graph.edges[e])
     }
-    return CartanLines(tuple(lines), *_map_lines(bundle, lines, known))
+    scalar_lines = tuple(tuple(line_scalars(bundle.field, x) for x in ls) for ls in lines)
+    return CartanLines(scalar_lines, *_map_lines(bundle, lines, known))
 
 
 def _fiber_lines(algebra: SubalgebraBundle, v: int) -> tuple:
-    """The common eigenlines of the fiber at v; raises the vertex's error
-    when the fiber is not split Cartan."""
+    """The common eigenlines of the fiber at v, as canonical integer lines;
+    raises the vertex's error when the fiber is not split Cartan."""
     try:
-        return simultaneous_eigenlines(algebra.fibers[v]).lines
+        return simultaneous_eigenlines(algebra.fibers[v]).ints
     except NotSplitCartan as exc:
         verdict = exc.verdict
     if verdict.status is CartanStatus.NONSPLIT:
@@ -299,25 +305,27 @@ def _fiber_lines(algebra: SubalgebraBundle, v: int) -> tuple:
 
 
 def _map_lines(bundle: BundleRep, lines, known: dict) -> tuple:
-    """Per edge e = (u, v) and line t over u: the index of the line over v
-    that T_e carries line t onto, and the scale of the image over that
-    normalized line. ``known`` holds these pairs for edges already mapped.
-    Raises ``IncompatibleEdge`` at the first edge whose transition does not
-    carry the lines over u onto the lines over v."""
+    """Per edge e = (u, v) and canonical integer line t over u: the index
+    of the line over v that T_e carries line t onto, and the scale of the
+    image over that normalized line, a field scalar. ``known`` holds these
+    as (index, num, den) for edges already mapped. Raises
+    ``IncompatibleEdge`` at the first edge whose transition does not carry
+    the lines over u onto the lines over v."""
     index = [{line: t for t, line in enumerate(ls)} for ls in lines]
+    from_ints = bundle.field.from_ints
     images, factors = [], []
     for e, (u, v) in enumerate(bundle.graph.edges):
         mapped = known.get(e)
         if mapped is None:
             mapped = []
             for line in lines[u]:
-                lead, image = bundle.transitions[e].line_image(line)
+                num, den, image = bundle.transitions[e].map_line(line)
                 target = index[v].get(image)
                 if target is None:
                     raise IncompatibleEdge(e)
-                mapped.append((target, lead))
-        images.append(tuple(t for t, _lead in mapped))
-        factors.append(tuple(lead for _t, lead in mapped))
+                mapped.append((target, num, den))
+        images.append(tuple(t for t, _num, _den in mapped))
+        factors.append(tuple(from_ints([num], den)[0] for _t, num, den in mapped))
     return tuple(images), tuple(factors)
 
 
@@ -381,7 +389,7 @@ def flat_sections(obj, tree_edges=None) -> FlatSectionSpace:
                 ) from None
         blocks.append(Matrix.from_columns(field, cols) - ident)
     if blocks:
-        space = kernel(Matrix._trusted(field, tuple(row for b in blocks for row in b.rows), dim))
+        space = kernel(Matrix(field, [row for b in blocks for row in b.rows], dim))
     else:
         space = Subspace.full(field, dim)
     if root is None:

@@ -20,10 +20,11 @@ extension diagonalizes.
 from __future__ import annotations
 
 from enum import Enum
+from math import lcm
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, NotSplitCartan, SingularMatrix
-from .linalg import Matrix, Subspace, eigenspaces, min_poly
+from .linalg import Matrix, Subspace, eigenspaces, line_scalars, min_poly
 from .poly import Poly, nonsplit_witness, roots_in_field, squarefree_no_guard
 
 
@@ -41,9 +42,10 @@ class MatrixSubspace:
                 raise DimensionMismatch(
                     f"expected {ambient_dim}x{ambient_dim} matrices"
                 )
-            # each flattened matrix spans on its own scale; a matrix over
-            # another field is refused, and no image is kept on the inputs
-            rows.append(field.to_ints(m.flatten())[1])
+            if m.field != field:
+                raise DimensionMismatch(f"matrix over {m.field!r} in a subspace over {field!r}")
+            # each flattened matrix spans on its own scale
+            rows.append([x for r in m.ints for x in r])
         self.field = field
         self.ambient_dim = ambient_dim
         self.space = Subspace._spanned(field, ambient_dim * ambient_dim, rows)
@@ -58,20 +60,17 @@ class MatrixSubspace:
 
     @classmethod
     def diagonal_algebra(cls, field, d: int) -> "MatrixSubspace":
-        zero, one = field.zero(), field.one()
-        mats = []
-        for i in range(d):
-            rows = [[one if (r == i and c == i) else zero for c in range(d)] for r in range(d)]
-            mats.append(Matrix(field, rows))
-        return cls(field, d, mats)
+        units = [[int(j == i * (d + 1)) for j in range(d * d)] for i in range(d)]
+        return cls._from_space(field, d, Subspace._spanned(field, d * d, units))
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
     def basis_matrices(self) -> tuple:
-        d = self.ambient_dim
-        return tuple(Matrix.unflatten(self.field, v, d, d) for v in self.space.basis)
+        d, echelon = self.ambient_dim, self.space.echelon
+        rows = ([r[i * d : (i + 1) * d] for i in range(d)] for r in echelon.ints)
+        return tuple(Matrix._make(self.field, echelon.den, m, d) for m in rows)
 
     def contains(self, m: Matrix) -> bool:
         return self.space.contains(m.flatten())
@@ -171,58 +170,78 @@ def classify_subspace(a: MatrixSubspace, d: int) -> CartanVerdict:
 class EigenlineSet(NamedTuple):
     """The d common eigenlines of a split Cartan subspace.
 
-    Lines are leading-one normalized and stored in a deterministic order
-    (by leading coordinate position, then entrywise); downstream cover
-    logic never relies on this order, matching the fact that the lines
-    carry no intrinsic numbering. ``functionals[t]`` gives, for each
-    canonical basis matrix of the subspace, the scalar by which it acts
-    on line ``t``.
+    ``ints`` holds the lines as canonical integer lines (over GF(p) the
+    leading-one residues, over Q the primitive vector with a positive
+    leading entry) in a deterministic order, that of ``sort_lines``;
+    downstream cover logic never relies on this order, matching the fact
+    that the lines carry no intrinsic numbering. Row t of ``values`` gives,
+    for each canonical basis matrix of the subspace, the scalar by which it
+    acts on line t. ``lines`` and ``functionals`` are the same as field
+    scalars, the lines leading-one normalized, built on each read.
     """
 
-    lines: tuple
-    functionals: tuple
+    field: object
+    ints: tuple
+    values: Matrix
+
+    @property
+    def lines(self) -> tuple:
+        return tuple(line_scalars(self.field, line) for line in self.ints)
+
+    @property
+    def functionals(self) -> tuple:
+        return self.values.rows
 
 
-def _line_sort_key(field, vec):
-    pivot = next(i for i, x in enumerate(vec) if x != 0)
-    return (pivot, tuple(field.element_key(x) for x in vec))
+def sort_lines(lines) -> tuple:
+    """Canonical integer lines in the order of their leading-one lines: by
+    the position of the leading entry, then entrywise.
 
-
-def sort_lines(field, lines) -> tuple:
-    """Leading-one normalized ``lines`` in the deterministic order of
-    ``EigenlineSet.lines``."""
-    return tuple(sorted(lines, key=lambda v: _line_sort_key(field, v)))
+    A line x with leading entry c stands for x / c. Over GF(p) c is 1;
+    over Q the entries x_j / c of all the lines compare as x_j (m / c),
+    integers, for m the least common multiple of the leading entries.
+    """
+    keyed = []
+    for line in lines:
+        lead = next(filter(None, line))
+        # the leading entry is the first nonzero one, so its index is the pivot
+        keyed.append((line.index(lead), lead, line))
+    m = lcm(*[lead for _k, lead, _line in keyed])
+    keyed.sort(key=lambda k: (k[0], [x * (m // k[1]) for x in k[2]]))
+    return tuple(line for _k, _lead, line in keyed)
 
 
 def diagonal_functionals(a: MatrixSubspace, lines):
     """The functionals of ``a`` on ``lines`` when ``a`` is their diagonal
-    algebra, else None.
+    algebra, as the matrix ``EigenlineSet.values``, else None.
 
-    ``lines`` are d independent leading-one vectors of k^d. ``a`` is the
-    diagonal algebra D(lines) exactly when it has dimension d and every
+    ``lines`` are d independent canonical integer lines of k^d. ``a`` is
+    the diagonal algebra D(lines) exactly when it has dimension d and every
     line is an eigenline of every canonical basis matrix: it then lies in
-    D(lines), which has dimension d. ``functionals[t]`` lists the scalars
-    by which the basis matrices act on line t.
+    D(lines), which has dimension d.
     """
-    if a.dim != a.ambient_dim:
+    d = a.ambient_dim
+    if a.dim != d:
         return None
     basis = a.basis_matrices()
-    functionals = []
+    values = []
     for line in lines:
-        mu = []
+        row = []
         for m in basis:
-            # m line = lead image, with no image when m line is zero
-            lead, image = m.line_image(line)
+            # m carries the line to num / den times image, or to zero
+            num, den, image = m.map_line(line)
             if image is not None and image != line:
                 return None
-            mu.append(lead)
-        functionals.append(tuple(mu))
-    return tuple(functionals)
+            row.append((num, den))
+        values.append(row)
+    top = lcm(*[den for row in values for _num, den in row])
+    rows = [[num * (top // den) for num, den in row] for row in values]
+    return Matrix._make(a.field, top, rows, d)
 
 
 def _refined_lines(a: MatrixSubspace, spectra: list):
-    """Canonical lines of k^d refined by the eigenspaces of the basis
-    matrices, or None unless the refinement ends in d lines.
+    """Canonical integer lines of k^d refined by the eigenspaces of the
+    basis matrices, or None unless the refinement ends in d lines.
 
     Starting from the full space, each basis matrix, in canonical order,
     splits every block into its eigenspaces intersected with the block,
@@ -247,7 +266,8 @@ def _refined_lines(a: MatrixSubspace, spectra: list):
         blocks = refined
     if len(blocks) != d:
         return None
-    return sort_lines(a.field, (b.basis[0] for b in blocks))
+    # the echelon row of a line is its canonical integer line
+    return sort_lines(tuple(b.echelon.ints[0]) for b in blocks)
 
 
 def _failure_verdict(a: MatrixSubspace, spectra: list) -> CartanVerdict:
@@ -304,10 +324,10 @@ def simultaneous_eigenlines(a: MatrixSubspace) -> EigenlineSet:
     """
     spectra = []
     lines = _refined_lines(a, spectra) if a.dim == a.ambient_dim else None
-    functionals = None if lines is None else diagonal_functionals(a, lines)
-    if functionals is None:
+    values = None if lines is None else diagonal_functionals(a, lines)
+    if values is None:
         raise NotSplitCartan(_failure_verdict(a, spectra))
-    return EigenlineSet(lines, functionals)
+    return EigenlineSet(a.field, lines, values)
 
 
 def conjugate_subspace(a: MatrixSubspace, t: Matrix) -> MatrixSubspace:

@@ -60,8 +60,8 @@ from .instances import (
 from .parabolic import (
     _assemble_pushforward,
     _conservation_report,
+    _genus,
     check_pardeg_conservation,
-    riemann_hurwitz_genus,
 )
 from .randgen import (
     CoverInstanceConfig,
@@ -231,10 +231,11 @@ def _pushforward_cover(instance: CoverInstance) -> Report:
 
 def _pushforward_parabolic(instance: ParabolicInstance) -> Report:
     data, line_degree = instance.data, instance.line_degree
-    # one validation: the genus validates the data, the rest reuse it
-    genus = riemann_hurwitz_genus(data)
-    result = _assemble_pushforward(data, line_degree, genus)
-    conservation = _conservation_report(data, line_degree, result)
+    # one validation, whose parsed weights the rest reuse
+    weights = data.validate()
+    genus = _genus(data)
+    result = _assemble_pushforward(data, line_degree, genus, weights)
+    conservation = _conservation_report(line_degree, weights, result)
     machine = {
         "field": field_to_json(instance.field),
         "degree": result.degree,

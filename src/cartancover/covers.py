@@ -301,7 +301,7 @@ class CoverRoundtripRecord(NamedTuple):
 def _labels_from_monomial(vertex: int, eta: Matrix) -> tuple:
     """Input label -> rebuilt label: the row of the one nonzero entry of each column."""
     labels = [None] * eta.nrows
-    for t, column in enumerate(zip(*eta.rows)):
+    for t, column in enumerate(zip(*eta.ints)):
         support = [r for r, x in enumerate(column) if x != 0]
         if len(support) != 1 or labels[support[0]] is not None:
             raise EtaNotMonomial(vertex)

@@ -3,16 +3,17 @@
 Rational scalars are ``fractions.Fraction`` values (unbounded integers,
 always in lowest terms with positive denominator, so equality is exact).
 Prime-field scalars are ``Fp`` values holding a least residue in [0, p).
-Both representations are canonical per value, which makes equality of
-derived objects (matrices, subspaces, polynomials) decidable bitwise.
+Both representations are canonical per value, so equality of scalars,
+and of the polynomials that hold them, is exact.
 
-A field object knows how to coerce, parse, render and order its scalars,
-and these scalars are what matrices, subspaces and polynomials show. The
-linear algebra does not compute on them but on plain ints: ``to_ints``
-gives the integer image of scalars (least residues over GF(p); over Q
-integers over their least common denominator), ``from_ints`` builds the
-scalars of a result, and a scalar of another field is refused there with
-``DimensionMismatch``.
+A field object knows how to coerce, parse, render and order its scalars.
+Scalars are what polynomials hold and what reports and instance files
+show. Matrices, subspaces and lines do not hold them: they are stored in
+a canonical integer form (see ``linalg``). ``to_ints`` converts scalars
+into that form (least residues over GF(p); over Q integers over their
+least common denominator), refusing a scalar of another field with
+``DimensionMismatch``, and ``from_ints`` builds scalars from it, only
+where values leave the integer form.
 """
 
 from __future__ import annotations

@@ -86,8 +86,7 @@ def parse_matrix(field, value, where) -> Matrix:
     width = len(parsed[0])
     if any(len(r) != width for r in parsed) or width == 0:
         raise ParseError(f"{where}: matrix rows must be nonempty and equal length")
-    # every entry is already a scalar of the field, coerced once above
-    return Matrix._trusted(field, tuple(parsed), width)
+    return Matrix(field, parsed, width)
 
 
 def matrix_to_json(field, m: Matrix):

@@ -1,23 +1,24 @@
 """Exact linear algebra over Q and GF(p), computed on plain Python ints.
 
-Matrices are immutable row tuples of field scalars (``Fraction`` or
-``Fp``), and those rows are what reports, instance files and equality
-see. The arithmetic runs on an integer image of the rows, which a matrix
-computes once, on first use: over GF(p) the least residues, over Q
-integer rows over one common denominator. Products and applications
-multiply images, and every elimination (``rref``, ``kernel``, ``solve``,
-``Matrix.inverse``, ``min_poly``, ``eigenspaces`` and the subspaces) goes
-through the one Gauss-Jordan loop ``_eliminate``, whose row reduction is
-the only step that differs between the fields: one ``% p``, or the exact
-Bareiss division. Fields convert at the boundary (``to_ints`` and
-``from_ints``, where the leading-one normalisation happens), so field
-scalars are built only for results. RREF and minimal polynomials are
-unique, so the results are those of field-scalar elimination, value for
-value.
+A matrix holds one form, its canonical integer form: integer rows
+``ints`` over a positive ``den``, the entries being ``ints[i][j] / den``.
+Over GF(p) the ints are least residues and ``den`` is 1; over Q ``den`` is
+the least common denominator, so gcd(den, every entry) = 1. The form is
+unique, so equality reads it. Products multiply these rows, and every
+elimination (``rref``, ``kernel``, ``solve``, ``Matrix.inverse``,
+``min_poly``, ``eigenspaces`` and the subspaces) goes through the one
+Gauss-Jordan loop ``_eliminate``, whose row reduction is the only step
+that differs between the fields: one ``% p``, or the exact Bareiss
+division. RREF and minimal polynomials are unique, so the results are
+those of field-scalar elimination, value for value.
 
-Subspaces of k^n are kept in reduced row echelon form with leading ones,
-which is a canonical form: two subspaces are equal exactly when their
-stored bases coincide. Operands over different fields are refused with
+A subspace of k^n holds the canonical form of its reduced row echelon
+basis. A line of k^n is a canonical integer line, a tuple: over GF(p)
+the leading-one residues, over Q the primitive vector with a positive
+leading entry (``Matrix.map_line`` maps them).
+Field scalars are built (``from_ints``) only where values leave these
+forms: the lazy ``Matrix.rows`` and ``Subspace.basis`` and the results
+returned as scalars. Operands over different fields are refused with
 ``DimensionMismatch``.
 """
 
@@ -32,9 +33,8 @@ from .poly import Poly, roots_in_field
 
 # --- integer kernels ----------------------------------------------------------
 #
-# An integer image is a pair (den, rows) of lists of ints. Over GF(p) the
-# rows hold least residues and den is 1; over Q the rational entries are
-# rows[i][j] / den. Image rows are never mutated in place.
+# Integer rows are lists of ints: residues over GF(p), over Q integer
+# multiples of rational rows. Rows held by a matrix are never mutated.
 
 
 def _eliminate(rows: list, ncols: int, p: int) -> tuple:
@@ -56,7 +56,7 @@ def _eliminate(rows: list, ncols: int, p: int) -> tuple:
     ``rows / scale``.
 
     ``rows`` itself is rebound row by row; the row lists it held are not
-    mutated, so rows shared with an integer image stay intact.
+    mutated, so rows shared with a matrix stay intact.
     """
     nrows = len(rows)
     if not p:
@@ -118,63 +118,71 @@ def _product(left: list, right: list, ncols: int, p: int) -> list:
     return [[sum(map(mul, r, c)) for c in cols] for r in left]
 
 
-class Matrix:
-    """An immutable matrix with exact entries over a fixed field."""
+def line_scalars(field, line) -> tuple:
+    """The leading-one field scalars of a canonical integer line."""
+    return field.from_ints(line, next(filter(None, line)))
 
-    __slots__ = ("field", "rows", "nrows", "ncols", "_image")
+
+class Matrix:
+    """An immutable matrix over a fixed field, in canonical integer form."""
+
+    __slots__ = ("field", "den", "ints", "nrows", "ncols")
 
     def __init__(self, field, rows, ncols: int | None = None):
-        rows = tuple(tuple(field.coerce(x) for x in r) for r in rows)
+        rows = [[field.coerce(x) for x in r] for r in rows]
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
                 raise DimensionMismatch("ragged matrix rows")
         elif ncols is None:
             raise DimensionMismatch("empty matrix needs an explicit column count")
+        # the least common denominator of all entries leaves gcd 1 with them
+        self.den, flat = field.to_ints([x for r in rows for x in r])
         self.field = field
-        self.rows = rows
+        self.ints = [flat[i * ncols : (i + 1) * ncols] for i in range(len(rows))]
         self.nrows = len(rows)
         self.ncols = ncols
-        self._image = None
 
     @classmethod
-    def _trusted(cls, field, rows: tuple, ncols: int, image: tuple | None = None) -> "Matrix":
-        """Internal constructor for computed results: ``rows`` is already a
-        tuple of ``ncols``-long tuples of elements of ``field``, so neither
-        coercion nor the shape check is repeated. ``image`` is the integer
-        image when the computation already holds it."""
+    def _make(cls, field, den: int, ints: list, ncols: int) -> "Matrix":
+        """The matrix ``ints / den`` for lists of integer rows ``ints`` and
+        a nonzero ``den``, brought to the canonical form."""
+        p = field.characteristic
+        if p:
+            inv = pow(den, -1, p)
+            ints = [[x * inv % p for x in r] for r in ints]
+            den = 1
+        elif den != 1:
+            g = gcd(den, *[x for r in ints for x in r])
+            if den < 0:
+                g = -g
+            if g != 1:
+                ints = [[x // g for x in r] for r in ints]
+                den //= g
         m = object.__new__(cls)
         m.field = field
-        m.rows = rows
-        m.nrows = len(rows)
+        m.den = den
+        m.ints = ints
+        m.nrows = len(ints)
         m.ncols = ncols
-        m._image = image
         return m
 
-    def _ints(self) -> tuple:
-        """The integer image ``(den, rows)``, computed on first use."""
-        if self._image is None:
-            images = [self.field.to_ints(r) for r in self.rows]
-            den = lcm(*[d for d, _r in images])
-            self._image = den, [[x * (den // d) for x in r] if d != den else r for d, r in images]
-        return self._image
+    @property
+    def rows(self) -> tuple:
+        """The entries as row tuples of field scalars, built on each read."""
+        return tuple(self.field.from_ints(r, self.den) for r in self.ints)
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        one, zero = field.one(), field.zero()
-        rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        return cls._trusted(field, rows, n)
+        return cls._make(field, 1, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
-        row = (field.zero(),) * ncols
-        return cls._trusted(field, (row,) * nrows, ncols)
+        return cls._make(field, 1, [[0] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def from_columns(cls, field, cols) -> "Matrix":
-        cols = [tuple(c) for c in cols]
-        n = len(cols[0])
-        return cls(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)])
+        return cls(field, list(zip(*cols, strict=True)))
 
     def _check_field(self, other: "Matrix"):
         if self.field != other.field:
@@ -184,55 +192,56 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch("matrix product shape mismatch")
         self._check_field(other)
-        (a, left), (b, right) = self._ints(), other._ints()
-        rows = _product(left, right, other.ncols, self.field.characteristic)
-        out = tuple(self.field.from_ints(r, a * b) for r in rows)
-        return Matrix._trusted(self.field, out, other.ncols, (a * b, rows))
+        rows = _product(self.ints, other.ints, other.ncols, self.field.characteristic)
+        return Matrix._make(self.field, self.den * other.den, rows, other.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("matrix sum shape mismatch")
         self._check_field(other)
-        rows = tuple(
-            tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)
-        )
-        return Matrix._trusted(self.field, rows, self.ncols)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        rows = [[a * x + b * y for x, y in zip(r, s)] for r, s in zip(self.ints, other.ints)]
+        return Matrix._make(self.field, den, rows, self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + -other
 
     def scale(self, c) -> "Matrix":
-        c = self.field.coerce(c)
-        rows = tuple(tuple(c * a for a in r) for r in self.rows)
-        return Matrix._trusted(self.field, rows, self.ncols)
+        b, (a,) = self.field.to_ints([self.field.coerce(c)])
+        rows = [[a * x for x in r] for r in self.ints]
+        return Matrix._make(self.field, self.den * b, rows, self.ncols)
 
     def __neg__(self) -> "Matrix":
-        return self.scale(-self.field.one())
+        return self.scale(-1)
 
     def transpose(self) -> "Matrix":
-        return Matrix._trusted(self.field, tuple(zip(*self.rows)), self.nrows)
+        rows = [[r[j] for r in self.ints] for j in range(self.ncols)]
+        return Matrix._make(self.field, self.den, rows, self.nrows)
 
     def apply(self, vec) -> tuple:
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length mismatch")
         b, v = self.field.to_ints(vec)
-        a, rows = self._ints()
-        return self.field.from_ints([sum(map(mul, r, v)) for r in rows], a * b)
+        return self.field.from_ints([sum(map(mul, r, v)) for r in self.ints], self.den * b)
 
-    def line_image(self, vec) -> tuple:
-        """``(lead, line)`` with m vec = lead line and ``line`` leading-one
-        normalized, or ``(0, None)`` when m vec is zero."""
-        if len(vec) != self.ncols:
-            raise DimensionMismatch("vector length mismatch")
-        field = self.field
-        b, v = field.to_ints(vec)
-        a, rows = self._ints()
-        w = [sum(map(mul, r, v)) for r in rows]
-        p = field.characteristic
-        top = next((x for x in w if (x % p if p else x)), 0)
-        if not top:
-            return field.zero(), None
-        return field.from_ints([top], a * b)[0], field.from_ints(w, top)
+    def map_line(self, line) -> tuple:
+        """``(num, den, image)`` for a canonical integer line: the matrix
+        carries the leading-one line of ``line`` to num / den times the
+        leading-one line of the canonical integer line ``image``, which is
+        None when the product is zero. ``num`` is the leading entry of the
+        product, reduced mod p over GF(p)."""
+        p = self.field.characteristic
+        w = [sum(map(mul, r, line)) % p if p else sum(map(mul, r, line)) for r in self.ints]
+        lead = next(filter(None, w), 0)
+        den = self.den * next(filter(None, line))
+        if not lead:
+            return 0, den, None
+        if p:
+            inv = pow(lead, -1, p)
+            return lead, den, tuple(x * inv % p for x in w)
+        g = gcd(*w) if lead > 0 else -gcd(*w)
+        return lead, den, tuple(x // g for x in w)
 
     def flatten(self) -> tuple:
         return tuple(x for r in self.rows for x in r)
@@ -241,8 +250,7 @@ class Matrix:
     def unflatten(cls, field, vec, nrows: int, ncols: int) -> "Matrix":
         if len(vec) != nrows * ncols:
             raise DimensionMismatch("flattened length mismatch")
-        rows = tuple(tuple(vec[i * ncols : (i + 1) * ncols]) for i in range(nrows))
-        return cls._trusted(field, rows, ncols)
+        return cls(field, [vec[i * ncols : (i + 1) * ncols] for i in range(nrows)], ncols)
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -252,16 +260,13 @@ class Matrix:
         falls in that half."""
         if not self.is_square():
             raise DimensionMismatch("only square matrices invert")
-        n = self.nrows
-        den, image = self._ints()
+        n, den = self.nrows, self.den
         # [M | I] scaled to integers: over Q that is [den M | den I]
-        rows = [[*r, *(den if i == j else 0 for j in range(n))] for i, r in enumerate(image)]
+        rows = [[*r, *(den if i == j else 0 for j in range(n))] for i, r in enumerate(self.ints)]
         pivots, scale = _eliminate(rows, 2 * n, self.field.characteristic)
         if n and pivots[-1] != n - 1:
             raise SingularMatrix("matrix is singular")
-        right = [r[n:] for r in rows]
-        out = tuple(self.field.from_ints(r, scale) for r in right)
-        return Matrix._trusted(self.field, out, n, (scale, right))
+        return Matrix._make(self.field, scale, [r[n:] for r in rows], n)
 
     def is_invertible(self) -> bool:
         try:
@@ -275,10 +280,12 @@ class Matrix:
             isinstance(other, Matrix)
             and self.field == other.field
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __hash__(self):
+        # the hash of the scalar rows, so that hash values do not depend on the form
         return hash((self.field, self.ncols, self.rows))
 
     def __repr__(self):
@@ -294,24 +301,21 @@ class RrefResult(NamedTuple):
 
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form with leading ones; unique for each matrix."""
-    rows = list(m._ints()[1])
+    rows = list(m.ints)
     pivots, scale = _eliminate(rows, m.ncols, m.field.characteristic)
-    out = tuple(m.field.from_ints(r, scale) for r in rows)
-    return RrefResult(Matrix._trusted(m.field, out, m.ncols, (scale, rows)), len(pivots), tuple(pivots))
+    return RrefResult(Matrix._make(m.field, scale, rows, m.ncols), len(pivots), tuple(pivots))
 
 
 class Subspace:
-    """A linear subspace of k^n in canonical (RREF, leading-one) form."""
+    """A linear subspace of k^n, kept as the canonical integer form of its
+    reduced row echelon basis (``echelon``)."""
 
-    __slots__ = ("field", "ambient", "basis", "_image")
+    __slots__ = ("field", "ambient", "echelon")
 
     def __init__(self, field, ambient: int, vectors):
-        rows = []
-        for v in vectors:
-            ints = field.to_ints(v)[1]
-            if len(ints) != ambient:
-                raise DimensionMismatch("spanning vector has wrong length")
-            rows.append(ints)
+        rows = [field.to_ints(v)[1] for v in vectors]
+        if any(len(r) != ambient for r in rows):
+            raise DimensionMismatch("spanning vector has wrong length")
         self._span(field, ambient, rows)
 
     @classmethod
@@ -327,47 +331,49 @@ class Subspace:
         del rows[len(pivots) :]
         self.field = field
         self.ambient = ambient
-        self.basis = tuple(field.from_ints(r, scale) for r in rows)
-        # the basis as an integer image: the eliminated rows over their scale
-        self._image = (scale, rows)
+        self.echelon = Matrix._make(field, scale, rows, ambient)
 
     @classmethod
     def zero(cls, field, ambient: int) -> "Subspace":
-        return cls(field, ambient, ())
+        return cls._spanned(field, ambient, [])
 
     @classmethod
     def full(cls, field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix.identity(field, ambient).rows)
+        return cls._spanned(field, ambient, Matrix.identity(field, ambient).ints)
+
+    @property
+    def basis(self) -> tuple:
+        """The canonical basis as leading-one field scalars, built on each read."""
+        return self.echelon.rows
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.echelon.nrows
 
     def pivots(self) -> tuple:
-        out = []
-        for row in self.basis:
-            out.append(next(j for j, x in enumerate(row) if x != 0))
-        return tuple(out)
+        return tuple(next(j for j, x in enumerate(row) if x) for row in self.echelon.ints)
+
+    def _residual(self, v: list) -> list:
+        """``den`` times the residual of the integer vector ``v`` after
+        elimination against the basis, not reduced mod p. The basis rows
+        b_i are leading-one and zero at each other's pivots, so the
+        residual is v - sum_i v[pivot_i] b_i, one product with the echelon
+        rows den * b_i."""
+        if len(v) != self.ambient:
+            raise DimensionMismatch("vector length mismatch")
+        echelon = self.echelon
+        coeffs = [[v[q] for q in self.pivots()]]
+        spent = _product(coeffs, echelon.ints, self.ambient, self.field.characteristic)[0]
+        return [echelon.den * x - y for x, y in zip(v, spent)]
 
     def reduce(self, vec) -> tuple:
-        """Residual of ``vec`` after elimination against the basis.
-
-        The basis rows b_i are leading-one and zero at each other's pivots,
-        so the residual is v - sum_i v[pivot_i] b_i, one product with the
-        image rows, which are scale * b_i.
-        """
-        if len(vec) != self.ambient:
-            raise DimensionMismatch("vector length mismatch")
+        """Residual of ``vec`` after elimination against the basis."""
         den, v = self.field.to_ints(vec)
-        scale, basis = self._image
-        p = self.field.characteristic
-        coeffs = [[v[q] for q in self.pivots()]]
-        spent = _product(coeffs, basis, self.ambient, p)[0]
-        residual = [scale * x - y for x, y in zip(v, spent)]
-        return self.field.from_ints(residual, den * scale)
+        return self.field.from_ints(self._residual(v), den * self.echelon.den)
 
     def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        p = self.field.characteristic
+        return not any(x % p if p else x for x in self._residual(self.field.to_ints(vec)[1]))
 
     def coordinates_of(self, vec) -> tuple:
         """Coefficients of ``vec`` in the canonical basis; requires membership."""
@@ -378,29 +384,22 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the null space of the stacked coefficient
         constraints sum x_i a_i - sum y_j b_j = 0."""
-        self._check_compatible(other)
+        if self.field != other.field or self.ambient != other.ambient:
+            raise DimensionMismatch("subspaces live in different ambient spaces")
         field = self.field
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(field, self.ambient)
         p = field.characteristic
-        a, b = self._image[1], other._image[1]
+        a, b = self.echelon.ints, other.echelon.ints
         negated = [[-x % p if p else -x for x in r] for r in b]
         constraints = [list(col) for col in zip(*a, *negated)]
         # x . a for each null vector (x, y) of the columns a_i, -b_j
         coeffs = [v[: len(a)] for v in _null_vectors(constraints, len(a) + len(b), p)]
         return Subspace._spanned(field, self.ambient, _product(coeffs, a, self.ambient, p))
 
-    def _check_compatible(self, other: "Subspace"):
-        if self.field != other.field or self.ambient != other.ambient:
-            raise DimensionMismatch("subspaces live in different ambient spaces")
-
     def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.field == other.field
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-        )
+        # the echelon form holds the field and the ambient dimension
+        return isinstance(other, Subspace) and self.echelon == other.echelon
 
     def __hash__(self):
         return hash((self.field, self.ambient, self.basis))
@@ -411,7 +410,7 @@ class Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """Canonical basis of the null space of ``m``."""
-    vecs = _null_vectors(list(m._ints()[1]), m.ncols, m.field.characteristic)
+    vecs = _null_vectors(list(m.ints), m.ncols, m.field.characteristic)
     return Subspace._spanned(m.field, m.ncols, vecs)
 
 
@@ -421,9 +420,9 @@ def solve(m: Matrix, b) -> tuple | None:
     if len(b) != m.nrows:
         raise DimensionMismatch("right-hand side length mismatch")
     b_den, rhs = field.to_ints(b)
-    den, image = m._ints()
-    # (image / den) x = rhs / b_den, cleared of both denominators
-    rows = [[*(x * b_den for x in r), y * den] for r, y in zip(image, rhs)]
+    den = m.den
+    # (ints / den) x = rhs / b_den, cleared of both denominators
+    rows = [[*(x * b_den for x in r), y * den] for r, y in zip(m.ints, rhs)]
     n = m.ncols
     pivots, scale = _eliminate(rows, n + 1, field.characteristic)
     if n in pivots:
@@ -437,21 +436,21 @@ def solve(m: Matrix, b) -> tuple | None:
 def min_poly(m: Matrix) -> Poly:
     """Monic minimal polynomial, via the first dependence among I, M, M^2, ...
 
-    The flattened integer powers P_k = N^k of the image N = den M, for k up
-    to d, are the columns of one elimination. Once M^k depends on lower
-    powers so do all higher ones, so the pivots are 0, ..., k-1 and column
-    k of the RREF reads P_k = sum_j c_j P_j. With M^k = P_k / den^k that is
+    The flattened integer powers P_k = N^k of N = den M, for k up to d,
+    are the columns of one elimination. Once M^k depends on lower powers
+    so do all higher ones, so the pivots are 0, ..., k-1 and column k of
+    the RREF reads P_k = sum_j c_j P_j. With M^k = P_k / den^k that is
     the monic relation M^k = sum_j c_j den^(j-k) M^j.
     """
     if not m.is_square():
         raise DimensionMismatch("minimal polynomial needs a square matrix")
     field, d = m.field, m.nrows
     p = field.characteristic
-    den, image = m._ints()
+    den = m.den
     power = [[int(i == j) for j in range(d)] for i in range(d)]
     flat = [[x for r in power for x in r]]
     for _ in range(d):
-        power = _product(power, image, d, p)
+        power = _product(power, m.ints, d, p)
         flat.append([x for r in power for x in r])
     rows = [list(col) for col in zip(*flat)]
     pivots, scale = _eliminate(rows, d + 1, p)
@@ -468,8 +467,8 @@ def eigenspaces(m: Matrix):
     When the minimal polynomial splits, ``spaces`` pairs each root with its
     canonical eigenspace, and the dimensions add up to d exactly when m is
     diagonalizable over the field; otherwise ``spaces`` is None. Each
-    eigenspace is the null space of the image with the root subtracted on
-    its diagonal.
+    eigenspace is the null space of the integer rows with the root
+    subtracted on their diagonal.
     """
     mp = min_poly(m)
     roots, split = roots_in_field(mp)
@@ -477,12 +476,12 @@ def eigenspaces(m: Matrix):
         return mp, roots, None
     field = m.field
     p = field.characteristic
-    den, image = m._ints()
+    den = m.den
     spaces = []
     for lam, _mult in roots:
-        # lam = a / b over Q: den b (m - lam I) = b image - den a I
+        # lam = a / b over Q: den b (m - lam I) = b ints - den a I
         b, (a,) = field.to_ints([lam])
-        rows = [[x * b for x in r] for r in image]
+        rows = [[x * b for x in r] for r in m.ints]
         for i, row in enumerate(rows):
             row[i] = (row[i] - den * a) % p if p else row[i] - den * a
         spaces.append((lam, Subspace._spanned(field, m.ncols, _null_vectors(rows, m.ncols, p))))

@@ -38,6 +38,12 @@ def parse_weight(w) -> Fraction:
     return w
 
 
+def _parsed(w) -> Fraction:
+    """``w`` itself when it is a parsed weight already, as validation
+    returns them, else ``parse_weight(w)``."""
+    return w if type(w) is Fraction and 0 <= w < 1 else parse_weight(w)
+
+
 class RamifiedSheet(NamedTuple):
     """One point of the fiber over a branch point."""
 
@@ -67,7 +73,9 @@ class RamifiedCoverData(NamedTuple):
     branch_points: tuple
     extra_parabolic_points: tuple = ()
 
-    def validate(self) -> None:
+    def validate(self) -> tuple:
+        """Check the data and return its weights parsed, ``(branch, extra)``:
+        per branch point and per extra parabolic point, one weight per sheet."""
         if self.base_genus < 0:
             raise ParseError("base genus must be nonnegative")
         if self.degree < 1:
@@ -77,31 +85,35 @@ class RamifiedCoverData(NamedTuple):
         ):
             raise ParseError("component degrees must be positive and sum to the degree")
         c = len(self.component_degrees)
+        branch = []
         for bp in self.branch_points:
             if sum(s.multiplicity for s in bp.sheets) != self.degree:
                 raise DimensionMismatch("branch profile must sum to the degree")
+            weights = []
             for s in bp.sheets:
                 if s.multiplicity < 1:
                     raise ParseError("sheet multiplicities must be positive")
                 if not 0 <= s.component < c:
                     raise ParseError("sheet assigned to a nonexistent component")
-                parse_weight(s.weight)
+                weights.append(parse_weight(s.weight))
+            branch.append(tuple(weights))
             for j, dj in enumerate(self.component_degrees):
                 got = sum(s.multiplicity for s in bp.sheets if s.component == j)
                 if got != dj:
                     raise DimensionMismatch(
                         f"component {j} collects multiplicity {got}, needs {dj}"
                     )
+        extra = []
         for weights in self.extra_parabolic_points:
             if len(weights) != self.degree:
                 raise DimensionMismatch("one weight per sheet required away from branching")
-            for w in weights:
-                parse_weight(w)
+            extra.append(tuple(parse_weight(w) for w in weights))
         for j in range(c):
             if self.ramification_sum(j) % 2 != 0:
                 raise NonIntegralGenus(
                     f"component {j} has odd total ramification"
                 )
+        return tuple(branch), tuple(extra)
 
     def ramification_sum(self, component: int | None = None) -> int:
         total = 0
@@ -139,7 +151,7 @@ def local_flags(multiplicity: int, weight) -> LocalFlagModel:
     b = int(multiplicity)
     if b < 1:
         raise DimensionMismatch("multiplicity must be positive")
-    w = parse_weight(weight)
+    w = _parsed(weight)
     steps = []
     for level in range(b):
         steps.append(FlagStep(level, (level + w) / b, b - level, tuple(range(level, b))))
@@ -176,7 +188,7 @@ def merge_fiber_filtration(flags, unramified_weights, rank: int) -> WeightedFilt
             tally[step.weight] = tally.get(step.weight, 0) + 1
             total += 1
     for w in unramified_weights:
-        w = parse_weight(w)
+        w = _parsed(w)
         tally[w] = tally.get(w, 0) + 1
         total += 1
     if total != rank:
@@ -260,21 +272,25 @@ def pushforward_parabolic(data: RamifiedCoverData, line_degree: int) -> Paraboli
     u0, u1, ...; points whose filtration carries only weight zero are
     not part of the parabolic divisor.
     """
-    return _assemble_pushforward(data, line_degree, riemann_hurwitz_genus(data))
+    weights = data.validate()
+    return _assemble_pushforward(data, line_degree, _genus(data), weights)
 
 
 def _assemble_pushforward(
-    data: RamifiedCoverData, line_degree: int, genus: GenusReport
+    data: RamifiedCoverData, line_degree: int, genus: GenusReport, weights: tuple
 ) -> ParabolicBundleData:
+    """The pushforward of validated data, from its genus report and the
+    parsed weights ``data.validate()`` returned."""
     degree = _degree(data, line_degree, genus)
+    branch, extra = weights
     points = []
-    for i, bp in enumerate(data.branch_points):
-        flags = [local_flags(s.multiplicity, s.weight) for s in bp.sheets]
+    for i, (bp, ws) in enumerate(zip(data.branch_points, branch)):
+        flags = [local_flags(s.multiplicity, w) for s, w in zip(bp.sheets, ws)]
         filt = merge_fiber_filtration(flags, (), data.degree)
         if not filt.is_trivial():
             points.append(ParabolicPoint(f"b{i}", filt))
-    for i, weights in enumerate(data.extra_parabolic_points):
-        filt = merge_fiber_filtration((), weights, data.degree)
+    for i, ws in enumerate(extra):
+        filt = merge_fiber_filtration((), ws, data.degree)
         if not filt.is_trivial():
             points.append(ParabolicPoint(f"u{i}", filt))
     return ParabolicBundleData(degree, data.degree, tuple(points))
@@ -299,17 +315,16 @@ class ConservationReport(NamedTuple):
 
 def check_pardeg_conservation(data: RamifiedCoverData, line_degree: int) -> ConservationReport:
     """Parabolic degree upstairs equals parabolic degree of the pushforward."""
-    return _conservation_report(data, line_degree, pushforward_parabolic(data, line_degree))
+    weights = data.validate()
+    pushforward = _assemble_pushforward(data, line_degree, _genus(data), weights)
+    return _conservation_report(line_degree, weights, pushforward)
 
 
 def _conservation_report(
-    data: RamifiedCoverData, line_degree: int, pushforward: ParabolicBundleData
+    line_degree: int, weights: tuple, pushforward: ParabolicBundleData
 ) -> ConservationReport:
-    upstairs = Fraction(line_degree)
-    for bp in data.branch_points:
-        for s in bp.sheets:
-            upstairs += parse_weight(s.weight)
-    for weights in data.extra_parabolic_points:
-        for w in weights:
-            upstairs += parse_weight(w)
+    """The conservation report from the parsed weights ``data.validate()``
+    returned and the pushforward of the data."""
+    branch, extra = weights
+    upstairs = sum((w for ws in (*branch, *extra) for w in ws), Fraction(line_degree))
     return ConservationReport(upstairs, parabolic_degree(pushforward))

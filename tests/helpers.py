@@ -280,6 +280,27 @@ def inverse_by_scalars(m: Matrix) -> tuple:
     return tuple(r[n:] for r in rows)
 
 
+def integer_line(field, vec):
+    """The canonical integer line through the scalar vector ``vec``, the
+    image of its integer form under the identity; None for zero."""
+    v = field.to_ints(vec)[1]
+    p = field.characteristic
+    if not any(x % p if p else x for x in v):
+        return None
+    return Matrix.identity(field, len(v)).map_line(v)[2]
+
+
+def sort_lines_by_scalars(field, lines) -> tuple:
+    """Leading-one scalar lines sorted by the position of the leading entry,
+    then entrywise by ``field.element_key``: the order of eigenlines."""
+
+    def key(vec):
+        pivot = next(i for i, x in enumerate(vec) if x != 0)
+        return (pivot, tuple(field.element_key(x) for x in vec))
+
+    return tuple(sorted(lines, key=key))
+
+
 def min_poly_by_scalars(m: Matrix) -> Poly:
     """Monic minimal polynomial by incremental elimination on field scalars:
     each flattened power M^k is reduced against the leading-one rows of

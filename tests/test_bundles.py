@@ -22,7 +22,7 @@ from cartancover.errors import (
 from cartancover.fields import GF, QQ
 from cartancover.linalg import Matrix
 from cartancover.randgen import random_invertible_matrix
-from helpers import bundle_iso_check, conjugation_operator, end_bundle
+from helpers import bundle_iso_check, conjugation_operator, end_bundle, integer_line
 
 
 def M(rows, field=QQ):
@@ -202,15 +202,17 @@ def test_tree_edges_reuse_the_transport_images(field, monkeypatch):
         bundle, algebra = gauged_bundle(rng, field, min_vertices=3)
         tree = bundle.graph.spanning_tree()
         split = validate_cartan_bundle(bundle, algebra)
-        assert (split.images, split.factors) == _map_lines(bundle, split.lines, {})
+        # the canonical integer lines of the returned leading-one lines
+        lines = [[integer_line(field, line) for line in ls] for ls in split.lines]
+        assert (split.images, split.factors) == _map_lines(bundle, lines, {})
         calls = []
-        real = Matrix.line_image
+        real = Matrix.map_line
 
-        def counting(self, vec):
+        def counting(self, line):
             calls.append(self)
-            return real(self, vec)
+            return real(self, line)
 
-        monkeypatch.setattr(Matrix, "line_image", counting)
+        monkeypatch.setattr(Matrix, "map_line", counting)
         assert validate_cartan_bundle(bundle, algebra) == split
         monkeypatch.undo()
         for _vertex, e, forward in tree.order[1:]:

@@ -7,18 +7,21 @@ scalar type for scalar type, on seeded matrices of every shape.
 """
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
 from helpers import (
     apply_by_scalars,
+    integer_line,
     inverse_by_scalars,
     matmul_by_scalars,
     min_poly_by_scalars,
     rref_by_scalars,
+    sort_lines_by_scalars,
 )
 
-from cartancover.cartan import MatrixSubspace
+from cartancover.cartan import MatrixSubspace, sort_lines
 from cartancover.errors import DimensionMismatch, SingularMatrix
 from cartancover.fields import GF, QQ, Fp
 from cartancover.linalg import (
@@ -26,6 +29,7 @@ from cartancover.linalg import (
     Subspace,
     eigenspaces,
     kernel,
+    line_scalars,
     min_poly,
     rref,
     solve,
@@ -204,34 +208,131 @@ def test_intersection_and_reduction_agree_with_dimensions(field, height):
             assert Subspace(field, n, a.basis + (residual,)).contains(vec)
 
 
+def _assert_canonical(m):
+    # over GF(p) least residues over 1; over Q gcd(den, every entry) = 1, den > 0
+    p = m.field.characteristic
+    assert len(m.ints) == m.nrows and all(len(r) == m.ncols for r in m.ints)
+    if p:
+        assert m.den == 1 and all(0 <= x < p for r in m.ints for x in r)
+    else:
+        assert m.den > 0 and gcd(m.den, *[x for r in m.ints for x in r]) == 1
+
+
 @pytest.mark.parametrize("field,height", FIELDS, ids=FIELD_IDS)
 def test_equality_and_hash_ignore_the_integer_image(field, height):
+    # however a matrix is reached, it holds the one canonical form of its
+    # entries, so equality agrees with the scalar rows, and the hash is the
+    # hash of those rows, the value it had when matrices held scalar rows
+    rng = Random(f"hash-forms-{field}-{height}")
+    for nrows, ncols, _rank in SHAPES:
+        # entries given as field scalars hash as they did in scalar rows
+        given = tuple(tuple(_scalar(field, rng, height) for _ in range(ncols)) for _ in range(nrows))
+        assert hash(Matrix(field, given, ncols=ncols)) == hash((field, ncols, given))
     for m in _cases(field, height, "hash"):
-        fresh = Matrix(field, m.rows, ncols=m.ncols)
-        imaged = Matrix(field, m.rows, ncols=m.ncols)
-        imaged._ints()
-        assert fresh._image is None and imaged._image is not None
-        assert fresh == imaged and hash(fresh) == hash(imaged)
+        rows = tuple(tuple(r) for r in m.rows)
+        c = next(x for x in (_scalar(field, rng, height) for _ in range(50)) if x != 0)
+        forms = [
+            Matrix(field, rows, ncols=m.ncols),
+            m @ Matrix.identity(field, m.ncols),
+            Matrix.identity(field, m.nrows) @ m,
+            m.transpose().transpose(),
+            m.scale(c).scale(1 / c),
+            m + Matrix.zeros(field, m.nrows, m.ncols),
+        ]
+        for form in forms:
+            _assert_canonical(form)
+            assert form == m and form.rows == rows
+            assert hash(form) == hash((field, m.ncols, rows))
+        if m.nrows and m.ncols:
+            other = Matrix(field, ((rows[0][0] + 1,) + rows[0][1:],) + rows[1:], ncols=m.ncols)
+            assert other != m
+        # a subspace holds the canonical form of its reduced echelon basis
+        echelon, pivots = rref_by_scalars(field, rows, m.ncols)
+        basis = echelon[: len(pivots)]
+        spanned = [Subspace(field, m.ncols, rows), Subspace(field, m.ncols, basis)]
         if m.nrows:
-            # a product keeps the image it computed; it still equals the fresh matrix
-            prod = m @ Matrix.identity(field, m.ncols)
-            assert prod._image is not None
-            assert prod == fresh and hash(prod) == hash(fresh)
+            scaled = [tuple(c * x for x in r) for r in reversed(rows)]
+            spanned.append(Subspace(field, m.ncols, scaled))
+        for space in spanned:
+            _assert_canonical(space.echelon)
+            assert space == spanned[0] and space.basis == basis
+            assert hash(space) == hash((field, m.ncols, basis))
 
 
-@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
-def test_line_image_is_the_normalized_product(field):
-    rng = Random(3)
-    for _ in range(20):
-        m = _random(field, rng, 5, 4, 4)
-        vec = tuple(_scalar(field, rng, 5) for _ in range(4))
-        w = apply_by_scalars(m, vec)
-        lead = next((x for x in w if x != 0), None)
+# --- canonical integer lines -------------------------------------------------------
+
+LINE_FIELDS = (QQ, GF(5), GF(7), GF(2**61 - 1))
+
+
+def _nonzero(field, rng, height):
+    return next(x for x in (_scalar(field, rng, height) for _ in range(50)) if x != 0)
+
+
+@pytest.mark.parametrize("field", LINE_FIELDS, ids=str)
+def test_canonical_integer_lines_agree_with_leading_one_lines(field):
+    rng = Random(f"lines-{field}")
+    p = field.characteristic
+    for _ in range(300):
+        vec = tuple(_scalar(field, rng, 10**6) for _ in range(rng.randint(1, 5)))
+        lead = next((x for x in vec if x != 0), None)
+        line = integer_line(field, vec)
         if lead is None:
-            assert m.line_image(vec) == (field.zero(), None)
+            assert line is None
             continue
-        assert m.line_image(vec) == (lead, tuple(x / lead for x in w))
-    assert Matrix.zeros(field, 2, 2).line_image((1, 0)) == (field.zero(), None)
+        assert line_scalars(field, line) == tuple(x / lead for x in vec)
+        _assert_scalars(field, [line_scalars(field, line)])
+        # one line for every nonzero multiple, a hashable tuple of ints
+        c = _nonzero(field, rng, 10**6)
+        assert integer_line(field, tuple(c * x for x in vec)) == line
+        assert {line: 0}[line] == 0 and all(type(x) is int for x in line)
+        top = next(x for x in line if x)
+        if p:
+            assert top == 1 and all(0 <= x < p for x in line)
+        else:
+            assert top > 0 and gcd(*line) == 1
+
+
+@pytest.mark.parametrize("field", LINE_FIELDS, ids=str)
+def test_integer_line_order_is_the_scalar_line_order(field):
+    # report bytes depend on this order: the cover labels follow it
+    rng = Random(f"order-{field}")
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        # few distinct entries, so that pivots and leading entries often tie
+        entries = [_scalar(field, rng, 3) for _ in range(3)]
+        by_line = {}
+        for _ in range(rng.randint(1, 7)):
+            vec = tuple(rng.choice(entries) * _nonzero(field, rng, 3) for _ in range(n))
+            line = integer_line(field, vec)
+            if line is not None:
+                by_line[line] = line_scalars(field, line)
+        if not by_line:
+            continue
+        expected = sort_lines_by_scalars(field, by_line.values())
+        assert tuple(by_line[line] for line in sort_lines(list(by_line))) == expected
+
+
+@pytest.mark.parametrize("field", LINE_FIELDS, ids=str)
+def test_line_image_is_the_normalized_product(field):
+    # a matrix carries the leading-one line of a canonical integer line to
+    # num / den times the leading-one line of its image, or to zero
+    rng = Random(f"map-{field}")
+    zero_images = 0
+    for _ in range(60):
+        m = _matrix(field, rng, 5, 4, 4, rng.choice((None, 2, 0)))
+        line = None
+        while line is None:
+            line = integer_line(field, tuple(_scalar(field, rng, 5) for _ in range(4)))
+        num, den, image = m.map_line(line)
+        w = apply_by_scalars(m, line_scalars(field, line))
+        if image is None:
+            zero_images += 1
+            assert all(x == 0 for x in w)
+            continue
+        factor = field.from_ints([num], den)[0]
+        assert image == integer_line(field, w)
+        assert tuple(factor * x for x in line_scalars(field, image)) == w
+    assert zero_images > 0
 
 
 # --- operands over different fields -------------------------------------------------
@@ -257,7 +358,7 @@ def test_operands_over_different_fields_are_refused():
     with pytest.raises(DimensionMismatch):
         q.apply((Fp(1, 5), Fp(2, 5)))
     with pytest.raises(DimensionMismatch):
-        f5.line_image((Fp(1, 7), Fp(0, 7)))
+        solve(f5, (Fp(1, 7), Fp(0, 7)))
     with pytest.raises(DimensionMismatch):
         MatrixSubspace(GF(5), 2, [f7])
 

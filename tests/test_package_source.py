@@ -108,6 +108,43 @@ def test_one_gauss_jordan_loop_in_package():
     assert sorted(found) == ["linalg.py:_eliminate"]
 
 
+def test_field_scalars_built_only_where_values_leave_the_integer_form():
+    # matrices, subspaces, eigenlines and the validation compute on canonical
+    # integer forms; a call that builds field scalars from ints anywhere else
+    # would bring back the scalar round trips of every intermediate result
+    builders = {"from_ints", "line_scalars"}
+    boundary = {
+        # the lazy scalar views and the results returned as scalars
+        "linalg.py:rows",
+        "linalg.py:apply",
+        "linalg.py:line_scalars",
+        "linalg.py:reduce",
+        "linalg.py:solve",
+        "linalg.py:min_poly",
+        # the eigenline results
+        "cartan.py:lines",
+        # the CartanLines output: its lines and its edge factors
+        "bundles.py:validate_cartan_bundle",
+        "bundles.py:_map_lines",
+    }
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split(':')[0]}:{node.name}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in builders:
+                found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for name in ("linalg.py", "cartan.py", "bundles.py"):
+        visit(ast.parse((PACKAGE / name).read_text(encoding="utf-8")), name)
+    assert found <= boundary, sorted(found - boundary)
+
+
 def test_no_reference_oracle_called_in_package():
     # the round trip reads its isomorphism off eta and its flat-section
     # dimension off the cover, and edges are checked on eigenlines; the

@@ -335,6 +335,34 @@ def test_each_entry_validates_its_data_once(monkeypatch, capsys):
     assert (len(validations), len(flags)) == (1, 2)
 
 
+def test_each_weight_is_parsed_once(monkeypatch, capsys):
+    # validation parses every weight and hands the parsed weights to the
+    # flags, the merges and the upstairs degree, which parse none again
+    parses = _count(monkeypatch, parabolic, "parse_weight")
+    data = RamifiedCoverData(
+        1,
+        4,
+        (4,),
+        (
+            BranchPoint(tuple(RamifiedSheet(*s) for s in ((2, "1/3", 0), (1, 0, 0), (1, "1/2", 0)))),
+            BranchPoint(tuple(RamifiedSheet(*s) for s in ((2, F(1, 4), 0), (1, "0", 0), (1, 0, 0)))),
+        ),
+        ((F(0), "2/3", 0, F(1, 5)),),
+    )
+    for entry in (pushforward_parabolic, check_pardeg_conservation):
+        del parses[:]
+        entry(data, 1)
+        assert len(parses) == 10, entry.__name__
+    upstairs = 1 + F(1, 3) + F(1, 2) + F(1, 4) + F(2, 3) + F(1, 5)
+    assert check_pardeg_conservation(data, 1).upstairs == upstairs
+    # the instance reader parses its weights itself; the command parses none again
+    del parses[:]
+    path = Path(__file__).resolve().parent.parent / "instances" / "parabolic_p1_double_q.json"
+    assert main(["--format", "machine", "pushforward", str(path)]) == 0
+    capsys.readouterr()
+    assert len(parses) == 2
+
+
 @pytest.mark.parametrize(
     "data, error",
     [
