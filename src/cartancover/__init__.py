@@ -60,4 +60,4 @@ from .parabolic import (
     pushforward_parabolic,
     riemann_hurwitz_genus,
 )
-from .poly import Poly, poly_gcd, roots_in_field
+from .poly import Poly, roots_in_field

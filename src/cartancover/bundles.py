@@ -30,7 +30,7 @@ from .errors import (
     SingularMatrix,
     SingularTransition,
 )
-from .linalg import Matrix, Subspace, kernel, line_scalars
+from .linalg import Matrix, Subspace, kernel
 
 
 class BaseGraph:
@@ -210,7 +210,7 @@ class CartanLines(NamedTuple):
     """A validated split Cartan bundle, read through its common eigenlines.
 
     ``lines[v]`` holds the d common eigenlines of the fiber at vertex v,
-    leading-one normalized and in the order of ``cartan.sort_lines``.
+    as canonical integer lines in the order of ``cartan.sort_lines``.
     Transition e carries line t over its source to ``factors[e][t]`` times
     line ``images[e][t]`` over its target.
     """
@@ -252,9 +252,9 @@ def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> Cart
     the label bijection and the scalar of every edge, are what the
     spectral cover is built from.
 
-    Lines are carried and compared as canonical integer lines
+    Lines are carried, compared and returned as canonical integer lines
     (``Matrix.map_line``), which are hashable; field scalars are built only
-    for the returned lines and edge factors.
+    for the returned edge factors.
     """
     tree = validate_bundle(bundle)
     # tree edge -> per line over its source: (image index, factor as num, den)
@@ -288,8 +288,7 @@ def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> Cart
         for e, mapped in carried.items()
         if all(lines[x] is transported[x] for x in bundle.graph.edges[e])
     }
-    scalar_lines = tuple(tuple(line_scalars(bundle.field, x) for x in ls) for ls in lines)
-    return CartanLines(scalar_lines, *_map_lines(bundle, lines, known))
+    return CartanLines(tuple(lines), *_map_lines(bundle, lines, known))
 
 
 def _fiber_lines(algebra: SubalgebraBundle, v: int) -> tuple:

@@ -72,9 +72,6 @@ class MatrixSubspace:
         rows = ([r[i * d : (i + 1) * d] for i in range(d)] for r in echelon.ints)
         return tuple(Matrix._make(self.field, echelon.den, m, d) for m in rows)
 
-    def contains(self, m: Matrix) -> bool:
-        return self.space.contains(m.flatten())
-
     def coordinates_of(self, m: Matrix) -> tuple:
         return self.space.coordinates_of(m.flatten())
 

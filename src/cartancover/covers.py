@@ -28,6 +28,7 @@ with no subspace conjugated on the way.
 from __future__ import annotations
 
 from itertools import permutations
+from math import lcm
 from typing import NamedTuple
 
 from .bundles import BaseGraph, BundleRep, SubalgebraBundle, validate_cartan_bundle
@@ -222,10 +223,10 @@ def build_spectral_cover(bundle: BundleRep, algebra: SubalgebraBundle) -> Spectr
     The cover's labels at each vertex are its lines in canonical order:
     transition e maps line t over its source to ``factors[e][t]`` times
     line ``images[e][t]`` over its target, which fixes the label bijection
-    and the line-bundle scalar. eta_v, the matrix of the lines over v,
-    identifies the pushforward with the original bundle: with P'_e the
-    pushforward's transition on edge e = (u, v), column t of
-    eta_v P'_e = T_e eta_u reads T_e line_t = factors[e][t] line_{images[e][t]},
+    and the line-bundle scalar. eta_v, the matrix of the leading-one lines
+    over v (``_line_matrix``), identifies the pushforward with the original
+    bundle: with P'_e the pushforward's transition on edge e = (u, v),
+    column t of eta_v P'_e = T_e eta_u reads T_e line_t = factors[e][t] line_{images[e][t]},
     the equation ``bundles._map_lines`` checks for every line on every edge,
     so the identity holds without being multiplied out.
     """
@@ -233,8 +234,17 @@ def build_spectral_cover(bundle: BundleRep, algebra: SubalgebraBundle) -> Spectr
     field = bundle.field
     cover = CoverRep(bundle.graph, bundle.rank, split.images)
     line_bundle = LineBundleOnCover(cover, field, split.factors)
-    eta = tuple(Matrix.from_columns(field, lines) for lines in split.lines)
+    eta = tuple(_line_matrix(field, lines) for lines in split.lines)
     return SpectralCoverResult(cover, line_bundle, eta)
+
+
+def _line_matrix(field, lines) -> Matrix:
+    """The matrix whose column t is the leading-one line of the canonical
+    integer line ``lines[t]``, over the lcm of their leading entries."""
+    leads = [next(filter(None, line)) for line in lines]
+    top = lcm(*leads)
+    cols = [[x * (top // c) for x in line] for line, c in zip(lines, leads)]
+    return Matrix._make(field, top, [list(r) for r in zip(*cols)], len(lines))
 
 
 class RoundtripRecord(NamedTuple):

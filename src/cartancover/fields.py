@@ -3,13 +3,13 @@
 Rational scalars are ``fractions.Fraction`` values (unbounded integers,
 always in lowest terms with positive denominator, so equality is exact).
 Prime-field scalars are ``Fp`` values holding a least residue in [0, p).
-Both representations are canonical per value, so equality of scalars,
-and of the polynomials that hold them, is exact.
+Both representations are canonical per value, so equality of scalars is
+exact.
 
 A field object knows how to coerce, parse, render and order its scalars.
-Scalars are what polynomials hold and what reports and instance files
-show. Matrices, subspaces and lines do not hold them: they are stored in
-a canonical integer form (see ``linalg``). ``to_ints`` converts scalars
+Scalars are what reports and instance files show. Matrices, subspaces,
+lines and polynomials do not hold them: they are stored in a canonical
+integer form (see ``linalg`` and ``poly``). ``to_ints`` converts scalars
 into that form (least residues over GF(p); over Q integers over their
 least common denominator), refusing a scalar of another field with
 ``DimensionMismatch``, and ``from_ints`` builds scalars from it, only

@@ -215,10 +215,6 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
 
-    def transpose(self) -> "Matrix":
-        rows = [[r[j] for r in self.ints] for j in range(self.ncols)]
-        return Matrix._make(self.field, self.den, rows, self.nrows)
-
     def apply(self, vec) -> tuple:
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length mismatch")
@@ -245,12 +241,6 @@ class Matrix:
 
     def flatten(self) -> tuple:
         return tuple(x for r in self.rows for x in r)
-
-    @classmethod
-    def unflatten(cls, field, vec, nrows: int, ncols: int) -> "Matrix":
-        if len(vec) != nrows * ncols:
-            raise DimensionMismatch("flattened length mismatch")
-        return cls(field, [vec[i * ncols : (i + 1) * ncols] for i in range(nrows)], ncols)
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -366,11 +356,6 @@ class Subspace:
         spent = _product(coeffs, echelon.ints, self.ambient, self.field.characteristic)[0]
         return [echelon.den * x - y for x, y in zip(v, spent)]
 
-    def reduce(self, vec) -> tuple:
-        """Residual of ``vec`` after elimination against the basis."""
-        den, v = self.field.to_ints(vec)
-        return self.field.from_ints(self._residual(v), den * self.echelon.den)
-
     def contains(self, vec) -> bool:
         p = self.field.characteristic
         return not any(x % p if p else x for x in self._residual(self.field.to_ints(vec)[1]))
@@ -457,7 +442,7 @@ def min_poly(m: Matrix) -> Poly:
     k = len(pivots)
     lead = scale * den**k
     coeffs = [-rows[j][k] * den**j for j in range(k)] + [lead]
-    return Poly(field, field.from_ints(coeffs, lead))
+    return Poly._make(field, lead, coeffs)
 
 
 def eigenspaces(m: Matrix):

@@ -1,16 +1,26 @@
-"""Univariate polynomials over an exact field, with root finding.
+"""Univariate polynomials over Q and GF(p) in canonical integer form,
+with root finding.
 
-Coefficients are stored in ascending order with no trailing zeros, so
-the representation is canonical and equality is coefficientwise. Root
-finding works on plain-int coefficient lists and costs polynomial time
-in the degree, in log p and in the coefficient height: over GF(p) it
-splits gcd(f, x^p - x) by Cantor-Zassenhaus equal-degree splitting with
+A polynomial holds one form, like ``linalg.Matrix``: ascending integer
+coefficients ``ints`` with no trailing zeros over a positive ``den``, the
+coefficients being ``ints[k] / den``. Over GF(p) the ints are least
+residues and ``den`` is 1; over Q ``den`` is the least common denominator,
+so gcd(den, every coefficient) = 1. The form is unique, so equality reads
+it, and field scalars are built (``coeffs``) only for rendering and for
+callers that read coefficients.
+
+All arithmetic runs on plain-int coefficient lists, in the dense style of
+sympy's ``galoistools``: the ``_gf_*`` kernels on residues and the ``_zz_*``
+kernels in Z[x]. Root finding costs polynomial time in the degree, in
+log p and in the coefficient height: over GF(p) it splits
+gcd(f, x^p - x) by Cantor-Zassenhaus equal-degree splitting with
 deterministic shifts, and over Q it Hensel-lifts the roots of the
 squarefree part modulo a good prime and reads each rational off a
-symmetric residue. Every candidate is then certified by exact
-evaluation. General factorization is out of scope; when a polynomial
-fails to split, ``nonsplit_witness`` divides out the roots already found
-and keeps a rootless monic factor as witness.
+symmetric residue. Every candidate num/den is then certified by exact
+division by den x - num, on residues over GF(p) and in Z[x] over Q, where
+Gauss's lemma makes the quotient integral. General factorization is out
+of scope; when a polynomial fails to split, ``nonsplit_witness`` divides
+out the roots already found and keeps a rootless monic factor as witness.
 """
 
 from __future__ import annotations
@@ -18,134 +28,62 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .fields import Fp, PrimeField, Rationals, is_prime
+from .fields import Fp, is_prime
 
 
 class Poly:
-    """A polynomial with exact coefficients, canonical form."""
+    """A polynomial over a fixed field, in canonical integer form."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "den", "ints")
 
     def __init__(self, field, coeffs):
-        cs = [field.coerce(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self.den, ints = field.to_ints(coeffs)
+        self.ints = tuple(_trim(ints))
 
     @classmethod
-    def zero(cls, field):
-        return cls(field, ())
+    def _make(cls, field, den: int, ints: list) -> "Poly":
+        """The polynomial with coefficients ``ints[k] / den`` for a nonzero
+        ``den``, brought to the canonical form."""
+        p = field.characteristic
+        if p:
+            inv = pow(den, -1, p)
+            ints, den = [c * inv % p for c in ints], 1
+        else:
+            g = math.gcd(den, *ints) if den > 0 else -math.gcd(den, *ints)
+            ints, den = [c // g for c in ints], den // g
+        poly = object.__new__(cls)
+        poly.field = field
+        poly.den = den
+        poly.ints = tuple(_trim(ints))
+        return poly
 
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, (c,))
-
-    @classmethod
-    def from_roots(cls, field, roots):
-        p = cls(field, (field.one(),))
-        for r in roots:
-            p = p * cls(field, (-field.coerce(r), field.one()))
-        return p
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as field scalars, ascending, built on each read."""
+        return self.field.from_ints(self.ints, self.den)
 
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def lead(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        c = self.lead()
-        return Poly(self.field, tuple(a / c for a in self.coeffs))
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero()
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return Poly(self.field, [x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        z = self.field.zero()
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
-
-    def scale(self, c):
-        c = self.field.coerce(c)
-        return Poly(self.field, [a * c for a in self.coeffs])
-
-    def __divmod__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        field = self.field
-        rem = list(self.coeffs)
-        q = [field.zero()] * max(0, len(rem) - len(other.coeffs) + 1)
-        inv_lead = field.one() / other.lead()
-        d = other.degree
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i] * inv_lead
-            if c == 0:
-                continue
-            q[i - d] = c
-            for j, b in enumerate(other.coeffs):
-                rem[i - d + j] = rem[i - d + j] - c * b
-        return Poly(field, q), Poly(field, rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def derivative(self) -> "Poly":
-        if self.degree < 1:
-            return Poly.zero(self.field)
-        one = self.field.one()
-        out = []
-        k = self.field.zero()
-        for c in self.coeffs[1:]:
-            k = k + one
-            out.append(k * c)
-        return Poly(self.field, out)
-
-    def __call__(self, x):
-        x = self.field.coerce(x)
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return len(self.ints) <= 1
 
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
             and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __hash__(self):
+        # the hash of the scalar coefficients, so that hash values do not depend on the form
         return hash((self.field, self.coeffs))
 
     def __repr__(self):
@@ -154,38 +92,21 @@ class Poly:
     def __str__(self):
         if self.is_zero():
             return "0"
-        field = self.field
-        parts = []
+        field, coeffs = self.field, self.coeffs
+        text = ""
         for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
+            n = self.ints[k]
+            if not n:
                 continue
-            if isinstance(field, Rationals):
-                neg = c < 0
-                mag = -c if neg else c
-            else:
-                neg = False
-                mag = c
-            mag_s = field.render(mag)
+            # over Q ``den`` > 0, so the integer carries the sign of the coefficient
+            mag = -coeffs[k] if n < 0 else coeffs[k]
             if k == 0:
-                term = mag_s
+                term = field.render(mag)
             else:
                 xk = "x" if k == 1 else f"x^{k}"
-                term = xk if mag == 1 else f"{mag_s}*{xk}"
-            if not parts:
-                parts.append(("-" if neg else "") + term)
-            else:
-                parts.append(("- " if neg else "+ ") + term)
-        return " ".join(parts)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+                term = xk if mag == 1 else f"{field.render(mag)}*{xk}"
+            text += (" - " if n < 0 else " + ") + term
+        return ("-" if text[1] == "-" else "") + text[3:]
 
 
 def roots_in_field(p: Poly):
@@ -198,28 +119,28 @@ def roots_in_field(p: Poly):
     The candidates come from ``_gf_roots`` over GF(p) and from
     ``_rational_root_candidates`` over Q. Neither enumerates field
     elements or divisors, so the cost is polynomial in the degree, in
-    log p and in the coefficient height. Each candidate is then
-    evaluated exactly and its linear factor divided out as often as it
-    divides, which certifies every root and its multiplicity.
+    log p and in the coefficient height. The linear factor of each
+    candidate is then divided out exactly as often as it divides
+    (``_divide_linear``), which certifies every root and its multiplicity.
     """
     if p.is_zero():
         raise ValueError("root finding needs a nonzero polynomial")
     field = p.field
     if p.is_constant():
         return (), True
-
-    if isinstance(field, PrimeField):
-        candidates = [Fp(r, field.p) for r in _gf_roots([c.val for c in p.coeffs], field.p)]
+    q = field.characteristic
+    if q:
+        candidates = [Fp(r, q) for r in _gf_roots(p.ints, q)]
     else:
-        candidates = _rational_root_candidates(p.coeffs)
-
+        candidates = _rational_root_candidates(p.ints)
     roots = []
-    rem = list(p.coeffs)
+    rem = p.ints
     for c in candidates:
+        den, (num,) = field.to_ints([c])
         mult = 0
         while len(rem) > 1:
-            quo, value = _divide_by_linear(rem, c)
-            if value != 0:
+            quo = _divide_linear(rem, num, den, q)
+            if quo is None:
                 break
             rem = quo
             mult += 1
@@ -230,22 +151,92 @@ def roots_in_field(p: Poly):
     return tuple(roots), split
 
 
-def _divide_by_linear(a: list, c) -> tuple:
-    """Quotient of ``a`` by x - c and the value of ``a`` at c (Horner)."""
-    acc = a[-1]
-    quo = []
-    for coeff in a[-2::-1]:
-        quo.append(acc)
-        acc = coeff + c * acc
-    quo.reverse()
-    return quo, acc
+def squarefree_no_guard(p: Poly) -> bool:
+    """Squarefreeness over Q or GF(p), valid in every degree: ``p`` is
+    squarefree exactly when ``_squarefree`` keeps its whole degree."""
+    if p.is_zero():
+        raise ValueError("squarefreeness of the zero polynomial is undefined")
+    return len(_squarefree(p.ints, p.field.characteristic)) == len(p.ints)
+
+
+def nonsplit_witness(p: Poly, roots) -> Poly:
+    """A monic nonconstant factor of ``p`` with no roots in the field: the
+    squarefree part of ``p`` with ``roots`` (as ``roots_in_field`` gives
+    them, which the caller already holds) divided out.
+
+    Irreducible whenever its degree is at most three; higher degrees may
+    still be products of irreducibles (full factorization is a non-goal).
+    """
+    field = p.field
+    q = field.characteristic
+    rem = p.ints
+    for c, mult in roots:
+        den, (num,) = field.to_ints([c])
+        for _ in range(mult):
+            rem = _divide_linear(rem, num, den, q)
+            if rem is None:
+                raise ValueError(f"{c} is not a root of {p} of multiplicity {mult}")
+    w = _squarefree(rem, q)
+    if len(w) <= 1:
+        raise ValueError("polynomial splits; no witness exists")
+    return Poly._make(field, w[-1], w)
 
 
 # --- plain-int polynomials ----------------------------------------------------------
 #
-# Ascending integer coefficient lists with no trailing zeros, as in ``Poly``;
-# the empty list is the zero polynomial. Over GF(p) the entries are least
-# residues.
+# Ascending integer coefficient lists (or the tuples ``Poly.ints``) with no
+# trailing zeros; the empty list is the zero polynomial. Over GF(p) the
+# entries are least residues, and ``p`` == 0 stands for Q, whose
+# polynomials are integer multiples of rational ones.
+
+
+def _divide_linear(a, num: int, den: int, p: int) -> list | None:
+    """The quotient of the nonconstant ``a`` by den x - num, or None when it
+    does not divide ``a``.
+
+    Over GF(p) ``den`` is 1 and the division runs on residues. Over Q,
+    num/den is in lowest terms, so den x - num is primitive and, by
+    Gauss's lemma, divides ``a`` in Q[x] only with a quotient in Z[x]: a
+    coefficient that den does not divide rules the root out.
+    """
+    quo = [0] * (len(a) - 1)
+    carry = 0
+    for i in range(len(a) - 1, 0, -1):
+        if p:
+            c = (a[i] + carry) % p
+        else:
+            c, r = divmod(a[i] + carry, den)
+            if r:
+                return None
+        quo[i - 1] = c
+        carry = num * c
+    value = a[0] + carry
+    return None if (value % p if p else value) else quo
+
+
+def _squarefree(a, p: int) -> list:
+    """A squarefree divisor of the nonzero ``a`` with the same degree
+    exactly when ``a`` is squarefree.
+
+    Over Q it is the primitive a / gcd(a, a'), with every root of ``a``.
+    Over GF(p) a vanishing derivative makes ``a`` = f(x^p), which is f^p
+    since Frobenius fixes GF(p), and the reduction goes on with f;
+    otherwise ``a`` is divided by gcd(a, a') until that gcd is constant.
+    Factors whose multiplicity is divisible by p may be dropped, so over
+    GF(p) the result is only guaranteed to be a squarefree divisor.
+    """
+    if not p:
+        return _zz_squarefree(list(a))
+    while len(a) > 1:
+        d = _trim([c % p for c in _zz_derivative(a)])
+        if not d:
+            a = a[::p]
+            continue
+        g = _gf_gcd(a, d, p)
+        if len(g) == 1:
+            break
+        a = _gf_divmod(a, g, p)[0]
+    return list(a)
 
 
 def _trim(a: list) -> list:
@@ -352,20 +343,16 @@ def _gf_split(g: list, p: int) -> list:
         a += 1
 
 
-def _rational_root_candidates(coeffs) -> list:
-    """Rationals among which lie all roots over Q of the polynomial.
+def _rational_root_candidates(ints) -> list:
+    """Rationals among which lie all roots over Q of the polynomial with
+    the integer coefficients ``ints``.
 
-    With denominators cleared and the factor x^k split off (root 0), a
-    root a/b of the primitive squarefree part g has b | lc(g) and
-    a | g(0). Modulo a prime q dividing neither lc(g) nor the
+    With the factor x^k split off (root 0), a root a/b of the primitive
+    squarefree part g has b | lc(g) and a | g(0). Modulo a prime q dividing neither lc(g) nor the
     discriminant, a/b reduces to a simple root of g mod q, which Newton
     iteration lifts to a root mod m = q^(2^i) > 2 |lc(g) g(0)|; then
     lc(g) a/b is the symmetric residue of lc(g) times the lifted root.
     """
-    denom = 1
-    for c in coeffs:
-        denom = math.lcm(denom, c.denominator)
-    ints = [c.numerator * (denom // c.denominator) for c in coeffs]
     k = next(i for i, c in enumerate(ints) if c)
     candidates = [Fraction(0)] if k else []
     g = _zz_squarefree(ints[k:])
@@ -458,58 +445,3 @@ def _zz_exact_quo(a: list, b: list) -> list:
         for j, y in enumerate(b):
             rem[i - db + j] -= c * y
     return _zz_primitive(quo)
-
-
-def squarefree_no_guard(p: Poly) -> bool:
-    """Squarefreeness over Q or GF(p), valid in every degree.
-
-    Over a prime field a vanishing derivative forces the polynomial to
-    be a p-th power (Frobenius fixes GF(p)), hence not squarefree when
-    nonconstant; otherwise gcd with the derivative decides.
-    """
-    if p.is_zero():
-        raise ValueError("squarefreeness of the zero polynomial is undefined")
-    if p.is_constant():
-        return True
-    d = p.derivative()
-    if d.is_zero():
-        return False
-    return poly_gcd(p, d).is_constant()
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """A monic squarefree nonconstant divisor of a nonconstant ``p``.
-
-    Over GF(q), a polynomial with zero derivative is a q-th power whose
-    base divides it, so the reduction recurses on the base. Factors whose
-    multiplicity is divisible by the characteristic may be dropped; the
-    result is only guaranteed to be a squarefree divisor.
-    """
-    if p.is_constant():
-        return p.monic()
-    d = p.derivative()
-    if d.is_zero():
-        field = p.field
-        if not isinstance(field, PrimeField):
-            raise ValueError(f"nonconstant {p} has zero derivative outside characteristic p")
-        base = Poly(field, p.coeffs[:: field.p])
-        return squarefree_part(base)
-    g = poly_gcd(p, d)
-    if g.is_constant():
-        return p.monic()
-    return squarefree_part(p // g)
-
-
-def nonsplit_witness(p: Poly, roots) -> Poly:
-    """A monic nonconstant factor of ``p`` with no roots in the field: the
-    squarefree part of ``p`` with ``roots`` (as ``roots_in_field`` gives
-    them, which the caller already holds) divided out.
-
-    Irreducible whenever its degree is at most three; higher degrees may
-    still be products of irreducibles (full factorization is a non-goal).
-    """
-    linear = Poly.from_roots(p.field, [c for c, mult in roots for _ in range(mult)])
-    w = squarefree_part(p // linear)
-    if w.is_constant():
-        raise ValueError("polynomial splits; no witness exists")
-    return w

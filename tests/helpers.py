@@ -1,6 +1,7 @@
 """Debug checks, the bounded bundle-isomorphism search, the min-poly Cartan
 classifier, the exhaustive root search and the field-scalar linear
-algebra the integer kernels replaced, used by tests only.
+algebra and polynomial arithmetic the integer kernels replaced, used by
+tests only.
 
 None of these is reached from the command line or from the package's own
 constructions; they check the package's outputs from the outside.
@@ -53,6 +54,13 @@ def hom_operator(t_target: Matrix, t_source: Matrix) -> Matrix:
     return Matrix.from_columns(field, cols)
 
 
+def unflatten(field, vec, nrows: int, ncols: int) -> Matrix:
+    """The matrix with the row-major entries ``vec``."""
+    if len(vec) != nrows * ncols:
+        raise DimensionMismatch("flattened length mismatch")
+    return Matrix(field, [vec[i * ncols : (i + 1) * ncols] for i in range(nrows)], ncols)
+
+
 def end_bundle(bundle: BundleRep) -> BundleRep:
     """The endomorphism bundle, rank d^2, with conjugation as edge action."""
     ops = [conjugation_operator(t) for t in bundle.transitions]
@@ -100,7 +108,7 @@ def flat_hom_space(source: BundleRep, target: BundleRep):
         h_s = paths_s[v][1] @ source.transitions[e] @ paths_s[u][0]
         rows += (hom_operator(h_t, h_s) - ident).rows
     space = kernel(Matrix(field, rows)) if rows else Subspace.full(field, d * d)
-    basis = tuple(Matrix.unflatten(field, vec, d, d) for vec in space.basis)
+    basis = tuple(unflatten(field, vec, d, d) for vec in space.basis)
     return basis, [p for p, _pi in paths_t], [pi for _p, pi in paths_s]
 
 
@@ -394,7 +402,7 @@ def subalgebra_closure_defect(a: MatrixSubspace) -> Matrix | None:
     for x in basis:
         for y in basis:
             prod = x @ y
-            if not a.contains(prod):
+            if not a.space.contains(prod.flatten()):
                 return prod
     return None
 
@@ -436,9 +444,10 @@ def roots_by_enumeration(p: Poly):
 
     Tries every element of GF(p), or over Q every +-a/b for a dividing the
     constant term and b the leading coefficient, denominators cleared and
-    x^k split off; each root found is divided out as often as it divides.
-    Returns ``(roots, split)`` in the same canonical form. Over GF(p) the
-    scan evaluates on least residues first, so that GF(1009) stays quick.
+    x^k split off; each root found (by Horner's rule) is divided out, by
+    long division on field scalars, as often as it divides. Returns
+    ``(roots, split)`` in the same canonical form. Over GF(p) the scan
+    evaluates on least residues first, so that GF(1009) stays quick.
     """
     field = p.field
     if p.is_constant():
@@ -466,19 +475,21 @@ def roots_by_enumeration(p: Poly):
     roots = []
     rem = p
     for c in candidates:
-        if rem.is_constant():
-            break
-        if rem(c) != 0:
+        value = field.zero()
+        for a in reversed(rem.coeffs):
+            value = value * c + a
+        if value != 0:
             continue
         lin = Poly(field, (-c, field.one()))
         mult = 0
-        while True:
-            q, r = divmod(rem, lin)
+        while not rem.is_constant():
+            q, r = divmod_by_scalars(rem, lin)
             if not r.is_zero():
                 break
             rem = q
             mult += 1
-        roots.append((c, mult))
+        if mult:
+            roots.append((c, mult))
     roots.sort(key=lambda rm: field.element_key(rm[0]))
     return tuple(roots), sum(m for _, m in roots) == p.degree
 
@@ -488,3 +499,115 @@ def _value_mod(coeffs: list, x: int, p: int) -> int:
     for c in reversed(coeffs):
         acc = (acc * x + c) % p
     return acc
+
+
+# --- polynomial arithmetic on field scalars -----------------------------------------
+#
+# The Euclidean algorithms ``poly.py`` held before its polynomials computed
+# only on integer coefficient lists. Each reads and returns ``Poly`` values
+# through their field-scalar coefficients.
+
+
+def from_roots_by_scalars(field, roots) -> Poly:
+    """The monic product of the x - r over ``roots``, repeats included."""
+    coeffs = [field.one()]
+    for r in roots:
+        r = field.coerce(r)
+        coeffs = [a - r * b for a, b in zip([field.zero(), *coeffs], [*coeffs, field.zero()])]
+    return Poly(field, coeffs)
+
+
+def mul_by_scalars(a: Poly, b: Poly) -> Poly:
+    field = a.field
+    out = [field.zero()] * max(0, a.degree + b.degree + 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Poly(field, out)
+
+
+def divmod_by_scalars(a: Poly, b: Poly) -> tuple:
+    """Quotient and remainder of ``a`` by the nonzero ``b``, by long division."""
+    field = a.field
+    rem, top = list(a.coeffs), b.coeffs
+    d = b.degree
+    quo = [field.zero()] * max(0, len(rem) - d)
+    inv_lead = field.one() / top[-1]
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i] * inv_lead
+        if c == 0:
+            continue
+        quo[i - d] = c
+        for j, y in enumerate(top):
+            rem[i - d + j] = rem[i - d + j] - c * y
+    return Poly(field, quo), Poly(field, rem)
+
+
+def monic_by_scalars(a: Poly) -> Poly:
+    if a.is_zero():
+        return a
+    lead = a.coeffs[-1]
+    return Poly(a.field, [c / lead for c in a.coeffs])
+
+
+def derivative_by_scalars(a: Poly) -> Poly:
+    return Poly(a.field, [k * c for k, c in enumerate(a.coeffs)][1:])
+
+
+def gcd_by_scalars(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by the Euclidean algorithm; zero for two zeros."""
+    while not b.is_zero():
+        a, b = b, divmod_by_scalars(a, b)[1]
+    return monic_by_scalars(a)
+
+
+def squarefree_by_scalars(a: Poly) -> bool:
+    """Oracle for ``squarefree_no_guard``: over GF(p) a vanishing derivative
+    makes a nonconstant ``a`` a p-th power; otherwise gcd(a, a') decides."""
+    if a.is_constant():
+        return True
+    d = derivative_by_scalars(a)
+    return not d.is_zero() and gcd_by_scalars(a, d).is_constant()
+
+
+def squarefree_part_by_scalars(a: Poly) -> Poly:
+    """A monic squarefree divisor of the nonzero ``a``, nonconstant when
+    ``a`` is: over GF(p) a p-th power g(x^p) recurses on g, and otherwise
+    ``a`` is divided by gcd(a, a') until that gcd is constant."""
+    if a.is_constant():
+        return monic_by_scalars(a)
+    d = derivative_by_scalars(a)
+    if d.is_zero():
+        return squarefree_part_by_scalars(Poly(a.field, a.coeffs[:: a.field.p]))
+    g = gcd_by_scalars(a, d)
+    if g.is_constant():
+        return monic_by_scalars(a)
+    return squarefree_part_by_scalars(divmod_by_scalars(a, g)[0])
+
+
+def nonsplit_witness_by_scalars(a: Poly, roots) -> Poly:
+    """Oracle for ``nonsplit_witness``: the squarefree part of ``a`` with the
+    linear factors of ``roots`` divided out, constant when ``a`` splits."""
+    linear = from_roots_by_scalars(a.field, [c for c, mult in roots for _ in range(mult)])
+    return squarefree_part_by_scalars(divmod_by_scalars(a, linear)[0])
+
+
+def render_by_scalars(field, coeffs) -> str:
+    """Oracle for ``str(Poly)``: the nonzero terms from the top degree down,
+    a coefficient 1 (or -1 over Q) left implicit, joined by " + ", and
+    each "+ -" folded into "- "."""
+    terms = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        x = "x" if k == 1 else f"x^{k}"
+        if c == 0:
+            continue
+        if k == 0:
+            terms.append(field.render(c))
+        elif c == 1:
+            terms.append(x)
+        elif c == -1:
+            terms.append("-" + x)
+        else:
+            terms.append(f"{field.render(c)}*{x}")
+    return " + ".join(terms).replace("+ -", "- ") or "0"

@@ -80,7 +80,8 @@ def gl_search_oracle_d2(subspace, field):
         t = Matrix(field, [entries[:2], entries[2:]])
         if not t.is_invertible():
             continue
-        if all(diag.contains(t @ a @ t.inverse()) for a in subspace.basis_matrices()):
+        conjugates = (t @ a @ t.inverse() for a in subspace.basis_matrices())
+        if all(diag.space.contains(c.flatten()) for c in conjugates):
             return True
     return False
 

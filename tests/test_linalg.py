@@ -121,7 +121,7 @@ def test_min_poly_annihilates(m):
 
 def test_eigenspaces_diagonal():
     mp, roots, spaces = eigenspaces(M(QQ, [[1, 0], [0, 2]]))
-    assert mp == Poly.from_roots(QQ, [1, 2])
+    assert mp == Poly(QQ, (2, -3, 1))  # (x - 1)(x - 2)
     assert roots == ((Fraction(1), 1), (Fraction(2), 1))
     assert [(lam, sp.basis) for lam, sp in spaces] == [
         (Fraction(1), ((Fraction(1), Fraction(0)),)),
@@ -182,8 +182,8 @@ def test_matrix_subspace_membership():
     ident = Matrix.identity(QQ, 2)
     swap = M(QQ, [[0, 1], [1, 0]])
     span = MatrixSubspace(QQ, 2, [ident, swap])
-    assert span.contains(swap + ident.scale(3))
-    assert not span.contains(M(QQ, [[1, 0], [0, 0]]))
+    assert span.space.contains((swap + ident.scale(3)).flatten())
+    assert not span.space.contains(M(QQ, [[1, 0], [0, 0]]).flatten())
 
 
 def test_subspace_sum_and_intersection_dims():
@@ -323,10 +323,10 @@ def test_computed_matrices_equal_checked_construction(field):
         a - b,
         a.scale(3),
         -a,
-        a.transpose(),
+        Matrix.from_columns(field, a.rows),
         a.inverse(),
         rref(a @ b).matrix,
-        Matrix.unflatten(field, a.flatten(), 3, 3),
+        MatrixSubspace(field, 3, [a]).basis_matrices()[0],
         Matrix.identity(field, 3),
         Matrix.zeros(field, 2, 3),
     ]

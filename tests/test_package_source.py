@@ -109,22 +109,21 @@ def test_one_gauss_jordan_loop_in_package():
 
 
 def test_field_scalars_built_only_where_values_leave_the_integer_form():
-    # matrices, subspaces, eigenlines and the validation compute on canonical
-    # integer forms; a call that builds field scalars from ints anywhere else
-    # would bring back the scalar round trips of every intermediate result
+    # matrices, subspaces, eigenlines, polynomials and the validation compute
+    # on canonical integer forms; a call that builds field scalars from ints
+    # anywhere else would bring back the scalar round trips of every
+    # intermediate result, or a second, scalar polynomial arithmetic
     builders = {"from_ints", "line_scalars"}
     boundary = {
         # the lazy scalar views and the results returned as scalars
         "linalg.py:rows",
         "linalg.py:apply",
         "linalg.py:line_scalars",
-        "linalg.py:reduce",
         "linalg.py:solve",
-        "linalg.py:min_poly",
+        "poly.py:coeffs",
         # the eigenline results
         "cartan.py:lines",
-        # the CartanLines output: its lines and its edge factors
-        "bundles.py:validate_cartan_bundle",
+        # the CartanLines edge factors
         "bundles.py:_map_lines",
     }
     found = set()
@@ -140,7 +139,7 @@ def test_field_scalars_built_only_where_values_leave_the_integer_form():
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
-    for name in ("linalg.py", "cartan.py", "bundles.py"):
+    for name in ("linalg.py", "cartan.py", "bundles.py", "poly.py"):
         visit(ast.parse((PACKAGE / name).read_text(encoding="utf-8")), name)
     assert found <= boundary, sorted(found - boundary)
 
