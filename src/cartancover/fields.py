@@ -6,25 +6,34 @@ Prime-field scalars are ``Fp`` values holding a least residue in [0, p).
 Both representations are canonical per value, so equality of scalars is
 exact.
 
-A field object knows how to coerce, parse, render and order its scalars.
-Scalars are what reports and instance files show. Matrices, subspaces,
-lines and polynomials do not hold them: they are stored in a canonical
-integer form (see ``linalg`` and ``poly``). ``to_ints`` converts scalars
-into that form (least residues over GF(p); over Q integers over their
-least common denominator), refusing a scalar of another field with
-``DimensionMismatch``, and ``from_ints`` builds scalars from it, only
-where values leave the integer form.
+A field object coerces, parses, renders and orders its scalars, the
+values of its own arithmetic. Matrices, subspaces, lines and polynomials
+do not hold scalars: they hold a canonical integer form (see ``linalg``
+and ``poly``), least residues over GF(p) and over Q integers over their
+least common denominator. Values enter and leave that form without
+scalars:
+
+- ``to_ints`` reads values straight into it: scalars, ints and the
+  strings of instance files ("a" or "a/b" over Q, a decimal residue over
+  GF(p)). A scalar of another field raises ``DimensionMismatch``, or the
+  error the caller names; any other value raises ``ParseError``.
+- ``render_ints`` writes the form the way reports and instance files
+  show it: the strings ``render`` gives for the same values.
+
+``from_ints`` builds scalars from the form, only where a caller asks for
+scalars.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, ParseError
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_RESIDUE_RE = re.compile(r"^[+-]?\d+$")
 _ZERO = Fraction(0)
 
 
@@ -163,6 +172,27 @@ def _parse_int(s: str) -> int:
         raise ParseError(f"integer of {len(s)} characters exceeds the digit limit") from None
 
 
+def _parse_ratio(s: str) -> tuple:
+    """``(num, den)`` of the string "a" or "a/b" as written, not reduced."""
+    s = s.strip()
+    m = _RATIONAL_RE.match(s)
+    if m is None:
+        raise ParseError(f"malformed rational {s!r}; expected 'a' or 'a/b'")
+    num, den = m.group(1, 2)
+    num, den = _parse_int(num), _parse_int(den) if den else 1
+    if den == 0:
+        raise ParseError(f"malformed rational {s!r}: zero denominator")
+    return num, den
+
+
+def _parse_residue(s: str, p: int) -> int:
+    """The least residue mod p of the decimal integer string ``s``."""
+    s = s.strip()
+    if not _RESIDUE_RE.match(s):
+        raise ParseError(f"malformed GF({p}) residue {s!r}")
+    return _parse_int(s) % p
+
+
 class Rationals:
     """The field of rational numbers."""
 
@@ -187,23 +217,35 @@ class Rationals:
         raise ParseError(f"cannot interpret {x!r} as a rational number")
 
     def parse(self, s: str) -> Fraction:
-        s = s.strip()
-        if not _RATIONAL_RE.match(s):
-            raise ParseError(f"malformed rational {s!r}; expected 'a' or 'a/b'")
-        num, _, den = s.partition("/")
-        num, den = _parse_int(num), _parse_int(den or "1")
-        if den == 0:
-            raise ParseError(f"malformed rational {s!r}: zero denominator")
-        return Fraction(num, den)
+        return Fraction(*_parse_ratio(s))
 
-    def to_ints(self, scalars) -> tuple:
-        """``(den, ints)`` with ``scalars[j] == ints[j] / den``, over the
-        least common denominator. A scalar of a prime field raises
-        ``DimensionMismatch``; other values go through ``coerce``."""
-        if not all(type(x) is Fraction for x in scalars):
-            scalars = [self._operand(x) for x in scalars]
-        den = lcm(*[x.denominator for x in scalars])
-        return den, [x.numerator * (den // x.denominator) for x in scalars]
+    def to_ints(self, values, foreign=DimensionMismatch) -> tuple:
+        """``(den, ints)``, the canonical integer form of ``values``:
+        ``values[j] == ints[j] / den`` over the least common denominator.
+        A value is a rational scalar, an int or a string "a" or "a/b"; ints
+        and strings go into the form without a scalar. A scalar of a prime
+        field raises ``foreign``, any other value ``ParseError``."""
+        if all(type(x) is Fraction for x in values):
+            den = lcm(*[x.denominator for x in values])
+            return den, [x.numerator * (den // x.denominator) for x in values]
+        pairs = [_parse_ratio(x) if type(x) is str else self._ratio(x, foreign) for x in values]
+        den = lcm(*[d for _, d in pairs])
+        ints = [n * (den // d) for n, d in pairs]
+        # a string such as "6/4" is not reduced: one division by the common
+        # factor leaves gcd(den, ints) = 1, which is the canonical form
+        g = gcd(den, *ints)
+        if g != 1:
+            den //= g
+            ints = [x // g for x in ints]
+        return den, ints
+
+    def _ratio(self, x, foreign) -> tuple:
+        if type(x) is int:
+            return x, 1
+        if isinstance(x, Fp):
+            raise foreign(f"scalar {x!r} is not an element of Q")
+        x = self.coerce(x)
+        return x.numerator, x.denominator
 
     def from_ints(self, ints, den: int) -> tuple:
         """The scalars ``ints[j] / den``."""
@@ -211,10 +253,15 @@ class Rationals:
             return tuple(Fraction(x) if x else _ZERO for x in ints)
         return tuple(Fraction(x, den) if x else _ZERO for x in ints)
 
-    def _operand(self, x) -> Fraction:
-        if isinstance(x, Fp):
-            raise DimensionMismatch(f"scalar {x!r} is not an element of Q")
-        return self.coerce(x)
+    def render_ints(self, ints, den: int) -> list:
+        """``render`` of each scalar ``ints[j] / den``, written from the ints."""
+        if den == 1:
+            return [str(x) for x in ints]
+        out = []
+        for x in ints:
+            g = gcd(x, den)
+            out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+        return out
 
     def render(self, v) -> str:
         return str(v)
@@ -263,19 +310,25 @@ class PrimeField:
         raise ParseError(f"cannot interpret {x!r} as an element of GF({self.p})")
 
     def parse(self, s: str) -> Fp:
-        s = s.strip()
-        if not re.match(r"^[+-]?\d+$", s):
-            raise ParseError(f"malformed GF({self.p}) residue {s!r}")
-        return Fp(_parse_int(s), self.p)
+        return Fp(_parse_residue(s, self.p), self.p)
 
-    def to_ints(self, scalars) -> tuple:
-        """``(1, residues)``: the least residues of ``scalars``. A rational
-        or a scalar of another prime field raises ``DimensionMismatch``;
-        other values go through ``coerce``."""
+    def to_ints(self, values, foreign=DimensionMismatch) -> tuple:
+        """``(1, residues)``, the canonical integer form of ``values``: their
+        least residues. A value is a scalar of this field, an int or a
+        decimal integer string; ints and strings go into the form without a
+        scalar. A rational or a scalar of another prime field raises
+        ``foreign``, any other value ``ParseError``."""
         p = self.p
-        if not all(type(x) is Fp and x.p == p for x in scalars):
-            scalars = [self._operand(x) for x in scalars]
-        return 1, [x.val for x in scalars]
+        if all(type(x) is Fp and x.p == p for x in values):
+            return 1, [x.val for x in values]
+        return 1, [x % p if type(x) is int else self._residue(x, foreign) for x in values]
+
+    def _residue(self, x, foreign) -> int:
+        if type(x) is str:
+            return _parse_residue(x, self.p)
+        if isinstance(x, Fraction) or (isinstance(x, Fp) and x.p != self.p):
+            raise foreign(f"scalar {x!r} is not an element of GF({self.p})")
+        return self.coerce(x).val
 
     def from_ints(self, ints, den: int) -> tuple:
         """The scalars ``ints[j] / den``."""
@@ -285,10 +338,13 @@ class PrimeField:
             ints = [x * inv for x in ints]
         return tuple(Fp(x, p) for x in ints)
 
-    def _operand(self, x) -> Fp:
-        if isinstance(x, Fraction) or (isinstance(x, Fp) and x.p != self.p):
-            raise DimensionMismatch(f"scalar {x!r} is not an element of GF({self.p})")
-        return self.coerce(x)
+    def render_ints(self, ints, den: int) -> list:
+        """``render`` of each scalar ``ints[j] / den``, written from the ints."""
+        p = self.p
+        if den % p != 1:
+            inv = pow(den, -1, p)
+            ints = [x * inv for x in ints]
+        return [str(x % p) for x in ints]
 
     def render(self, v) -> str:
         return str(v.val)

@@ -3,7 +3,8 @@
 The format is UTF-8 JSON with all scalars exact: rationals are strings
 "a/b" or "a" (or plain integers), prime-field values are decimal
 residues. Fiber labels are 1-based in files and 0-based in memory.
-Parsing failures name the offending location.
+Matrix entries go straight into the canonical integer form, and matrices
+are written back from it. Parsing failures name the offending location.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import DisconnectedBase, ParseError
 from .fields import field_from_json, field_to_json
 from .linalg import Matrix
 from .parabolic import BranchPoint, RamifiedCoverData, RamifiedSheet, parse_weight
+from .reports import render_matrix
 
 KINDS = ("cartan", "bundle", "cover", "parabolic")
 
@@ -74,23 +76,29 @@ def parse_scalar(field, value, where):
 
 
 def parse_matrix(field, value, where) -> Matrix:
+    """The matrix of a list of rows of entries, read straight into the
+    canonical integer form by ``Matrix``."""
     rows = _expect_list(value, where)
     if not rows:
         raise ParseError(f"{where}: matrix needs at least one row")
-    parsed = []
+    if all(isinstance(r, list) for r in rows):
+        width = len(rows[0])
+        if width and all(len(r) == width for r in rows):
+            try:
+                return Matrix(field, rows, width)
+            except ParseError:
+                pass
+    _refuse_matrix(field, rows, where)
+
+
+def _refuse_matrix(field, rows, where):
+    """Raise the error of a refused matrix: the first row or entry, in
+    reading order, that is not one, with its location, else its shape."""
     for i, row in enumerate(rows):
         row = _expect_list(row, f"{where}[{i}]")
-        parsed.append(
-            tuple(parse_scalar(field, x, f"{where}[{i}][{j}]") for j, x in enumerate(row))
-        )
-    width = len(parsed[0])
-    if any(len(r) != width for r in parsed) or width == 0:
-        raise ParseError(f"{where}: matrix rows must be nonempty and equal length")
-    return Matrix(field, parsed, width)
-
-
-def matrix_to_json(field, m: Matrix):
-    return [[field.render(x) for x in row] for row in m.rows]
+        for j, x in enumerate(row):
+            parse_scalar(field, x, f"{where}[{i}][{j}]")
+    raise ParseError(f"{where}: matrix rows must be nonempty and equal length")
 
 
 def parse_graph(value, where) -> BaseGraph:
@@ -305,11 +313,11 @@ def bundle_instance_to_json(field, bundle: BundleRep, algebra: SubalgebraBundle 
     payload = {
         "graph": graph_to_json(bundle.graph),
         "rank": bundle.rank,
-        "transitions": [matrix_to_json(field, t) for t in bundle.transitions],
+        "transitions": [render_matrix(field, t) for t in bundle.transitions],
     }
     if algebra is not None:
         payload["cartan_bundle"] = [
-            [matrix_to_json(field, m) for m in fiber.basis_matrices()]
+            [render_matrix(field, m) for m in fiber.basis_matrices()]
             for fiber in algebra.fibers
         ]
     return {"field": field_to_json(field), "kind": "bundle", "payload": payload}

@@ -16,10 +16,14 @@ A subspace of k^n holds the canonical form of its reduced row echelon
 basis. A line of k^n is a canonical integer line, a tuple: over GF(p)
 the leading-one residues, over Q the primitive vector with a positive
 leading entry (``Matrix.map_line`` maps them).
-Field scalars are built (``from_ints``) only where values leave these
-forms: the lazy ``Matrix.rows`` and ``Subspace.basis`` and the results
-returned as scalars. Operands over different fields are refused with
-``DimensionMismatch``.
+Values enter and leave these forms without field scalars: ``Matrix``
+reads its entries (instance-file ints and strings as well as scalars)
+straight into the form with ``to_ints``, and reports write it with
+``render_ints``. Scalars are built (``from_ints``) only where a caller
+asks for them: the lazy ``Matrix.rows`` and ``Subspace.basis`` and the
+results returned as scalars. Operands over different fields are refused
+with ``DimensionMismatch``; an entry from another field is a
+``ParseError``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, ParseError, SingularMatrix
 from .poly import Poly, roots_in_field
 
 # --- integer kernels ----------------------------------------------------------
@@ -129,15 +133,16 @@ class Matrix:
     __slots__ = ("field", "den", "ints", "nrows", "ncols")
 
     def __init__(self, field, rows, ncols: int | None = None):
-        rows = [[field.coerce(x) for x in r] for r in rows]
+        """The matrix with the given rows of entries: field scalars, ints or
+        instance-file strings, read straight into the canonical form."""
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
                 raise DimensionMismatch("ragged matrix rows")
         elif ncols is None:
             raise DimensionMismatch("empty matrix needs an explicit column count")
-        # the least common denominator of all entries leaves gcd 1 with them
-        self.den, flat = field.to_ints([x for r in rows for x in r])
+        # an entry from another field is malformed here, not a foreign operand
+        self.den, flat = field.to_ints([x for r in rows for x in r], ParseError)
         self.field = field
         self.ints = [flat[i * ncols : (i + 1) * ncols] for i in range(len(rows))]
         self.nrows = len(rows)
@@ -208,7 +213,7 @@ class Matrix:
         return self + -other
 
     def scale(self, c) -> "Matrix":
-        b, (a,) = self.field.to_ints([self.field.coerce(c)])
+        b, (a,) = self.field.to_ints([c], ParseError)
         rows = [[a * x for x in r] for r in self.ints]
         return Matrix._make(self.field, self.den * b, rows, self.ncols)
 
@@ -279,7 +284,7 @@ class Matrix:
         return hash((self.field, self.ncols, self.rows))
 
     def __repr__(self):
-        body = "; ".join(" ".join(self.field.render(x) for x in r) for r in self.rows)
+        body = "; ".join(" ".join(self.field.render_ints(r, self.den)) for r in self.ints)
         return f"Matrix[{body}]"
 
 

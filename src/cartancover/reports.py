@@ -45,7 +45,9 @@ class Report:
 
 
 def render_matrix(field_obj, m) -> list:
-    return [[field_obj.render(x) for x in row] for row in m.rows]
+    """The entries of a matrix as report and instance-file strings, row by
+    row, written from its canonical integer form."""
+    return [field_obj.render_ints(r, m.den) for r in m.ints]
 
 
 def render_vector(field_obj, v) -> list:
@@ -53,7 +55,7 @@ def render_vector(field_obj, v) -> list:
 
 
 def matrix_oneline(field_obj, m) -> str:
-    return "[" + "; ".join(" ".join(field_obj.render(x) for x in row) for row in m.rows) + "]"
+    return "[" + "; ".join(" ".join(row) for row in render_matrix(field_obj, m)) + "]"
 
 
 def render_filtration(filtration) -> list:

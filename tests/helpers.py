@@ -25,6 +25,7 @@ from cartancover.covers import (
 )
 from cartancover.errors import DimensionMismatch, ParseError, SingularMatrix
 from cartancover.fields import Fp, PrimeField, is_prime
+from cartancover.instances import parse_scalar
 from cartancover.linalg import Matrix, Subspace, kernel, min_poly
 from cartancover.parabolic import parse_weight
 from cartancover.poly import Poly, nonsplit_witness, roots_in_field, squarefree_no_guard
@@ -611,3 +612,34 @@ def render_by_scalars(field, coeffs) -> str:
         else:
             terms.append(f"{field.render(c)}*{x}")
     return " + ".join(terms).replace("+ -", "- ") or "0"
+
+
+# --- instance-file matrices ------------------------------------------------------
+#
+# Oracles for ``instances.parse_matrix`` and ``reports.render_matrix``: the
+# per-entry path they replaced, with a field scalar for every entry.
+
+
+def parse_matrix_by_scalars(field, value, where) -> Matrix:
+    """The matrix of a list of rows of entries, each parsed to a field
+    scalar, its canonical form read off the scalars."""
+    if not isinstance(value, list) or not value:
+        raise ParseError(f"{where}: expected a nonempty list of rows")
+    parsed = []
+    for i, row in enumerate(value):
+        if not isinstance(row, list):
+            raise ParseError(f"{where}[{i}]: expected a list")
+        parsed.append([parse_scalar(field, x, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
+    width = len(parsed[0])
+    if any(len(r) != width for r in parsed) or width == 0:
+        raise ParseError(f"{where}: matrix rows must be nonempty and equal length")
+    if field.characteristic:
+        return Matrix._make(field, 1, [[x.val for x in r] for r in parsed], width)
+    den = math.lcm(*[x.denominator for r in parsed for x in r])
+    ints = [[x.numerator * (den // x.denominator) for x in r] for r in parsed]
+    return Matrix._make(field, den, ints, width)
+
+
+def render_matrix_by_scalars(field, m: Matrix) -> list:
+    """Oracle for ``reports.render_matrix``: each field scalar rendered."""
+    return [[field.render(x) for x in row] for row in m.rows]

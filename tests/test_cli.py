@@ -10,8 +10,9 @@ import pytest
 from cartancover import cli, covers
 from cartancover.cli import main
 from cartancover.fields import field_from_json, field_to_json
-from cartancover.instances import load_instance, matrix_to_json, parse_instance_text
+from cartancover.instances import load_instance, parse_instance_text
 from cartancover.linalg import Matrix
+from cartancover.reports import render_matrix
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -216,8 +217,8 @@ def _gauged_double_cover_bundle(field, gauges):
         "payload": {
             "graph": {"vertices": 2, "edges": edges},
             "rank": 2,
-            "transitions": [matrix_to_json(field, t) for t in transitions],
-            "cartan_bundle": [[matrix_to_json(field, b) for b in fiber] for fiber in fibers],
+            "transitions": [render_matrix(field, t) for t in transitions],
+            "cartan_bundle": [[render_matrix(field, b) for b in fiber] for fiber in fibers],
         },
     }
 

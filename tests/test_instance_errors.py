@@ -1,0 +1,124 @@
+"""Matrix entries an instance file may not hold: each is refused with a
+``ParseError`` that names its location."""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from cartancover.errors import ParseError
+from cartancover.fields import GF, QQ, Fp
+from cartancover.instances import parse_instance_text
+from cartancover.linalg import Matrix
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+Q = {"kind": "Q"}
+F7 = {"kind": "Fp", "p": 7}
+LONG = "1" * 5000  # past Python's integer-string digit limit
+
+
+def _cartan_text(field, matrix) -> str:
+    payload = {"d": 2, "basis": [[[1, 0], [0, 1]], matrix]}
+    return json.dumps({"field": field, "kind": "cartan", "payload": payload})
+
+
+@pytest.mark.parametrize(
+    "field, matrix, message",
+    [
+        (Q, [[1, 0], [1.5, 1]], "payload.basis[1][1][0]: floats are not exact scalars"),
+        (F7, [[1, 0], [2.0, 1]], "payload.basis[1][1][0]: floats are not exact scalars"),
+        (Q, [[1, True], [0, 1]], "payload.basis[1][0][1]: booleans are not rational scalars"),
+        (F7, [[1, False], [0, 1]], "payload.basis[1][0][1]: booleans are not prime-field scalars"),
+        (
+            Q,
+            [[1, 0], [0, {"a": 1}]],
+            "payload.basis[1][1][1]: cannot interpret {'a': 1} as a rational number",
+        ),
+        (
+            F7,
+            [[1, 0], [0, None]],
+            "payload.basis[1][1][1]: cannot interpret None as an element of GF(7)",
+        ),
+        (
+            Q,
+            [["1/0", 0], [0, 1]],
+            "payload.basis[1][0][0]: malformed rational '1/0': zero denominator",
+        ),
+        (
+            Q,
+            [[1, " 1/x "], [0, 1]],
+            "payload.basis[1][0][1]: malformed rational '1/x'; expected 'a' or 'a/b'",
+        ),
+        (
+            Q,
+            [[1, "1_0"], [0, 1]],
+            "payload.basis[1][0][1]: malformed rational '1_0'; expected 'a' or 'a/b'",
+        ),
+        (F7, [[1, 0], ["x", 1]], "payload.basis[1][1][0]: malformed GF(7) residue 'x'"),
+        (F7, [[1, 0], [0, "1/2"]], "payload.basis[1][1][1]: malformed GF(7) residue '1/2'"),
+        (
+            Q,
+            [[LONG, 0], [0, 1]],
+            "payload.basis[1][0][0]: integer of 5000 characters exceeds the digit limit",
+        ),
+        (
+            Q,
+            [["1/" + LONG, 0], [0, 1]],
+            "payload.basis[1][0][0]: integer of 5000 characters exceeds the digit limit",
+        ),
+        (
+            F7,
+            [[1, 0], [0, "-" + LONG]],
+            "payload.basis[1][1][1]: integer of 5001 characters exceeds the digit limit",
+        ),
+        (Q, [[1, 2], [3]], "payload.basis[1]: matrix rows must be nonempty and equal length"),
+        (Q, [[], []], "payload.basis[1]: matrix rows must be nonempty and equal length"),
+        (Q, [], "payload.basis[1]: matrix needs at least one row"),
+        (Q, {"rows": 2}, "payload.basis[1]: expected a list"),
+        (Q, [[1, 2], 5], "payload.basis[1][1]: expected a list"),
+        # entries are refused in reading order, before a later ragged or
+        # non-list row
+        (
+            Q,
+            [[1, "x"], [3], 5],
+            "payload.basis[1][0][1]: malformed rational 'x'; expected 'a' or 'a/b'",
+        ),
+        (F7, [[1, 2], [3], ["y", 1]], "payload.basis[1][2][0]: malformed GF(7) residue 'y'"),
+    ],
+)
+def test_refused_entries_name_their_location(field, matrix, message):
+    with pytest.raises(ParseError) as info:
+        parse_instance_text(_cartan_text(field, matrix))
+    assert str(info.value) == message
+
+
+def test_refused_bundle_entries_name_their_location():
+    doc = json.loads((INSTANCES / "bundle_loop_swap2_q.json").read_text(encoding="utf-8"))
+    doc["payload"]["transitions"][0][1][0] = "2/0"
+    with pytest.raises(ParseError) as info:
+        parse_instance_text(json.dumps(doc))
+    assert str(info.value) == (
+        "payload.transitions[0][1][0]: malformed rational '2/0': zero denominator"
+    )
+    doc = json.loads((INSTANCES / "bundle_loop_swap2_q.json").read_text(encoding="utf-8"))
+    doc["payload"]["cartan_bundle"][0][1][0][1] = 0.5
+    with pytest.raises(ParseError) as info:
+        parse_instance_text(json.dumps(doc))
+    assert str(info.value) == "payload.cartan_bundle[0][1][0][1]: floats are not exact scalars"
+
+
+@pytest.mark.parametrize(
+    "field, entry",
+    [
+        (GF(5), Fraction(1, 2)),
+        (GF(5), Fp(1, 7)),
+        (QQ, Fp(1, 5)),
+        (QQ, True),
+        (GF(5), 1.0),
+        (QQ, None),
+    ],
+)
+def test_an_entry_from_another_field_or_of_no_field_is_a_parse_error(field, entry):
+    with pytest.raises(ParseError):
+        Matrix(field, [[1, entry]])

@@ -144,6 +144,43 @@ def test_field_scalars_built_only_where_values_leave_the_integer_form():
     assert found <= boundary, sorted(found - boundary)
 
 
+def test_matrix_entries_enter_and_leave_without_field_scalars():
+    # instance-file entries go straight into the canonical integer form and
+    # reports are written from it; a parse, coerce or from_ints call, or a
+    # read of Matrix.rows, in these functions would bring back the scalar
+    # built for every entry on the way in or out
+    watched = {
+        "instances.py": {"parse_matrix"},
+        "reports.py": {"render_matrix", "matrix_oneline"},
+        "linalg.py": {"Matrix.__init__", "Matrix.__repr__"},
+    }
+    scalar_paths = {"coerce", "parse", "parse_scalar", "from_ints"}
+    seen, found = set(), set()
+
+    def visit(node, name, where, scope):
+        # scope: the watched function the node lies in, nested functions included
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+            if scope is None and where in watched[name]:
+                scope = f"{name}:{where}"
+                seen.add(scope)
+        if scope is not None:
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in scalar_paths:
+                    found.add(f"{scope}:{called}")
+            if isinstance(node, ast.Attribute) and node.attr == "rows":
+                found.add(f"{scope}:rows")
+        for child in ast.iter_child_nodes(node):
+            visit(child, name, where, scope)
+
+    for name in watched:
+        visit(ast.parse((PACKAGE / name).read_text(encoding="utf-8")), name, "", None)
+    assert seen == {f"{name}:{where}" for name in watched for where in watched[name]}
+    assert sorted(found) == []
+
+
 def test_no_reference_oracle_called_in_package():
     # the round trip reads its isomorphism off eta and its flat-section
     # dimension off the cover, and edges are checked on eigenlines; the
