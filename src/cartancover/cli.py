@@ -46,7 +46,13 @@ from .errors import (
     SingularMatrix,
     SingularTransition,
 )
-from .factorization import block_systems, intermediate_cover, monodromy_generators, summand_embedding_check
+from .factorization import (
+    ENUMERATION_DEGREE_BOUND,
+    block_systems,
+    intermediate_cover,
+    monodromy_generators,
+    summand_embedding_check,
+)
 from .fields import GF, QQ, field_label, field_to_json
 from .instances import (
     BundleInstance,
@@ -75,7 +81,6 @@ from .reports import (
     perm_to_json,
     render_filtration,
     render_matrix,
-    render_vector,
 )
 
 INPUT_ERRORS = (
@@ -145,13 +150,13 @@ def cmd_classify(instance: CartanInstance) -> Report:
         machine["witness"] = {"basis_pair": list(verdict.witness_pair)}
     eig = verdict.eigenlines
     if eig is not None:
-        machine["eigenlines"] = [render_vector(field, line) for line in eig.lines]
-        machine["functionals"] = [render_vector(field, mu) for mu in eig.functionals]
-        for t, (line, mu) in enumerate(zip(eig.lines, eig.functionals)):
-            human.append(
-                f"line {t + 1}: ({', '.join(render_vector(field, line))})"
-                f"  mu: ({', '.join(render_vector(field, mu))})"
-            )
+        # each line is written leading-one normalized: over its leading entry
+        lines = [field.render_ints(line, next(filter(None, line))) for line in eig.ints]
+        functionals = render_matrix(field, eig.values)
+        machine["eigenlines"] = lines
+        machine["functionals"] = functionals
+        for t, (line, mu) in enumerate(zip(lines, functionals)):
+            human.append(f"line {t + 1}: ({', '.join(line)})  mu: ({', '.join(mu)})")
     code = 0 if machine["ok"] else 1
     return Report("classify", machine, human, code)
 
@@ -265,6 +270,8 @@ def _pushforward_parabolic(instance: ParabolicInstance) -> Report:
 
 
 def cmd_factor(instance: CoverInstance, max_degree: int) -> Report:
+    if max_degree < 1:
+        raise ParseError(f"--max-degree expects a positive integer, got {max_degree}")
     cover = instance.cover
     if cover.degree > max_degree:
         raise DegreeTooLarge(
@@ -414,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factor", help="intermediate covers via block systems")
     p.add_argument("instance")
-    p.add_argument("--max-degree", type=int, default=12)
+    p.add_argument("--max-degree", type=int, default=ENUMERATION_DEGREE_BOUND)
 
     p = sub.add_parser("selftest", help="seeded randomized property suites")
     p.add_argument("--seed", type=int, default=1)

@@ -425,6 +425,23 @@ def test_factor_respects_max_degree(capsys):
     assert json.loads(out)["error"]["type"] == "DegreeTooLarge"
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_factor_nonpositive_max_degree_is_input_error(capsys, value):
+    code, out = run_cli(
+        capsys,
+        "--format",
+        "machine",
+        "factor",
+        str(INSTANCES / "cover_c4_loop_q.json"),
+        "--max-degree",
+        value,
+    )
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"] == f"--max-degree expects a positive integer, got {value}"
+
+
 def test_factor_primitive_action(tmp_path, capsys):
     doc = {
         "field": {"kind": "Q"},

@@ -247,6 +247,31 @@ def test_every_error_type_is_raised_in_package():
     assert sorted(concrete - raised) == []
 
 
+def test_no_json_dump_in_package():
+    # machine reports are written by reports.Report.to_machine_text, whose
+    # one-pass writer emits the bytes json.dumps(indent=2) would in a
+    # fraction of its time; a json.dump or json.dumps call, or either name
+    # imported from json, would be a second serializer
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("dump", "dumps")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+            ):
+                found.append(f"{path.name}:{node.lineno}:json.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                found += [
+                    f"{path.name}:{node.lineno}:{alias.name}"
+                    for alias in node.names
+                    if alias.name in ("dump", "dumps")
+                ]
+    assert found == []
+
+
 def _modules_after(statement: str) -> set:
     code = f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); {statement}; print(*sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
