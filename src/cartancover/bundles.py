@@ -30,7 +30,7 @@ from .errors import (
     SingularMatrix,
     SingularTransition,
 )
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Matrix, Subspace, kernel, ratio_matrix
 
 
 class BaseGraph:
@@ -211,8 +211,8 @@ class CartanLines(NamedTuple):
 
     ``lines[v]`` holds the d common eigenlines of the fiber at vertex v,
     as canonical integer lines in the order of ``cartan.sort_lines``.
-    Transition e carries line t over its source to ``factors[e][t]`` times
-    line ``images[e][t]`` over its target.
+    Transition e carries line t over its source to entry (e, t) of the
+    matrix ``factors`` times line ``images[e][t]`` over its target.
     """
 
     lines: tuple
@@ -253,8 +253,8 @@ def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> Cart
     spectral cover is built from.
 
     Lines are carried, compared and returned as canonical integer lines
-    (``Matrix.map_line``), which are hashable; field scalars are built only
-    for the returned edge factors.
+    (``Matrix.map_line``), which are hashable, and the edge factors as a
+    matrix in canonical integer form; no field scalar is built.
     """
     tree = validate_bundle(bundle)
     # tree edge -> per line over its source: (image index, factor as num, den)
@@ -306,12 +306,11 @@ def _fiber_lines(algebra: SubalgebraBundle, v: int) -> tuple:
 def _map_lines(bundle: BundleRep, lines, known: dict) -> tuple:
     """Per edge e = (u, v) and canonical integer line t over u: the index
     of the line over v that T_e carries line t onto, and the scale of the
-    image over that normalized line, a field scalar. ``known`` holds these
-    as (index, num, den) for edges already mapped. Raises
+    image over that normalized line, entry (e, t) of the returned matrix.
+    ``known`` holds these as (index, num, den) for edges already mapped. Raises
     ``IncompatibleEdge`` at the first edge whose transition does not carry
     the lines over u onto the lines over v."""
     index = [{line: t for t, line in enumerate(ls)} for ls in lines]
-    from_ints = bundle.field.from_ints
     images, factors = [], []
     for e, (u, v) in enumerate(bundle.graph.edges):
         mapped = known.get(e)
@@ -324,8 +323,8 @@ def _map_lines(bundle: BundleRep, lines, known: dict) -> tuple:
                     raise IncompatibleEdge(e)
                 mapped.append((target, num, den))
         images.append(tuple(t for t, _num, _den in mapped))
-        factors.append(tuple(from_ints([num], den)[0] for _t, num, den in mapped))
-    return tuple(images), tuple(factors)
+        factors.append([(num, den) for _t, num, den in mapped])
+    return tuple(images), ratio_matrix(bundle.field, factors, bundle.rank)
 
 
 def tree_paths(bundle: BundleRep, tree: SpanningTree) -> list:

@@ -24,7 +24,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, NotSplitCartan, SingularMatrix
-from .linalg import Matrix, Subspace, eigenspaces, line_scalars, min_poly
+from .linalg import Matrix, Subspace, eigenspaces, min_poly, ratio_matrix
 from .poly import Poly, nonsplit_witness, roots_in_field, squarefree_no_guard
 
 
@@ -173,21 +173,12 @@ class EigenlineSet(NamedTuple):
     downstream cover logic never relies on this order, matching the fact
     that the lines carry no intrinsic numbering. Row t of ``values`` gives,
     for each canonical basis matrix of the subspace, the scalar by which it
-    acts on line t. ``lines`` and ``functionals`` are the same as field
-    scalars, the lines leading-one normalized, built on each read.
+    acts on line t.
     """
 
     field: object
     ints: tuple
     values: Matrix
-
-    @property
-    def lines(self) -> tuple:
-        return tuple(line_scalars(self.field, line) for line in self.ints)
-
-    @property
-    def functionals(self) -> tuple:
-        return self.values.rows
 
 
 def sort_lines(lines) -> tuple:
@@ -231,9 +222,7 @@ def diagonal_functionals(a: MatrixSubspace, lines):
                 return None
             row.append((num, den))
         values.append(row)
-    top = lcm(*[den for row in values for _num, den in row])
-    rows = [[num * (top // den) for num, den in row] for row in values]
-    return Matrix._make(a.field, top, rows, d)
+    return ratio_matrix(a.field, values, d)
 
 
 def _refined_lines(a: MatrixSubspace, spectra: list):
@@ -254,7 +243,7 @@ def _refined_lines(a: MatrixSubspace, spectra: list):
             break
         mp, roots, spaces = eigenspaces(m)
         spectra.append((mp, roots, spaces is not None))
-        if spaces is None or any(mult > 1 for _lam, mult in roots):
+        if spaces is None or any(mult > 1 for _num, _den, mult in roots):
             return None
         refined = []
         for block in blocks:
@@ -293,7 +282,7 @@ def _failure_verdict(a: MatrixSubspace, spectra: list) -> CartanVerdict:
         mp, roots, split = spectra[i]
         # squarefreeness of the rootless part decides extension-diagonalizability;
         # prime fields are perfect, so the gcd test is sound in every degree
-        if any(mult > 1 for _lam, mult in roots) or not (split or squarefree_no_guard(mp)):
+        if any(mult > 1 for _num, _den, mult in roots) or not (split or squarefree_no_guard(mp)):
             return CartanVerdict(
                 CartanStatus.NOT_CARTAN,
                 NotCartanReason.NOT_DIAGONALIZABLE,

@@ -189,11 +189,10 @@ def cmd_cover_build(instance: BundleInstance) -> Report:
         f"{report.component_count} component(s), profile {list(report.degree_profile)}"
         + (", split" if report.split else ""),
     ]
+    # the line bundle's scalar matrix as render_matrix writes it
+    scalars = machine["cover"]["payload"]["scalars"]
     for e, perm in enumerate(result.cover.sigma):
-        human.append(
-            f"edge {e}: sigma {perm_to_json(perm)}, scalars "
-            f"({', '.join(field.render(s) for s in result.line_bundle.scalars[e])})"
-        )
+        human.append(f"edge {e}: sigma {perm_to_json(perm)}, scalars ({', '.join(scalars[e])})")
     for v, m in enumerate(result.eta):
         human.append(f"eta at vertex {v}: {matrix_oneline(field, m)}")
     human.append(f"flat sections of the algebra bundle: dimension {record.flat_section_dim}")

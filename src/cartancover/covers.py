@@ -28,13 +28,12 @@ with no subspace conjugated on the way.
 from __future__ import annotations
 
 from itertools import permutations
-from math import lcm
 from typing import NamedTuple
 
 from .bundles import BaseGraph, BundleRep, SubalgebraBundle, validate_cartan_bundle
 from .cartan import MatrixSubspace
 from .errors import DimensionMismatch, DisconnectedBase, EtaNotMonomial, ParseError
-from .linalg import Matrix
+from .linalg import Matrix, ratio_matrix
 
 
 def _check_permutation(sigma, d: int):
@@ -108,22 +107,27 @@ class CoverRep:
 
 
 class LineBundleOnCover:
-    """Nonzero scalar per cover edge: label t over edge e carries s[e][t]."""
+    """A nonzero scalar per cover edge: label t over base edge e carries
+    entry (e, t) of ``scalars``, a ``Matrix`` in canonical integer form with
+    one row per base edge (none on an edgeless cover) and one column per
+    label. Given as such a matrix, it is taken as it is; given as rows of
+    entries (field scalars, ints or instance-file strings), ``Matrix`` reads them.
+    """
 
     __slots__ = ("cover", "field", "scalars")
     cover: CoverRep
     field: object
-    scalars: tuple  # per edge, per source label
+    scalars: Matrix
 
     def __init__(self, cover: CoverRep, field, scalars):
-        scalars = tuple(tuple(field.coerce(x) for x in s) for s in scalars)
-        if len(scalars) != len(cover.base.edges):
-            raise DimensionMismatch("one scalar list per edge required")
-        for s in scalars:
-            if len(s) != cover.degree:
+        if not isinstance(scalars, Matrix):
+            if len(scalars) != len(cover.base.edges):
+                raise DimensionMismatch("one scalar list per edge required")
+            if any(len(s) != cover.degree for s in scalars):
                 raise DimensionMismatch("one scalar per fiber label required")
-            if any(x == 0 for x in s):
-                raise DimensionMismatch("line bundle scalars must be nonzero")
+            scalars = Matrix(field, scalars, cover.degree)
+        if any(0 in row for row in scalars.ints):
+            raise DimensionMismatch("line bundle scalars must be nonzero")
         self.cover = cover
         self.field = field
         self.scalars = scalars
@@ -145,10 +149,7 @@ class LineBundleOnCover:
 
 def trivial_line_bundle(cover: CoverRep, field) -> LineBundleOnCover:
     """The structure sheaf of the cover: every scalar is one."""
-    one = field.one()
-    return LineBundleOnCover(
-        cover, field, tuple(tuple(one for _ in range(cover.degree)) for _ in cover.base.edges)
-    )
+    return LineBundleOnCover(cover, field, [[1] * cover.degree for _ in cover.base.edges])
 
 
 class CoverReport(NamedTuple):
@@ -182,15 +183,13 @@ def direct_image_line_bundle(cover: CoverRep, line: LineBundleOnCover) -> Bundle
     """
     if line.cover != cover:
         raise DimensionMismatch("line bundle lives on a different cover")
-    field = line.field
-    d = cover.degree
-    zero = field.zero()
+    field, d, scalars = line.field, cover.degree, line.scalars
     transitions = []
-    for e in range(len(cover.base.edges)):
-        rows = [[zero] * d for _ in range(d)]
-        for t in range(d):
-            rows[cover.sigma[e][t]][t] = line.scalars[e][t]
-        transitions.append(Matrix(field, rows))
+    for sigma, row in zip(cover.sigma, scalars.ints):
+        ints = [[0] * d for _ in range(d)]
+        for t, x in enumerate(row):
+            ints[sigma[t]][t] = x
+        transitions.append(Matrix._make(field, scalars.den, ints, d))
     return BundleRep(field, cover.base, d, transitions)
 
 
@@ -221,12 +220,14 @@ def build_spectral_cover(bundle: BundleRep, algebra: SubalgebraBundle) -> Spectr
     and which every transition permutes (the argument is in its docstring).
 
     The cover's labels at each vertex are its lines in canonical order:
-    transition e maps line t over its source to ``factors[e][t]`` times
-    line ``images[e][t]`` over its target, which fixes the label bijection
-    and the line-bundle scalar. eta_v, the matrix of the leading-one lines
-    over v (``_line_matrix``), identifies the pushforward with the original
+    transition e maps line t over its source to entry (e, t) of the matrix
+    ``factors`` times line ``images[e][t]`` over its target, which fixes
+    the label bijection, and ``factors`` is the line bundle's scalar
+    matrix. eta_v, the matrix of the leading-one lines over v
+    (``_line_matrix``), identifies the pushforward with the original
     bundle: with P'_e the pushforward's transition on edge e = (u, v),
-    column t of eta_v P'_e = T_e eta_u reads T_e line_t = factors[e][t] line_{images[e][t]},
+    column t of eta_v P'_e = T_e eta_u reads
+    T_e line_t = factors(e, t) line_{images[e][t]},
     the equation ``bundles._map_lines`` checks for every line on every edge,
     so the identity holds without being multiplied out.
     """
@@ -240,11 +241,9 @@ def build_spectral_cover(bundle: BundleRep, algebra: SubalgebraBundle) -> Spectr
 
 def _line_matrix(field, lines) -> Matrix:
     """The matrix whose column t is the leading-one line of the canonical
-    integer line ``lines[t]``, over the lcm of their leading entries."""
+    integer line ``lines[t]``: its entries over its leading entry."""
     leads = [next(filter(None, line)) for line in lines]
-    top = lcm(*leads)
-    cols = [[x * (top // c) for x in line] for line, c in zip(lines, leads)]
-    return Matrix._make(field, top, [list(r) for r in zip(*cols)], len(lines))
+    return ratio_matrix(field, [list(zip(row, leads)) for row in zip(*lines)], len(lines))
 
 
 class RoundtripRecord(NamedTuple):
@@ -445,14 +444,14 @@ def line_bundles_gauge_equivalent(a: LineBundleOnCover, b: LineBundleOnCover) ->
         raise DimensionMismatch("line bundles live on different covers")
     cover = a.cover
     d = cover.degree
-    field = a.field
-    one = field.one()
+    one = a.field.one()
+    scalars_a, scalars_b = a.scalars.rows, b.scalars.rows
     potential = {}
     adj = {}
     total_edges = []
     for e, (u, v) in enumerate(cover.base.edges):
         for t in range(d):
-            ratio = b.scalars[e][t] / a.scalars[e][t]
+            ratio = scalars_b[e][t] / scalars_a[e][t]
             src, dst = (u, t), (v, cover.sigma[e][t])
             total_edges.append((src, dst, ratio))
             adj.setdefault(src, []).append((dst, ratio, True))

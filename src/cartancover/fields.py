@@ -6,12 +6,13 @@ Prime-field scalars are ``Fp`` values holding a least residue in [0, p).
 Both representations are canonical per value, so equality of scalars is
 exact.
 
-A field object coerces, parses, renders and orders its scalars, the
-values of its own arithmetic. Matrices, subspaces, lines and polynomials
-do not hold scalars: they hold a canonical integer form (see ``linalg``
-and ``poly``), least residues over GF(p) and over Q integers over their
-least common denominator. Values enter and leave that form without
-scalars:
+A field object coerces, parses and renders its scalars, the values of
+its own arithmetic. No value the package computes with is a scalar:
+matrices (the line-bundle scalars of a cover among them), subspaces,
+lines, polynomials and their roots hold a canonical integer form (see
+``linalg`` and ``poly``), least residues over GF(p) and over Q integers
+over their least common denominator. Values enter and leave that form
+without scalars:
 
 - ``to_ints`` reads values straight into it: scalars, ints and the
   strings of instance files ("a" or "a/b" over Q, a decimal residue over
@@ -21,7 +22,7 @@ scalars:
   show it: the strings ``render`` gives for the same values.
 
 ``from_ints`` builds scalars from the form, only where a caller asks for
-scalars.
+scalars: the lazy scalar views and the results returned as scalars.
 """
 
 from __future__ import annotations
@@ -266,9 +267,6 @@ class Rationals:
     def render(self, v) -> str:
         return str(v)
 
-    def element_key(self, v):
-        return v
-
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
@@ -348,9 +346,6 @@ class PrimeField:
 
     def render(self, v) -> str:
         return str(v.val)
-
-    def element_key(self, v):
-        return v.val
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -3,8 +3,10 @@
 The format is UTF-8 JSON with all scalars exact: rationals are strings
 "a/b" or "a" (or plain integers), prime-field values are decimal
 residues. Fiber labels are 1-based in files and 0-based in memory.
-Matrix entries go straight into the canonical integer form, and matrices
-are written back from it. Parsing failures name the offending location.
+Matrix entries and the line-bundle scalars of covers go straight into
+the canonical integer form of a ``Matrix``, and both are written back
+from it; field scalars are built only to name the entry a refused input
+fails on. Parsing failures name the offending location.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def parse_graph(value, where) -> BaseGraph:
         e = _expect_list(e, f"{where}.edges[{i}]")
         if len(e) != 2:
             raise ParseError(f"{where}.edges[{i}]: expected a pair [u, v]")
-        edges.append((_expect_int(e[0], where), _expect_int(e[1], where)))
+        edges.append(tuple(_expect_int(x, f"{where}.edges[{i}][{k}]") for k, x in enumerate(e)))
     try:
         graph = BaseGraph(n, tuple(edges))
     except Exception as exc:
@@ -178,7 +180,7 @@ def _parse_cover(field, payload):
     sigma = []
     for i, images in enumerate(raw_sigma):
         images = _expect_list(images, f"payload.sigma[{i}]")
-        vals = [_expect_int(x, f"payload.sigma[{i}]") for x in images]
+        vals = [_expect_int(x, f"payload.sigma[{i}][{j}]") for j, x in enumerate(images)]
         if sorted(vals) != list(range(1, degree + 1)):
             raise ParseError(
                 f"payload.sigma[{i}]: expected a 1-based image list of 1..{degree}"
@@ -190,22 +192,20 @@ def _parse_cover(field, payload):
         raise ParseError(f"payload: {exc}") from None
     line = None
     if "scalars" in payload:
-        raw_scalars = _expect_list(payload["scalars"], "payload.scalars")
-        if len(raw_scalars) != len(graph.edges):
+        rows = _expect_list(payload["scalars"], "payload.scalars")
+        if len(rows) != len(graph.edges):
             raise ParseError("payload.scalars: one scalar list per edge required")
-        scalars = []
-        for i, per_label in enumerate(raw_scalars):
-            per_label = _expect_list(per_label, f"payload.scalars[{i}]")
-            if len(per_label) != degree:
+        for i, row in enumerate(rows):
+            if len(_expect_list(row, f"payload.scalars[{i}]")) != degree:
                 raise ParseError(f"payload.scalars[{i}]: one scalar per label required")
-            row = [
-                parse_scalar(field, x, f"payload.scalars[{i}][{j}]")
-                for j, x in enumerate(per_label)
-            ]
-            if any(x == 0 for x in row):
+        try:
+            scalars = Matrix(field, rows, degree)
+        except ParseError:
+            _refuse_matrix(field, rows, "payload.scalars")
+        for i, row in enumerate(scalars.ints):
+            if 0 in row:
                 raise ParseError(f"payload.scalars[{i}]: scalars must be nonzero")
-            scalars.append(tuple(row))
-        line = LineBundleOnCover(cover, field, tuple(scalars))
+        line = LineBundleOnCover(cover, field, scalars)
     return CoverInstance(field, cover, line)
 
 
@@ -213,14 +213,12 @@ def _parse_parabolic(field, payload):
     g_x = _expect_int(_expect(payload, "gX", "payload"), "payload.gX")
     degree = _expect_int(_expect(payload, "degree", "payload"), "payload.degree")
     comps = _expect_list(_expect(payload, "components", "payload"), "payload.components")
-    component_degrees = tuple(_expect_int(x, "payload.components") for x in comps)
+    degrees = tuple(_expect_int(x, f"payload.components[{k}]") for k, x in enumerate(comps))
     branch = []
     for i, bp in enumerate(_expect_list(payload.get("branch_points", []), "payload.branch_points")):
         where = f"payload.branch_points[{i}]"
-        profiles = [
-            _expect_int(x, f"{where}.profiles")
-            for x in _expect_list(_expect(bp, "profiles", where), f"{where}.profiles")
-        ]
+        raw = _expect_list(_expect(bp, "profiles", where), f"{where}.profiles")
+        profiles = [_expect_int(x, f"{where}.profiles[{k}]") for k, x in enumerate(raw)]
         weights = bp.get("weights", ["0"] * len(profiles))
         weights = _expect_list(weights, f"{where}.weights")
         if len(weights) != len(profiles):
@@ -230,12 +228,13 @@ def _parse_parabolic(field, payload):
         if len(comps_of) != len(profiles):
             raise ParseError(f"{where}: one component per profile entry required")
         sheets = []
-        for b, w, c in zip(profiles, weights, comps_of):
+        for k, (b, w, c) in enumerate(zip(profiles, weights, comps_of)):
             try:
                 weight = parse_weight(w)
             except ParseError as exc:
                 raise ParseError(f"{where}.weights: {exc}") from None
-            sheets.append(RamifiedSheet(b, weight, _expect_int(c, where)))
+            c = _expect_int(c, f"{where}.component_of_sheet[{k}]")
+            sheets.append(RamifiedSheet(b, weight, c))
         branch.append(BranchPoint(tuple(sheets)))
     extra = []
     for i, weights in enumerate(
@@ -250,7 +249,7 @@ def _parse_parabolic(field, payload):
                 raise ParseError(f"payload.unramified_weights[{i}]: {exc}") from None
         extra.append(tuple(parsed))
     deg_l = _expect_int(_expect(payload, "degL", "payload"), "payload.degL")
-    data = RamifiedCoverData(g_x, degree, component_degrees, tuple(branch), tuple(extra))
+    data = RamifiedCoverData(g_x, degree, degrees, tuple(branch), tuple(extra))
     return ParabolicInstance(field, data, deg_l)
 
 
@@ -305,7 +304,7 @@ def cover_instance_to_json(field, cover: CoverRep, line: LineBundleOnCover | Non
         "sigma": [[x + 1 for x in s] for s in cover.sigma],
     }
     if line is not None:
-        payload["scalars"] = [[field.render(x) for x in row] for row in line.scalars]
+        payload["scalars"] = render_matrix(field, line.scalars)
     return {"field": field_to_json(field), "kind": "cover", "payload": payload}
 
 

@@ -122,11 +122,6 @@ def _product(left: list, right: list, ncols: int, p: int) -> list:
     return [[sum(map(mul, r, c)) for c in cols] for r in left]
 
 
-def line_scalars(field, line) -> tuple:
-    """The leading-one field scalars of a canonical integer line."""
-    return field.from_ints(line, next(filter(None, line)))
-
-
 class Matrix:
     """An immutable matrix over a fixed field, in canonical integer form."""
 
@@ -286,6 +281,20 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(self.field.render_ints(r, self.den)) for r in self.ints)
         return f"Matrix[{body}]"
+
+
+def ratio_matrix(field, rows, ncols: int) -> Matrix:
+    """The matrix with the entries num / den, given as rows of integer
+    pairs ``(num, den)`` with den a unit. Over Q the entries go over the
+    lcm of the dens; over GF(p) each den other than 1 is inverted, since
+    an lcm of residues grows with their number."""
+    p = field.characteristic
+    if p:
+        ints = [[n if d == 1 else n * pow(d, -1, p) for n, d in row] for row in rows]
+        return Matrix._make(field, 1, ints, ncols)
+    top = lcm(*[den for row in rows for _num, den in row])
+    ints = [[num * (top // den) for num, den in row] for row in rows]
+    return Matrix._make(field, top, ints, ncols)
 
 
 class RrefResult(NamedTuple):
@@ -454,11 +463,11 @@ def eigenspaces(m: Matrix):
     """The spectrum of m: ``(min_poly, roots, spaces)``, with the roots of
     the minimal polynomial in the field as ``roots_in_field`` gives them.
 
-    When the minimal polynomial splits, ``spaces`` pairs each root with its
-    canonical eigenspace, and the dimensions add up to d exactly when m is
-    diagonalizable over the field; otherwise ``spaces`` is None. Each
-    eigenspace is the null space of the integer rows with the root
-    subtracted on their diagonal.
+    When the minimal polynomial splits, ``spaces`` pairs each root, as the
+    integer pair ``(num, den)``, with its canonical eigenspace, and the
+    dimensions add up to d exactly when m is diagonalizable over the field;
+    otherwise ``spaces`` is None. Each eigenspace is the null space of the
+    integer rows with the root subtracted on their diagonal.
     """
     mp = min_poly(m)
     roots, split = roots_in_field(mp)
@@ -468,11 +477,11 @@ def eigenspaces(m: Matrix):
     p = field.characteristic
     den = m.den
     spaces = []
-    for lam, _mult in roots:
-        # lam = a / b over Q: den b (m - lam I) = b ints - den a I
-        b, (a,) = field.to_ints([lam])
+    for a, b, _mult in roots:
+        # the root a / b: den b (m - (a / b) I) = b ints - den a I
         rows = [[x * b for x in r] for r in m.ints]
         for i, row in enumerate(rows):
             row[i] = (row[i] - den * a) % p if p else row[i] - den * a
-        spaces.append((lam, Subspace._spanned(field, m.ncols, _null_vectors(rows, m.ncols, p))))
+        space = Subspace._spanned(field, m.ncols, _null_vectors(rows, m.ncols, p))
+        spaces.append(((a, b), space))
     return mp, roots, tuple(spaces)

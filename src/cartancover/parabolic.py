@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegreeMismatch, DimensionMismatch, NegativeGenus, NonIntegralGenus, ParseError
+from .fields import _parse_ratio
 
 
 def parse_weight(w) -> Fraction:
@@ -26,11 +27,8 @@ def parse_weight(w) -> Fraction:
     if isinstance(w, float):
         raise ParseError("parabolic weights must be exact rationals, not floats")
     if isinstance(w, str):
-        num, _, den = w.partition("/")
-        try:
-            w = Fraction(int(num), int(den)) if den else Fraction(int(num))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"malformed weight {w!r}") from None
+        # the grammar of instance-file rationals: "a" or "a/b"
+        w = Fraction(*_parse_ratio(w))
     else:
         w = Fraction(w)
     if not 0 <= w < 1:

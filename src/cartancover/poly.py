@@ -7,7 +7,7 @@ coefficients being ``ints[k] / den``. Over GF(p) the ints are least
 residues and ``den`` is 1; over Q ``den`` is the least common denominator,
 so gcd(den, every coefficient) = 1. The form is unique, so equality reads
 it, and field scalars are built (``coeffs``) only for rendering and for
-callers that read coefficients.
+callers that read coefficients. Roots are integer pairs num / den too.
 
 All arithmetic runs on plain-int coefficient lists, in the dense style of
 sympy's ``galoistools``: the ``_gf_*`` kernels on residues and the ``_zz_*``
@@ -26,9 +26,8 @@ out the roots already found and keeps a rootless monic factor as witness.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .fields import Fp, is_prime
+from .fields import is_prime
 
 
 class Poly:
@@ -113,8 +112,11 @@ def roots_in_field(p: Poly):
     """All roots of ``p`` in its field, with multiplicities.
 
     Returns ``(roots, split)`` where ``roots`` is a tuple of
-    ``(value, multiplicity)`` pairs sorted canonically, and ``split``
-    says whether ``p`` is a product of linear factors over the field.
+    ``(num, den, multiplicity)`` triples, one per root num / den, sorted
+    by value, and ``split`` says whether ``p`` is a product of linear
+    factors over the field. Over Q num / den is in lowest terms with
+    den > 0; over GF(p) num is the least residue and den is 1. No field
+    scalar is built.
 
     The candidates come from ``_gf_roots`` over GF(p) and from
     ``_rational_root_candidates`` over Q. Neither enumerates field
@@ -125,18 +127,16 @@ def roots_in_field(p: Poly):
     """
     if p.is_zero():
         raise ValueError("root finding needs a nonzero polynomial")
-    field = p.field
     if p.is_constant():
         return (), True
-    q = field.characteristic
+    q = p.field.characteristic
     if q:
-        candidates = [Fp(r, q) for r in _gf_roots(p.ints, q)]
+        candidates = [(r, 1) for r in _gf_roots(p.ints, q)]
     else:
         candidates = _rational_root_candidates(p.ints)
     roots = []
     rem = p.ints
-    for c in candidates:
-        den, (num,) = field.to_ints([c])
+    for num, den in candidates:
         mult = 0
         while len(rem) > 1:
             quo = _divide_linear(rem, num, den, q)
@@ -145,9 +145,11 @@ def roots_in_field(p: Poly):
             rem = quo
             mult += 1
         if mult:
-            roots.append((c, mult))
-    roots.sort(key=lambda rm: field.element_key(rm[0]))
-    split = sum(m for _, m in roots) == p.degree
+            roots.append((num, den, mult))
+    # num / den compares as the integer num (top / den), top the lcm of the dens
+    top = math.lcm(*[den for _num, den, _mult in roots])
+    roots.sort(key=lambda root: root[0] * (top // root[1]))
+    split = sum(mult for _num, _den, mult in roots) == p.degree
     return tuple(roots), split
 
 
@@ -161,8 +163,8 @@ def squarefree_no_guard(p: Poly) -> bool:
 
 def nonsplit_witness(p: Poly, roots) -> Poly:
     """A monic nonconstant factor of ``p`` with no roots in the field: the
-    squarefree part of ``p`` with ``roots`` (as ``roots_in_field`` gives
-    them, which the caller already holds) divided out.
+    squarefree part of ``p`` with ``roots`` (the ``(num, den, multiplicity)``
+    triples of ``roots_in_field``, which the caller already holds) divided out.
 
     Irreducible whenever its degree is at most three; higher degrees may
     still be products of irreducibles (full factorization is a non-goal).
@@ -170,12 +172,12 @@ def nonsplit_witness(p: Poly, roots) -> Poly:
     field = p.field
     q = field.characteristic
     rem = p.ints
-    for c, mult in roots:
-        den, (num,) = field.to_ints([c])
+    for num, den, mult in roots:
         for _ in range(mult):
             rem = _divide_linear(rem, num, den, q)
             if rem is None:
-                raise ValueError(f"{c} is not a root of {p} of multiplicity {mult}")
+                root = field.render_ints([num], den)[0]
+                raise ValueError(f"{root} is not a root of {p} of multiplicity {mult}")
     w = _squarefree(rem, q)
     if len(w) <= 1:
         raise ValueError("polynomial splits; no witness exists")
@@ -344,8 +346,9 @@ def _gf_split(g: list, p: int) -> list:
 
 
 def _rational_root_candidates(ints) -> list:
-    """Rationals among which lie all roots over Q of the polynomial with
-    the integer coefficients ``ints``.
+    """Pairs ``(num, den)``, in lowest terms with den > 0, among whose
+    rationals num / den lie all roots over Q of the polynomial with the
+    integer coefficients ``ints``.
 
     With the factor x^k split off (root 0), a root a/b of the primitive
     squarefree part g has b | lc(g) and a | g(0). Modulo a prime q dividing neither lc(g) nor the
@@ -354,10 +357,11 @@ def _rational_root_candidates(ints) -> list:
     lc(g) a/b is the symmetric residue of lc(g) times the lifted root.
     """
     k = next(i for i, c in enumerate(ints) if c)
-    candidates = [Fraction(0)] if k else []
+    candidates = [(0, 1)] if k else []
+    # g is primitive with a positive leading coefficient
     g = _zz_squarefree(ints[k:])
     if len(g) == 2:
-        return candidates + [Fraction(-g[0], g[1])]
+        return candidates + [(-g[0], g[1])]
     if len(g) < 2:
         return candidates
     lc, dg = g[-1], _zz_derivative(g)
@@ -369,7 +373,9 @@ def _rational_root_candidates(ints) -> list:
         lifted = [(r - _zz_eval(g, r, m) * pow(_zz_eval(dg, r, m), -1, m)) % m for r in lifted]
     for r in lifted:
         s = lc * r % m
-        candidates.append(Fraction(s - m if 2 * s > m else s, lc))
+        num = s - m if 2 * s > m else s
+        c = math.gcd(num, lc)
+        candidates.append((num // c, lc // c))
     return candidates
 
 

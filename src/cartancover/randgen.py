@@ -12,10 +12,8 @@ from random import Random
 from typing import NamedTuple
 
 from .bundles import BaseGraph
-from .cartan import MatrixSubspace
 from .covers import CoverRep, LineBundleOnCover
-from .fields import GF, QQ, PrimeField, Rationals
-from .linalg import Matrix
+from .fields import GF, QQ, PrimeField
 from .errors import CartanCoverError
 from .parabolic import BranchPoint, RamifiedCoverData, RamifiedSheet, riemann_hurwitz_genus
 
@@ -67,55 +65,6 @@ def random_cover_instance(rng: Random, field, config: CoverInstanceConfig = Cove
         tuple(random_nonzero_scalar(rng, field) for _ in range(d)) for _ in base.edges
     )
     return cover, LineBundleOnCover(cover, field, scalars)
-
-
-def random_invertible_matrix(rng: Random, field, d: int, tries: int = 100) -> Matrix:
-    for _ in range(tries):
-        if isinstance(field, Rationals):
-            rows = [
-                [Fraction(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)
-            ]
-        else:
-            rows = [
-                [field.coerce(rng.randrange(field.p)) for _ in range(d)]
-                for _ in range(d)
-            ]
-        m = Matrix(field, rows)
-        if m.is_invertible():
-            return m
-    raise AssertionError("failed to sample an invertible matrix")
-
-
-def random_matrix(rng: Random, field, d: int) -> Matrix:
-    if isinstance(field, Rationals):
-        rows = [[Fraction(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)]
-    else:
-        rows = [
-            [field.coerce(rng.randrange(field.p)) for _ in range(d)] for _ in range(d)
-        ]
-    return Matrix(field, rows)
-
-
-def random_subspace_for_cartan_test(rng: Random, field, d: int) -> MatrixSubspace:
-    """Mixed strategies so every classification verdict shows up."""
-    strategy = rng.randrange(4)
-    if strategy == 0:
-        # conjugated diagonal algebra: always split Cartan
-        t = random_invertible_matrix(rng, field, d)
-        return MatrixSubspace.diagonal_algebra(field, d).conjugated(t)
-    if strategy == 1:
-        # span of powers of one matrix: commutative, split or not
-        m = random_matrix(rng, field, d)
-        powers = [Matrix.identity(field, d)]
-        for _ in range(d - 1):
-            powers.append(powers[-1] @ m)
-        return MatrixSubspace(field, d, powers)
-    if strategy == 2:
-        # random spanning set of the target dimension
-        return MatrixSubspace(field, d, [random_matrix(rng, field, d) for _ in range(d)])
-    # random dimension, frequently wrong
-    k = rng.randint(1, d + 1)
-    return MatrixSubspace(field, d, [random_matrix(rng, field, d) for _ in range(k)])
 
 
 def random_ramified_cover_data(

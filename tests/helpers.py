@@ -1,7 +1,8 @@
 """Debug checks, the bounded bundle-isomorphism search, the min-poly Cartan
-classifier, the exhaustive root search and the field-scalar linear
-algebra and polynomial arithmetic the integer kernels replaced, used by
-tests only.
+classifier, the exhaustive root search, the field-scalar linear
+algebra and polynomial arithmetic the integer kernels replaced, the
+scalar views of integer forms and the random matrices and subspaces of
+the property tests, used by tests only.
 
 None of these is reached from the command line or from the package's own
 constructions; they check the package's outputs from the outside.
@@ -11,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from random import Random
 
 from cartancover.bundles import BundleRep, tree_paths, validate_bundle
 from cartancover.cartan import CartanStatus, CartanVerdict, MatrixSubspace, NotCartanReason
@@ -24,7 +26,7 @@ from cartancover.covers import (
     trivial_line_bundle,
 )
 from cartancover.errors import DimensionMismatch, ParseError, SingularMatrix
-from cartancover.fields import Fp, PrimeField, is_prime
+from cartancover.fields import Fp, PrimeField, Rationals, is_prime
 from cartancover.instances import parse_scalar
 from cartancover.linalg import Matrix, Subspace, kernel, min_poly
 from cartancover.parabolic import parse_weight
@@ -160,12 +162,11 @@ def pullback_scalars(
     iso_maps, source_cover: CoverRep, target_line: LineBundleOnCover
 ) -> LineBundleOnCover:
     """Scalars on the source cover induced by an isomorphism onto the target."""
+    rows = target_line.scalars.rows
     scalars = []
     for e, (u, _v) in enumerate(source_cover.base.edges):
         beta_u = iso_maps[u]
-        scalars.append(
-            tuple(target_line.scalars[e][beta_u[t]] for t in range(source_cover.degree))
-        )
+        scalars.append(tuple(rows[e][beta_u[t]] for t in range(source_cover.degree)))
     return LineBundleOnCover(source_cover, target_line.field, tuple(scalars))
 
 
@@ -299,15 +300,50 @@ def integer_line(field, vec):
     return Matrix.identity(field, len(v)).map_line(v)[2]
 
 
+def element_key(x):
+    """A field scalar as a sort key: a rational itself, a residue its least
+    residue."""
+    return x.val if isinstance(x, Fp) else x
+
+
 def sort_lines_by_scalars(field, lines) -> tuple:
     """Leading-one scalar lines sorted by the position of the leading entry,
-    then entrywise by ``field.element_key``: the order of eigenlines."""
+    then entrywise by ``element_key``: the order of eigenlines."""
 
     def key(vec):
         pivot = next(i for i, x in enumerate(vec) if x != 0)
-        return (pivot, tuple(field.element_key(x) for x in vec))
+        return (pivot, tuple(element_key(x) for x in vec))
 
     return tuple(sorted(lines, key=key))
+
+
+# --- scalar views of integer forms ----------------------------------------------------
+#
+# The package keeps lines and roots in integer form; these read them as
+# field scalars, for comparison with scalar arithmetic.
+
+
+def line_scalars(field, line) -> tuple:
+    """The leading-one field scalars of a canonical integer line."""
+    return field.from_ints(line, next(filter(None, line)))
+
+
+def eigenline_scalars(eig) -> tuple:
+    """The lines of an ``EigenlineSet`` as leading-one field scalars."""
+    return tuple(line_scalars(eig.field, line) for line in eig.ints)
+
+
+def root_scalar(field, num: int, den: int):
+    """The field scalar num / den of a root in integer form."""
+    return field.from_ints([num], den)[0]
+
+
+def root_triples(roots) -> tuple:
+    """``(value, multiplicity)`` pairs of field scalars as the
+    ``(num, den, multiplicity)`` triples of ``roots_in_field``."""
+    return tuple(
+        (r.val, 1, m) if isinstance(r, Fp) else (r.numerator, r.denominator, m) for r, m in roots
+    )
 
 
 def min_poly_by_scalars(m: Matrix) -> Poly:
@@ -367,7 +403,7 @@ def classify_by_min_polys(a: MatrixSubspace, d: int) -> CartanVerdict:
     for i, m in enumerate(basis):
         mp = min_poly(m)
         roots, split = roots_in_field(mp)
-        if any(mult > 1 for _, mult in roots):
+        if any(mult > 1 for _num, _den, mult in roots):
             return CartanVerdict(
                 CartanStatus.NOT_CARTAN,
                 NotCartanReason.NOT_DIAGONALIZABLE,
@@ -447,7 +483,8 @@ def roots_by_enumeration(p: Poly):
     constant term and b the leading coefficient, denominators cleared and
     x^k split off; each root found (by Horner's rule) is divided out, by
     long division on field scalars, as often as it divides. Returns
-    ``(roots, split)`` in the same canonical form. Over GF(p) the scan
+    ``(roots, split)`` in the same form, the roots sorted as scalars and
+    then written as triples. Over GF(p) the scan
     evaluates on least residues first, so that GF(1009) stays quick.
     """
     field = p.field
@@ -491,8 +528,8 @@ def roots_by_enumeration(p: Poly):
             mult += 1
         if mult:
             roots.append((c, mult))
-    roots.sort(key=lambda rm: field.element_key(rm[0]))
-    return tuple(roots), sum(m for _, m in roots) == p.degree
+    roots.sort(key=lambda rm: element_key(rm[0]))
+    return root_triples(roots), sum(m for _, m in roots) == p.degree
 
 
 def _value_mod(coeffs: list, x: int, p: int) -> int:
@@ -588,8 +625,12 @@ def squarefree_part_by_scalars(a: Poly) -> Poly:
 
 def nonsplit_witness_by_scalars(a: Poly, roots) -> Poly:
     """Oracle for ``nonsplit_witness``: the squarefree part of ``a`` with the
-    linear factors of ``roots`` divided out, constant when ``a`` splits."""
-    linear = from_roots_by_scalars(a.field, [c for c, mult in roots for _ in range(mult)])
+    linear factors of ``roots`` (triples, as ``roots_in_field`` gives them)
+    divided out, constant when ``a`` splits."""
+    field = a.field
+    linear = from_roots_by_scalars(
+        field, [root_scalar(field, num, den) for num, den, mult in roots for _ in range(mult)]
+    )
     return squarefree_part_by_scalars(divmod_by_scalars(a, linear)[0])
 
 
@@ -643,3 +684,72 @@ def parse_matrix_by_scalars(field, value, where) -> Matrix:
 def render_matrix_by_scalars(field, m: Matrix) -> list:
     """Oracle for ``reports.render_matrix``: each field scalar rendered."""
     return [[field.render(x) for x in row] for row in m.rows]
+
+
+def cover_scalars_by_scalars(field, rows) -> tuple:
+    """Oracle for the line-bundle scalars of a cover instance, the per-entry
+    path they replaced: each entry parsed to a field scalar. Returns the
+    scalar rows, the canonical form ``(den, ints)`` read off them and the
+    rendered rows."""
+    parsed = [
+        tuple(parse_scalar(field, x, f"payload.scalars[{i}][{j}]") for j, x in enumerate(row))
+        for i, row in enumerate(rows)
+    ]
+    if field.characteristic:
+        den, ints = 1, [[x.val for x in r] for r in parsed]
+    else:
+        den = math.lcm(*[x.denominator for r in parsed for x in r])
+        ints = [[x.numerator * (den // x.denominator) for x in r] for r in parsed]
+    return tuple(parsed), (den, ints), [[field.render(x) for x in r] for r in parsed]
+
+
+# --- random matrices and subspaces ------------------------------------------------------
+
+
+def random_invertible_matrix(rng: Random, field, d: int, tries: int = 100) -> Matrix:
+    for _ in range(tries):
+        if isinstance(field, Rationals):
+            rows = [
+                [Fraction(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)
+            ]
+        else:
+            rows = [
+                [field.coerce(rng.randrange(field.p)) for _ in range(d)]
+                for _ in range(d)
+            ]
+        m = Matrix(field, rows)
+        if m.is_invertible():
+            return m
+    raise AssertionError("failed to sample an invertible matrix")
+
+
+def random_matrix(rng: Random, field, d: int) -> Matrix:
+    if isinstance(field, Rationals):
+        rows = [[Fraction(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)]
+    else:
+        rows = [
+            [field.coerce(rng.randrange(field.p)) for _ in range(d)] for _ in range(d)
+        ]
+    return Matrix(field, rows)
+
+
+def random_subspace_for_cartan_test(rng: Random, field, d: int) -> MatrixSubspace:
+    """Mixed strategies so every classification verdict shows up."""
+    strategy = rng.randrange(4)
+    if strategy == 0:
+        # conjugated diagonal algebra: always split Cartan
+        t = random_invertible_matrix(rng, field, d)
+        return MatrixSubspace.diagonal_algebra(field, d).conjugated(t)
+    if strategy == 1:
+        # span of powers of one matrix: commutative, split or not
+        m = random_matrix(rng, field, d)
+        powers = [Matrix.identity(field, d)]
+        for _ in range(d - 1):
+            powers.append(powers[-1] @ m)
+        return MatrixSubspace(field, d, powers)
+    if strategy == 2:
+        # random spanning set of the target dimension
+        return MatrixSubspace(field, d, [random_matrix(rng, field, d) for _ in range(d)])
+    # random dimension, frequently wrong
+    k = rng.randint(1, d + 1)
+    return MatrixSubspace(field, d, [random_matrix(rng, field, d) for _ in range(k)])

@@ -36,13 +36,9 @@ from cartancover.parabolic import (
     local_flags,
     pushforward_parabolic,
 )
-from cartancover.randgen import (
-    random_cover_instance,
-    random_ramified_cover_data,
-    random_subspace_for_cartan_test,
-)
+from cartancover.randgen import random_cover_instance, random_ramified_cover_data
 
-from helpers import roundtrip_witness_holds
+from helpers import random_subspace_for_cartan_test, roundtrip_witness_holds
 from test_cartan import diagonalizable_by_conjugation_oracle
 from test_covers import brute_force_diagonalizable_by_relabeling
 from test_factorization import count_flat_summand_partitions

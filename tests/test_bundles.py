@@ -21,8 +21,13 @@ from cartancover.errors import (
 )
 from cartancover.fields import GF, QQ
 from cartancover.linalg import Matrix
-from cartancover.randgen import random_invertible_matrix
-from helpers import bundle_iso_check, conjugation_operator, end_bundle, unflatten
+from helpers import (
+    bundle_iso_check,
+    conjugation_operator,
+    end_bundle,
+    random_invertible_matrix,
+    unflatten,
+)
 
 
 def M(rows, field=QQ):

@@ -16,8 +16,14 @@ from cartancover.errors import DimensionMismatch, NotSplitCartan, SingularMatrix
 from cartancover.fields import GF, QQ, PrimeField
 from cartancover.linalg import Matrix, Subspace, rref
 from cartancover.poly import Poly
-from cartancover.randgen import random_invertible_matrix, random_subspace_for_cartan_test
-from helpers import classify_by_min_polys, field_elements, subalgebra_closure_defect
+from helpers import (
+    classify_by_min_polys,
+    eigenline_scalars,
+    field_elements,
+    random_invertible_matrix,
+    random_subspace_for_cartan_test,
+    subalgebra_closure_defect,
+)
 
 
 def M(field, rows):
@@ -141,15 +147,16 @@ def test_degree_equal_characteristic_still_classifies():
 
 def test_eigenlines_full_diagonal_d2():
     eig = simultaneous_eigenlines(MatrixSubspace.diagonal_algebra(QQ, 2))
-    assert eig.lines == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    assert eig.functionals == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    assert eigenline_scalars(eig) == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    assert eig.values.rows == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 
 
 def test_eigenlines_swap_span():
     a = span(QQ, 2, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
     eig = simultaneous_eigenlines(a)
-    assert set(eig.lines) == {(Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1))}
-    by_line = dict(zip(eig.lines, eig.functionals))
+    lines = eigenline_scalars(eig)
+    assert set(lines) == {(Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1))}
+    by_line = dict(zip(lines, eig.values.rows))
     assert by_line[(Fraction(1), Fraction(1))] == (Fraction(1), Fraction(1))
     assert by_line[(Fraction(1), Fraction(-1))] == (Fraction(1), Fraction(-1))
 
@@ -158,9 +165,9 @@ def test_eigenlines_over_gf7():
     f = GF(7)
     a = span(f, 2, [[[1, 0], [0, 1]], [[0, 1], [2, 0]]])
     eig = simultaneous_eigenlines(a)
-    as_ints = [tuple(x.val for x in line) for line in eig.lines]
+    as_ints = [tuple(x.val for x in line) for line in eigenline_scalars(eig)]
     assert as_ints == [(1, 3), (1, 4)]
-    assert [tuple(x.val for x in mu) for mu in eig.functionals] == [(1, 3), (1, 4)]
+    assert [tuple(x.val for x in mu) for mu in eig.values.rows] == [(1, 3), (1, 4)]
 
 
 def test_eigenlines_reject_nonsplit_input():
@@ -198,8 +205,9 @@ def test_eigenline_split_agrees_with_the_classifier(field):
         assert (eig is not None) == expected.is_split()
         if eig is None:
             continue
-        assert rref(Matrix(field, list(eig.lines), ncols=d)).rank == d
-        for line, mu in zip(eig.lines, eig.functionals):
+        lines = eigenline_scalars(eig)
+        assert rref(Matrix(field, list(lines), ncols=d)).rank == d
+        for line, mu in zip(lines, eig.values.rows):
             for m, scalar in zip(a.basis_matrices(), mu):
                 assert m.apply(line) == tuple(scalar * x for x in line)
     assert {CartanStatus.SPLIT, CartanStatus.NOT_CARTAN} <= outcomes
@@ -213,15 +221,16 @@ def test_eigenline_invariants_on_random_split_instances():
         t = random_invertible_matrix(rng, field, d)
         a = MatrixSubspace.diagonal_algebra(field, d).conjugated(t)
         eig = simultaneous_eigenlines(a)
+        lines, functionals = eigenline_scalars(eig), eig.values.rows
         # the lines span k^d
-        assert rref(Matrix(field, list(eig.lines), ncols=d)).rank == d
+        assert rref(Matrix(field, list(lines), ncols=d)).rank == d
         # functionals are pairwise distinct and act as claimed
-        assert len(set(eig.functionals)) == d
-        for line, mu in zip(eig.lines, eig.functionals):
+        assert len(set(functionals)) == d
+        for line, mu in zip(lines, functionals):
             for m, scalar in zip(a.basis_matrices(), mu):
                 assert m.apply(line) == tuple(scalar * x for x in line)
         # conjugating by the line matrix recovers the full diagonal algebra
-        eta = Matrix.from_columns(field, eig.lines)
+        eta = Matrix.from_columns(field, lines)
         moved = conjugate_subspace(a, eta.inverse())
         assert moved == MatrixSubspace.diagonal_algebra(field, d)
 

@@ -101,7 +101,7 @@ def test_build_trivial_rank2():
     algebra = SubalgebraBundle(e, (MatrixSubspace.diagonal_algebra(QQ, 2),))
     result = build_spectral_cover(e, algebra)
     assert result.cover.sigma == ((0, 1),)
-    assert result.line_bundle.scalars == ((Fraction(1), Fraction(1)),)
+    assert result.line_bundle.scalars.rows == ((Fraction(1), Fraction(1)),)
     assert result.eta[0] == Matrix.identity(QQ, 2)
     assert cover_report(result.cover).component_count == 2
 
@@ -111,7 +111,7 @@ def test_build_swap_loop():
     algebra = SubalgebraBundle(e, (MatrixSubspace.diagonal_algebra(QQ, 2),))
     result = build_spectral_cover(e, algebra)
     assert result.cover.sigma == ((1, 0),)
-    assert result.line_bundle.scalars == ((Fraction(1), Fraction(2)),)
+    assert result.line_bundle.scalars.rows == ((Fraction(1), Fraction(2)),)
     assert result.eta[0] == Matrix.identity(QQ, 2)
 
 
@@ -120,7 +120,7 @@ def test_build_split_diagonal_57():
     algebra = SubalgebraBundle(e, (MatrixSubspace.diagonal_algebra(QQ, 2),))
     result = build_spectral_cover(e, algebra)
     assert result.cover.sigma == ((0, 1),)
-    assert result.line_bundle.scalars == ((Fraction(5), Fraction(7)),)
+    assert result.line_bundle.scalars.rows == ((Fraction(5), Fraction(7)),)
     report = cover_report(result.cover)
     assert report.component_count == 2 and report.split
 
@@ -224,12 +224,13 @@ def _break_eta(monkeypatch, vertex, rows_of):
 def _relabeled(result, pis):
     """The same reconstruction with label t over vertex v renamed pis[v][t]."""
     cover, line = result.cover, result.line_bundle
+    rows = line.scalars.rows
     sigma, scalars = [], []
     for e, (u, v) in enumerate(cover.base.edges):
         s, c = [None] * cover.degree, [None] * cover.degree
         for t in range(cover.degree):
             s[pis[u][t]] = pis[v][cover.sigma[e][t]]
-            c[pis[u][t]] = line.scalars[e][t]
+            c[pis[u][t]] = rows[e][t]
         sigma.append(tuple(s))
         scalars.append(tuple(c))
     new_cover = CoverRep(cover.base, cover.degree, sigma)

@@ -1,14 +1,16 @@
-"""Matrix entries of instance files: the canonical integer form they are
-read into and the strings written back, against the per-entry scalar
-path."""
+"""Matrix entries and line-bundle scalars of instance files: the canonical
+integer form they are read into and the strings written back, against
+the per-entry scalar path."""
 
+import json
 import random
 
 import pytest
-from helpers import parse_matrix_by_scalars, render_matrix_by_scalars
+from helpers import cover_scalars_by_scalars, parse_matrix_by_scalars, render_matrix_by_scalars
 
-from cartancover.fields import GF, QQ
-from cartancover.instances import parse_matrix
+from cartancover.cli import main
+from cartancover.fields import GF, QQ, field_to_json
+from cartancover.instances import cover_instance_to_json, parse_instance_text, parse_matrix
 from cartancover.reports import matrix_oneline, render_matrix
 
 
@@ -65,3 +67,67 @@ def test_unreduced_strings_reach_the_canonical_form():
     assert (m.den, m.ints) == (2, [[1, 0], [1, 0]])
     m = parse_matrix(GF(7), [["-1", 15], [" +8 ", "-0"]], "m")
     assert (m.den, m.ints) == (1, [[6, 1], [1, 0]])
+
+
+def _cover_doc(field, n, edges, degree, sigma, scalars) -> str:
+    payload = {
+        "graph": {"vertices": n, "edges": edges},
+        "degree": degree,
+        "sigma": sigma,
+        "scalars": scalars,
+    }
+    return json.dumps({"field": field_to_json(field), "kind": "cover", "payload": payload})
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_line_bundle_scalars_read_straight_into_the_canonical_form(field):
+    # the scalar matrix of a cover instance, and the strings written back,
+    # against a field scalar per entry; edgeless covers included
+    rng = random.Random(f"scalars-{field!r}")
+    edgeless = 0
+    for _ in range(200):
+        n, degree = rng.randint(1, 3), rng.randint(1, 4)
+        edges = [[rng.randrange(n), rng.randrange(n)] for _ in range(rng.randint(0, 3))]
+        edges += [[v - 1, v] for v in range(1, n)]
+        sigma = [rng.sample(range(1, degree + 1), degree) for _ in edges]
+        raw = []
+        for _ in edges:
+            row = []
+            while len(row) < degree:
+                x = _entry(rng, field)
+                if cover_scalars_by_scalars(field, [[x]])[0][0][0] != 0:
+                    row.append(x)
+            raw.append(row)
+        edgeless += not edges
+        doc = _cover_doc(field, n, edges, degree, sigma, raw)
+        instance = parse_instance_text(doc)
+        scalars = instance.line_bundle.scalars
+        rows, form, rendered = cover_scalars_by_scalars(field, raw)
+        assert (scalars.nrows, scalars.ncols) == (len(edges), degree)
+        assert (scalars.den, scalars.ints) == form, raw
+        assert scalars.rows == rows and hash(scalars) == hash((field, degree, rows))
+        written = cover_instance_to_json(field, instance.cover, instance.line_bundle)
+        assert written["payload"]["scalars"] == rendered
+        assert parse_instance_text(json.dumps(written)).line_bundle == instance.line_bundle
+    assert edgeless > 10
+
+
+def test_unreduced_and_padded_scalars_reach_the_canonical_form():
+    text = _cover_doc(QQ, 1, [[0, 0], [0, 0]], 2, [[2, 1], [1, 2]], [["6/4", "+3"], [" -2/8 ", 5]])
+    line = parse_instance_text(text).line_bundle
+    assert (line.scalars.den, line.scalars.ints) == (4, [[6, 12], [-1, 20]])
+    assert render_matrix(QQ, line.scalars) == [["3/2", "3"], ["-1/4", "5"]]
+    text = _cover_doc(GF(7), 1, [[0, 0]], 3, [[1, 2, 3]], [[15, " +8 ", "-1"]])
+    line = parse_instance_text(text).line_bundle
+    assert (line.scalars.den, line.scalars.ints) == (1, [[1, 1, 6]])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_an_edgeless_cover_pushes_forward(field, tmp_path, capsys):
+    path = tmp_path / "edgeless.json"
+    path.write_text(_cover_doc(field, 1, [], 3, [], []), encoding="utf-8")
+    line = parse_instance_text(path.read_text(encoding="utf-8")).line_bundle
+    assert (line.scalars.nrows, line.scalars.ncols, line.scalars.ints) == (0, 3, [])
+    assert main(["--format", "machine", "pushforward", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["bundle"]["payload"]["transitions"] == []

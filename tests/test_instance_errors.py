@@ -122,3 +122,118 @@ def test_refused_bundle_entries_name_their_location():
 def test_an_entry_from_another_field_or_of_no_field_is_a_parse_error(field, entry):
     with pytest.raises(ParseError):
         Matrix(field, [[1, entry]])
+
+
+# --- covers and parabolic data ------------------------------------------------------
+
+
+ZERO_DEN = "malformed rational '%s': zero denominator"
+MALFORMED = "malformed rational '%s'; expected 'a' or 'a/b'"
+
+
+def _cover_text(field, scalars=None, sigma=((2, 1), (1, 2)), edges=((0, 1), (1, 0))):
+    payload = {
+        "graph": {"vertices": 2, "edges": [list(e) for e in edges]},
+        "degree": 2,
+        "sigma": [list(s) for s in sigma],
+    }
+    if scalars is not None:
+        payload["scalars"] = scalars
+    return json.dumps({"field": field, "kind": "cover", "payload": payload})
+
+
+@pytest.mark.parametrize(
+    "field, scalars, message",
+    [
+        (Q, [[1, 1.5], [1, 1]], "payload.scalars[0][1]: floats are not exact scalars"),
+        (F7, [[1, 1], [2.0, 1]], "payload.scalars[1][0]: floats are not exact scalars"),
+        (Q, [[True, 1], [1, 1]], "payload.scalars[0][0]: booleans are not rational scalars"),
+        (F7, [[1, 1], [1, False]], "payload.scalars[1][1]: booleans are not prime-field scalars"),
+        (Q, [[1, "1/0"], [1, 1]], f"payload.scalars[0][1]: {ZERO_DEN % '1/0'}"),
+        (Q, [[1, 1], ["x", 1]], f"payload.scalars[1][0]: {MALFORMED % 'x'}"),
+        (F7, [["x", 1], [1, 1]], "payload.scalars[0][0]: malformed GF(7) residue 'x'"),
+        (Q, [[1, 1], [1, "0/5"]], "payload.scalars[1]: scalars must be nonzero"),
+        (F7, [[1, 1], [14, 1]], "payload.scalars[1]: scalars must be nonzero"),
+        # every row is checked to be a list of one scalar per label first,
+        # then the entries are read in reading order, then checked nonzero
+        (Q, [[0, 1], ["x", 1]], f"payload.scalars[1][0]: {MALFORMED % 'x'}"),
+        (Q, [[0, "x"], [1, 1]], f"payload.scalars[0][1]: {MALFORMED % 'x'}"),
+        (Q, [[1, "x"], [1]], "payload.scalars[1]: one scalar per label required"),
+        (Q, [[1, 1], [1]], "payload.scalars[1]: one scalar per label required"),
+        (Q, [[1, 1], "12"], "payload.scalars[1]: expected a list"),
+        (Q, [[1, 1]], "payload.scalars: one scalar list per edge required"),
+        (Q, {"0": [1, 1]}, "payload.scalars: expected a list"),
+    ],
+)
+def test_refused_cover_scalars_name_their_location(field, scalars, message):
+    with pytest.raises(ParseError) as info:
+        parse_instance_text(_cover_text(field, scalars))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            _cover_text(Q, edges=((0, 1), (1, "x"))),
+            "payload.graph.edges[1][1]: expected an integer, got 'x'",
+        ),
+        (
+            _cover_text(Q, edges=((True, 1), (1, 0))),
+            "payload.graph.edges[0][0]: expected an integer, got True",
+        ),
+        (
+            _cover_text(Q, sigma=((2, 1), (1, "2"))),
+            "payload.sigma[1][1]: expected an integer, got '2'",
+        ),
+        (
+            _cover_text(Q, sigma=((2.0, 1), (1, 2))),
+            "payload.sigma[0][0]: expected an integer, got 2.0",
+        ),
+    ],
+    ids=["edge-str", "edge-bool", "sigma-str", "sigma-float"],
+)
+def test_refused_graph_and_sigma_entries_name_their_location(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_instance_text(text)
+    assert str(info.value) == message
+
+
+def _parabolic_text(components=(2,), profiles=(2,), component_of_sheet=(0,)):
+    point = {"profiles": list(profiles), "component_of_sheet": list(component_of_sheet)}
+    payload = {
+        "gX": 0,
+        "degree": 2,
+        "components": list(components),
+        "branch_points": [point, point],
+        "degL": 0,
+    }
+    return json.dumps({"field": Q, "kind": "parabolic", "payload": payload})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            _parabolic_text(component_of_sheet=("0",)),
+            "payload.branch_points[0].component_of_sheet[0]: expected an integer, got '0'",
+        ),
+        (
+            _parabolic_text(profiles=(1, 1), component_of_sheet=(0, None)),
+            "payload.branch_points[0].component_of_sheet[1]: expected an integer, got None",
+        ),
+        (
+            _parabolic_text(profiles=(1, 1.0), component_of_sheet=(0, 0)),
+            "payload.branch_points[0].profiles[1]: expected an integer, got 1.0",
+        ),
+        (
+            _parabolic_text(components=(1, "1")),
+            "payload.components[1]: expected an integer, got '1'",
+        ),
+    ],
+    ids=["sheet-str", "sheet-none", "profile-float", "component-str"],
+)
+def test_refused_parabolic_entries_name_their_location(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_instance_text(text)
+    assert str(info.value) == message

@@ -15,8 +15,10 @@ from helpers import (
     apply_by_scalars,
     integer_line,
     inverse_by_scalars,
+    line_scalars,
     matmul_by_scalars,
     min_poly_by_scalars,
+    root_scalar,
     rref_by_scalars,
     sort_lines_by_scalars,
 )
@@ -29,7 +31,6 @@ from cartancover.linalg import (
     Subspace,
     eigenspaces,
     kernel,
-    line_scalars,
     min_poly,
     rref,
     solve,
@@ -183,7 +184,8 @@ def test_kernel_solve_and_eigenspaces_agree_with_scalar_arithmetic(field, height
             assert sol is not None and apply_by_scalars(m, sol) == apply_by_scalars(m, x)
         if m.is_square():
             _mp, _roots, spaces = eigenspaces(m)
-            for lam, space in spaces or ():
+            for (num, den), space in spaces or ():
+                lam = root_scalar(field, num, den)
                 shifted = m - Matrix.identity(field, m.nrows).scale(lam)
                 assert space == kernel(Matrix(field, shifted.rows, ncols=m.ncols))
 

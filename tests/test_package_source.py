@@ -109,22 +109,24 @@ def test_one_gauss_jordan_loop_in_package():
 
 
 def test_field_scalars_built_only_where_values_leave_the_integer_form():
-    # matrices, subspaces, eigenlines, polynomials and the validation compute
-    # on canonical integer forms; a call that builds field scalars from ints
-    # anywhere else would bring back the scalar round trips of every
-    # intermediate result, or a second, scalar polynomial arithmetic
-    builders = {"from_ints", "line_scalars"}
+    # matrices, subspaces, eigenlines, polynomials, roots, line-bundle
+    # scalars and the validation compute on canonical integer forms, and
+    # instance files are read straight into them; a call that builds field
+    # scalars (from ints, by coercion or by parsing) anywhere else would
+    # bring back the scalar round trips of every intermediate result, or a
+    # second, scalar arithmetic. The oracle line_bundles_gauge_equivalent
+    # reads the scalar view ``rows``, which is no call.
+    builders = {"from_ints", "coerce", "parse_scalar"}
     boundary = {
         # the lazy scalar views and the results returned as scalars
         "linalg.py:rows",
         "linalg.py:apply",
-        "linalg.py:line_scalars",
+        "linalg.py:coordinates_of",
         "linalg.py:solve",
         "poly.py:coeffs",
-        # the eigenline results
-        "cartan.py:lines",
-        # the CartanLines edge factors
-        "bundles.py:_map_lines",
+        # the refusal path, which names the entry an instance file fails on
+        "instances.py:parse_scalar",
+        "instances.py:_refuse_matrix",
     }
     found = set()
 
@@ -139,7 +141,7 @@ def test_field_scalars_built_only_where_values_leave_the_integer_form():
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
-    for name in ("linalg.py", "cartan.py", "bundles.py", "poly.py"):
+    for name in ("linalg.py", "cartan.py", "bundles.py", "poly.py", "covers.py", "instances.py"):
         visit(ast.parse((PACKAGE / name).read_text(encoding="utf-8")), name)
     assert found <= boundary, sorted(found - boundary)
 

@@ -59,12 +59,24 @@ def test_parse_weight_forms():
     assert parse_weight("1/2") == F(1, 2)
     assert parse_weight(0) == 0
     assert parse_weight("2/6") == F(1, 3)
+    assert parse_weight(" +3/4 ") == F(3, 4)
+    assert parse_weight("-0") == 0
     with pytest.raises(ParseError):
         parse_weight("3/2")
+    with pytest.raises(ParseError, match="outside"):
+        parse_weight("-1/2")
     with pytest.raises(ParseError):
         parse_weight(1)
     with pytest.raises(ParseError):
         parse_weight(0.5)
+
+
+@pytest.mark.parametrize("text", ["1_0/12", "-1/-2", "1/ 2", "1 /2"])
+def test_string_weights_follow_the_rational_grammar_of_matrix_entries(text):
+    # a weight string is read like a matrix entry over Q: "a" or "a/b", with
+    # only the whole string padded; int() on each side would take "1_0" or "-2"
+    with pytest.raises(ParseError):
+        parse_weight(text)
 
 
 # --- local flags --------------------------------------------------------------

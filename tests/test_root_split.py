@@ -44,12 +44,8 @@ from cartancover.errors import (
 )
 from cartancover.fields import GF, QQ
 from cartancover.linalg import Matrix
-from cartancover.randgen import (
-    CoverInstanceConfig,
-    random_cover_instance,
-    random_invertible_matrix,
-    random_subspace_for_cartan_test,
-)
+from cartancover.randgen import CoverInstanceConfig, random_cover_instance
+from helpers import eigenline_scalars, random_invertible_matrix, random_subspace_for_cartan_test
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 FIELDS = (QQ, GF(5), GF(7))
@@ -305,7 +301,7 @@ def test_transported_lines_equal_per_vertex_split(field):
         bundle, algebra = gauged_bundle(rng, field)
         result = build_spectral_cover(bundle, algebra)
         for eta, fiber in zip(result.eta, algebra.fibers):
-            expected = simultaneous_eigenlines(fiber).lines
+            expected = eigenline_scalars(simultaneous_eigenlines(fiber))
             assert eta == Matrix.from_columns(field, expected)
 
 
