@@ -108,10 +108,10 @@ class CoverRep:
 
 class LineBundleOnCover:
     """A nonzero scalar per cover edge: label t over base edge e carries
-    entry (e, t) of ``scalars``, a ``Matrix`` in canonical integer form with
-    one row per base edge (none on an edgeless cover) and one column per
-    label. Given as such a matrix, it is taken as it is; given as rows of
-    entries (field scalars, ints or instance-file strings), ``Matrix`` reads them.
+    entry (e, t) of ``scalars``, a ``Matrix`` over ``field`` with one row
+    per base edge (none on an edgeless cover) and one column per label.
+    Rows of entries (field scalars, ints or instance-file strings) are read
+    into one by ``Matrix``.
     """
 
     __slots__ = ("cover", "field", "scalars")
@@ -121,11 +121,10 @@ class LineBundleOnCover:
 
     def __init__(self, cover: CoverRep, field, scalars):
         if not isinstance(scalars, Matrix):
-            if len(scalars) != len(cover.base.edges):
-                raise DimensionMismatch("one scalar list per edge required")
-            if any(len(s) != cover.degree for s in scalars):
-                raise DimensionMismatch("one scalar per fiber label required")
             scalars = Matrix(field, scalars, cover.degree)
+        shape = (len(cover.base.edges), cover.degree)
+        if scalars.field != field or (scalars.nrows, scalars.ncols) != shape:
+            raise DimensionMismatch("one scalar of the field per edge and label required")
         if any(0 in row for row in scalars.ints):
             raise DimensionMismatch("line bundle scalars must be nonzero")
         self.cover = cover

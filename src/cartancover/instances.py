@@ -195,18 +195,32 @@ def _parse_cover(field, payload):
         rows = _expect_list(payload["scalars"], "payload.scalars")
         if len(rows) != len(graph.edges):
             raise ParseError("payload.scalars: one scalar list per edge required")
-        for i, row in enumerate(rows):
-            if len(_expect_list(row, f"payload.scalars[{i}]")) != degree:
-                raise ParseError(f"payload.scalars[{i}]: one scalar per label required")
+        line = LineBundleOnCover(cover, field, _parse_scalars(field, rows, degree))
+    return CoverInstance(field, cover, line)
+
+
+def _parse_scalars(field, rows, degree) -> Matrix:
+    """The line-bundle scalars, one nonzero entry per label in each row,
+    read straight into the canonical integer form by ``Matrix``."""
+    if all(isinstance(r, list) and len(r) == degree for r in rows):
         try:
             scalars = Matrix(field, rows, degree)
+            if not any(0 in r for r in scalars.ints):
+                return scalars
         except ParseError:
-            _refuse_matrix(field, rows, "payload.scalars")
-        for i, row in enumerate(scalars.ints):
-            if 0 in row:
-                raise ParseError(f"payload.scalars[{i}]: scalars must be nonzero")
-        line = LineBundleOnCover(cover, field, scalars)
-    return CoverInstance(field, cover, line)
+            pass
+    _refuse_scalars(field, rows, degree)
+
+
+def _refuse_scalars(field, rows, degree):
+    """Raise the error of the first refused row of line-bundle scalars:
+    not a list of one scalar per label, a located malformed entry, or a zero."""
+    for i, row in enumerate(rows):
+        where = f"payload.scalars[{i}]"
+        if len(_expect_list(row, where)) != degree:
+            raise ParseError(f"{where}: one scalar per label required")
+        if 0 in [parse_scalar(field, x, f"{where}[{j}]") for j, x in enumerate(row)]:
+            raise ParseError(f"{where}: scalars must be nonzero")
 
 
 def _parse_parabolic(field, payload):

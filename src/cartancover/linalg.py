@@ -285,16 +285,9 @@ class Matrix:
 
 def ratio_matrix(field, rows, ncols: int) -> Matrix:
     """The matrix with the entries num / den, given as rows of integer
-    pairs ``(num, den)`` with den a unit. Over Q the entries go over the
-    lcm of the dens; over GF(p) each den other than 1 is inverted, since
-    an lcm of residues grows with their number."""
-    p = field.characteristic
-    if p:
-        ints = [[n if d == 1 else n * pow(d, -1, p) for n, d in row] for row in rows]
-        return Matrix._make(field, 1, ints, ncols)
+    pairs ``(num, den)`` with den a unit, over the lcm of the dens."""
     top = lcm(*[den for row in rows for _num, den in row])
-    ints = [[num * (top // den) for num, den in row] for row in rows]
-    return Matrix._make(field, top, ints, ncols)
+    return Matrix._make(field, top, [[n * (top // d) for n, d in row] for row in rows], ncols)
 
 
 class RrefResult(NamedTuple):

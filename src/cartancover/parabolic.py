@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegreeMismatch, DimensionMismatch, NegativeGenus, NonIntegralGenus, ParseError
-from .fields import _parse_ratio
+from .fields import QQ
 
 
 def parse_weight(w) -> Fraction:
@@ -27,8 +27,7 @@ def parse_weight(w) -> Fraction:
     if isinstance(w, float):
         raise ParseError("parabolic weights must be exact rationals, not floats")
     if isinstance(w, str):
-        # the grammar of instance-file rationals: "a" or "a/b"
-        w = Fraction(*_parse_ratio(w))
+        w = QQ.parse(w)
     else:
         w = Fraction(w)
     if not 0 <= w < 1:

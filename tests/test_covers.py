@@ -24,7 +24,7 @@ from cartancover.covers import (
     trivial_line_bundle,
 )
 from cartancover.cli import run
-from cartancover.errors import EtaNotMonomial, NonSplitAtVertex
+from cartancover.errors import DimensionMismatch, EtaNotMonomial, NonSplitAtVertex
 from cartancover.fields import GF, QQ
 from cartancover.linalg import Matrix
 from cartancover.randgen import random_cover_instance
@@ -45,6 +45,23 @@ def test_direct_image_degree_one_echoes_line_bundle():
     line = LineBundleOnCover(cover, QQ, [(Fraction(5),)])
     bundle = direct_image_line_bundle(cover, line)
     assert bundle.transitions[0] == M([[5]])
+
+
+@pytest.mark.parametrize(
+    "scalars",
+    [
+        Matrix(QQ, [[2, 3], [5, 7]]),
+        Matrix(QQ, [[2, 3, 5]]),
+        Matrix(GF(7), [[2, 3]]),
+        [[2, 3, 5]],
+        [[2, 3], [5]],
+    ],
+    ids=["two-rows", "three-labels", "other-field", "rows-three-labels", "rows-ragged"],
+)
+def test_line_bundle_refuses_scalars_of_another_shape_or_field(scalars):
+    cover = CoverRep(LOOP, 2, [(1, 0)])
+    with pytest.raises(DimensionMismatch):
+        LineBundleOnCover(cover, QQ, scalars)
 
 
 def test_direct_image_disconnected_double_cover_is_diagonal():

@@ -154,11 +154,13 @@ def _cover_text(field, scalars=None, sigma=((2, 1), (1, 2)), edges=((0, 1), (1, 
         (F7, [["x", 1], [1, 1]], "payload.scalars[0][0]: malformed GF(7) residue 'x'"),
         (Q, [[1, 1], [1, "0/5"]], "payload.scalars[1]: scalars must be nonzero"),
         (F7, [[1, 1], [14, 1]], "payload.scalars[1]: scalars must be nonzero"),
-        # every row is checked to be a list of one scalar per label first,
-        # then the entries are read in reading order, then checked nonzero
-        (Q, [[0, 1], ["x", 1]], f"payload.scalars[1][0]: {MALFORMED % 'x'}"),
+        # row by row: a list of one scalar per label, then its entries in
+        # reading order, then that they are nonzero
+        (Q, [[0, 1], ["x", 1]], "payload.scalars[0]: scalars must be nonzero"),
         (Q, [[0, "x"], [1, 1]], f"payload.scalars[0][1]: {MALFORMED % 'x'}"),
-        (Q, [[1, "x"], [1]], "payload.scalars[1]: one scalar per label required"),
+        (Q, [[1, "x"], [1]], f"payload.scalars[0][1]: {MALFORMED % 'x'}"),
+        (Q, [[1, 1], ["x"]], "payload.scalars[1]: one scalar per label required"),
+        (F7, [[7, 1], "12"], "payload.scalars[0]: scalars must be nonzero"),
         (Q, [[1, 1], [1]], "payload.scalars[1]: one scalar per label required"),
         (Q, [[1, 1], "12"], "payload.scalars[1]: expected a list"),
         (Q, [[1, 1]], "payload.scalars: one scalar list per edge required"),
