@@ -6,15 +6,18 @@ A ``MatrixSubspace`` is a subspace of d x d matrices, kept canonical as a
 A d-dimensional subspace that is diagonal in d independent lines is the
 whole diagonal algebra of those lines, so it is split Cartan; conversely a
 split Cartan subspace is the diagonal algebra of its d common eigenlines.
-``simultaneous_eigenlines`` decides a subspace in one pass that computes
-each basis matrix's spectrum at most once. It refines k^d through the
-eigenspaces of the basis matrices and checks that the subspace is diagonal
-in the lines it ends with, so the split certifies itself. A failure is
-named from the spectra already computed: Cartan only after a field
-extension (a minimal polynomial is squarefree but does not split; a first
-class verdict, not an error), or not Cartan, with a witness: wrong
-dimension, a non-commuting basis pair, or a basis matrix that no
-extension diagonalizes.
+``simultaneous_eigenlines`` decides a subspace in one pass. It refines k^d
+into blocks through the basis matrices: each block that is not yet a line
+is split by the eigenspaces of the next matrix restricted to it, so a
+matrix's spectrum over all of k^d is taken only while the one block is
+k^d. It then checks that the subspace is diagonal in the lines it ends
+with, so the split certifies itself, whatever the restrictions were. A
+failure is named from the whole-space spectra, those the refinement took
+and the rest computed once: Cartan only after a field extension (a minimal
+polynomial is squarefree but does not split; a first class verdict, not
+an error), or not Cartan, with a witness: wrong dimension, a
+non-commuting basis pair, or a basis matrix that no extension
+diagonalizes.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, NotSplitCartan, SingularMatrix
-from .linalg import Matrix, Subspace, eigenspaces, min_poly, ratio_matrix
+from .linalg import Matrix, Subspace, eigenspaces, lift, min_poly, ratio_matrix, restrict
 from .poly import Poly, nonsplit_witness, roots_in_field, squarefree_no_guard
 
 
@@ -226,29 +229,39 @@ def diagonal_functionals(a: MatrixSubspace, lines):
 
 
 def _refined_lines(a: MatrixSubspace, spectra: list):
-    """Canonical integer lines of k^d refined by the eigenspaces of the
-    basis matrices, or None unless the refinement ends in d lines.
+    """Canonical integer lines of k^d refined by the basis matrices, or
+    None unless the refinement ends in d lines.
 
-    Starting from the full space, each basis matrix, in canonical order,
-    splits every block into its eigenspaces intersected with the block,
-    until all blocks are lines. Eigenspaces of distinct eigenvalues are
-    independent, so the blocks always form a direct sum, and d blocks are
-    d independent lines. Each spectrum is appended to ``spectra``, and a matrix
-    not diagonalizable over the field ends the refinement.
+    Starting from the full space, each basis matrix m, in canonical order,
+    splits every block W that is not yet a line into the eigenspaces of
+    its restriction m|_W (``linalg.restrict``), lifted back to k^d
+    (``linalg.lift``), until all blocks are lines. The eigenspaces of a
+    diagonalizable m|_W add up to W, so the blocks always form a direct sum
+    decomposition of k^d, and d blocks are d independent lines. When ``a``
+    is commutative, each block is a common eigenspace of the earlier
+    matrices, so it is m-invariant, and the pieces are its intersections
+    with the eigenspaces of m; otherwise they are only candidates, which
+    ``diagonal_functionals`` refuses. A restriction not diagonalizable over
+    the field ends the refinement. The spectrum of each matrix taken while
+    the one block is k^d is appended to ``spectra``; a restricted one is
+    not the matrix's spectrum, so it is not.
     """
     d = a.ambient_dim
     blocks = [Subspace.full(a.field, d)]
     for m in a.basis_matrices():
         if len(blocks) == d:
             break
-        mp, roots, spaces = eigenspaces(m)
-        spectra.append((mp, roots, spaces is not None))
-        if spaces is None or any(mult > 1 for _num, _den, mult in roots):
-            return None
         refined = []
         for block in blocks:
-            pieces = [block] if block.dim == 1 else [block.intersect(s) for _lam, s in spaces]
-            refined += [piece for piece in pieces if piece.dim > 0]
+            if block.dim == 1:
+                refined.append(block)
+                continue
+            mp, roots, spaces = eigenspaces(restrict(m, block))
+            if block.dim == d:
+                spectra.append((mp, roots, spaces is not None))
+            if spaces is None or any(mult > 1 for _num, _den, mult in roots):
+                return None
+            refined += [lift(block, space) for _lam, space in spaces]
         blocks = refined
     if len(blocks) != d:
         return None

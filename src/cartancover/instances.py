@@ -246,7 +246,7 @@ def _parse_parabolic(field, payload):
             try:
                 weight = parse_weight(w)
             except ParseError as exc:
-                raise ParseError(f"{where}.weights: {exc}") from None
+                raise ParseError(f"{where}.weights[{k}]: {exc}") from None
             c = _expect_int(c, f"{where}.component_of_sheet[{k}]")
             sheets.append(RamifiedSheet(b, weight, c))
         branch.append(BranchPoint(tuple(sheets)))
@@ -256,11 +256,11 @@ def _parse_parabolic(field, payload):
     ):
         weights = _expect_list(weights, f"payload.unramified_weights[{i}]")
         parsed = []
-        for w in weights:
+        for j, w in enumerate(weights):
             try:
                 parsed.append(parse_weight(w))
             except ParseError as exc:
-                raise ParseError(f"payload.unramified_weights[{i}]: {exc}") from None
+                raise ParseError(f"payload.unramified_weights[{i}][{j}]: {exc}") from None
         extra.append(tuple(parsed))
     deg_l = _expect_int(_expect(payload, "degL", "payload"), "payload.degL")
     data = RamifiedCoverData(g_x, degree, degrees, tuple(branch), tuple(extra))

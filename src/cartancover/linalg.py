@@ -4,13 +4,16 @@ A matrix holds one form, its canonical integer form: integer rows
 ``ints`` over a positive ``den``, the entries being ``ints[i][j] / den``.
 Over GF(p) the ints are least residues and ``den`` is 1; over Q ``den`` is
 the least common denominator, so gcd(den, every entry) = 1. The form is
-unique, so equality reads it. Products multiply these rows, and every
-elimination (``rref``, ``kernel``, ``solve``, ``Matrix.inverse``,
-``min_poly``, ``eigenspaces`` and the subspaces) goes through the one
-Gauss-Jordan loop ``_eliminate``, whose row reduction is the only step
-that differs between the fields: one ``% p``, or the exact Bareiss
-division. RREF and minimal polynomials are unique, so the results are
-those of field-scalar elimination, value for value.
+unique, so equality reads it. Products multiply these rows (``_product``;
+``restrict`` reads a matrix on a subspace's echelon basis with one, and
+``lift`` carries a subspace of that basis's coordinates back with
+another), and every elimination (``rref``, ``kernel``, ``solve``,
+``Matrix.inverse``, ``min_poly``, ``eigenspaces``, the subspaces and the
+spans ``lift`` returns) goes through the one Gauss-Jordan loop
+``_eliminate``, whose row reduction is the only step that differs between
+the fields: one ``% p``, or the exact Bareiss division. RREF and minimal
+polynomials are unique, so the results are those of field-scalar
+elimination, value for value.
 
 A subspace of k^n holds the canonical form of its reduced row echelon
 basis. A line of k^n is a canonical integer line, a tuple: over GF(p)
@@ -120,6 +123,33 @@ def _product(left: list, right: list, ncols: int, p: int) -> list:
     if p:
         return [[sum(map(mul, r, c)) % p for c in cols] for r in left]
     return [[sum(map(mul, r, c)) for c in cols] for r in left]
+
+
+def restrict(m: "Matrix", space: "Subspace") -> "Matrix":
+    """m|_W for a subspace W of k^n: the w x w matrix whose column i is
+    m e_i read at W's pivots, for e_i the echelon basis of W.
+
+    The e_i are leading-one and zero at each other's pivots, so when W is
+    m-invariant, m e_i = sum_j (m e_i)[pivot_j] e_j and this is the matrix
+    of m on W in that basis. Entry (j, i) is row pivot_j of m times echelon
+    row i, over ``m.den * W.echelon.den``. On all of k^n it is m itself.
+    """
+    if space.dim == space.ambient:
+        return m
+    echelon = space.echelon
+    at_pivots = [m.ints[q] for q in space.pivots()]
+    rows = _product(at_pivots, list(zip(*echelon.ints)), space.dim, m.field.characteristic)
+    return Matrix._make(m.field, m.den * echelon.den, rows, space.dim)
+
+
+def lift(space: "Subspace", sub: "Subspace") -> "Subspace":
+    """The subspace of k^n whose coordinates in the echelon basis of
+    ``space`` span ``sub``: one product of their echelon rows."""
+    if space.dim == space.ambient:
+        return sub
+    p = space.field.characteristic
+    rows = _product(sub.echelon.ints, space.echelon.ints, space.ambient, p)
+    return Subspace._spanned(space.field, space.ambient, rows)
 
 
 class Matrix:

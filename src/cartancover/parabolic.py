@@ -29,7 +29,10 @@ def parse_weight(w) -> Fraction:
     if isinstance(w, str):
         w = QQ.parse(w)
     else:
-        w = Fraction(w)
+        try:
+            w = Fraction(w)
+        except (TypeError, ValueError):
+            raise ParseError(f"cannot interpret {w!r} as a parabolic weight") from None
     if not 0 <= w < 1:
         raise ParseError(f"parabolic weight {w} outside [0, 1)")
     return w

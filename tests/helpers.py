@@ -1,8 +1,9 @@
 """Debug checks, the bounded bundle-isomorphism search, the min-poly Cartan
-classifier, the exhaustive root search, the field-scalar linear
-algebra and polynomial arithmetic the integer kernels replaced, the
-scalar views of integer forms and the random matrices and subspaces of
-the property tests, used by tests only.
+classifier, the root-fiber refinement by eigenspace intersections, the
+exhaustive root search, the field-scalar linear algebra and polynomial
+arithmetic the integer kernels replaced, the scalar views of integer forms
+and the random matrices and subspaces of the property tests, used by tests
+only.
 
 None of these is reached from the command line or from the package's own
 constructions; they check the package's outputs from the outside.
@@ -15,7 +16,13 @@ from itertools import product
 from random import Random
 
 from cartancover.bundles import BundleRep, tree_paths, validate_bundle
-from cartancover.cartan import CartanStatus, CartanVerdict, MatrixSubspace, NotCartanReason
+from cartancover.cartan import (
+    CartanStatus,
+    CartanVerdict,
+    MatrixSubspace,
+    NotCartanReason,
+    sort_lines,
+)
 from cartancover.covers import (
     CoverRep,
     LineBundleOnCover,
@@ -28,7 +35,7 @@ from cartancover.covers import (
 from cartancover.errors import DimensionMismatch, ParseError, SingularMatrix
 from cartancover.fields import Fp, PrimeField, Rationals, is_prime
 from cartancover.instances import parse_scalar
-from cartancover.linalg import Matrix, Subspace, kernel, min_poly
+from cartancover.linalg import Matrix, Subspace, eigenspaces, kernel, min_poly
 from cartancover.parabolic import parse_weight
 from cartancover.poly import Poly, nonsplit_witness, roots_in_field, squarefree_no_guard
 
@@ -424,6 +431,32 @@ def classify_by_min_polys(a: MatrixSubspace, d: int) -> CartanVerdict:
     if witness is not None:
         return CartanVerdict(CartanStatus.NONSPLIT, witness_poly=witness)
     return CartanVerdict(CartanStatus.SPLIT)
+
+
+def refined_lines_by_intersection(a: MatrixSubspace, spectra: list):
+    """Oracle for ``cartan._refined_lines``: the refinement the block
+    restriction replaced, which takes each basis matrix's spectrum over all
+    of k^d and cuts every block by ``Subspace.intersect`` with each of its
+    eigenspaces. Same contract: canonical integer lines or None, each
+    spectrum appended to ``spectra``.
+    """
+    d = a.ambient_dim
+    blocks = [Subspace.full(a.field, d)]
+    for m in a.basis_matrices():
+        if len(blocks) == d:
+            break
+        mp, roots, spaces = eigenspaces(m)
+        spectra.append((mp, roots, spaces is not None))
+        if spaces is None or any(mult > 1 for _num, _den, mult in roots):
+            return None
+        refined = []
+        for block in blocks:
+            pieces = [block] if block.dim == 1 else [block.intersect(s) for _lam, s in spaces]
+            refined += [piece for piece in pieces if piece.dim > 0]
+        blocks = refined
+    if len(blocks) != d:
+        return None
+    return sort_lines(tuple(b.echelon.ints[0]) for b in blocks)
 
 
 # --- algebra and weight checks ----------------------------------------------------

@@ -3,8 +3,9 @@
 ``tests/golden`` holds the stdout of every shipped instance under each
 instance subcommand (error reports included) and of ``selftest`` at its
 defaults and at ``--seed 7 --count 40``, in both formats, with the exit
-codes in ``exit_codes.json``. A change that alters any report on purpose
-regenerates them with
+codes in ``exit_codes.json``. One instance per subcommand is also run as
+``python -O -m cartancover``, which strips assert statements. A change
+that alters any report on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden_reports.py --write
 
@@ -12,6 +13,8 @@ and says why in its description.
 """
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,6 +69,29 @@ def test_report_bytes_match_golden(name, argv, exit_codes):
     assert code == exit_codes[name]
     for fmt in FORMATS:
         assert texts[fmt] == golden_path(name, fmt).read_bytes(), fmt
+
+
+@pytest.mark.parametrize(
+    "sub, stem",
+    [
+        ("classify", "cartan_nilpotent_q"),
+        ("cover-build", "bundle_loop_swap2_q"),
+        ("pushforward", "parabolic_p1_double_q"),
+        ("factor", "cover_c4_loop_q"),
+    ],
+)
+def test_machine_report_matches_golden_under_python_O(sub, stem, exit_codes):
+    # python -O strips assert statements: a check that hid in one would
+    # change these reports or their exit codes
+    name = f"{sub}__{stem}"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = ["--format", "machine", sub, str(INSTANCES / f"{stem}.json")]
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "cartancover", *argv], env=env, capture_output=True
+    )
+    assert done.returncode == exit_codes[name]
+    assert done.stdout == golden_path(name, "machine").read_bytes()
 
 
 def write_golden():

@@ -201,8 +201,12 @@ def test_refused_graph_and_sigma_entries_name_their_location(text, message):
     assert str(info.value) == message
 
 
-def _parabolic_text(components=(2,), profiles=(2,), component_of_sheet=(0,)):
+def _parabolic_text(
+    components=(2,), profiles=(2,), component_of_sheet=(0,), weights=None, unramified=None
+):
     point = {"profiles": list(profiles), "component_of_sheet": list(component_of_sheet)}
+    if weights is not None:
+        point["weights"] = list(weights)
     payload = {
         "gX": 0,
         "degree": 2,
@@ -210,6 +214,8 @@ def _parabolic_text(components=(2,), profiles=(2,), component_of_sheet=(0,)):
         "branch_points": [point, point],
         "degL": 0,
     }
+    if unramified is not None:
+        payload["unramified_weights"] = [list(w) for w in unramified]
     return json.dumps({"field": Q, "kind": "parabolic", "payload": payload})
 
 
@@ -232,8 +238,44 @@ def _parabolic_text(components=(2,), profiles=(2,), component_of_sheet=(0,)):
             _parabolic_text(components=(1, "1")),
             "payload.components[1]: expected an integer, got '1'",
         ),
+        (
+            _parabolic_text(profiles=(1, 1), component_of_sheet=(0, 0), weights=("1/2", 0.5)),
+            "payload.branch_points[0].weights[1]: "
+            "parabolic weights must be exact rationals, not floats",
+        ),
+        (
+            _parabolic_text(weights=("3/2",)),
+            "payload.branch_points[0].weights[0]: parabolic weight 3/2 outside [0, 1)",
+        ),
+        (
+            _parabolic_text(profiles=(1, 1), component_of_sheet=(0, 0), weights=(0, None)),
+            "payload.branch_points[0].weights[1]: cannot interpret None as a parabolic weight",
+        ),
+        (
+            _parabolic_text(unramified=(("0", "1/3"), ("1/2", True))),
+            "payload.unramified_weights[1][1]: booleans are not parabolic weights",
+        ),
+        (
+            _parabolic_text(unramified=(("x",),)),
+            f"payload.unramified_weights[0][0]: {MALFORMED % 'x'}",
+        ),
+        (
+            _parabolic_text(unramified=(("0", {"w": 1}),)),
+            "payload.unramified_weights[0][1]: cannot interpret {'w': 1} as a parabolic weight",
+        ),
     ],
-    ids=["sheet-str", "sheet-none", "profile-float", "component-str"],
+    ids=[
+        "sheet-str",
+        "sheet-none",
+        "profile-float",
+        "component-str",
+        "weight-float",
+        "weight-range",
+        "weight-none",
+        "unramified-bool",
+        "unramified-str",
+        "unramified-dict",
+    ],
 )
 def test_refused_parabolic_entries_name_their_location(text, message):
     with pytest.raises(ParseError) as info:

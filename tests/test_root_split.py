@@ -45,7 +45,13 @@ from cartancover.errors import (
 from cartancover.fields import GF, QQ
 from cartancover.linalg import Matrix
 from cartancover.randgen import CoverInstanceConfig, random_cover_instance
-from helpers import eigenline_scalars, random_invertible_matrix, random_subspace_for_cartan_test
+from helpers import (
+    eigenline_scalars,
+    random_invertible_matrix,
+    random_matrix,
+    random_subspace_for_cartan_test,
+    refined_lines_by_intersection,
+)
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 FIELDS = (QQ, GF(5), GF(7))
@@ -365,6 +371,99 @@ def test_each_spectrum_is_computed_once(monkeypatch, capsys, command, name, expe
     main(["--format", "machine", command, str(INSTANCES / f"{name}.json")])
     capsys.readouterr()
     assert {fn: len(counts[fn]) for fn in expected} == expected
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_split_restricts_each_matrix_to_its_block(monkeypatch, field):
+    # on the diagonal algebra, E_11 splits one line off k^d and each next
+    # E_tt splits one off the block left, so the spectra are taken on blocks of
+    # sizes d, d - 1, ..., 2 and no subspaces are intersected
+    min_polys = count_calls(monkeypatch, linalg.min_poly)
+    intersections = []
+    real_intersect = linalg.Subspace.intersect
+
+    def counting_intersect(self, other):
+        intersections.append(self)
+        return real_intersect(self, other)
+
+    monkeypatch.setattr(linalg.Subspace, "intersect", counting_intersect)
+    for d in range(2, 7):
+        del min_polys[:]
+        eig = simultaneous_eigenlines(MatrixSubspace.diagonal_algebra(field, d))
+        assert eig.ints == tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        assert [m.nrows for (m,) in min_polys] == list(range(d, 1, -1))
+    assert intersections == []
+
+
+def _rootless_quadratic_block(field):
+    """The companion matrix of a quadratic with no root in the field."""
+    p = field.characteristic
+    if not p:
+        return [[0, 2], [1, 0]]
+    b, c = next(
+        (b, c)
+        for b in range(p)
+        for c in range(p)
+        if all((t * t - b * t - c) % p for t in range(p))
+    )
+    return [[0, c], [1, b]]  # x^2 - b x - c
+
+
+def _oracle_case(rng, field, d, kind):
+    """A subspace of d x d matrices of one kind; all but the random spans
+    are conjugated by a random invertible matrix three times in four."""
+
+    def embedded(block, diagonal):
+        rows = [[0] * d for _ in range(d)]
+        for i, row in enumerate(block):
+            rows[i][: len(row)] = row
+        for t, x in diagonal:
+            rows[t][t] = x
+        return Matrix(field, rows)
+
+    if kind == "random_span":
+        k = rng.randint(d - 1, d + 1)
+        return MatrixSubspace(field, d, [random_matrix(rng, field, d) for _ in range(k)])
+    if kind == "diagonal":
+        a = MatrixSubspace.diagonal_algebra(field, d)
+    elif kind == "diagonal_span":
+        # small entries, so that spans of fewer than d dimensions and
+        # repeated eigenvalues are common
+        k = rng.randint(1, d + 1)
+        diagonals = [[(t, rng.randint(-2, 2)) for t in range(d)] for _ in range(k)]
+        a = MatrixSubspace(field, d, [embedded([], diag) for diag in diagonals])
+    else:
+        block = [[0, 1], [0, 0]] if kind == "nilpotent" else _rootless_quadratic_block(field)
+        basis = [embedded([[1, 0], [0, 1]], []), embedded(block, [])]
+        a = MatrixSubspace(field, d, basis + [embedded([], [(t, 1)]) for t in range(2, d)])
+    return a.conjugated(random_invertible_matrix(rng, field, d)) if rng.random() < 0.75 else a
+
+
+ORACLE_KINDS = ("diagonal", "diagonal_span", "nilpotent", "nonsplit", "random_span")
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(3), GF(5), GF(7), GF(1009)), ids=str)
+def test_block_split_matches_the_intersection_oracle(monkeypatch, field):
+    # the same lines, values and verdicts (witnesses included) as the
+    # refinement that intersects every block with every eigenspace
+    rng = Random(f"block split {field}")
+    seen = set()
+    for _ in range(8):
+        for d in range(2, 7):
+            for kind in ORACLE_KINDS:
+                a = _oracle_case(rng, field, d, kind)
+                verdict = classify_subspace(a, d)
+                with monkeypatch.context() as patch:
+                    patch.setattr(cartan, "_refined_lines", refined_lines_by_intersection)
+                    assert classify_subspace(a, d) == verdict
+                seen.add((verdict.status, verdict.reason))
+    assert seen == {
+        (CartanStatus.SPLIT, None),
+        (CartanStatus.NONSPLIT, None),
+        (CartanStatus.NOT_CARTAN, cartan.NotCartanReason.WRONG_DIMENSION),
+        (CartanStatus.NOT_CARTAN, cartan.NotCartanReason.NOT_COMMUTATIVE),
+        (CartanStatus.NOT_CARTAN, cartan.NotCartanReason.NOT_DIAGONALIZABLE),
+    }
 
 
 def test_roundtrip_pushes_forward_once(monkeypatch):
