@@ -89,13 +89,6 @@ class MatrixSubspace:
             [t @ a @ ti for a in self.basis_matrices()],
         )
 
-    def intersect(self, other: "MatrixSubspace") -> "MatrixSubspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        return MatrixSubspace._from_space(
-            self.field, self.ambient_dim, self.space.intersect(other.space)
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, MatrixSubspace)

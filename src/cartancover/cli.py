@@ -9,7 +9,8 @@ intermediate covers of a cover, and ``selftest`` runs the seeded
 randomized property suites.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (the report
-carries a witness), 2 the input was rejected.
+carries a witness), 2 the input was rejected. Each error type's code is
+its ``exit_code`` in ``errors.py``.
 """
 
 from __future__ import annotations
@@ -28,24 +29,7 @@ from .covers import (
     roundtrip_verify,
     trivial_line_bundle,
 )
-from .errors import (
-    CartanCoverError,
-    DegreeMismatch,
-    DegreeTooLarge,
-    DimensionMismatch,
-    DisconnectedBase,
-    EtaNotMonomial,
-    IncompatibleEdge,
-    NegativeGenus,
-    NonIntegralGenus,
-    NonSplitAtVertex,
-    NotABlockSystem,
-    NotCartanAtVertex,
-    NotSplitCartan,
-    ParseError,
-    SingularMatrix,
-    SingularTransition,
-)
+from .errors import CartanCoverError, DegreeTooLarge, ParseError
 from .factorization import (
     ENUMERATION_DEGREE_BOUND,
     block_systems,
@@ -63,17 +47,8 @@ from .instances import (
     cover_instance_to_json,
     load_instance,
 )
-from .parabolic import (
-    _assemble_pushforward,
-    _conservation_report,
-    _genus,
-    check_pardeg_conservation,
-)
-from .randgen import (
-    CoverInstanceConfig,
-    random_cover_instance,
-    random_ramified_cover_data,
-)
+from .parabolic import check_pardeg_conservation
+from .randgen import CoverInstanceConfig, random_cover_instance, random_ramified_cover_data
 from .reports import (
     Report,
     filtration_oneline,
@@ -83,46 +58,20 @@ from .reports import (
     render_matrix,
 )
 
-INPUT_ERRORS = (
-    ParseError,
-    DimensionMismatch,
-    DisconnectedBase,
-    SingularTransition,
-    DegreeTooLarge,
-    NonIntegralGenus,
-    NegativeGenus,
-)
-
-# every concrete error type is in exactly one of the two tuples; errors
-# outside INPUT_ERRORS are failed mathematical checks and exit with 1
-MATH_ERRORS = (
-    NonSplitAtVertex,
-    NotCartanAtVertex,
-    IncompatibleEdge,
-    EtaNotMonomial,
-    NotABlockSystem,
-    NotSplitCartan,
-    SingularMatrix,
-    DegreeMismatch,
-)
-
 
 def _error_report(command: str, exc: CartanCoverError) -> Report:
     detail = {"type": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, (NonSplitAtVertex, NotCartanAtVertex, EtaNotMonomial)):
-        detail["vertex"] = exc.vertex
-    if isinstance(exc, NonSplitAtVertex):
-        detail["witness"] = str(exc.witness)
-    if isinstance(exc, NotCartanAtVertex):
-        detail["witness"] = str(exc.verdict)
-    if isinstance(exc, (IncompatibleEdge, SingularTransition)):
-        detail["edge"] = exc.edge
-    code = 2 if isinstance(exc, INPUT_ERRORS) else 1
+    carried = vars(exc)
+    for key in ("vertex", "edge"):
+        if key in carried:
+            detail[key] = carried[key]
+    if "witness" in carried:
+        detail["witness"] = str(carried["witness"])
     return Report(
         command,
         {"ok": False, "error": detail},
         [f"error: {detail['type']}: {detail['message']}"],
-        code,
+        exc.exit_code,
     )
 
 
@@ -234,12 +183,8 @@ def _pushforward_cover(instance: CoverInstance) -> Report:
 
 
 def _pushforward_parabolic(instance: ParabolicInstance) -> Report:
-    data, line_degree = instance.data, instance.line_degree
-    # one validation, whose parsed weights the rest reuse
-    weights = data.validate()
-    genus = _genus(data)
-    result = _assemble_pushforward(data, line_degree, genus, weights)
-    conservation = _conservation_report(line_degree, weights, result)
+    conservation = check_pardeg_conservation(instance.data, instance.line_degree)
+    result, genus = conservation.pushforward, conservation.genus
     machine = {
         "field": field_to_json(instance.field),
         "degree": result.degree,
@@ -440,10 +385,7 @@ def run(argv=None) -> tuple[Report, str]:
         elif command == "cover-build":
             report = cmd_cover_build(_load(args.instance, BundleInstance, "bundle"))
         elif command == "pushforward":
-            instance = load_instance(args.instance)
-            if not isinstance(instance, (CoverInstance, ParabolicInstance)):
-                raise ParseError("pushforward expects a cover or parabolic instance")
-            report = cmd_pushforward(instance)
+            report = cmd_pushforward(load_instance(args.instance))
         elif command == "factor":
             report = cmd_factor(_load(args.instance, CoverInstance, "cover"), args.max_degree)
         else:

@@ -1,21 +1,31 @@
 """Error types shared across the toolkit.
 
 Every mathematically meaningful failure carries a machine-checkable
-witness (an index, an edge, a polynomial) so that reports can show why
-a check failed, not merely that it did.
+witness (a vertex, an edge, a polynomial) so that reports can show why
+a check failed, not merely that it did: the error report copies the
+``vertex``, ``edge`` and ``witness`` an error carries.
+
+``exit_code`` is the command-line exit status of each error type: 1 for
+a failed mathematical check, 2 for a rejected input.
 """
 
 
 class CartanCoverError(Exception):
     """Base class for all toolkit errors."""
 
+    exit_code = 1
+
 
 class ParseError(CartanCoverError):
     """An instance file is malformed; the message names the offending field."""
 
+    exit_code = 2
+
 
 class DimensionMismatch(CartanCoverError):
     """Operands live in different ambient dimensions, or over different fields."""
+
+    exit_code = 2
 
 
 class SingularMatrix(CartanCoverError):
@@ -25,6 +35,8 @@ class SingularMatrix(CartanCoverError):
 class SingularTransition(CartanCoverError):
     """A bundle transition matrix is singular."""
 
+    exit_code = 2
+
     def __init__(self, edge, message=None):
         self.edge = edge
         super().__init__(message or f"transition on edge {edge} is singular")
@@ -32,6 +44,8 @@ class SingularTransition(CartanCoverError):
 
 class DisconnectedBase(CartanCoverError):
     """The base graph is not connected."""
+
+    exit_code = 2
 
 
 class NotSplitCartan(CartanCoverError):
@@ -45,10 +59,10 @@ class NotSplitCartan(CartanCoverError):
 class NotCartanAtVertex(CartanCoverError):
     """A fiber of a claimed Cartan bundle fails the Cartan test."""
 
-    def __init__(self, vertex, verdict):
+    def __init__(self, vertex, witness):
         self.vertex = vertex
-        self.verdict = verdict
-        super().__init__(f"fiber at vertex {vertex} is not a Cartan subalgebra: {verdict}")
+        self.witness = witness  # the text of the failing verdict
+        super().__init__(f"fiber at vertex {vertex} is not a Cartan subalgebra: {witness}")
 
 
 class NonSplitAtVertex(CartanCoverError):
@@ -83,13 +97,19 @@ class NotABlockSystem(CartanCoverError):
 class DegreeTooLarge(CartanCoverError):
     """Enumeration refused beyond the supported degree bound."""
 
+    exit_code = 2
+
 
 class NonIntegralGenus(CartanCoverError):
     """Ramification data violates the parity constraint."""
 
+    exit_code = 2
+
 
 class NegativeGenus(CartanCoverError):
     """Ramification data forces a negative genus."""
+
+    exit_code = 2
 
 
 class DegreeMismatch(CartanCoverError):

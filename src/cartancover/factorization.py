@@ -10,6 +10,13 @@ cover sits inside the full pushforward as the span of block indicator
 vectors, and that embedding is flat because the partition is a block
 system. So the summand check builds neither pushforward: it tests only
 that a retraction splits the indicator embedding.
+
+That check certifies nothing beyond the block-system property. Both of
+its identities hold on every block system by construction, so its
+verdict is True whenever ``is_block_system`` holds. In particular it
+proves no direct summand when the characteristic divides the block size:
+over GF(2) the 4-cycle with blocks {1,3},{2,4} passes, yet no flat
+retraction exists.
 """
 
 from __future__ import annotations
@@ -173,7 +180,12 @@ class SummandCheckReport(NamedTuple):
 
 
 def summand_embedding_check(cover: CoverRep, system: BlockSystem, field=QQ) -> SummandCheckReport:
-    """Certify that the quotient pushforward embeds as a checked direct summand.
+    """Check that a retraction splits the embedding of the quotient pushforward.
+
+    The verdict is True on every block system: both identities below hold
+    by construction, so it certifies no more than ``is_block_system``. When
+    the characteristic divides the block size it does not prove that the
+    quotient pushforward is a direct summand, and it can be wrong there.
 
     Embeds the quotient pushforward V into the full pushforward W by block
     indicator vectors i, retracts by picking the first label of each

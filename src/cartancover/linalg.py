@@ -305,8 +305,8 @@ class Matrix:
         )
 
     def __hash__(self):
-        # the hash of the scalar rows, so that hash values do not depend on the form
-        return hash((self.field, self.ncols, self.rows))
+        # the form is canonical, so equal matrices hash equal
+        return hash((self.field, self.ncols, self.den, tuple(map(tuple, self.ints))))
 
     def __repr__(self):
         body = "; ".join(" ".join(self.field.render_ints(r, self.den)) for r in self.ints)
@@ -424,7 +424,7 @@ class Subspace:
         return isinstance(other, Subspace) and self.echelon == other.echelon
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.basis))
+        return hash(self.echelon)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient})"

@@ -212,10 +212,6 @@ def riemann_hurwitz_genus(data: RamifiedCoverData) -> GenusReport:
     return _genus(data)
 
 
-# The public entries validate their data once; the helpers below take
-# data that has been validated.
-
-
 def _genus(data: RamifiedCoverData) -> GenusReport:
     out = []
     for j, dj in enumerate(data.component_degrees):
@@ -237,19 +233,7 @@ def degree_direct_image(data: RamifiedCoverData, line_degree: int) -> int:
     line-bundle degree. Riemann-Hurwitz makes the two agree; a
     disagreement raises ``DegreeMismatch``.
     """
-    return _degree(data, line_degree, riemann_hurwitz_genus(data))
-
-
-def _degree(data: RamifiedCoverData, line_degree: int, genus: GenusReport) -> int:
-    chi = genus.euler_characteristic
-    euler_route = line_degree + chi - data.degree * (1 - data.base_genus)
-    ram = data.ramification_sum()
-    if ram % 2 != 0:
-        raise NonIntegralGenus("total ramification is odd")
-    drop_route = line_degree - ram // 2
-    if euler_route != drop_route:
-        raise DegreeMismatch(f"Euler route gives {euler_route}, ramification route {drop_route}")
-    return euler_route
+    return check_pardeg_conservation(data, line_degree).pushforward.degree
 
 
 class ParabolicPoint(NamedTuple):
@@ -272,28 +256,7 @@ def pushforward_parabolic(data: RamifiedCoverData, line_degree: int) -> Paraboli
     u0, u1, ...; points whose filtration carries only weight zero are
     not part of the parabolic divisor.
     """
-    weights = data.validate()
-    return _assemble_pushforward(data, line_degree, _genus(data), weights)
-
-
-def _assemble_pushforward(
-    data: RamifiedCoverData, line_degree: int, genus: GenusReport, weights: tuple
-) -> ParabolicBundleData:
-    """The pushforward of validated data, from its genus report and the
-    parsed weights ``data.validate()`` returned."""
-    degree = _degree(data, line_degree, genus)
-    branch, extra = weights
-    points = []
-    for i, (bp, ws) in enumerate(zip(data.branch_points, branch)):
-        flags = [local_flags(s.multiplicity, w) for s, w in zip(bp.sheets, ws)]
-        filt = merge_fiber_filtration(flags, (), data.degree)
-        if not filt.is_trivial():
-            points.append(ParabolicPoint(f"b{i}", filt))
-    for i, ws in enumerate(extra):
-        filt = merge_fiber_filtration((), ws, data.degree)
-        if not filt.is_trivial():
-            points.append(ParabolicPoint(f"u{i}", filt))
-    return ParabolicBundleData(degree, data.degree, tuple(points))
+    return check_pardeg_conservation(data, line_degree).pushforward
 
 
 def parabolic_degree(bundle: ParabolicBundleData) -> Fraction:
@@ -305,8 +268,13 @@ def parabolic_degree(bundle: ParabolicBundleData) -> Fraction:
 
 
 class ConservationReport(NamedTuple):
+    """Both parabolic degrees, with the pushforward and the genus report
+    of the data they were computed from."""
+
     upstairs: Fraction
     downstairs: Fraction
+    pushforward: ParabolicBundleData
+    genus: GenusReport
 
     @property
     def equal(self) -> bool:
@@ -314,17 +282,32 @@ class ConservationReport(NamedTuple):
 
 
 def check_pardeg_conservation(data: RamifiedCoverData, line_degree: int) -> ConservationReport:
-    """Parabolic degree upstairs equals parabolic degree of the pushforward."""
-    weights = data.validate()
-    pushforward = _assemble_pushforward(data, line_degree, _genus(data), weights)
-    return _conservation_report(line_degree, weights, pushforward)
+    """Parabolic degree upstairs equals parabolic degree of the pushforward.
 
-
-def _conservation_report(
-    line_degree: int, weights: tuple, pushforward: ParabolicBundleData
-) -> ConservationReport:
-    """The conservation report from the parsed weights ``data.validate()``
-    returned and the pushforward of the data."""
-    branch, extra = weights
+    The one pass over the data that the other entries read their results
+    off: one validation, whose parsed weights the flags, the merges and
+    the upstairs degree reuse, the genus, the degree by both routes, the
+    parabolic points, then both parabolic degrees.
+    """
+    branch, extra = data.validate()
+    genus = _genus(data)
+    euler_route = line_degree + genus.euler_characteristic - data.degree * (1 - data.base_genus)
+    ram = data.ramification_sum()
+    if ram % 2 != 0:
+        raise NonIntegralGenus("total ramification is odd")
+    drop_route = line_degree - ram // 2
+    if euler_route != drop_route:
+        raise DegreeMismatch(f"Euler route gives {euler_route}, ramification route {drop_route}")
+    points = []
+    for i, (bp, ws) in enumerate(zip(data.branch_points, branch)):
+        flags = [local_flags(s.multiplicity, w) for s, w in zip(bp.sheets, ws)]
+        filt = merge_fiber_filtration(flags, (), data.degree)
+        if not filt.is_trivial():
+            points.append(ParabolicPoint(f"b{i}", filt))
+    for i, ws in enumerate(extra):
+        filt = merge_fiber_filtration((), ws, data.degree)
+        if not filt.is_trivial():
+            points.append(ParabolicPoint(f"u{i}", filt))
+    pushforward = ParabolicBundleData(euler_route, data.degree, tuple(points))
     upstairs = sum((w for ws in (*branch, *extra) for w in ws), Fraction(line_degree))
-    return ConservationReport(upstairs, parabolic_degree(pushforward))
+    return ConservationReport(upstairs, parabolic_degree(pushforward), pushforward, genus)

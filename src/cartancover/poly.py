@@ -82,8 +82,8 @@ class Poly:
         )
 
     def __hash__(self):
-        # the hash of the scalar coefficients, so that hash values do not depend on the form
-        return hash((self.field, self.coeffs))
+        # the form is canonical, so equal polynomials hash equal
+        return hash((self.field, self.den, self.ints))
 
     def __repr__(self):
         return f"Poly({self.field!r}, {self!s})"

@@ -26,6 +26,12 @@ class CoverInstanceConfig(NamedTuple):
 
 DEFAULT_FIELDS = (QQ, GF(5), GF(7))
 
+# bounds of the ramified cover data random_ramified_cover_data samples
+MAX_RAMIFIED_DEGREE = 8
+MAX_BRANCH_POINTS = 5
+MAX_WEIGHT_DENOMINATOR = 12
+MAX_RAMIFIED_TRIES = 200
+
 
 def random_base_graph(rng: Random, max_vertices: int = 6, max_edges: int = 9) -> BaseGraph:
     """A connected multigraph: a random tree plus extra edges (loops allowed)."""
@@ -67,36 +73,26 @@ def random_cover_instance(rng: Random, field, config: CoverInstanceConfig = Cove
     return cover, LineBundleOnCover(cover, field, scalars)
 
 
-def random_ramified_cover_data(
-    rng: Random,
-    max_degree: int = 8,
-    max_branch_points: int = 5,
-    max_weight_denominator: int = 12,
-    max_tries: int = 200,
-) -> tuple:
+def random_ramified_cover_data(rng: Random) -> tuple:
     """Valid ramified cover data with weights, plus a line-bundle degree.
 
     Sampled by rejection: profiles are drawn per component per branch
     point, then the data must pass parity and nonnegative-genus checks.
     """
-    for _ in range(max_tries):
+    for _ in range(MAX_RAMIFIED_TRIES):
         g_x = rng.randint(0, 2)
-        d = rng.randint(1, max_degree)
+        d = rng.randint(1, MAX_RAMIFIED_DEGREE)
         comps = _random_composition(rng, d, rng.randint(1, min(3, d)))
         branch = []
-        for _ in range(rng.randint(0, max_branch_points)):
+        for _ in range(rng.randint(0, MAX_BRANCH_POINTS)):
             sheets = []
             for j, dj in enumerate(comps):
                 for b in _random_composition(rng, dj, rng.randint(1, dj)):
-                    sheets.append(
-                        RamifiedSheet(b, _random_weight(rng, max_weight_denominator), j)
-                    )
+                    sheets.append(RamifiedSheet(b, _random_weight(rng), j))
             branch.append(BranchPoint(tuple(sheets)))
         extra = []
         for _ in range(rng.randint(0, 2)):
-            extra.append(
-                tuple(_random_weight(rng, max_weight_denominator) for _ in range(d))
-            )
+            extra.append(tuple(_random_weight(rng) for _ in range(d)))
         data = RamifiedCoverData(g_x, d, tuple(comps), tuple(branch), tuple(extra))
         try:
             riemann_hurwitz_genus(data)
@@ -115,7 +111,7 @@ def _random_composition(rng: Random, total: int, parts: int) -> list:
     return [bounds[i + 1] - bounds[i] for i in range(parts)]
 
 
-def _random_weight(rng: Random, max_denominator: int) -> Fraction:
-    den = rng.randint(1, max_denominator)
+def _random_weight(rng: Random) -> Fraction:
+    den = rng.randint(1, MAX_WEIGHT_DENOMINATOR)
     num = rng.randrange(den)
     return Fraction(num, den)

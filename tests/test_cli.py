@@ -584,16 +584,52 @@ def test_instance_files_load(capsys):
 def test_every_error_type_has_one_exit_class():
     # each concrete error is either a rejected input (exit 2) or a failed check (exit 1)
     from cartancover import errors
-    from cartancover.cli import INPUT_ERRORS, MATH_ERRORS
 
-    concrete = [
-        obj
-        for obj in vars(errors).values()
+    expected = {
+        "ParseError": 2,
+        "DimensionMismatch": 2,
+        "DisconnectedBase": 2,
+        "SingularTransition": 2,
+        "DegreeTooLarge": 2,
+        "NonIntegralGenus": 2,
+        "NegativeGenus": 2,
+        "NonSplitAtVertex": 1,
+        "NotCartanAtVertex": 1,
+        "IncompatibleEdge": 1,
+        "EtaNotMonomial": 1,
+        "NotABlockSystem": 1,
+        "NotSplitCartan": 1,
+        "SingularMatrix": 1,
+        "DegreeMismatch": 1,
+    }
+    concrete = {
+        name: obj
+        for name, obj in vars(errors).items()
         if isinstance(obj, type)
         and issubclass(obj, errors.CartanCoverError)
         and obj is not errors.CartanCoverError
+    }
+    assert {name: exc_type.exit_code for name, exc_type in concrete.items()} == expected
+
+
+def test_error_report_copies_the_vertex_edge_and_witness_an_error_carries():
+    from cartancover import errors
+    from cartancover.fields import QQ
+    from cartancover.poly import Poly
+
+    poly = Poly(QQ, [-2, 0, 1])
+    cases = [
+        (errors.SingularTransition(3), {"edge": 3}),
+        (errors.IncompatibleEdge(1), {"edge": 1}),
+        (errors.NotCartanAtVertex(2, "NotCartan"), {"vertex": 2, "witness": "NotCartan"}),
+        (errors.NonSplitAtVertex(0, poly), {"vertex": 0, "witness": "x^2 - 2"}),
+        (errors.EtaNotMonomial(4), {"vertex": 4}),
+        # a verdict is no witness field of the report
+        (errors.NotSplitCartan("verdict"), {}),
+        (errors.ParseError("bad entry"), {}),
     ]
-    assert concrete
-    for exc_type in concrete:
-        assert (exc_type in INPUT_ERRORS) + (exc_type in MATH_ERRORS) == 1, exc_type.__name__
-    assert set(INPUT_ERRORS) | set(MATH_ERRORS) == set(concrete)
+    for exc, carried in cases:
+        report = cli._error_report("cover-build", exc)
+        detail = {"type": type(exc).__name__, "message": str(exc), **carried}
+        assert report.machine == {"ok": False, "error": detail}
+        assert report.exit_code == type(exc).exit_code

@@ -11,6 +11,7 @@ from helpers import cover_scalars_by_scalars, parse_matrix_by_scalars, render_ma
 from cartancover.cli import main
 from cartancover.fields import GF, QQ, field_to_json
 from cartancover.instances import cover_instance_to_json, parse_instance_text, parse_matrix
+from cartancover.linalg import Matrix
 from cartancover.reports import matrix_oneline, render_matrix
 
 
@@ -105,7 +106,9 @@ def test_line_bundle_scalars_read_straight_into_the_canonical_form(field):
         rows, form, rendered = cover_scalars_by_scalars(field, raw)
         assert (scalars.nrows, scalars.ncols) == (len(edges), degree)
         assert (scalars.den, scalars.ints) == form, raw
-        assert scalars.rows == rows and hash(scalars) == hash((field, degree, rows))
+        # the same matrix built from its field scalars is equal and hashes equal
+        from_rows = Matrix(field, rows, ncols=degree)
+        assert scalars.rows == rows and scalars == from_rows and hash(scalars) == hash(from_rows)
         written = cover_instance_to_json(field, instance.cover, instance.line_bundle)
         assert written["payload"]["scalars"] == rendered
         assert parse_instance_text(json.dumps(written)).line_bundle == instance.line_bundle

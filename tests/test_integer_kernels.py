@@ -227,16 +227,24 @@ def _assert_canonical(m):
 @pytest.mark.parametrize("field,height", FIELDS, ids=FIELD_IDS)
 def test_equality_and_hash_ignore_the_integer_image(field, height):
     # however a matrix is reached, it holds the one canonical form of its
-    # entries, so equality agrees with the scalar rows, and the hash is the
-    # hash of those rows, the value it had when matrices held scalar rows
+    # entries, so equality agrees with the scalar rows, and equal matrices
+    # (and subspaces) reached by different routes hash equal
     rng = Random(f"hash-forms-{field}-{height}")
+
+    def unit():
+        return next(x for x in (_scalar(field, rng, height) for _ in range(50)) if x != 0)
+
     for nrows, ncols, _rank in SHAPES:
-        # entries given as field scalars hash as they did in scalar rows
+        # entries given as field scalars, and the same entries scaled by a unit
+        # and scaled back
         given = tuple(tuple(_scalar(field, rng, height) for _ in range(ncols)) for _ in range(nrows))
-        assert hash(Matrix(field, given, ncols=ncols)) == hash((field, ncols, given))
+        c = unit()
+        scaled = Matrix(field, [[c * x for x in r] for r in given], ncols=ncols).scale(1 / c)
+        assert scaled == Matrix(field, given, ncols=ncols)
+        assert hash(scaled) == hash(Matrix(field, given, ncols=ncols))
     for m in _cases(field, height, "hash"):
         rows = tuple(tuple(r) for r in m.rows)
-        c = next(x for x in (_scalar(field, rng, height) for _ in range(50)) if x != 0)
+        c = unit()
         forms = [
             Matrix(field, rows, ncols=m.ncols),
             m @ Matrix.identity(field, m.ncols),
@@ -249,7 +257,7 @@ def test_equality_and_hash_ignore_the_integer_image(field, height):
         for form in forms:
             _assert_canonical(form)
             assert form == m and form.rows == rows
-            assert hash(form) == hash((field, m.ncols, rows))
+            assert hash(form) == hash(m)
         if m.nrows and m.ncols:
             other = Matrix(field, ((rows[0][0] + 1,) + rows[0][1:],) + rows[1:], ncols=m.ncols)
             assert other != m
@@ -263,7 +271,7 @@ def test_equality_and_hash_ignore_the_integer_image(field, height):
         for space in spanned:
             _assert_canonical(space.echelon)
             assert space == spanned[0] and space.basis == basis
-            assert hash(space) == hash((field, m.ncols, basis))
+            assert hash(space) == hash(spanned[0])
 
 
 # --- canonical integer lines -------------------------------------------------------

@@ -175,7 +175,7 @@ def test_subspace_canonicalization_is_basis_independent():
 def test_subspace_intersection_of_coordinate_matrices():
     e11 = MatrixSubspace(QQ, 2, [M(QQ, [[1, 0], [0, 0]])])
     e22 = MatrixSubspace(QQ, 2, [M(QQ, [[0, 0], [0, 1]])])
-    assert e11.intersect(e22).dim == 0
+    assert e11.space.intersect(e22.space).dim == 0
 
 
 def test_matrix_subspace_membership():

@@ -275,6 +275,25 @@ def test_no_json_dump_in_package():
     assert found == []
 
 
+def test_no_private_name_imported_across_package_modules():
+    # a name with a leading underscore is its module's own: another module
+    # that imports one re-decides what the owner's public entries decide
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "cartancover":
+                continue
+            found += [
+                f"{path.name}:{node.lineno}:{alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_") and not alias.name.endswith("__")
+            ]
+    assert found == []
+
+
 def _modules_after(statement: str) -> set:
     code = f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); {statement}; print(*sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)

@@ -210,15 +210,16 @@ def test_degree_disconnected_cover():
 
 def test_degree_routes_disagreeing_raise_typed_error(monkeypatch):
     # a genus off by one breaks Riemann-Hurwitz; the check must survive python -O
-    real = parabolic.riemann_hurwitz_genus
+    real = parabolic._genus
 
     def shifted(data):
         genus = real(data)
         return parabolic.GenusReport(tuple(g + 1 for g in genus.per_component), genus.total + 1)
 
-    monkeypatch.setattr(parabolic, "riemann_hurwitz_genus", shifted)
-    with pytest.raises(DegreeMismatch):
-        degree_direct_image(P1_DOUBLE, 0)
+    monkeypatch.setattr(parabolic, "_genus", shifted)
+    for entry in (degree_direct_image, pushforward_parabolic, check_pardeg_conservation):
+        with pytest.raises(DegreeMismatch):
+            entry(P1_DOUBLE, 0)
 
 
 # --- pushforward ---------------------------------------------------------------------

@@ -37,7 +37,9 @@ def test_canonical_integer_form():
     q = P(f, -1, 9, 0)
     assert (q.den, q.ints) == (1, (6, 2))
     assert Poly._make(f, 3, [3, 6]) == P(f, 1, 2)
-    assert hash(p) == hash((QQ, p.coeffs))
+    # equal polynomials reached by different routes hash equal
+    assert hash(Poly._make(QQ, -12, [-6, 8, 0])) == hash(p)
+    assert hash(Poly._make(f, 3, [3, 6])) == hash(P(f, 1, 2))
 
 
 def test_roots_x_squared_minus_one_over_q():
