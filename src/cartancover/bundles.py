@@ -242,6 +242,18 @@ def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> Cart
     A_0 to those of A_v, and every edge, conjugating D(L_u) onto D(L_v),
     permutes the lines.
 
+    Whether A_v is D(L_v) depends on the pair (A_v, L_v) alone, so it is
+    decided once per distinct pair, by value: a vertex whose pair is
+    already decided reuses that verdict, and the root pair starts as
+    decided, since the split ran the same check on it. A fiber that fails
+    is split on its own, which depends on the fiber alone, so that split
+    is reused too. The first vertex of each pair is still checked in
+    vertex order, so the failing vertex, its error and the tree edges
+    whose images are kept are those of a check at every vertex. On a
+    direct image f_*L every pair is the root's: each fiber is the diagonal
+    algebra of the label basis, whose coordinate lines the monomial
+    transitions permute, so no fiber is checked again.
+
     Errors are those of the fiber-by-fiber test, which classifies the
     fibers in vertex order and then checks the edges in order. A fiber
     diagonal in its transported lines is split Cartan with these as its
@@ -276,12 +288,17 @@ def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> Cart
         return moved
 
     transported = tree.transport(_fiber_lines(algebra, 0), step)
-    # the split has shown A_0 diagonal in its own lines, so the root keeps
-    # them as they are, and ``known`` below relies on that
-    lines = transported[:1] + [
-        ls if diagonal_functionals(algebra.fibers[v], ls) is not None else _fiber_lines(algebra, v)
-        for v, ls in enumerate(transported[1:], start=1)
-    ]
+    # per distinct (fiber, lines) pair: None when the fiber is diagonal in
+    # the lines, which the vertex then keeps as they are (``known`` relies
+    # on that, at the root too), else the fiber's own eigenlines
+    own = {(algebra.fibers[0], transported[0]): None}
+    lines = transported[:1]
+    for v, ls in enumerate(transported[1:], start=1):
+        pair = (algebra.fibers[v], ls)
+        if pair not in own:
+            diagonal = diagonal_functionals(*pair) is not None
+            own[pair] = None if diagonal else _fiber_lines(algebra, v)
+        lines.append(own[pair] or ls)
     # the step's images stand for a tree edge whose ends kept the transported lines
     known = {
         e: mapped

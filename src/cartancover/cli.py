@@ -62,7 +62,7 @@ from .reports import (
 def _error_report(command: str, exc: CartanCoverError) -> Report:
     detail = {"type": type(exc).__name__, "message": str(exc)}
     carried = vars(exc)
-    for key in ("vertex", "edge"):
+    for key in ("vertex", "edge", "seed", "index"):
         if key in carried:
             detail[key] = carried[key]
     if "witness" in carried:
@@ -286,13 +286,19 @@ def cmd_selftest(seed: int, count: int, fields, max_degree: int) -> Report:
     for i in range(count):
         instance_seed = seed * 1_000_003 + i
         field = fields[i % len(fields)]
-        rng = Random(instance_seed)
-        cover, line = random_cover_instance(rng, field, config)
-        # cover_roundtrip raises unless the round trip holds, corollary included
-        roundtrip_ok = cover_roundtrip(cover, line).all_ok()
-        prng = Random(instance_seed + 7919)
-        data, line_degree = random_ramified_cover_data(prng)
-        conservation = check_pardeg_conservation(data, line_degree)
+        try:
+            rng = Random(instance_seed)
+            cover, line = random_cover_instance(rng, field, config)
+            # cover_roundtrip raises unless the round trip holds, corollary included
+            roundtrip_ok = cover_roundtrip(cover, line).all_ok()
+            prng = Random(instance_seed + 7919)
+            data, line_degree = random_ramified_cover_data(prng)
+            conservation = check_pardeg_conservation(data, line_degree)
+        except CartanCoverError as exc:
+            # the error report names the instance: the same flags with
+            # --count index + 1 end at it
+            exc.seed, exc.index = seed, i
+            raise
         ok = roundtrip_ok and conservation.equal
         if not ok:
             failures += 1

@@ -228,13 +228,17 @@ def build_spectral_cover(bundle: BundleRep, algebra: SubalgebraBundle) -> Spectr
     column t of eta_v P'_e = T_e eta_u reads
     T_e line_t = factors(e, t) line_{images[e][t]},
     the equation ``bundles._map_lines`` checks for every line on every edge,
-    so the identity holds without being multiplied out.
+    so the identity holds without being multiplied out. eta_v depends on
+    the lines over v alone, so it is built once per distinct tuple of
+    lines, and vertices with equal lines, every vertex of a direct image,
+    share that matrix.
     """
     split = validate_cartan_bundle(bundle, algebra)
     field = bundle.field
     cover = CoverRep(bundle.graph, bundle.rank, split.images)
     line_bundle = LineBundleOnCover(cover, field, split.factors)
-    eta = tuple(_line_matrix(field, lines) for lines in split.lines)
+    etas = {lines: _line_matrix(field, lines) for lines in set(split.lines)}
+    eta = tuple(etas[lines] for lines in split.lines)
     return SpectralCoverResult(cover, line_bundle, eta)
 
 

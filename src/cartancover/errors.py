@@ -3,7 +3,8 @@
 Every mathematically meaningful failure carries a machine-checkable
 witness (a vertex, an edge, a polynomial) so that reports can show why
 a check failed, not merely that it did: the error report copies the
-``vertex``, ``edge`` and ``witness`` an error carries.
+``vertex``, ``edge`` and ``witness`` an error carries, and the ``seed``
+and ``index`` that ``selftest`` attaches to the instance that raised.
 
 ``exit_code`` is the command-line exit status of each error type: 1 for
 a failed mathematical check, 2 for a rejected input.

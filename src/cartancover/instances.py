@@ -181,7 +181,8 @@ def _parse_cover(field, payload):
     for i, images in enumerate(raw_sigma):
         images = _expect_list(images, f"payload.sigma[{i}]")
         vals = [_expect_int(x, f"payload.sigma[{i}][{j}]") for j, x in enumerate(images)]
-        if sorted(vals) != list(range(1, degree + 1)):
+        # the length first: a huge degree must not build a list of that size
+        if len(vals) != degree or sorted(vals) != list(range(1, degree + 1)):
             raise ParseError(
                 f"payload.sigma[{i}]: expected a 1-based image list of 1..{degree}"
             )

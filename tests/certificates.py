@@ -1,4 +1,4 @@
-"""An independent checker of ``cover-build`` certificates.
+"""An independent checker of ``cover-build`` and ``pushforward`` certificates.
 
 Nothing here imports ``cartancover``: a certificate is read from the
 bundle instance and the machine report alone, with field elements kept as
@@ -18,6 +18,18 @@ bundle push forward to the input bundle. The checker accepts it when
 - ``component_count`` is the number of orbits of the points (v, t) of
   the cover under its edges, for a one-vertex base the orbit count of
   the group generated by the sigma_e.
+
+A ``pushforward`` report of exit 0 on a cover instance certifies that its
+bundle is the direct image of the cover's line bundle, with the diagonal
+algebra as its Cartan bundle. The checker accepts it when
+
+- the bundle lives on the cover's graph, in rank ``degree``;
+- each transition is P_e, with the instance's scalars, or scalar 1 on
+  every label when the instance gives none;
+- each fiber's basis spans exactly the diagonal algebra: d diagonal
+  matrices whose diagonals are independent;
+- ``component_count`` is the orbit count of the cover's points, and
+  ``split`` says that it is the degree.
 """
 
 from __future__ import annotations
@@ -74,6 +86,14 @@ def _orbit_count(vertices: int, edges, sigma, d: int) -> int:
     return sum(find(x) == x for x in range(vertices * d))
 
 
+def _monomial(d: int, perm, scalars) -> list:
+    """P_e: basis vector t to scalars[t] times basis vector perm[t]."""
+    out = [[0] * d for _ in range(d)]
+    for t in range(d):
+        out[perm[t]][t] = scalars[t]
+    return out
+
+
 def check_cover_build(instance: dict, report: dict) -> list:
     """What fails in the certificate of a ``cover-build`` machine report
     (parsed JSON) for its bundle instance (parsed JSON); empty when every
@@ -108,12 +128,53 @@ def check_cover_build(instance: dict, report: dict) -> list:
                         f"column {t} of eta at vertex {v} is no eigenvector of basis matrix {k}"
                     )
     for e, ((u, v), t_e) in enumerate(zip(edges, payload["transitions"])):
-        monomial = [[0] * d for _ in range(d)]
-        for t in range(d):
-            monomial[sigma[e][t]][t] = scalars[e][t]
+        monomial = _monomial(d, sigma[e], scalars[e])
         if _matmul(p, _matrix(p, t_e), eta[u]) != _matmul(p, eta[v], monomial):
             failures.append(f"T_e eta_u != eta_v P_e on edge {e}")
     count = _orbit_count(vertices, edges, sigma, d)
     if report["component_count"] != count:
         failures.append(f"component_count {report['component_count']}, orbit count {count}")
+    return failures
+
+
+def check_pushforward(instance: dict, report: dict) -> list:
+    """What fails in the certificate of a ``pushforward`` machine report
+    (parsed JSON) for its cover instance (parsed JSON); empty when every
+    claim above holds."""
+    field = instance["field"]
+    p = 0 if field["kind"] == "Q" else field["p"]
+    cover = instance["payload"]
+    graph, d = cover["graph"], cover["degree"]
+    vertices = graph["vertices"]
+    edges = [tuple(e) for e in graph["edges"]]
+    sigma = [[t - 1 for t in perm] for perm in cover["sigma"]]
+    scalars = _matrix(p, cover.get("scalars", [[1] * d for _ in edges]))
+    bundle = report["bundle"]
+    payload = bundle["payload"]
+    if (
+        report["field"] != field
+        or bundle["field"] != field
+        or payload["graph"] != graph
+        or payload["rank"] != d
+    ):
+        return ["the report's bundle is not over the instance's field and graph in rank degree"]
+    transitions = [_matrix(p, m) for m in payload["transitions"]]
+    fibers = [[_matrix(p, m) for m in basis] for basis in payload["cartan_bundle"]]
+    if len(transitions) != len(edges) or len(fibers) != vertices:
+        return ["the bundle is not one transition per edge and one fiber per vertex"]
+
+    failures = []
+    for e, t_e in enumerate(transitions):
+        if t_e != _monomial(d, sigma[e], scalars[e]):
+            failures.append(f"transition {e} is not P_e(sigma_e, scalars_e)")
+    for v, basis in enumerate(fibers):
+        diagonal = all(m[i][j] == 0 for m in basis for i in range(d) for j in range(d) if i != j)
+        diagonals = [[m[i][i] for i in range(d)] for m in basis]
+        if not diagonal or len(basis) != d or _rank(p, diagonals) != d:
+            failures.append(f"the fiber at vertex {v} does not span the diagonal algebra")
+    count = _orbit_count(vertices, edges, sigma, d)
+    if report["component_count"] != count:
+        failures.append(f"component_count {report['component_count']}, orbit count {count}")
+    if report["split"] != (count == d):
+        failures.append(f"split {report['split']}, but {count} components in degree {d}")
     return failures

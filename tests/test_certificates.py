@@ -1,5 +1,6 @@
-"""``cover-build`` certificates checked by ``tests/certificates.py``, which
-reads only the instance and the machine report."""
+"""``cover-build`` and ``pushforward`` certificates checked by
+``tests/certificates.py``, which reads only the instance and the machine
+report."""
 
 import copy
 import json
@@ -7,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from certificates import check_cover_build
+from certificates import check_cover_build, check_pushforward
 
 from cartancover.cli import main
 
@@ -67,6 +68,11 @@ def test_cover_build_of_a_pushforward_is_certified(tmp_path, capsys, stem):
     assert check_cover_build(instance, report) == []
 
 
+def _bumped(x: str, p: int) -> str:
+    bumped = Fraction(x) + 1
+    return str(bumped % p if p else bumped)
+
+
 def _mutations(report):
     """Copies of ``report`` with one entry changed: each zero entry of each
     eta set to 1 (its column then leaves its eigenline), each scalar
@@ -83,8 +89,7 @@ def _mutations(report):
                     out.append(("eta", v, i, j, "1"))
     for e, row in enumerate(cover["scalars"]):
         for t, x in enumerate(row):
-            bumped = Fraction(x) + 1
-            out.append(("scalars", e, t, None, str(bumped % p if p else bumped)))
+            out.append(("scalars", e, t, None, _bumped(x, p)))
     for e, perm in enumerate(cover["sigma"]):
         for t, x in enumerate(perm):
             out.append(("sigma", e, t, None, x % d + 1))
@@ -119,3 +124,84 @@ def test_a_wrong_component_count_fails_the_certificate():
     instance, report = GOLDEN_CASES[0]
     mutated = dict(report, component_count=report["component_count"] + 1)
     assert check_cover_build(instance, mutated) != []
+
+
+PUSHFORWARD_STEMS = ["cover_c4_loop_q", "cover_swap_loop_q"]
+
+
+def _pushforward_golden(stem):
+    return (
+        json.loads((INSTANCES / f"{stem}.json").read_text(encoding="utf-8")),
+        json.loads((GOLDEN / f"pushforward__{stem}.machine.txt").read_text(encoding="utf-8")),
+    )
+
+
+# three vertices over GF(7), two components: one of degree 2, one of degree 1
+MULTI_VERTEX_COVER = {
+    "field": {"kind": "Fp", "p": 7},
+    "kind": "cover",
+    "payload": {
+        "graph": {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0], [1, 1]]},
+        "degree": 3,
+        "sigma": [[2, 1, 3], [1, 2, 3], [1, 2, 3], [2, 1, 3]],
+        "scalars": [["1", "2", "3"], ["4", "5", "6"], ["1", "1", "1"], ["3", "5", "2"]],
+    },
+}
+
+
+def _pushforward_cases(tmp_path, capsys):
+    cases = [_pushforward_golden(stem) for stem in PUSHFORWARD_STEMS]
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(MULTI_VERTEX_COVER), encoding="utf-8")
+    code, report = _machine(capsys, "pushforward", str(path))
+    assert code == 0
+    return cases + [(MULTI_VERTEX_COVER, report)]
+
+
+@pytest.mark.parametrize("stem", PUSHFORWARD_STEMS)
+def test_golden_pushforward_certificates_hold(stem):
+    assert check_pushforward(*_pushforward_golden(stem)) == []
+
+
+def test_multi_vertex_pushforward_certificate_holds(tmp_path, capsys):
+    instance, report = _pushforward_cases(tmp_path, capsys)[-1]
+    assert (report["component_count"], report["split"]) == (2, False)
+    assert check_pushforward(instance, report) == []
+
+
+def _pushforward_mutations(report):
+    """Copies of ``report`` with one entry changed: each transition entry
+    increased by 1; each off-diagonal entry of each fiber basis matrix set
+    to 1, and each nonzero entry set to 0 (a diagonal entry changed to
+    another nonzero value can leave the span the diagonal algebra); the
+    component count increased by 1; and ``split`` negated."""
+    p = report["field"].get("p", 0)
+    payload = report["bundle"]["payload"]
+    for e, m in enumerate(payload["transitions"]):
+        for i, row in enumerate(m):
+            for j, x in enumerate(row):
+                mutated = copy.deepcopy(report)
+                mutated["bundle"]["payload"]["transitions"][e][i][j] = _bumped(x, p)
+                yield ("transition", e, i, j), mutated
+    for v, basis in enumerate(payload["cartan_bundle"]):
+        for k, m in enumerate(basis):
+            for i, row in enumerate(m):
+                for j, x in enumerate(row):
+                    if i == j and x == "0":
+                        continue
+                    mutated = copy.deepcopy(report)
+                    mutated["bundle"]["payload"]["cartan_bundle"][v][k][i][j] = (
+                        "1" if i != j else "0"
+                    )
+                    yield ("basis", v, k, i, j), mutated
+    yield ("count",), dict(report, component_count=report["component_count"] + 1)
+    yield ("split",), dict(report, split=not report["split"])
+
+
+def test_changing_one_pushforward_entry_fails_the_certificate(tmp_path, capsys):
+    for instance, report in _pushforward_cases(tmp_path, capsys):
+        kinds = set()
+        for where, mutated in _pushforward_mutations(report):
+            assert check_pushforward(instance, mutated) != [], where
+            kinds.add(where[0])
+        assert kinds == {"transition", "basis", "count", "split"}

@@ -368,6 +368,21 @@ def test_huge_vertex_count_is_refused_before_any_work(tmp_path, capsys, command)
     assert error == {"type": "DisconnectedBase", "message": "base graph is not connected"}
 
 
+@pytest.mark.parametrize("command", ["pushforward", "factor"])
+def test_huge_cover_degree_is_refused_at_its_sigma(tmp_path, capsys, command):
+    # the length of each image list is compared with the degree before a
+    # list of 1..degree is built
+    doc = json.loads((INSTANCES / "cover_c4_loop_q.json").read_text(encoding="utf-8"))
+    doc["payload"]["degree"] = 10**30
+    bad = tmp_path / "huge_degree.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "--format", "machine", command, str(bad))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith("payload.sigma[0]: expected a 1-based image list")
+
+
 def test_parse_graph_refuses_too_few_edges_unwrapped():
     from cartancover.errors import DisconnectedBase
     from cartancover.instances import parse_graph
@@ -618,12 +633,16 @@ def test_error_report_copies_the_vertex_edge_and_witness_an_error_carries():
     from cartancover.poly import Poly
 
     poly = Poly(QQ, [-2, 0, 1])
+    # selftest attaches its seed and the index of the instance that raised
+    in_selftest = errors.EtaNotMonomial(4)
+    in_selftest.seed, in_selftest.index = 7, 2
     cases = [
         (errors.SingularTransition(3), {"edge": 3}),
         (errors.IncompatibleEdge(1), {"edge": 1}),
         (errors.NotCartanAtVertex(2, "NotCartan"), {"vertex": 2, "witness": "NotCartan"}),
         (errors.NonSplitAtVertex(0, poly), {"vertex": 0, "witness": "x^2 - 2"}),
         (errors.EtaNotMonomial(4), {"vertex": 4}),
+        (in_selftest, {"vertex": 4, "seed": 7, "index": 2}),
         # a verdict is no witness field of the report
         (errors.NotSplitCartan("verdict"), {}),
         (errors.ParseError("bad entry"), {}),

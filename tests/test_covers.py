@@ -225,12 +225,18 @@ def test_valid_cover_roundtrip_searches_no_isomorphism(monkeypatch):
     assert calls == []
 
 
-def _break_eta(monkeypatch, vertex, rows_of):
-    """Make ``build_spectral_cover`` return eta[vertex] replaced by ``rows_of(eta[vertex])``."""
+def _break_eta(monkeypatch, vertex, rows_of, at_call=None):
+    """Make ``build_spectral_cover`` return eta[vertex] replaced by
+    ``rows_of(eta[vertex])``, in every call or only in call ``at_call``
+    (counted from 0)."""
     real = covers.build_spectral_cover
+    calls = []
 
     def broken(bundle, algebra):
         result = real(bundle, algebra)
+        calls.append(None)
+        if at_call is not None and len(calls) != at_call + 1:
+            return result
         eta = list(result.eta)
         eta[vertex] = Matrix(bundle.field, rows_of(eta[vertex]))
         return result._replace(eta=tuple(eta))
@@ -305,12 +311,36 @@ def test_non_monomial_eta_raises_with_its_vertex(monkeypatch, rows):
     assert excinfo.value.vertex == 1
 
 
+def _zero_first_column(eta):
+    return [(0,) + tuple(r[1:]) for r in eta.rows]
+
+
 def test_non_monomial_eta_in_selftest_reports_its_vertex(monkeypatch):
-    # zero the first column of eta at the root: a failed check, exit 1
-    _break_eta(monkeypatch, 0, lambda eta: [(0,) + tuple(r[1:]) for r in eta.rows])
+    # zero the first column of eta at the root: a failed check, exit 1, in
+    # instance 0 of the default seed 1
+    _break_eta(monkeypatch, 0, _zero_first_column)
     report, _fmt = run(["selftest", "--count", "1"])
     error = json.loads(report.to_machine_text())["error"]
     assert (report.exit_code, error["type"], error["vertex"]) == (1, "EtaNotMonomial", 0)
+    assert (error["seed"], error["index"]) == (1, 0)
+
+
+def test_selftest_error_names_the_instance_that_raised(monkeypatch):
+    # break the third round trip only: the report names seed 7 and index 2,
+    # and the same flags with --count index + 1 end at the same error
+    _break_eta(monkeypatch, 0, _zero_first_column, at_call=2)
+    report, _fmt = run(["--format", "machine", "selftest", "--seed", "7", "--count", "6"])
+    error = json.loads(report.to_machine_text())["error"]
+    assert (report.exit_code, error["type"], error["seed"], error["index"]) == (
+        1,
+        "EtaNotMonomial",
+        7,
+        2,
+    )
+    monkeypatch.undo()
+    _break_eta(monkeypatch, 0, _zero_first_column, at_call=2)
+    again, _fmt = run(["--format", "machine", "selftest", "--seed", "7", "--count", "3"])
+    assert again.to_machine_text() == report.to_machine_text()
 
 
 def test_unit_scalars_reconstruct_unit_holonomy():

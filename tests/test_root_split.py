@@ -7,6 +7,7 @@ along every edge) survives here only as the oracle the root path is
 compared with, on faults away from the root and at it.
 """
 
+import json
 import sys
 from pathlib import Path
 from random import Random
@@ -31,7 +32,9 @@ from cartancover.cartan import (
 )
 from cartancover.cli import main
 from cartancover.covers import (
+    CoverRep,
     build_spectral_cover,
+    canonical_algebra_map,
     cover_roundtrip,
     direct_image_line_bundle,
     roundtrip_verify,
@@ -43,6 +46,7 @@ from cartancover.errors import (
     NotCartanAtVertex,
 )
 from cartancover.fields import GF, QQ
+from cartancover.instances import cover_instance_to_json, load_instance
 from cartancover.linalg import Matrix
 from cartancover.randgen import CoverInstanceConfig, random_cover_instance
 from helpers import (
@@ -508,11 +512,97 @@ def test_flat_section_dim_matches_linear_algebra(field):
 def test_valid_bundle_checks_each_fiber_once(monkeypatch):
     # the root split shows the root fiber diagonal in its own lines, so the
     # transported lines are checked at the other vertices only: n calls of
-    # diagonal_functionals on n vertices, one of them inside the split
+    # diagonal_functionals on n vertices, one of them inside the split;
+    # the gauges make every fiber differ, so no verdict is reused
     calls = count_calls(monkeypatch, cartan.diagonal_functionals)
     rng = Random(12)
     for i in range(6):
         bundle, algebra = gauged_bundle(rng, FIELDS[i % 3], min_vertices=3)
+        assert len(set(algebra.fibers)) == len(algebra.fibers)
         del calls[:]
         validate_cartan_bundle(bundle, algebra)
         assert [fiber for fiber, _lines in calls] == list(algebra.fibers)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_direct_image_checks_one_fiber(field, monkeypatch):
+    # every fiber of f_*L is the diagonal algebra and every transported line
+    # set is the label basis, the root's pair, whose verdict the split gave
+    calls = count_calls(monkeypatch, cartan.diagonal_functionals)
+    rng = Random(13 + getattr(field, "p", 0))
+    config = CoverInstanceConfig(max_vertices=6, max_edges=9, max_degree=4)
+    checked = 0
+    while checked < 5:
+        cover, line = random_cover_instance(rng, field, config)
+        if cover.base.num_vertices < 3:
+            continue
+        algebra = canonical_algebra_map(cover, line)
+        del calls[:]
+        split = validate_cartan_bundle(algebra.parent, algebra)
+        assert calls == [(algebra.fibers[0], split.lines[0])]
+        assert set(split.lines) == {split.lines[0]}
+        checked += 1
+
+
+def test_cover_build_of_a_pushforward_checks_one_fiber(tmp_path, capsys, monkeypatch):
+    # the bundle file that pushforward writes is read back into fibers that
+    # are equal in value but distinct objects; verdicts are keyed by value
+    graph = BaseGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 1)])
+    cover = CoverRep(graph, 3, [(1, 2, 0), (0, 1, 2), (2, 0, 1), (0, 2, 1), (1, 0, 2)])
+    cover_path = tmp_path / "cover.json"
+    cover_path.write_text(json.dumps(cover_instance_to_json(QQ, cover)), encoding="utf-8")
+    assert main(["--format", "machine", "pushforward", str(cover_path)]) == 0
+    bundle = json.loads(capsys.readouterr().out)["bundle"]
+    bundle_path = tmp_path / "bundle.json"
+    bundle_path.write_text(json.dumps(bundle), encoding="utf-8")
+    instance = load_instance(str(bundle_path))
+    fibers = instance.algebra.fibers
+    assert len(set(fibers)) == 1 and len(set(map(id, fibers))) == 4
+    calls = count_calls(monkeypatch, cartan.diagonal_functionals)
+    assert main(["--format", "machine", "cover-build", str(bundle_path)]) == 0
+    assert len(calls) == 1
+    # and the vertices, all with the label lines, share one eta
+    eta = build_spectral_cover(instance.bundle, instance.algebra).eta
+    assert all(m is eta[0] for m in eta)
+
+
+def _identity_bundle(field, d, n):
+    """The trivial rank-d bundle on an n-cycle."""
+    graph = BaseGraph(n, [(v, (v + 1) % n) for v in range(n)])
+    return BundleRep(field, graph, d, [Matrix.identity(field, d)] * n)
+
+
+def test_equal_non_cartan_fibers_fail_at_the_first():
+    # the first of two equal fibers (distinct objects) that are not Cartan
+    # raises, as in the per-vertex oracle, whether or not a diagonal fiber
+    # lies between them
+    field = QQ
+    bundle = _identity_bundle(field, 2, 4)
+    diag = MatrixSubspace.diagonal_algebra(field, 2)
+    basis = [Matrix.identity(field, 2), Matrix(field, [[0, 1], [0, 0]])]
+    first, second = MatrixSubspace(field, 2, basis), MatrixSubspace(field, 2, basis)
+    for fibers, at in (([diag, first, diag, second], 1), ([diag, diag, first, second], 2)):
+        algebra = SubalgebraBundle(bundle, fibers)
+        expected = error_signature(per_vertex_validate, bundle, algebra)
+        assert expected[:2] == ("NotCartanAtVertex", at)
+        assert error_signature(validate_cartan_bundle, bundle, algebra) == expected
+        assert error_signature(build_spectral_cover, bundle, algebra) == expected
+
+
+def test_a_failed_verdict_is_reused(monkeypatch):
+    # three equal split Cartan fibers off the transported lines: the first
+    # fails the diagonal check and is split on its own, the other two reuse
+    # its verdict and its lines, and the first edge, which no longer
+    # permutes lines, raises
+    field = QQ
+    bundle = _identity_bundle(field, 2, 4)
+    diag = MatrixSubspace.diagonal_algebra(field, 2)
+    other = diag.conjugated(Matrix(field, [[1, 1], [0, 1]]))
+    algebra = SubalgebraBundle(bundle, [diag, other, other, other])
+    calls = count_calls(monkeypatch, cartan.diagonal_functionals)
+    expected = error_signature(per_vertex_validate, bundle, algebra)
+    assert expected[:3] == ("IncompatibleEdge", None, 0)
+    del calls[:]
+    assert error_signature(validate_cartan_bundle, bundle, algebra) == expected
+    # the root inside its split, then vertex 1, and again inside its own split
+    assert [fiber for fiber, _lines in calls] == [diag, other, other]
