@@ -16,11 +16,12 @@ from typing import NamedTuple
 from .cartan import (
     CartanStatus,
     MatrixSubspace,
-    diagonal_functionals,
     simultaneous_eigenlines,
     sort_lines,
+    spans_diagonal_algebra,
 )
 from .errors import (
+    CartanCoverError,
     DimensionMismatch,
     DisconnectedBase,
     IncompatibleEdge,
@@ -196,9 +197,15 @@ class FlatSectionSpace(NamedTuple):
 
 
 def validate_bundle(bundle: BundleRep) -> SpanningTree:
-    """Check base connectivity and invertibility of every transition.
+    """Check base connectivity, then invert every transition in edge order.
 
-    Returns the BFS spanning tree that witnesses connectivity.
+    Returns the BFS spanning tree that witnesses connectivity, or raises
+    ``DisconnectedBase``, else ``SingularTransition`` at the first singular
+    edge. This is the precedence pass of a failed validation: a singular
+    transition (exit 2) is reported before any Cartan error (exit 1), so
+    ``validate_cartan_bundle`` runs it before it lets a failure out. On
+    success that validation inverts only what its transport needs, and
+    its certificate proves the rest invertible.
     """
     tree = bundle.graph.spanning_tree()
     for idx in range(len(bundle.transitions)):
@@ -225,14 +232,18 @@ def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> Cart
 
     ``simultaneous_eigenlines`` splits the root fiber A_0 into its d common
     eigenlines, which certifies it split Cartan, and the lines are carried
-    along the spanning tree to lines L_v at every vertex. Then two checks,
-    neither of which inverts, multiplies or row-reduces a matrix:
+    along the spanning tree to lines L_v at every vertex: through T_e on a
+    tree edge crossed along its orientation, through the cached inverse,
+    the only one computed, on an edge crossed against it. Then two checks,
+    neither of which inverts a matrix or builds a fiber's canonical form:
 
-    - every A_v is the diagonal algebra D(L_v) of the basis L_v
-      (``cartan.diagonal_functionals``; the split has already shown it at
-      the root);
-    - each transition T_e maps the lines over its source onto the lines
-      over its target (``_map_lines``).
+    - every A_v is the diagonal algebra D(L_v) of the lines L_v: its given
+      matrices are diagonal in L_v and their eigenvalue vectors span k^d,
+      a rank d (``cartan.spans_diagonal_algebra``, whose docstring shows
+      that this is exactly A_v = D(L_v) and proves L_v independent; the
+      split has already shown it at the root);
+    - each transition T_e maps the d lines over its source onto d distinct
+      lines over its target (``_map_lines``).
 
     They hold exactly when the bundle is a compatible split Cartan bundle:
     T_e D(L_u) T_e^-1 = D(T_e L_u), where the common eigenlines of D(L) are
@@ -240,22 +251,31 @@ def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> Cart
     the lines. Conversely, on a compatible split Cartan bundle the tree
     transport P_v conjugates A_0 onto A_v and so carries the eigenlines of
     A_0 to those of A_v, and every edge, conjugating D(L_u) onto D(L_v),
-    permutes the lines.
+    permutes the lines. The checks also certify every transition
+    invertible, with no inverse formed: each carries the basis L_u onto
+    nonzero multiples of the basis L_v.
 
-    Whether A_v is D(L_v) depends on the pair (A_v, L_v) alone, so it is
-    decided once per distinct pair, by value: a vertex whose pair is
-    already decided reuses that verdict, and the root pair starts as
-    decided, since the split ran the same check on it. A fiber that fails
-    is split on its own, which depends on the fiber alone, so that split
-    is reused too. The first vertex of each pair is still checked in
-    vertex order, so the failing vertex, its error and the tree edges
-    whose images are kept are those of a check at every vertex. On a
-    direct image f_*L every pair is the root's: each fiber is the diagonal
-    algebra of the label basis, whose coordinate lines the monomial
-    transitions permute, so no fiber is checked again.
+    Whether A_v is D(L_v) depends on the span of A_v and on L_v alone, so
+    it is decided once per distinct pair of given matrices and lines, by
+    value: a vertex whose pair is already decided reuses that verdict, and
+    the root pair starts as decided, since the split ran the same check on
+    it. A fiber that fails is split on its own, which depends on the fiber
+    alone, so that split is reused too. The first vertex of each pair is
+    still checked in vertex order, so the failing vertex, its error and
+    the tree edges whose images are kept are those of a check at every
+    vertex. On a direct image f_*L every pair is the root's: each fiber is
+    the diagonal algebra of the label basis, whose coordinate lines the
+    monomial transitions permute, so no fiber is checked again.
 
-    Errors are those of the fiber-by-fiber test, which classifies the
-    fibers in vertex order and then checks the edges in order. A fiber
+    Errors are those of the fiber-by-fiber test, which first inverts every
+    transition (``validate_bundle``), then classifies the fibers in vertex
+    order and then checks the edges in order. Any error on the way first
+    runs ``validate_bundle``, so a singular transition is reported, at the
+    first singular edge, before anything else. A step of the transport or
+    an edge of ``_map_lines`` that sends a line to zero, or two lines onto
+    one, has a singular transition on the tree path behind it, since the
+    lines over the root are independent, so that pass raises. Otherwise
+    every transition is invertible and the lines are independent. A fiber
     diagonal in its transported lines is split Cartan with these as its
     own eigenlines; any other fiber, in vertex order, is split on its own,
     which raises its vertex's error unless it is split Cartan. Then every
@@ -268,13 +288,29 @@ def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> Cart
     (``Matrix.map_line``), which are hashable, and the edge factors as a
     matrix in canonical integer form; no field scalar is built.
     """
-    tree = validate_bundle(bundle)
+    tree = bundle.graph.spanning_tree()
+    try:
+        return _certify(bundle, algebra, tree)
+    except CartanCoverError:
+        validate_bundle(bundle)
+        raise
+
+
+def _certify(bundle: BundleRep, algebra: SubalgebraBundle, tree: SpanningTree) -> CartanLines:
+    """The success path of ``validate_cartan_bundle``: its lines, or an
+    error that stands once ``validate_bundle`` finds every transition
+    invertible."""
     # tree edge -> per line over its source: (image index, factor as num, den)
     carried = {}
 
     def step(e, forward, lines):
         op = bundle.transitions[e] if forward else bundle.transition_inverse(e)
         images = [op.map_line(x) for x in lines]
+        distinct = {line for _num, _den, line in images}
+        if None in distinct or len(distinct) < len(lines):
+            # a line sent to zero, or two onto one: a transition on the
+            # tree path to here is singular, which validate_bundle names
+            raise SingularTransition(e)
         moved = sort_lines([line for _num, _den, line in images])
         index = {line: t for t, line in enumerate(moved)}
         if forward:
@@ -288,17 +324,21 @@ def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> Cart
         return moved
 
     transported = tree.transport(_fiber_lines(algebra, 0), step)
-    # per distinct (fiber, lines) pair: None when the fiber is diagonal in
-    # the lines, which the vertex then keeps as they are (``known`` relies
-    # on that, at the root too), else the fiber's own eigenlines
-    own = {(algebra.fibers[0], transported[0]): None}
+    # per distinct lines, the verdicts on the given matrices checked
+    # against them: None when the fiber is diagonal in the lines, which the
+    # vertex then keeps as they are (``known`` relies on that, at the root
+    # too), else the fiber's own eigenlines. Lines are looked up first, so
+    # given matrices are compared only where lines repeat and never hashed.
+    verdicts = {transported[0]: [(algebra.fibers[0].generators, None)]}
     lines = transported[:1]
     for v, ls in enumerate(transported[1:], start=1):
-        pair = (algebra.fibers[v], ls)
-        if pair not in own:
-            diagonal = diagonal_functionals(*pair) is not None
-            own[pair] = None if diagonal else _fiber_lines(algebra, v)
-        lines.append(own[pair] or ls)
+        fiber = algebra.fibers[v]
+        decided = verdicts.setdefault(ls, [])
+        own = next((found for given, found in decided if given == fiber.generators), False)
+        if own is False:
+            own = None if spans_diagonal_algebra(fiber, ls) else _fiber_lines(algebra, v)
+            decided.append((fiber.generators, own))
+        lines.append(own or ls)
     # the step's images stand for a tree edge whose ends kept the transported lines
     known = {
         e: mapped
@@ -324,9 +364,11 @@ def _map_lines(bundle: BundleRep, lines, known: dict) -> tuple:
     """Per edge e = (u, v) and canonical integer line t over u: the index
     of the line over v that T_e carries line t onto, and the scale of the
     image over that normalized line, entry (e, t) of the returned matrix.
-    ``known`` holds these as (index, num, den) for edges already mapped. Raises
-    ``IncompatibleEdge`` at the first edge whose transition does not carry
-    the lines over u onto the lines over v."""
+    ``known`` holds these as (index, num, den) for edges already mapped.
+    Raises ``IncompatibleEdge`` at the first edge whose transition does not
+    carry the lines over u onto the lines over v, and ``SingularTransition``
+    at one that carries two of them onto one, which independent lines over
+    u show singular."""
     index = [{line: t for t, line in enumerate(ls)} for ls in lines]
     images, factors = [], []
     for e, (u, v) in enumerate(bundle.graph.edges):
@@ -339,6 +381,8 @@ def _map_lines(bundle: BundleRep, lines, known: dict) -> tuple:
                 if target is None:
                     raise IncompatibleEdge(e)
                 mapped.append((target, num, den))
+            if len({t for t, _num, _den in mapped}) < len(mapped):
+                raise SingularTransition(e)
         images.append(tuple(t for t, _num, _den in mapped))
         factors.append([(num, den) for _t, num, den in mapped])
     return tuple(images), ratio_matrix(bundle.field, factors, bundle.rank)

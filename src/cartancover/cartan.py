@@ -1,23 +1,31 @@
 """Deciding whether a matrix subspace is a Cartan subalgebra of gl_d.
 
-A ``MatrixSubspace`` is a subspace of d x d matrices, kept canonical as a
-``linalg.Subspace`` of k^(d^2) under row-major flattening.
+A ``MatrixSubspace`` is the span of some d x d matrices. It keeps the
+matrices it was given and builds its canonical form, a ``linalg.Subspace``
+of k^(d^2) under row-major flattening, on first use only.
 
 A d-dimensional subspace that is diagonal in d independent lines is the
 whole diagonal algebra of those lines, so it is split Cartan; conversely a
 split Cartan subspace is the diagonal algebra of its d common eigenlines.
 ``simultaneous_eigenlines`` decides a subspace in one pass. It refines k^d
-into blocks through the basis matrices: each block that is not yet a line
-is split by the eigenspaces of the next matrix restricted to it, so a
-matrix's spectrum over all of k^d is taken only while the one block is
-k^d. It then checks that the subspace is diagonal in the lines it ends
-with, so the split certifies itself, whatever the restrictions were. A
-failure is named from the whole-space spectra, those the refinement took
-and the rest computed once: Cartan only after a field extension (a minimal
-polynomial is squarefree but does not split; a first class verdict, not
-an error), or not Cartan, with a witness: wrong dimension, a
-non-commuting basis pair, or a basis matrix that no extension
-diagonalizes.
+into blocks through the canonical basis matrices: each block that is not
+yet a line is split by the eigenspaces of the next matrix restricted to
+it, so a matrix's spectrum over all of k^d is taken only while the one
+block is k^d. A scalar restriction c I is read directly: its minimal
+polynomial is x - c, its one root is c and it leaves the block whole, so
+no minimal polynomial, root search or null space is computed for it (the
+identity is often the first canonical basis matrix). The split then
+checks that the subspace is diagonal in the lines it ends with, so it
+certifies itself, whatever the restrictions were. A failure is named from
+the whole-space spectra, those the refinement took and the rest computed
+once: Cartan only after a field extension (a minimal polynomial is
+squarefree but does not split; a first class verdict, not an error), or
+not Cartan, with a witness: wrong dimension, a non-commuting basis pair,
+or a basis matrix that no extension diagonalizes.
+
+Against lines already known, ``spans_diagonal_algebra`` decides whether a
+subspace is their diagonal algebra from its given matrices alone, by a
+rank, with no canonical form.
 """
 
 from __future__ import annotations
@@ -27,17 +35,35 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, NotSplitCartan, SingularMatrix
-from .linalg import Matrix, Subspace, eigenspaces, lift, min_poly, ratio_matrix, restrict
+from .linalg import (
+    Matrix,
+    Subspace,
+    eigenspaces,
+    lift,
+    min_poly,
+    rank,
+    ratio_matrix,
+    restrict,
+)
 from .poly import Poly, nonsplit_witness, roots_in_field, squarefree_no_guard
 
 
 class MatrixSubspace:
-    """A subspace of d x d matrices, canonical under row-major flattening."""
+    """The span of some d x d matrices, kept as the matrices it was given.
 
-    __slots__ = ("field", "ambient_dim", "space")
+    ``generators`` holds the matrices as given, which may be dependent.
+    The canonical form, the reduced row echelon basis of the span under
+    row-major flattening (``space``, ``basis_matrices``), is built on
+    first use and kept: by the split of a fiber, by ``classify``, by
+    ``==`` and ``hash``, and on the path that names a failure. Checking
+    a fiber against known lines reads the generators alone
+    (``spans_diagonal_algebra``), so it builds no canonical form.
+    """
+
+    __slots__ = ("field", "ambient_dim", "generators", "_space", "_basis")
 
     def __init__(self, field, ambient_dim: int, matrices):
-        rows = []
+        generators = []
         for m in matrices:
             if not isinstance(m, Matrix):
                 m = Matrix(field, m)
@@ -47,46 +73,52 @@ class MatrixSubspace:
                 )
             if m.field != field:
                 raise DimensionMismatch(f"matrix over {m.field!r} in a subspace over {field!r}")
-            # each flattened matrix spans on its own scale
-            rows.append([x for r in m.ints for x in r])
+            generators.append(m)
         self.field = field
         self.ambient_dim = ambient_dim
-        self.space = Subspace._spanned(field, ambient_dim * ambient_dim, rows)
-
-    @classmethod
-    def _from_space(cls, field, ambient_dim: int, space: Subspace) -> "MatrixSubspace":
-        out = cls.__new__(cls)
-        out.field = field
-        out.ambient_dim = ambient_dim
-        out.space = space
-        return out
+        self.generators = tuple(generators)
+        self._space = None
+        self._basis = None
 
     @classmethod
     def diagonal_algebra(cls, field, d: int) -> "MatrixSubspace":
-        units = [[int(j == i * (d + 1)) for j in range(d * d)] for i in range(d)]
-        return cls._from_space(field, d, Subspace._spanned(field, d * d, units))
+        units = [[[int(i == j == t) for j in range(d)] for i in range(d)] for t in range(d)]
+        return cls(field, d, [Matrix._make(field, 1, unit, d) for unit in units])
+
+    @property
+    def space(self) -> Subspace:
+        """The canonical form of the span, built on first use."""
+        if self._space is None:
+            d = self.ambient_dim
+            # each flattened matrix spans on its own scale
+            rows = [[x for r in m.ints for x in r] for m in self.generators]
+            self._space = Subspace._spanned(self.field, d * d, rows)
+        return self._space
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
     def basis_matrices(self) -> tuple:
-        d, echelon = self.ambient_dim, self.space.echelon
-        rows = ([r[i * d : (i + 1) * d] for i in range(d)] for r in echelon.ints)
-        return tuple(Matrix._make(self.field, echelon.den, m, d) for m in rows)
+        """The canonical basis, as matrices, built on first use."""
+        if self._basis is None:
+            d, echelon = self.ambient_dim, self.space.echelon
+            rows = ([r[i * d : (i + 1) * d] for i in range(d)] for r in echelon.ints)
+            self._basis = tuple(Matrix._make(self.field, echelon.den, m, d) for m in rows)
+        return self._basis
 
     def coordinates_of(self, m: Matrix) -> tuple:
         return self.space.coordinates_of(m.flatten())
 
     def conjugated(self, t: Matrix) -> "MatrixSubspace":
-        """Canonical form of { t a t^-1 } over the stored basis."""
+        """The span of { t a t^-1 } over the given matrices."""
         if t.nrows != self.ambient_dim or t.ncols != self.ambient_dim:
             raise DimensionMismatch("conjugating matrix has wrong size")
         ti = t.inverse()
         return MatrixSubspace(
             self.field,
             self.ambient_dim,
-            [t @ a @ ti for a in self.basis_matrices()],
+            [t @ a @ ti for a in self.generators],
         )
 
     def __eq__(self, other):
@@ -195,6 +227,23 @@ def sort_lines(lines) -> tuple:
     return tuple(line for _k, _lead, line in keyed)
 
 
+def _eigenvalues(matrices, lines):
+    """Per line, the ``(num, den)`` by which each matrix acts on it, as
+    ``Matrix.map_line`` gives them, or None unless every line is an
+    eigenline of every matrix."""
+    values = []
+    for line in lines:
+        row = []
+        for m in matrices:
+            # m carries the line to num / den times image, or to zero
+            num, den, image = m.map_line(line)
+            if image is not None and image != line:
+                return None
+            row.append((num, den))
+        values.append(row)
+    return values
+
+
 def diagonal_functionals(a: MatrixSubspace, lines):
     """The functionals of ``a`` on ``lines`` when ``a`` is their diagonal
     algebra, as the matrix ``EigenlineSet.values``, else None.
@@ -207,18 +256,47 @@ def diagonal_functionals(a: MatrixSubspace, lines):
     d = a.ambient_dim
     if a.dim != d:
         return None
-    basis = a.basis_matrices()
-    values = []
-    for line in lines:
-        row = []
-        for m in basis:
-            # m carries the line to num / den times image, or to zero
-            num, den, image = m.map_line(line)
-            if image is not None and image != line:
-                return None
-            row.append((num, den))
-        values.append(row)
-    return ratio_matrix(a.field, values, d)
+    values = _eigenvalues(a.basis_matrices(), lines)
+    return None if values is None else ratio_matrix(a.field, values, d)
+
+
+def spans_diagonal_algebra(a: MatrixSubspace, lines) -> bool:
+    """Whether ``a`` is the diagonal algebra D(lines) of the d canonical
+    integer lines ``lines``, read off the given matrices of ``a`` alone:
+    every line l_t is an eigenline of every given matrix m, say
+    m l_t = lambda_t(m) l_t, and the eigenvalue vectors
+    (lambda_1(m), ..., lambda_d(m)) of the given matrices span k^d.
+
+    This holds exactly when ``a`` = D(lines), and it proves the lines
+    independent, so neither a canonical form nor independence is needed.
+    For independent lines L, m -> (lambda_t(m))_t is an isomorphism from
+    D(L) onto k^d, so matrices diagonal in L span D(L) exactly when their
+    eigenvalue vectors span k^d. Dependent lines cannot pass: take a
+    shortest relation sum_{t in S} c_t l_t = 0, all c_t nonzero, over two
+    or more lines. For each m and s in S,
+    sum_{t in S} c_t (lambda_t(m) - lambda_s(m)) l_t = 0 is a shorter
+    relation, so its coefficients vanish: lambda_t(m) = lambda_s(m) on S,
+    and the eigenvalue vectors, equal in the coordinates of S, span less
+    than k^d. ``Matrix.map_line`` gives lambda_t(m) as num / den, den the
+    denominator of m times the leading entry of l_t; these nonzero scales
+    keep the rank, so the nums alone are ranked.
+    """
+    values = _eigenvalues(a.generators, lines)
+    if values is None:
+        return False
+    nums = [[num for num, _den in row] for row in values]
+    return rank(Matrix._make(a.field, 1, nums, len(a.generators))) == a.ambient_dim
+
+
+def _scalar_spectrum(m: Matrix):
+    """``(min_poly, roots)`` of m when m is a scalar c I, as ``min_poly``
+    and ``roots_in_field`` give them (x - c, one simple root c), else None."""
+    c = m.ints[0][0]
+    for i, row in enumerate(m.ints):
+        if any(x != (c if j == i else 0) for j, x in enumerate(row)):
+            return None
+    # the canonical form has gcd(den, c) = 1, so c / den is in lowest terms
+    return Poly._make(m.field, m.den, [-c, m.den]), ((c, m.den, 1),)
 
 
 def _refined_lines(a: MatrixSubspace, spectra: list):
@@ -228,16 +306,18 @@ def _refined_lines(a: MatrixSubspace, spectra: list):
     Starting from the full space, each basis matrix m, in canonical order,
     splits every block W that is not yet a line into the eigenspaces of
     its restriction m|_W (``linalg.restrict``), lifted back to k^d
-    (``linalg.lift``), until all blocks are lines. The eigenspaces of a
-    diagonalizable m|_W add up to W, so the blocks always form a direct sum
-    decomposition of k^d, and d blocks are d independent lines. When ``a``
-    is commutative, each block is a common eigenspace of the earlier
-    matrices, so it is m-invariant, and the pieces are its intersections
-    with the eigenspaces of m; otherwise they are only candidates, which
-    ``diagonal_functionals`` refuses. A restriction not diagonalizable over
-    the field ends the refinement. The spectrum of each matrix taken while
-    the one block is k^d is appended to ``spectra``; a restricted one is
-    not the matrix's spectrum, so it is not.
+    (``linalg.lift``), until all blocks are lines. A scalar restriction
+    c I leaves W whole, and its spectrum, x - c with the simple root c, is
+    read off it (``_scalar_spectrum``) rather than computed. The
+    eigenspaces of a diagonalizable m|_W add up to W, so the blocks always
+    form a direct sum decomposition of k^d, and d blocks are d independent
+    lines. When ``a`` is commutative, each block is a common eigenspace of
+    the earlier matrices, so it is m-invariant, and the pieces are its
+    intersections with the eigenspaces of m; otherwise they are only
+    candidates, which ``diagonal_functionals`` refuses. A restriction not
+    diagonalizable over the field ends the refinement. The spectrum of each matrix taken while
+    the one block is k^d is appended to ``spectra``, a scalar's included;
+    a restricted one is not the matrix's spectrum, so it is not.
     """
     d = a.ambient_dim
     blocks = [Subspace.full(a.field, d)]
@@ -249,7 +329,15 @@ def _refined_lines(a: MatrixSubspace, spectra: list):
             if block.dim == 1:
                 refined.append(block)
                 continue
-            mp, roots, spaces = eigenspaces(restrict(m, block))
+            r = restrict(m, block)
+            scalar = _scalar_spectrum(r)
+            if scalar is not None:
+                # a scalar restriction has one eigenspace, the block itself
+                if block.dim == d:
+                    spectra.append((*scalar, True))
+                refined.append(block)
+                continue
+            mp, roots, spaces = eigenspaces(r)
             if block.dim == d:
                 spectra.append((mp, roots, spaces is not None))
             if spaces is None or any(mult > 1 for _num, _den, mult in roots):

@@ -20,7 +20,9 @@ elsewhere are the root ones transported along a spanning tree. The bundle
 is a compatible split Cartan bundle exactly when every fiber is diagonal
 in its transported lines and every transition permutes them (argued in
 ``validate_cartan_bundle``). No fiber is classified unless it fails, and
-then only to name the failure. Those lines are the spectral cover's
+then only to name the failure; no fiber but the root's is brought to its
+canonical form, and no transition is inverted but those the transport
+crosses against their orientation. Those lines are the spectral cover's
 labels, so validating the bundle and building its cover are one pass,
 with no subspace conjugated on the way.
 """

@@ -1,4 +1,5 @@
-"""An independent checker of ``cover-build`` and ``pushforward`` certificates.
+"""An independent checker of ``cover-build``, ``pushforward`` and ``classify``
+certificates, and of ``cover-build`` error reports.
 
 Nothing here imports ``cartancover``: a certificate is read from the
 bundle instance and the machine report alone, with field elements kept as
@@ -30,6 +31,27 @@ algebra as its Cartan bundle. The checker accepts it when
   matrices whose diagonals are independent;
 - ``component_count`` is the orbit count of the cover's points, and
   ``split`` says that it is the degree.
+
+A ``classify`` report of a split verdict certifies that the span of the
+instance's basis is the diagonal algebra of its eigenlines. The checker
+accepts it when
+
+- ``span_dimension`` is the rank of the instance's basis;
+- each reported line is written leading-one normalized, and is an
+  eigenline of each canonical basis matrix (the reduced row echelon basis
+  of the flattened span, in pivot order) with the reported functional
+  entry as its eigenvalue;
+- the d lines are independent.
+
+A report of any other verdict carries no lines and no functionals.
+
+A ``cover-build`` error report names one edge. The checker accepts a
+``SingularTransition`` report when the named edge's transition is
+singular and every earlier edge's transition is invertible, and an
+``IncompatibleEdge`` report when no transition is singular, the named
+edge e = (u, v) does not conjugate A_u onto A_v, and every earlier edge
+does. T A_u T^-1 = A_v reads T A_u = A_v T, a comparison of two spans
+that needs no inverse.
 """
 
 from __future__ import annotations
@@ -52,7 +74,9 @@ def _matmul(p: int, a, b) -> list:
     return out if p == 0 else [[x % p for x in row] for row in out]
 
 
-def _rank(p: int, rows) -> int:
+def _echelon(p: int, rows) -> list:
+    """The nonzero rows of the reduced row echelon form of ``rows``, with
+    leading ones, in pivot order."""
     rows = [list(r) for r in rows]
     rank = 0
     for c in range(len(rows[0]) if rows else 0):
@@ -61,14 +85,23 @@ def _rank(p: int, rows) -> int:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = 1 / rows[rank][c] if p == 0 else pow(rows[rank][c], -1, p)
+        rows[rank] = [x * inv if p == 0 else x * inv % p for x in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][c]:
-                f = rows[i][c] * inv
+                f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
                 if p:
                     rows[i] = [x % p for x in rows[i]]
         rank += 1
-    return rank
+    return rows[:rank]
+
+
+def _rank(p: int, rows) -> int:
+    return len(_echelon(p, rows))
+
+
+def _flat(m) -> list:
+    return [x for row in m for x in row]
 
 
 def _orbit_count(vertices: int, edges, sigma, d: int) -> int:
@@ -177,4 +210,84 @@ def check_pushforward(instance: dict, report: dict) -> list:
         failures.append(f"component_count {report['component_count']}, orbit count {count}")
     if report["split"] != (count == d):
         failures.append(f"split {report['split']}, but {count} components in degree {d}")
+    return failures
+
+
+def check_classify(instance: dict, report: dict) -> list:
+    """What fails in the certificate of a ``classify`` machine report
+    (parsed JSON) for its cartan instance (parsed JSON); empty when every
+    claim above holds."""
+    field = instance["field"]
+    p = 0 if field["kind"] == "Q" else field["p"]
+    d = instance["payload"]["d"]
+    given = [_flat(_matrix(p, m)) for m in instance["payload"]["basis"]]
+    basis = [[row[i * d : (i + 1) * d] for i in range(d)] for row in _echelon(p, given)]
+    failures = []
+    if report["span_dimension"] != len(basis):
+        failures.append(f"span_dimension {report['span_dimension']}, rank {len(basis)}")
+    if report["status"] != "CartanSplit":
+        if report["eigenlines"] is not None or report["functionals"] is not None:
+            failures.append(f"a {report['status']} report carries lines or functionals")
+        return failures
+    lines = _matrix(p, report["eigenlines"])
+    mus = _matrix(p, report["functionals"])
+    if len(lines) != d or any(len(line) != d for line in lines) or len(mus) != d or any(
+        len(row) != len(basis) for row in mus
+    ):
+        return failures + ["not d lines of length d with one functional entry per basis matrix"]
+    for t, line in enumerate(lines):
+        if next((x for x in line if x), None) != 1:
+            failures.append(f"line {t} is not leading-one normalized")
+        for k, b in enumerate(basis):
+            image = _matmul(p, b, [[x] for x in line])
+            scaled = [[mus[t][k] * x if p == 0 else mus[t][k] * x % p] for x in line]
+            if image != scaled:
+                failures.append(
+                    f"line {t} is no eigenline of basis matrix {k} with eigenvalue mu[{t}][{k}]"
+                )
+    if _rank(p, lines) != d:
+        failures.append("the lines are dependent")
+    return failures
+
+
+def _conjugates_onto(p: int, t, a_u, a_v) -> bool:
+    """Whether t A_u t^-1 = A_v for an invertible t: span(t a) = span(b t)."""
+    left = [_flat(_matmul(p, t, a)) for a in a_u]
+    right = [_flat(_matmul(p, b, t)) for b in a_v]
+    rank = _rank(p, left)
+    return rank == _rank(p, right) == _rank(p, left + right)
+
+
+def check_error_report(instance: dict, report: dict) -> list:
+    """What fails in the certificate of a ``cover-build`` error report
+    (parsed JSON) of type ``SingularTransition`` or ``IncompatibleEdge``
+    for its bundle instance (parsed JSON); empty when every claim above
+    holds."""
+    field = instance["field"]
+    p = 0 if field["kind"] == "Q" else field["p"]
+    payload = instance["payload"]
+    d = payload["rank"]
+    edges = [tuple(e) for e in payload["graph"]["edges"]]
+    transitions = [_matrix(p, m) for m in payload["transitions"]]
+    fibers = [[_matrix(p, m) for m in basis] for basis in payload["cartan_bundle"]]
+    error = report["error"]
+    kind, named = error["type"], error.get("edge")
+    if report["ok"] is not False or not isinstance(named, int) or not 0 <= named < len(edges):
+        return ["the report does not name an edge of the instance"]
+    singular = [e for e, t in enumerate(transitions) if _rank(p, t) < d]
+    if kind == "SingularTransition":
+        if named not in singular:
+            return [f"transition {named} is invertible"]
+        return [f"transition {e} is singular, before edge {named}" for e in singular if e < named]
+    if kind != "IncompatibleEdge":
+        return [f"no certificate for a {kind} report"]
+    if singular:
+        return [f"transition {e} is singular" for e in singular]
+    failures = []
+    for e in range(named + 1):
+        (u, v), t = edges[e], transitions[e]
+        if _conjugates_onto(p, t, fibers[u], fibers[v]) != (e < named):
+            failures.append(
+                f"edge {e} conjugates A_u onto A_v" if e == named else f"edge {e} fails first"
+            )
     return failures

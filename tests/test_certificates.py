@@ -1,6 +1,6 @@
-"""``cover-build`` and ``pushforward`` certificates checked by
-``tests/certificates.py``, which reads only the instance and the machine
-report."""
+"""``cover-build``, ``pushforward`` and ``classify`` certificates checked
+by ``tests/certificates.py``, which reads only the instance and the
+machine report."""
 
 import copy
 import json
@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from certificates import check_cover_build, check_pushforward
+from certificates import check_classify, check_cover_build, check_pushforward
 
 from cartancover.cli import main
 
@@ -205,3 +205,77 @@ def test_changing_one_pushforward_entry_fails_the_certificate(tmp_path, capsys):
             assert check_pushforward(instance, mutated) != [], where
             kinds.add(where[0])
         assert kinds == {"transition", "basis", "count", "split"}
+
+
+def _classify_golden_cases():
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    stems = sorted(
+        name.split("__", 1)[1]
+        for name, code in codes.items()
+        if name.startswith("classify__") and code == 0
+    )
+    return [
+        (
+            json.loads((INSTANCES / f"{stem}.json").read_text(encoding="utf-8")),
+            json.loads((GOLDEN / f"classify__{stem}.machine.txt").read_text(encoding="utf-8")),
+        )
+        for stem in stems
+    ]
+
+
+CLASSIFY_GOLDEN_CASES = _classify_golden_cases()
+
+# the diagonal algebra of Q^3 and of GF(7)^3 conjugated by
+# [[1, 1, 0], [1, 2, 1], [0, 1, 2]], of determinant 1: lines with several
+# nonzero entries
+GAUGED_CARTAN = [
+    {
+        "field": field,
+        "kind": "cartan",
+        "payload": {
+            "d": 3,
+            "basis": [
+                [["3", "-2", "1"], ["3", "-2", "1"], ["0", "0", "0"]],
+                [["-2", "2", "-1"], ["-4", "4", "-2"], ["-2", "2", "-1"]],
+                [["0", "0", "0"], ["1", "-1", "1"], ["2", "-2", "2"]],
+            ],
+        },
+    }
+    for field in ({"kind": "Q"}, {"kind": "Fp", "p": 7})
+]
+
+
+def _classify_cases(tmp_path, capsys):
+    cases = list(CLASSIFY_GOLDEN_CASES)
+    for instance in GAUGED_CARTAN:
+        path = tmp_path / "cartan.json"
+        path.write_text(json.dumps(instance), encoding="utf-8")
+        code, report = _machine(capsys, "classify", str(path))
+        assert code == 0 and report["status"] == "CartanSplit"
+        cases.append((instance, report))
+    return cases
+
+
+def test_two_classify_goldens_exit_zero():
+    statuses = [report["status"] for _instance, report in CLASSIFY_GOLDEN_CASES]
+    assert statuses == ["CartanSplit", "CartanNonSplit"]
+
+
+def test_classify_certificates_hold(tmp_path, capsys):
+    for instance, report in _classify_cases(tmp_path, capsys):
+        assert check_classify(instance, report) == []
+
+
+def test_changing_one_classify_entry_fails_the_certificate(tmp_path, capsys):
+    # every entry of every line and of every functional, increased by 1
+    changed = set()
+    for instance, report in _classify_cases(tmp_path, capsys):
+        p = report["field"].get("p", 0)
+        for key in ("eigenlines", "functionals"):
+            for t, row in enumerate(report[key] or []):
+                for k, x in enumerate(row):
+                    mutated = copy.deepcopy(report)
+                    mutated[key][t][k] = _bumped(x, p)
+                    assert check_classify(instance, mutated) != [], (key, t, k)
+                    changed.add(key)
+    assert changed == {"eigenlines", "functionals"}

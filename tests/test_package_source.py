@@ -306,3 +306,31 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     added = _modules_after("import cartancover.cli") - _modules_after("pass")
     assert "cartancover.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_matrix_inverse_called_only_where_an_inverse_is_the_result():
+    # a valid bundle inverts only the transitions its transport crosses
+    # against their orientation, through the cached transition_inverse; an
+    # inverse anywhere else would bring back an eager inversion pass
+    allowed = {
+        "bundles.py:BundleRep.transition_inverse",
+        "cartan.py:MatrixSubspace.conjugated",
+        "linalg.py:Matrix.is_invertible",
+    }
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if ":" in where else f"{where}:{node.name}"
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "inverse"
+        ):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.name)
+    assert found == allowed, sorted(found ^ allowed)

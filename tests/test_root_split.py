@@ -7,8 +7,10 @@ along every edge) survives here only as the oracle the root path is
 compared with, on faults away from the root and at it.
 """
 
+import copy
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -46,9 +48,10 @@ from cartancover.errors import (
     NotCartanAtVertex,
 )
 from cartancover.fields import GF, QQ
-from cartancover.instances import cover_instance_to_json, load_instance
+from cartancover.instances import bundle_instance_to_json, cover_instance_to_json, load_instance
 from cartancover.linalg import Matrix
 from cartancover.randgen import CoverInstanceConfig, random_cover_instance
+from certificates import check_error_report
 from helpers import (
     eigenline_scalars,
     random_invertible_matrix,
@@ -357,17 +360,19 @@ def test_classify_command_classifies_once(classify_calls, capsys, name):
     "command, name, expected",
     [
         ("classify", "cartan_diagonal_q", {"min_poly": 2, "roots_in_field": 2}),
-        ("classify", "cartan_nonsplit_q", {"min_poly": 2, "roots_in_field": 2}),
+        ("classify", "cartan_nonsplit_q", {"min_poly": 1, "roots_in_field": 1}),
         (
             "cover-build",
             "bundle_nonsplit_f_q",
-            {"min_poly": 2, "roots_in_field": 2, "nonsplit_witness": 1},
+            {"min_poly": 1, "roots_in_field": 1, "nonsplit_witness": 1},
         ),
     ],
 )
 def test_each_spectrum_is_computed_once(monkeypatch, capsys, command, name, expected):
     # the split computes each basis matrix's spectrum at most once and names
-    # a failure from it; the classifier and the witness find no root again
+    # a failure from it; the classifier and the witness find no root again.
+    # The non-split instances have the identity as their first basis matrix,
+    # whose spectrum x - 1 is read off it
     counts = {
         fn.__name__: count_calls(monkeypatch, fn)
         for fn in (linalg.min_poly, poly.roots_in_field, poly.nonsplit_witness)
@@ -509,26 +514,46 @@ def test_flat_section_dim_matches_linear_algebra(field):
         assert record.flat_section_dim == flat_sections(algebra).dimension
 
 
-def test_valid_bundle_checks_each_fiber_once(monkeypatch):
+@pytest.fixture
+def fiber_checks(monkeypatch):
+    """The fibers checked against lines, in order: ``("split", fiber)`` for
+    ``diagonal_functionals`` on a canonical basis, inside a split, and
+    ``("given", fiber)`` for ``spans_diagonal_algebra`` on given matrices."""
+    checks = []
+    for kind, real in (
+        ("split", cartan.diagonal_functionals),
+        ("given", cartan.spans_diagonal_algebra),
+    ):
+
+        def counting(fiber, lines, kind=kind, real=real):
+            checks.append((kind, fiber))
+            return real(fiber, lines)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cartancover") and getattr(module, real.__name__, None) is real:
+                monkeypatch.setattr(module, real.__name__, counting)
+    return checks
+
+
+def test_valid_bundle_checks_each_fiber_once(fiber_checks):
     # the root split shows the root fiber diagonal in its own lines, so the
-    # transported lines are checked at the other vertices only: n calls of
-    # diagonal_functionals on n vertices, one of them inside the split;
+    # transported lines are checked, on the given matrices, at the other
+    # vertices only: one check inside the split and n - 1 on n vertices;
     # the gauges make every fiber differ, so no verdict is reused
-    calls = count_calls(monkeypatch, cartan.diagonal_functionals)
     rng = Random(12)
     for i in range(6):
         bundle, algebra = gauged_bundle(rng, FIELDS[i % 3], min_vertices=3)
         assert len(set(algebra.fibers)) == len(algebra.fibers)
-        del calls[:]
+        del fiber_checks[:]
         validate_cartan_bundle(bundle, algebra)
-        assert [fiber for fiber, _lines in calls] == list(algebra.fibers)
+        root, *others = algebra.fibers
+        assert fiber_checks == [("split", root)] + [("given", f) for f in others]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_direct_image_checks_one_fiber(field, monkeypatch):
+def test_direct_image_checks_one_fiber(field, fiber_checks):
     # every fiber of f_*L is the diagonal algebra and every transported line
     # set is the label basis, the root's pair, whose verdict the split gave
-    calls = count_calls(monkeypatch, cartan.diagonal_functionals)
     rng = Random(13 + getattr(field, "p", 0))
     config = CoverInstanceConfig(max_vertices=6, max_edges=9, max_degree=4)
     checked = 0
@@ -537,16 +562,17 @@ def test_direct_image_checks_one_fiber(field, monkeypatch):
         if cover.base.num_vertices < 3:
             continue
         algebra = canonical_algebra_map(cover, line)
-        del calls[:]
+        del fiber_checks[:]
         split = validate_cartan_bundle(algebra.parent, algebra)
-        assert calls == [(algebra.fibers[0], split.lines[0])]
+        assert fiber_checks == [("split", algebra.fibers[0])]
         assert set(split.lines) == {split.lines[0]}
         checked += 1
 
 
-def test_cover_build_of_a_pushforward_checks_one_fiber(tmp_path, capsys, monkeypatch):
+def test_cover_build_of_a_pushforward_checks_one_fiber(tmp_path, capsys, fiber_checks):
     # the bundle file that pushforward writes is read back into fibers that
-    # are equal in value but distinct objects; verdicts are keyed by value
+    # are equal in value but distinct objects; verdicts are keyed by value:
+    # by the lines, then by the given matrices
     graph = BaseGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 1)])
     cover = CoverRep(graph, 3, [(1, 2, 0), (0, 1, 2), (2, 0, 1), (0, 2, 1), (1, 0, 2)])
     cover_path = tmp_path / "cover.json"
@@ -558,9 +584,9 @@ def test_cover_build_of_a_pushforward_checks_one_fiber(tmp_path, capsys, monkeyp
     instance = load_instance(str(bundle_path))
     fibers = instance.algebra.fibers
     assert len(set(fibers)) == 1 and len(set(map(id, fibers))) == 4
-    calls = count_calls(monkeypatch, cartan.diagonal_functionals)
+    del fiber_checks[:]
     assert main(["--format", "machine", "cover-build", str(bundle_path)]) == 0
-    assert len(calls) == 1
+    assert [kind for kind, _fiber in fiber_checks] == ["split"]
     # and the vertices, all with the label lines, share one eta
     eta = build_spectral_cover(instance.bundle, instance.algebra).eta
     assert all(m is eta[0] for m in eta)
@@ -589,7 +615,7 @@ def test_equal_non_cartan_fibers_fail_at_the_first():
         assert error_signature(build_spectral_cover, bundle, algebra) == expected
 
 
-def test_a_failed_verdict_is_reused(monkeypatch):
+def test_a_failed_verdict_is_reused(fiber_checks):
     # three equal split Cartan fibers off the transported lines: the first
     # fails the diagonal check and is split on its own, the other two reuse
     # its verdict and its lines, and the first edge, which no longer
@@ -599,10 +625,259 @@ def test_a_failed_verdict_is_reused(monkeypatch):
     diag = MatrixSubspace.diagonal_algebra(field, 2)
     other = diag.conjugated(Matrix(field, [[1, 1], [0, 1]]))
     algebra = SubalgebraBundle(bundle, [diag, other, other, other])
-    calls = count_calls(monkeypatch, cartan.diagonal_functionals)
     expected = error_signature(per_vertex_validate, bundle, algebra)
     assert expected[:3] == ("IncompatibleEdge", None, 0)
-    del calls[:]
+    del fiber_checks[:]
     assert error_signature(validate_cartan_bundle, bundle, algebra) == expected
-    # the root inside its split, then vertex 1, and again inside its own split
-    assert [fiber for fiber, _lines in calls] == [diag, other, other]
+    # the root inside its split, then vertex 1 on its given matrices, and
+    # vertex 1 again inside its own split
+    assert fiber_checks == [("split", diag), ("given", other), ("split", other)]
+
+
+SINGULAR_PLACES = ("tree_forward", "tree_backward", "cotree")
+SINGULAR_KINDS = ("kills_a_line", "rank_d_minus_1", "merges_two_lines")
+
+
+def _edges_at(bundle, place):
+    """The edges of one place: tree edges the transport crosses along or
+    against their orientation, or the cotree edges."""
+    tree = bundle.graph.spanning_tree()
+    if place == "cotree":
+        return list(tree.cotree_edges)
+    return sorted(e for _v, e, forward in tree.order[1:] if forward == (place == "tree_forward"))
+
+
+def _singular_transition(bundle, algebra, e, kind):
+    """T_e made singular on the lines L_u over its source u: one line sent
+    to zero; (d >= 3) the last line sent onto the sum of the images of the
+    first two, so rank d - 1 with the images of the lines pairwise
+    distinct; or the last line sent onto the image of the first."""
+    field, d = bundle.field, bundle.rank
+    u = bundle.graph.edges[e][0]
+    basis = Matrix.from_columns(
+        field, eigenline_scalars(simultaneous_eigenlines(algebra.fibers[u]))
+    )
+    k = [[int(i == j) for j in range(d)] for i in range(d)]
+    if kind == "kills_a_line":
+        k[0][0] = 0
+    elif kind == "rank_d_minus_1":
+        k[d - 1][d - 1] = 0
+        k[0][d - 1] = k[1][d - 1] = 1
+    else:
+        k[d - 1][d - 1] = 0
+        k[0][d - 1] = 1
+    return bundle.transitions[e] @ basis @ Matrix(field, k) @ basis.inverse()
+
+
+def _not_cartan_fiber(rng, field, d):
+    while True:
+        fiber = random_subspace_for_cartan_test(rng, field, d)
+        if classify_subspace(fiber, d).status is CartanStatus.NOT_CARTAN:
+            return fiber
+
+
+def _cover_build_report(tmp_path, capsys, bundle, algebra):
+    """The exit code and machine report of ``cover-build`` on the bundle,
+    and the instance it read."""
+    instance = bundle_instance_to_json(bundle.field, bundle, algebra)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(instance), encoding="utf-8")
+    code = main(["--format", "machine", "cover-build", str(path)])
+    return code, json.loads(capsys.readouterr().out), instance
+
+
+def planted_singular_cases(place, kind, count):
+    """``count`` bundles with one singular transition at ``place``: alone,
+    with an incompatible edge of lower index, or with a fiber that is not
+    Cartan, in turn. Yields the bundle, the algebra, the singular edge,
+    the companion fault, and the bundle with that fault alone."""
+    rng = Random(f"singular {place} {kind}")
+    made = 0
+    while made < count:
+        field = FIELDS[made % 3]
+        bundle, algebra = gauged_bundle(rng, field, min_vertices=2)
+        d, n = bundle.rank, bundle.graph.num_vertices
+        companion = ("alone", "incompatible_edge", "not_cartan")[made % 3]
+        pool = _edges_at(bundle, place)
+        if companion == "incompatible_edge":
+            pool = [e for e in pool if e > 0]
+        if not pool or (kind == "rank_d_minus_1" and d < 3):
+            continue
+        e = rng.choice(pool)
+        singular = _singular_transition(bundle, algebra, e, kind)
+        if companion == "incompatible_edge":
+            bundle, algebra = shear_edges(bundle, algebra, [rng.randrange(e)])
+        elif companion == "not_cartan":
+            fibers = list(algebra.fibers)
+            fibers[rng.randrange(n)] = _not_cartan_fiber(rng, field, d)
+            algebra = SubalgebraBundle(bundle, fibers)
+        transitions = list(bundle.transitions)
+        transitions[e] = singular
+        faulty = BundleRep(field, bundle.graph, d, transitions)
+        made += 1
+        yield faulty, SubalgebraBundle(faulty, algebra.fibers), e, companion, (bundle, algebra)
+
+
+@pytest.mark.parametrize("kind", SINGULAR_KINDS)
+@pytest.mark.parametrize("place", SINGULAR_PLACES)
+def test_singular_transitions_match_the_per_vertex_oracle(tmp_path, capsys, place, kind):
+    # a singular transition is reported at its edge with exit 2, before an
+    # incompatible edge of lower index or a fiber that is not Cartan,
+    # wherever the transport meets it: as a line sent to zero or two lines
+    # sent onto one, an inverse that does not exist, or an edge check that
+    # finds a line sent off the lines, to zero, or onto the image of another
+    companions = set()
+    for bundle, algebra, e, companion, _rest in planted_singular_cases(place, kind, 12):
+        expected = error_signature(per_vertex_validate, bundle, algebra)
+        assert expected[:3] == ("SingularTransition", None, e)
+        assert error_signature(validate_cartan_bundle, bundle, algebra) == expected
+        assert error_signature(build_spectral_cover, bundle, algebra) == expected
+        code, report, instance = _cover_build_report(tmp_path, capsys, bundle, algebra)
+        assert code == 2
+        assert (report["error"]["type"], report["error"]["edge"]) == ("SingularTransition", e)
+        assert check_error_report(instance, report) == []
+        companions.add(companion)
+    assert companions == {"alone", "incompatible_edge", "not_cartan"}
+
+
+def test_incompatible_edge_reports_are_certified(tmp_path, capsys):
+    # the planted incompatible edges alone, once the singular transition
+    # is taken out: the report names the first edge that fails
+    named = 0
+    for place in SINGULAR_PLACES:
+        cases = planted_singular_cases(place, "kills_a_line", 6)
+        for _bundle, _algebra, _e, companion, (bundle, algebra) in cases:
+            if companion != "incompatible_edge":
+                continue
+            expected = error_signature(per_vertex_validate, bundle, algebra)
+            assert error_signature(validate_cartan_bundle, bundle, algebra) == expected
+            code, report, instance = _cover_build_report(tmp_path, capsys, bundle, algebra)
+            if expected is None:
+                assert code == 0
+                continue
+            assert code == 1
+            assert (report["error"]["type"], report["error"]["edge"]) == (expected[0], expected[2])
+            assert check_error_report(instance, report) == []
+            named += 1
+            moved = copy.deepcopy(report)
+            moved["error"]["edge"] = (report["error"]["edge"] + 1) % len(bundle.transitions)
+            assert check_error_report(instance, moved) != []
+    assert named >= 3
+
+
+def test_dependent_generators_are_ranked_not_counted():
+    # d given matrices diagonal in the transported lines, one of them
+    # repeated, span d - 1 dimensions: WrongDimension at the vertex; d + 1
+    # given matrices that span the diagonal algebra pass
+    rng = Random(80)
+    for i in range(24):
+        field = FIELDS[i % 3]
+        bundle, algebra = gauged_bundle(rng, field, min_vertices=2)
+        d, v = bundle.rank, rng.randrange(1, bundle.graph.num_vertices)
+        given = algebra.fibers[v].basis_matrices()
+        fibers = list(algebra.fibers)
+        fibers[v] = MatrixSubspace(field, d, given[:-1] + given[:1])
+        faulty = SubalgebraBundle(bundle, fibers)
+        expected = error_signature(per_vertex_validate, bundle, faulty)
+        assert expected[:2] == ("NotCartanAtVertex", v)
+        assert "WrongDimension" in expected[3]
+        assert error_signature(validate_cartan_bundle, bundle, faulty) == expected
+        assert error_signature(build_spectral_cover, bundle, faulty) == expected
+        fibers[v] = MatrixSubspace(field, d, given + (given[0] + given[-1],))
+        spanning = SubalgebraBundle(bundle, fibers)
+        assert error_signature(per_vertex_validate, bundle, spanning) is None
+        assert validate_cartan_bundle(bundle, spanning) == validate_cartan_bundle(bundle, algebra)
+
+
+def test_valid_bundle_inverts_only_the_tree_edges_crossed_backwards(monkeypatch):
+    # the transport inverts the tree edges it crosses against their
+    # orientation, each once and in its order; the checks invert nothing
+    inverted = []
+    real_inverse = Matrix.inverse
+
+    def counting(self):
+        inverted.append(self)
+        return real_inverse(self)
+
+    rng = Random(14)
+    spared = 0
+    for i in range(9):
+        bundle, algebra = gauged_bundle(rng, FIELDS[i % 3], min_vertices=3)
+        tree = bundle.graph.spanning_tree()
+        backward = [bundle.transitions[e] for _v, e, forward in tree.order[1:] if not forward]
+        with monkeypatch.context() as patch:
+            patch.setattr(Matrix, "inverse", counting)
+            del inverted[:]
+            validate_cartan_bundle(bundle, algebra)
+        assert inverted == backward
+        spared += len(bundle.transitions) - len(backward)
+    assert spared > 0
+
+
+def test_cover_build_of_a_gauged_bundle_builds_the_root_form_only(tmp_path, capsys, monkeypatch):
+    # fibers keep their given matrices; only the root split builds a
+    # canonical form, a span in k^(d^2)
+    spans = []
+    real_spanned = linalg.Subspace._spanned.__func__
+
+    def counting(cls, field, ambient, rows):
+        spans.append(ambient)
+        return real_spanned(cls, field, ambient, rows)
+
+    rng = Random(15)
+    for i in range(6):
+        bundle, algebra = gauged_bundle(rng, FIELDS[i % 3], min_vertices=3)
+        d = bundle.rank
+        instance = bundle_instance_to_json(bundle.field, bundle, algebra)
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(instance), encoding="utf-8")
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg.Subspace, "_spanned", classmethod(counting))
+            del spans[:]
+            assert main(["--format", "machine", "cover-build", str(path)]) == 0
+        capsys.readouterr()
+        assert spans.count(d * d) == 1
+
+
+def _is_scalar(m):
+    c = m.ints[0][0]
+    return all(x == (c if i == j else 0) for i, r in enumerate(m.ints) for j, x in enumerate(r))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_a_scalar_basis_matrix_costs_no_min_poly(field, monkeypatch):
+    # the identity is the first canonical basis matrix of most gauged
+    # fibers; its spectrum is read off it, and no scalar restriction
+    # reaches min_poly
+    min_polys = count_calls(monkeypatch, linalg.min_poly)
+    rng = Random(16 + getattr(field, "p", 0))
+    seen = 0
+    while seen < 12:
+        d = 2 + seen % 3
+        g = random_invertible_matrix(rng, field, d)
+        a = MatrixSubspace.diagonal_algebra(field, d).conjugated(g)
+        if a.basis_matrices()[0] != Matrix.identity(field, d):
+            continue
+        del min_polys[:]
+        simultaneous_eigenlines(a)
+        assert [m for (m,) in min_polys if _is_scalar(m)] == []
+        if d == 2:
+            assert len(min_polys) == 1
+        seen += 1
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(5), GF(1009)), ids=str)
+def test_scalar_spectrum_is_the_computed_one(field):
+    # x - c with the simple root c, as min_poly and roots_in_field give them
+    for d in range(1, 5):
+        fractions = () if field.characteristic else (Fraction(-3, 4), Fraction(7, 2))
+        for c in (0, 1, -1, 3, 1010, *fractions):
+            m = Matrix.identity(field, d).scale(field.coerce(c))
+            mp = linalg.min_poly(m)
+            assert cartan._scalar_spectrum(m) == (mp, poly.roots_in_field(mp)[0])
+        if d > 1:
+            # a shear, and the last unit: neither is scalar
+            shear = [[int(i == j or (i, j) == (0, 1)) for j in range(d)] for i in range(d)]
+            unit = [[int(i == j == d - 1) for j in range(d)] for i in range(d)]
+            for rows in (shear, unit):
+                assert cartan._scalar_spectrum(Matrix(field, rows)) is None
