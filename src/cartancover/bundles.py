@@ -324,20 +324,18 @@ def _certify(bundle: BundleRep, algebra: SubalgebraBundle, tree: SpanningTree) -
         return moved
 
     transported = tree.transport(_fiber_lines(algebra, 0), step)
-    # per distinct lines, the verdicts on the given matrices checked
-    # against them: None when the fiber is diagonal in the lines, which the
-    # vertex then keeps as they are (``known`` relies on that, at the root
-    # too), else the fiber's own eigenlines. Lines are looked up first, so
-    # given matrices are compared only where lines repeat and never hashed.
-    verdicts = {transported[0]: [(algebra.fibers[0].generators, None)]}
+    # per distinct (lines, given matrices): None when the fiber is diagonal
+    # in the lines, which the vertex then keeps as they are (``known``
+    # relies on that, at the root too), else the fiber's own eigenlines
+    verdicts = {(transported[0], algebra.fibers[0].generators): None}
     lines = transported[:1]
     for v, ls in enumerate(transported[1:], start=1):
         fiber = algebra.fibers[v]
-        decided = verdicts.setdefault(ls, [])
-        own = next((found for given, found in decided if given == fiber.generators), False)
+        key = (ls, fiber.generators)
+        own = verdicts.get(key, False)
         if own is False:
             own = None if spans_diagonal_algebra(fiber, ls) else _fiber_lines(algebra, v)
-            decided.append((fiber.generators, own))
+            verdicts[key] = own
         lines.append(own or ls)
     # the step's images stand for a tree edge whose ends kept the transported lines
     known = {

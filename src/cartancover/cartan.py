@@ -41,9 +41,9 @@ from .linalg import (
     eigenspaces,
     lift,
     min_poly,
-    rank,
     ratio_matrix,
     restrict,
+    rref,
 )
 from .poly import Poly, nonsplit_witness, roots_in_field, squarefree_no_guard
 
@@ -248,16 +248,14 @@ def diagonal_functionals(a: MatrixSubspace, lines):
     """The functionals of ``a`` on ``lines`` when ``a`` is their diagonal
     algebra, as the matrix ``EigenlineSet.values``, else None.
 
-    ``lines`` are d independent canonical integer lines of k^d. ``a`` is
-    the diagonal algebra D(lines) exactly when it has dimension d and every
-    line is an eigenline of every canonical basis matrix: it then lies in
-    D(lines), which has dimension d.
+    ``lines`` are d independent canonical integer lines of k^d and ``a``
+    has dimension d, which the caller has checked. ``a`` is then the
+    diagonal algebra D(lines) exactly when every line is an eigenline of
+    every canonical basis matrix: it then lies in D(lines), which has
+    dimension d.
     """
-    d = a.ambient_dim
-    if a.dim != d:
-        return None
     values = _eigenvalues(a.basis_matrices(), lines)
-    return None if values is None else ratio_matrix(a.field, values, d)
+    return None if values is None else ratio_matrix(a.field, values, a.ambient_dim)
 
 
 def spans_diagonal_algebra(a: MatrixSubspace, lines) -> bool:
@@ -285,7 +283,7 @@ def spans_diagonal_algebra(a: MatrixSubspace, lines) -> bool:
     if values is None:
         return False
     nums = [[num for num, _den in row] for row in values]
-    return rank(Matrix._make(a.field, 1, nums, len(a.generators))) == a.ambient_dim
+    return rref(Matrix._make(a.field, 1, nums, len(a.generators))).rank == a.ambient_dim
 
 
 def _scalar_spectrum(m: Matrix):
@@ -411,7 +409,8 @@ def simultaneous_eigenlines(a: MatrixSubspace) -> EigenlineSet:
 
 
 def conjugate_subspace(a: MatrixSubspace, t: Matrix) -> MatrixSubspace:
-    """Canonical form of { t a t^-1 : a in the subspace }."""
+    """The subspace { t a t^-1 : a in ``a`` }, kept as the conjugated given
+    matrices; its canonical form is built on first use."""
     if not t.is_square() or t.nrows != a.ambient_dim:
         raise DimensionMismatch("conjugating matrix has wrong size")
     try:

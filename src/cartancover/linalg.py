@@ -7,7 +7,7 @@ the least common denominator, so gcd(den, every entry) = 1. The form is
 unique, so equality reads it. Products multiply these rows (``_product``;
 ``restrict`` reads a matrix on a subspace's echelon basis with one, and
 ``lift`` carries a subspace of that basis's coordinates back with
-another), and every elimination (``rref``, ``rank``, ``kernel``, ``solve``,
+another), and every elimination (``rref``, ``kernel``, ``solve``,
 ``Matrix.inverse``, ``min_poly``, ``eigenspaces``, the subspaces and the
 spans ``lift`` returns) goes through the one Gauss-Jordan loop
 ``_eliminate``, whose row reduction is the only step that differs between
@@ -331,11 +331,6 @@ def rref(m: Matrix) -> RrefResult:
     rows = list(m.ints)
     pivots, scale = _eliminate(rows, m.ncols, m.field.characteristic)
     return RrefResult(Matrix._make(m.field, scale, rows, m.ncols), len(pivots), tuple(pivots))
-
-
-def rank(m: Matrix) -> int:
-    """The rank of ``m``: the pivot count of one elimination of its rows."""
-    return len(_eliminate(list(m.ints), m.ncols, m.field.characteristic)[0])
 
 
 class Subspace:

@@ -516,9 +516,10 @@ def test_flat_section_dim_matches_linear_algebra(field):
 
 @pytest.fixture
 def fiber_checks(monkeypatch):
-    """The fibers checked against lines, in order: ``("split", fiber)`` for
-    ``diagonal_functionals`` on a canonical basis, inside a split, and
-    ``("given", fiber)`` for ``spans_diagonal_algebra`` on given matrices."""
+    """The fibers checked against lines, in order: ``("split", fiber,
+    lines)`` for ``diagonal_functionals`` on a canonical basis, inside a
+    split, and ``("given", fiber, lines)`` for ``spans_diagonal_algebra``
+    on given matrices."""
     checks = []
     for kind, real in (
         ("split", cartan.diagonal_functionals),
@@ -526,7 +527,7 @@ def fiber_checks(monkeypatch):
     ):
 
         def counting(fiber, lines, kind=kind, real=real):
-            checks.append((kind, fiber))
+            checks.append((kind, fiber, tuple(lines)))
             return real(fiber, lines)
 
         for name, module in list(sys.modules.items()):
@@ -545,9 +546,11 @@ def test_valid_bundle_checks_each_fiber_once(fiber_checks):
         bundle, algebra = gauged_bundle(rng, FIELDS[i % 3], min_vertices=3)
         assert len(set(algebra.fibers)) == len(algebra.fibers)
         del fiber_checks[:]
-        validate_cartan_bundle(bundle, algebra)
+        split = validate_cartan_bundle(bundle, algebra)
         root, *others = algebra.fibers
-        assert fiber_checks == [("split", root)] + [("given", f) for f in others]
+        assert fiber_checks == [("split", root, split.lines[0])] + [
+            ("given", f, ls) for f, ls in zip(others, split.lines[1:])
+        ]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -564,7 +567,7 @@ def test_direct_image_checks_one_fiber(field, fiber_checks):
         algebra = canonical_algebra_map(cover, line)
         del fiber_checks[:]
         split = validate_cartan_bundle(algebra.parent, algebra)
-        assert fiber_checks == [("split", algebra.fibers[0])]
+        assert fiber_checks == [("split", algebra.fibers[0], split.lines[0])]
         assert set(split.lines) == {split.lines[0]}
         checked += 1
 
@@ -586,7 +589,9 @@ def test_cover_build_of_a_pushforward_checks_one_fiber(tmp_path, capsys, fiber_c
     assert len(set(fibers)) == 1 and len(set(map(id, fibers))) == 4
     del fiber_checks[:]
     assert main(["--format", "machine", "cover-build", str(bundle_path)]) == 0
-    assert [kind for kind, _fiber in fiber_checks] == ["split"]
+    checks = fiber_checks[:]
+    split = validate_cartan_bundle(instance.bundle, instance.algebra)
+    assert checks == [("split", fibers[0], split.lines[0])]
     # and the vertices, all with the label lines, share one eta
     eta = build_spectral_cover(instance.bundle, instance.algebra).eta
     assert all(m is eta[0] for m in eta)
@@ -629,9 +634,13 @@ def test_a_failed_verdict_is_reused(fiber_checks):
     assert expected[:3] == ("IncompatibleEdge", None, 0)
     del fiber_checks[:]
     assert error_signature(validate_cartan_bundle, bundle, algebra) == expected
-    # the root inside its split, then vertex 1 on its given matrices, and
-    # vertex 1 again inside its own split
-    assert fiber_checks == [("split", diag), ("given", other), ("split", other)]
+    # the root inside its split, then vertex 1 on the root's lines, on its
+    # given matrices, and vertex 1 again inside its own split, on its own
+    # eigenlines
+    checks = fiber_checks[:]
+    units, own = simultaneous_eigenlines(diag).ints, simultaneous_eigenlines(other).ints
+    assert own != units
+    assert checks == [("split", diag, units), ("given", other, units), ("split", other, own)]
 
 
 SINGULAR_PLACES = ("tree_forward", "tree_backward", "cotree")
