@@ -231,17 +231,17 @@ def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> Cart
     """Split Cartan fibers everywhere, compatible under every edge conjugation.
 
     ``simultaneous_eigenlines`` splits the root fiber A_0 into its d common
-    eigenlines, which certifies it split Cartan, and the lines are carried
-    along the spanning tree to lines L_v at every vertex: through T_e on a
-    tree edge crossed along its orientation, through the cached inverse,
-    the only one computed, on an edge crossed against it. Then two checks,
-    neither of which inverts a matrix or builds a fiber's canonical form:
+    eigenlines L_0, and the lines are carried along the spanning tree to
+    lines L_v at every vertex: through T_e on a tree edge crossed along its
+    orientation, through the cached inverse, the only one computed, on an
+    edge crossed against it. Then two checks, neither of which inverts a
+    matrix or builds a fiber's canonical form:
 
     - every A_v is the diagonal algebra D(L_v) of the lines L_v: its given
       matrices are diagonal in L_v and their eigenvalue vectors span k^d,
       a rank d (``cartan.spans_diagonal_algebra``, whose docstring shows
-      that this is exactly A_v = D(L_v) and proves L_v independent; the
-      split has already shown it at the root);
+      that this is exactly A_v = D(L_v) and proves L_v independent; at the
+      root the split ran this very check, as its certificate);
     - each transition T_e maps the d lines over its source onto d distinct
       lines over its target (``_map_lines``).
 
@@ -258,14 +258,14 @@ def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> Cart
     Whether A_v is D(L_v) depends on the span of A_v and on L_v alone, so
     it is decided once per distinct pair of given matrices and lines, by
     value: a vertex whose pair is already decided reuses that verdict, and
-    the root pair starts as decided, since the split ran the same check on
-    it. A fiber that fails is split on its own, which depends on the fiber
-    alone, so that split is reused too. The first vertex of each pair is
-    still checked in vertex order, so the failing vertex, its error and
-    the tree edges whose images are kept are those of a check at every
-    vertex. On a direct image f_*L every pair is the root's: each fiber is
-    the diagonal algebra of the label basis, whose coordinate lines the
-    monomial transitions permute, so no fiber is checked again.
+    the root pair starts as decided, by the check that certified the
+    split's lines. A fiber that fails is split on its own, which depends
+    on the fiber alone, so that split is reused too. The first vertex of
+    each pair is still checked in vertex order, so the failing vertex, its
+    error and the tree edges whose images are kept are those of a check at
+    every vertex. On a direct image f_*L every pair is the root's: each
+    fiber is the diagonal algebra of the label basis, whose coordinate
+    lines the monomial transitions permute, so no fiber is checked again.
 
     Errors are those of the fiber-by-fiber test, which first inverts every
     transition (``validate_bundle``), then classifies the fibers in vertex
@@ -326,7 +326,9 @@ def _certify(bundle: BundleRep, algebra: SubalgebraBundle, tree: SpanningTree) -
     transported = tree.transport(_fiber_lines(algebra, 0), step)
     # per distinct (lines, given matrices): None when the fiber is diagonal
     # in the lines, which the vertex then keeps as they are (``known``
-    # relies on that, at the root too), else the fiber's own eigenlines
+    # relies on that, at the root too), else the fiber's own eigenlines;
+    # the root's entry is the verdict of the spans_diagonal_algebra call
+    # that certified the split's lines
     verdicts = {(transported[0], algebra.fibers[0].generators): None}
     lines = transported[:1]
     for v, ls in enumerate(transported[1:], start=1):
@@ -350,7 +352,7 @@ def _fiber_lines(algebra: SubalgebraBundle, v: int) -> tuple:
     """The common eigenlines of the fiber at v, as canonical integer lines;
     raises the vertex's error when the fiber is not split Cartan."""
     try:
-        return simultaneous_eigenlines(algebra.fibers[v]).ints
+        return simultaneous_eigenlines(algebra.fibers[v])
     except NotSplitCartan as exc:
         verdict = exc.verdict
     if verdict.status is CartanStatus.NONSPLIT:

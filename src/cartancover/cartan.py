@@ -4,28 +4,26 @@ A ``MatrixSubspace`` is the span of some d x d matrices. It keeps the
 matrices it was given and builds its canonical form, a ``linalg.Subspace``
 of k^(d^2) under row-major flattening, on first use only.
 
-A d-dimensional subspace that is diagonal in d independent lines is the
-whole diagonal algebra of those lines, so it is split Cartan; conversely a
-split Cartan subspace is the diagonal algebra of its d common eigenlines.
-``simultaneous_eigenlines`` decides a subspace in one pass. It refines k^d
-into blocks through the canonical basis matrices: each block that is not
-yet a line is split by the eigenspaces of the next matrix restricted to
-it, so a matrix's spectrum over all of k^d is taken only while the one
-block is k^d. A scalar restriction c I is read directly: its minimal
-polynomial is x - c, its one root is c and it leaves the block whole, so
-no minimal polynomial, root search or null space is computed for it (the
-identity is often the first canonical basis matrix). The split then
-checks that the subspace is diagonal in the lines it ends with, so it
-certifies itself, whatever the restrictions were. A failure is named from
-the whole-space spectra, those the refinement took and the rest computed
-once: Cartan only after a field extension (a minimal polynomial is
-squarefree but does not split; a first class verdict, not an error), or
-not Cartan, with a witness: wrong dimension, a non-commuting basis pair,
-or a basis matrix that no extension diagonalizes.
-
-Against lines already known, ``spans_diagonal_algebra`` decides whether a
-subspace is their diagonal algebra from its given matrices alone, by a
-rank, with no canonical form.
+A split Cartan subspace is the diagonal algebra D(L) of its d common
+eigenlines L, and one test decides whether a subspace is D(L) for given
+lines L: ``spans_diagonal_algebra``, a rank read off the given matrices
+alone, with no canonical form. It is the only such test, whoever
+proposes the lines. ``simultaneous_eigenlines`` proposes them in one
+pass. It refines k^d into blocks through the canonical basis matrices:
+each block that is not yet a line is split by the eigenspaces of the next
+matrix restricted to it, so a matrix's spectrum over all of k^d is taken
+only while the one block is k^d. A scalar restriction c I is read
+directly: its minimal polynomial is x - c, its one root is c and it
+leaves the block whole, so no minimal polynomial, root search or null
+space is computed for it (the identity is often the first canonical basis
+matrix). The lines it ends with are then certified by
+``spans_diagonal_algebra``, whatever the restrictions were. A failure is
+named from the whole-space spectra, those the refinement took and the
+rest computed once: Cartan only after a field extension (a minimal
+polynomial is squarefree but does not split; a first class verdict, not
+an error), or not Cartan, with a witness: wrong dimension, a
+non-commuting basis pair, or a basis matrix that no extension
+diagonalizes.
 """
 
 from __future__ import annotations
@@ -110,17 +108,6 @@ class MatrixSubspace:
     def coordinates_of(self, m: Matrix) -> tuple:
         return self.space.coordinates_of(m.flatten())
 
-    def conjugated(self, t: Matrix) -> "MatrixSubspace":
-        """The span of { t a t^-1 } over the given matrices."""
-        if t.nrows != self.ambient_dim or t.ncols != self.ambient_dim:
-            raise DimensionMismatch("conjugating matrix has wrong size")
-        ti = t.inverse()
-        return MatrixSubspace(
-            self.field,
-            self.ambient_dim,
-            [t @ a @ ti for a in self.generators],
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, MatrixSubspace)
@@ -179,21 +166,25 @@ class CartanVerdict(NamedTuple):
 
 def classify_subspace(a: MatrixSubspace, d: int) -> CartanVerdict:
     """Classify a subspace of d x d matrices as split Cartan (with its
-    eigenlines), non-split Cartan, or not Cartan (with a witness): the
-    outcome of ``simultaneous_eigenlines`` as a verdict."""
+    eigenlines and their functionals), non-split Cartan, or not Cartan
+    (with a witness): the outcome of ``simultaneous_eigenlines`` as a
+    verdict. The functionals are read off the certified lines, on the
+    canonical basis, for the report; they decide nothing."""
     if a.ambient_dim != d:
         raise DimensionMismatch(
             f"subspace of M({a.ambient_dim}) tested against d = {d}"
         )
     try:
-        eig = simultaneous_eigenlines(a)
+        lines = simultaneous_eigenlines(a)
     except NotSplitCartan as exc:
         return exc.verdict
-    return CartanVerdict(CartanStatus.SPLIT, eigenlines=eig)
+    values = ratio_matrix(a.field, _eigenvalues(a.basis_matrices(), lines), d)
+    return CartanVerdict(CartanStatus.SPLIT, eigenlines=EigenlineSet(a.field, lines, values))
 
 
 class EigenlineSet(NamedTuple):
-    """The d common eigenlines of a split Cartan subspace.
+    """The d common eigenlines of a split Cartan subspace with their
+    functionals, as ``classify_subspace`` reports them.
 
     ``ints`` holds the lines as canonical integer lines (over GF(p) the
     leading-one residues, over Q the primitive vector with a positive
@@ -242,20 +233,6 @@ def _eigenvalues(matrices, lines):
             row.append((num, den))
         values.append(row)
     return values
-
-
-def diagonal_functionals(a: MatrixSubspace, lines):
-    """The functionals of ``a`` on ``lines`` when ``a`` is their diagonal
-    algebra, as the matrix ``EigenlineSet.values``, else None.
-
-    ``lines`` are d independent canonical integer lines of k^d and ``a``
-    has dimension d, which the caller has checked. ``a`` is then the
-    diagonal algebra D(lines) exactly when every line is an eigenline of
-    every canonical basis matrix: it then lies in D(lines), which has
-    dimension d.
-    """
-    values = _eigenvalues(a.basis_matrices(), lines)
-    return None if values is None else ratio_matrix(a.field, values, a.ambient_dim)
 
 
 def spans_diagonal_algebra(a: MatrixSubspace, lines) -> bool:
@@ -312,10 +289,11 @@ def _refined_lines(a: MatrixSubspace, spectra: list):
     lines. When ``a`` is commutative, each block is a common eigenspace of
     the earlier matrices, so it is m-invariant, and the pieces are its
     intersections with the eigenspaces of m; otherwise they are only
-    candidates, which ``diagonal_functionals`` refuses. A restriction not
-    diagonalizable over the field ends the refinement. The spectrum of each matrix taken while
-    the one block is k^d is appended to ``spectra``, a scalar's included;
-    a restricted one is not the matrix's spectrum, so it is not.
+    candidates, which ``spans_diagonal_algebra`` refuses. A restriction
+    not diagonalizable over the field ends the refinement. The spectrum of
+    each matrix taken while the one block is k^d is appended to
+    ``spectra``, a scalar's included; a restricted one is not the matrix's
+    spectrum, so it is not.
     """
     d = a.ambient_dim
     blocks = [Subspace.full(a.field, d)]
@@ -388,32 +366,35 @@ def _failure_verdict(a: MatrixSubspace, spectra: list) -> CartanVerdict:
     return CartanVerdict(CartanStatus.NONSPLIT, witness_poly=nonsplit_witness(*nonsplit))
 
 
-def simultaneous_eigenlines(a: MatrixSubspace) -> EigenlineSet:
-    """Split k^d into the d common eigenlines of a split Cartan subspace,
-    or raise ``NotSplitCartan`` with the verdict that names the failure.
+def simultaneous_eigenlines(a: MatrixSubspace) -> tuple:
+    """The d common eigenlines of a split Cartan subspace, as canonical
+    integer lines in the order of ``sort_lines``, or raise
+    ``NotSplitCartan`` with the verdict that names the failure.
 
-    The split certifies itself: when ``a`` has dimension d and is diagonal
-    in the d independent lines of ``_refined_lines`` (``diagonal_functionals``),
-    it is their whole diagonal algebra, so split Cartan. Conversely a split
-    Cartan subspace is the diagonal algebra of its common eigenlines, which
-    the refinement finds. A failure is named from the spectra the refinement
-    computed (``_failure_verdict``). Deterministic: basis matrices are taken
-    in canonical order and no randomization is used.
+    ``_refined_lines`` proposes the lines and ``spans_diagonal_algebra``
+    certifies them on the given matrices: it holds exactly when ``a`` is
+    their diagonal algebra, so split Cartan, and it refuses lines that are
+    not independent, so a faulty refinement cannot pass. Conversely a
+    split Cartan subspace is the diagonal algebra of its common
+    eigenlines, which the refinement finds. A failure is named from the
+    spectra the refinement computed (``_failure_verdict``). Deterministic:
+    basis matrices are taken in canonical order and no randomization is
+    used.
     """
     spectra = []
     lines = _refined_lines(a, spectra) if a.dim == a.ambient_dim else None
-    values = None if lines is None else diagonal_functionals(a, lines)
-    if values is None:
+    if lines is None or not spans_diagonal_algebra(a, lines):
         raise NotSplitCartan(_failure_verdict(a, spectra))
-    return EigenlineSet(a.field, lines, values)
+    return lines
 
 
 def conjugate_subspace(a: MatrixSubspace, t: Matrix) -> MatrixSubspace:
     """The subspace { t a t^-1 : a in ``a`` }, kept as the conjugated given
     matrices; its canonical form is built on first use."""
-    if not t.is_square() or t.nrows != a.ambient_dim:
+    if t.nrows != a.ambient_dim or t.ncols != a.ambient_dim:
         raise DimensionMismatch("conjugating matrix has wrong size")
     try:
-        return a.conjugated(t)
+        ti = t.inverse()
     except SingularMatrix:
         raise SingularMatrix("conjugating matrix is singular") from None
+    return MatrixSubspace(a.field, a.ambient_dim, [t @ m @ ti for m in a.generators])

@@ -15,10 +15,10 @@ identities they imply are argued in the docstrings, not checked again.
 Over a connected base, "split Cartan" is a fact about one fiber: a
 subbundle that every transition carries onto the next fiber is fixed by
 its root fiber and parallel transport. So only the root fiber is split
-into its common eigenlines, a split that certifies itself, and the lines
-elsewhere are the root ones transported along a spanning tree. The bundle
-is a compatible split Cartan bundle exactly when every fiber is diagonal
-in its transported lines and every transition permutes them (argued in
+into its common eigenlines, and the lines elsewhere are the root ones
+transported along a spanning tree. The bundle is a compatible split
+Cartan bundle exactly when every fiber, the root's included, is diagonal
+in its lines and every transition permutes them (argued in
 ``validate_cartan_bundle``). No fiber is classified unless it fails, and
 then only to name the failure; no fiber but the root's is brought to its
 canonical form, and no transition is inverted but those the transport

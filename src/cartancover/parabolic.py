@@ -128,7 +128,12 @@ class FlagStep(NamedTuple):
     level: int
     weight: Fraction
     dimension: int
-    basis_indices: tuple  # the step is the span of e_level .. e_(b-1)
+
+    @property
+    def basis_indices(self) -> tuple:
+        """The step is the span of e_level .. e_(b-1), b = level + dimension;
+        computed on access, so a flag of b steps stays of size O(b)."""
+        return tuple(range(self.level, self.level + self.dimension))
 
 
 class LocalFlagModel(NamedTuple):
@@ -154,7 +159,7 @@ def local_flags(multiplicity: int, weight) -> LocalFlagModel:
     w = _parsed(weight)
     steps = []
     for level in range(b):
-        steps.append(FlagStep(level, (level + w) / b, b - level, tuple(range(level, b))))
+        steps.append(FlagStep(level, (level + w) / b, b - level))
     return LocalFlagModel(b, w, tuple(steps))
 
 
@@ -213,12 +218,11 @@ def riemann_hurwitz_genus(data: RamifiedCoverData) -> GenusReport:
 
 
 def _genus(data: RamifiedCoverData) -> GenusReport:
+    """The genera of validated data, whose ramification is even on every
+    component, so 2g - 2 is."""
     out = []
     for j, dj in enumerate(data.component_degrees):
-        rhs = dj * (2 * data.base_genus - 2) + data.ramification_sum(j)
-        if rhs % 2 != 0:
-            raise NonIntegralGenus(f"component {j}: 2g - 2 = {rhs} is odd")
-        g = rhs // 2 + 1
+        g = (dj * (2 * data.base_genus - 2) + data.ramification_sum(j)) // 2 + 1
         if g < 0:
             raise NegativeGenus(f"component {j} would have genus {g}")
         out.append(g)
@@ -292,10 +296,8 @@ def check_pardeg_conservation(data: RamifiedCoverData, line_degree: int) -> Cons
     branch, extra = data.validate()
     genus = _genus(data)
     euler_route = line_degree + genus.euler_characteristic - data.degree * (1 - data.base_genus)
-    ram = data.ramification_sum()
-    if ram % 2 != 0:
-        raise NonIntegralGenus("total ramification is odd")
-    drop_route = line_degree - ram // 2
+    # validation made each component's ramification even, so the total is
+    drop_route = line_degree - data.ramification_sum() // 2
     if euler_route != drop_route:
         raise DegreeMismatch(f"Euler route gives {euler_route}, ramification route {drop_route}")
     points = []

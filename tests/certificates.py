@@ -1,5 +1,6 @@
-"""An independent checker of ``cover-build``, ``pushforward`` and ``classify``
-certificates, and of ``cover-build`` error reports.
+"""An independent checker of ``cover-build``, ``pushforward`` (cover and
+parabolic) and ``classify`` certificates, and of ``cover-build`` error
+reports.
 
 Nothing here imports ``cartancover``: a certificate is read from the
 bundle instance and the machine report alone, with field elements kept as
@@ -31,6 +32,25 @@ algebra as its Cartan bundle. The checker accepts it when
   matrices whose diagonals are independent;
 - ``component_count`` is the orbit count of the cover's points, and
   ``split`` says that it is the degree.
+
+A ``pushforward`` report on a parabolic instance certifies the
+parabolic direct image of its line bundle. The checker re-derives every
+claim from the instance alone and accepts the report when it says the
+same:
+
+- the rank is the degree of the cover, and the degree is
+  degL - ram / 2, for ram the total ramification;
+- component j has genus g_j with 2 g_j - 2 = d_j (2 gX - 2) + ram_j
+  (Riemann-Hurwitz), and ``genus_total`` is their sum;
+- over branch point i a sheet of multiplicity b and weight w has jumps
+  of one at the weights (l + w) / b, l = 0 .. b - 1; merged over the
+  sheets, equal weights adding their jumps, in decreasing weight, they
+  are the filtration of point ``b{i}``, and the unramified weights of
+  extra point i that of ``u{i}``; a point whose only weight is zero is
+  not listed;
+- ``pardeg_upstairs`` is degL plus every weight of the instance,
+  ``pardeg_downstairs`` the degree plus each point's weights times their
+  jumps, and ``conservation_ok`` and ``ok`` say whether they are equal.
 
 A ``classify`` report of a split verdict certifies that the span of the
 instance's basis is the diagonal algebra of its eigenlines. The checker
@@ -210,6 +230,73 @@ def check_pushforward(instance: dict, report: dict) -> list:
         failures.append(f"component_count {report['component_count']}, orbit count {count}")
     if report["split"] != (count == d):
         failures.append(f"split {report['split']}, but {count} components in degree {d}")
+    return failures
+
+
+def _merged(label: str, weights) -> dict | None:
+    """The report entry of a point whose fiber lines carry ``weights``:
+    the jumps in decreasing weight, or None when every weight is zero."""
+    tally = {}
+    for w in weights:
+        tally[w] = tally.get(w, 0) + 1
+    if not any(tally):
+        return None
+    jumps = sorted(tally.items(), reverse=True)
+    return {"label": label, "filtration": [{"weight": w, "jump": j} for w, j in jumps]}
+
+
+def check_parabolic_pushforward(instance: dict, report: dict) -> list:
+    """What fails in the certificate of a ``pushforward`` machine report
+    (parsed JSON) for its parabolic instance (parsed JSON); empty when
+    every claim above holds."""
+    payload = instance["payload"]
+    g_x, d, deg_l = payload["gX"], payload["degree"], payload["degL"]
+    components = payload["components"]
+    ram = [0] * len(components)
+    points, upstairs = [], Fraction(deg_l)
+    for i, bp in enumerate(payload.get("branch_points", [])):
+        profiles = bp["profiles"]
+        weights = [Fraction(w) for w in bp.get("weights", ["0"] * len(profiles))]
+        for b, c in zip(profiles, bp.get("component_of_sheet", [0] * len(profiles))):
+            ram[c] += b - 1
+        upstairs += sum(weights)
+        lines = [(l + w) / b for b, w in zip(profiles, weights) for l in range(b)]
+        points.append(_merged(f"b{i}", lines))
+    for i, ws in enumerate(payload.get("unramified_weights", [])):
+        weights = [Fraction(w) for w in ws]
+        upstairs += sum(weights)
+        points.append(_merged(f"u{i}", weights))
+    points = [point for point in points if point is not None]
+    degree = deg_l - sum(ram) // 2
+    genera = [(dj * (2 * g_x - 2) + r) // 2 + 1 for dj, r in zip(components, ram)]
+    downstairs = degree + sum(
+        j["weight"] * j["jump"] for point in points for j in point["filtration"]
+    )
+
+    failures = []
+    if report["field"] != instance["field"]:
+        failures.append("the report is not over the instance's field")
+    if (report["rank"], report["degree"]) != (d, degree):
+        failures.append(f"rank {report['rank']} and degree {report['degree']}, not {d} and {degree}")
+    if report["genus_per_component"] != genera or report["genus_total"] != sum(genera):
+        failures.append(f"genera {report['genus_per_component']}, Riemann-Hurwitz gives {genera}")
+    reported = [
+        {
+            "label": point["label"],
+            "filtration": [
+                {"weight": Fraction(j["weight"]), "jump": j["jump"]} for j in point["filtration"]
+            ],
+        }
+        for point in report["points"]
+    ]
+    if reported != points:
+        failures.append("the points are not the merged local flags of the instance")
+    for key, value in (("pardeg_upstairs", upstairs), ("pardeg_downstairs", downstairs)):
+        if Fraction(report[key]) != value:
+            failures.append(f"{key} {report[key]}, re-derived {value}")
+    conserved = upstairs == downstairs
+    if report["conservation_ok"] != conserved or report["ok"] != conserved:
+        failures.append(f"conservation_ok and ok are not {conserved}")
     return failures
 
 

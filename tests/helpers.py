@@ -21,6 +21,7 @@ from cartancover.cartan import (
     CartanVerdict,
     MatrixSubspace,
     NotCartanReason,
+    conjugate_subspace,
     sort_lines,
 )
 from cartancover.covers import (
@@ -335,9 +336,9 @@ def line_scalars(field, line) -> tuple:
     return field.from_ints(line, next(filter(None, line)))
 
 
-def eigenline_scalars(eig) -> tuple:
-    """The lines of an ``EigenlineSet`` as leading-one field scalars."""
-    return tuple(line_scalars(eig.field, line) for line in eig.ints)
+def eigenline_scalars(field, lines) -> tuple:
+    """Canonical integer lines as leading-one field scalars."""
+    return tuple(line_scalars(field, line) for line in lines)
 
 
 def root_scalar(field, num: int, den: int):
@@ -772,7 +773,7 @@ def random_subspace_for_cartan_test(rng: Random, field, d: int) -> MatrixSubspac
     if strategy == 0:
         # conjugated diagonal algebra: always split Cartan
         t = random_invertible_matrix(rng, field, d)
-        return MatrixSubspace.diagonal_algebra(field, d).conjugated(t)
+        return conjugate_subspace(MatrixSubspace.diagonal_algebra(field, d), t)
     if strategy == 1:
         # span of powers of one matrix: commutative, split or not
         m = random_matrix(rng, field, d)

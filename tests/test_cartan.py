@@ -138,7 +138,7 @@ def test_degree_equal_characteristic_still_classifies():
     # over GF(3) the generic diagonal matrix has a degree-3 minimal polynomial
     f = GF(3)
     t = random_invertible_matrix(Random(11), f, 3)
-    a = MatrixSubspace.diagonal_algebra(f, 3).conjugated(t)
+    a = conjugate_subspace(MatrixSubspace.diagonal_algebra(f, 3), t)
     assert classify_subspace(a, 3).is_split()
 
 
@@ -146,15 +146,18 @@ def test_degree_equal_characteristic_still_classifies():
 
 
 def test_eigenlines_full_diagonal_d2():
-    eig = simultaneous_eigenlines(MatrixSubspace.diagonal_algebra(QQ, 2))
-    assert eigenline_scalars(eig) == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    a = MatrixSubspace.diagonal_algebra(QQ, 2)
+    assert simultaneous_eigenlines(a) == ((1, 0), (0, 1))
+    eig = classify_subspace(a, 2).eigenlines
+    assert eigenline_scalars(QQ, eig.ints) == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     assert eig.values.rows == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 
 
 def test_eigenlines_swap_span():
     a = span(QQ, 2, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
-    eig = simultaneous_eigenlines(a)
-    lines = eigenline_scalars(eig)
+    eig = classify_subspace(a, 2).eigenlines
+    assert eig.ints == simultaneous_eigenlines(a)
+    lines = eigenline_scalars(QQ, eig.ints)
     assert set(lines) == {(Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1))}
     by_line = dict(zip(lines, eig.values.rows))
     assert by_line[(Fraction(1), Fraction(1))] == (Fraction(1), Fraction(1))
@@ -164,8 +167,9 @@ def test_eigenlines_swap_span():
 def test_eigenlines_over_gf7():
     f = GF(7)
     a = span(f, 2, [[[1, 0], [0, 1]], [[0, 1], [2, 0]]])
-    eig = simultaneous_eigenlines(a)
-    as_ints = [tuple(x.val for x in line) for line in eigenline_scalars(eig)]
+    eig = classify_subspace(a, 2).eigenlines
+    assert eig.ints == simultaneous_eigenlines(a)
+    as_ints = [tuple(x.val for x in line) for line in eigenline_scalars(f, eig.ints)]
     assert as_ints == [(1, 3), (1, 4)]
     assert [tuple(x.val for x in mu) for mu in eig.values.rows] == [(1, 3), (1, 4)]
 
@@ -205,7 +209,7 @@ def test_eigenline_split_agrees_with_the_classifier(field):
         assert (eig is not None) == expected.is_split()
         if eig is None:
             continue
-        lines = eigenline_scalars(eig)
+        lines = eigenline_scalars(field, eig.ints)
         assert rref(Matrix(field, list(lines), ncols=d)).rank == d
         for line, mu in zip(lines, eig.values.rows):
             for m, scalar in zip(a.basis_matrices(), mu):
@@ -219,9 +223,9 @@ def test_eigenline_invariants_on_random_split_instances():
         field = (QQ, GF(5), GF(7))[rng.randrange(3)]
         d = rng.randint(1, 4)
         t = random_invertible_matrix(rng, field, d)
-        a = MatrixSubspace.diagonal_algebra(field, d).conjugated(t)
-        eig = simultaneous_eigenlines(a)
-        lines, functionals = eigenline_scalars(eig), eig.values.rows
+        a = conjugate_subspace(MatrixSubspace.diagonal_algebra(field, d), t)
+        lines = eigenline_scalars(field, simultaneous_eigenlines(a))
+        functionals = classify_subspace(a, d).eigenlines.values.rows
         # the lines span k^d
         assert rref(Matrix(field, list(lines), ncols=d)).rank == d
         # functionals are pairwise distinct and act as claimed

@@ -6,11 +6,18 @@ import copy
 import json
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
-from certificates import check_classify, check_cover_build, check_pushforward
+from certificates import (
+    check_classify,
+    check_cover_build,
+    check_parabolic_pushforward,
+    check_pushforward,
+)
 
 from cartancover.cli import main
+from cartancover.randgen import random_ramified_cover_data
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
@@ -279,3 +286,94 @@ def test_changing_one_classify_entry_fails_the_certificate(tmp_path, capsys):
                     assert check_classify(instance, mutated) != [], (key, t, k)
                     changed.add(key)
     assert changed == {"eigenlines", "functionals"}
+
+
+def _parabolic_instance(data, line_degree):
+    """A parabolic instance file's JSON for ``RamifiedCoverData``."""
+    branch = [
+        {
+            "profiles": [sheet.multiplicity for sheet in bp.sheets],
+            "weights": [str(sheet.weight) for sheet in bp.sheets],
+            "component_of_sheet": [sheet.component for sheet in bp.sheets],
+        }
+        for bp in data.branch_points
+    ]
+    payload = {
+        "gX": data.base_genus,
+        "degree": data.degree,
+        "components": list(data.component_degrees),
+        "branch_points": branch,
+        "unramified_weights": [[str(w) for w in ws] for ws in data.extra_parabolic_points],
+        "degL": line_degree,
+    }
+    return {"field": {"kind": "Q"}, "kind": "parabolic", "payload": payload}
+
+
+# one sheet of multiplicity 3001 over an elliptic base, weight 1/2
+HIGH_MULTIPLICITY = {
+    "field": {"kind": "Q"},
+    "kind": "parabolic",
+    "payload": {
+        "gX": 1,
+        "degree": 3001,
+        "components": [3001],
+        "branch_points": [{"profiles": [3001], "weights": ["1/2"], "component_of_sheet": [0]}],
+        "degL": 0,
+    },
+}
+
+
+def _parabolic_cases(tmp_path, capsys):
+    """The golden parabolic pushforward, 50 seeded instances written to a
+    file and run through the CLI, and the multiplicity-3001 sheet."""
+    cases = [_pushforward_golden("parabolic_p1_double_q")]
+    rng = Random(2011)
+    instances = [_parabolic_instance(*random_ramified_cover_data(rng)) for _ in range(50)]
+    for instance in [*instances, HIGH_MULTIPLICITY]:
+        path = tmp_path / "parabolic.json"
+        path.write_text(json.dumps(instance), encoding="utf-8")
+        code, report = _machine(capsys, "pushforward", str(path))
+        assert code == 0
+        cases.append((instance, report))
+    return cases
+
+
+def test_parabolic_pushforward_certificates_hold(tmp_path, capsys):
+    cases = _parabolic_cases(tmp_path, capsys)
+    for instance, report in cases:
+        assert check_parabolic_pushforward(instance, report) == []
+    # the seeded instances reach points of both kinds and several components
+    labels = {point["label"][0] for _instance, report in cases for point in report["points"]}
+    assert labels == {"b", "u"}
+    assert max(len(report["genus_per_component"]) for _instance, report in cases) > 1
+    assert len(cases[-1][1]["points"][0]["filtration"]) == 3001
+
+
+def _parabolic_mutations(report):
+    """Copies of ``report`` with one entry changed: each weight of each
+    point increased by 1/2 (mod 1), each jump increased by 1, each genus
+    increased by 1, and the degree increased by 1."""
+    for i, point in enumerate(report["points"]):
+        for k, jump in enumerate(point["filtration"]):
+            mutated = copy.deepcopy(report)
+            mutated["points"][i]["filtration"][k]["weight"] = str(
+                (Fraction(jump["weight"]) + Fraction(1, 2)) % 1
+            )
+            yield ("weight", i, k), mutated
+            mutated = copy.deepcopy(report)
+            mutated["points"][i]["filtration"][k]["jump"] += 1
+            yield ("jump", i, k), mutated
+    for j, g in enumerate(report["genus_per_component"]):
+        mutated = copy.deepcopy(report)
+        mutated["genus_per_component"][j] = g + 1
+        yield ("genus", j), mutated
+    yield ("degree",), dict(report, degree=report["degree"] + 1)
+
+
+def test_changing_one_parabolic_entry_fails_the_certificate(tmp_path, capsys):
+    kinds = set()
+    for instance, report in _parabolic_cases(tmp_path, capsys)[:8]:
+        for where, mutated in _parabolic_mutations(report):
+            assert check_parabolic_pushforward(instance, mutated) != [], where
+            kinds.add(where[0])
+    assert kinds == {"weight", "jump", "genus", "degree"}

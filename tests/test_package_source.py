@@ -314,7 +314,7 @@ def test_matrix_inverse_called_only_where_an_inverse_is_the_result():
     # inverse anywhere else would bring back an eager inversion pass
     allowed = {
         "bundles.py:BundleRep.transition_inverse",
-        "cartan.py:MatrixSubspace.conjugated",
+        "cartan.py:conjugate_subspace",
         "linalg.py:Matrix.is_invertible",
     }
     found = set()
@@ -334,3 +334,30 @@ def test_matrix_inverse_called_only_where_an_inverse_is_the_result():
     for path in sorted(PACKAGE.rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.name)
     assert found == allowed, sorted(found ^ allowed)
+
+
+def test_one_test_of_a_diagonal_algebra_in_package():
+    # spans_diagonal_algebra is the one test of A = D(L), at the root split
+    # as at every other vertex; _eigenvalues, the lines' eigenvalues, is read
+    # only by it and by the functionals classify_subspace reports, and a
+    # subspace is conjugated only through cartan.conjugate_subspace
+    functions, callers = set(), set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions.add(node.name)
+            where = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "_eigenvalues"
+        ):
+            callers.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        visit(tree, path.name)
+    assert not functions & {"diagonal_functionals", "conjugated"}
+    assert callers == {"spans_diagonal_algebra", "classify_subspace"}, sorted(callers)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -119,6 +120,26 @@ def test_local_flags_invariants_exhaustive():
             assert flag.steps[-1].dimension == 1
 
 
+def test_local_flags_of_a_high_multiplicity_sheet_stay_linear():
+    # a flag of b steps once stored b - l indices at step l, O(b^2) for one
+    # sheet: 172 MB under tracemalloc at b = 3001; each step's indices are
+    # now computed on access
+    b = 3001
+    data = RamifiedCoverData(1, b, (b,), (BranchPoint((RamifiedSheet(b, F(1, 2), 0),)),))
+    tracemalloc.start()
+    try:
+        report = check_pardeg_conservation(data, 0)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
+    assert report.equal and report.genus.per_component == (1501,)
+    (point,) = report.pushforward.points
+    assert point.filtration.total_dimension() == b
+    step = local_flags(b, F(1, 2)).steps[b - 3]
+    assert step.basis_indices == (b - 3, b - 2, b - 1)
+
+
 # --- merging -------------------------------------------------------------------
 
 
@@ -178,6 +199,23 @@ def test_genus_parity_failure():
     data = simple_data(0, 2, [(2,)])
     with pytest.raises(NonIntegralGenus):
         riemann_hurwitz_genus(data)
+
+
+@pytest.mark.parametrize("entry", (riemann_hurwitz_genus, check_pardeg_conservation))
+def test_odd_ramification_is_refused_by_validation(entry):
+    # validation proves every component's ramification even, so the genus
+    # and the degree need no parity check of their own; odd ramification,
+    # on either component, still raises validation's message
+    args = () if entry is riemann_hurwitz_genus else (0,)
+    second = BranchPoint((RamifiedSheet(1, F(0), 0),) * 2 + (RamifiedSheet(2, F(0), 1),))
+    cases = (
+        (simple_data(0, 2, [(2,)]), 0),
+        (simple_data(0, 3, [(2, 1), (1, 1, 1)]), 0),
+        (RamifiedCoverData(0, 4, (2, 2), (second,)), 1),
+    )
+    for data, j in cases:
+        with pytest.raises(NonIntegralGenus, match=f"^component {j} has odd total ramification$"):
+            entry(data, *args)
 
 
 def test_genus_rejects_impossible_cover():

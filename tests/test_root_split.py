@@ -1,7 +1,8 @@
-"""Only the root fiber is split, and the split is its own Cartan certificate.
+"""Only the root fiber is split, and every fiber is certified by one check.
 
-A valid bundle classifies no fiber: the root's eigenlines certify it, and
-every other fiber is checked against the transported lines. The
+A valid bundle classifies no fiber: the root's split proposes its
+eigenlines, and ``spans_diagonal_algebra`` certifies the root fiber on
+them and every other fiber on the transported lines. The
 per-vertex path this replaces (classify every fiber, then conjugate
 along every edge) survives here only as the oracle the root path is
 compared with, on faults away from the root and at it.
@@ -95,7 +96,7 @@ def gauged_bundle(rng, field, min_vertices=1):
     ]
     bundle = BundleRep(field, cover.base, d, transitions)
     diag = MatrixSubspace.diagonal_algebra(field, d)
-    return bundle, SubalgebraBundle(bundle, [diag.conjugated(g) for g in gauges])
+    return bundle, SubalgebraBundle(bundle, [conjugate_subspace(diag, g) for g in gauges])
 
 
 def error_signature(call, bundle, algebra):
@@ -202,22 +203,16 @@ def test_wrong_dimension_fibers_match_the_per_vertex_oracle():
 def test_valid_roundtrip_conjugates_no_subspace(field, monkeypatch):
     calls = []
     real_conjugate = cartan.conjugate_subspace
-    real_conjugated = MatrixSubspace.conjugated
 
     def counting_conjugate(*args, **kwargs):
         calls.append("conjugate_subspace")
         return real_conjugate(*args, **kwargs)
-
-    def counting_conjugated(self, t):
-        calls.append("conjugated")
-        return real_conjugated(self, t)
 
     rng = Random(90 + getattr(field, "p", 0))
     cases = [gauged_bundle(rng, field, min_vertices=3) for _ in range(5)]
     for name, module in list(sys.modules.items()):
         if name.startswith("cartancover") and getattr(module, "conjugate_subspace", None) is real_conjugate:
             monkeypatch.setattr(module, "conjugate_subspace", counting_conjugate)
-    monkeypatch.setattr(MatrixSubspace, "conjugated", counting_conjugated)
     for bundle, algebra in cases:
         record = roundtrip_verify(bundle, algebra)
         assert record.all_ok()
@@ -233,7 +228,7 @@ def test_bad_root_fiber_is_reported_at_the_root():
     graph = BaseGraph(4, [(0, 1), (2, 1), (1, 3), (3, 3), (0, 2)])
     gauges = [random_invertible_matrix(rng, field, 2) for _ in range(graph.num_vertices)]
     bundle = BundleRep(field, graph, 2, [gauges[v] @ gauges[u].inverse() for u, v in graph.edges])
-    algebra = SubalgebraBundle(bundle, [nonsplit.conjugated(g) for g in gauges])
+    algebra = SubalgebraBundle(bundle, [conjugate_subspace(nonsplit, g) for g in gauges])
     expected = error_signature(per_vertex_validate, bundle, algebra)
     assert expected[:2] == ("NonSplitAtVertex", 0)
     assert error_signature(build_spectral_cover, bundle, algebra) == expected
@@ -279,7 +274,7 @@ def root_fault(rng, kind, bundle, algebra):
                 root = MatrixSubspace(field, d, basis + (random_invertible_matrix(rng, field, d),))
     else:
         g = random_invertible_matrix(rng, field, d)
-        root = nonsplit_algebra(field, d).conjugated(g)
+        root = conjugate_subspace(nonsplit_algebra(field, d), g)
     return bundle, SubalgebraBundle(bundle, (root,) + algebra.fibers[1:])
 
 
@@ -314,7 +309,7 @@ def test_transported_lines_equal_per_vertex_split(field):
         bundle, algebra = gauged_bundle(rng, field)
         result = build_spectral_cover(bundle, algebra)
         for eta, fiber in zip(result.eta, algebra.fibers):
-            expected = eigenline_scalars(simultaneous_eigenlines(fiber))
+            expected = eigenline_scalars(field, simultaneous_eigenlines(fiber))
             assert eta == Matrix.from_columns(field, expected)
 
 
@@ -398,8 +393,8 @@ def test_split_restricts_each_matrix_to_its_block(monkeypatch, field):
     monkeypatch.setattr(linalg.Subspace, "intersect", counting_intersect)
     for d in range(2, 7):
         del min_polys[:]
-        eig = simultaneous_eigenlines(MatrixSubspace.diagonal_algebra(field, d))
-        assert eig.ints == tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        lines = simultaneous_eigenlines(MatrixSubspace.diagonal_algebra(field, d))
+        assert lines == tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
         assert [m.nrows for (m,) in min_polys] == list(range(d, 1, -1))
     assert intersections == []
 
@@ -445,7 +440,7 @@ def _oracle_case(rng, field, d, kind):
         block = [[0, 1], [0, 0]] if kind == "nilpotent" else _rootless_quadratic_block(field)
         basis = [embedded([[1, 0], [0, 1]], []), embedded(block, [])]
         a = MatrixSubspace(field, d, basis + [embedded([], [(t, 1)]) for t in range(2, d)])
-    return a.conjugated(random_invertible_matrix(rng, field, d)) if rng.random() < 0.75 else a
+    return conjugate_subspace(a, random_invertible_matrix(rng, field, d)) if rng.random() < 0.75 else a
 
 
 ORACLE_KINDS = ("diagonal", "diagonal_span", "nilpotent", "nonsplit", "random_span")
@@ -516,31 +511,59 @@ def test_flat_section_dim_matches_linear_algebra(field):
 
 @pytest.fixture
 def fiber_checks(monkeypatch):
-    """The fibers checked against lines, in order: ``("split", fiber,
-    lines)`` for ``diagonal_functionals`` on a canonical basis, inside a
-    split, and ``("given", fiber, lines)`` for ``spans_diagonal_algebra``
-    on given matrices."""
+    """The fibers checked against lines, in order, as ``(fiber, lines)``:
+    every call of ``spans_diagonal_algebra``, the one test of A = D(L),
+    whether a split certifies its lines by it or a vertex its transported
+    ones."""
     checks = []
-    for kind, real in (
-        ("split", cartan.diagonal_functionals),
-        ("given", cartan.spans_diagonal_algebra),
-    ):
+    real = cartan.spans_diagonal_algebra
 
-        def counting(fiber, lines, kind=kind, real=real):
-            checks.append((kind, fiber, tuple(lines)))
-            return real(fiber, lines)
+    def counting(fiber, lines):
+        checks.append((fiber, tuple(lines)))
+        return real(fiber, lines)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("cartancover") and getattr(module, real.__name__, None) is real:
-                monkeypatch.setattr(module, real.__name__, counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cartancover") and getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, counting)
     return checks
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_spans_diagonal_algebra_is_the_only_certificate(field, fiber_checks):
+    # a split certifies its lines by the check every vertex runs: one call,
+    # on the fiber and the very lines it returns (a bundle with n distinct
+    # fibers then makes n calls, test_valid_bundle_checks_each_fiber_once)
+    rng = Random(70 + getattr(field, "p", 0))
+    for d in range(1, 5):
+        a = conjugate_subspace(
+            MatrixSubspace.diagonal_algebra(field, d), random_invertible_matrix(rng, field, d)
+        )
+        del fiber_checks[:]
+        lines = simultaneous_eigenlines(a)
+        assert fiber_checks == [(a, lines)]
+
+
+def test_a_faulty_refinement_is_refused(monkeypatch):
+    # lines that are not independent are no certificate: a refinement that
+    # ends in a repeated eigenline makes the split raise, not return it
+    real = cartan._refined_lines
+
+    def repeating(a, spectra):
+        lines = real(a, spectra)
+        return (lines[0],) * len(lines)
+
+    monkeypatch.setattr(cartan, "_refined_lines", repeating)
+    for field in FIELDS:
+        for d in (2, 3):
+            with pytest.raises(AssertionError, match="must split"):
+                simultaneous_eigenlines(MatrixSubspace.diagonal_algebra(field, d))
+
+
 def test_valid_bundle_checks_each_fiber_once(fiber_checks):
-    # the root split shows the root fiber diagonal in its own lines, so the
-    # transported lines are checked, on the given matrices, at the other
-    # vertices only: one check inside the split and n - 1 on n vertices;
-    # the gauges make every fiber differ, so no verdict is reused
+    # the root split certifies the root fiber on its own lines, so the
+    # transported lines are checked at the other vertices only: one check
+    # inside the split and n - 1 on n vertices; the gauges make every fiber
+    # differ, so no verdict is reused
     rng = Random(12)
     for i in range(6):
         bundle, algebra = gauged_bundle(rng, FIELDS[i % 3], min_vertices=3)
@@ -548,9 +571,7 @@ def test_valid_bundle_checks_each_fiber_once(fiber_checks):
         del fiber_checks[:]
         split = validate_cartan_bundle(bundle, algebra)
         root, *others = algebra.fibers
-        assert fiber_checks == [("split", root, split.lines[0])] + [
-            ("given", f, ls) for f, ls in zip(others, split.lines[1:])
-        ]
+        assert fiber_checks == [(root, split.lines[0])] + list(zip(others, split.lines[1:]))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -567,7 +588,7 @@ def test_direct_image_checks_one_fiber(field, fiber_checks):
         algebra = canonical_algebra_map(cover, line)
         del fiber_checks[:]
         split = validate_cartan_bundle(algebra.parent, algebra)
-        assert fiber_checks == [("split", algebra.fibers[0], split.lines[0])]
+        assert fiber_checks == [(algebra.fibers[0], split.lines[0])]
         assert set(split.lines) == {split.lines[0]}
         checked += 1
 
@@ -591,7 +612,7 @@ def test_cover_build_of_a_pushforward_checks_one_fiber(tmp_path, capsys, fiber_c
     assert main(["--format", "machine", "cover-build", str(bundle_path)]) == 0
     checks = fiber_checks[:]
     split = validate_cartan_bundle(instance.bundle, instance.algebra)
-    assert checks == [("split", fibers[0], split.lines[0])]
+    assert checks == [(fibers[0], split.lines[0])]
     # and the vertices, all with the label lines, share one eta
     eta = build_spectral_cover(instance.bundle, instance.algebra).eta
     assert all(m is eta[0] for m in eta)
@@ -628,19 +649,18 @@ def test_a_failed_verdict_is_reused(fiber_checks):
     field = QQ
     bundle = _identity_bundle(field, 2, 4)
     diag = MatrixSubspace.diagonal_algebra(field, 2)
-    other = diag.conjugated(Matrix(field, [[1, 1], [0, 1]]))
+    other = conjugate_subspace(diag, Matrix(field, [[1, 1], [0, 1]]))
     algebra = SubalgebraBundle(bundle, [diag, other, other, other])
     expected = error_signature(per_vertex_validate, bundle, algebra)
     assert expected[:3] == ("IncompatibleEdge", None, 0)
     del fiber_checks[:]
     assert error_signature(validate_cartan_bundle, bundle, algebra) == expected
-    # the root inside its split, then vertex 1 on the root's lines, on its
-    # given matrices, and vertex 1 again inside its own split, on its own
-    # eigenlines
+    # the root inside its split, then vertex 1 on the root's lines, and
+    # vertex 1 again inside its own split, on its own eigenlines
     checks = fiber_checks[:]
-    units, own = simultaneous_eigenlines(diag).ints, simultaneous_eigenlines(other).ints
+    units, own = simultaneous_eigenlines(diag), simultaneous_eigenlines(other)
     assert own != units
-    assert checks == [("split", diag, units), ("given", other, units), ("split", other, own)]
+    assert checks == [(diag, units), (other, units), (other, own)]
 
 
 SINGULAR_PLACES = ("tree_forward", "tree_backward", "cotree")
@@ -664,7 +684,7 @@ def _singular_transition(bundle, algebra, e, kind):
     field, d = bundle.field, bundle.rank
     u = bundle.graph.edges[e][0]
     basis = Matrix.from_columns(
-        field, eigenline_scalars(simultaneous_eigenlines(algebra.fibers[u]))
+        field, eigenline_scalars(field, simultaneous_eigenlines(algebra.fibers[u]))
     )
     k = [[int(i == j) for j in range(d)] for i in range(d)]
     if kind == "kills_a_line":
@@ -864,7 +884,7 @@ def test_a_scalar_basis_matrix_costs_no_min_poly(field, monkeypatch):
     while seen < 12:
         d = 2 + seen % 3
         g = random_invertible_matrix(rng, field, d)
-        a = MatrixSubspace.diagonal_algebra(field, d).conjugated(g)
+        a = conjugate_subspace(MatrixSubspace.diagonal_algebra(field, d), g)
         if a.basis_matrices()[0] != Matrix.identity(field, d):
             continue
         del min_polys[:]
