@@ -62,17 +62,10 @@ class BaseGraph:
     def __repr__(self):
         return f"BaseGraph(num_vertices={self.num_vertices!r}, edges={self.edges!r})"
 
-    def spanning_tree(self, tree_edges=None) -> "SpanningTree":
-        """BFS spanning tree rooted at vertex 0.
-
-        ``tree_edges`` may pin an explicit choice (as edge indices); it is
-        rejected unless it actually spans.
-        """
-        allowed = set(range(len(self.edges))) if tree_edges is None else set(tree_edges)
+    def spanning_tree(self) -> "SpanningTree":
+        """BFS spanning tree rooted at vertex 0, taking edges in index order."""
         incidence = [[] for _ in range(self.num_vertices)]
         for idx, (u, v) in enumerate(self.edges):
-            if idx not in allowed:
-                continue
             incidence[u].append((idx, v, True))
             if u != v:
                 incidence[v].append((idx, u, False))
@@ -91,8 +84,6 @@ class BaseGraph:
                 queue.append(w)
         if len(seen) != self.num_vertices:
             raise DisconnectedBase("base graph is not connected")
-        if tree_edges is not None and set(tree_edges) != used:
-            raise DisconnectedBase("supplied edges do not form a spanning tree")
         cotree = tuple(i for i in range(len(self.edges)) if i not in used)
         return SpanningTree(self, tuple(order), frozenset(used), cotree)
 
@@ -404,7 +395,7 @@ def tree_paths(bundle: BundleRep, tree: SpanningTree) -> list:
     return tree.transport((ident, ident), step)
 
 
-def flat_sections(obj, tree_edges=None) -> FlatSectionSpace:
+def flat_sections(obj) -> FlatSectionSpace:
     """Flat global sections of a bundle, or of an algebra subbundle of End(E).
 
     A flat section is fixed by its root value x, and exists exactly when x
@@ -414,7 +405,7 @@ def flat_sections(obj, tree_edges=None) -> FlatSectionSpace:
     h^-1 = P_u^-1 T_e^-1 P_v, solved in coordinates on the root fiber (the
     holonomy of a compatible subbundle preserves it). Every inverse is a
     cached transition inverse. The result does not depend on the spanning
-    tree; ``tree_edges`` exists so tests can witness that.
+    tree.
     """
     if isinstance(obj, SubalgebraBundle):
         bundle, root = obj.parent, obj.fibers[0]
@@ -424,8 +415,6 @@ def flat_sections(obj, tree_edges=None) -> FlatSectionSpace:
         raise TypeError("flat_sections expects a BundleRep or SubalgebraBundle")
     field = bundle.field
     tree = validate_bundle(bundle)
-    if tree_edges is not None:
-        tree = bundle.graph.spanning_tree(tree_edges)
     paths = tree_paths(bundle, tree)
     basis = None if root is None else root.basis_matrices()
     dim = bundle.rank if root is None else root.dim

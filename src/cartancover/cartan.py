@@ -11,19 +11,16 @@ alone, with no canonical form. It is the only such test, whoever
 proposes the lines. ``simultaneous_eigenlines`` proposes them in one
 pass. It refines k^d into blocks through the canonical basis matrices:
 each block that is not yet a line is split by the eigenspaces of the next
-matrix restricted to it, so a matrix's spectrum over all of k^d is taken
-only while the one block is k^d. A scalar restriction c I is read
-directly: its minimal polynomial is x - c, its one root is c and it
-leaves the block whole, so no minimal polynomial, root search or null
-space is computed for it (the identity is often the first canonical basis
-matrix). The lines it ends with are then certified by
-``spans_diagonal_algebra``, whatever the restrictions were. A failure is
-named from the whole-space spectra, those the refinement took and the
-rest computed once: Cartan only after a field extension (a minimal
-polynomial is squarefree but does not split; a first class verdict, not
-an error), or not Cartan, with a witness: wrong dimension, a
-non-commuting basis pair, or a basis matrix that no extension
-diagonalizes.
+matrix restricted to it, all read by ``linalg.eigenspaces`` (a scalar
+restriction leaves the block whole), so a matrix's spectrum over all of
+k^d is taken only while the one block is k^d. The lines it ends with are
+then certified by ``spans_diagonal_algebra``, whatever the restrictions
+were. A failure is named from the whole-space spectra, those the
+refinement took and the rest computed once: Cartan only after a field
+extension (a minimal polynomial is squarefree but does not split; a first
+class verdict, not an error), or not Cartan, with a witness: wrong
+dimension, a non-commuting basis pair, or a basis matrix that no
+extension diagonalizes.
 """
 
 from __future__ import annotations
@@ -263,37 +260,25 @@ def spans_diagonal_algebra(a: MatrixSubspace, lines) -> bool:
     return rref(Matrix._make(a.field, 1, nums, len(a.generators))).rank == a.ambient_dim
 
 
-def _scalar_spectrum(m: Matrix):
-    """``(min_poly, roots)`` of m when m is a scalar c I, as ``min_poly``
-    and ``roots_in_field`` give them (x - c, one simple root c), else None."""
-    c = m.ints[0][0]
-    for i, row in enumerate(m.ints):
-        if any(x != (c if j == i else 0) for j, x in enumerate(row)):
-            return None
-    # the canonical form has gcd(den, c) = 1, so c / den is in lowest terms
-    return Poly._make(m.field, m.den, [-c, m.den]), ((c, m.den, 1),)
-
-
 def _refined_lines(a: MatrixSubspace, spectra: list):
     """Canonical integer lines of k^d refined by the basis matrices, or
     None unless the refinement ends in d lines.
 
     Starting from the full space, each basis matrix m, in canonical order,
     splits every block W that is not yet a line into the eigenspaces of
-    its restriction m|_W (``linalg.restrict``), lifted back to k^d
+    its restriction m|_W (``linalg.restrict``, then ``linalg.eigenspaces``
+    for every restriction, a scalar one included), lifted back to k^d
     (``linalg.lift``), until all blocks are lines. A scalar restriction
-    c I leaves W whole, and its spectrum, x - c with the simple root c, is
-    read off it (``_scalar_spectrum``) rather than computed. The
-    eigenspaces of a diagonalizable m|_W add up to W, so the blocks always
-    form a direct sum decomposition of k^d, and d blocks are d independent
-    lines. When ``a`` is commutative, each block is a common eigenspace of
-    the earlier matrices, so it is m-invariant, and the pieces are its
-    intersections with the eigenspaces of m; otherwise they are only
-    candidates, which ``spans_diagonal_algebra`` refuses. A restriction
-    not diagonalizable over the field ends the refinement. The spectrum of
-    each matrix taken while the one block is k^d is appended to
-    ``spectra``, a scalar's included; a restricted one is not the matrix's
-    spectrum, so it is not.
+    has one eigenspace and leaves W whole. The eigenspaces of a
+    diagonalizable m|_W add up to W, so the blocks always form a direct
+    sum decomposition of k^d, and d blocks are d independent lines. When
+    ``a`` is commutative, each block is a common eigenspace of the earlier
+    matrices, so it is m-invariant, and the pieces are its intersections
+    with the eigenspaces of m; otherwise they are only candidates, which
+    ``spans_diagonal_algebra`` refuses. A restriction not diagonalizable
+    over the field ends the refinement. The spectrum of each matrix taken
+    while the one block is k^d is appended to ``spectra``; a restricted
+    one is not the matrix's spectrum, so it is not.
     """
     d = a.ambient_dim
     blocks = [Subspace.full(a.field, d)]
@@ -305,15 +290,7 @@ def _refined_lines(a: MatrixSubspace, spectra: list):
             if block.dim == 1:
                 refined.append(block)
                 continue
-            r = restrict(m, block)
-            scalar = _scalar_spectrum(r)
-            if scalar is not None:
-                # a scalar restriction has one eigenspace, the block itself
-                if block.dim == d:
-                    spectra.append((*scalar, True))
-                refined.append(block)
-                continue
-            mp, roots, spaces = eigenspaces(r)
+            mp, roots, spaces = eigenspaces(restrict(m, block))
             if block.dim == d:
                 spectra.append((mp, roots, spaces is not None))
             if spaces is None or any(mult > 1 for _num, _den, mult in roots):

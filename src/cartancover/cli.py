@@ -159,7 +159,19 @@ def cmd_pushforward(instance) -> Report:
     raise ParseError("pushforward expects a cover or parabolic instance")
 
 
+# the most matrix entries a cover's pushforward report may hold: n d^3 for
+# the diagonal algebras, e d^2 for the transitions; 10^6 is degree 100 on one vertex
+PUSHFORWARD_ENTRY_BOUND = 10**6
+
+
 def _pushforward_cover(instance: CoverInstance) -> Report:
+    graph, d = instance.cover.base, instance.cover.degree
+    entries = graph.num_vertices * d**3 + len(graph.edges) * d**2
+    if entries > PUSHFORWARD_ENTRY_BOUND:
+        raise DegreeTooLarge(
+            f"pushforward of degree {d} would write {entries} matrix entries, "
+            f"above the bound {PUSHFORWARD_ENTRY_BOUND}"
+        )
     field = instance.field
     line = instance.line_bundle or trivial_line_bundle(instance.cover, field)
     algebra = canonical_algebra_map(instance.cover, line)
@@ -275,12 +287,17 @@ def cmd_factor(instance: CoverInstance, max_degree: int) -> Report:
     return Report("factor", machine, human, 0 if all_ok else 1)
 
 
+# the highest cover degree selftest draws, its --max-degree default
+SELFTEST_DEGREE_BOUND = 6
+
+
 def cmd_selftest(seed: int, count: int, fields, max_degree: int) -> Report:
-    if max_degree < 1:
-        raise ParseError(f"--max-degree expects a positive integer, got {max_degree}")
+    if not 1 <= max_degree <= SELFTEST_DEGREE_BOUND:
+        bound = "a positive integer" if max_degree < 1 else f"at most {SELFTEST_DEGREE_BOUND}"
+        raise ParseError(f"--max-degree expects {bound}, got {max_degree}")
     if count < 0:
         raise ParseError(f"--count expects a non-negative integer, got {count}")
-    config = CoverInstanceConfig(max_degree=min(max_degree, 6))
+    config = CoverInstanceConfig(max_degree=max_degree)
     entries = []
     failures = 0
     for i in range(count):
@@ -377,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--count", type=int, default=25)
     p.add_argument("--field", default=None, help="restrict to Q or F<prime>")
-    p.add_argument("--max-degree", type=int, default=6)
+    p.add_argument("--max-degree", type=int, default=SELFTEST_DEGREE_BOUND)
 
     return parser
 

@@ -96,7 +96,7 @@ class NotABlockSystem(CartanCoverError):
 
 
 class DegreeTooLarge(CartanCoverError):
-    """Enumeration refused beyond the supported degree bound."""
+    """Refused beyond a degree bound: block-system enumeration, or a pushforward report."""
 
     exit_code = 2
 

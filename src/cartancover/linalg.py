@@ -144,9 +144,12 @@ def restrict(m: "Matrix", space: "Subspace") -> "Matrix":
 
 def lift(space: "Subspace", sub: "Subspace") -> "Subspace":
     """The subspace of k^n whose coordinates in the echelon basis of
-    ``space`` span ``sub``: one product of their echelon rows."""
+    ``space`` span ``sub``: one product of their echelon rows. On all of
+    k^n that is ``sub``, and for the whole coordinate space ``space``."""
     if space.dim == space.ambient:
         return sub
+    if sub.dim == sub.ambient:
+        return space
     p = space.field.characteristic
     rows = _product(sub.echelon.ints, space.echelon.ints, space.ambient, p)
     return Subspace._spanned(space.field, space.ambient, rows)
@@ -490,21 +493,28 @@ def eigenspaces(m: Matrix):
     integer pair ``(num, den)``, with its canonical eigenspace, and the
     dimensions add up to d exactly when m is diagonalizable over the field;
     otherwise ``spaces`` is None. Each eigenspace is the null space of the
-    integer rows with the root subtracted on their diagonal.
+    integer rows with the root subtracted on their diagonal. A scalar
+    matrix c I is read on its face, with no minimal polynomial, root
+    search or null space: x - c, the simple root c and the one eigenspace
+    k^d.
     """
+    field, ints, den, n = m.field, m.ints, m.den, m.nrows
+    c = ints[0][0] if n and m.is_square() else None
+    if c is not None and ints == [[c if i == j else 0 for j in range(n)] for i in range(n)]:
+        # the canonical form has gcd(den, c) = 1, so c / den is in lowest terms
+        spaces = (((c, den), Subspace.full(field, n)),)
+        return Poly._make(field, den, [-c, den]), ((c, den, 1),), spaces
     mp = min_poly(m)
     roots, split = roots_in_field(mp)
     if not split:
         return mp, roots, None
-    field = m.field
     p = field.characteristic
-    den = m.den
     spaces = []
     for a, b, _mult in roots:
         # the root a / b: den b (m - (a / b) I) = b ints - den a I
-        rows = [[x * b for x in r] for r in m.ints]
+        rows = [[x * b for x in r] for r in ints]
         for i, row in enumerate(rows):
             row[i] = (row[i] - den * a) % p if p else row[i] - den * a
-        space = Subspace._spanned(field, m.ncols, _null_vectors(rows, m.ncols, p))
+        space = Subspace._spanned(field, n, _null_vectors(rows, n, p))
         spaces.append(((a, b), space))
     return mp, roots, tuple(spaces)

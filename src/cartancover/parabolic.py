@@ -39,8 +39,8 @@ def parse_weight(w) -> Fraction:
 
 
 def _parsed(w) -> Fraction:
-    """``w`` itself when it is a parsed weight already, as validation
-    returns them, else ``parse_weight(w)``."""
+    """``w`` itself when it is a parsed weight already, as the instance
+    reader and validation return them, else ``parse_weight(w)``."""
     return w if type(w) is Fraction and 0 <= w < 1 else parse_weight(w)
 
 
@@ -95,7 +95,7 @@ class RamifiedCoverData(NamedTuple):
                     raise ParseError("sheet multiplicities must be positive")
                 if not 0 <= s.component < c:
                     raise ParseError("sheet assigned to a nonexistent component")
-                weights.append(parse_weight(s.weight))
+                weights.append(_parsed(s.weight))
             branch.append(tuple(weights))
             for j, dj in enumerate(self.component_degrees):
                 got = sum(s.multiplicity for s in bp.sheets if s.component == j)
@@ -107,7 +107,7 @@ class RamifiedCoverData(NamedTuple):
         for weights in self.extra_parabolic_points:
             if len(weights) != self.degree:
                 raise DimensionMismatch("one weight per sheet required away from branching")
-            extra.append(tuple(parse_weight(w) for w in weights))
+            extra.append(tuple(_parsed(w) for w in weights))
         for j in range(c):
             if self.ramification_sum(j) % 2 != 0:
                 raise NonIntegralGenus(

@@ -91,19 +91,19 @@ class Poly:
     def __str__(self):
         if self.is_zero():
             return "0"
-        field, coeffs = self.field, self.coeffs
+        # over Q ``den`` > 0, so the integer carries the sign of the
+        # coefficient; over GF(p) the residues are nonnegative
+        mags = self.field.render_ints([abs(n) for n in self.ints], self.den)
         text = ""
         for k in range(self.degree, -1, -1):
             n = self.ints[k]
             if not n:
                 continue
-            # over Q ``den`` > 0, so the integer carries the sign of the coefficient
-            mag = -coeffs[k] if n < 0 else coeffs[k]
             if k == 0:
-                term = field.render(mag)
+                term = mags[k]
             else:
                 xk = "x" if k == 1 else f"x^{k}"
-                term = xk if mag == 1 else f"{field.render(mag)}*{xk}"
+                term = xk if abs(n) == self.den else f"{mags[k]}*{xk}"
             text += (" - " if n < 0 else " + ") + term
         return ("-" if text[1] == "-" else "") + text[3:]
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -12,7 +13,7 @@ from cartancover.bundles import (
     validate_bundle,
     validate_cartan_bundle,
 )
-from cartancover.cartan import MatrixSubspace
+from cartancover.cartan import MatrixSubspace, conjugate_subspace
 from cartancover.errors import (
     DisconnectedBase,
     IncompatibleEdge,
@@ -156,23 +157,31 @@ def test_flat_sections_satisfy_edge_equations():
 
 
 def test_flat_sections_independent_of_spanning_tree():
-    graph = BaseGraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
+    # the BFS tree takes edges in the order they are listed: the same edges
+    # listed in every order, with the transitions permuted to match, give
+    # the trees through either edge from vertex 0 to vertex 2, and the
+    # same sections
+    edges = [(0, 1), (1, 2), (2, 0), (0, 2)]
     rng = Random(21)
-    transitions = [random_invertible_matrix(rng, QQ, 2) for _ in range(4)]
-    e = BundleRep(QQ, graph, 2, transitions)
-    d1 = flat_sections(e, tree_edges=(0, 1))
-    d2 = flat_sections(e, tree_edges=(0, 2))
-    d3 = flat_sections(e, tree_edges=(0, 3))
-    assert d1.dimension == d2.dimension == d3.dimension
-    diag = MatrixSubspace.diagonal_algebra(QQ, 2)
+    gauges = [random_invertible_matrix(rng, QQ, 2) for _ in range(3)]
     perm = M([[0, 1], [1, 0]])
-    # cycle 0 -> 1 -> 2 -> 0 composes to a swap, forcing equal diagonal entries
-    algebra_transitions = [perm, perm, perm, Matrix.identity(QQ, 2)]
-    ab = BundleRep(QQ, graph, 2, algebra_transitions)
-    algebra = SubalgebraBundle(ab, (diag, diag, diag))
-    a1 = flat_sections(algebra, tree_edges=(0, 1))
-    a2 = flat_sections(algebra, tree_edges=(0, 3))
-    assert a1.dimension == a2.dimension == 1
+    # cycle 0 -> 1 -> 2 -> 0 composes to a swap, which fixes (1, 1) and,
+    # among the diagonal matrices, the scalars: one section of each kind
+    holonomies = [perm, perm, perm, Matrix.identity(QQ, 2)]
+    transitions = [gauges[v] @ h @ gauges[u].inverse() for (u, v), h in zip(edges, holonomies)]
+    diag = MatrixSubspace.diagonal_algebra(QQ, 2)
+    fibers = tuple(conjugate_subspace(diag, g) for g in gauges)
+    trees, vector, endo = set(), [], []
+    for order in permutations(range(len(edges))):
+        graph = BaseGraph(3, [edges[i] for i in order])
+        bundle = BundleRep(QQ, graph, 2, [transitions[i] for i in order])
+        trees.add(frozenset(order[i] for i in graph.spanning_tree().tree_edges))
+        vector.append(flat_sections(bundle))
+        endo.append(flat_sections(SubalgebraBundle(bundle, fibers)))
+    assert trees == {frozenset({0, 2}), frozenset({0, 3})}
+    assert vector[0].dimension == endo[0].dimension == 1
+    assert vector == [vector[0]] * len(vector)
+    assert endo == [endo[0]] * len(endo)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)

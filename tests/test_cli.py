@@ -3,6 +3,7 @@ import json
 import signal
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -349,6 +350,39 @@ def test_pushforward_disconnected_base_is_input_error(tmp_path, capsys):
     assert json.loads(out)["error"]["type"] == "DisconnectedBase"
 
 
+def test_pushforward_of_a_cubic_report_is_refused(tmp_path, capsys):
+    # the report writes d matrices of size d x d at each vertex: degree 400
+    # on one vertex would be 6.4 * 10^7 entries, refused before any is built
+    doc = {
+        "field": {"kind": "Q"},
+        "kind": "cover",
+        "payload": {"graph": {"vertices": 1, "edges": []}, "degree": 400, "sigma": []},
+    }
+    path = tmp_path / "degree400.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, "--format", "machine", "pushforward", str(path))
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "DegreeTooLarge",
+        "message": "pushforward of degree 400 would write 64000000 matrix entries, "
+        "above the bound 1000000",
+    }
+    assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("bound,code", [(80, 0), (79, 2)])
+def test_pushforward_entry_bound_counts_vertices_and_edges(monkeypatch, capsys, bound, code):
+    # degree 4 on one vertex and one edge: 4^3 + 4^2 = 80 entries
+    monkeypatch.setattr(cli, "PUSHFORWARD_ENTRY_BOUND", bound)
+    path = str(INSTANCES / "cover_c4_loop_q.json")
+    assert run_cli(capsys, "--format", "machine", "pushforward", path)[0] == code
+
+
 @pytest.mark.parametrize("command", ["classify", "cover-build", "pushforward", "factor"])
 def test_huge_vertex_count_is_refused_before_any_work(tmp_path, capsys, command):
     # fewer than n - 1 edges cannot connect n vertices: refused at parse time,
@@ -504,6 +538,18 @@ def test_selftest_nonpositive_max_degree_is_input_error(capsys, value):
     code, out = run_cli(capsys, "--format", "machine", "selftest", "--max-degree", value)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("value", ["7", "9"])
+def test_selftest_max_degree_above_its_bound_is_input_error(capsys, value):
+    # selftest draws covers of degree at most 6; a higher flag is refused,
+    # not clamped
+    code, out = run_cli(capsys, "--format", "machine", "selftest", "--max-degree", value)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ParseError",
+        "message": f"--max-degree expects at most 6, got {value}",
+    }
 
 
 def test_selftest_field_restriction(capsys):

@@ -13,6 +13,7 @@ from cartancover.linalg import (
     Subspace,
     eigenspaces,
     kernel,
+    lift,
     min_poly,
     rref,
     solve,
@@ -148,6 +149,18 @@ def test_eigenspace_dimension_sum_defect_for_nilpotent():
     _mp, roots, spaces = eigenspaces(M(QQ, [[0, 1], [0, 0]]))
     assert roots == ((0, 1, 2),)
     assert sum(sp.dim for _lam, sp in spaces) == 1  # not diagonalizable
+
+
+def test_lift_reads_coordinates_in_the_echelon_basis():
+    # the echelon basis of the plane is (1, 0, 2), (0, 1, -1)
+    plane = Subspace(QQ, 3, [(1, 2, 0), (0, 1, -1)])
+    line = Subspace(QQ, 2, [(1, 1)])
+    assert lift(plane, line) == Subspace(QQ, 3, [(1, 1, 1)])
+    # the whole coordinate space is the subspace itself, and on all of k^n
+    # the coordinates are the vectors
+    assert lift(plane, Subspace.full(QQ, 2)) is plane
+    whole, sub = Subspace.full(QQ, 3), Subspace(QQ, 3, [(1, 1, 1)])
+    assert lift(whole, sub) is sub
 
 
 # --- subspaces ----------------------------------------------------------

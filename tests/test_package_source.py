@@ -361,3 +361,27 @@ def test_one_test_of_a_diagonal_algebra_in_package():
         visit(tree, path.name)
     assert not functions & {"diagonal_functionals", "conjugated"}
     assert callers == {"spans_diagonal_algebra", "classify_subspace"}, sorted(callers)
+
+
+def test_one_way_to_split_a_block_in_package():
+    # the root split takes every block's spectrum, a scalar restriction's
+    # included, through linalg.eigenspaces; a spectrum read by _refined_lines
+    # itself (a private scalar reading, its own min_poly or root search)
+    # would be a second way to split a block
+    spectral = {"eigenspaces", "min_poly", "roots_in_field", "_scalar_spectrum"}
+    functions, calls = set(), []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            functions.add(node.name)
+            if node.name == "_refined_lines":
+                calls += [
+                    sub.func.id
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Call)
+                    and isinstance(sub.func, ast.Name)
+                    and sub.func.id in spectral
+                ]
+    assert "_scalar_spectrum" not in functions
+    assert calls == ["eigenspaces"], calls

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartancover import parabolic
+from cartancover import instances, parabolic
 from cartancover.cli import main
 from cartancover.errors import (
     DegreeMismatch,
@@ -387,9 +388,25 @@ def test_each_entry_validates_its_data_once(monkeypatch, capsys):
 
 
 def test_each_weight_is_parsed_once(monkeypatch, capsys):
-    # validation parses every weight and hands the parsed weights to the
-    # flags, the merges and the upstairs degree, which parse none again
-    parses = _count(monkeypatch, parabolic, "parse_weight")
+    # validation parses every weight not parsed yet (a Fraction in [0, 1)
+    # is) and hands the parsed weights to the flags, the merges and the
+    # upstairs degree, which parse none again; every module binding of
+    # parse_weight is counted
+    parses = []
+    real = parabolic.parse_weight
+
+    def counting(w):
+        parses.append(w)
+        return real(w)
+
+    bindings = [
+        module
+        for name, module in list(sys.modules.items())
+        if name.startswith("cartancover") and getattr(module, "parse_weight", None) is real
+    ]
+    assert {parabolic, instances} <= set(bindings)
+    for module in bindings:
+        monkeypatch.setattr(module, "parse_weight", counting)
     data = RamifiedCoverData(
         1,
         4,
@@ -403,10 +420,10 @@ def test_each_weight_is_parsed_once(monkeypatch, capsys):
     for entry in (pushforward_parabolic, check_pardeg_conservation):
         del parses[:]
         entry(data, 1)
-        assert len(parses) == 10, entry.__name__
+        assert len(parses) == 7, entry.__name__
     upstairs = 1 + F(1, 3) + F(1, 2) + F(1, 4) + F(2, 3) + F(1, 5)
     assert check_pardeg_conservation(data, 1).upstairs == upstairs
-    # the instance reader parses its weights itself; the command parses none again
+    # the instance reader parses its two weights; validation parses none again
     del parses[:]
     path = Path(__file__).resolve().parent.parent / "instances" / "parabolic_p1_double_q.json"
     assert main(["--format", "machine", "pushforward", str(path)]) == 0

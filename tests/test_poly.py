@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from cartancover.fields import GF, QQ
+from cartancover.fields import GF, QQ, PrimeField, Rationals
 from cartancover.poly import Poly, nonsplit_witness, roots_in_field, squarefree_no_guard
 from helpers import (
     divmod_by_scalars,
@@ -216,6 +216,24 @@ def test_integer_form_agrees_with_the_scalar_oracles(field):
     assert nonsplit > 60
     if 1 < field.characteristic < 10:
         assert powers > 20 and divisible > 50
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7), GF(2**61 - 1)], ids=repr)
+def test_rendering_builds_no_field_scalar(field, monkeypatch):
+    # str(Poly) writes each coefficient from the integer form; with both
+    # from_ints methods refusing, it still matches the scalar rendering
+    rng = Random(f"poly-render:{field!r}")
+    polys = [P(field), P(field, 1), P(field, -1), P(field, 0, -1), P(field, 2, 0, 1)]
+    polys += [_random_poly(rng, field) for _ in range(150)]
+    polys += [_planted_poly(rng, field) for _ in range(150)]
+    expected = [render_by_scalars(field, p.coeffs) for p in polys]
+
+    def refuse(*_args):
+        raise AssertionError("a field scalar was built")
+
+    for cls in (Rationals, PrimeField):
+        monkeypatch.setattr(cls, "from_ints", refuse)
+    assert [str(p) for p in polys] == expected
 
 
 def test_roots_over_a_large_prime_and_of_tall_rationals():

@@ -50,15 +50,19 @@ from cartancover.errors import (
 )
 from cartancover.fields import GF, QQ
 from cartancover.instances import bundle_instance_to_json, cover_instance_to_json, load_instance
-from cartancover.linalg import Matrix
+from cartancover.linalg import Matrix, Subspace
 from cartancover.randgen import CoverInstanceConfig, random_cover_instance
 from certificates import check_error_report
 from helpers import (
     eigenline_scalars,
+    min_poly_by_scalars,
     random_invertible_matrix,
     random_matrix,
     random_subspace_for_cartan_test,
     refined_lines_by_intersection,
+    root_scalar,
+    roots_by_enumeration,
+    rref_by_scalars,
 )
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -896,17 +900,33 @@ def test_a_scalar_basis_matrix_costs_no_min_poly(field, monkeypatch):
 
 
 @pytest.mark.parametrize("field", (QQ, GF(2), GF(5), GF(1009)), ids=str)
-def test_scalar_spectrum_is_the_computed_one(field):
-    # x - c with the simple root c, as min_poly and roots_in_field give them
+def test_scalar_spectrum_is_the_computed_one(field, monkeypatch):
+    # eigenspaces reads c I on its face and returns what its general path
+    # computes: x - c with the simple root c, whose eigenspace, the null
+    # space of c I - c I, is all of k^d; here each from the scalar oracles
+    min_polys = count_calls(monkeypatch, linalg.min_poly)
+    root_searches = count_calls(monkeypatch, poly.roots_in_field)
     for d in range(1, 5):
         fractions = () if field.characteristic else (Fraction(-3, 4), Fraction(7, 2))
         for c in (0, 1, -1, 3, 1010, *fractions):
             m = Matrix.identity(field, d).scale(field.coerce(c))
-            mp = linalg.min_poly(m)
-            assert cartan._scalar_spectrum(m) == (mp, poly.roots_in_field(mp)[0])
-        if d > 1:
-            # a shear, and the last unit: neither is scalar
-            shear = [[int(i == j or (i, j) == (0, 1)) for j in range(d)] for i in range(d)]
-            unit = [[int(i == j == d - 1) for j in range(d)] for i in range(d)]
-            for rows in (shear, unit):
-                assert cartan._scalar_spectrum(Matrix(field, rows)) is None
+            mp = min_poly_by_scalars(m)
+            roots, split = roots_by_enumeration(mp)
+            ((num, den, _mult),) = roots
+            lam = root_scalar(field, num, den)
+            shifted = [
+                [x - (lam if i == j else field.zero()) for j, x in enumerate(r)]
+                for i, r in enumerate(m.rows)
+            ]
+            assert split and rref_by_scalars(field, shifted, d)[1] == ()
+            full = Subspace(field, d, Matrix.identity(field, d).rows)
+            assert linalg.eigenspaces(m) == (mp, roots, (((num, den), full),))
+    assert min_polys == [] and root_searches == []
+    for d in range(2, 5):
+        # a shear, and the last unit: neither is scalar, so both are computed
+        shear = [[int(i == j or (i, j) == (0, 1)) for j in range(d)] for i in range(d)]
+        unit = [[int(i == j == d - 1) for j in range(d)] for i in range(d)]
+        for rows in (shear, unit):
+            m = Matrix(field, rows)
+            assert linalg.eigenspaces(m)[0] == min_poly_by_scalars(m)
+    assert len(min_polys) == len(root_searches) == 6
