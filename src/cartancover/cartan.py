@@ -13,10 +13,14 @@ pass. It refines k^d into blocks through the canonical basis matrices:
 each block that is not yet a line is split by the eigenspaces of the next
 matrix restricted to it, all read by ``linalg.eigenspaces`` (a scalar
 restriction leaves the block whole), so a matrix's spectrum over all of
-k^d is taken only while the one block is k^d. The lines it ends with are
-then certified by ``spans_diagonal_algebra``, whatever the restrictions
-were. A failure is named from the whole-space spectra, those the
-refinement took and the rest computed once: Cartan only after a field
+k^d is taken only while the one block is k^d. ``eigenspaces`` reads a
+diagonal restriction on its face, and the restriction of a diagonal
+matrix to a coordinate block is diagonal again, so the split of the
+diagonal algebra, the fiber of every direct image f_*L in its label
+basis, computes no minimal polynomial, root or null space. The lines it
+ends with are then certified by ``spans_diagonal_algebra``, whatever the
+restrictions were. A failure is named from the whole-space spectra, those
+the refinement took and the rest computed once: Cartan only after a field
 extension (a minimal polynomial is squarefree but does not split; a first
 class verdict, not an error), or not Cartan, with a witness: wrong
 dimension, a non-commuting basis pair, or a basis matrix that no
@@ -267,9 +271,14 @@ def _refined_lines(a: MatrixSubspace, spectra: list):
     Starting from the full space, each basis matrix m, in canonical order,
     splits every block W that is not yet a line into the eigenspaces of
     its restriction m|_W (``linalg.restrict``, then ``linalg.eigenspaces``
-    for every restriction, a scalar one included), lifted back to k^d
-    (``linalg.lift``), until all blocks are lines. A scalar restriction
-    has one eigenspace and leaves W whole. The eigenspaces of a
+    for every restriction, a diagonal or scalar one included), lifted back
+    to k^d (``linalg.lift``), until all blocks are lines. A scalar
+    restriction has one eigenspace and leaves W whole. ``eigenspaces``
+    reads a diagonal restriction's spectrum off its diagonal, and on the
+    diagonal algebra every restriction is diagonal: E_tt restricted to the
+    coordinate block of the labels t, ..., d splits off line t, so the
+    units E_11, ..., E_(d-1)(d-1) split blocks of sizes d, ..., 2 with no
+    minimal polynomial, root search or null space. The eigenspaces of a
     diagonalizable m|_W add up to W, so the blocks always form a direct
     sum decomposition of k^d, and d blocks are d independent lines. When
     ``a`` is commutative, each block is a common eigenspace of the earlier

@@ -369,7 +369,19 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient: int) -> "Subspace":
-        return cls._spanned(field, ambient, Matrix.identity(field, ambient).ints)
+        return cls.coordinate(field, ambient, range(ambient))
+
+    @classmethod
+    def coordinate(cls, field, ambient: int, positions) -> "Subspace":
+        """The span of the unit vectors at the increasing ``positions``:
+        their rows are already the reduced echelon form, so none is
+        eliminated."""
+        rows = [[int(j == q) for j in range(ambient)] for q in positions]
+        space = cls.__new__(cls)
+        space.field = field
+        space.ambient = ambient
+        space.echelon = Matrix._make(field, 1, rows, ambient)
+        return space
 
     @property
     def basis(self) -> tuple:
@@ -459,30 +471,53 @@ def solve(m: Matrix, b) -> tuple | None:
 
 
 def min_poly(m: Matrix) -> Poly:
-    """Monic minimal polynomial, via the first dependence among I, M, M^2, ...
+    """Monic minimal polynomial, from the first dependence among I, M, M^2, ...
 
-    The flattened integer powers P_k = N^k of N = den M, for k up to d,
-    are the columns of one elimination. Once M^k depends on lower powers
-    so do all higher ones, so the pivots are 0, ..., k-1 and column k of
-    the RREF reads P_k = sum_j c_j P_j. With M^k = P_k / den^k that is
-    the monic relation M^k = sum_j c_j den^(j-k) M^j.
+    Each flattened integer power P_k = N^k of N = den M, with its
+    coefficients in the powers, is reduced against the rows kept for the
+    lower powers (each zero at the pivots of those kept before it) and
+    kept in turn. No kept row is reduced again, and no power is formed
+    past the first that reduces to zero: its coefficients c_j read
+    sum_j c_j P_j = 0, that is sum_j c_j den^j M^j = 0, made monic. Over
+    GF(p) a kept row has a leading one. Over Q the reduction is
+    fraction-free (Bareiss, as in ``_eliminate``): against the kept row y
+    with pivot entry a at q, the row x becomes (a x - x_q y) / s, exactly,
+    for s the pivot entry of the row kept before y.
     """
     if not m.is_square():
         raise DimensionMismatch("minimal polynomial needs a square matrix")
     field, d = m.field, m.nrows
     p = field.characteristic
-    den = m.den
+    kept = []
     power = [[int(i == j) for j in range(d)] for i in range(d)]
-    flat = [[x for r in power for x in r]]
-    for _ in range(d):
-        power = _product(power, m.ints, d, p)
-        flat.append([x for r in power for x in r])
-    rows = [list(col) for col in zip(*flat)]
-    pivots, scale = _eliminate(rows, d + 1, p)
-    k = len(pivots)
-    lead = scale * den**k
-    coeffs = [-rows[j][k] * den**j for j in range(k)] + [lead]
-    return Poly._make(field, lead, coeffs)
+    for k in range(d + 1):
+        if k:
+            power = _product(power, m.ints, d, p) if k > 1 else m.ints
+        vec = [x for r in power for x in r]
+        coeffs = [int(j == k) for j in range(d + 1)]
+        scale = 1
+        for q, row, rc in kept:
+            a, f = row[q], vec[q]
+            if p:
+                if f:
+                    vec = [(x - f * y) % p for x, y in zip(vec, row)]
+                    coeffs = [(x - f * y) % p for x, y in zip(coeffs, rc)]
+            elif f or a != scale:
+                vec = [(a * x - f * y) // scale for x, y in zip(vec, row)]
+                coeffs = [(a * x - f * y) // scale for x, y in zip(coeffs, rc)]
+            scale = a
+        q = next((j for j, x in enumerate(vec) if x), None)
+        if q is None:
+            den = m.den
+            # sum_j coeffs[j] den^j M^j = 0, with coeffs[k] nonzero
+            ints = [c * den**j for j, c in enumerate(coeffs[: k + 1])]
+            return Poly._make(field, ints[k], ints)
+        if p and vec[q] != 1:
+            inv = pow(vec[q], -1, p)
+            vec = [x * inv % p for x in vec]
+            coeffs = [x * inv % p for x in coeffs]
+        kept.append((q, vec, coeffs))
+    raise AssertionError("unreachable: d + 1 powers of a d x d matrix are dependent")
 
 
 def eigenspaces(m: Matrix):
@@ -493,22 +528,38 @@ def eigenspaces(m: Matrix):
     integer pair ``(num, den)``, with its canonical eigenspace, and the
     dimensions add up to d exactly when m is diagonalizable over the field;
     otherwise ``spaces`` is None. Each eigenspace is the null space of the
-    integer rows with the root subtracted on their diagonal. A scalar
-    matrix c I is read on its face, with no minimal polynomial, root
-    search or null space: x - c, the simple root c and the one eigenspace
-    k^d.
+    integer rows with the root subtracted on their diagonal.
+
+    A diagonal matrix is read on its face, with no minimal polynomial,
+    root search or null space: its distinct diagonal entries c, in
+    increasing order as ``roots_in_field`` sorts them, are the simple
+    roots of the product of the x - c, and the eigenspace of c is spanned
+    by the unit vectors at the positions of c, a coordinate subspace whose
+    unit rows are already its reduced echelon form. A scalar matrix c I is
+    the case of one entry, with the one eigenspace k^d.
     """
     field, ints, den, n = m.field, m.ints, m.den, m.nrows
-    c = ints[0][0] if n and m.is_square() else None
-    if c is not None and ints == [[c if i == j else 0 for j in range(n)] for i in range(n)]:
-        # the canonical form has gcd(den, c) = 1, so c / den is in lowest terms
-        spaces = (((c, den), Subspace.full(field, n)),)
-        return Poly._make(field, den, [-c, den]), ((c, den, 1),), spaces
+    p = field.characteristic
+    if m.is_square() and not any(any(r[:i]) or any(r[i + 1 :]) for i, r in enumerate(ints)):
+        positions = {}
+        for i, r in enumerate(ints):
+            positions.setdefault(r[i], []).append(i)
+        coeffs, roots, spaces = [1], [], []
+        # one den > 0 over Q and least residues over GF(p): ints order as values
+        for c in sorted(positions):
+            # the product of the den x - c, ascending
+            step = [0, *(den * x for x in coeffs)]
+            for i, x in enumerate(coeffs):
+                step[i] -= c * x
+            coeffs = [x % p for x in step] if p else step
+            g = gcd(c, den)
+            roots.append((c // g, den // g, 1))
+            spaces.append(((c // g, den // g), Subspace.coordinate(field, n, positions[c])))
+        return Poly._make(field, den ** len(roots), coeffs), tuple(roots), tuple(spaces)
     mp = min_poly(m)
     roots, split = roots_in_field(mp)
     if not split:
         return mp, roots, None
-    p = field.characteristic
     spaces = []
     for a, b, _mult in roots:
         # the root a / b: den b (m - (a / b) I) = b ints - den a I

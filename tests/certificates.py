@@ -63,9 +63,31 @@ accepts it when
   entry as its eigenvalue;
 - the d lines are independent.
 
-A report of any other verdict carries no lines and no functionals.
+A report of any other verdict carries no lines and no functionals, and
+its verdict is re-derived from the instance by the test the eigenline
+split replaced, which names a verdict without splitting anything: the
+canonical basis (as above) spans d dimensions, else ``WrongDimension``;
+its matrices commute, else ``NotCommutative`` with the first pair (i, j),
+i < j; then each minimal polynomial in basis order, by elimination of the
+powers, with its roots by search (every residue over GF(p), over Q the
+rationals a/b with a dividing the lowest and b the leading coefficient of
+the cleared polynomial). A repeated root, or a rootless part that is not
+squarefree (gcd with its derivative), is ``NotDiagonalizable`` with that
+basis index and minimal polynomial. Otherwise a minimal polynomial that
+does not split makes the verdict ``CartanNonSplit``, whose witness is the
+first such polynomial with its roots divided out, made monic. The report
+names the same status, reason and witness, each polynomial written as the
+package writes one, and ``ok`` is false exactly for ``NotCartan``.
 
-A ``cover-build`` error report names one edge. The checker accepts a
+A ``cover-build`` error report names one vertex or one edge. The
+checker accepts a ``NonSplitAtVertex`` or ``NotCartanAtVertex`` report
+when no transition is singular, the fiber at every earlier vertex is
+split Cartan, and the re-derived verdict of the named vertex's fiber is
+``CartanNonSplit`` or ``NotCartan`` respectively, with the report's
+``witness`` and ``message`` written from it: the witness polynomial, or
+the verdict's text (``NotCartan: WrongDimension``, ``NotCartan:
+NotCommutative (basis pair i, j)``, ``NotCartan: NotDiagonalizable (basis
+i, witness f)``). It accepts a
 ``SingularTransition`` report when the named edge's transition is
 singular and every earlier edge's transition is invertible, and an
 ``IncompatibleEdge`` report when no transition is singular, the named
@@ -77,6 +99,7 @@ that needs no inverse.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def _entry(p: int, x):
@@ -312,6 +335,12 @@ def check_classify(instance: dict, report: dict) -> list:
     failures = []
     if report["span_dimension"] != len(basis):
         failures.append(f"span_dimension {report['span_dimension']}, rank {len(basis)}")
+    verdict, _text = _verdict(p, d, [_matrix(p, m) for m in instance["payload"]["basis"]])
+    reported = (report["status"], report["reason"], report["witness"])
+    if reported != verdict:
+        failures.append(f"the verdict {reported}, re-derived {verdict}")
+    if report["ok"] != (verdict[0] != "NotCartan"):
+        failures.append(f"ok {report['ok']} for a {verdict[0]} verdict")
     if report["status"] != "CartanSplit":
         if report["eigenlines"] is not None or report["functionals"] is not None:
             failures.append(f"a {report['status']} report carries lines or functionals")
@@ -337,6 +366,152 @@ def check_classify(instance: dict, report: dict) -> list:
     return failures
 
 
+def _trimmed(coeffs: list) -> list:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _monic(p: int, coeffs: list) -> list:
+    lead = coeffs[-1]
+    if p == 0:
+        return [c / lead for c in coeffs]
+    inv = pow(lead, -1, p)
+    return [c * inv % p for c in coeffs]
+
+
+def _poly_rem(p: int, a: list, b: list) -> list:
+    """The remainder of ``a`` by the nonzero ``b``, coefficients ascending."""
+    a, b = _trimmed(list(a)), _monic(p, _trimmed(list(b)))
+    while len(a) >= len(b):
+        c, shift = a[-1], len(a) - len(b)
+        for j, y in enumerate(b):
+            a[shift + j] = a[shift + j] - c * y if p == 0 else (a[shift + j] - c * y) % p
+        _trimmed(a)
+    return a
+
+
+def _squarefree(p: int, coeffs: list) -> bool:
+    """Whether the nonconstant polynomial has no repeated factor: its gcd
+    with its derivative is a constant (a zero derivative over GF(p) makes
+    it a p-th power)."""
+    a = list(coeffs)
+    b = _trimmed([k * c if p == 0 else k * c % p for k, c in enumerate(a)][1:])
+    while b:
+        a, b = b, _poly_rem(p, a, b)
+    return len(a) == 1
+
+
+def _render_poly(p: int, coeffs: list) -> str:
+    """A polynomial as the package writes one: highest term first, a
+    coefficient of one left off, over Q each sign between the terms."""
+    text = ""
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if not c:
+            continue
+        mag = abs(c) if p == 0 else c
+        xk = "x" if k == 1 else f"x^{k}"
+        term = str(mag) if k == 0 else xk if mag == 1 else f"{mag}*{xk}"
+        text += (" - " if p == 0 and c < 0 else " + ") + term
+    return "0" if not text else ("-" if text[1] == "-" else "") + text[3:]
+
+
+def _min_poly(p: int, m) -> list:
+    """The monic minimal polynomial of ``m``, ascending: each flattened
+    power, carried with its coefficients in the powers, is reduced against
+    the rows of the lower ones until it vanishes."""
+    d = len(m)
+    kept = []
+    power = [[int(i == j) for j in range(d)] for i in range(d)]
+    for k in range(d + 1):
+        if k:
+            power = _matmul(p, power, m)
+        vec = _flat(power)
+        coeffs = [int(j == k) for j in range(d + 1)]
+        for q, row, rc in kept:
+            f = vec[q]
+            if f:
+                vec = [x - f * y if p == 0 else (x - f * y) % p for x, y in zip(vec, row)]
+                coeffs = [x - f * y if p == 0 else (x - f * y) % p for x, y in zip(coeffs, rc)]
+        q = next((j for j, x in enumerate(vec) if x), None)
+        if q is None:
+            return coeffs[: k + 1]
+        inv = 1 / Fraction(vec[q]) if p == 0 else pow(vec[q], -1, p)
+        vec = [x * inv if p == 0 else x * inv % p for x in vec]
+        coeffs = [x * inv if p == 0 else x * inv % p for x in coeffs]
+        kept.append((q, vec, coeffs))
+    raise ValueError("no dependence among the first d + 1 powers")
+
+
+def _divisors(n: int) -> list:
+    n = abs(n)
+    return [a for a in range(1, n + 1) if n % a == 0]
+
+
+def _roots(p: int, coeffs: list) -> tuple:
+    """The roots of a nonconstant polynomial in the field, as
+    ``(root, multiplicity)`` pairs, and the polynomial left once each
+    linear factor is divided out as often as it divides."""
+    if p:
+        candidates = range(p)
+    else:
+        den = lcm(*[Fraction(c).denominator for c in coeffs])
+        ints = [int(c * den) for c in coeffs]
+        low = next(k for k, c in enumerate(ints) if c)
+        candidates = {Fraction(0)} if low else set()
+        candidates |= {
+            Fraction(s * a, b)
+            for a in _divisors(ints[low])
+            for b in _divisors(ints[-1])
+            for s in (1, -1)
+        }
+    roots, rest = [], list(coeffs)
+    for r in sorted(candidates):
+        mult = 0
+        while len(rest) > 1:
+            # synthetic division by x - r
+            quo, carry = [0] * (len(rest) - 1), 0
+            for i in range(len(rest) - 1, 0, -1):
+                carry = rest[i] + carry * r if p == 0 else (rest[i] + carry * r) % p
+                quo[i - 1] = carry
+            value = rest[0] + carry * r
+            if value % p if p else value:
+                break
+            rest, mult = quo, mult + 1
+        if mult:
+            roots.append((r, mult))
+    return roots, rest
+
+
+def _verdict(p: int, d: int, given) -> tuple:
+    """``((status, reason, witness), text)`` of the Cartan test on the
+    span of the given d x d matrices: the report's fields and the
+    verdict's text, re-derived by minimal polynomials."""
+    rows = _echelon(p, [_flat(m) for m in given])
+    basis = [[row[i * d : (i + 1) * d] for i in range(d)] for row in rows]
+    if len(basis) != d:
+        return ("NotCartan", "WrongDimension", None), "NotCartan: WrongDimension"
+    for i in range(d):
+        for j in range(i + 1, d):
+            if _matmul(p, basis[i], basis[j]) != _matmul(p, basis[j], basis[i]):
+                text = f"NotCartan: NotCommutative (basis pair {i}, {j})"
+                return ("NotCartan", "NotCommutative", {"basis_pair": [i, j]}), text
+    nonsplit = None
+    for i, m in enumerate(basis):
+        mp = _min_poly(p, m)
+        roots, rest = _roots(p, mp)
+        if any(mult > 1 for _r, mult in roots) or (len(rest) > 1 and not _squarefree(p, mp)):
+            poly = _render_poly(p, mp)
+            text = f"NotCartan: NotDiagonalizable (basis {i}, witness {poly})"
+            return ("NotCartan", "NotDiagonalizable", {"basis_index": i, "poly": poly}), text
+        if len(rest) > 1 and nonsplit is None:
+            nonsplit = _render_poly(p, _monic(p, rest))
+    if nonsplit is not None:
+        return ("CartanNonSplit", None, {"poly": nonsplit}), f"CartanNonSplit (witness {nonsplit})"
+    return ("CartanSplit", None, None), "CartanSplit"
+
+
 def _conjugates_onto(p: int, t, a_u, a_v) -> bool:
     """Whether t A_u t^-1 = A_v for an invertible t: span(t a) = span(b t)."""
     left = [_flat(_matmul(p, t, a)) for a in a_u]
@@ -347,9 +522,9 @@ def _conjugates_onto(p: int, t, a_u, a_v) -> bool:
 
 def check_error_report(instance: dict, report: dict) -> list:
     """What fails in the certificate of a ``cover-build`` error report
-    (parsed JSON) of type ``SingularTransition`` or ``IncompatibleEdge``
-    for its bundle instance (parsed JSON); empty when every claim above
-    holds."""
+    (parsed JSON) of type ``SingularTransition``, ``IncompatibleEdge``,
+    ``NonSplitAtVertex`` or ``NotCartanAtVertex`` for its bundle instance
+    (parsed JSON); empty when every claim above holds."""
     field = instance["field"]
     p = 0 if field["kind"] == "Q" else field["p"]
     payload = instance["payload"]
@@ -358,10 +533,13 @@ def check_error_report(instance: dict, report: dict) -> list:
     transitions = [_matrix(p, m) for m in payload["transitions"]]
     fibers = [[_matrix(p, m) for m in basis] for basis in payload["cartan_bundle"]]
     error = report["error"]
-    kind, named = error["type"], error.get("edge")
+    kind = error["type"]
+    singular = [e for e, t in enumerate(transitions) if _rank(p, t) < d]
+    if kind in ("NonSplitAtVertex", "NotCartanAtVertex"):
+        return _vertex_report_failures(p, d, fibers, singular, report)
+    named = error.get("edge")
     if report["ok"] is not False or not isinstance(named, int) or not 0 <= named < len(edges):
         return ["the report does not name an edge of the instance"]
-    singular = [e for e, t in enumerate(transitions) if _rank(p, t) < d]
     if kind == "SingularTransition":
         if named not in singular:
             return [f"transition {named} is invertible"]
@@ -371,10 +549,48 @@ def check_error_report(instance: dict, report: dict) -> list:
     if singular:
         return [f"transition {e} is singular" for e in singular]
     failures = []
+    for v, fiber in enumerate(fibers):
+        (status, _reason, _witness), _text = _verdict(p, d, fiber)
+        if status != "CartanSplit":
+            failures.append(f"the fiber at vertex {v} is {status}, before any edge")
     for e in range(named + 1):
         (u, v), t = edges[e], transitions[e]
         if _conjugates_onto(p, t, fibers[u], fibers[v]) != (e < named):
             failures.append(
                 f"edge {e} conjugates A_u onto A_v" if e == named else f"edge {e} fails first"
             )
+    return failures
+
+
+def _vertex_report_failures(p: int, d: int, fibers, singular, report) -> list:
+    """What fails in a ``NonSplitAtVertex`` or ``NotCartanAtVertex``
+    report: the named vertex's fiber is the first that is not split
+    Cartan, of the reported kind, and the message and witness are written
+    from its re-derived verdict."""
+    error = report["error"]
+    v = error.get("vertex")
+    if report["ok"] is not False or not isinstance(v, int) or not 0 <= v < len(fibers):
+        return ["the report does not name a vertex of the instance"]
+    if "edge" in error:
+        return ["a vertex report names an edge"]
+    if singular:
+        return [f"transition {e} is singular" for e in singular]
+    failures = []
+    for u in range(v):
+        (status, _reason, _witness), _text = _verdict(p, d, fibers[u])
+        if status != "CartanSplit":
+            failures.append(f"the fiber at vertex {u} is {status}, before vertex {v}")
+    (status, _reason, witness), text = _verdict(p, d, fibers[v])
+    if error["type"] == "NonSplitAtVertex":
+        if status != "CartanNonSplit":
+            return failures + [f"the fiber at vertex {v} is {text}"]
+        poly = witness["poly"]
+        expected = (f"fiber at vertex {v} is Cartan but not split (witness {poly})", poly)
+    else:
+        if status != "NotCartan":
+            return failures + [f"the fiber at vertex {v} is {text}"]
+        expected = (f"fiber at vertex {v} is not a Cartan subalgebra: {text}", text)
+    reported = (error.get("message"), error.get("witness"))
+    if reported != expected:
+        failures.append(f"message and witness {reported}, re-derived {expected}")
     return failures

@@ -767,6 +767,20 @@ def random_matrix(rng: Random, field, d: int) -> Matrix:
     return Matrix(field, rows)
 
 
+def rootless_quadratic_block(field):
+    """The companion matrix of a quadratic with no root in the field."""
+    p = field.characteristic
+    if not p:
+        return [[0, 2], [1, 0]]
+    b, c = next(
+        (b, c)
+        for b in range(p)
+        for c in range(p)
+        if all((t * t - b * t - c) % p for t in range(p))
+    )
+    return [[0, c], [1, b]]  # x^2 - b x - c
+
+
 def random_subspace_for_cartan_test(rng: Random, field, d: int) -> MatrixSubspace:
     """Mixed strategies so every classification verdict shows up."""
     strategy = rng.randrange(4)

@@ -1,6 +1,7 @@
-"""``cover-build``, ``pushforward`` and ``classify`` certificates checked
-by ``tests/certificates.py``, which reads only the instance and the
-machine report."""
+"""``cover-build``, ``pushforward`` and ``classify`` certificates, and the
+vertex error reports of ``cover-build``, checked by
+``tests/certificates.py``, which reads only the instance and the machine
+report."""
 
 import copy
 import json
@@ -12,12 +13,34 @@ import pytest
 from certificates import (
     check_classify,
     check_cover_build,
+    check_error_report,
     check_parabolic_pushforward,
     check_pushforward,
 )
+from helpers import (
+    random_invertible_matrix,
+    random_subspace_for_cartan_test,
+    rootless_quadratic_block,
+)
 
+from cartancover.bundles import SubalgebraBundle
+from cartancover.cartan import (
+    CartanStatus,
+    MatrixSubspace,
+    classify_subspace,
+    conjugate_subspace,
+)
 from cartancover.cli import main
-from cartancover.randgen import random_ramified_cover_data
+from cartancover.covers import direct_image_line_bundle
+from cartancover.fields import GF, QQ, field_to_json
+from cartancover.instances import bundle_instance_to_json
+from cartancover.linalg import Matrix
+from cartancover.randgen import (
+    CoverInstanceConfig,
+    random_cover_instance,
+    random_ramified_cover_data,
+)
+from cartancover.reports import render_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
@@ -377,3 +400,183 @@ def test_changing_one_parabolic_entry_fails_the_certificate(tmp_path, capsys):
             assert check_parabolic_pushforward(instance, mutated) != [], where
             kinds.add(where[0])
     assert kinds == {"weight", "jump", "genus", "degree"}
+
+
+# --- classify verdicts and vertex error reports ----------------------------------
+
+VERDICTS = {
+    ("CartanSplit", None),
+    ("CartanNonSplit", None),
+    ("NotCartan", "WrongDimension"),
+    ("NotCartan", "NotCommutative"),
+    ("NotCartan", "NotDiagonalizable"),
+}
+
+
+def _faulty_fiber(rng, field, d):
+    """A subspace of d x d matrices that is not split Cartan: a conjugate
+    of a non-split algebra (a rootless quadratic's companion beside the
+    units), or a random subspace that is not Cartan."""
+    if rng.random() < 0.4:
+        rows = [[[0] * d for _ in range(d)] for _ in range(d)]
+        rows[0][0][0] = rows[0][1][1] = 1
+        for i, row in enumerate(rootless_quadratic_block(field)):
+            rows[1][i][:2] = row
+        for t in range(2, d):
+            rows[t][t][t] = 1
+        algebra = MatrixSubspace(field, d, [Matrix(field, r) for r in rows])
+        return conjugate_subspace(algebra, random_invertible_matrix(rng, field, d))
+    while True:
+        fiber = random_subspace_for_cartan_test(rng, field, d)
+        if classify_subspace(fiber, d).status is CartanStatus.NOT_CARTAN:
+            return fiber
+
+
+def _classify_verdict_cases(tmp_path, capsys):
+    """``classify`` reports of every verdict: the goldens that exit 0 or
+    1, and random subspaces over Q, GF(2), GF(5) and GF(7)."""
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    stems = sorted(
+        name.split("__", 1)[1]
+        for name, code in codes.items()
+        if name.startswith("classify__") and code in (0, 1)
+    )
+    cases = [
+        (
+            json.loads((INSTANCES / f"{stem}.json").read_text(encoding="utf-8")),
+            json.loads((GOLDEN / f"classify__{stem}.machine.txt").read_text(encoding="utf-8")),
+        )
+        for stem in stems
+    ]
+    rng = Random("classify verdicts")
+    path = tmp_path / "cartan.json"
+    for field in (QQ, GF(2), GF(5), GF(7)):
+        for i in range(16):
+            d = 2 + i % 3
+            if i % 4:
+                fiber = _faulty_fiber(rng, field, d)
+            else:
+                fiber = random_subspace_for_cartan_test(rng, field, d)
+            instance = {
+                "field": field_to_json(field),
+                "kind": "cartan",
+                "payload": {"d": d, "basis": [render_matrix(field, m) for m in fiber.generators]},
+            }
+            path.write_text(json.dumps(instance), encoding="utf-8")
+            _code, report = _machine(capsys, "classify", str(path))
+            cases.append((instance, report))
+    return cases
+
+
+def test_classify_verdicts_are_certified(tmp_path, capsys):
+    seen = set()
+    for instance, report in _classify_verdict_cases(tmp_path, capsys):
+        assert check_classify(instance, report) == [], report
+        seen.add((report["status"], report["reason"]))
+    assert seen == VERDICTS
+
+
+def _verdict_mutations(report):
+    """Copies of a report of a verdict other than split with one claim
+    changed: the witness polynomial, basis index or basis pair, the
+    status and reason, or ``ok``."""
+    witness = report["witness"] or {}
+    changes = [("ok", not report["ok"])]
+    if "poly" in witness:
+        changes.append(("poly", "x"))
+        changes.append(("poly", witness["poly"] + " + 1"))
+    if "basis_index" in witness:
+        changes.append(("basis_index", witness["basis_index"] + 1))
+    if "basis_pair" in witness:
+        i, j = witness["basis_pair"]
+        changes.append(("basis_pair", [i, j + 1]))
+        changes.append(("basis_pair", [j, i]))
+    if report["status"] == "CartanNonSplit":
+        changes.append(("status", ("NotCartan", "NotDiagonalizable")))
+    else:
+        changes.append(("status", ("CartanNonSplit", None)))
+        other = "NotCommutative" if report["reason"] != "NotCommutative" else "WrongDimension"
+        changes.append(("status", ("NotCartan", other)))
+    for key, value in changes:
+        mutated = copy.deepcopy(report)
+        if key == "ok":
+            mutated["ok"] = value
+        elif key == "status":
+            mutated["status"], mutated["reason"] = value
+        else:
+            mutated["witness"][key] = value
+        yield key, mutated
+
+
+def test_changing_a_verdict_fails_the_certificate(tmp_path, capsys):
+    changed = set()
+    for instance, report in _classify_verdict_cases(tmp_path, capsys):
+        if report["status"] == "CartanSplit":
+            continue
+        for key, mutated in _verdict_mutations(report):
+            assert check_classify(instance, mutated) != [], (key, mutated)
+            changed.add(key)
+    assert changed == {"ok", "poly", "basis_index", "basis_pair", "status"}
+
+
+def _vertex_error_cases(tmp_path, capsys):
+    """``cover-build`` reports of ``NonSplitAtVertex`` and
+    ``NotCartanAtVertex``: the golden, and direct images with the fibers
+    at one or two random vertices replaced by ones not split Cartan."""
+    stem = "bundle_nonsplit_f_q"
+    cases = [
+        (
+            json.loads((INSTANCES / f"{stem}.json").read_text(encoding="utf-8")),
+            json.loads((GOLDEN / f"cover-build__{stem}.machine.txt").read_text(encoding="utf-8")),
+        )
+    ]
+    rng = Random("vertex error reports")
+    config = CoverInstanceConfig(max_vertices=4, max_edges=6, max_degree=4)
+    path = tmp_path / "bundle.json"
+    while len(cases) < 40:
+        field = (QQ, GF(2), GF(5), GF(7))[len(cases) % 4]
+        cover, line = random_cover_instance(rng, field, config)
+        if cover.degree < 2:
+            continue
+        bundle = direct_image_line_bundle(cover, line)
+        fibers = [MatrixSubspace.diagonal_algebra(field, cover.degree)] * cover.base.num_vertices
+        for v in rng.sample(range(len(fibers)), min(2, len(fibers))):
+            fibers[v] = _faulty_fiber(rng, field, cover.degree)
+        instance = bundle_instance_to_json(field, bundle, SubalgebraBundle(bundle, fibers))
+        path.write_text(json.dumps(instance), encoding="utf-8")
+        _code, report = _machine(capsys, "cover-build", str(path))
+        if report.get("error", {}).get("type") in ("NonSplitAtVertex", "NotCartanAtVertex"):
+            cases.append((json.loads(json.dumps(instance)), report))
+    return cases
+
+
+def test_vertex_error_reports_are_certified(tmp_path, capsys):
+    seen = set()
+    for instance, report in _vertex_error_cases(tmp_path, capsys):
+        assert check_error_report(instance, report) == [], report
+        error = report["error"]
+        seen.add((error["type"], error["vertex"] > 0))
+    kinds = ("NonSplitAtVertex", "NotCartanAtVertex")
+    assert seen == {(kind, away) for kind in kinds for away in (False, True)}
+
+
+def test_changing_a_vertex_error_report_fails_the_certificate(tmp_path, capsys):
+    # the vertex moved to each other vertex, the witness or the message
+    # changed, the type swapped
+    changed = set()
+    for instance, report in _vertex_error_cases(tmp_path, capsys):
+        error = report["error"]
+        vertices = instance["payload"]["graph"]["vertices"]
+        other = "NotCartanAtVertex" if error["type"] == "NonSplitAtVertex" else "NonSplitAtVertex"
+        changes = [("vertex", v) for v in range(vertices) if v != error["vertex"]]
+        changes += [
+            ("witness", error["witness"] + " + 1"),
+            ("message", error["message"].replace("fiber", "the fiber")),
+            ("type", other),
+        ]
+        for key, value in changes:
+            mutated = copy.deepcopy(report)
+            mutated["error"][key] = value
+            assert check_error_report(instance, mutated) != [], (key, value)
+            changed.add(key)
+    assert changed == {"vertex", "witness", "message", "type"}

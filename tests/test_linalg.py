@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cartancover import linalg
 from cartancover.cartan import MatrixSubspace
 from cartancover.errors import DimensionMismatch, SingularMatrix
 from cartancover.fields import GF, QQ
@@ -19,7 +20,7 @@ from cartancover.linalg import (
     solve,
 )
 from cartancover.poly import Poly, nonsplit_witness, roots_in_field
-from helpers import random_invertible_matrix
+from helpers import min_poly_by_scalars, random_invertible_matrix
 
 
 def M(field, rows):
@@ -317,6 +318,66 @@ def test_min_poly_matches_the_solve_oracle(field, case):
             assert mp == min_poly_by_solves(mat)
             if degree is not None:
                 assert mp.degree == degree
+
+
+def _planted_degree(field, rng, d, k):
+    """A d x d matrix whose minimal polynomial has degree k: the companion
+    matrix of f = (x - c) h, for a random monic h of degree k - 1, beside
+    c I of size d - k, conjugated by a random invertible matrix."""
+    c = rng.randint(-3, 3)
+    h = [rng.randint(-3, 3) for _ in range(k - 1)] + [1]
+    f = [0] * (k + 1)
+    for i, x in enumerate(h):
+        f[i + 1] += x
+        f[i] -= c * x
+    rows = [[0] * d for _ in range(d)]
+    for i in range(k):
+        if i:
+            rows[i][i - 1] = 1
+        rows[i][k - 1] = -f[i]
+    for i in range(k, d):
+        rows[i][i] = c
+    t = random_invertible_matrix(rng, field, d)
+    return t @ Matrix(field, rows) @ t.inverse()
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(3), GF(7), GF(1009)), ids=str)
+def test_min_poly_matches_the_scalar_oracle_in_every_degree(field):
+    rng = Random(f"min poly degree {field}")
+    for d in range(1, 11):
+        for k in range(1, d + 1):
+            m = _planted_degree(field, rng, d, k)
+            mp = min_poly(m)
+            assert mp == min_poly_by_scalars(m)
+            assert mp.degree == k
+
+
+@pytest.mark.parametrize("field", (QQ, GF(1009)), ids=str)
+def test_min_poly_stops_at_the_first_dependence(field, monkeypatch):
+    # N itself is the first power; each further one costs a product, and
+    # none is formed past the first dependence: one product for an
+    # idempotent of any size, d - 1 for a minimal polynomial of degree d
+    products = []
+    real = linalg._product
+
+    def counting(left, right, ncols, p):
+        products.append(len(left))
+        return real(left, right, ncols, p)
+
+    monkeypatch.setattr(linalg, "_product", counting)
+    rng = Random(f"early stop {field}")
+    for d in (2, 5, 10):
+        # the projection onto the first d // 2 coordinates, in another basis
+        unit = Matrix(field, [[int(i == j and i < d // 2) for j in range(d)] for i in range(d)])
+        t = random_invertible_matrix(rng, field, d)
+        idempotent = t @ unit @ t.inverse()
+        products.clear()
+        assert min_poly(idempotent).degree == 2
+        assert products == [d]
+        full = _planted_degree(field, rng, d, d)
+        products.clear()
+        assert min_poly(full).degree == d
+        assert products == [d] * (d - 1)
 
 
 # --- computed results -------------------------------------------------------

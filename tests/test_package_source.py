@@ -90,9 +90,12 @@ def _is_row_operation(node) -> bool:
 
 
 def test_one_gauss_jordan_loop_in_package():
-    # rref, kernel, solve, inverse, min_poly, eigenspaces and the subspaces
-    # all eliminate through linalg._eliminate; a row swap or a row operation
-    # x - f * y in any other function would be a second elimination loop
+    # rref, kernel, solve, inverse, eigenspaces and the subspaces all
+    # eliminate through linalg._eliminate; a row swap or a row operation
+    # x - f * y in any other function would be a second elimination loop.
+    # min_poly alone reduces one new power at a time against the rows kept
+    # for the lower ones, so that it stops at the first dependence without
+    # eliminating a kept row again; it swaps no rows and calls no _eliminate
     found = set()
 
     def visit(node, where):
@@ -105,7 +108,16 @@ def test_one_gauss_jordan_loop_in_package():
 
     for path in sorted(PACKAGE.rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.name)
-    assert sorted(found) == ["linalg.py:_eliminate"]
+    assert sorted(found) == ["linalg.py:_eliminate", "linalg.py:min_poly"]
+    linalg = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    (min_poly,) = [n for n in linalg.body if getattr(n, "name", None) == "min_poly"]
+    assert not any(_is_row_swap(node) for node in ast.walk(min_poly))
+    called = {
+        node.func.id
+        for node in ast.walk(min_poly)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert not called & {"_eliminate", "_null_vectors"}
 
 
 def test_field_scalars_built_only_where_values_leave_the_integer_form():
@@ -363,18 +375,62 @@ def test_one_test_of_a_diagonal_algebra_in_package():
     assert callers == {"spans_diagonal_algebra", "classify_subspace"}, sorted(callers)
 
 
+def _reads_a_diagonal(fn) -> bool:
+    # a row subscripted by its own index (``row[i]`` for ``i, row`` of an
+    # enumerate) or an entry on the diagonal (``m[k][k]``)
+    rows = {
+        (node.target.elts[1].id, node.target.elts[0].id)
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.For, ast.comprehension))
+        and isinstance(node.iter, ast.Call)
+        and getattr(node.iter.func, "id", None) == "enumerate"
+        and isinstance(node.target, ast.Tuple)
+        and all(isinstance(e, ast.Name) for e in node.target.elts)
+    }
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Subscript):
+            continue
+        value, index = node.value, node.slice
+        if isinstance(value, ast.Name) and isinstance(index, ast.Name):
+            if (value.id, index.id) in rows:
+                return True
+        elif isinstance(value, ast.Subscript) and ast.dump(value.slice) == ast.dump(index):
+            return True
+    return False
+
+
+def _builds_a_polynomial(fn) -> bool:
+    # Poly(...) or Poly._make(...)
+    return any(
+        isinstance(node, ast.Call)
+        and (
+            getattr(node.func, "id", None) == "Poly"
+            or getattr(getattr(node.func, "value", None), "id", None) == "Poly"
+        )
+        for node in ast.walk(fn)
+    )
+
+
 def test_one_way_to_split_a_block_in_package():
-    # the root split takes every block's spectrum, a scalar restriction's
-    # included, through linalg.eigenspaces; a spectrum read by _refined_lines
-    # itself (a private scalar reading, its own min_poly or root search)
-    # would be a second way to split a block
+    # the root split takes every block's spectrum, a diagonal or scalar
+    # restriction's included, through linalg.eigenspaces; a spectrum read by
+    # _refined_lines itself (a private scalar reading, its own min_poly or
+    # root search) would be a second way to split a block. Only eigenspaces
+    # reads a spectrum off a matrix's diagonal: it is the one function that
+    # reads a diagonal, and outside poly.py only it and min_poly, from the
+    # first dependence among the powers, build a polynomial
     spectral = {"eigenspaces", "min_poly", "roots_in_field", "_scalar_spectrum"}
     functions, calls = set(), []
+    diagonal, polynomial = set(), set()
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             functions.add(node.name)
+            if _reads_a_diagonal(node):
+                diagonal.add(f"{path.name}:{node.name}")
+            if path.name != "poly.py" and _builds_a_polynomial(node):
+                polynomial.add(f"{path.name}:{node.name}")
             if node.name == "_refined_lines":
                 calls += [
                     sub.func.id
@@ -385,3 +441,5 @@ def test_one_way_to_split_a_block_in_package():
                 ]
     assert "_scalar_spectrum" not in functions
     assert calls == ["eigenspaces"], calls
+    assert diagonal == {"linalg.py:eigenspaces"}, sorted(diagonal)
+    assert polynomial == {"linalg.py:eigenspaces", "linalg.py:min_poly"}, sorted(polynomial)

@@ -61,6 +61,7 @@ from helpers import (
     random_subspace_for_cartan_test,
     refined_lines_by_intersection,
     root_scalar,
+    rootless_quadratic_block,
     roots_by_enumeration,
     rref_by_scalars,
 )
@@ -358,7 +359,7 @@ def test_classify_command_classifies_once(classify_calls, capsys, name):
 @pytest.mark.parametrize(
     "command, name, expected",
     [
-        ("classify", "cartan_diagonal_q", {"min_poly": 2, "roots_in_field": 2}),
+        ("classify", "cartan_diagonal_q", {"min_poly": 0, "roots_in_field": 0}),
         ("classify", "cartan_nonsplit_q", {"min_poly": 1, "roots_in_field": 1}),
         (
             "cover-build",
@@ -371,7 +372,8 @@ def test_each_spectrum_is_computed_once(monkeypatch, capsys, command, name, expe
     # the split computes each basis matrix's spectrum at most once and names
     # a failure from it; the classifier and the witness find no root again.
     # The non-split instances have the identity as their first basis matrix,
-    # whose spectrum x - 1 is read off it
+    # whose spectrum x - 1 is read off it, and every restriction of the
+    # diagonal instance's units is diagonal, so it computes none
     counts = {
         fn.__name__: count_calls(monkeypatch, fn)
         for fn in (linalg.min_poly, poly.roots_in_field, poly.nonsplit_witness)
@@ -385,7 +387,9 @@ def test_each_spectrum_is_computed_once(monkeypatch, capsys, command, name, expe
 def test_split_restricts_each_matrix_to_its_block(monkeypatch, field):
     # on the diagonal algebra, E_11 splits one line off k^d and each next
     # E_tt splits one off the block left, so the spectra are taken on blocks of
-    # sizes d, d - 1, ..., 2 and no subspaces are intersected
+    # sizes d, d - 1, ..., 2 and no subspaces are intersected; each
+    # restriction is diagonal, so none of them needs a minimal polynomial
+    spectra = count_calls(monkeypatch, linalg.eigenspaces)
     min_polys = count_calls(monkeypatch, linalg.min_poly)
     intersections = []
     real_intersect = linalg.Subspace.intersect
@@ -396,25 +400,12 @@ def test_split_restricts_each_matrix_to_its_block(monkeypatch, field):
 
     monkeypatch.setattr(linalg.Subspace, "intersect", counting_intersect)
     for d in range(2, 7):
-        del min_polys[:]
+        del spectra[:]
         lines = simultaneous_eigenlines(MatrixSubspace.diagonal_algebra(field, d))
         assert lines == tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        assert [m.nrows for (m,) in min_polys] == list(range(d, 1, -1))
+        assert [m.nrows for (m,) in spectra] == list(range(d, 1, -1))
+    assert min_polys == []
     assert intersections == []
-
-
-def _rootless_quadratic_block(field):
-    """The companion matrix of a quadratic with no root in the field."""
-    p = field.characteristic
-    if not p:
-        return [[0, 2], [1, 0]]
-    b, c = next(
-        (b, c)
-        for b in range(p)
-        for c in range(p)
-        if all((t * t - b * t - c) % p for t in range(p))
-    )
-    return [[0, c], [1, b]]  # x^2 - b x - c
 
 
 def _oracle_case(rng, field, d, kind):
@@ -441,7 +432,7 @@ def _oracle_case(rng, field, d, kind):
         diagonals = [[(t, rng.randint(-2, 2)) for t in range(d)] for _ in range(k)]
         a = MatrixSubspace(field, d, [embedded([], diag) for diag in diagonals])
     else:
-        block = [[0, 1], [0, 0]] if kind == "nilpotent" else _rootless_quadratic_block(field)
+        block = [[0, 1], [0, 0]] if kind == "nilpotent" else rootless_quadratic_block(field)
         basis = [embedded([[1, 0], [0, 1]], []), embedded(block, [])]
         a = MatrixSubspace(field, d, basis + [embedded([], [(t, 1)]) for t in range(2, d)])
     return conjugate_subspace(a, random_invertible_matrix(rng, field, d)) if rng.random() < 0.75 else a
@@ -899,34 +890,78 @@ def test_a_scalar_basis_matrix_costs_no_min_poly(field, monkeypatch):
         seen += 1
 
 
+def _null_space_by_scalars(field, rows, d):
+    """The null space of the rows from their RREF on field scalars: for
+    each free column, its unit vector minus that column at the pivots."""
+    reduced, pivots = rref_by_scalars(field, rows, d)
+    vectors = []
+    for fc in sorted(set(range(d)).difference(pivots)):
+        v = [field.zero()] * d
+        v[fc] = field.one()
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
+        vectors.append(v)
+    return Subspace(field, d, vectors)
+
+
 @pytest.mark.parametrize("field", (QQ, GF(2), GF(5), GF(1009)), ids=str)
 def test_scalar_spectrum_is_the_computed_one(field, monkeypatch):
-    # eigenspaces reads c I on its face and returns what its general path
-    # computes: x - c with the simple root c, whose eigenspace, the null
-    # space of c I - c I, is all of k^d; here each from the scalar oracles
+    # eigenspaces reads a diagonal matrix, c I among them, on its face and
+    # returns what its general path computes: the minimal polynomial, its
+    # roots and, for each root lam, the null space of m - lam I; here each
+    # from the scalar oracles
     min_polys = count_calls(monkeypatch, linalg.min_poly)
     root_searches = count_calls(monkeypatch, poly.roots_in_field)
-    for d in range(1, 5):
-        fractions = () if field.characteristic else (Fraction(-3, 4), Fraction(7, 2))
-        for c in (0, 1, -1, 3, 1010, *fractions):
-            m = Matrix.identity(field, d).scale(field.coerce(c))
+    rng = Random(f"diagonal spectrum {field}")
+    fractions = () if field.characteristic else (Fraction(-3, 4), Fraction(7, 2))
+    values = [field.coerce(c) for c in (0, 1, -1, 3, 1010, *fractions)]
+    distinct = set()
+    for d in range(1, 6):
+        diagonals = [[c] * d for c in values]
+        diagonals += [[rng.choice(values) for _ in range(d)] for _ in range(8)]
+        for diagonal in diagonals:
+            rows = [[c if i == j else 0 for j in range(d)] for i, c in enumerate(diagonal)]
+            m = Matrix(field, rows)
             mp = min_poly_by_scalars(m)
             roots, split = roots_by_enumeration(mp)
-            ((num, den, _mult),) = roots
-            lam = root_scalar(field, num, den)
-            shifted = [
-                [x - (lam if i == j else field.zero()) for j, x in enumerate(r)]
-                for i, r in enumerate(m.rows)
-            ]
-            assert split and rref_by_scalars(field, shifted, d)[1] == ()
-            full = Subspace(field, d, Matrix.identity(field, d).rows)
-            assert linalg.eigenspaces(m) == (mp, roots, (((num, den), full),))
+            assert split and all(mult == 1 for _num, _den, mult in roots)
+            spaces = []
+            for num, den, _mult in roots:
+                lam = root_scalar(field, num, den)
+                shifted = [
+                    [x - (lam if i == j else field.zero()) for j, x in enumerate(r)]
+                    for i, r in enumerate(m.rows)
+                ]
+                spaces.append(((num, den), _null_space_by_scalars(field, shifted, d)))
+            assert linalg.eigenspaces(m) == (mp, roots, tuple(spaces))
+            distinct.add(len(roots))
     assert min_polys == [] and root_searches == []
+    assert distinct == set(range(1, min(len(set(values)), 5) + 1))
     for d in range(2, 5):
-        # a shear, and the last unit: neither is scalar, so both are computed
+        # a shear is not diagonal, so its spectrum is computed; the last
+        # unit is diagonal and read on its face
         shear = [[int(i == j or (i, j) == (0, 1)) for j in range(d)] for i in range(d)]
         unit = [[int(i == j == d - 1) for j in range(d)] for i in range(d)]
         for rows in (shear, unit):
             m = Matrix(field, rows)
             assert linalg.eigenspaces(m)[0] == min_poly_by_scalars(m)
-    assert len(min_polys) == len(root_searches) == 6
+    assert len(min_polys) == len(root_searches) == 3
+
+
+def test_a_direct_image_of_degree_64_splits_with_no_min_poly(monkeypatch):
+    # the root fiber of f_*L is the diagonal algebra in the label basis: its
+    # split restricts E_11, ..., E_63,63 to blocks of sizes 64, ..., 2, each
+    # diagonal, so it takes 63 spectra and computes no minimal polynomial and
+    # no root
+    field, d = GF(1009), 64
+    spectra = count_calls(monkeypatch, linalg.eigenspaces)
+    min_polys = count_calls(monkeypatch, linalg.min_poly)
+    root_searches = count_calls(monkeypatch, poly.roots_in_field)
+    rng = Random(64)
+    base = BaseGraph(2, [(0, 1), (1, 0)])
+    cover = CoverRep(base, d, [rng.sample(range(d), d) for _ in base.edges])
+    scalars = [[rng.randint(1, 1008) for _ in range(d)] for _ in base.edges]
+    record = cover_roundtrip(cover, covers.LineBundleOnCover(cover, field, scalars))
+    assert record.all_ok()
+    assert [m.nrows for (m,) in spectra] == list(range(d, 1, -1))
+    assert min_polys == [] and root_searches == []
