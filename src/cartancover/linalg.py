@@ -471,53 +471,30 @@ def solve(m: Matrix, b) -> tuple | None:
 
 
 def min_poly(m: Matrix) -> Poly:
-    """Monic minimal polynomial, from the first dependence among I, M, M^2, ...
+    """Monic minimal polynomial, via the first dependence among I, M, M^2, ...
 
-    Each flattened integer power P_k = N^k of N = den M, with its
-    coefficients in the powers, is reduced against the rows kept for the
-    lower powers (each zero at the pivots of those kept before it) and
-    kept in turn. No kept row is reduced again, and no power is formed
-    past the first that reduces to zero: its coefficients c_j read
-    sum_j c_j P_j = 0, that is sum_j c_j den^j M^j = 0, made monic. Over
-    GF(p) a kept row has a leading one. Over Q the reduction is
-    fraction-free (Bareiss, as in ``_eliminate``): against the kept row y
-    with pivot entry a at q, the row x becomes (a x - x_q y) / s, exactly,
-    for s the pivot entry of the row kept before y.
+    The flattened integer powers P_k = N^k of N = den M, for k up to d,
+    are the columns of one elimination. Once M^k depends on lower powers
+    so do all higher ones, so the pivots are 0, ..., k-1 and column k of
+    the RREF reads P_k = sum_j c_j P_j. With M^k = P_k / den^k that is
+    the monic relation M^k = sum_j c_j den^(j-k) M^j.
     """
     if not m.is_square():
         raise DimensionMismatch("minimal polynomial needs a square matrix")
     field, d = m.field, m.nrows
     p = field.characteristic
-    kept = []
+    den = m.den
     power = [[int(i == j) for j in range(d)] for i in range(d)]
-    for k in range(d + 1):
-        if k:
-            power = _product(power, m.ints, d, p) if k > 1 else m.ints
-        vec = [x for r in power for x in r]
-        coeffs = [int(j == k) for j in range(d + 1)]
-        scale = 1
-        for q, row, rc in kept:
-            a, f = row[q], vec[q]
-            if p:
-                if f:
-                    vec = [(x - f * y) % p for x, y in zip(vec, row)]
-                    coeffs = [(x - f * y) % p for x, y in zip(coeffs, rc)]
-            elif f or a != scale:
-                vec = [(a * x - f * y) // scale for x, y in zip(vec, row)]
-                coeffs = [(a * x - f * y) // scale for x, y in zip(coeffs, rc)]
-            scale = a
-        q = next((j for j, x in enumerate(vec) if x), None)
-        if q is None:
-            den = m.den
-            # sum_j coeffs[j] den^j M^j = 0, with coeffs[k] nonzero
-            ints = [c * den**j for j, c in enumerate(coeffs[: k + 1])]
-            return Poly._make(field, ints[k], ints)
-        if p and vec[q] != 1:
-            inv = pow(vec[q], -1, p)
-            vec = [x * inv % p for x in vec]
-            coeffs = [x * inv % p for x in coeffs]
-        kept.append((q, vec, coeffs))
-    raise AssertionError("unreachable: d + 1 powers of a d x d matrix are dependent")
+    flat = [[x for r in power for x in r]]
+    for _ in range(d):
+        power = _product(power, m.ints, d, p)
+        flat.append([x for r in power for x in r])
+    rows = [list(col) for col in zip(*flat)]
+    pivots, scale = _eliminate(rows, d + 1, p)
+    k = len(pivots)
+    lead = scale * den**k
+    coeffs = [-rows[j][k] * den**j for j in range(k)] + [lead]
+    return Poly._make(field, lead, coeffs)
 
 
 def eigenspaces(m: Matrix):
@@ -547,10 +524,8 @@ def eigenspaces(m: Matrix):
         coeffs, roots, spaces = [1], [], []
         # one den > 0 over Q and least residues over GF(p): ints order as values
         for c in sorted(positions):
-            # the product of the den x - c, ascending
-            step = [0, *(den * x for x in coeffs)]
-            for i, x in enumerate(coeffs):
-                step[i] -= c * x
+            # times den x - c, ascending
+            step = [den * a - c * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
             coeffs = [x % p for x in step] if p else step
             g = gcd(c, den)
             roots.append((c // g, den // g, 1))

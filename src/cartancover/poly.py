@@ -320,17 +320,14 @@ def _gf_roots(f: list, p: int) -> list:
     return _gf_split(_gf_gcd(f, _trim([c % p for c in xp]), p), p)
 
 
-def _gf_split(g: list, p: int, a: int = 1) -> list:
-    """The roots of the monic ``g``, a product of distinct linear factors,
-    trying the shifts a, a + 1, ... when no earlier shift separates them.
+def _gf_split(g: list, p: int) -> list:
+    """The roots of the monic ``g``, a product of distinct linear factors.
 
     Equal-degree splitting (Cantor-Zassenhaus): for a shift a, the roots
     r with r + a a nonzero square are the roots of
     gcd(g, (x + a)^((p - 1)/2) - 1). Two distinct roots r, s fall on
     different sides for some a in GF(p), since (r + a)/(s + a) takes every
-    value but 1, so the deterministic shifts a = 1, 2, ..., p split g.
-    The shift that splits g, and every one before it, leaves all roots of
-    each factor on one side, so each factor goes on from the next shift.
+    value but 1, so the deterministic shifts a = 1, 2, ... split g.
     """
     if len(g) <= 2:
         return [-g[0] % p] if len(g) == 2 else []
@@ -338,13 +335,14 @@ def _gf_split(g: list, p: int, a: int = 1) -> list:
         # the one squarefree split quadratic over GF(2) is x^2 + x
         return [0, 1]
     half = (p - 1) // 2
+    a = 1
     while True:
         s = _gf_pow_linear_mod(a % p, half, g, p) + [0]
         s[0] -= 1
         h = _gf_gcd(g, _trim([c % p for c in s]), p)
-        a += 1
         if 1 < len(h) < len(g):
-            return _gf_split(h, p, a) + _gf_split(_gf_divmod(g, h, p)[0], p, a)
+            return _gf_split(h, p) + _gf_split(_gf_divmod(g, h, p)[0], p)
+        a += 1
 
 
 def _rational_root_candidates(ints) -> list:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartancover import linalg
 from cartancover.cartan import MatrixSubspace
 from cartancover.errors import DimensionMismatch, SingularMatrix
 from cartancover.fields import GF, QQ
@@ -350,34 +349,6 @@ def test_min_poly_matches_the_scalar_oracle_in_every_degree(field):
             mp = min_poly(m)
             assert mp == min_poly_by_scalars(m)
             assert mp.degree == k
-
-
-@pytest.mark.parametrize("field", (QQ, GF(1009)), ids=str)
-def test_min_poly_stops_at_the_first_dependence(field, monkeypatch):
-    # N itself is the first power; each further one costs a product, and
-    # none is formed past the first dependence: one product for an
-    # idempotent of any size, d - 1 for a minimal polynomial of degree d
-    products = []
-    real = linalg._product
-
-    def counting(left, right, ncols, p):
-        products.append(len(left))
-        return real(left, right, ncols, p)
-
-    monkeypatch.setattr(linalg, "_product", counting)
-    rng = Random(f"early stop {field}")
-    for d in (2, 5, 10):
-        # the projection onto the first d // 2 coordinates, in another basis
-        unit = Matrix(field, [[int(i == j and i < d // 2) for j in range(d)] for i in range(d)])
-        t = random_invertible_matrix(rng, field, d)
-        idempotent = t @ unit @ t.inverse()
-        products.clear()
-        assert min_poly(idempotent).degree == 2
-        assert products == [d]
-        full = _planted_degree(field, rng, d, d)
-        products.clear()
-        assert min_poly(full).degree == d
-        assert products == [d] * (d - 1)
 
 
 # --- computed results -------------------------------------------------------

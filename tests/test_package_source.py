@@ -71,14 +71,22 @@ def _is_row_swap(node) -> bool:
     )
 
 
+def _zips_two_rows(gen) -> bool:
+    # zip(row, pivot_row) over existing rows. A polynomial times a linear
+    # factor zips two shifted copies of one list, displays built in place:
+    # zip([0, *coeffs], [*coeffs, 0]) is no row operation
+    return (
+        isinstance(gen.iter, ast.Call)
+        and getattr(gen.iter.func, "id", None) == "zip"
+        and not any(isinstance(arg, (ast.List, ast.Tuple)) for arg in gen.iter.args)
+    )
+
+
 def _is_row_operation(node) -> bool:
     # [x - f * y for x, y in zip(row, pivot_row)], possibly reduced afterwards
     return (
         isinstance(node, ast.ListComp)
-        and any(
-            isinstance(gen.iter, ast.Call) and getattr(gen.iter.func, "id", None) == "zip"
-            for gen in node.generators
-        )
+        and any(_zips_two_rows(gen) for gen in node.generators)
         and any(
             isinstance(sub, ast.BinOp)
             and isinstance(sub.op, ast.Sub)
@@ -90,12 +98,9 @@ def _is_row_operation(node) -> bool:
 
 
 def test_one_gauss_jordan_loop_in_package():
-    # rref, kernel, solve, inverse, eigenspaces and the subspaces all
-    # eliminate through linalg._eliminate; a row swap or a row operation
-    # x - f * y in any other function would be a second elimination loop.
-    # min_poly alone reduces one new power at a time against the rows kept
-    # for the lower ones, so that it stops at the first dependence without
-    # eliminating a kept row again; it swaps no rows and calls no _eliminate
+    # rref, kernel, solve, inverse, min_poly, eigenspaces and the subspaces
+    # all eliminate through linalg._eliminate; a row swap or a row operation
+    # x - f * y in any other function would be a second elimination loop
     found = set()
 
     def visit(node, where):
@@ -108,16 +113,7 @@ def test_one_gauss_jordan_loop_in_package():
 
     for path in sorted(PACKAGE.rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.name)
-    assert sorted(found) == ["linalg.py:_eliminate", "linalg.py:min_poly"]
-    linalg = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
-    (min_poly,) = [n for n in linalg.body if getattr(n, "name", None) == "min_poly"]
-    assert not any(_is_row_swap(node) for node in ast.walk(min_poly))
-    called = {
-        node.func.id
-        for node in ast.walk(min_poly)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-    }
-    assert not called & {"_eliminate", "_null_vectors"}
+    assert sorted(found) == ["linalg.py:_eliminate"]
 
 
 def test_field_scalars_built_only_where_values_leave_the_integer_form():

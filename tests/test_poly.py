@@ -3,7 +3,6 @@ from random import Random
 
 import pytest
 
-from cartancover import poly
 from cartancover.fields import GF, QQ, PrimeField, Rationals
 from cartancover.poly import Poly, nonsplit_witness, roots_in_field, squarefree_no_guard
 from helpers import (
@@ -248,23 +247,3 @@ def test_roots_over_a_large_prime_and_of_tall_rationals():
     roots, split = roots_in_field(mul_by_scalars(from_roots_by_scalars(QQ, tall), P(QQ, -2, 0, 1)))
     assert roots == ((-(10**10), 7, 2), (10**12 + 39, 10**6 + 3, 1))
     assert not split
-
-
-def test_each_factor_splits_from_the_next_shift(monkeypatch):
-    # the shift that splits g, and every shift before it, leaves all roots
-    # of each factor on one side, so each factor goes on from the next
-    # shift: after x^p mod f (shift 0), the shifts 1, ..., 9 and one more
-    # try at 5 split these eight roots, where restarting each factor at
-    # shift 1 took 36 tries
-    shifts = []
-    real = poly._gf_pow_linear_mod
-
-    def counting(a, n, f, p):
-        shifts.append(a)
-        return real(a, n, f, p)
-
-    monkeypatch.setattr(poly, "_gf_pow_linear_mod", counting)
-    planted = [1, 2, 3, 5, 8, 13, 21, 34]
-    roots, split = roots_in_field(from_roots_by_scalars(GF(1009), planted))
-    assert split and roots == tuple((r, 1, 1) for r in planted)
-    assert shifts == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 5]
