@@ -15,6 +15,19 @@ the fields: one ``% p``, or the exact Bareiss division. RREF and minimal
 polynomials are unique, so the results are those of field-scalar
 elimination, value for value.
 
+Some inputs are read on their face, with no product or elimination, and
+give the same canonical forms: a line with one nonzero entry maps to that
+column of the matrix (``Matrix.map_line``), a coordinate subspace, whose
+echelon rows are unit vectors, restricts a matrix to the submatrix at its
+pivots (``restrict``) and lifts a coordinate subspace of its coordinates
+to the unit vectors at its pivots (``lift``), a monomial matrix inverts
+by transposing its pattern (``Matrix.inverse``), and a diagonal matrix
+has its spectrum on its diagonal (``eigenspaces``). The direct image of a
+line bundle has monomial transitions and the diagonal algebra as its
+Cartan bundle, so its round trip meets only these. Each reading is
+chosen by counting zeros with ``count`` at C level, so a dense input pays
+no scan in Python.
+
 A subspace of k^n holds the canonical form of its reduced row echelon
 basis. A line of k^n is a canonical integer line, a tuple: over GF(p)
 the leading-one residues, over Q the primitive vector with a positive
@@ -31,8 +44,9 @@ with ``DimensionMismatch``; an entry from another field is a
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd, lcm
-from operator import mul
+from operator import countOf, itemgetter, mul
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, ParseError, SingularMatrix
@@ -125,6 +139,12 @@ def _product(left: list, right: list, ncols: int, p: int) -> list:
     return [[sum(map(mul, r, c)) for c in cols] for r in left]
 
 
+def _is_coordinate(space: "Subspace") -> bool:
+    """Whether the echelon rows of ``space`` are unit vectors, counted at
+    C level: a nonzero echelon row with n - 1 zeros is its leading one."""
+    return set(map(countOf, space.echelon.ints, repeat(0))) == {space.ambient - 1}
+
+
 def restrict(m: "Matrix", space: "Subspace") -> "Matrix":
     """m|_W for a subspace W of k^n: the w x w matrix whose column i is
     m e_i read at W's pivots, for e_i the echelon basis of W.
@@ -133,11 +153,18 @@ def restrict(m: "Matrix", space: "Subspace") -> "Matrix":
     m-invariant, m e_i = sum_j (m e_i)[pivot_j] e_j and this is the matrix
     of m on W in that basis. Entry (j, i) is row pivot_j of m times echelon
     row i, over ``m.den * W.echelon.den``. On all of k^n it is m itself.
+
+    A coordinate W is read on its face: its e_i are unit vectors, so m|_W
+    is the submatrix of m at W's pivots, with no product.
     """
     if space.dim == space.ambient:
         return m
     echelon = space.echelon
-    at_pivots = [m.ints[q] for q in space.pivots()]
+    pivots = space.pivots()
+    at_pivots = [m.ints[q] for q in pivots]
+    if _is_coordinate(space):
+        rows = [[r[q] for q in pivots] for r in at_pivots]
+        return Matrix._make(m.field, m.den, rows, space.dim)
     rows = _product(at_pivots, list(zip(*echelon.ints)), space.dim, m.field.characteristic)
     return Matrix._make(m.field, m.den * echelon.den, rows, space.dim)
 
@@ -145,11 +172,19 @@ def restrict(m: "Matrix", space: "Subspace") -> "Matrix":
 def lift(space: "Subspace", sub: "Subspace") -> "Subspace":
     """The subspace of k^n whose coordinates in the echelon basis of
     ``space`` span ``sub``: one product of their echelon rows. On all of
-    k^n that is ``sub``, and for the whole coordinate space ``space``."""
+    k^n that is ``sub``, and for the whole coordinate space ``space``.
+
+    When both are coordinate subspaces it is read on its face: the unit
+    vectors at the pivots of ``space`` indexed by the pivots of ``sub``,
+    with no product and no elimination.
+    """
     if space.dim == space.ambient:
         return sub
     if sub.dim == sub.ambient:
         return space
+    if _is_coordinate(space) and _is_coordinate(sub):
+        at = space.pivots()
+        return Subspace.coordinate(space.field, space.ambient, [at[q] for q in sub.pivots()])
     p = space.field.characteristic
     rows = _product(sub.echelon.ints, space.echelon.ints, space.ambient, p)
     return Subspace._spanned(space.field, space.ambient, rows)
@@ -192,6 +227,11 @@ class Matrix:
             if g != 1:
                 ints = [[x // g for x in r] for r in ints]
                 den //= g
+        return cls._wrap(field, den, ints, ncols)
+
+    @classmethod
+    def _wrap(cls, field, den: int, ints: list, ncols: int) -> "Matrix":
+        """The matrix whose canonical form ``ints / den`` already is."""
         m = object.__new__(cls)
         m.field = field
         m.den = den
@@ -259,9 +299,17 @@ class Matrix:
         carries the leading-one line of ``line`` to num / den times the
         leading-one line of the canonical integer line ``image``, which is
         None when the product is zero. ``num`` is the leading entry of the
-        product, reduced mod p over GF(p)."""
+        product, reduced mod p over GF(p).
+
+        A line with one nonzero entry is read on its face: the product is
+        that column of the matrix, scaled by the entry."""
         p = self.field.characteristic
-        w = [sum(map(mul, r, line)) % p if p else sum(map(mul, r, line)) for r in self.ints]
+        if line.count(0) == len(line) - 1:
+            x = next(filter(None, line))
+            column = list(map(itemgetter(line.index(x)), self.ints))
+            w = column if x == 1 else [y * x % p if p else y * x for y in column]
+        else:
+            w = [sum(map(mul, r, line)) % p if p else sum(map(mul, r, line)) for r in self.ints]
         lead = next(filter(None, w), 0)
         den = self.den * next(filter(None, line))
         if not lead:
@@ -280,23 +328,29 @@ class Matrix:
 
     def inverse(self) -> "Matrix":
         """The right half of the RREF of [M | I]; singular when a pivot
-        falls in that half."""
+        falls in that half.
+
+        A monomial matrix, one nonzero entry x per row in distinct
+        columns, is read on its face: entry x / den at (i, j) inverts to
+        den / x at (j, i), with no elimination."""
         if not self.is_square():
             raise DimensionMismatch("only square matrices invert")
-        n, den = self.nrows, self.den
+        n, den, ints, p = self.nrows, self.den, self.ints, self.field.characteristic
+        if n and set(map(countOf, ints, repeat(0))) == {n - 1}:
+            entries = [next(filter(None, r)) for r in ints]
+            cols = [r.index(x) for r, x in zip(ints, entries)]
+            if len(set(cols)) == n:
+                top = 1 if p else lcm(*entries)
+                rows = [[0] * n for _ in range(n)]
+                for i, (c, x) in enumerate(zip(cols, entries)):
+                    rows[c][i] = den * pow(x, -1, p) % p if p else den * (top // x)
+                return Matrix._make(self.field, top, rows, n)
         # [M | I] scaled to integers: over Q that is [den M | den I]
-        rows = [[*r, *(den if i == j else 0 for j in range(n))] for i, r in enumerate(self.ints)]
-        pivots, scale = _eliminate(rows, 2 * n, self.field.characteristic)
+        rows = [[*r, *(den if i == j else 0 for j in range(n))] for i, r in enumerate(ints)]
+        pivots, scale = _eliminate(rows, 2 * n, p)
         if n and pivots[-1] != n - 1:
             raise SingularMatrix("matrix is singular")
         return Matrix._make(self.field, scale, [r[n:] for r in rows], n)
-
-    def is_invertible(self) -> bool:
-        try:
-            self.inverse()
-            return True
-        except SingularMatrix:
-            return False
 
     def __eq__(self, other):
         return (
@@ -376,11 +430,15 @@ class Subspace:
         """The span of the unit vectors at the increasing ``positions``:
         their rows are already the reduced echelon form, so none is
         eliminated."""
-        rows = [[int(j == q) for j in range(ambient)] for q in positions]
+        rows = []
+        for q in positions:
+            row = [0] * ambient
+            row[q] = 1
+            rows.append(row)
         space = cls.__new__(cls)
         space.field = field
         space.ambient = ambient
-        space.echelon = Matrix._make(field, 1, rows, ambient)
+        space.echelon = Matrix._wrap(field, 1, rows, ambient)
         return space
 
     @property
@@ -393,7 +451,7 @@ class Subspace:
         return self.echelon.nrows
 
     def pivots(self) -> tuple:
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.echelon.ints)
+        return tuple(row.index(next(filter(None, row))) for row in self.echelon.ints)
 
     def _residual(self, v: list) -> list:
         """``den`` times the residual of the integer vector ``v`` after

@@ -19,7 +19,14 @@ bundle push forward to the input bundle. The checker accepts it when
   ``build_spectral_cover``;
 - ``component_count`` is the number of orbits of the points (v, t) of
   the cover under its edges, for a one-vertex base the orbit count of
-  the group generated by the sigma_e.
+  the group generated by the sigma_e;
+- ``checks.algebra_matches`` says whether, at every vertex, the
+  eigenvalue vectors of the given matrices on eta's columns span k^d,
+  which makes the fiber the diagonal algebra of those columns;
+- ``flat_section_dim`` is the dimension of the flat sections of the
+  algebra bundle, families a_v in A_v with T_e a_u = a_v T_e on every
+  edge, solved from the instance, and ``checks.components_match_sections``
+  says whether it is the orbit count.
 
 A ``pushforward`` report of exit 0 on a cover instance certifies that its
 bundle is the direct image of the cover's line bundle, with the diagonal
@@ -191,18 +198,32 @@ def check_cover_build(instance: dict, report: dict) -> list:
     if len(eta) != vertices or any(len(m) != d or len(m[0]) != d for m in eta):
         return ["eta is not one d x d matrix per vertex"]
 
+    fibers = [[_matrix(p, a) for a in given] for given in payload["cartan_bundle"]]
     failures = []
+    spans = True
     for v, m in enumerate(eta):
         if _rank(p, m) != d:
             failures.append(f"eta at vertex {v} is singular")
+            spans = False
             continue
-        for k, a in enumerate(payload["cartan_bundle"][v]):
-            image = _matmul(p, _matrix(p, a), m)
+        # per column of eta, its eigenvalue under each given matrix
+        values = [[] for _ in range(d)]
+        for k, a in enumerate(fibers[v]):
+            image = _matmul(p, a, m)
             for t, (col, img) in enumerate(zip(zip(*m), zip(*image))):
                 if _rank(p, [col, img]) != 1:
                     failures.append(
                         f"column {t} of eta at vertex {v} is no eigenvector of basis matrix {k}"
                     )
+                    spans = False
+                    continue
+                i = next(i for i, x in enumerate(col) if x)
+                values[t].append(img[i] / col[i] if p == 0 else img[i] * pow(col[i], -1, p) % p)
+        if spans and _rank(p, values) != d:
+            failures.append(f"the eigenvalue vectors at vertex {v} span less than k^{d}")
+            spans = False
+    if report["checks"]["algebra_matches"] != spans:
+        failures.append(f"algebra_matches is {report['checks']['algebra_matches']}, re-derived {spans}")
     for e, ((u, v), t_e) in enumerate(zip(edges, payload["transitions"])):
         monomial = _monomial(d, sigma[e], scalars[e])
         if _matmul(p, _matrix(p, t_e), eta[u]) != _matmul(p, eta[v], monomial):
@@ -210,7 +231,41 @@ def check_cover_build(instance: dict, report: dict) -> list:
     count = _orbit_count(vertices, edges, sigma, d)
     if report["component_count"] != count:
         failures.append(f"component_count {report['component_count']}, orbit count {count}")
+    sections = _flat_section_dim(p, d, edges, payload["transitions"], fibers)
+    if report["flat_section_dim"] != sections:
+        failures.append(f"flat_section_dim {report['flat_section_dim']}, solved {sections}")
+    if report["checks"]["components_match_sections"] != (sections == count):
+        failures.append(
+            f"components_match_sections is {report['checks']['components_match_sections']}, "
+            f"{sections} flat sections and {count} orbits"
+        )
     return failures
+
+
+def _flat_section_dim(p: int, d: int, edges, transitions, fibers) -> int:
+    """The dimension of the families (a_v), a_v in the span A_v of the
+    fiber's given matrices, with T_e a_u - a_v T_e = 0 on every edge:
+    the nullity of those d^2 equations per edge in the coordinates of
+    each a_v in the echelon basis of A_v."""
+    bases = [_echelon(p, [_flat(a) for a in given]) for given in fibers]
+    offsets = [0]
+    for basis in bases:
+        offsets.append(offsets[-1] + len(basis))
+    equations = []
+    for (u, v), t_e in zip(edges, transitions):
+        t = _matrix(p, t_e)
+        # column j of this edge's equations: the image of the j-th unknown
+        columns = [[0] * (d * d) for _ in range(offsets[-1])]
+        for k, b in enumerate(bases[u]):
+            moved = _flat(_matmul(p, t, [b[i * d : (i + 1) * d] for i in range(d)]))
+            columns[offsets[u] + k] = [x + y for x, y in zip(columns[offsets[u] + k], moved)]
+        for k, b in enumerate(bases[v]):
+            moved = _flat(_matmul(p, [b[i * d : (i + 1) * d] for i in range(d)], t))
+            columns[offsets[v] + k] = [x - y for x, y in zip(columns[offsets[v] + k], moved)]
+        equations += [list(row) for row in zip(*columns)]
+    if p:
+        equations = [[x % p for x in row] for row in equations]
+    return offsets[-1] - _rank(p, equations)
 
 
 def check_pushforward(instance: dict, report: dict) -> list:

@@ -143,7 +143,7 @@ def bundle_iso_check(
         return tuple(pt @ m0 @ ps for pt, ps in zip(paths_t, pinv_s))
 
     for m0 in basis:
-        if m0.is_invertible():
+        if is_invertible(m0):
             return BundleIsoResult(transport(m0), dim, True)
     field = source.field
     coeff_range = [field.coerce(c) for c in range(-coefficient_bound, coefficient_bound + 1)]
@@ -158,7 +158,7 @@ def bundle_iso_check(
         for c, b in zip(combo, basis):
             if c != 0:
                 m0 = m0 + b.scale(c)
-        if m0.is_invertible():
+        if is_invertible(m0):
             return BundleIsoResult(transport(m0), dim, True)
     return BundleIsoResult(None, dim, dim == 0)
 
@@ -296,6 +296,15 @@ def inverse_by_scalars(m: Matrix) -> tuple:
     if pivots != tuple(range(n)):
         raise SingularMatrix("matrix is singular")
     return tuple(r[n:] for r in rows)
+
+
+def is_invertible(m: Matrix) -> bool:
+    """Whether ``Matrix.inverse`` finds m invertible."""
+    try:
+        m.inverse()
+        return True
+    except SingularMatrix:
+        return False
 
 
 def integer_line(field, vec):
@@ -752,7 +761,7 @@ def random_invertible_matrix(rng: Random, field, d: int, tries: int = 100) -> Ma
                 for _ in range(d)
             ]
         m = Matrix(field, rows)
-        if m.is_invertible():
+        if is_invertible(m):
             return m
     raise AssertionError("failed to sample an invertible matrix")
 

@@ -26,6 +26,7 @@ from helpers import (
     bundle_iso_check,
     conjugation_operator,
     end_bundle,
+    is_invertible,
     random_invertible_matrix,
     unflatten,
 )
@@ -109,7 +110,7 @@ def test_end_bundle_transitions_invertible():
     for _ in range(10):
         t = random_invertible_matrix(rng, QQ, 3)
         endo = end_bundle(loop_bundle(t))
-        assert endo.transitions[0].is_invertible()
+        assert is_invertible(endo.transitions[0])
 
 
 def test_conjugation_operator_matches_direct_computation():
@@ -264,7 +265,7 @@ def test_iso_check_identical_bundles():
     result = bundle_iso_check(e, e)
     assert result.found and result.conclusive
     witness = result.witness[0]
-    assert witness.is_invertible()
+    assert is_invertible(witness)
     assert witness @ e.transitions[0] == e.transitions[0] @ witness
 
 
@@ -285,7 +286,7 @@ def test_iso_check_finds_conjugated_bundle():
     result = bundle_iso_check(e, f)
     assert result.found
     w = result.witness[0]
-    assert w.is_invertible()
+    assert is_invertible(w)
     assert f.transitions[0] @ w == w @ e.transitions[0]
 
 

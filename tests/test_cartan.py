@@ -20,6 +20,7 @@ from helpers import (
     classify_by_min_polys,
     eigenline_scalars,
     field_elements,
+    is_invertible,
     random_invertible_matrix,
     random_subspace_for_cartan_test,
     subalgebra_closure_defect,
@@ -84,7 +85,7 @@ def gl_search_oracle_d2(subspace, field):
     scalars = field_elements(field)
     for entries in product(scalars, repeat=4):
         t = Matrix(field, [entries[:2], entries[2:]])
-        if not t.is_invertible():
+        if not is_invertible(t):
             continue
         conjugates = (t @ a @ t.inverse() for a in subspace.basis_matrices())
         if all(diag.space.contains(c.flatten()) for c in conjugates):

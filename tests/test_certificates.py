@@ -159,6 +159,39 @@ def test_a_wrong_component_count_fails_the_certificate():
 PUSHFORWARD_STEMS = ["cover_c4_loop_q", "cover_swap_loop_q"]
 
 
+def _cover_build_cases(tmp_path, capsys):
+    return GOLDEN_CASES + [_pushforward_case(tmp_path, capsys, stem) for stem in PUSHFORWARD_STEMS]
+
+
+def test_given_matrices_spanning_less_fail_algebra_matches(tmp_path, capsys):
+    # the last given matrix at each vertex replaced by the first: eta's
+    # columns stay eigenvectors of every given matrix, but their eigenvalue
+    # vectors span less than k^d, so the fiber is not the diagonal algebra
+    for instance, report in _cover_build_cases(tmp_path, capsys):
+        d = instance["payload"]["rank"]
+        for v, given in enumerate(instance["payload"]["cartan_bundle"]):
+            mutated = copy.deepcopy(instance)
+            mutated["payload"]["cartan_bundle"][v][-1] = given[0]
+            failures = check_cover_build(mutated, report)
+            assert f"the eigenvalue vectors at vertex {v} span less than k^{d}" in failures
+            assert "algebra_matches is True, re-derived False" in failures
+
+
+def test_changed_section_claims_fail_the_certificate(tmp_path, capsys):
+    for instance, report in _cover_build_cases(tmp_path, capsys):
+        count = report["component_count"]
+        assert report["flat_section_dim"] == count
+        mutated = dict(report, flat_section_dim=count + 1)
+        assert check_cover_build(instance, mutated) == [
+            f"flat_section_dim {count + 1}, solved {count}"
+        ]
+        for claim in ("algebra_matches", "components_match_sections"):
+            mutated = copy.deepcopy(report)
+            mutated["checks"][claim] = False
+            failures = check_cover_build(instance, mutated)
+            assert len(failures) == 1 and failures[0].startswith(f"{claim} is False"), failures
+
+
 def _pushforward_golden(stem):
     return (
         json.loads((INSTANCES / f"{stem}.json").read_text(encoding="utf-8")),

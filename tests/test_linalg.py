@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cartancover import linalg
 from cartancover.cartan import MatrixSubspace
 from cartancover.errors import DimensionMismatch, SingularMatrix
 from cartancover.fields import GF, QQ
@@ -15,11 +17,20 @@ from cartancover.linalg import (
     kernel,
     lift,
     min_poly,
+    restrict,
     rref,
     solve,
 )
 from cartancover.poly import Poly, nonsplit_witness, roots_in_field
-from helpers import min_poly_by_scalars, random_invertible_matrix
+from helpers import (
+    apply_by_scalars,
+    integer_line,
+    inverse_by_scalars,
+    line_scalars,
+    matmul_by_scalars,
+    min_poly_by_scalars,
+    random_invertible_matrix,
+)
 
 
 def M(field, rows):
@@ -387,3 +398,166 @@ def test_product_through_zero_columns_has_the_outer_shape():
     left = Matrix(QQ, [[], []], ncols=0)
     right = Matrix(QQ, [], ncols=3)
     assert left @ right == Matrix.zeros(QQ, 2, 3)
+
+
+# --- inputs read on their face ------------------------------------------------
+#
+# A unit line, a coordinate block and a monomial matrix are read without a
+# product or an elimination; the results must be those of the scalar oracles.
+
+FACE_FIELDS = (QQ, GF(2), GF(7), GF(1009))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The names of the integer products and eliminations called, in order."""
+    calls = []
+    for name in ("_product", "_eliminate"):
+        real = getattr(linalg, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(linalg, name, counting)
+    return calls
+
+
+def _face_scalar(field, rng):
+    # zeros often, negative and fractional entries over Q
+    if rng.random() < 0.3:
+        return 0
+    if field.characteristic:
+        return rng.randrange(field.p)
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+
+def _nonzero_scalar(field, rng):
+    while True:
+        x = _face_scalar(field, rng)
+        if x != 0:
+            return x
+
+
+def _face_matrix(field, rng, d):
+    rows = [[_face_scalar(field, rng) for _ in range(d)] for _ in range(d)]
+    if rng.random() < 0.3:
+        # a zero column, so some unit line maps to zero
+        zero = rng.randrange(d)
+        for row in rows:
+            row[zero] = 0
+    return Matrix(field, rows)
+
+
+def _unit(d, j, x=1):
+    return tuple(x if i == j else 0 for i in range(d))
+
+
+def _check_line_image(m, line):
+    # m carries the leading-one line of ``line`` to num / den times the
+    # leading-one line of the canonical integer line ``image``
+    field, p = m.field, m.field.characteristic
+    num, den, image = m.map_line(line)
+    assert den == m.den * next(filter(None, line))
+    w = apply_by_scalars(m, line_scalars(field, line))
+    if image is None:
+        assert num == 0 and all(x == 0 for x in w)
+        return False
+    lead = next(filter(None, image))
+    if p:
+        assert 0 < num < p and lead == 1 and all(0 <= x < p for x in image)
+    else:
+        assert lead > 0 and gcd(*image) == 1
+    w_lead = next(x for x in w if x != 0)
+    assert line_scalars(field, image) == tuple(x / w_lead for x in w)
+    factor = field.from_ints([num], den)[0]
+    assert tuple(factor * x for x in line_scalars(field, image)) == w
+    return True
+
+
+@pytest.mark.parametrize("field", FACE_FIELDS, ids=str)
+def test_a_unit_line_maps_to_its_column(field):
+    rng = Random(f"unit lines {field}")
+    images = []
+    for _ in range(30):
+        d = rng.randint(1, 8)
+        m = _face_matrix(field, rng, d)
+        for j in range(d):
+            images.append(_check_line_image(m, _unit(d, j)))
+            # a unit vector that is no canonical line: the column, scaled
+            x = rng.randrange(1, field.p) if field.characteristic else rng.choice((-3, -1, 2, 5))
+            images.append(_check_line_image(m, _unit(d, j, x)))
+        dense = integer_line(field, [_nonzero_scalar(field, rng) for _ in range(d)])
+        images.append(_check_line_image(m, dense))
+    assert True in images and False in images
+
+
+@pytest.mark.parametrize("field", FACE_FIELDS, ids=str)
+def test_restriction_to_a_coordinate_block_is_a_submatrix(field, kernel_calls):
+    rng = Random(f"coordinate restriction {field}")
+    for _ in range(30):
+        d = rng.randint(2, 8)
+        m = _face_matrix(field, rng, d)
+        positions = sorted(rng.sample(range(d), rng.randint(1, d - 1)))
+        # spanned by scaled unit vectors: their echelon rows are unit vectors
+        block = Subspace(field, d, [_unit(d, q, _nonzero_scalar(field, rng)) for q in positions])
+        assert block == Subspace.coordinate(field, d, positions)
+        # column i of m|_W is m e_i read at W's pivots
+        product = matmul_by_scalars(m, Matrix.from_columns(field, block.basis))
+        expected = tuple(product[q] for q in positions)
+        kernel_calls.clear()
+        restricted = restrict(m, block)
+        assert kernel_calls == []
+        assert restricted.rows == expected
+        assert restricted == Matrix(field, expected)
+
+
+@pytest.mark.parametrize("field", FACE_FIELDS, ids=str)
+def test_lift_of_a_coordinate_block_into_one_is_coordinate(field, kernel_calls):
+    rng = Random(f"coordinate lift {field}")
+    for _ in range(30):
+        d = rng.randint(2, 8)
+        positions = sorted(rng.sample(range(d), rng.randint(1, d - 1)))
+        space = Subspace.coordinate(field, d, positions)
+        w = len(positions)
+        inner = sorted(rng.sample(range(w), rng.randint(1, w)))
+        dense = [[_face_scalar(field, rng) for _ in range(w)] for _ in range(rng.randint(1, w))]
+        basis = Matrix.from_columns(field, space.basis)
+        coordinate = Subspace.coordinate(field, w, inner)
+        for sub in (coordinate, Subspace(field, w, dense)):
+            # the vectors whose coordinates in the basis of space span sub
+            expected = Subspace(field, d, [apply_by_scalars(basis, s) for s in sub.basis])
+            kernel_calls.clear()
+            lifted = lift(space, sub)
+            assert lifted == expected
+            if sub is coordinate:
+                assert kernel_calls == []
+                assert lifted == Subspace.coordinate(field, d, [positions[i] for i in inner])
+
+
+@pytest.mark.parametrize("field", FACE_FIELDS, ids=str)
+def test_a_monomial_matrix_inverts_by_transposing(field, kernel_calls):
+    rng = Random(f"monomial inverse {field}")
+    for _ in range(40):
+        d = rng.randint(1, 8)
+        rows = [[0] * d for _ in range(d)]
+        for i, j in enumerate(rng.sample(range(d), d)):
+            rows[i][j] = _nonzero_scalar(field, rng)
+        m = Matrix(field, rows)
+        expected = inverse_by_scalars(m)
+        kernel_calls.clear()
+        inv = m.inverse()
+        assert kernel_calls == []
+        assert inv.rows == expected
+        assert inv == Matrix(field, expected)
+    # one nonzero per row, two in one column: singular
+    for d in range(2, 9):
+        cols = [rng.randrange(d) for _ in range(d)]
+        if len(set(cols)) == d:
+            cols[0] = cols[1]
+        rows = [[_nonzero_scalar(field, rng) if j == c else 0 for j in range(d)] for c in cols]
+        m = Matrix(field, rows)
+        with pytest.raises(SingularMatrix):
+            inverse_by_scalars(m)
+        with pytest.raises(SingularMatrix):
+            m.inverse()

@@ -323,7 +323,6 @@ def test_matrix_inverse_called_only_where_an_inverse_is_the_result():
     allowed = {
         "bundles.py:BundleRep.transition_inverse",
         "cartan.py:conjugate_subspace",
-        "linalg.py:Matrix.is_invertible",
     }
     found = set()
 

@@ -950,18 +950,23 @@ def test_scalar_spectrum_is_the_computed_one(field, monkeypatch):
 
 def test_a_direct_image_of_degree_64_splits_with_no_min_poly(monkeypatch):
     # the root fiber of f_*L is the diagonal algebra in the label basis: its
-    # split restricts E_11, ..., E_63,63 to blocks of sizes 64, ..., 2, each
-    # diagonal, so it takes 63 spectra and computes no minimal polynomial and
-    # no root
-    field, d = GF(1009), 64
+    # split restricts E_11, ..., E_(d-1)(d-1) to blocks of sizes d, ..., 2,
+    # each diagonal, so it takes d - 1 spectra and computes no minimal
+    # polynomial and no root. The blocks are coordinate subspaces and the
+    # lines unit lines, so no restriction, lift or line image multiplies
+    # matrices, and the monomial transitions invert with no product either
+    field = GF(1009)
     spectra = count_calls(monkeypatch, linalg.eigenspaces)
     min_polys = count_calls(monkeypatch, linalg.min_poly)
     root_searches = count_calls(monkeypatch, poly.roots_in_field)
-    rng = Random(64)
-    base = BaseGraph(2, [(0, 1), (1, 0)])
-    cover = CoverRep(base, d, [rng.sample(range(d), d) for _ in base.edges])
-    scalars = [[rng.randint(1, 1008) for _ in range(d)] for _ in base.edges]
-    record = cover_roundtrip(cover, covers.LineBundleOnCover(cover, field, scalars))
-    assert record.all_ok()
-    assert [m.nrows for (m,) in spectra] == list(range(d, 1, -1))
-    assert min_polys == [] and root_searches == []
+    products = count_calls(monkeypatch, linalg._product)
+    for d in (64, 128):
+        rng = Random(d)
+        base = BaseGraph(2, [(0, 1), (1, 0)])
+        cover = CoverRep(base, d, [rng.sample(range(d), d) for _ in base.edges])
+        scalars = [[rng.randint(1, 1008) for _ in range(d)] for _ in base.edges]
+        spectra.clear()
+        record = cover_roundtrip(cover, covers.LineBundleOnCover(cover, field, scalars))
+        assert record.all_ok()
+        assert [m.nrows for (m,) in spectra] == list(range(d, 1, -1))
+        assert min_polys == [] and root_searches == [] and products == []
