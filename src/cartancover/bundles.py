@@ -218,8 +218,9 @@ class CartanLines(NamedTuple):
     factors: tuple
 
 
-def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> CartanLines:
-    """Split Cartan fibers everywhere, compatible under every edge conjugation.
+def validate_cartan_bundle(algebra: SubalgebraBundle) -> CartanLines:
+    """Split Cartan fibers everywhere, compatible under every edge conjugation
+    of the bundle ``algebra.parent``.
 
     ``simultaneous_eigenlines`` splits the root fiber A_0 into its d common
     eigenlines L_0, and the lines are carried along the spanning tree to
@@ -279,18 +280,19 @@ def validate_cartan_bundle(bundle: BundleRep, algebra: SubalgebraBundle) -> Cart
     (``Matrix.map_line``), which are hashable, and the edge factors as a
     matrix in canonical integer form; no field scalar is built.
     """
-    tree = bundle.graph.spanning_tree()
+    tree = algebra.parent.graph.spanning_tree()
     try:
-        return _certify(bundle, algebra, tree)
+        return _certify(algebra, tree)
     except CartanCoverError:
-        validate_bundle(bundle)
+        validate_bundle(algebra.parent)
         raise
 
 
-def _certify(bundle: BundleRep, algebra: SubalgebraBundle, tree: SpanningTree) -> CartanLines:
+def _certify(algebra: SubalgebraBundle, tree: SpanningTree) -> CartanLines:
     """The success path of ``validate_cartan_bundle``: its lines, or an
     error that stands once ``validate_bundle`` finds every transition
     invertible."""
+    bundle = algebra.parent
     # tree edge -> per line over its source: (image index, factor as num, den)
     carried = {}
 

@@ -82,7 +82,7 @@ class MatrixSubspace:
     @classmethod
     def diagonal_algebra(cls, field, d: int) -> "MatrixSubspace":
         units = [[[int(i == j == t) for j in range(d)] for i in range(d)] for t in range(d)]
-        return cls(field, d, [Matrix._make(field, 1, unit, d) for unit in units])
+        return cls(field, d, [Matrix._wrap(field, 1, unit, d) for unit in units])
 
     @property
     def space(self) -> Subspace:
@@ -165,21 +165,17 @@ class CartanVerdict(NamedTuple):
         )
 
 
-def classify_subspace(a: MatrixSubspace, d: int) -> CartanVerdict:
-    """Classify a subspace of d x d matrices as split Cartan (with its
-    eigenlines and their functionals), non-split Cartan, or not Cartan
+def classify_subspace(a: MatrixSubspace) -> CartanVerdict:
+    """Classify ``a`` in M(d), d its ``ambient_dim``, as split Cartan (with
+    its eigenlines and their functionals), non-split Cartan, or not Cartan
     (with a witness): the outcome of ``simultaneous_eigenlines`` as a
     verdict. The functionals are read off the certified lines, on the
     canonical basis, for the report; they decide nothing."""
-    if a.ambient_dim != d:
-        raise DimensionMismatch(
-            f"subspace of M({a.ambient_dim}) tested against d = {d}"
-        )
     try:
         lines = simultaneous_eigenlines(a)
     except NotSplitCartan as exc:
         return exc.verdict
-    values = ratio_matrix(a.field, _eigenvalues(a.basis_matrices(), lines), d)
+    values = ratio_matrix(a.field, _eigenvalues(a.basis_matrices(), lines), a.ambient_dim)
     return CartanVerdict(CartanStatus.SPLIT, eigenlines=EigenlineSet(a.field, lines, values))
 
 

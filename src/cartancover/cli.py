@@ -78,7 +78,7 @@ def _error_report(command: str, exc: CartanCoverError) -> Report:
 def cmd_classify(instance: CartanInstance) -> Report:
     field = instance.field
     subspace = MatrixSubspace(field, instance.dimension, instance.basis)
-    verdict = classify_subspace(subspace, instance.dimension)
+    verdict = classify_subspace(subspace)
     machine = {
         "field": field_to_json(field),
         "d": instance.dimension,
@@ -101,7 +101,7 @@ def cmd_classify(instance: CartanInstance) -> Report:
     if eig is not None:
         # each line is written leading-one normalized: over its leading entry
         lines = [field.render_ints(line, next(filter(None, line))) for line in eig.ints]
-        functionals = render_matrix(field, eig.values)
+        functionals = render_matrix(eig.values)
         machine["eigenlines"] = lines
         machine["functionals"] = functionals
         for t, (line, mu) in enumerate(zip(lines, functionals)):
@@ -114,12 +114,12 @@ def cmd_cover_build(instance: BundleInstance) -> Report:
     if instance.algebra is None:
         raise ParseError("payload.cartan_bundle is required for cover-build")
     field = instance.field
-    record = roundtrip_verify(instance.bundle, instance.algebra)
+    record = roundtrip_verify(instance.algebra)
     result, report = record.result, record.report
     machine = {
         "field": field_to_json(field),
         "cover": cover_instance_to_json(field, result.cover, result.line_bundle),
-        "eta": [render_matrix(field, m) for m in result.eta],
+        "eta": [render_matrix(m) for m in result.eta],
         "component_count": report.component_count,
         "degree_profile": list(report.degree_profile),
         "split": report.split,
@@ -143,7 +143,7 @@ def cmd_cover_build(instance: BundleInstance) -> Report:
     for e, perm in enumerate(result.cover.sigma):
         human.append(f"edge {e}: sigma {perm_to_json(perm)}, scalars ({', '.join(scalars[e])})")
     for v, m in enumerate(result.eta):
-        human.append(f"eta at vertex {v}: {matrix_oneline(field, m)}")
+        human.append(f"eta at vertex {v}: {matrix_oneline(m)}")
     human.append(f"flat sections of the algebra bundle: dimension {record.flat_section_dim}")
     human.append(
         "checks: eta intertwines = True, algebra matches = True, components = sections: True"
@@ -174,19 +174,19 @@ def _pushforward_cover(instance: CoverInstance) -> Report:
         )
     field = instance.field
     line = instance.line_bundle or trivial_line_bundle(instance.cover, field)
-    algebra = canonical_algebra_map(instance.cover, line)
+    algebra = canonical_algebra_map(line)
     bundle = algebra.parent
     report = cover_report(instance.cover)
     machine = {
         "field": field_to_json(field),
-        "bundle": bundle_instance_to_json(field, bundle, algebra),
+        "bundle": bundle_instance_to_json(bundle, algebra),
         "component_count": report.component_count,
         "split": report.split,
         "ok": True,
     }
     human = [f"pushforward bundle of rank {bundle.rank}"]
     for e, t in enumerate(bundle.transitions):
-        human.append(f"edge {e}: {matrix_oneline(field, t)}")
+        human.append(f"edge {e}: {matrix_oneline(t)}")
     human.append(
         f"canonical algebra bundle: diagonal in the label basis at each of "
         f"{bundle.graph.num_vertices} vertex fiber(s)"

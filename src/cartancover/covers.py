@@ -175,16 +175,15 @@ def cover_report(cover: CoverRep) -> CoverReport:
     return CoverReport(len(comps), tuple(degrees), all(k == 1 for k in degrees))
 
 
-def direct_image_line_bundle(cover: CoverRep, line: LineBundleOnCover) -> BundleRep:
+def direct_image_line_bundle(line: LineBundleOnCover) -> BundleRep:
     """Pushforward of a line bundle: rank-d bundle with monomial transitions.
 
     Basis vectors of the fiber are indexed by the cover labels; the edge
     matrix sends basis vector t to s[e][t] times basis vector sigma[e][t],
     so each transition has exactly one nonzero entry per row and column.
     """
-    if line.cover != cover:
-        raise DimensionMismatch("line bundle lives on a different cover")
-    field, d, scalars = line.field, cover.degree, line.scalars
+    cover, field, scalars = line.cover, line.field, line.scalars
+    d = cover.degree
     transitions = []
     for sigma, row in zip(cover.sigma, scalars.ints):
         ints = [[0] * d for _ in range(d)]
@@ -194,16 +193,16 @@ def direct_image_line_bundle(cover: CoverRep, line: LineBundleOnCover) -> Bundle
     return BundleRep(field, cover.base, d, transitions)
 
 
-def canonical_algebra_map(cover: CoverRep, line: LineBundleOnCover) -> SubalgebraBundle:
+def canonical_algebra_map(line: LineBundleOnCover) -> SubalgebraBundle:
     """The fiberwise-diagonal algebra inside End of the pushforward.
 
     Coordinate projections in the cover-label basis span the space of all
     diagonal matrices at each vertex; monomial transitions conjugate
     diagonals to diagonals, so the family is edge-compatible by design.
     """
-    bundle = direct_image_line_bundle(cover, line)
-    diag = MatrixSubspace.diagonal_algebra(line.field, cover.degree)
-    return SubalgebraBundle(bundle, tuple(diag for _ in range(cover.base.num_vertices)))
+    bundle = direct_image_line_bundle(line)
+    diag = MatrixSubspace.diagonal_algebra(line.field, bundle.rank)
+    return SubalgebraBundle(bundle, tuple(diag for _ in range(bundle.graph.num_vertices)))
 
 
 class SpectralCoverResult(NamedTuple):
@@ -212,7 +211,7 @@ class SpectralCoverResult(NamedTuple):
     eta: tuple  # per vertex, the invertible matrix with eigenline columns
 
 
-def build_spectral_cover(bundle: BundleRep, algebra: SubalgebraBundle) -> SpectralCoverResult:
+def build_spectral_cover(algebra: SubalgebraBundle) -> SpectralCoverResult:
     """Rebuild the cover and line bundle from a split Cartan algebra subbundle.
 
     ``validate_cartan_bundle`` validates the input and hands back what the
@@ -235,7 +234,8 @@ def build_spectral_cover(bundle: BundleRep, algebra: SubalgebraBundle) -> Spectr
     lines, and vertices with equal lines, every vertex of a direct image,
     share that matrix.
     """
-    split = validate_cartan_bundle(bundle, algebra)
+    split = validate_cartan_bundle(algebra)
+    bundle = algebra.parent
     field = bundle.field
     cover = CoverRep(bundle.graph, bundle.rank, split.images)
     line_bundle = LineBundleOnCover(cover, field, split.factors)
@@ -273,7 +273,7 @@ class RoundtripRecord(NamedTuple):
         return True
 
 
-def roundtrip_verify(bundle: BundleRep, algebra: SubalgebraBundle) -> RoundtripRecord:
+def roundtrip_verify(algebra: SubalgebraBundle) -> RoundtripRecord:
     """Rebuild the cover and count its components, which count the flat sections.
 
     ``build_spectral_cover`` raises unless, through ``validate_cartan_bundle``,
@@ -293,7 +293,7 @@ def roundtrip_verify(bundle: BundleRep, algebra: SubalgebraBundle) -> RoundtripR
       the points of the cover that is constant along its edges, and the
       flat sections have one dimension per component of the cover.
     """
-    result = build_spectral_cover(bundle, algebra)
+    result = build_spectral_cover(algebra)
     return RoundtripRecord(cover_report(result.cover), result)
 
 
@@ -326,15 +326,16 @@ def _labels_from_monomial(vertex: int, eta: Matrix) -> tuple:
 def cover_roundtrip(cover: CoverRep, line: LineBundleOnCover) -> CoverRoundtripRecord:
     """Push a line bundle down, rebuild the cover, and match it to the original.
 
-    The match is read off eta, with no search over bijections. The
-    pushforward's transition T_e sends basis vector t to s_e(t) times basis
-    vector sigma_e(t), and its fibers are the diagonal algebra, whose
-    common eigenlines are the coordinate lines. So column t' of eta_v is
-    c_v(t') times basis vector beta_v(t'): eta_v is monomial, and beta_v
-    maps rebuilt labels to input labels. ``bundles._map_lines`` has checked
-    eta_v P'_e = T_e eta_u on every edge e = (u, v), column by column
-    (see ``build_spectral_cover``), where P'_e carries the rebuilt sigma'_e
-    and scalars s'_e. Applied to basis vector t' that identity reads
+    A ``line`` on another cover raises ``DimensionMismatch``. The match is
+    read off eta, with no search over bijections. The pushforward's
+    transition T_e sends basis vector t to s_e(t) times basis vector
+    sigma_e(t), and its fibers are the diagonal algebra, whose common
+    eigenlines are the coordinate lines. So column t' of eta_v is c_v(t')
+    times basis vector beta_v(t'): eta_v is monomial, and beta_v maps
+    rebuilt labels to input labels. ``bundles._map_lines`` has checked
+    eta_v P'_e = T_e eta_u on every edge e = (u, v), column by column (see
+    ``build_spectral_cover``), where P'_e carries the rebuilt sigma'_e and
+    scalars s'_e. Applied to basis vector t' that identity reads
 
         s'_e(t') c_v(sigma'_e(t')) e[beta_v(sigma'_e(t'))]
             = c_u(t') s_e(beta_u(t')) e[sigma_e(beta_u(t'))].
@@ -350,8 +351,9 @@ def cover_roundtrip(cover: CoverRep, line: LineBundleOnCover) -> CoverRoundtripR
     label t on basis vector t, which makes beta the identity; the argument
     does not rely on that order.)
     """
-    algebra = canonical_algebra_map(cover, line)
-    rec = roundtrip_verify(algebra.parent, algebra)
+    if line.cover != cover:
+        raise DimensionMismatch("line bundle lives on a different cover")
+    rec = roundtrip_verify(canonical_algebra_map(line))
     iso = tuple(_labels_from_monomial(v, eta) for v, eta in enumerate(rec.result.eta))
     return CoverRoundtripRecord(rec, iso)
 

@@ -319,19 +319,18 @@ def cover_instance_to_json(field, cover: CoverRep, line: LineBundleOnCover | Non
         "sigma": [[x + 1 for x in s] for s in cover.sigma],
     }
     if line is not None:
-        payload["scalars"] = render_matrix(field, line.scalars)
+        payload["scalars"] = render_matrix(line.scalars)
     return {"field": field_to_json(field), "kind": "cover", "payload": payload}
 
 
-def bundle_instance_to_json(field, bundle: BundleRep, algebra: SubalgebraBundle | None = None):
+def bundle_instance_to_json(bundle: BundleRep, algebra: SubalgebraBundle | None = None):
     payload = {
         "graph": graph_to_json(bundle.graph),
         "rank": bundle.rank,
-        "transitions": [render_matrix(field, t) for t in bundle.transitions],
+        "transitions": [render_matrix(t) for t in bundle.transitions],
     }
     if algebra is not None:
         payload["cartan_bundle"] = [
-            [render_matrix(field, m) for m in fiber.basis_matrices()]
-            for fiber in algebra.fibers
+            [render_matrix(m) for m in fiber.basis_matrices()] for fiber in algebra.fibers
         ]
-    return {"field": field_to_json(field), "kind": "bundle", "payload": payload}
+    return {"field": field_to_json(bundle.field), "kind": "bundle", "payload": payload}

@@ -127,14 +127,14 @@ def _write(x, parts, newline) -> None:
         raise TypeError(f"a machine report cannot hold a {t.__name__}")
 
 
-def render_matrix(field_obj, m) -> list:
+def render_matrix(m) -> list:
     """The entries of a matrix as report and instance-file strings, row by
-    row, written from its canonical integer form."""
-    return [field_obj.render_ints(r, m.den) for r in m.ints]
+    row, written from its canonical integer form over its ``field``."""
+    return [m.field.render_ints(r, m.den) for r in m.ints]
 
 
-def matrix_oneline(field_obj, m) -> str:
-    return "[" + "; ".join(" ".join(row) for row in render_matrix(field_obj, m)) + "]"
+def matrix_oneline(m) -> str:
+    return "[" + "; ".join(" ".join(row) for row in render_matrix(m)) + "]"
 
 
 def render_filtration(filtration) -> list:

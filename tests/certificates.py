@@ -1,6 +1,6 @@
 """An independent checker of ``cover-build``, ``pushforward`` (cover and
-parabolic) and ``classify`` certificates, and of ``cover-build`` error
-reports.
+parabolic), ``classify`` and ``factor`` certificates, and of
+``cover-build`` error reports.
 
 Nothing here imports ``cartancover``: a certificate is read from the
 bundle instance and the machine report alone, with field elements kept as
@@ -101,11 +101,31 @@ singular and every earlier edge's transition is invertible, and an
 edge e = (u, v) does not conjugate A_u onto A_v, and every earlier edge
 does. T A_u T^-1 = A_v reads T A_u = A_v T, a comparison of two spans
 that needs no inverse.
+
+A ``factor`` report of exit 0 lists the intermediate covers of a cover.
+The checker re-derives every claim from the cover instance and accepts
+the report when
+
+- ``monodromy`` is the BFS tree gauge (``gauged_cover``): the sorted tree
+  edges, and the gauged permutation of each cotree edge in index order;
+- the proper block systems are exactly the partitions of the labels into
+  equal blocks of a size strictly between 1 and d that every generator
+  carries onto themselves, each listed once, found by brute force over
+  all such partitions; ``proper_count`` is their number and
+  ``trivial_block_systems`` the singletons and the whole fiber;
+- each system's ``intermediate`` cover is the action of every gauged
+  edge on its blocks, and ``composite_consistent`` says whether the
+  quotient map carries each gauged edge onto the reported one;
+- ``summand_ok`` is the orbit criterion of ROADMAP item 1
+  (``summand_exists``), ``retraction_agrees`` is null when the
+  characteristic divides the block size and true otherwise, a summand
+  carries no ``witness``, and ``ok`` says whether every summand exists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 
@@ -648,4 +668,203 @@ def _vertex_report_failures(p: int, d: int, fibers, singular, report) -> list:
     reported = (error.get("message"), error.get("witness"))
     if reported != expected:
         failures.append(f"message and witness {reported}, re-derived {expected}")
+    return failures
+
+
+def _inverse(perm) -> list:
+    out = [0] * len(perm)
+    for i, x in enumerate(perm):
+        out[x] = i
+    return out
+
+
+def gauged_cover(instance: dict) -> tuple:
+    """The BFS tree gauge of a cover instance (parsed JSON): the tree edges,
+    sorted, and the gauged permutation of every edge, 0-based.
+
+    The tree is grown from vertex 0, each vertex taking its incident edges
+    in index order (an edge from u to v is met at u forward and at v
+    backward). tau_v carries root labels to labels over v: tau_0 is the
+    identity, tau_w = sigma_e tau_u across a tree edge e = (u, w) and
+    tau_w = sigma_e^-1 tau_v across e = (w, v). Edge e = (u, v) is gauged
+    to tau_v^-1 sigma_e tau_u, the identity on a tree edge.
+    """
+    payload = instance["payload"]
+    vertices, d = payload["graph"]["vertices"], payload["degree"]
+    edges = [tuple(e) for e in payload["graph"]["edges"]]
+    sigma = [[t - 1 for t in perm] for perm in payload["sigma"]]
+    incidence = [[] for _ in range(vertices)]
+    for idx, (u, v) in enumerate(edges):
+        incidence[u].append((idx, v, True))
+        if u != v:
+            incidence[v].append((idx, u, False))
+    taus = [None] * vertices
+    taus[0] = list(range(d))
+    queue, tree = [0], set()
+    for u in queue:
+        for idx, w, forward in incidence[u]:
+            if taus[w] is None:
+                step = sigma[idx] if forward else _inverse(sigma[idx])
+                taus[w] = [step[x] for x in taus[u]]
+                tree.add(idx)
+                queue.append(w)
+    gauged = [
+        [_inverse(taus[v])[sigma[e][taus[u][t]]] for t in range(d)]
+        for e, (u, v) in enumerate(edges)
+    ]
+    return sorted(tree), gauged
+
+
+def _equal_partitions(d: int, b: int):
+    """Every partition of 0..d-1 into blocks of size b, each a sorted tuple,
+    the blocks ordered by their first label."""
+
+    def extend(remaining):
+        if not remaining:
+            yield ()
+            return
+        first, rest = remaining[0], remaining[1:]
+        for companions in combinations(rest, b - 1):
+            left = [x for x in rest if x not in companions]
+            for tail in extend(left):
+                yield ((first, *companions), *tail)
+
+    yield from extend(list(range(d)))
+
+
+def _orbits(size: int, perms) -> list:
+    """The orbit index of each of 0..size-1 under the group the perms generate."""
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in perms:
+        for x in range(size):
+            parent[find(x)] = find(g[x])
+    return [find(x) for x in range(size)]
+
+
+def summand_exists(p: int, d: int, generators, blocks) -> bool:
+    """ROADMAP item 1's orbit criterion: the quotient pushforward is a flat
+    direct summand exactly when every orbit O of blocks under the monodromy
+    group G has a block B and an orbit P of points of G with
+    c_P = |B n P| > 0 and p not dividing c_P (always over Q)."""
+    block_of = [0] * d
+    for j, blk in enumerate(blocks):
+        for t in blk:
+            block_of[t] = j
+    points = _orbits(d, generators)
+    induced = [[block_of[g[blk[0]]] for blk in blocks] for g in generators]
+    block_orbits = _orbits(len(blocks), induced)
+    for j in set(block_orbits):
+        counts = {}
+        for t in blocks[j]:
+            counts[points[t]] = counts.get(points[t], 0) + 1
+        if p and all(c % p == 0 for c in counts.values()):
+            return False
+    return True
+
+
+def check_factor(instance: dict, report: dict) -> list:
+    """What fails in the certificate of a ``factor`` machine report of exit
+    0 (parsed JSON) for its cover instance (parsed JSON); empty when every
+    claim in the module docstring holds."""
+    field = instance["field"]
+    p = 0 if field["kind"] == "Q" else field["p"]
+    payload = instance["payload"]
+    graph, d = payload["graph"], payload["degree"]
+    if report["field"] != field or report["degree"] != d:
+        return ["the report is not over the instance's field in its degree"]
+    tree, gauged = gauged_cover(instance)
+    cotree = [e for e in range(len(gauged)) if e not in tree]
+    generators = [gauged[e] for e in cotree]
+    monodromy = {
+        "tree_edges": tree,
+        "generators": [{"edge": e, "perm": [x + 1 for x in gauged[e]]} for e in cotree],
+    }
+    failures = []
+    if report["monodromy"] != monodromy:
+        failures.append(f"monodromy {report['monodromy']}, re-derived {monodromy}")
+    preserved = {
+        blocks
+        for b in range(2, d)
+        if d % b == 0
+        for blocks in _equal_partitions(d, b)
+        if all(
+            tuple(sorted(g[x] for x in blk)) in blocks for g in generators for blk in blocks
+        )
+    }
+    systems = report["proper_block_systems"]
+    reported = [tuple(tuple(x - 1 for x in blk) for blk in s["blocks"]) for s in systems]
+    if len(set(reported)) != len(reported) or set(reported) != preserved:
+        failures.append(
+            f"proper block systems {sorted(reported)}, preserved partitions {sorted(preserved)}"
+        )
+    if report["proper_count"] != len(systems):
+        failures.append(f"proper_count {report['proper_count']}, {len(systems)} systems listed")
+    trivial = [[[t + 1] for t in range(d)]] + ([[list(range(1, d + 1))]] if d > 1 else [])
+    if report["trivial_block_systems"] != trivial:
+        failures.append(f"trivial_block_systems {report['trivial_block_systems']}")
+    for i, (system, blocks) in enumerate(zip(systems, reported)):
+        if blocks in preserved:
+            failures += _system_failures(p, instance, gauged, generators, i, system, blocks)
+    all_ok = all(summand_exists(p, d, generators, blocks) for blocks in preserved)
+    if report["ok"] != all_ok:
+        failures.append(f"ok is {report['ok']}, re-derived {all_ok}")
+    return failures
+
+
+def _system_failures(p: int, instance, gauged, generators, i: int, system, blocks) -> list:
+    """What fails in the entry of one proper block system: the intermediate
+    cover is the induced action of every gauged edge on the blocks, the
+    composite of the quotient map with it is consistent, and the summand
+    verdict is the orbit criterion's."""
+    payload = instance["payload"]
+    edges = payload["graph"]["edges"]
+    d, b = payload["degree"], len(blocks[0])
+    block_of = [0] * d
+    for j, blk in enumerate(blocks):
+        for t in blk:
+            block_of[t] = j
+    induced = [[block_of[g[blk[0]]] for blk in blocks] for g in gauged]
+    intermediate = {
+        "field": instance["field"],
+        "kind": "cover",
+        "payload": {
+            "graph": payload["graph"],
+            "degree": len(blocks),
+            "sigma": [[j + 1 for j in images] for images in induced],
+        },
+    }
+    failures = []
+    if system["intermediate"] != intermediate:
+        failures.append(
+            f"system {i}: intermediate {system['intermediate']}, induced {intermediate}"
+        )
+    # the quotient map block_of after tau_v^-1 carries each edge to the
+    # reported quotient's: in the gauge, block_of g_e(t) = sigma'_e(block_of t)
+    quotient = system["intermediate"]["payload"]["sigma"]
+    consistent = len(quotient) == len(edges) and all(
+        len(q) > block_of[t] and q[block_of[t]] == block_of[g[t]] + 1
+        for g, q in zip(gauged, quotient)
+        for t in range(d)
+    )
+    if system["composite_consistent"] != consistent:
+        failures.append(f"system {i}: composite_consistent, re-derived {consistent}")
+    exists = summand_exists(p, d, generators, blocks)
+    if system["summand_ok"] != exists:
+        failures.append(
+            f"system {i}: summand_ok is {system['summand_ok']}, the orbit criterion gives {exists}"
+        )
+    agrees = None if p and b % p == 0 else True
+    if system["retraction_agrees"] is not agrees:
+        failures.append(
+            f"system {i}: retraction_agrees {system['retraction_agrees']}, re-derived {agrees}"
+        )
+    if exists and system["witness"] is not None:
+        failures.append(f"system {i}: a summand with witness {system['witness']!r}")
     return failures

@@ -220,10 +220,10 @@ def indicator_embedding_flat(
     for any equal-size partition of the fiber.
     """
     gauged = cover.gauge.gauged
-    w = direct_image_line_bundle(gauged, trivial_line_bundle(gauged, field))
+    w = direct_image_line_bundle(trivial_line_bundle(gauged, field))
     v = None
     if quotient is not None:
-        v = direct_image_line_bundle(quotient, trivial_line_bundle(quotient, field))
+        v = direct_image_line_bundle(trivial_line_bundle(quotient, field))
     d, m = cover.degree, system.num_blocks
     zero, one = field.zero(), field.one()
     include = Matrix(

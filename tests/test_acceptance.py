@@ -103,7 +103,7 @@ def test_c2_components_equal_flat_sections():
     records, _ = _roundtrip_records()
     failures = []
     for i, cover, line, rec in records:
-        sections = flat_sections(canonical_algebra_map(cover, line)).dimension
+        sections = flat_sections(canonical_algebra_map(line)).dimension
         if rec.roundtrip.component_count != sections:
             failures.append((i, rec.roundtrip.component_count, sections))
     _line(
@@ -140,7 +140,7 @@ def test_c4_cartan_classifier_vs_conjugation_search():
         field = fields[i % 2]
         d = rng.randint(1, 3)
         subspace = random_subspace_for_cartan_test(rng, field, d)
-        got = classify_subspace(subspace, d).is_split()
+        got = classify_subspace(subspace).is_split()
         want = diagonalizable_by_conjugation_oracle(subspace, d, field)
         if got != want:
             mismatches.append((i, d))
@@ -251,7 +251,7 @@ def test_c8_two_structures_on_one_endomorphism_bundle():
     bundle = BundleRep(field, BaseGraph(1, [(0, 0)]), 2, [t])
 
     diagonal = SubalgebraBundle(bundle, (MatrixSubspace.diagonal_algebra(field, 2),))
-    rec = roundtrip_verify(bundle, diagonal)
+    rec = roundtrip_verify(diagonal)
     split_ok = (
         rec.all_ok()
         and rec.component_count == 1
@@ -260,14 +260,14 @@ def test_c8_two_structures_on_one_endomorphism_bundle():
     )
 
     twisted = MatrixSubspace(field, 2, [Matrix.identity(field, 2), t])
-    verdict = classify_subspace(twisted, 2)
+    verdict = classify_subspace(twisted)
     twisted_ok = (
         verdict.status is CartanStatus.NONSPLIT
         and conjugate_subspace(twisted, t) == twisted
     )
     nonsplit_raises = False
     try:
-        roundtrip_verify(bundle, SubalgebraBundle(bundle, (twisted,)))
+        roundtrip_verify(SubalgebraBundle(bundle, (twisted,)))
     except NonSplitAtVertex:
         nonsplit_raises = True
     _line(

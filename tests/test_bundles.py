@@ -15,6 +15,7 @@ from cartancover.bundles import (
 )
 from cartancover.cartan import MatrixSubspace, conjugate_subspace
 from cartancover.errors import (
+    DimensionMismatch,
     DisconnectedBase,
     IncompatibleEdge,
     NonSplitAtVertex,
@@ -65,7 +66,7 @@ def test_validate_rejects_disconnected_base():
 def test_validate_cartan_bundle_swap_loop():
     e = loop_bundle(M([[0, 2], [1, 0]]))
     algebra = SubalgebraBundle(e, (MatrixSubspace.diagonal_algebra(QQ, 2),))
-    validate_cartan_bundle(e, algebra)
+    validate_cartan_bundle(algebra)
 
 
 def test_validate_cartan_bundle_nonsplit_vertex():
@@ -73,7 +74,7 @@ def test_validate_cartan_bundle_nonsplit_vertex():
     e = loop_bundle(t)
     fiber = MatrixSubspace(QQ, 2, [Matrix.identity(QQ, 2), t])
     with pytest.raises(NonSplitAtVertex) as err:
-        validate_cartan_bundle(e, SubalgebraBundle(e, (fiber,)))
+        validate_cartan_bundle(SubalgebraBundle(e, (fiber,)))
     assert err.value.vertex == 0
     # the witness certifies an irreducible quadratic obstruction
     assert err.value.witness.degree == 2
@@ -83,8 +84,16 @@ def test_validate_cartan_bundle_incompatible_edge():
     e = loop_bundle(M([[1, 1], [0, 1]]))
     algebra = SubalgebraBundle(e, (MatrixSubspace.diagonal_algebra(QQ, 2),))
     with pytest.raises(IncompatibleEdge) as err:
-        validate_cartan_bundle(e, algebra)
+        validate_cartan_bundle(algebra)
     assert err.value.edge == 0
+
+
+def test_an_algebra_of_another_rank_never_reaches_the_cartan_check():
+    # the algebra carries its bundle, so a size mismatch is refused when the
+    # algebra is built, as a DimensionMismatch, not found by the edge check
+    e = loop_bundle(M([[0, 2], [1, 0]]))
+    with pytest.raises(DimensionMismatch):
+        SubalgebraBundle(e, (MatrixSubspace.diagonal_algebra(QQ, 3),))
 
 
 # --- endomorphism bundle ------------------------------------------------------
@@ -216,7 +225,7 @@ def test_tree_edges_reuse_the_transport_images(field, monkeypatch):
     for _ in range(6):
         bundle, algebra = gauged_bundle(rng, field, min_vertices=3)
         tree = bundle.graph.spanning_tree()
-        split = validate_cartan_bundle(bundle, algebra)
+        split = validate_cartan_bundle(algebra)
         assert (split.images, split.factors) == _map_lines(bundle, split.lines, {})
         calls = []
         real = Matrix.map_line
@@ -226,7 +235,7 @@ def test_tree_edges_reuse_the_transport_images(field, monkeypatch):
             return real(self, line)
 
         monkeypatch.setattr(Matrix, "map_line", counting)
-        assert validate_cartan_bundle(bundle, algebra) == split
+        assert validate_cartan_bundle(algebra) == split
         monkeypatch.undo()
         for _vertex, e, forward in tree.order[1:]:
             applied = sum(1 for m in calls if m is bundle.transitions[e])

@@ -12,7 +12,7 @@ from cartancover.cartan import (
     conjugate_subspace,
     simultaneous_eigenlines,
 )
-from cartancover.errors import DimensionMismatch, NotSplitCartan, SingularMatrix
+from cartancover.errors import NotSplitCartan, SingularMatrix
 from cartancover.fields import GF, QQ, PrimeField
 from cartancover.linalg import Matrix, Subspace, rref
 from cartancover.poly import Poly
@@ -97,12 +97,12 @@ def gl_search_oracle_d2(subspace, field):
 
 
 def test_full_diagonal_is_split_cartan():
-    assert classify_subspace(MatrixSubspace.diagonal_algebra(QQ, 3), 3).is_split()
+    assert classify_subspace(MatrixSubspace.diagonal_algebra(QQ, 3)).is_split()
 
 
 def test_nilpotent_span_is_not_cartan():
     a = span(QQ, 2, [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
-    verdict = classify_subspace(a, 2)
+    verdict = classify_subspace(a)
     assert verdict.status is CartanStatus.NOT_CARTAN
     assert verdict.reason is NotCartanReason.NOT_DIAGONALIZABLE
     assert verdict.witness_poly == Poly(QQ, (0, 0, 1))
@@ -110,29 +110,24 @@ def test_nilpotent_span_is_not_cartan():
 
 def test_nonsplit_span_over_q():
     a = span(QQ, 2, [[[1, 0], [0, 1]], [[0, 1], [2, 0]]])
-    verdict = classify_subspace(a, 2)
+    verdict = classify_subspace(a)
     assert verdict.status is CartanStatus.NONSPLIT
     assert verdict.witness_poly == Poly(QQ, (-2, 0, 1))
 
 
 def test_wrong_dimension():
     a = span(QQ, 2, [[[1, 0], [0, 0]]])
-    verdict = classify_subspace(a, 2)
+    verdict = classify_subspace(a)
     assert verdict.reason is NotCartanReason.WRONG_DIMENSION
 
 
 def test_noncommutative_witness_pair():
     a = span(QQ, 2, [[[1, 0], [0, 0]], [[0, 1], [1, 0]]])
-    verdict = classify_subspace(a, 2)
+    verdict = classify_subspace(a)
     assert verdict.reason is NotCartanReason.NOT_COMMUTATIVE
     i, j = verdict.witness_pair
     basis = a.basis_matrices()
     assert basis[i] @ basis[j] != basis[j] @ basis[i]
-
-
-def test_dimension_mismatch_raises():
-    with pytest.raises(DimensionMismatch):
-        classify_subspace(MatrixSubspace.diagonal_algebra(QQ, 2), 3)
 
 
 def test_degree_equal_characteristic_still_classifies():
@@ -140,7 +135,7 @@ def test_degree_equal_characteristic_still_classifies():
     f = GF(3)
     t = random_invertible_matrix(Random(11), f, 3)
     a = conjugate_subspace(MatrixSubspace.diagonal_algebra(f, 3), t)
-    assert classify_subspace(a, 3).is_split()
+    assert classify_subspace(a).is_split()
 
 
 # --- eigenlines ------------------------------------------------------------
@@ -149,14 +144,14 @@ def test_degree_equal_characteristic_still_classifies():
 def test_eigenlines_full_diagonal_d2():
     a = MatrixSubspace.diagonal_algebra(QQ, 2)
     assert simultaneous_eigenlines(a) == ((1, 0), (0, 1))
-    eig = classify_subspace(a, 2).eigenlines
+    eig = classify_subspace(a).eigenlines
     assert eigenline_scalars(QQ, eig.ints) == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     assert eig.values.rows == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 
 
 def test_eigenlines_swap_span():
     a = span(QQ, 2, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
-    eig = classify_subspace(a, 2).eigenlines
+    eig = classify_subspace(a).eigenlines
     assert eig.ints == simultaneous_eigenlines(a)
     lines = eigenline_scalars(QQ, eig.ints)
     assert set(lines) == {(Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1))}
@@ -168,7 +163,7 @@ def test_eigenlines_swap_span():
 def test_eigenlines_over_gf7():
     f = GF(7)
     a = span(f, 2, [[[1, 0], [0, 1]], [[0, 1], [2, 0]]])
-    eig = classify_subspace(a, 2).eigenlines
+    eig = classify_subspace(a).eigenlines
     assert eig.ints == simultaneous_eigenlines(a)
     as_ints = [tuple(x.val for x in line) for line in eigenline_scalars(f, eig.ints)]
     assert as_ints == [(1, 3), (1, 4)]
@@ -203,7 +198,7 @@ def test_eigenline_split_agrees_with_the_classifier(field):
         d = rng.randint(1, 5)
         a = random_subspace_for_cartan_test(rng, field, d)
         expected = classify_by_min_polys(a, d)
-        verdict = classify_subspace(a, d)
+        verdict = classify_subspace(a)
         assert _verdict_fields(verdict) == _verdict_fields(expected)
         outcomes.add(verdict.status)
         eig = verdict.eigenlines
@@ -226,7 +221,7 @@ def test_eigenline_invariants_on_random_split_instances():
         t = random_invertible_matrix(rng, field, d)
         a = conjugate_subspace(MatrixSubspace.diagonal_algebra(field, d), t)
         lines = eigenline_scalars(field, simultaneous_eigenlines(a))
-        functionals = classify_subspace(a, d).eigenlines.values.rows
+        functionals = classify_subspace(a).eigenlines.values.rows
         # the lines span k^d
         assert rref(Matrix(field, list(lines), ncols=d)).rank == d
         # functionals are pairwise distinct and act as claimed
@@ -277,8 +272,8 @@ def test_classification_is_conjugation_invariant():
         a = random_subspace_for_cartan_test(rng, field, d)
         t = random_invertible_matrix(rng, field, d)
         assert (
-            classify_subspace(conjugate_subspace(a, t), d).status
-            == classify_subspace(a, d).status
+            classify_subspace(conjugate_subspace(a, t)).status
+            == classify_subspace(a).status
         )
 
 
@@ -291,7 +286,7 @@ def test_classifier_agrees_with_eigenline_enumeration_oracle():
         field = (GF(3), GF(5))[i % 2]
         d = rng.randint(1, 3)
         a = random_subspace_for_cartan_test(rng, field, d)
-        verdict = classify_subspace(a, d)
+        verdict = classify_subspace(a)
         assert verdict.is_split() == diagonalizable_by_conjugation_oracle(a, d, field)
 
 

@@ -218,8 +218,8 @@ def _gauged_double_cover_bundle(field, gauges):
         "payload": {
             "graph": {"vertices": 2, "edges": edges},
             "rank": 2,
-            "transitions": [render_matrix(field, t) for t in transitions],
-            "cartan_bundle": [[render_matrix(field, b) for b in fiber] for fiber in fibers],
+            "transitions": [render_matrix(t) for t in transitions],
+            "cartan_bundle": [[render_matrix(b) for b in fiber] for fiber in fibers],
         },
     }
 

@@ -43,7 +43,7 @@ def M(rows, field=QQ):
 def test_direct_image_degree_one_echoes_line_bundle():
     cover = CoverRep(LOOP, 1, [(0,)])
     line = LineBundleOnCover(cover, QQ, [(Fraction(5),)])
-    bundle = direct_image_line_bundle(cover, line)
+    bundle = direct_image_line_bundle(line)
     assert bundle.transitions[0] == M([[5]])
 
 
@@ -67,21 +67,21 @@ def test_line_bundle_refuses_scalars_of_another_shape_or_field(scalars):
 def test_direct_image_disconnected_double_cover_is_diagonal():
     cover = CoverRep(LOOP, 2, [(0, 1)])
     line = LineBundleOnCover(cover, QQ, [(2, 3)])
-    bundle = direct_image_line_bundle(cover, line)
+    bundle = direct_image_line_bundle(line)
     assert bundle.transitions[0] == M([[2, 0], [0, 3]])
 
 
 def test_direct_image_connected_double_cover_swaps():
     cover = CoverRep(LOOP, 2, [(1, 0)])
     line = LineBundleOnCover(cover, QQ, [(Fraction(1), Fraction(2))])
-    bundle = direct_image_line_bundle(cover, line)
+    bundle = direct_image_line_bundle(line)
     assert bundle.transitions[0] == M([[0, 2], [1, 0]])
 
 
 def test_direct_image_transitions_are_monomial():
     rng = Random(17)
     cover, line = random_cover_instance(rng, GF(5))
-    bundle = direct_image_line_bundle(cover, line)
+    bundle = direct_image_line_bundle(line)
     for t in bundle.transitions:
         for row in t.rows:
             assert sum(1 for x in row if x != 0) == 1
@@ -95,19 +95,19 @@ def test_direct_image_transitions_are_monomial():
 def test_canonical_algebra_is_diagonal_and_compatible():
     cover = CoverRep(LOOP, 2, [(1, 0)])
     line = LineBundleOnCover(cover, QQ, [(1, 2)])
-    algebra = canonical_algebra_map(cover, line)
+    algebra = canonical_algebra_map(line)
     assert algebra.fibers[0] == MatrixSubspace.diagonal_algebra(QQ, 2)
     from cartancover.bundles import validate_cartan_bundle
 
-    validate_cartan_bundle(algebra.parent, algebra)
+    validate_cartan_bundle(algebra)
 
 
 def test_canonical_algebra_three_cycle():
     cover = CoverRep(LOOP, 3, [(1, 2, 0)])
-    algebra = canonical_algebra_map(cover, trivial_line_bundle(cover, QQ))
+    algebra = canonical_algebra_map(trivial_line_bundle(cover, QQ))
     from cartancover.bundles import validate_cartan_bundle
 
-    validate_cartan_bundle(algebra.parent, algebra)
+    validate_cartan_bundle(algebra)
 
 
 # --- spectral cover reconstruction -----------------------------------------------
@@ -116,7 +116,7 @@ def test_canonical_algebra_three_cycle():
 def test_build_trivial_rank2():
     e = BundleRep(QQ, LOOP, 2, [Matrix.identity(QQ, 2)])
     algebra = SubalgebraBundle(e, (MatrixSubspace.diagonal_algebra(QQ, 2),))
-    result = build_spectral_cover(e, algebra)
+    result = build_spectral_cover(algebra)
     assert result.cover.sigma == ((0, 1),)
     assert result.line_bundle.scalars.rows == ((Fraction(1), Fraction(1)),)
     assert result.eta[0] == Matrix.identity(QQ, 2)
@@ -126,7 +126,7 @@ def test_build_trivial_rank2():
 def test_build_swap_loop():
     e = BundleRep(QQ, LOOP, 2, [M([[0, 2], [1, 0]])])
     algebra = SubalgebraBundle(e, (MatrixSubspace.diagonal_algebra(QQ, 2),))
-    result = build_spectral_cover(e, algebra)
+    result = build_spectral_cover(algebra)
     assert result.cover.sigma == ((1, 0),)
     assert result.line_bundle.scalars.rows == ((Fraction(1), Fraction(2)),)
     assert result.eta[0] == Matrix.identity(QQ, 2)
@@ -135,7 +135,7 @@ def test_build_swap_loop():
 def test_build_split_diagonal_57():
     e = BundleRep(QQ, LOOP, 2, [M([[5, 0], [0, 7]])])
     algebra = SubalgebraBundle(e, (MatrixSubspace.diagonal_algebra(QQ, 2),))
-    result = build_spectral_cover(e, algebra)
+    result = build_spectral_cover(algebra)
     assert result.cover.sigma == ((0, 1),)
     assert result.line_bundle.scalars.rows == ((Fraction(5), Fraction(7)),)
     report = cover_report(result.cover)
@@ -147,7 +147,7 @@ def test_build_rejects_nonsplit_fiber():
     e = BundleRep(QQ, LOOP, 2, [t])
     fiber = MatrixSubspace(QQ, 2, [Matrix.identity(QQ, 2), t])
     with pytest.raises(NonSplitAtVertex):
-        build_spectral_cover(e, SubalgebraBundle(e, (fiber,)))
+        build_spectral_cover(SubalgebraBundle(e, (fiber,)))
 
 
 # --- cover reports ----------------------------------------------------------------
@@ -180,7 +180,7 @@ def test_cover_report_mixed_cycle_type():
 def test_roundtrip_swap_loop_counts():
     e = BundleRep(QQ, LOOP, 2, [M([[0, 2], [1, 0]])])
     algebra = SubalgebraBundle(e, (MatrixSubspace.diagonal_algebra(QQ, 2),))
-    rec = roundtrip_verify(e, algebra)
+    rec = roundtrip_verify(algebra)
     assert rec.all_ok()
     assert rec.component_count == 1 and rec.flat_section_dim == 1
 
@@ -188,7 +188,7 @@ def test_roundtrip_swap_loop_counts():
 def test_roundtrip_trivial_rank3_counts():
     e = BundleRep(QQ, LOOP, 3, [Matrix.identity(QQ, 3)])
     algebra = SubalgebraBundle(e, (MatrixSubspace.diagonal_algebra(QQ, 3),))
-    rec = roundtrip_verify(e, algebra)
+    rec = roundtrip_verify(algebra)
     assert rec.all_ok()
     assert rec.component_count == 3 and rec.flat_section_dim == 3
 
@@ -232,13 +232,13 @@ def _break_eta(monkeypatch, vertex, rows_of, at_call=None):
     real = covers.build_spectral_cover
     calls = []
 
-    def broken(bundle, algebra):
-        result = real(bundle, algebra)
+    def broken(algebra):
+        result = real(algebra)
         calls.append(None)
         if at_call is not None and len(calls) != at_call + 1:
             return result
         eta = list(result.eta)
-        eta[vertex] = Matrix(bundle.field, rows_of(eta[vertex]))
+        eta[vertex] = Matrix(algebra.parent.field, rows_of(eta[vertex]))
         return result._replace(eta=tuple(eta))
 
     monkeypatch.setattr(covers, "build_spectral_cover", broken)
@@ -281,9 +281,10 @@ def test_cover_roundtrip_reads_a_relabeled_reconstruction(monkeypatch):
         d = cover.degree
         pis = tuple(tuple(rng.sample(range(d), d)) for _ in range(cover.base.num_vertices))
 
-        def relabeling(bundle, algebra):
-            result = _relabeled(real(bundle, algebra), pis)
-            pushed = direct_image_line_bundle(result.cover, result.line_bundle)
+        def relabeling(algebra):
+            result = _relabeled(real(algebra), pis)
+            pushed = direct_image_line_bundle(result.line_bundle)
+            bundle = algebra.parent
             for e, (u, v) in enumerate(bundle.graph.edges):
                 assert result.eta[v] @ pushed.transitions[e] == bundle.transitions[e] @ result.eta[u]
             return result
@@ -313,6 +314,14 @@ def test_non_monomial_eta_raises_with_its_vertex(monkeypatch, rows):
 
 def _zero_first_column(eta):
     return [(0,) + tuple(r[1:]) for r in eta.rows]
+
+
+def test_cover_roundtrip_refuses_a_line_bundle_on_another_cover():
+    # the one call that takes a line bundle with a cover checks they agree
+    cover = CoverRep(LOOP, 2, [(1, 0)])
+    other = CoverRep(LOOP, 2, [(0, 1)])
+    with pytest.raises(DimensionMismatch, match="different cover"):
+        cover_roundtrip(cover, trivial_line_bundle(other, QQ))
 
 
 def test_non_monomial_eta_in_selftest_reports_its_vertex(monkeypatch):
@@ -414,7 +423,7 @@ def test_pullback_scalars_through_identity_iso():
 
 def brute_force_diagonalizable_by_relabeling(cover):
     """Try every tuple of per-vertex relabelings to make all transitions diagonal."""
-    bundle = direct_image_line_bundle(cover, trivial_line_bundle(cover, QQ))
+    bundle = direct_image_line_bundle(trivial_line_bundle(cover, QQ))
     d = cover.degree
     perms = [Matrix(QQ, [[1 if c == p[r] else 0 for c in range(d)] for r in range(d)])
              for p in permutations(range(d))]
@@ -452,16 +461,16 @@ def test_nonsquare_swap_loop_two_structures(p, s):
     e = BundleRep(field, LOOP, 2, [t])
 
     diagonal = SubalgebraBundle(e, (MatrixSubspace.diagonal_algebra(field, 2),))
-    rec = roundtrip_verify(e, diagonal)
+    rec = roundtrip_verify(diagonal)
     assert rec.all_ok()
     assert rec.component_count == 1 and rec.flat_section_dim == 1
 
     twisted = MatrixSubspace(field, 2, [Matrix.identity(field, 2), t])
-    verdict = classify_subspace(twisted, 2)
+    verdict = classify_subspace(twisted)
     assert verdict.status is CartanStatus.NONSPLIT
     # still conjugation-compatible along the loop
     from cartancover.cartan import conjugate_subspace
 
     assert conjugate_subspace(twisted, t) == twisted
     with pytest.raises(NonSplitAtVertex):
-        roundtrip_verify(e, SubalgebraBundle(e, (twisted,)))
+        roundtrip_verify(SubalgebraBundle(e, (twisted,)))

@@ -78,7 +78,7 @@ def _image_span(matrix, space):
 def count_flat_summand_partitions(cover, field):
     """Brute force: proper equal-size partitions whose indicator spans form a
     transition-invariant family of the structure-sheaf pushforward."""
-    bundle = direct_image_line_bundle(cover, trivial_line_bundle(cover, field))
+    bundle = direct_image_line_bundle(trivial_line_bundle(cover, field))
     tree = cover.base.spanning_tree()
     d = cover.degree
     count = 0

@@ -53,17 +53,17 @@ def test_entries_read_straight_into_the_canonical_form(field):
         m = parse_matrix(field, raw, "m")
         oracle = parse_matrix_by_scalars(field, raw, "m")
         assert (m.den, m.ints, hash(m)) == (oracle.den, oracle.ints, hash(oracle)), raw
-        assert render_matrix(field, m) == render_matrix_by_scalars(field, oracle)
-        assert matrix_oneline(field, m) == "[" + "; ".join(
+        assert render_matrix(m) == render_matrix_by_scalars(field, oracle)
+        assert matrix_oneline(m) == "[" + "; ".join(
             " ".join(row) for row in render_matrix_by_scalars(field, oracle)
         ) + "]"
-        assert repr(m) == "Matrix" + matrix_oneline(field, m)
+        assert repr(m) == "Matrix" + matrix_oneline(m)
 
 
 def test_unreduced_strings_reach_the_canonical_form():
     m = parse_matrix(QQ, [["6/4", "-9/6"], ["+3", " 0003/0001 "]], "m")
     assert (m.den, m.ints) == (2, [[3, -3], [6, 6]])
-    assert render_matrix(QQ, m) == [["3/2", "-3/2"], ["3", "3"]]
+    assert render_matrix(m) == [["3/2", "-3/2"], ["3", "3"]]
     m = parse_matrix(QQ, [["2/4", "-0"], ["10/20", "0/7"]], "m")
     assert (m.den, m.ints) == (2, [[1, 0], [1, 0]])
     m = parse_matrix(GF(7), [["-1", 15], [" +8 ", "-0"]], "m")
@@ -119,7 +119,7 @@ def test_unreduced_and_padded_scalars_reach_the_canonical_form():
     text = _cover_doc(QQ, 1, [[0, 0], [0, 0]], 2, [[2, 1], [1, 2]], [["6/4", "+3"], [" -2/8 ", 5]])
     line = parse_instance_text(text).line_bundle
     assert (line.scalars.den, line.scalars.ints) == (4, [[6, 12], [-1, 20]])
-    assert render_matrix(QQ, line.scalars) == [["3/2", "3"], ["-1/4", "5"]]
+    assert render_matrix(line.scalars) == [["3/2", "3"], ["-1/4", "5"]]
     text = _cover_doc(GF(7), 1, [[0, 0]], 3, [[1, 2, 3]], [[15, " +8 ", "-1"]])
     line = parse_instance_text(text).line_bundle
     assert (line.scalars.den, line.scalars.ints) == (1, [[1, 1, 6]])

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -438,3 +440,49 @@ def test_one_way_to_split_a_block_in_package():
     assert calls == ["eigenspaces"], calls
     assert diagonal == {"linalg.py:eigenspaces"}, sorted(diagonal)
     assert polynomial == {"linalg.py:eigenspaces", "linalg.py:min_poly"}, sorted(polynomial)
+
+
+# each value is passed once: an algebra carries its bundle (``parent``), a
+# line bundle its cover, a matrix its field, a subspace its size
+PARAMETERS = {
+    "bundles.validate_cartan_bundle": ["algebra"],
+    "covers.build_spectral_cover": ["algebra"],
+    "covers.roundtrip_verify": ["algebra"],
+    "covers.direct_image_line_bundle": ["line"],
+    "covers.canonical_algebra_map": ["line"],
+    "covers.cover_roundtrip": ["cover", "line"],
+    "cartan.classify_subspace": ["a"],
+    "reports.render_matrix": ["m"],
+    "reports.matrix_oneline": ["m"],
+    "instances.bundle_instance_to_json": ["bundle", "algebra"],
+}
+# (carrier, carried): a function that takes the first need not take the
+# second. An optional carrier (``X | None``) is left out: where it may be
+# absent, as in ``bundle_instance_to_json``, the carried value is needed
+CARRIED = (("SubalgebraBundle", "BundleRep"), ("LineBundleOnCover", "CoverRep"))
+
+
+def _required_annotation_names(arg) -> set:
+    names = set() if arg.annotation is None else set(ast.walk(arg.annotation))
+    if any(isinstance(sub, ast.Constant) and sub.value is None for sub in names):
+        return set()
+    return {sub.id for sub in names if isinstance(sub, ast.Name)}
+
+
+def test_no_package_function_takes_a_value_its_other_argument_carries():
+    for name, expected in PARAMETERS.items():
+        module, function = name.split(".")
+        fn = getattr(importlib.import_module(f"cartancover.{module}"), function)
+        assert list(inspect.signature(fn).parameters) == expected, name
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            annotated = set().union(*map(_required_annotation_names, args))
+            if node.name != "cover_roundtrip" and any(
+                {carrier, carried} <= annotated for carrier, carried in CARRIED
+            ):
+                found.append(f"{path.name}:{node.lineno}:{node.name}")
+    assert found == []

@@ -70,11 +70,12 @@ INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 FIELDS = (QQ, GF(5), GF(7))
 
 
-def per_vertex_validate(bundle, algebra):
+def per_vertex_validate(algebra):
     """Oracle: classify every fiber in vertex order, then check every edge."""
+    bundle = algebra.parent
     validate_bundle(bundle)
     for v, fiber in enumerate(algebra.fibers):
-        verdict = classify_subspace(fiber, bundle.rank)
+        verdict = classify_subspace(fiber)
         if verdict.status is CartanStatus.NONSPLIT:
             raise NonSplitAtVertex(v, verdict.witness_poly)
         if verdict.status is CartanStatus.NOT_CARTAN:
@@ -92,7 +93,7 @@ def gauged_bundle(rng, field, min_vertices=1):
         cover, line = random_cover_instance(rng, field, config)
         if cover.base.num_vertices >= min_vertices and cover.degree >= 2:
             break
-    pushed = direct_image_line_bundle(cover, line)
+    pushed = direct_image_line_bundle(line)
     d = cover.degree
     gauges = [random_invertible_matrix(rng, field, d) for _ in range(cover.base.num_vertices)]
     transitions = [
@@ -104,9 +105,9 @@ def gauged_bundle(rng, field, min_vertices=1):
     return bundle, SubalgebraBundle(bundle, [conjugate_subspace(diag, g) for g in gauges])
 
 
-def error_signature(call, bundle, algebra):
+def error_signature(call, algebra):
     try:
-        call(bundle, algebra)
+        call(algebra)
     except CartanCoverError as exc:
         return (
             type(exc).__name__,
@@ -136,9 +137,9 @@ def test_errors_match_the_per_vertex_oracle():
     seen = set()
     for i in range(90):
         bundle, algebra = plant_faults(rng, *gauged_bundle(rng, FIELDS[i % 3], min_vertices=2))
-        expected = error_signature(per_vertex_validate, bundle, algebra)
-        assert error_signature(validate_cartan_bundle, bundle, algebra) == expected
-        assert error_signature(build_spectral_cover, bundle, algebra) == expected
+        expected = error_signature(per_vertex_validate, algebra)
+        assert error_signature(validate_cartan_bundle, algebra) == expected
+        assert error_signature(build_spectral_cover, algebra) == expected
         if expected is not None:
             seen.add(expected[0])
             assert expected[1] != 0  # the root fiber is never replaced
@@ -170,9 +171,9 @@ def test_edge_faults_match_the_per_vertex_oracle(part):
             continue
         chosen = rng.sample(pool, rng.randint(1, min(2, len(pool))))
         faulty, fibers = shear_edges(bundle, algebra, chosen)
-        expected = error_signature(per_vertex_validate, faulty, fibers)
-        assert error_signature(validate_cartan_bundle, faulty, fibers) == expected
-        assert error_signature(build_spectral_cover, faulty, fibers) == expected
+        expected = error_signature(per_vertex_validate, fibers)
+        assert error_signature(validate_cartan_bundle, fibers) == expected
+        assert error_signature(build_spectral_cover, fibers) == expected
         if expected is not None:
             caught += 1
             assert expected[0] == "IncompatibleEdge" and expected[2] in chosen
@@ -197,11 +198,11 @@ def test_wrong_dimension_fibers_match_the_per_vertex_oracle():
         fibers = list(algebra.fibers)
         fibers[v] = fiber
         faulty = SubalgebraBundle(bundle, fibers)
-        expected = error_signature(per_vertex_validate, bundle, faulty)
+        expected = error_signature(per_vertex_validate, faulty)
         assert expected[:2] == ("NotCartanAtVertex", v)
         assert "WrongDimension" in expected[3]
-        assert error_signature(validate_cartan_bundle, bundle, faulty) == expected
-        assert error_signature(build_spectral_cover, bundle, faulty) == expected
+        assert error_signature(validate_cartan_bundle, faulty) == expected
+        assert error_signature(build_spectral_cover, faulty) == expected
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -219,7 +220,7 @@ def test_valid_roundtrip_conjugates_no_subspace(field, monkeypatch):
         if name.startswith("cartancover") and getattr(module, "conjugate_subspace", None) is real_conjugate:
             monkeypatch.setattr(module, "conjugate_subspace", counting_conjugate)
     for bundle, algebra in cases:
-        record = roundtrip_verify(bundle, algebra)
+        record = roundtrip_verify(algebra)
         assert record.all_ok()
     assert calls == []
 
@@ -234,9 +235,9 @@ def test_bad_root_fiber_is_reported_at_the_root():
     gauges = [random_invertible_matrix(rng, field, 2) for _ in range(graph.num_vertices)]
     bundle = BundleRep(field, graph, 2, [gauges[v] @ gauges[u].inverse() for u, v in graph.edges])
     algebra = SubalgebraBundle(bundle, [conjugate_subspace(nonsplit, g) for g in gauges])
-    expected = error_signature(per_vertex_validate, bundle, algebra)
+    expected = error_signature(per_vertex_validate, algebra)
     assert expected[:2] == ("NonSplitAtVertex", 0)
-    assert error_signature(build_spectral_cover, bundle, algebra) == expected
+    assert error_signature(build_spectral_cover, algebra) == expected
 
 
 NONSQUARE = {0: 2, 5: 2, 7: 3}  # by characteristic, a c with x^2 - c rootless
@@ -269,7 +270,7 @@ def root_fault(rng, kind, bundle, algebra):
     if kind == "not_cartan":
         while True:
             root = random_subspace_for_cartan_test(rng, field, d)
-            verdict = classify_subspace(root, d)
+            verdict = classify_subspace(root)
             if verdict.status is CartanStatus.NOT_CARTAN and root.dim == d:
                 break
     elif kind == "wrong_dimension":
@@ -296,9 +297,9 @@ def test_root_faults_match_the_per_vertex_oracle(field, kind):
     caught = 0
     for _ in range(8):
         bundle, algebra = root_fault(rng, kind, *gauged_bundle(rng, field, min_vertices=2))
-        expected = error_signature(per_vertex_validate, bundle, algebra)
-        assert error_signature(validate_cartan_bundle, bundle, algebra) == expected
-        assert error_signature(build_spectral_cover, bundle, algebra) == expected
+        expected = error_signature(per_vertex_validate, algebra)
+        assert error_signature(validate_cartan_bundle, algebra) == expected
+        assert error_signature(build_spectral_cover, algebra) == expected
         if expected is not None:
             caught += 1
             assert expected[0] == expected_type
@@ -312,7 +313,7 @@ def test_transported_lines_equal_per_vertex_split(field):
     rng = Random(31 + getattr(field, "p", 0))
     for _ in range(15):
         bundle, algebra = gauged_bundle(rng, field)
-        result = build_spectral_cover(bundle, algebra)
+        result = build_spectral_cover(algebra)
         for eta, fiber in zip(result.eta, algebra.fibers):
             expected = eigenline_scalars(field, simultaneous_eigenlines(fiber))
             assert eta == Matrix.from_columns(field, expected)
@@ -345,7 +346,7 @@ def test_roundtrip_classifies_no_fiber(classify_calls):
     for i in range(6):
         bundle, algebra = gauged_bundle(rng, FIELDS[i % 3], min_vertices=3)
         del classify_calls[:]
-        assert roundtrip_verify(bundle, algebra).all_ok()
+        assert roundtrip_verify(algebra).all_ok()
         assert classify_calls == []
 
 
@@ -451,10 +452,10 @@ def test_block_split_matches_the_intersection_oracle(monkeypatch, field):
         for d in range(2, 7):
             for kind in ORACLE_KINDS:
                 a = _oracle_case(rng, field, d, kind)
-                verdict = classify_subspace(a, d)
+                verdict = classify_subspace(a)
                 with monkeypatch.context() as patch:
                     patch.setattr(cartan, "_refined_lines", refined_lines_by_intersection)
-                    assert classify_subspace(a, d) == verdict
+                    assert classify_subspace(a) == verdict
                 seen.add((verdict.status, verdict.reason))
     assert seen == {
         (CartanStatus.SPLIT, None),
@@ -486,7 +487,7 @@ def test_roundtrip_pushes_forward_once(monkeypatch):
     for i in range(6):
         bundle, algebra = gauged_bundle(rng, FIELDS[i % 3], min_vertices=3)
         del calls[:]
-        assert roundtrip_verify(bundle, algebra).all_ok()
+        assert roundtrip_verify(algebra).all_ok()
         assert calls == []
         cover, line = random_cover_instance(rng, FIELDS[i % 3])
         assert cover_roundtrip(cover, line).all_ok()
@@ -500,7 +501,7 @@ def test_flat_section_dim_matches_linear_algebra(field):
     rng = Random(400 + getattr(field, "p", 0))
     for _ in range(40):
         bundle, algebra = gauged_bundle(rng, field)
-        record = roundtrip_verify(bundle, algebra)
+        record = roundtrip_verify(algebra)
         assert record.flat_section_dim == flat_sections(algebra).dimension
 
 
@@ -564,7 +565,7 @@ def test_valid_bundle_checks_each_fiber_once(fiber_checks):
         bundle, algebra = gauged_bundle(rng, FIELDS[i % 3], min_vertices=3)
         assert len(set(algebra.fibers)) == len(algebra.fibers)
         del fiber_checks[:]
-        split = validate_cartan_bundle(bundle, algebra)
+        split = validate_cartan_bundle(algebra)
         root, *others = algebra.fibers
         assert fiber_checks == [(root, split.lines[0])] + list(zip(others, split.lines[1:]))
 
@@ -580,9 +581,9 @@ def test_direct_image_checks_one_fiber(field, fiber_checks):
         cover, line = random_cover_instance(rng, field, config)
         if cover.base.num_vertices < 3:
             continue
-        algebra = canonical_algebra_map(cover, line)
+        algebra = canonical_algebra_map(line)
         del fiber_checks[:]
-        split = validate_cartan_bundle(algebra.parent, algebra)
+        split = validate_cartan_bundle(algebra)
         assert fiber_checks == [(algebra.fibers[0], split.lines[0])]
         assert set(split.lines) == {split.lines[0]}
         checked += 1
@@ -606,10 +607,10 @@ def test_cover_build_of_a_pushforward_checks_one_fiber(tmp_path, capsys, fiber_c
     del fiber_checks[:]
     assert main(["--format", "machine", "cover-build", str(bundle_path)]) == 0
     checks = fiber_checks[:]
-    split = validate_cartan_bundle(instance.bundle, instance.algebra)
+    split = validate_cartan_bundle(instance.algebra)
     assert checks == [(fibers[0], split.lines[0])]
     # and the vertices, all with the label lines, share one eta
-    eta = build_spectral_cover(instance.bundle, instance.algebra).eta
+    eta = build_spectral_cover(instance.algebra).eta
     assert all(m is eta[0] for m in eta)
 
 
@@ -630,10 +631,10 @@ def test_equal_non_cartan_fibers_fail_at_the_first():
     first, second = MatrixSubspace(field, 2, basis), MatrixSubspace(field, 2, basis)
     for fibers, at in (([diag, first, diag, second], 1), ([diag, diag, first, second], 2)):
         algebra = SubalgebraBundle(bundle, fibers)
-        expected = error_signature(per_vertex_validate, bundle, algebra)
+        expected = error_signature(per_vertex_validate, algebra)
         assert expected[:2] == ("NotCartanAtVertex", at)
-        assert error_signature(validate_cartan_bundle, bundle, algebra) == expected
-        assert error_signature(build_spectral_cover, bundle, algebra) == expected
+        assert error_signature(validate_cartan_bundle, algebra) == expected
+        assert error_signature(build_spectral_cover, algebra) == expected
 
 
 def test_a_failed_verdict_is_reused(fiber_checks):
@@ -646,10 +647,10 @@ def test_a_failed_verdict_is_reused(fiber_checks):
     diag = MatrixSubspace.diagonal_algebra(field, 2)
     other = conjugate_subspace(diag, Matrix(field, [[1, 1], [0, 1]]))
     algebra = SubalgebraBundle(bundle, [diag, other, other, other])
-    expected = error_signature(per_vertex_validate, bundle, algebra)
+    expected = error_signature(per_vertex_validate, algebra)
     assert expected[:3] == ("IncompatibleEdge", None, 0)
     del fiber_checks[:]
-    assert error_signature(validate_cartan_bundle, bundle, algebra) == expected
+    assert error_signature(validate_cartan_bundle, algebra) == expected
     # the root inside its split, then vertex 1 on the root's lines, and
     # vertex 1 again inside its own split, on its own eigenlines
     checks = fiber_checks[:]
@@ -696,14 +697,14 @@ def _singular_transition(bundle, algebra, e, kind):
 def _not_cartan_fiber(rng, field, d):
     while True:
         fiber = random_subspace_for_cartan_test(rng, field, d)
-        if classify_subspace(fiber, d).status is CartanStatus.NOT_CARTAN:
+        if classify_subspace(fiber).status is CartanStatus.NOT_CARTAN:
             return fiber
 
 
 def _cover_build_report(tmp_path, capsys, bundle, algebra):
     """The exit code and machine report of ``cover-build`` on the bundle,
     and the instance it read."""
-    instance = bundle_instance_to_json(bundle.field, bundle, algebra)
+    instance = bundle_instance_to_json(bundle, algebra)
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(instance), encoding="utf-8")
     code = main(["--format", "machine", "cover-build", str(path)])
@@ -752,10 +753,10 @@ def test_singular_transitions_match_the_per_vertex_oracle(tmp_path, capsys, plac
     # finds a line sent off the lines, to zero, or onto the image of another
     companions = set()
     for bundle, algebra, e, companion, _rest in planted_singular_cases(place, kind, 12):
-        expected = error_signature(per_vertex_validate, bundle, algebra)
+        expected = error_signature(per_vertex_validate, algebra)
         assert expected[:3] == ("SingularTransition", None, e)
-        assert error_signature(validate_cartan_bundle, bundle, algebra) == expected
-        assert error_signature(build_spectral_cover, bundle, algebra) == expected
+        assert error_signature(validate_cartan_bundle, algebra) == expected
+        assert error_signature(build_spectral_cover, algebra) == expected
         code, report, instance = _cover_build_report(tmp_path, capsys, bundle, algebra)
         assert code == 2
         assert (report["error"]["type"], report["error"]["edge"]) == ("SingularTransition", e)
@@ -773,8 +774,8 @@ def test_incompatible_edge_reports_are_certified(tmp_path, capsys):
         for _bundle, _algebra, _e, companion, (bundle, algebra) in cases:
             if companion != "incompatible_edge":
                 continue
-            expected = error_signature(per_vertex_validate, bundle, algebra)
-            assert error_signature(validate_cartan_bundle, bundle, algebra) == expected
+            expected = error_signature(per_vertex_validate, algebra)
+            assert error_signature(validate_cartan_bundle, algebra) == expected
             code, report, instance = _cover_build_report(tmp_path, capsys, bundle, algebra)
             if expected is None:
                 assert code == 0
@@ -802,15 +803,15 @@ def test_dependent_generators_are_ranked_not_counted():
         fibers = list(algebra.fibers)
         fibers[v] = MatrixSubspace(field, d, given[:-1] + given[:1])
         faulty = SubalgebraBundle(bundle, fibers)
-        expected = error_signature(per_vertex_validate, bundle, faulty)
+        expected = error_signature(per_vertex_validate, faulty)
         assert expected[:2] == ("NotCartanAtVertex", v)
         assert "WrongDimension" in expected[3]
-        assert error_signature(validate_cartan_bundle, bundle, faulty) == expected
-        assert error_signature(build_spectral_cover, bundle, faulty) == expected
+        assert error_signature(validate_cartan_bundle, faulty) == expected
+        assert error_signature(build_spectral_cover, faulty) == expected
         fibers[v] = MatrixSubspace(field, d, given + (given[0] + given[-1],))
         spanning = SubalgebraBundle(bundle, fibers)
-        assert error_signature(per_vertex_validate, bundle, spanning) is None
-        assert validate_cartan_bundle(bundle, spanning) == validate_cartan_bundle(bundle, algebra)
+        assert error_signature(per_vertex_validate, spanning) is None
+        assert validate_cartan_bundle(spanning) == validate_cartan_bundle(algebra)
 
 
 def test_valid_bundle_inverts_only_the_tree_edges_crossed_backwards(monkeypatch):
@@ -832,7 +833,7 @@ def test_valid_bundle_inverts_only_the_tree_edges_crossed_backwards(monkeypatch)
         with monkeypatch.context() as patch:
             patch.setattr(Matrix, "inverse", counting)
             del inverted[:]
-            validate_cartan_bundle(bundle, algebra)
+            validate_cartan_bundle(algebra)
         assert inverted == backward
         spared += len(bundle.transitions) - len(backward)
     assert spared > 0
@@ -852,7 +853,7 @@ def test_cover_build_of_a_gauged_bundle_builds_the_root_form_only(tmp_path, caps
     for i in range(6):
         bundle, algebra = gauged_bundle(rng, FIELDS[i % 3], min_vertices=3)
         d = bundle.rank
-        instance = bundle_instance_to_json(bundle.field, bundle, algebra)
+        instance = bundle_instance_to_json(bundle, algebra)
         path = tmp_path / "bundle.json"
         path.write_text(json.dumps(instance), encoding="utf-8")
         with monkeypatch.context() as patch:
