@@ -2,7 +2,8 @@
 
 A ``MatrixSubspace`` is the span of some d x d matrices. It keeps the
 matrices it was given and builds its canonical form, a ``linalg.Subspace``
-of k^(d^2) under row-major flattening, on first use only.
+of k^(d^2) under row-major flattening, on first use only; the diagonal
+algebra is built with it, as the coordinate subspace it is.
 
 A split Cartan subspace is the diagonal algebra D(L) of its d common
 eigenlines L, and one test decides whether a subspace is D(L) for given
@@ -56,7 +57,11 @@ class MatrixSubspace:
     first use and kept: by the split of a fiber, by ``classify``, by
     ``==`` and ``hash``, and on the path that names a failure. Checking
     a fiber against known lines reads the generators alone
-    (``spans_diagonal_algebra``), so it builds no canonical form.
+    (``spans_diagonal_algebra``), so it builds no canonical form. The
+    diagonal algebra is given with its canonical form, a coordinate
+    subspace, so it runs no elimination at all. Over GF(p) the basis
+    matrices are slices of echelon rows of least residues over den 1,
+    already canonical, so they are wrapped as they are.
     """
 
     __slots__ = ("field", "ambient_dim", "generators", "_space", "_basis")
@@ -81,8 +86,21 @@ class MatrixSubspace:
 
     @classmethod
     def diagonal_algebra(cls, field, d: int) -> "MatrixSubspace":
-        units = [[[int(i == j == t) for j in range(d)] for i in range(d)] for t in range(d)]
-        return cls(field, d, [Matrix._wrap(field, 1, unit, d) for unit in units])
+        """D(e_1, ..., e_d), given by its unit matrices E_tt and built on
+        its face: E_tt is d zero rows with row t the unit row e_t, already
+        canonical, and the flattened E_tt are the unit vectors of
+        k^(d^2) at positions t (d + 1), so the canonical form is that
+        coordinate subspace, with no elimination."""
+        units = []
+        for t in range(d):
+            row = [0] * d
+            row[t] = 1
+            unit = [[0] * d for _ in range(d)]
+            unit[t] = row
+            units.append(Matrix._wrap(field, 1, unit, d))
+        a = cls(field, d, units)
+        a._space = Subspace.coordinate(field, d * d, range(0, d * d, d + 1))
+        return a
 
     @property
     def space(self) -> Subspace:
@@ -103,7 +121,11 @@ class MatrixSubspace:
         if self._basis is None:
             d, echelon = self.ambient_dim, self.space.echelon
             rows = ([r[i * d : (i + 1) * d] for i in range(d)] for r in echelon.ints)
-            self._basis = tuple(Matrix._make(self.field, echelon.den, m, d) for m in rows)
+            if self.field.characteristic:
+                # least residues over den 1 already: slices of them are canonical
+                self._basis = tuple(Matrix._wrap(self.field, 1, m, d) for m in rows)
+            else:
+                self._basis = tuple(Matrix._make(self.field, echelon.den, m, d) for m in rows)
         return self._basis
 
     def coordinates_of(self, m: Matrix) -> tuple:
@@ -145,9 +167,6 @@ class CartanVerdict(NamedTuple):
     witness_index: int | None = None
     witness_poly: Poly | None = None
     eigenlines: EigenlineSet | None = None
-
-    def is_split(self) -> bool:
-        return self.status is CartanStatus.SPLIT
 
     def __str__(self):
         if self.status is CartanStatus.SPLIT:

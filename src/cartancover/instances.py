@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .bundles import BaseGraph, BundleRep, SubalgebraBundle
 from .cartan import MatrixSubspace
 from .covers import CoverRep, LineBundleOnCover
-from .errors import DisconnectedBase, ParseError
+from .errors import DimensionMismatch, DisconnectedBase, ParseError
 from .fields import field_from_json, field_to_json
 from .linalg import Matrix
 from .parabolic import BranchPoint, RamifiedCoverData, RamifiedSheet, parse_weight
@@ -313,6 +313,11 @@ def load_instance(path: str):
 
 
 def cover_instance_to_json(field, cover: CoverRep, line: LineBundleOnCover | None = None):
+    """The cover instance of ``cover`` over ``field``, with the scalars of
+    ``line`` when given; a line bundle on another cover or over another
+    field is refused, since its scalars would be written beside them."""
+    if line is not None and (line.field != field or line.cover != cover):
+        raise DimensionMismatch("line bundle on another cover or over another field")
     payload = {
         "graph": graph_to_json(cover.base),
         "degree": cover.degree,
@@ -324,6 +329,11 @@ def cover_instance_to_json(field, cover: CoverRep, line: LineBundleOnCover | Non
 
 
 def bundle_instance_to_json(bundle: BundleRep, algebra: SubalgebraBundle | None = None):
+    """The bundle instance of ``bundle``, with the fibers of ``algebra``
+    when given; an algebra inside another bundle is refused, since its
+    fibers would be written beside this bundle's field and transitions."""
+    if algebra is not None and algebra.parent != bundle:
+        raise DimensionMismatch("Cartan algebra bundle of another bundle")
     payload = {
         "graph": graph_to_json(bundle.graph),
         "rank": bundle.rank,

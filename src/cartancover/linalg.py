@@ -528,31 +528,71 @@ def solve(m: Matrix, b) -> tuple | None:
     return field.from_ints(x, scale)
 
 
-def min_poly(m: Matrix) -> Poly:
-    """Monic minimal polynomial, via the first dependence among I, M, M^2, ...
+def _annihilator(ints: list, v: list, most: int, p: int) -> list:
+    """Ascending integer coefficients of the monic annihilator of the
+    nonzero integer vector ``v`` under the integer matrix ``ints``, times
+    a nonzero scale: the first dependence among the Krylov vectors v,
+    N v, N^2 v, ..., of which ``most`` are enough to show it.
 
-    The flattened integer powers P_k = N^k of N = den M, for k up to d,
-    are the columns of one elimination. Once M^k depends on lower powers
-    so do all higher ones, so the pivots are 0, ..., k-1 and column k of
-    the RREF reads P_k = sum_j c_j P_j. With M^k = P_k / den^k that is
-    the monic relation M^k = sum_j c_j den^(j-k) M^j.
+    The Krylov vectors are the columns of one elimination. Once N^k v
+    depends on the lower ones so do all higher ones, so the pivots are
+    0, ..., k-1 and column k of the RREF reads N^k v = sum_j c_j N^j v,
+    with the c_j over the elimination's scale.
+    """
+    krylov = [v]
+    for _ in range(most - 1):
+        w = [sum(map(mul, r, krylov[-1])) for r in ints]
+        krylov.append([x % p for x in w] if p else w)
+    rows = [list(col) for col in zip(*krylov)]
+    pivots, scale = _eliminate(rows, most, p)
+    k = len(pivots)
+    return [-rows[j][k] % p if p else -rows[j][k] for j in range(k)] + [scale]
+
+
+def min_poly(m: Matrix) -> Poly:
+    """Monic minimal polynomial, as the lcm of the annihilators of the unit
+    vectors e_1, ..., e_d (Wiedemann, IEEE Trans. IT 32, 1986).
+
+    With N = den M and mu the lcm of the annihilators found so far, the
+    annihilator of e_i is mu times that of v = mu(N) e_i, taken by Horner;
+    e_i adds nothing when v = 0. Otherwise the first dependence among the
+    Krylov vectors of v (``_annihilator``) is the new factor, of degree at
+    most d - deg mu, so d - deg mu + 1 vectors show it. The lcm over all
+    e_i annihilates every vector, so it is the minimal polynomial of N, and
+    the search stops once its degree is d. Over Q mu is kept primitive in
+    Z[x]. A relation sum_j c_j N^j = 0 is sum_j c_j den^j M^j = 0, which
+    the canonical form of ``Poly`` makes monic.
     """
     if not m.is_square():
         raise DimensionMismatch("minimal polynomial needs a square matrix")
-    field, d = m.field, m.nrows
+    field, ints, d = m.field, m.ints, m.nrows
     p = field.characteristic
+    mu = [1]
+    for i in range(d):
+        if len(mu) > d:
+            break
+        # v = mu(N) e_i, by Horner from the leading coefficient
+        v = [0] * d
+        v[i] = mu[-1]
+        for c in reversed(mu[:-1]):
+            v = [sum(map(mul, r, v)) for r in ints]
+            v[i] += c
+            if p:
+                v = [x % p for x in v]
+        if not any(v):
+            continue
+        local = _annihilator(ints, v, d - len(mu) + 2, p)
+        product = [0] * (len(mu) + len(local) - 1)
+        for j, x in enumerate(mu):
+            for k, y in enumerate(local):
+                product[j + k] += x * y
+        if p:
+            mu = [x % p for x in product]
+        else:
+            g = gcd(*product)
+            mu = [x // g for x in product]
     den = m.den
-    power = [[int(i == j) for j in range(d)] for i in range(d)]
-    flat = [[x for r in power for x in r]]
-    for _ in range(d):
-        power = _product(power, m.ints, d, p)
-        flat.append([x for r in power for x in r])
-    rows = [list(col) for col in zip(*flat)]
-    pivots, scale = _eliminate(rows, d + 1, p)
-    k = len(pivots)
-    lead = scale * den**k
-    coeffs = [-rows[j][k] * den**j for j in range(k)] + [lead]
-    return Poly._make(field, lead, coeffs)
+    return Poly._make(field, mu[-1] * den ** (len(mu) - 1), [c * den**j for j, c in enumerate(mu)])
 
 
 def eigenspaces(m: Matrix):

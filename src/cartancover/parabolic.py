@@ -143,9 +143,6 @@ class LocalFlagModel(NamedTuple):
     weight: Fraction
     steps: tuple
 
-    def jump_weights(self) -> tuple:
-        return tuple(step.weight for step in self.steps)
-
 
 def local_flags(multiplicity: int, weight) -> LocalFlagModel:
     """The complete flag of a sheet of multiplicity b with weight w.
@@ -167,9 +164,6 @@ class WeightedFiltration(NamedTuple):
     """Decreasing (weight, dimension-jump) pairs with positive jumps."""
 
     jumps: tuple
-
-    def total_dimension(self) -> int:
-        return sum(j for _w, j in self.jumps)
 
     def weight_sum(self) -> Fraction:
         return sum((w * j for w, j in self.jumps), Fraction(0))

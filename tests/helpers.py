@@ -1,9 +1,10 @@
 """Debug checks, the bounded bundle-isomorphism search, the min-poly Cartan
 classifier, the root-fiber refinement by eigenspace intersections, the
-exhaustive root search, the field-scalar linear algebra and polynomial
-arithmetic the integer kernels replaced, the scalar views of integer forms
-and the random matrices and subspaces of the property tests, used by tests
-only.
+minimal polynomial from flattened powers, the exhaustive root search, the
+field-scalar linear algebra and polynomial arithmetic the integer kernels
+replaced, the scalar views of integer forms, the verdict and flag
+readings only tests make, and the random matrices and subspaces of the
+property tests, used by tests only.
 
 None of these is reached from the command line or from the package's own
 constructions; they check the package's outputs from the outside.
@@ -36,7 +37,15 @@ from cartancover.covers import (
 from cartancover.errors import DimensionMismatch, ParseError, SingularMatrix
 from cartancover.fields import Fp, PrimeField, Rationals, is_prime
 from cartancover.instances import parse_scalar
-from cartancover.linalg import Matrix, Subspace, eigenspaces, kernel, min_poly
+from cartancover.linalg import (
+    Matrix,
+    Subspace,
+    _eliminate,
+    _product,
+    eigenspaces,
+    kernel,
+    min_poly,
+)
 from cartancover.parabolic import parse_weight
 from cartancover.poly import Poly, nonsplit_witness, roots_in_field, squarefree_no_guard
 
@@ -363,6 +372,33 @@ def root_triples(roots) -> tuple:
     )
 
 
+def min_poly_by_powers(m: Matrix) -> Poly:
+    """Monic minimal polynomial via the first dependence among I, M, M^2,
+    ..., the elimination ``linalg.min_poly`` ran before it took the lcm of
+    the annihilators of the unit vectors.
+
+    The flattened integer powers P_k = N^k of N = den M, for k up to d,
+    are the columns of one elimination. Once M^k depends on lower powers
+    so do all higher ones, so the pivots are 0, ..., k-1 and column k of
+    the RREF reads P_k = sum_j c_j P_j. With M^k = P_k / den^k that is
+    the monic relation M^k = sum_j c_j den^(j-k) M^j.
+    """
+    field, d = m.field, m.nrows
+    p = field.characteristic
+    den = m.den
+    power = [[int(i == j) for j in range(d)] for i in range(d)]
+    flat = [[x for r in power for x in r]]
+    for _ in range(d):
+        power = _product(power, m.ints, d, p)
+        flat.append([x for r in power for x in r])
+    rows = [list(col) for col in zip(*flat)]
+    pivots, scale = _eliminate(rows, d + 1, p)
+    k = len(pivots)
+    lead = scale * den**k
+    coeffs = [-rows[j][k] * den**j for j in range(k)] + [lead]
+    return Poly._make(field, lead, coeffs)
+
+
 def min_poly_by_scalars(m: Matrix) -> Poly:
     """Monic minimal polynomial by incremental elimination on field scalars:
     each flattened power M^k is reduced against the leading-one rows of
@@ -392,6 +428,11 @@ def min_poly_by_scalars(m: Matrix) -> Poly:
 
 
 # --- Cartan classification by minimal polynomials ----------------------------------
+
+
+def is_split(verdict: CartanVerdict) -> bool:
+    """Whether a Cartan verdict is split."""
+    return verdict.status is CartanStatus.SPLIT
 
 
 def classify_by_min_polys(a: MatrixSubspace, d: int) -> CartanVerdict:
@@ -485,6 +526,16 @@ def subalgebra_closure_defect(a: MatrixSubspace) -> Matrix | None:
             if not a.space.contains(prod.flatten()):
                 return prod
     return None
+
+
+def jump_weights(flag) -> tuple:
+    """The weights of the steps of a ``parabolic.LocalFlagModel``."""
+    return tuple(step.weight for step in flag.steps)
+
+
+def total_dimension(filtration) -> int:
+    """The sum of the jumps of a ``parabolic.WeightedFiltration``."""
+    return sum(j for _w, j in filtration.jumps)
 
 
 def tameness_check(weights, p: int) -> tuple:

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from cartancover import linalg
 from cartancover.cartan import (
     CartanStatus,
     MatrixSubspace,
@@ -21,6 +22,7 @@ from helpers import (
     eigenline_scalars,
     field_elements,
     is_invertible,
+    is_split,
     random_invertible_matrix,
     random_subspace_for_cartan_test,
     subalgebra_closure_defect,
@@ -97,7 +99,53 @@ def gl_search_oracle_d2(subspace, field):
 
 
 def test_full_diagonal_is_split_cartan():
-    assert classify_subspace(MatrixSubspace.diagonal_algebra(QQ, 3)).is_split()
+    assert is_split(classify_subspace(MatrixSubspace.diagonal_algebra(QQ, 3)))
+
+
+# --- the diagonal algebra, built on its face ------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7), GF(2**61 - 1)], ids=str)
+def test_diagonal_algebra_is_built_without_elimination(field, monkeypatch):
+    calls = []
+    real = linalg._eliminate
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    for d in range(1, 9):
+        a = MatrixSubspace.diagonal_algebra(field, d)
+        space, basis = a.space, a.basis_matrices()
+        assert calls == []
+        # the canonical form is the eliminated span of the unit matrices
+        units = [[x for r in m.ints for x in r] for m in a.generators]
+        assert space == Subspace._spanned(field, d * d, units)
+        assert calls == [d * d]
+        calls.clear()
+        assert basis == a.generators and a == MatrixSubspace(field, d, a.generators)
+        calls.clear()
+        for t, m in enumerate(basis):
+            assert m.rows == tuple(
+                tuple(field.coerce(int(i == j == t)) for j in range(d)) for i in range(d)
+            )
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(7), GF(2**61 - 1)], ids=str)
+def test_basis_matrices_over_gf_p_are_the_canonical_slices(field):
+    # over GF(p) the echelon slices are least residues over den 1, so they
+    # are wrapped as they are; they must equal the matrices _make builds
+    rng = Random(f"basis slices {field}")
+    subspaces = [MatrixSubspace.diagonal_algebra(field, d) for d in range(1, 9)]
+    subspaces += [random_subspace_for_cartan_test(rng, field, rng.randint(1, 5)) for _ in range(40)]
+    for a in subspaces:
+        d, echelon = a.ambient_dim, a.space.echelon
+        made = tuple(
+            Matrix._make(field, echelon.den, [r[i * d : (i + 1) * d] for i in range(d)], d)
+            for r in echelon.ints
+        )
+        assert a.basis_matrices() == made
 
 
 def test_nilpotent_span_is_not_cartan():
@@ -135,7 +183,7 @@ def test_degree_equal_characteristic_still_classifies():
     f = GF(3)
     t = random_invertible_matrix(Random(11), f, 3)
     a = conjugate_subspace(MatrixSubspace.diagonal_algebra(f, 3), t)
-    assert classify_subspace(a).is_split()
+    assert is_split(classify_subspace(a))
 
 
 # --- eigenlines ------------------------------------------------------------
@@ -202,7 +250,7 @@ def test_eigenline_split_agrees_with_the_classifier(field):
         assert _verdict_fields(verdict) == _verdict_fields(expected)
         outcomes.add(verdict.status)
         eig = verdict.eigenlines
-        assert (eig is not None) == expected.is_split()
+        assert (eig is not None) == is_split(expected)
         if eig is None:
             continue
         lines = eigenline_scalars(field, eig.ints)
@@ -287,7 +335,7 @@ def test_classifier_agrees_with_eigenline_enumeration_oracle():
         d = rng.randint(1, 3)
         a = random_subspace_for_cartan_test(rng, field, d)
         verdict = classify_subspace(a)
-        assert verdict.is_split() == diagonalizable_by_conjugation_oracle(a, d, field)
+        assert is_split(verdict) == diagonalizable_by_conjugation_oracle(a, d, field)
 
 
 def test_eigenline_oracle_agrees_with_literal_gl_search():

@@ -8,9 +8,17 @@ import random
 import pytest
 from helpers import cover_scalars_by_scalars, parse_matrix_by_scalars, render_matrix_by_scalars
 
+from cartancover.bundles import BaseGraph
 from cartancover.cli import main
+from cartancover.covers import CoverRep, LineBundleOnCover, canonical_algebra_map
+from cartancover.errors import DimensionMismatch
 from cartancover.fields import GF, QQ, field_to_json
-from cartancover.instances import cover_instance_to_json, parse_instance_text, parse_matrix
+from cartancover.instances import (
+    bundle_instance_to_json,
+    cover_instance_to_json,
+    parse_instance_text,
+    parse_matrix,
+)
 from cartancover.linalg import Matrix
 from cartancover.reports import matrix_oneline, render_matrix
 
@@ -134,3 +142,39 @@ def test_an_edgeless_cover_pushes_forward(field, tmp_path, capsys):
     assert main(["--format", "machine", "pushforward", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] and report["bundle"]["payload"]["transitions"] == []
+
+
+def _swap_loop(field, scalars=((2, 3),)):
+    cover = CoverRep(BaseGraph(1, ((0, 0),)), 2, ((1, 0),))
+    return cover, LineBundleOnCover(cover, field, [list(scalars[0])])
+
+
+def test_an_algebra_of_another_bundle_is_refused():
+    # a GF(7) algebra beside a Q bundle would be written under Q's field
+    _cover, q_line = _swap_loop(QQ)
+    _cover, gf_line = _swap_loop(GF(7))
+    q_algebra, gf_algebra = canonical_algebra_map(q_line), canonical_algebra_map(gf_line)
+    with pytest.raises(DimensionMismatch):
+        bundle_instance_to_json(q_algebra.parent, gf_algebra)
+    # another bundle over the same field: other transitions
+    other = canonical_algebra_map(_swap_loop(QQ, ((5, 7),))[1])
+    with pytest.raises(DimensionMismatch):
+        bundle_instance_to_json(q_algebra.parent, other)
+    # an equal bundle built separately is the same bundle
+    again = canonical_algebra_map(_swap_loop(QQ)[1])
+    assert bundle_instance_to_json(q_algebra.parent, again) == bundle_instance_to_json(
+        q_algebra.parent, q_algebra
+    )
+    assert "cartan_bundle" not in bundle_instance_to_json(q_algebra.parent)["payload"]
+
+
+def test_a_line_bundle_on_another_cover_is_refused():
+    cover, line = _swap_loop(QQ)
+    trivial_cover = CoverRep(BaseGraph(1, ((0, 0),)), 2, ((0, 1),))
+    with pytest.raises(DimensionMismatch):
+        cover_instance_to_json(QQ, trivial_cover, line)
+    with pytest.raises(DimensionMismatch):
+        cover_instance_to_json(GF(7), cover, line)
+    written = cover_instance_to_json(QQ, CoverRep(BaseGraph(1, ((0, 0),)), 2, ((1, 0),)), line)
+    assert written["payload"]["scalars"] == [["2", "3"]]
+    assert "scalars" not in cover_instance_to_json(GF(7), cover)["payload"]

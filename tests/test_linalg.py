@@ -28,6 +28,7 @@ from helpers import (
     inverse_by_scalars,
     line_scalars,
     matmul_by_scalars,
+    min_poly_by_powers,
     min_poly_by_scalars,
     random_invertible_matrix,
 )
@@ -360,6 +361,89 @@ def test_min_poly_matches_the_scalar_oracle_in_every_degree(field):
             mp = min_poly(m)
             assert mp == min_poly_by_scalars(m)
             assert mp.degree == k
+
+
+# --- min_poly against the flattened powers --------------------------------
+#
+# min_poly takes the lcm of the annihilators of the unit vectors; the
+# oracle is the elimination of the flattened powers I, M, ..., M^d that it
+# replaced. Derogatory matrices, whose minimal polynomial has degree below
+# d, are where the lcm needs more than one unit vector.
+
+POWERS_FIELDS = ((QQ, 10**12), (GF(2), None), (GF(5), None), (GF(2**61 - 1), None))
+
+
+def _entry(field, rng, height):
+    if field.characteristic:
+        return rng.randrange(field.p)
+    return Fraction(rng.randint(-height, height), rng.choice((1, 2, 3)))
+
+
+def _gauged(field, rng, height, rows):
+    """The matrix ``rows`` conjugated by a random invertible matrix whose
+    entries have the given height."""
+    d = len(rows)
+    while True:
+        t = Matrix(field, [[_entry(field, rng, height) for _ in range(d)] for _ in range(d)])
+        try:
+            ti = t.inverse()
+        except SingularMatrix:
+            continue
+        return t @ Matrix(field, rows) @ ti
+
+
+def _block_diagonal(blocks):
+    d = sum(len(b) for b in blocks)
+    rows = [[0] * d for _ in range(d)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at : at + len(b)] = row
+        at += len(b)
+    return rows
+
+
+def _jordan(c, k):
+    return [[c if j == i else int(j == i + 1) for j in range(k)] for i in range(k)]
+
+
+def _idempotent_case(field, rng, height, d):
+    rank = rng.randint(0, d)
+    return [[int(i == j and i < rank) for j in range(d)] for i in range(d)]
+
+
+def _jordan_case(field, rng, height, d):
+    blocks, left = [], d
+    values = [_entry(field, rng, height) for _ in range(2)]
+    while left:
+        k = rng.randint(1, left)
+        blocks.append(_jordan(rng.choice(values), k))
+        left -= k
+    return _block_diagonal(blocks)
+
+
+def _repeated_case(field, rng, height, d):
+    k = rng.randint(1, max(1, d // 2))
+    block = [[_entry(field, rng, height) for _ in range(k)] for _ in range(k)]
+    return _block_diagonal([block] * (d // k) + [_jordan(0, d % k)] * (d % k > 0))
+
+
+def _regular_case(field, rng, height, d):
+    return [[_entry(field, rng, height) for _ in range(d)] for _ in range(d)]
+
+
+POWERS_CASES = (_idempotent_case, _jordan_case, _repeated_case, _regular_case)
+
+
+@pytest.mark.parametrize("field,height", POWERS_FIELDS, ids=lambda x: str(x))
+@pytest.mark.parametrize("case", POWERS_CASES, ids=lambda c: c.__name__.strip("_"))
+def test_min_poly_matches_the_flattened_powers(field, height, case):
+    rng = Random(f"{case.__name__}-{field}")
+    for d in range(1, 11):
+        rows = case(field, rng, height, d)
+        for m in (Matrix(field, rows), _gauged(field, rng, height, rows)):
+            mp = min_poly(m)
+            assert mp == min_poly_by_powers(m)
 
 
 # --- computed results -------------------------------------------------------

@@ -31,7 +31,7 @@ from cartancover.parabolic import (
     riemann_hurwitz_genus,
 )
 from cartancover.randgen import random_ramified_cover_data
-from helpers import tameness_check
+from helpers import jump_weights, tameness_check, total_dimension
 
 F = Fraction
 
@@ -86,23 +86,23 @@ def test_string_weights_follow_the_rational_grammar_of_matrix_entries(text):
 
 def test_local_flags_unramified_sheet():
     flag = local_flags(1, F(0))
-    assert flag.jump_weights() == (F(0),)
+    assert jump_weights(flag) == (F(0),)
     assert flag.steps[0].dimension == 1
 
 
 def test_local_flags_double_sheet():
     flag = local_flags(2, F(0))
-    assert flag.jump_weights() == (F(0), F(1, 2))
+    assert jump_weights(flag) == (F(0), F(1, 2))
     assert [s.dimension for s in flag.steps] == [2, 1]
     assert [s.basis_indices for s in flag.steps] == [(0, 1), (1,)]
 
 
 def test_local_flags_weighted_double_sheet():
-    assert local_flags(2, F(1, 2)).jump_weights() == (F(1, 4), F(3, 4))
+    assert jump_weights(local_flags(2, F(1, 2))) == (F(1, 4), F(3, 4))
 
 
 def test_local_flags_weighted_triple_sheet():
-    assert local_flags(3, F(1, 2)).jump_weights() == (F(1, 6), F(1, 2), F(5, 6))
+    assert jump_weights(local_flags(3, F(1, 2))) == (F(1, 6), F(1, 2), F(5, 6))
 
 
 def test_local_flags_invariants_exhaustive():
@@ -112,7 +112,7 @@ def test_local_flags_invariants_exhaustive():
     for b in range(1, 13):
         for lam in weights:
             flag = local_flags(b, lam)
-            ws = flag.jump_weights()
+            ws = jump_weights(flag)
             assert len(ws) == b
             assert all(F(0) <= w < 1 for w in ws)
             assert all(ws[i] < ws[i + 1] for i in range(b - 1))
@@ -136,7 +136,7 @@ def test_local_flags_of_a_high_multiplicity_sheet_stay_linear():
     assert peak < 10 * 2**20, peak
     assert report.equal and report.genus.per_component == (1501,)
     (point,) = report.pushforward.points
-    assert point.filtration.total_dimension() == b
+    assert total_dimension(point.filtration) == b
     step = local_flags(b, F(1, 2)).steps[b - 3]
     assert step.basis_indices == (b - 3, b - 2, b - 1)
 
@@ -181,7 +181,7 @@ def test_merge_is_permutation_invariant():
         extra_shuffled = extra[:]
         rng.shuffle(extra_shuffled)
         assert merge_fiber_filtration(shuffled, extra_shuffled, d) == reference
-        assert reference.total_dimension() == d
+        assert total_dimension(reference) == d
 
 
 # --- genus and degree -------------------------------------------------------------
