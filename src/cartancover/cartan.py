@@ -59,9 +59,8 @@ class MatrixSubspace:
     a fiber against known lines reads the generators alone
     (``spans_diagonal_algebra``), so it builds no canonical form. The
     diagonal algebra is given with its canonical form, a coordinate
-    subspace, so it runs no elimination at all. Over GF(p) the basis
-    matrices are slices of echelon rows of least residues over den 1,
-    already canonical, so they are wrapped as they are.
+    subspace, and with its basis matrices, its unit matrices, so it runs
+    no elimination at all.
     """
 
     __slots__ = ("field", "ambient_dim", "generators", "_space", "_basis")
@@ -90,7 +89,8 @@ class MatrixSubspace:
         its face: E_tt is d zero rows with row t the unit row e_t, already
         canonical, and the flattened E_tt are the unit vectors of
         k^(d^2) at positions t (d + 1), so the canonical form is that
-        coordinate subspace, with no elimination."""
+        coordinate subspace, with no elimination, and its basis matrices
+        are the units themselves."""
         units = []
         for t in range(d):
             row = [0] * d
@@ -100,6 +100,7 @@ class MatrixSubspace:
             units.append(Matrix._wrap(field, 1, unit, d))
         a = cls(field, d, units)
         a._space = Subspace.coordinate(field, d * d, range(0, d * d, d + 1))
+        a._basis = a.generators
         return a
 
     @property
@@ -121,11 +122,7 @@ class MatrixSubspace:
         if self._basis is None:
             d, echelon = self.ambient_dim, self.space.echelon
             rows = ([r[i * d : (i + 1) * d] for i in range(d)] for r in echelon.ints)
-            if self.field.characteristic:
-                # least residues over den 1 already: slices of them are canonical
-                self._basis = tuple(Matrix._wrap(self.field, 1, m, d) for m in rows)
-            else:
-                self._basis = tuple(Matrix._make(self.field, echelon.den, m, d) for m in rows)
+            self._basis = tuple(Matrix._make(self.field, echelon.den, m, d) for m in rows)
         return self._basis
 
     def coordinates_of(self, m: Matrix) -> tuple:

@@ -50,7 +50,7 @@ from operator import countOf, itemgetter, mul
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, ParseError, SingularMatrix
-from .poly import Poly, roots_in_field
+from .poly import Poly, coefficient_product, roots_in_field
 
 # --- integer kernels ----------------------------------------------------------
 #
@@ -581,16 +581,7 @@ def min_poly(m: Matrix) -> Poly:
                 v = [x % p for x in v]
         if not any(v):
             continue
-        local = _annihilator(ints, v, d - len(mu) + 2, p)
-        product = [0] * (len(mu) + len(local) - 1)
-        for j, x in enumerate(mu):
-            for k, y in enumerate(local):
-                product[j + k] += x * y
-        if p:
-            mu = [x % p for x in product]
-        else:
-            g = gcd(*product)
-            mu = [x // g for x in product]
+        mu = coefficient_product(mu, _annihilator(ints, v, d - len(mu) + 2, p), p)
     den = m.den
     return Poly._make(field, mu[-1] * den ** (len(mu) - 1), [c * den**j for j, c in enumerate(mu)])
 

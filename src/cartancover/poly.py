@@ -153,6 +153,14 @@ def roots_in_field(p: Poly):
     return tuple(roots), split
 
 
+def coefficient_product(a: list, b: list, p: int) -> list:
+    """The product of two nonzero ascending integer coefficient lists: on
+    residues in GF(p)[x], and made primitive in Z[x] when p is 0, which
+    keeps the same polynomial up to a unit scale."""
+    out = _gf_mul(a, b, p)
+    return out if p else _zz_primitive(out)
+
+
 def squarefree_no_guard(p: Poly) -> bool:
     """Squarefreeness over Q or GF(p), valid in every degree: ``p`` is
     squarefree exactly when ``_squarefree`` keeps its whole degree."""
@@ -253,13 +261,14 @@ def _gf_monic(a: list, p: int) -> list:
 
 
 def _gf_mul(a: list, b: list, p: int) -> list:
+    """The product in GF(p)[x], or in Z[x] unreduced when p is 0."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return [c % p for c in out]
+    return [c % p for c in out] if p else out
 
 
 def _gf_divmod(a: list, b: list, p: int) -> tuple:

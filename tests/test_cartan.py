@@ -126,26 +126,16 @@ def test_diagonal_algebra_is_built_without_elimination(field, monkeypatch):
         calls.clear()
         assert basis == a.generators and a == MatrixSubspace(field, d, a.generators)
         calls.clear()
+        # the preset basis is the slices of the canonical form, as Matrix._make builds them
+        echelon = space.echelon
+        assert basis == tuple(
+            Matrix._make(field, echelon.den, [r[i * d : (i + 1) * d] for i in range(d)], d)
+            for r in echelon.ints
+        )
         for t, m in enumerate(basis):
             assert m.rows == tuple(
                 tuple(field.coerce(int(i == j == t)) for j in range(d)) for i in range(d)
             )
-
-
-@pytest.mark.parametrize("field", [GF(2), GF(7), GF(2**61 - 1)], ids=str)
-def test_basis_matrices_over_gf_p_are_the_canonical_slices(field):
-    # over GF(p) the echelon slices are least residues over den 1, so they
-    # are wrapped as they are; they must equal the matrices _make builds
-    rng = Random(f"basis slices {field}")
-    subspaces = [MatrixSubspace.diagonal_algebra(field, d) for d in range(1, 9)]
-    subspaces += [random_subspace_for_cartan_test(rng, field, rng.randint(1, 5)) for _ in range(40)]
-    for a in subspaces:
-        d, echelon = a.ambient_dim, a.space.echelon
-        made = tuple(
-            Matrix._make(field, echelon.den, [r[i * d : (i + 1) * d] for i in range(d)], d)
-            for r in echelon.ints
-        )
-        assert a.basis_matrices() == made
 
 
 def test_nilpotent_span_is_not_cartan():
