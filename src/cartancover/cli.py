@@ -43,8 +43,9 @@ from .instances import (
     CartanInstance,
     CoverInstance,
     ParabolicInstance,
-    bundle_instance_to_json,
+    cartan_bundle_instance_to_json,
     cover_instance_to_json,
+    line_bundle_instance_to_json,
     load_instance,
 )
 from .parabolic import check_pardeg_conservation
@@ -118,7 +119,7 @@ def cmd_cover_build(instance: BundleInstance) -> Report:
     result, report = record.result, record.report
     machine = {
         "field": field_to_json(field),
-        "cover": cover_instance_to_json(field, result.cover, result.line_bundle),
+        "cover": line_bundle_instance_to_json(result.line_bundle),
         "eta": [render_matrix(m) for m in result.eta],
         "component_count": report.component_count,
         "degree_profile": list(report.degree_profile),
@@ -179,7 +180,7 @@ def _pushforward_cover(instance: CoverInstance) -> Report:
     report = cover_report(instance.cover)
     machine = {
         "field": field_to_json(field),
-        "bundle": bundle_instance_to_json(bundle, algebra),
+        "bundle": cartan_bundle_instance_to_json(algebra),
         "component_count": report.component_count,
         "split": report.split,
         "ok": True,

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .covers import CoverRep, TreeGauge
 from .errors import DegreeTooLarge, NotABlockSystem
-from .fields import QQ, PrimeField
+from .fields import QQ
 from .linalg import Matrix
 
 ENUMERATION_DEGREE_BOUND = 12
@@ -211,18 +211,11 @@ def summand_embedding_check(cover: CoverRep, system: BlockSystem, field=QQ) -> S
     if not is_block_system(cover.gauge.generators, system):
         raise NotABlockSystem("partition is not preserved by the monodromy")
     d, m, b = cover.degree, system.num_blocks, system.block_size
-    zero, one = field.zero(), field.one()
     identity = Matrix.identity(field, m)
-
-    include = Matrix(
-        field,
-        [[one if t in system.blocks[j] else zero for j in range(m)] for t in range(d)],
-    )
-    first_of_block = [blk[0] for blk in system.blocks]
-    retract = Matrix(
-        field,
-        [[one if t == first_of_block[i] else zero for t in range(d)] for i in range(m)],
-    )
+    # row j is the indicator of block j; the embedding is its transpose
+    indicator = [[int(t in blk) for t in range(d)] for blk in system.blocks]
+    include = Matrix(field, [list(col) for col in zip(*indicator)])
+    retract = Matrix(field, [[int(t == blk[0]) for t in range(d)] for blk in system.blocks])
 
     witness = None
     retraction_identity = retract @ include == identity
@@ -230,12 +223,9 @@ def summand_embedding_check(cover: CoverRep, system: BlockSystem, field=QQ) -> S
         witness = "retraction does not split the embedding"
 
     average_agrees = None
-    if not (isinstance(field, PrimeField) and b % field.p == 0):
-        inv_b = one / field.coerce(b)
-        average = Matrix(
-            field,
-            [[inv_b if t in system.blocks[i] else zero for t in range(d)] for i in range(m)],
-        )
+    p = field.characteristic
+    if not (p and b % p == 0):
+        average = Matrix._make(field, b, indicator, d)
         # one product decides both the splitting and the square of the average
         average_agrees = (average @ include == identity) == retraction_identity
         if not average_agrees:

@@ -6,23 +6,23 @@ Prime-field scalars are ``Fp`` values holding a least residue in [0, p).
 Both representations are canonical per value, so equality of scalars is
 exact.
 
-A field object coerces, parses and renders its scalars, the values of
-its own arithmetic. No value the package computes with is a scalar:
-matrices (the line-bundle scalars of a cover among them), subspaces,
-lines, polynomials and their roots hold a canonical integer form (see
+No value the package computes with is a scalar: matrices (the
+line-bundle scalars of a cover among them), subspaces, lines,
+polynomials and their roots hold a canonical integer form (see
 ``linalg`` and ``poly``), least residues over GF(p) and over Q integers
-over their least common denominator. Values enter and leave that form
-without scalars:
+over their least common denominator. A field object has one reader into
+that form and one writer out of it:
 
-- ``to_ints`` reads values straight into it: scalars, ints and the
+- ``to_ints`` reads every value that enters the package: ints, the
   strings of instance files ("a" or "a/b" over Q, a decimal residue over
-  GF(p)). A scalar of another field raises ``DimensionMismatch``, or the
-  error the caller names; any other value raises ``ParseError``.
-- ``render_ints`` writes the form the way reports and instance files
-  show it: the strings ``render`` gives for the same values.
+  GF(p)) and scalars. A scalar of another field raises
+  ``DimensionMismatch``, or the error the caller names; a bool or any
+  other value raises ``ParseError``.
+- ``render_ints`` writes the form as reports and instance files show it.
 
-``from_ints`` builds scalars from the form, only where a caller asks for
-scalars: the lazy scalar views and the results returned as scalars.
+``from_ints`` builds scalars from the form only for the scalar views:
+``Matrix.rows``, ``Subspace.basis``, ``Matrix.apply``, ``linalg.solve``,
+``Subspace.coordinates_of`` and ``Poly.coeffs``.
 """
 
 from __future__ import annotations
@@ -206,29 +206,12 @@ class Rationals:
     def one(self):
         return Fraction(1)
 
-    def coerce(self, x) -> Fraction:
-        if isinstance(x, bool):
-            raise ParseError("booleans are not rational scalars")
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, str):
-            return self.parse(x)
-        raise ParseError(f"cannot interpret {x!r} as a rational number")
-
-    def parse(self, s: str) -> Fraction:
-        return Fraction(*_parse_ratio(s))
-
     def to_ints(self, values, foreign=DimensionMismatch) -> tuple:
         """``(den, ints)``, the canonical integer form of ``values``:
         ``values[j] == ints[j] / den`` over the least common denominator.
-        A value is a rational scalar, an int or a string "a" or "a/b"; ints
-        and strings go into the form without a scalar. A scalar of a prime
-        field raises ``foreign``, any other value ``ParseError``."""
-        if all(type(x) is Fraction for x in values):
-            den = lcm(*[x.denominator for x in values])
-            return den, [x.numerator * (den // x.denominator) for x in values]
+        A value is an int, a string "a" or "a/b" or a rational scalar. A
+        scalar of a prime field raises ``foreign``, any other value
+        ``ParseError``."""
         pairs = [_parse_ratio(x) if type(x) is str else self._ratio(x, foreign) for x in values]
         den = lcm(*[d for _, d in pairs])
         ints = [n * (den // d) for n, d in pairs]
@@ -241,12 +224,15 @@ class Rationals:
         return den, ints
 
     def _ratio(self, x, foreign) -> tuple:
-        if type(x) is int:
-            return x, 1
+        if isinstance(x, bool):
+            raise ParseError("booleans are not rational scalars")
+        if isinstance(x, (int, Fraction)):
+            return x.numerator, x.denominator
+        if isinstance(x, str):
+            return _parse_ratio(x)
         if isinstance(x, Fp):
             raise foreign(f"scalar {x!r} is not an element of Q")
-        x = self.coerce(x)
-        return x.numerator, x.denominator
+        raise ParseError(f"cannot interpret {x!r} as a rational number")
 
     def from_ints(self, ints, den: int) -> tuple:
         """The scalars ``ints[j] / den``."""
@@ -255,7 +241,8 @@ class Rationals:
         return tuple(Fraction(x, den) if x else _ZERO for x in ints)
 
     def render_ints(self, ints, den: int) -> list:
-        """``render`` of each scalar ``ints[j] / den``, written from the ints."""
+        """The string of each scalar ``ints[j] / den``: "a" or "a/b" in
+        lowest terms."""
         if den == 1:
             return [str(x) for x in ints]
         out = []
@@ -263,9 +250,6 @@ class Rationals:
             g = gcd(x, den)
             out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
         return out
-
-    def render(self, v) -> str:
-        return str(v)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -294,39 +278,26 @@ class PrimeField:
     def one(self):
         return Fp(1, self.p)
 
-    def coerce(self, x) -> Fp:
-        if isinstance(x, bool):
-            raise ParseError("booleans are not prime-field scalars")
-        if isinstance(x, Fp):
-            if x.p != self.p:
-                raise ParseError(f"scalar from GF({x.p}) used in GF({self.p})")
-            return x
-        if isinstance(x, int):
-            return Fp(x, self.p)
-        if isinstance(x, str):
-            return self.parse(x)
-        raise ParseError(f"cannot interpret {x!r} as an element of GF({self.p})")
-
-    def parse(self, s: str) -> Fp:
-        return Fp(_parse_residue(s, self.p), self.p)
-
     def to_ints(self, values, foreign=DimensionMismatch) -> tuple:
         """``(1, residues)``, the canonical integer form of ``values``: their
-        least residues. A value is a scalar of this field, an int or a
-        decimal integer string; ints and strings go into the form without a
-        scalar. A rational or a scalar of another prime field raises
-        ``foreign``, any other value ``ParseError``."""
+        least residues. A value is an int, a decimal integer string or a
+        scalar of this field. A rational or a scalar of another prime field
+        raises ``foreign``, any other value ``ParseError``."""
         p = self.p
-        if all(type(x) is Fp and x.p == p for x in values):
-            return 1, [x.val for x in values]
         return 1, [x % p if type(x) is int else self._residue(x, foreign) for x in values]
 
     def _residue(self, x, foreign) -> int:
-        if type(x) is str:
+        if isinstance(x, bool):
+            raise ParseError("booleans are not prime-field scalars")
+        if isinstance(x, int):
+            return x % self.p
+        if isinstance(x, str):
             return _parse_residue(x, self.p)
-        if isinstance(x, Fraction) or (isinstance(x, Fp) and x.p != self.p):
+        if isinstance(x, Fp) and x.p == self.p:
+            return x.val
+        if isinstance(x, (Fraction, Fp)):
             raise foreign(f"scalar {x!r} is not an element of GF({self.p})")
-        return self.coerce(x).val
+        raise ParseError(f"cannot interpret {x!r} as an element of GF({self.p})")
 
     def from_ints(self, ints, den: int) -> tuple:
         """The scalars ``ints[j] / den``."""
@@ -337,15 +308,12 @@ class PrimeField:
         return tuple(Fp(x, p) for x in ints)
 
     def render_ints(self, ints, den: int) -> list:
-        """``render`` of each scalar ``ints[j] / den``, written from the ints."""
+        """The string of each scalar ``ints[j] / den``: its least residue."""
         p = self.p
         if den % p != 1:
             inv = pow(den, -1, p)
             ints = [x * inv for x in ints]
         return [str(x % p) for x in ints]
-
-    def render(self, v) -> str:
-        return str(v.val)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

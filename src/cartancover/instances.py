@@ -5,8 +5,8 @@ The format is UTF-8 JSON with all scalars exact: rationals are strings
 residues. Fiber labels are 1-based in files and 0-based in memory.
 Matrix entries and the line-bundle scalars of covers go straight into
 the canonical integer form of a ``Matrix``, and both are written back
-from it; field scalars are built only to name the entry a refused input
-fails on. Parsing failures name the offending location.
+from it; a refused input is read again, entry by entry, to name the
+entry it fails on. Parsing failures name the offending location.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .bundles import BaseGraph, BundleRep, SubalgebraBundle
 from .cartan import MatrixSubspace
 from .covers import CoverRep, LineBundleOnCover
-from .errors import DimensionMismatch, DisconnectedBase, ParseError
+from .errors import DisconnectedBase, ParseError
 from .fields import field_from_json, field_to_json
 from .linalg import Matrix
 from .parabolic import BranchPoint, RamifiedCoverData, RamifiedSheet, parse_weight
@@ -68,11 +68,12 @@ def _expect_list(value, where):
     return value
 
 
-def parse_scalar(field, value, where):
+def _entry_ints(field, value, where) -> int:
+    """The integer form of one entry, or its error with its location."""
     if isinstance(value, float):
         raise ParseError(f"{where}: floats are not exact scalars")
     try:
-        return field.coerce(value)
+        return field.to_ints([value], ParseError)[1][0]
     except ParseError as exc:
         raise ParseError(f"{where}: {exc}") from None
 
@@ -99,7 +100,7 @@ def _refuse_matrix(field, rows, where):
     for i, row in enumerate(rows):
         row = _expect_list(row, f"{where}[{i}]")
         for j, x in enumerate(row):
-            parse_scalar(field, x, f"{where}[{i}][{j}]")
+            _entry_ints(field, x, f"{where}[{i}][{j}]")
     raise ParseError(f"{where}: matrix rows must be nonempty and equal length")
 
 
@@ -220,7 +221,7 @@ def _refuse_scalars(field, rows, degree):
         where = f"payload.scalars[{i}]"
         if len(_expect_list(row, where)) != degree:
             raise ParseError(f"{where}: one scalar per label required")
-        if 0 in [parse_scalar(field, x, f"{where}[{j}]") for j, x in enumerate(row)]:
+        if 0 in [_entry_ints(field, x, f"{where}[{j}]") for j, x in enumerate(row)]:
             raise ParseError(f"{where}: scalars must be nonzero")
 
 
@@ -312,35 +313,37 @@ def load_instance(path: str):
     return parse_instance_text(text)
 
 
-def cover_instance_to_json(field, cover: CoverRep, line: LineBundleOnCover | None = None):
-    """The cover instance of ``cover`` over ``field``, with the scalars of
-    ``line`` when given; a line bundle on another cover or over another
-    field is refused, since its scalars would be written beside them."""
-    if line is not None and (line.field != field or line.cover != cover):
-        raise DimensionMismatch("line bundle on another cover or over another field")
+def cover_instance_to_json(field, cover: CoverRep):
+    """The cover instance of ``cover`` over ``field``."""
     payload = {
         "graph": graph_to_json(cover.base),
         "degree": cover.degree,
         "sigma": [[x + 1 for x in s] for s in cover.sigma],
     }
-    if line is not None:
-        payload["scalars"] = render_matrix(line.scalars)
     return {"field": field_to_json(field), "kind": "cover", "payload": payload}
 
 
-def bundle_instance_to_json(bundle: BundleRep, algebra: SubalgebraBundle | None = None):
-    """The bundle instance of ``bundle``, with the fibers of ``algebra``
-    when given; an algebra inside another bundle is refused, since its
-    fibers would be written beside this bundle's field and transitions."""
-    if algebra is not None and algebra.parent != bundle:
-        raise DimensionMismatch("Cartan algebra bundle of another bundle")
+def line_bundle_instance_to_json(line: LineBundleOnCover):
+    """The cover instance of ``line``'s cover over its field, with its scalars."""
+    doc = cover_instance_to_json(line.field, line.cover)
+    doc["payload"]["scalars"] = render_matrix(line.scalars)
+    return doc
+
+
+def bundle_instance_to_json(bundle: BundleRep):
+    """The bundle instance of ``bundle``."""
     payload = {
         "graph": graph_to_json(bundle.graph),
         "rank": bundle.rank,
         "transitions": [render_matrix(t) for t in bundle.transitions],
     }
-    if algebra is not None:
-        payload["cartan_bundle"] = [
-            [render_matrix(m) for m in fiber.basis_matrices()] for fiber in algebra.fibers
-        ]
     return {"field": field_to_json(bundle.field), "kind": "bundle", "payload": payload}
+
+
+def cartan_bundle_instance_to_json(algebra: SubalgebraBundle):
+    """The bundle instance of ``algebra``'s bundle, with the fibers of ``algebra``."""
+    doc = bundle_instance_to_json(algebra.parent)
+    doc["payload"]["cartan_bundle"] = [
+        [render_matrix(m) for m in fiber.basis_matrices()] for fiber in algebra.fibers
+    ]
+    return doc

@@ -474,7 +474,8 @@ class Subspace:
         """Coefficients of ``vec`` in the canonical basis; requires membership."""
         if not self.contains(vec):
             raise ValueError("vector is not in the subspace")
-        return tuple(self.field.coerce(vec[p]) for p in self.pivots())
+        den, ints = self.field.to_ints(vec)
+        return self.field.from_ints([ints[q] for q in self.pivots()], den)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the null space of the stacked coefficient

@@ -27,7 +27,8 @@ def parse_weight(w) -> Fraction:
     if isinstance(w, float):
         raise ParseError("parabolic weights must be exact rationals, not floats")
     if isinstance(w, str):
-        w = QQ.parse(w)
+        den, (num,) = QQ.to_ints([w])
+        w = Fraction(num, den)
     else:
         try:
             w = Fraction(w)
@@ -54,9 +55,6 @@ class RamifiedSheet(NamedTuple):
 
 class BranchPoint(NamedTuple):
     sheets: tuple
-
-    def profile(self) -> tuple:
-        return tuple(s.multiplicity for s in self.sheets)
 
 
 class RamifiedCoverData(NamedTuple):
@@ -125,15 +123,11 @@ class RamifiedCoverData(NamedTuple):
 
 
 class FlagStep(NamedTuple):
+    """The span of e_level .. e_(b-1), b = level + dimension, with its weight."""
+
     level: int
     weight: Fraction
     dimension: int
-
-    @property
-    def basis_indices(self) -> tuple:
-        """The step is the span of e_level .. e_(b-1), b = level + dimension;
-        computed on access, so a flag of b steps stays of size O(b)."""
-        return tuple(range(self.level, self.level + self.dimension))
 
 
 class LocalFlagModel(NamedTuple):

@@ -36,7 +36,6 @@ from cartancover.covers import (
 )
 from cartancover.errors import DimensionMismatch, ParseError, SingularMatrix
 from cartancover.fields import Fp, PrimeField, Rationals, is_prime
-from cartancover.instances import parse_scalar
 from cartancover.linalg import (
     Matrix,
     Subspace,
@@ -155,7 +154,7 @@ def bundle_iso_check(
         if is_invertible(m0):
             return BundleIsoResult(transport(m0), dim, True)
     field = source.field
-    coeff_range = [field.coerce(c) for c in range(-coefficient_bound, coefficient_bound + 1)]
+    coeff_range = [scalar(field, c) for c in range(-coefficient_bound, coefficient_bound + 1)]
     tried = 0
     for combo in product(coeff_range, repeat=dim):
         tried += 1
@@ -349,6 +348,13 @@ def sort_lines_by_scalars(field, lines) -> tuple:
 # field scalars, for comparison with scalar arithmetic.
 
 
+def scalar(field, x):
+    """The field scalar of ``x``: an int, an instance-file string or a
+    scalar, read by ``to_ints``."""
+    den, ints = field.to_ints([x])
+    return field.from_ints(ints, den)[0]
+
+
 def line_scalars(field, line) -> tuple:
     """The leading-one field scalars of a canonical integer line."""
     return field.from_ints(line, next(filter(None, line)))
@@ -528,6 +534,12 @@ def subalgebra_closure_defect(a: MatrixSubspace) -> Matrix | None:
     return None
 
 
+def step_basis_indices(step) -> tuple:
+    """The indices of the basis vectors e_level .. e_(b-1) spanning a step
+    of a ``parabolic.LocalFlagModel``, b = level + dimension."""
+    return tuple(range(step.level, step.level + step.dimension))
+
+
 def jump_weights(flag) -> tuple:
     """The weights of the steps of a ``parabolic.LocalFlagModel``."""
     return tuple(step.weight for step in flag.steps)
@@ -644,7 +656,7 @@ def from_roots_by_scalars(field, roots) -> Poly:
     """The monic product of the x - r over ``roots``, repeats included."""
     coeffs = [field.one()]
     for r in roots:
-        r = field.coerce(r)
+        r = scalar(field, r)
         coeffs = [a - r * b for a, b in zip([field.zero(), *coeffs], [*coeffs, field.zero()])]
     return Poly(field, coeffs)
 
@@ -739,13 +751,13 @@ def render_by_scalars(field, coeffs) -> str:
         if c == 0:
             continue
         if k == 0:
-            terms.append(field.render(c))
+            terms.append(str(c))
         elif c == 1:
             terms.append(x)
         elif c == -1:
             terms.append("-" + x)
         else:
-            terms.append(f"{field.render(c)}*{x}")
+            terms.append(f"{c}*{x}")
     return " + ".join(terms).replace("+ -", "- ") or "0"
 
 
@@ -753,6 +765,17 @@ def render_by_scalars(field, coeffs) -> str:
 #
 # Oracles for ``instances.parse_matrix`` and ``reports.render_matrix``: the
 # per-entry path they replaced, with a field scalar for every entry.
+
+
+def scalar_at(field, value, where):
+    """The field scalar of one instance-file entry, or its error with its
+    location; a float is no exact scalar."""
+    if isinstance(value, float):
+        raise ParseError(f"{where}: floats are not exact scalars")
+    try:
+        return scalar(field, value)
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def parse_matrix_by_scalars(field, value, where) -> Matrix:
@@ -764,7 +787,7 @@ def parse_matrix_by_scalars(field, value, where) -> Matrix:
     for i, row in enumerate(value):
         if not isinstance(row, list):
             raise ParseError(f"{where}[{i}]: expected a list")
-        parsed.append([parse_scalar(field, x, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
+        parsed.append([scalar_at(field, x, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
     width = len(parsed[0])
     if any(len(r) != width for r in parsed) or width == 0:
         raise ParseError(f"{where}: matrix rows must be nonempty and equal length")
@@ -777,7 +800,7 @@ def parse_matrix_by_scalars(field, value, where) -> Matrix:
 
 def render_matrix_by_scalars(field, m: Matrix) -> list:
     """Oracle for ``reports.render_matrix``: each field scalar rendered."""
-    return [[field.render(x) for x in row] for row in m.rows]
+    return [[str(x) for x in row] for row in m.rows]
 
 
 def cover_scalars_by_scalars(field, rows) -> tuple:
@@ -786,7 +809,7 @@ def cover_scalars_by_scalars(field, rows) -> tuple:
     scalar rows, the canonical form ``(den, ints)`` read off them and the
     rendered rows."""
     parsed = [
-        tuple(parse_scalar(field, x, f"payload.scalars[{i}][{j}]") for j, x in enumerate(row))
+        tuple(scalar_at(field, x, f"payload.scalars[{i}][{j}]") for j, x in enumerate(row))
         for i, row in enumerate(rows)
     ]
     if field.characteristic:
@@ -794,7 +817,7 @@ def cover_scalars_by_scalars(field, rows) -> tuple:
     else:
         den = math.lcm(*[x.denominator for r in parsed for x in r])
         ints = [[x.numerator * (den // x.denominator) for x in r] for r in parsed]
-    return tuple(parsed), (den, ints), [[field.render(x) for x in r] for r in parsed]
+    return tuple(parsed), (den, ints), [[str(x) for x in r] for r in parsed]
 
 
 # --- random matrices and subspaces ------------------------------------------------------
@@ -807,10 +830,7 @@ def random_invertible_matrix(rng: Random, field, d: int, tries: int = 100) -> Ma
                 [Fraction(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)
             ]
         else:
-            rows = [
-                [field.coerce(rng.randrange(field.p)) for _ in range(d)]
-                for _ in range(d)
-            ]
+            rows = [[rng.randrange(field.p) for _ in range(d)] for _ in range(d)]
         m = Matrix(field, rows)
         if is_invertible(m):
             return m
@@ -821,9 +841,7 @@ def random_matrix(rng: Random, field, d: int) -> Matrix:
     if isinstance(field, Rationals):
         rows = [[Fraction(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)]
     else:
-        rows = [
-            [field.coerce(rng.randrange(field.p)) for _ in range(d)] for _ in range(d)
-        ]
+        rows = [[rng.randrange(field.p) for _ in range(d)] for _ in range(d)]
     return Matrix(field, rows)
 
 

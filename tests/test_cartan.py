@@ -25,6 +25,7 @@ from helpers import (
     is_split,
     random_invertible_matrix,
     random_subspace_for_cartan_test,
+    scalar,
     subalgebra_closure_defect,
 )
 
@@ -54,7 +55,7 @@ def _projective_points(field, d):
     for pivot in range(d):
         prefix = (field.zero(),) * pivot + (field.one(),)
         for tail in product(scalars, repeat=d - pivot - 1):
-            yield prefix + tuple(field.coerce(x) for x in tail)
+            yield prefix + tuple(scalar(field, x) for x in tail)
 
 
 def _is_common_eigenvector(basis_matrices, vec, field):
@@ -134,7 +135,7 @@ def test_diagonal_algebra_is_built_without_elimination(field, monkeypatch):
         )
         for t, m in enumerate(basis):
             assert m.rows == tuple(
-                tuple(field.coerce(int(i == j == t)) for j in range(d)) for i in range(d)
+                tuple(scalar(field, int(i == j == t)) for j in range(d)) for i in range(d)
             )
 
 

@@ -36,7 +36,7 @@ from cartancover.cartan import (
 from cartancover.cli import main
 from cartancover.covers import direct_image_line_bundle
 from cartancover.fields import GF, QQ, field_to_json
-from cartancover.instances import bundle_instance_to_json
+from cartancover.instances import cartan_bundle_instance_to_json
 from cartancover.linalg import Matrix
 from cartancover.randgen import (
     CoverInstanceConfig,
@@ -578,7 +578,7 @@ def _vertex_error_cases(tmp_path, capsys):
         fibers = [MatrixSubspace.diagonal_algebra(field, cover.degree)] * cover.base.num_vertices
         for v in rng.sample(range(len(fibers)), min(2, len(fibers))):
             fibers[v] = _faulty_fiber(rng, field, cover.degree)
-        instance = bundle_instance_to_json(bundle, SubalgebraBundle(bundle, fibers))
+        instance = cartan_bundle_instance_to_json(SubalgebraBundle(bundle, fibers))
         path.write_text(json.dumps(instance), encoding="utf-8")
         _code, report = _machine(capsys, "cover-build", str(path))
         if report.get("error", {}).get("type") in ("NonSplitAtVertex", "NotCartanAtVertex"):

@@ -31,7 +31,7 @@ from cartancover.randgen import (
     random_cover_instance,
     random_permutation,
 )
-from helpers import composite_consistent, indicator_embedding_flat
+from helpers import composite_consistent, indicator_embedding_flat, scalar
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -346,7 +346,7 @@ def _random_block_system(rng, d):
 def _random_compression(rng, field, system, retraction):
     """A random m x d matrix; made to satisfy p . i = I when ``retraction`` is set."""
     m, d = system.num_blocks, system.degree
-    rows = [[field.coerce(rng.randint(-2, 2)) for _ in range(d)] for _ in range(m)]
+    rows = [[scalar(field, rng.randint(-2, 2)) for _ in range(d)] for _ in range(m)]
     if retraction:
         for i in range(m):
             for j, block in enumerate(system.blocks):

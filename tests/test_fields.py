@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cartancover.errors import ParseError
+from cartancover.errors import DimensionMismatch, ParseError
 from cartancover.fields import (
     GF,
     PRIME_BOUND,
@@ -15,6 +15,7 @@ from cartancover.fields import (
     field_to_json,
     is_prime,
 )
+from helpers import scalar
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 f7 = st.integers(min_value=0, max_value=6).map(lambda v: Fp(v, 7))
@@ -72,7 +73,7 @@ def test_large_primes_are_accepted():
 
 def test_prime_field_arithmetic():
     f = GF(5)
-    a, b = f.coerce(3), f.coerce(4)
+    a, b = scalar(f, 3), scalar(f, "4")
     assert a + b == 2
     assert a * b == 2
     assert a - b == 4
@@ -115,23 +116,40 @@ def test_field_axioms_gf7(x, y, z):
 
 def test_rational_parse_render_roundtrip():
     for s in ["3", "-1/2", "0", "7/3", "-4"]:
-        v = QQ.parse(s)
-        assert QQ.parse(QQ.render(v)) == v
-    assert QQ.parse("2/4") == Fraction(1, 2)
+        den, ints = QQ.to_ints([s])
+        assert QQ.render_ints(ints, den) == [s]
+        assert QQ.to_ints(QQ.render_ints(ints, den)) == (den, ints)
+    assert QQ.to_ints(["2/4"]) == (2, [1])
 
 
 def test_rational_parse_rejects_garbage():
     for bad in ["1/0", "1.5", "a", "1/2/3", ""]:
         with pytest.raises(ParseError):
-            QQ.parse(bad)
+            QQ.to_ints([bad])
 
 
 def test_prime_field_parse_reduces():
     f = GF(7)
-    assert f.parse("9") == 2
-    assert f.parse("-1") == 6
+    assert f.to_ints(["9"]) == (1, [2])
+    assert f.to_ints(["-1"]) == (1, [6])
     with pytest.raises(ParseError):
-        f.parse("2/3")
+        f.to_ints(["2/3"])
+
+
+def test_to_ints_reads_scalars_and_refuses_other_types():
+    assert QQ.to_ints([Fraction(1, 2), 3, " 1/3 "]) == (6, [3, 18, 2])
+    assert GF(7).to_ints([Fp(3, 7), -1, "+9"]) == (1, [3, 6, 2])
+    for field, kind in ((QQ, "rational"), (GF(7), "prime-field")):
+        with pytest.raises(ParseError, match=f"^booleans are not {kind} scalars$"):
+            field.to_ints([1, True])
+    with pytest.raises(ParseError, match=r"^cannot interpret None as a rational number$"):
+        QQ.to_ints([None])
+    with pytest.raises(ParseError, match=r"^cannot interpret \[\] as an element of GF\(7\)$"):
+        GF(7).to_ints([[]])
+    with pytest.raises(DimensionMismatch):
+        QQ.to_ints([Fp(1, 7)])
+    with pytest.raises(DimensionMismatch):
+        GF(7).to_ints([Fraction(1, 2)])
 
 
 def test_field_descriptors_roundtrip():
@@ -145,5 +163,7 @@ def test_field_descriptors_roundtrip():
 
 def test_cross_field_scalars_rejected():
     with pytest.raises(ParseError):
-        GF(5).coerce(Fp(1, 7))
+        GF(5).to_ints([Fp(1, 7)], ParseError)
+    with pytest.raises(DimensionMismatch):
+        GF(5).to_ints([Fp(1, 7)])
     assert Fp(1, 5).__add__(Fp(1, 7)) is NotImplemented

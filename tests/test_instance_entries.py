@@ -11,11 +11,13 @@ from helpers import cover_scalars_by_scalars, parse_matrix_by_scalars, render_ma
 from cartancover.bundles import BaseGraph
 from cartancover.cli import main
 from cartancover.covers import CoverRep, LineBundleOnCover, canonical_algebra_map
-from cartancover.errors import DimensionMismatch
+from cartancover.errors import ParseError
 from cartancover.fields import GF, QQ, field_to_json
 from cartancover.instances import (
     bundle_instance_to_json,
+    cartan_bundle_instance_to_json,
     cover_instance_to_json,
+    line_bundle_instance_to_json,
     parse_instance_text,
     parse_matrix,
 )
@@ -117,7 +119,7 @@ def test_line_bundle_scalars_read_straight_into_the_canonical_form(field):
         # the same matrix built from its field scalars is equal and hashes equal
         from_rows = Matrix(field, rows, ncols=degree)
         assert scalars.rows == rows and scalars == from_rows and hash(scalars) == hash(from_rows)
-        written = cover_instance_to_json(field, instance.cover, instance.line_bundle)
+        written = line_bundle_instance_to_json(instance.line_bundle)
         assert written["payload"]["scalars"] == rendered
         assert parse_instance_text(json.dumps(written)).line_bundle == instance.line_bundle
     assert edgeless > 10
@@ -149,32 +151,52 @@ def _swap_loop(field, scalars=((2, 3),)):
     return cover, LineBundleOnCover(cover, field, [list(scalars[0])])
 
 
-def test_an_algebra_of_another_bundle_is_refused():
-    # a GF(7) algebra beside a Q bundle would be written under Q's field
+def test_writers_read_each_value_off_its_carrier():
+    # an algebra carries its bundle, a line bundle its cover and field
     _cover, q_line = _swap_loop(QQ)
-    _cover, gf_line = _swap_loop(GF(7))
-    q_algebra, gf_algebra = canonical_algebra_map(q_line), canonical_algebra_map(gf_line)
-    with pytest.raises(DimensionMismatch):
-        bundle_instance_to_json(q_algebra.parent, gf_algebra)
-    # another bundle over the same field: other transitions
-    other = canonical_algebra_map(_swap_loop(QQ, ((5, 7),))[1])
-    with pytest.raises(DimensionMismatch):
-        bundle_instance_to_json(q_algebra.parent, other)
-    # an equal bundle built separately is the same bundle
-    again = canonical_algebra_map(_swap_loop(QQ)[1])
-    assert bundle_instance_to_json(q_algebra.parent, again) == bundle_instance_to_json(
-        q_algebra.parent, q_algebra
-    )
-    assert "cartan_bundle" not in bundle_instance_to_json(q_algebra.parent)["payload"]
+    algebra = canonical_algebra_map(q_line)
+    written = cartan_bundle_instance_to_json(algebra)
+    assert written == cartan_bundle_instance_to_json(canonical_algebra_map(_swap_loop(QQ)[1]))
+    assert len(written["payload"].pop("cartan_bundle")) == 1
+    assert written == bundle_instance_to_json(algebra.parent)
+    cover, line = _swap_loop(GF(7))
+    written = line_bundle_instance_to_json(line)
+    assert parse_instance_text(json.dumps(written)).line_bundle == line
+    assert written["payload"].pop("scalars") == [["2", "3"]]
+    assert written == cover_instance_to_json(GF(7), cover)
 
 
-def test_a_line_bundle_on_another_cover_is_refused():
-    cover, line = _swap_loop(QQ)
-    trivial_cover = CoverRep(BaseGraph(1, ((0, 0),)), 2, ((0, 1),))
-    with pytest.raises(DimensionMismatch):
-        cover_instance_to_json(QQ, trivial_cover, line)
-    with pytest.raises(DimensionMismatch):
-        cover_instance_to_json(GF(7), cover, line)
-    written = cover_instance_to_json(QQ, CoverRep(BaseGraph(1, ((0, 0),)), 2, ((1, 0),)), line)
-    assert written["payload"]["scalars"] == [["2", "3"]]
-    assert "scalars" not in cover_instance_to_json(GF(7), cover)["payload"]
+# JSON entry values: ints (negative ones and ones past 2^64 among them),
+# strings of every shape the readers meet, and the other JSON types
+CORPUS = [
+    0, 1, -1, 7, -7, 2**61 - 1, 2**64 + 3, -(2**64) - 3, 10**40,
+    "a", "a/b", " 3 ", "+3", "-0/5", "1/0", "1.5", "x", "", "4/6", "0", "-14",
+    True, False, 1.5, None, [], {},
+]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("x", CORPUS, ids=repr)
+def test_the_reader_and_the_refusal_walk_agree(field, x):
+    # the one-pass reader and the walk that names a refused entry read one
+    # entry alike: what Matrix reads is the matrix parse_matrix returns, and
+    # what it refuses is refused at the entry, never as a shape
+    try:
+        expected = Matrix(field, [[x]])
+    except ParseError:
+        expected = None
+    if expected is not None:
+        m = parse_matrix(field, [[x]], "m")
+        assert (m.den, m.ints) == (expected.den, expected.ints)
+    else:
+        with pytest.raises(ParseError, match=r"^m\[0\]\[0\]: "):
+            parse_matrix(field, [[x]], "m")
+    # the same for a line-bundle scalar, where zero is refused as well
+    doc = _cover_doc(field, 1, [[0, 0]], 1, [[1]], [[x]])
+    if expected is not None and expected.ints != [[0]]:
+        line = parse_instance_text(doc).line_bundle
+        assert (line.scalars.den, line.scalars.ints) == (expected.den, expected.ints)
+    else:
+        message = r": scalars must be nonzero$" if expected is not None else r"\[0\]: "
+        with pytest.raises(ParseError, match=r"^payload\.scalars\[0\]" + message):
+            parse_instance_text(doc)

@@ -31,6 +31,7 @@ from helpers import (
     min_poly_by_powers,
     min_poly_by_scalars,
     random_invertible_matrix,
+    scalar,
 )
 
 
@@ -269,7 +270,7 @@ def _scalar(field, rng, d):
 
 def _nilpotent(field, rng, d):
     zero = field.zero()
-    rows = [[field.coerce(rng.randint(-2, 2)) if j > i else zero for j in range(d)] for i in range(d)]
+    rows = [[scalar(field, rng.randint(-2, 2)) if j > i else zero for j in range(d)] for i in range(d)]
     return Matrix(field, rows), None
 
 
@@ -280,10 +281,10 @@ def _jordan_blocks(field, rng, d):
     zero = field.zero()
     rows = [[zero] * d for _ in range(d)]
     for i in range(d):
-        rows[i][i] = field.coerce(lam if i < k else mu)
+        rows[i][i] = scalar(field, lam if i < k else mu)
         if i + 1 < k:
             rows[i][i + 1] = field.one()
-    distinct = field.coerce(lam) != field.coerce(mu) and k < d
+    distinct = scalar(field, lam) != scalar(field, mu) and k < d
     return Matrix(field, rows), k + 1 if distinct else None
 
 
@@ -295,7 +296,7 @@ def _irreducible_companion(field, rng, d):
     # a monic of degree 2 or 3 without a root in the field is irreducible
     k = rng.choice((2, 3))
     while True:
-        low = [field.coerce(rng.randint(-5, 5)) for _ in range(k)]
+        low = [scalar(field, rng.randint(-5, 5)) for _ in range(k)]
         if not _has_root(field, low + [field.one()]):
             break
     zero, one = field.zero(), field.one()

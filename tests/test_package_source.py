@@ -121,40 +121,42 @@ def test_one_gauss_jordan_loop_in_package():
 def test_field_scalars_built_only_where_values_leave_the_integer_form():
     # matrices, subspaces, eigenlines, polynomials, roots, line-bundle
     # scalars and the validation compute on canonical integer forms, and
-    # instance files are read straight into them; a call that builds field
-    # scalars (from ints, by coercion or by parsing) anywhere else would
-    # bring back the scalar round trips of every intermediate result, or a
-    # second, scalar arithmetic. The oracle line_bundles_gauge_equivalent
+    # every value enters through field.to_ints, refused instance entries
+    # included; a call that builds field scalars anywhere else would bring
+    # back the scalar round trips of every intermediate result, or a second,
+    # scalar arithmetic. Only the scalar views build them, with from_ints,
+    # and only fields.py calls Fp. The oracle line_bundles_gauge_equivalent
     # reads the scalar view ``rows``, which is no call.
-    builders = {"from_ints", "coerce", "parse_scalar"}
     boundary = {
-        # the lazy scalar views and the results returned as scalars
         "linalg.py:rows",
         "linalg.py:apply",
         "linalg.py:coordinates_of",
         "linalg.py:solve",
         "poly.py:coeffs",
-        # the refusal path, which names the entry an instance file fails on
-        "instances.py:parse_scalar",
-        "instances.py:_refuse_matrix",
-        "instances.py:_refuse_scalars",
     }
-    found = set()
+    found, fp_calls, defined = set(), [], {}
 
-    def visit(node, where):
+    def visit(node, name, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = f"{where.split(':')[0]}:{node.name}"
+            defined.setdefault(name, set()).add(node.name)
+            where = f"{name}:{node.name}"
         if isinstance(node, ast.Call):
             func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in builders:
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == "from_ints":
                 found.add(where)
+            if called == "Fp" and name != "fields.py":
+                fp_calls.append(f"{where}:{node.lineno}")
         for child in ast.iter_child_nodes(node):
-            visit(child, where)
+            visit(child, name, where)
 
-    for name in ("linalg.py", "cartan.py", "bundles.py", "poly.py", "covers.py", "instances.py"):
-        visit(ast.parse((PACKAGE / name).read_text(encoding="utf-8")), name)
-    assert found <= boundary, sorted(found - boundary)
+    for path in sorted(PACKAGE.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.name, path.name)
+    assert found == boundary, sorted(found ^ boundary)
+    assert fp_calls == []
+    # to_ints is the one reader: no second one may come back beside it
+    assert not defined["fields.py"] & {"coerce", "parse", "render"}
+    assert "parse_scalar" not in defined["instances.py"]
 
 
 def test_matrix_entries_enter_and_leave_without_field_scalars():
@@ -454,19 +456,20 @@ PARAMETERS = {
     "cartan.classify_subspace": ["a"],
     "reports.render_matrix": ["m"],
     "reports.matrix_oneline": ["m"],
-    "instances.bundle_instance_to_json": ["bundle", "algebra"],
+    "instances.bundle_instance_to_json": ["bundle"],
+    "instances.cartan_bundle_instance_to_json": ["algebra"],
+    "instances.cover_instance_to_json": ["field", "cover"],
+    "instances.line_bundle_instance_to_json": ["line"],
 }
 # (carrier, carried): a function that takes the first need not take the
-# second. An optional carrier (``X | None``) is left out: where it may be
-# absent, as in ``bundle_instance_to_json``, the carried value is needed
+# second, whether either is optional or not
 CARRIED = (("SubalgebraBundle", "BundleRep"), ("LineBundleOnCover", "CoverRep"))
 
 
-def _required_annotation_names(arg) -> set:
-    names = set() if arg.annotation is None else set(ast.walk(arg.annotation))
-    if any(isinstance(sub, ast.Constant) and sub.value is None for sub in names):
+def _annotation_names(arg) -> set:
+    if arg.annotation is None:
         return set()
-    return {sub.id for sub in names if isinstance(sub, ast.Name)}
+    return {sub.id for sub in ast.walk(arg.annotation) if isinstance(sub, ast.Name)}
 
 
 def test_no_package_function_takes_a_value_its_other_argument_carries():
@@ -480,9 +483,96 @@ def test_no_package_function_takes_a_value_its_other_argument_carries():
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
-            annotated = set().union(*map(_required_annotation_names, args))
+            annotated = set().union(*map(_annotation_names, args))
             if node.name != "cover_roundtrip" and any(
                 {carrier, carried} <= annotated for carrier, carried in CARRIED
             ):
                 found.append(f"{path.name}:{node.lineno}:{node.name}")
     assert found == []
+
+
+# functions and methods no package code refers to, each with its reason
+BENCH = "pinned by name in bench/spans.py, which ROADMAP item 2a retargets"
+PUBLIC = "public API that tests read"
+# the CLI's entry point main needs no entry: cli.py and __main__.py call it
+UNREFERENCED = {
+    "bundles.flat_sections": BENCH,
+    "cartan.conjugate_subspace": BENCH,
+    "covers.cover_isomorphisms": BENCH,
+    "covers.line_bundles_gauge_equivalent": BENCH,
+    "linalg.Subspace.intersect": BENCH,
+    "linalg.solve": BENCH,
+    # named after the paper's constructions
+    "parabolic.degree_direct_image": PUBLIC,
+    "parabolic.pushforward_parabolic": PUBLIC,
+    # the scalar view of a polynomial, which ROADMAP item 14 moves to tests
+    "poly.Poly.coeffs": PUBLIC,
+}
+
+
+def _unreferenced(sources: dict) -> set:
+    """The functions and methods of ``sources`` (module name to source text)
+    that no code in them refers to outside their own body: a method by
+    attribute (``x.name``), a function by name or attribute. ``__init__``
+    only re-exports, so its imports are no reference, and dunder methods are
+    called by Python itself."""
+    defined, refs = [], {}
+
+    def visit(node, module, cls, owner):
+        if isinstance(node, ast.ClassDef):
+            for child in ast.iter_child_nodes(node):
+                visit(child, module, node.name, owner)
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{module}.{cls}.{node.name}" if cls else f"{module}.{node.name}"
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                defined.append((name, node.name, cls is not None))
+            for child in ast.iter_child_nodes(node):
+                visit(child, module, None, name)
+            return
+        if isinstance(node, ast.Attribute):
+            refs.setdefault(("attr", node.attr), set()).add(owner)
+        if isinstance(node, ast.Name):
+            refs.setdefault(("name", node.id), set()).add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, cls, owner)
+
+    for module, text in sources.items():
+        if module != "__init__":
+            visit(ast.parse(text), module, None, None)
+    unreferenced = set()
+    for name, short, is_method in defined:
+        owners = set(refs.get(("attr", short), ()))
+        if not is_method:
+            owners |= refs.get(("name", short), set())
+        if not owners - {name}:
+            unreferenced.add(name)
+    return unreferenced
+
+
+def _package_sources() -> dict:
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_every_package_function_has_a_package_caller():
+    # a function only tests, __init__ exports or the benchmark reach is
+    # library-only surface; it is deleted, moved to tests/helpers.py as an
+    # oracle, or named above with its reason
+    assert _unreferenced(_package_sources()) == set(UNREFERENCED)
+
+
+def test_the_caller_guard_finds_a_re_added_orphan():
+    sources = _package_sources()
+    text = sources["parabolic"]
+    anchor = "class BranchPoint(NamedTuple):\n    sheets: tuple\n"
+    assert anchor in text
+    sources["parabolic"] = text.replace(
+        anchor,
+        anchor + "\n    def profile(self) -> tuple:\n"
+        "        return tuple(s.multiplicity for s in self.sheets)\n",
+    )
+    found = _unreferenced(sources) - set(UNREFERENCED)
+    assert found == {"parabolic.BranchPoint.profile"}
+    # a call from package code is a reference
+    sources["cli"] += "\n\ndef _profiles(point):\n    return point.profile()\n"
+    assert _unreferenced(sources) - set(UNREFERENCED) == {"cli._profiles"}

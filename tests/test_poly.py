@@ -12,6 +12,7 @@ from helpers import (
     nonsplit_witness_by_scalars,
     render_by_scalars,
     roots_by_enumeration,
+    scalar,
     squarefree_by_scalars,
     squarefree_part_by_scalars,
 )
@@ -124,7 +125,7 @@ def test_poly_str_formatting():
 def _scalar(rng, field):
     if field == QQ:
         return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4)))
-    return field.coerce(rng.randrange(field.p))
+    return scalar(field, rng.randrange(field.p))
 
 
 def _random_poly(rng, field):

@@ -49,7 +49,7 @@ from cartancover.errors import (
     NotCartanAtVertex,
 )
 from cartancover.fields import GF, QQ
-from cartancover.instances import bundle_instance_to_json, cover_instance_to_json, load_instance
+from cartancover.instances import cartan_bundle_instance_to_json, cover_instance_to_json, load_instance
 from cartancover.linalg import Matrix, Subspace
 from cartancover.randgen import CoverInstanceConfig, random_cover_instance
 from certificates import check_error_report
@@ -64,6 +64,7 @@ from helpers import (
     rootless_quadratic_block,
     roots_by_enumeration,
     rref_by_scalars,
+    scalar,
 )
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -701,10 +702,10 @@ def _not_cartan_fiber(rng, field, d):
             return fiber
 
 
-def _cover_build_report(tmp_path, capsys, bundle, algebra):
-    """The exit code and machine report of ``cover-build`` on the bundle,
-    and the instance it read."""
-    instance = bundle_instance_to_json(bundle, algebra)
+def _cover_build_report(tmp_path, capsys, algebra):
+    """The exit code and machine report of ``cover-build`` on the algebra
+    and its bundle, and the instance it read."""
+    instance = cartan_bundle_instance_to_json(algebra)
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(instance), encoding="utf-8")
     code = main(["--format", "machine", "cover-build", str(path)])
@@ -752,12 +753,12 @@ def test_singular_transitions_match_the_per_vertex_oracle(tmp_path, capsys, plac
     # sent onto one, an inverse that does not exist, or an edge check that
     # finds a line sent off the lines, to zero, or onto the image of another
     companions = set()
-    for bundle, algebra, e, companion, _rest in planted_singular_cases(place, kind, 12):
+    for _bundle, algebra, e, companion, _rest in planted_singular_cases(place, kind, 12):
         expected = error_signature(per_vertex_validate, algebra)
         assert expected[:3] == ("SingularTransition", None, e)
         assert error_signature(validate_cartan_bundle, algebra) == expected
         assert error_signature(build_spectral_cover, algebra) == expected
-        code, report, instance = _cover_build_report(tmp_path, capsys, bundle, algebra)
+        code, report, instance = _cover_build_report(tmp_path, capsys, algebra)
         assert code == 2
         assert (report["error"]["type"], report["error"]["edge"]) == ("SingularTransition", e)
         assert check_error_report(instance, report) == []
@@ -776,7 +777,7 @@ def test_incompatible_edge_reports_are_certified(tmp_path, capsys):
                 continue
             expected = error_signature(per_vertex_validate, algebra)
             assert error_signature(validate_cartan_bundle, algebra) == expected
-            code, report, instance = _cover_build_report(tmp_path, capsys, bundle, algebra)
+            code, report, instance = _cover_build_report(tmp_path, capsys, algebra)
             if expected is None:
                 assert code == 0
                 continue
@@ -853,7 +854,7 @@ def test_cover_build_of_a_gauged_bundle_builds_the_root_form_only(tmp_path, caps
     for i in range(6):
         bundle, algebra = gauged_bundle(rng, FIELDS[i % 3], min_vertices=3)
         d = bundle.rank
-        instance = bundle_instance_to_json(bundle, algebra)
+        instance = cartan_bundle_instance_to_json(algebra)
         path = tmp_path / "bundle.json"
         path.write_text(json.dumps(instance), encoding="utf-8")
         with monkeypatch.context() as patch:
@@ -915,7 +916,7 @@ def test_scalar_spectrum_is_the_computed_one(field, monkeypatch):
     root_searches = count_calls(monkeypatch, poly.roots_in_field)
     rng = Random(f"diagonal spectrum {field}")
     fractions = () if field.characteristic else (Fraction(-3, 4), Fraction(7, 2))
-    values = [field.coerce(c) for c in (0, 1, -1, 3, 1010, *fractions)]
+    values = [scalar(field, c) for c in (0, 1, -1, 3, 1010, *fractions)]
     distinct = set()
     for d in range(1, 6):
         diagonals = [[c] * d for c in values]
