@@ -95,7 +95,7 @@ class SpanningTree(NamedTuple):
     cotree_edges: tuple
 
     def transport(self, root_value, step) -> list:
-        """The value at each vertex, carried from ``root_value`` at the root
+        """The value at each vertex, moved from ``root_value`` at the root
         along the tree: ``step(e, forward, x)`` moves x across tree edge e,
         through T_e or sigma_e when ``forward``, else through the inverse."""
         values = [None] * self.graph.num_vertices
@@ -223,7 +223,7 @@ def validate_cartan_bundle(algebra: SubalgebraBundle) -> CartanLines:
     of the bundle ``algebra.parent``.
 
     ``simultaneous_eigenlines`` splits the root fiber A_0 into its d common
-    eigenlines L_0, and the lines are carried along the spanning tree to
+    eigenlines L_0, and the lines are transported along the spanning tree to
     lines L_v at every vertex: through T_e on a tree edge crossed along its
     orientation, through the cached inverse, the only one computed, on an
     edge crossed against it. Then two checks, neither of which inverts a
@@ -253,11 +253,11 @@ def validate_cartan_bundle(algebra: SubalgebraBundle) -> CartanLines:
     the root pair starts as decided, by the check that certified the
     split's lines. A fiber that fails is split on its own, which depends
     on the fiber alone, so that split is reused too. The first vertex of
-    each pair is still checked in vertex order, so the failing vertex, its
-    error and the tree edges whose images are kept are those of a check at
-    every vertex. On a direct image f_*L every pair is the root's: each
-    fiber is the diagonal algebra of the label basis, whose coordinate
-    lines the monomial transitions permute, so no fiber is checked again.
+    each pair is still checked in vertex order, so the failing vertex and
+    its error are those of a check at every vertex. On a direct image
+    f_*L every pair is the root's: each fiber is the diagonal algebra of
+    the label basis, whose coordinate lines the monomial transitions
+    permute, so no fiber is checked again.
 
     Errors are those of the fiber-by-fiber test, which first inverts every
     transition (``validate_bundle``), then classifies the fibers in vertex
@@ -276,69 +276,42 @@ def validate_cartan_bundle(algebra: SubalgebraBundle) -> CartanLines:
     the label bijection and the scalar of every edge, are what the
     spectral cover is built from.
 
-    Lines are carried, compared and returned as canonical integer lines
+    Lines are moved, compared and returned as canonical integer lines
     (``Matrix.map_line``), which are hashable, and the edge factors as a
     matrix in canonical integer form; no field scalar is built.
     """
-    tree = algebra.parent.graph.spanning_tree()
-    try:
-        return _certify(algebra, tree)
-    except CartanCoverError:
-        validate_bundle(algebra.parent)
-        raise
-
-
-def _certify(algebra: SubalgebraBundle, tree: SpanningTree) -> CartanLines:
-    """The success path of ``validate_cartan_bundle``: its lines, or an
-    error that stands once ``validate_bundle`` finds every transition
-    invertible."""
     bundle = algebra.parent
-    # tree edge -> per line over its source: (image index, factor as num, den)
-    carried = {}
+    tree = bundle.graph.spanning_tree()
 
     def step(e, forward, lines):
         op = bundle.transitions[e] if forward else bundle.transition_inverse(e)
-        images = [op.map_line(x) for x in lines]
-        distinct = {line for _num, _den, line in images}
-        if None in distinct or len(distinct) < len(lines):
+        images = [op.map_line(x)[2] for x in lines]
+        if None in images or len(set(images)) < len(lines):
             # a line sent to zero, or two onto one: a transition on the
             # tree path to here is singular, which validate_bundle names
             raise SingularTransition(e)
-        moved = sort_lines([line for _num, _den, line in images])
-        index = {line: t for t, line in enumerate(moved)}
-        if forward:
-            carried[e] = [(index[line], num, den) for num, den, line in images]
-        else:
-            # T_e^-1 carries line s over v to num / den times a line over u,
-            # so T_e carries that line to den / num times line s
-            carried[e] = [None] * len(lines)
-            for s, (num, den, line) in enumerate(images):
-                carried[e][index[line]] = (s, den, num)
-        return moved
+        return sort_lines(images)
 
-    transported = tree.transport(_fiber_lines(algebra, 0), step)
-    # per distinct (lines, given matrices): None when the fiber is diagonal
-    # in the lines, which the vertex then keeps as they are (``known``
-    # relies on that, at the root too), else the fiber's own eigenlines;
-    # the root's entry is the verdict of the spans_diagonal_algebra call
-    # that certified the split's lines
-    verdicts = {(transported[0], algebra.fibers[0].generators): None}
-    lines = transported[:1]
-    for v, ls in enumerate(transported[1:], start=1):
-        fiber = algebra.fibers[v]
-        key = (ls, fiber.generators)
-        own = verdicts.get(key, False)
-        if own is False:
-            own = None if spans_diagonal_algebra(fiber, ls) else _fiber_lines(algebra, v)
-            verdicts[key] = own
-        lines.append(own or ls)
-    # the step's images stand for a tree edge whose ends kept the transported lines
-    known = {
-        e: mapped
-        for e, mapped in carried.items()
-        if all(lines[x] is transported[x] for x in bundle.graph.edges[e])
-    }
-    return CartanLines(tuple(lines), *_map_lines(bundle, lines, known))
+    try:
+        transported = tree.transport(_fiber_lines(algebra, 0), step)
+        # per distinct (lines, given matrices): None when the fiber is
+        # diagonal in the lines, which the vertex then keeps, else the
+        # fiber's own eigenlines; the root's entry is the verdict of the
+        # spans_diagonal_algebra call that certified the split's lines
+        verdicts = {(transported[0], algebra.fibers[0].generators): None}
+        lines = transported[:1]
+        for v, ls in enumerate(transported[1:], start=1):
+            fiber = algebra.fibers[v]
+            key = (ls, fiber.generators)
+            own = verdicts.get(key, False)
+            if own is False:
+                own = None if spans_diagonal_algebra(fiber, ls) else _fiber_lines(algebra, v)
+                verdicts[key] = own
+            lines.append(own or ls)
+        return CartanLines(tuple(lines), *_map_lines(bundle, lines))
+    except CartanCoverError:
+        validate_bundle(bundle)
+        raise
 
 
 def _fiber_lines(algebra: SubalgebraBundle, v: int) -> tuple:
@@ -353,11 +326,10 @@ def _fiber_lines(algebra: SubalgebraBundle, v: int) -> tuple:
     raise NotCartanAtVertex(v, str(verdict))
 
 
-def _map_lines(bundle: BundleRep, lines, known: dict) -> tuple:
+def _map_lines(bundle: BundleRep, lines) -> tuple:
     """Per edge e = (u, v) and canonical integer line t over u: the index
     of the line over v that T_e carries line t onto, and the scale of the
     image over that normalized line, entry (e, t) of the returned matrix.
-    ``known`` holds these as (index, num, den) for edges already mapped.
     Raises ``IncompatibleEdge`` at the first edge whose transition does not
     carry the lines over u onto the lines over v, and ``SingularTransition``
     at one that carries two of them onto one, which independent lines over
@@ -365,19 +337,18 @@ def _map_lines(bundle: BundleRep, lines, known: dict) -> tuple:
     index = [{line: t for t, line in enumerate(ls)} for ls in lines]
     images, factors = [], []
     for e, (u, v) in enumerate(bundle.graph.edges):
-        mapped = known.get(e)
-        if mapped is None:
-            mapped = []
-            for line in lines[u]:
-                num, den, image = bundle.transitions[e].map_line(line)
-                target = index[v].get(image)
-                if target is None:
-                    raise IncompatibleEdge(e)
-                mapped.append((target, num, den))
-            if len({t for t, _num, _den in mapped}) < len(mapped):
-                raise SingularTransition(e)
-        images.append(tuple(t for t, _num, _den in mapped))
-        factors.append([(num, den) for _t, num, den in mapped])
+        targets, scales = [], []
+        for line in lines[u]:
+            num, den, image = bundle.transitions[e].map_line(line)
+            target = index[v].get(image)
+            if target is None:
+                raise IncompatibleEdge(e)
+            targets.append(target)
+            scales.append((num, den))
+        if len(set(targets)) < len(targets):
+            raise SingularTransition(e)
+        images.append(tuple(targets))
+        factors.append(scales)
     return tuple(images), ratio_matrix(bundle.field, factors, bundle.rank)
 
 

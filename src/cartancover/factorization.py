@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 from .covers import CoverRep, TreeGauge
 from .errors import DegreeTooLarge, NotABlockSystem
-from .fields import QQ
 from .linalg import Matrix
 
 ENUMERATION_DEGREE_BOUND = 12
@@ -179,7 +178,7 @@ class SummandCheckReport(NamedTuple):
     witness: str | None = None
 
 
-def summand_embedding_check(cover: CoverRep, system: BlockSystem, field=QQ) -> SummandCheckReport:
+def summand_embedding_check(cover: CoverRep, system: BlockSystem, field) -> SummandCheckReport:
     """Check that a retraction splits the embedding of the quotient pushforward.
 
     The verdict is True on every block system: both identities below hold

@@ -35,7 +35,6 @@ from .errors import DimensionMismatch, ParseError
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 _RESIDUE_RE = re.compile(r"^[+-]?\d+$")
-_ZERO = Fraction(0)
 
 
 # psi_13: the least odd composite that is a strong pseudoprime to every prime
@@ -197,11 +196,7 @@ def _parse_residue(s: str, p: int) -> int:
 class Rationals:
     """The field of rational numbers."""
 
-    kind = "Q"
     characteristic = 0
-
-    def zero(self):
-        return Fraction(0)
 
     def one(self):
         return Fraction(1)
@@ -236,9 +231,7 @@ class Rationals:
 
     def from_ints(self, ints, den: int) -> tuple:
         """The scalars ``ints[j] / den``."""
-        if den == 1:
-            return tuple(Fraction(x) if x else _ZERO for x in ints)
-        return tuple(Fraction(x, den) if x else _ZERO for x in ints)
+        return tuple(Fraction(x, den) for x in ints)
 
     def render_ints(self, ints, den: int) -> list:
         """The string of each scalar ``ints[j] / den``: "a" or "a/b" in
@@ -264,16 +257,11 @@ class Rationals:
 class PrimeField:
     """The field GF(p) for a prime p."""
 
-    kind = "Fp"
-
     def __init__(self, p: int):
         if not is_prime(p):
             raise ParseError(f"modulus {p} is not prime")
         self.p = p
         self.characteristic = p
-
-    def zero(self):
-        return Fp(0, self.p)
 
     def one(self):
         return Fp(1, self.p)
@@ -302,10 +290,8 @@ class PrimeField:
     def from_ints(self, ints, den: int) -> tuple:
         """The scalars ``ints[j] / den``."""
         p = self.p
-        if den % p != 1:
-            inv = pow(den, -1, p)
-            ints = [x * inv for x in ints]
-        return tuple(Fp(x, p) for x in ints)
+        inv = pow(den, -1, p)
+        return tuple(Fp(x * inv, p) for x in ints)
 
     def render_ints(self, ints, den: int) -> list:
         """The string of each scalar ``ints[j] / den``: its least residue."""

@@ -61,7 +61,7 @@ def hom_operator(t_target: Matrix, t_source: Matrix) -> Matrix:
     field = t_target.field
     d = t_target.nrows
     ti = t_source.inverse()
-    zero, one = field.zero(), field.one()
+    zero, one = scalar(field, 0), field.one()
     cols = []
     for i in range(d):
         for j in range(d):
@@ -233,7 +233,7 @@ def indicator_embedding_flat(
     if quotient is not None:
         v = direct_image_line_bundle(trivial_line_bundle(quotient, field))
     d, m = cover.degree, system.num_blocks
-    zero, one = field.zero(), field.one()
+    zero, one = scalar(field, 0), field.one()
     include = Matrix(
         field,
         [[one if t in system.blocks[j] else zero for j in range(m)] for t in range(d)],
@@ -258,7 +258,7 @@ def indicator_embedding_flat(
 
 def matmul_by_scalars(a: Matrix, b: Matrix) -> tuple:
     """Rows of a . b, summed in field scalars."""
-    zero = a.field.zero()
+    zero = scalar(a.field, 0)
     cols = list(zip(*b.rows)) if b.rows else [()] * b.ncols
     return tuple(
         tuple(sum((x * y for x, y in zip(r, c) if x != 0), zero) for c in cols) for r in a.rows
@@ -267,7 +267,7 @@ def matmul_by_scalars(a: Matrix, b: Matrix) -> tuple:
 
 def apply_by_scalars(m: Matrix, vec) -> tuple:
     """m . vec, summed in field scalars."""
-    zero = m.field.zero()
+    zero = scalar(m.field, 0)
     return tuple(sum((a * x for a, x in zip(r, vec) if a != 0), zero) for r in m.rows)
 
 
@@ -411,7 +411,7 @@ def min_poly_by_scalars(m: Matrix) -> Poly:
     the lower powers, carrying its coefficients in the powers, until a
     residue vanishes."""
     field, d = m.field, m.nrows
-    zero, one = field.zero(), field.one()
+    zero, one = scalar(field, 0), field.one()
     reduced = []
     power = Matrix.identity(field, d)
     for k in range(d + 1):
@@ -619,7 +619,7 @@ def roots_by_enumeration(p: Poly):
     roots = []
     rem = p
     for c in candidates:
-        value = field.zero()
+        value = scalar(field, 0)
         for a in reversed(rem.coeffs):
             value = value * c + a
         if value != 0:
@@ -654,16 +654,16 @@ def _value_mod(coeffs: list, x: int, p: int) -> int:
 
 def from_roots_by_scalars(field, roots) -> Poly:
     """The monic product of the x - r over ``roots``, repeats included."""
-    coeffs = [field.one()]
+    zero, coeffs = scalar(field, 0), [field.one()]
     for r in roots:
         r = scalar(field, r)
-        coeffs = [a - r * b for a, b in zip([field.zero(), *coeffs], [*coeffs, field.zero()])]
+        coeffs = [a - r * b for a, b in zip([zero, *coeffs], [*coeffs, zero])]
     return Poly(field, coeffs)
 
 
 def mul_by_scalars(a: Poly, b: Poly) -> Poly:
     field = a.field
-    out = [field.zero()] * max(0, a.degree + b.degree + 1)
+    out = [scalar(field, 0)] * max(0, a.degree + b.degree + 1)
     for i, x in enumerate(a.coeffs):
         for j, y in enumerate(b.coeffs):
             out[i + j] = out[i + j] + x * y
@@ -675,7 +675,7 @@ def divmod_by_scalars(a: Poly, b: Poly) -> tuple:
     field = a.field
     rem, top = list(a.coeffs), b.coeffs
     d = b.degree
-    quo = [field.zero()] * max(0, len(rem) - d)
+    quo = [scalar(field, 0)] * max(0, len(rem) - d)
     inv_lead = field.one() / top[-1]
     for i in range(len(rem) - 1, d - 1, -1):
         c = rem[i] * inv_lead

@@ -177,7 +177,7 @@ def test_c5_block_system_summand_bijection():
     four_catalog = block_systems(monodromy_generators(four_cycle))
     four_ok = (
         len(four_catalog.proper) == 1
-        and summand_embedding_check(four_cycle, four_catalog.proper[0]).ok
+        and summand_embedding_check(four_cycle, four_catalog.proper[0], QQ).ok
     )
     _line(
         f"C5 intermediate covers are in bijection with checked summands on "

@@ -53,7 +53,7 @@ def _projective_points(field, d):
     else:
         scalars = [Fraction(n, m) for n in range(-4, 5) for m in range(1, 4)]
     for pivot in range(d):
-        prefix = (field.zero(),) * pivot + (field.one(),)
+        prefix = (scalar(field, 0),) * pivot + (field.one(),)
         for tail in product(scalars, repeat=d - pivot - 1):
             yield prefix + tuple(scalar(field, x) for x in tail)
 

@@ -159,6 +159,33 @@ def test_a_wrong_component_count_fails_the_certificate():
     assert check_cover_build(instance, mutated) != []
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)
+def test_dense_tree_edges_are_certified(tmp_path, capsys, field):
+    # gauged bundles on three or more vertices: every tree edge, crossed
+    # forward or backward, carries dense lines, and the certificate reads
+    # its labels and scalars from the instance alone
+    from test_root_split import gauged_bundle
+
+    p = getattr(field, "p", 0)
+    rng = Random(33 + p)
+    backward = 0
+    for i in range(8):
+        bundle, algebra = gauged_bundle(rng, field, min_vertices=3)
+        instance = cartan_bundle_instance_to_json(algebra)
+        path = tmp_path / f"bundle_{i}.json"
+        path.write_text(json.dumps(instance), encoding="utf-8")
+        code, report = _machine(capsys, "cover-build", str(path))
+        assert code == 0
+        assert check_cover_build(instance, report) == []
+        for _vertex, e, forward in bundle.graph.spanning_tree().order[1:]:
+            backward += not forward
+            mutated = copy.deepcopy(report)
+            scalars = mutated["cover"]["payload"]["scalars"][e]
+            scalars[0] = _bumped(scalars[0], p)
+            assert check_cover_build(instance, mutated) != [], (i, e)
+    assert backward > 0
+
+
 PUSHFORWARD_STEMS = ["cover_c4_loop_q", "cover_swap_loop_q"]
 
 

@@ -64,7 +64,7 @@ def _all_equal_partitions(d, size):
 
 
 def _indicator_span(field, d, blocks):
-    one, zero = field.one(), field.zero()
+    one, zero = field.one(), scalar(field, 0)
     vecs = [
         tuple(one if t in block else zero for t in range(d)) for block in blocks
     ]
@@ -229,7 +229,7 @@ def test_non_block_partition_rejected():
     with pytest.raises(NotABlockSystem):
         intermediate_cover(cover, bad)
     with pytest.raises(NotABlockSystem):
-        summand_embedding_check(cover, bad)
+        summand_embedding_check(cover, bad, QQ)
 
 
 def test_degree_multiplicativity():
@@ -245,14 +245,14 @@ def test_degree_multiplicativity():
 def test_summand_check_singleton_system_trivially_passes():
     cover = CoverRep(LOOP, 3, [(1, 2, 0)])
     system = normalize_partition([(0,), (1,), (2,)], 3)
-    report = summand_embedding_check(cover, system)
+    report = summand_embedding_check(cover, system, QQ)
     assert report.ok and report.average_retraction_agrees
 
 
 def test_summand_check_4_cycle_block_system():
     cover = CoverRep(LOOP, 4, [(1, 2, 3, 0)])
     system = normalize_partition([(0, 2), (1, 3)], 4)
-    report = summand_embedding_check(cover, system)
+    report = summand_embedding_check(cover, system, QQ)
     assert report.ok
     assert report.retraction_identity and indicator_embedding_flat(cover, system, QQ)
     assert report.average_retraction_agrees
@@ -321,7 +321,7 @@ def square_commutes_oracle(p, include, num_vertices):
     """Oracle: the compression square tested vertex by vertex, basis vector by basis vector."""
     field = include.field
     m = include.ncols
-    zero, one = field.zero(), field.one()
+    zero, one = scalar(field, 0), field.one()
 
     def diag(vec):
         n = len(vec)
@@ -350,8 +350,8 @@ def _random_compression(rng, field, system, retraction):
     if retraction:
         for i in range(m):
             for j, block in enumerate(system.blocks):
-                rest = sum((rows[i][t] for t in block[1:]), field.zero())
-                rows[i][block[0]] = (field.one() if i == j else field.zero()) - rest
+                rest = sum((rows[i][t] for t in block[1:]), scalar(field, 0))
+                rows[i][block[0]] = (field.one() if i == j else scalar(field, 0)) - rest
     return Matrix(field, rows)
 
 
@@ -362,7 +362,7 @@ def test_compression_square_is_one_product(field):
     for _ in range(60):
         d = rng.randint(1, 6)
         system = _random_block_system(rng, d)
-        one, zero = field.one(), field.zero()
+        one, zero = field.one(), scalar(field, 0)
         include = Matrix(
             field,
             [[one if t in block else zero for block in system.blocks] for t in range(d)],

@@ -97,7 +97,7 @@ def test_kernel_rank_one():
 @given(matrices(3, 5))
 def test_kernel_vectors_are_annihilated(m):
     k = kernel(m)
-    zero = (QQ.zero(),) * 3
+    zero = (scalar(QQ, 0),) * 3
     for v in k.basis:
         assert m.apply(v) == zero
     assert k.dim == 5 - rref(m).rank
@@ -269,7 +269,7 @@ def _scalar(field, rng, d):
 
 
 def _nilpotent(field, rng, d):
-    zero = field.zero()
+    zero = scalar(field, 0)
     rows = [[scalar(field, rng.randint(-2, 2)) if j > i else zero for j in range(d)] for i in range(d)]
     return Matrix(field, rows), None
 
@@ -278,7 +278,7 @@ def _jordan_blocks(field, rng, d):
     # blocks of eigenvalue lam, or a Jordan block plus a scalar tail of another eigenvalue
     lam, mu = rng.randint(-3, 3), rng.randint(-3, 3)
     k = rng.randint(1, d)
-    zero = field.zero()
+    zero = scalar(field, 0)
     rows = [[zero] * d for _ in range(d)]
     for i in range(d):
         rows[i][i] = scalar(field, lam if i < k else mu)
@@ -299,7 +299,7 @@ def _irreducible_companion(field, rng, d):
         low = [scalar(field, rng.randint(-5, 5)) for _ in range(k)]
         if not _has_root(field, low + [field.one()]):
             break
-    zero, one = field.zero(), field.one()
+    zero, one = scalar(field, 0), field.one()
     rows = [[zero] * k for _ in range(k)]
     for i in range(1, k):
         rows[i][i - 1] = one

@@ -494,6 +494,12 @@ def test_no_package_function_takes_a_value_its_other_argument_carries():
 # functions and methods no package code refers to, each with its reason
 BENCH = "pinned by name in bench/spans.py, which ROADMAP item 2a retargets"
 PUBLIC = "public API that tests read"
+
+
+def _via(pinned: str) -> str:
+    return f"reached only through {pinned}, which bench/spans.py pins"
+
+
 # the CLI's entry point main needs no entry: cli.py and __main__.py call it
 UNREFERENCED = {
     "bundles.flat_sections": BENCH,
@@ -502,6 +508,20 @@ UNREFERENCED = {
     "covers.line_bundles_gauge_equivalent": BENCH,
     "linalg.Subspace.intersect": BENCH,
     "linalg.solve": BENCH,
+    # ROADMAP item 20 deletes these with the pinned names that reach them
+    "bundles.tree_paths": _via("bundles.flat_sections"),
+    "cartan.MatrixSubspace.coordinates_of": _via("bundles.flat_sections"),
+    "linalg.kernel": _via("bundles.flat_sections"),
+    "linalg.Matrix.zeros": _via("bundles.flat_sections"),
+    "linalg.Matrix.from_columns": _via("bundles.flat_sections"),
+    "linalg.Matrix.apply": _via("bundles.flat_sections"),
+    "linalg.Matrix.flatten": _via("bundles.flat_sections, in MatrixSubspace.coordinates_of"),
+    "linalg.Subspace.coordinates_of": _via("bundles.flat_sections"),
+    "linalg.Subspace.contains": _via("bundles.flat_sections, in Subspace.coordinates_of"),
+    "linalg.Subspace._residual": _via("bundles.flat_sections, in Subspace.contains"),
+    "linalg.Subspace.zero": _via("linalg.Subspace.intersect"),
+    "fields.Rationals.one": _via("covers.line_bundles_gauge_equivalent"),
+    "fields.PrimeField.one": _via("covers.line_bundles_gauge_equivalent"),
     # named after the paper's constructions
     "parabolic.degree_direct_image": PUBLIC,
     "parabolic.pushforward_parabolic": PUBLIC,
@@ -512,10 +532,11 @@ UNREFERENCED = {
 
 def _unreferenced(sources: dict) -> set:
     """The functions and methods of ``sources`` (module name to source text)
-    that no code in them refers to outside their own body: a method by
-    attribute (``x.name``), a function by name or attribute. ``__init__``
-    only re-exports, so its imports are no reference, and dunder methods are
-    called by Python itself."""
+    that no code in them refers to outside their own body, or only
+    unreferenced functions do: a method by attribute (``x.name``), a
+    function by name or attribute. ``__init__`` only re-exports, so its
+    imports are no reference, and dunder methods are called by Python
+    itself."""
     defined, refs = [], {}
 
     def visit(node, module, cls, owner):
@@ -540,14 +561,20 @@ def _unreferenced(sources: dict) -> set:
     for module, text in sources.items():
         if module != "__init__":
             visit(ast.parse(text), module, None, None)
-    unreferenced = set()
+    referrers = {}
     for name, short, is_method in defined:
         owners = set(refs.get(("attr", short), ()))
         if not is_method:
             owners |= refs.get(("name", short), set())
-        if not owners - {name}:
-            unreferenced.add(name)
-    return unreferenced
+        referrers[name] = owners - {name}
+    # to a fixed point: what only unreferenced functions refer to is
+    # unreferenced; starting from every function, so a cycle of orphans is too
+    unreferenced = set(referrers)
+    while True:
+        kept = {name for name in unreferenced if referrers[name] <= unreferenced}
+        if kept == unreferenced:
+            return unreferenced
+        unreferenced = kept
 
 
 def _package_sources() -> dict:
@@ -573,6 +600,23 @@ def test_the_caller_guard_finds_a_re_added_orphan():
     )
     found = _unreferenced(sources) - set(UNREFERENCED)
     assert found == {"parabolic.BranchPoint.profile"}
-    # a call from package code is a reference
+    # a call from an orphan is none: the chain is found whole
     sources["cli"] += "\n\ndef _profiles(point):\n    return point.profile()\n"
-    assert _unreferenced(sources) - set(UNREFERENCED) == {"cli._profiles"}
+    found = _unreferenced(sources) - set(UNREFERENCED)
+    assert found == {"cli._profiles", "parabolic.BranchPoint.profile"}
+    # a reference from module-level code reaches the whole chain
+    sources["cli"] += "\n\nPROFILES = _profiles\n"
+    assert _unreferenced(sources) - set(UNREFERENCED) == set()
+    # two orphans that refer only to each other
+    sources["cli"] += "\n\ndef _ping(x):\n    return _pong(x)\n\n\ndef _pong(x):\n    return _ping(x)\n"
+    assert _unreferenced(sources) - set(UNREFERENCED) == {"cli._ping", "cli._pong"}
+    # a call from an allowlisted function is none: flat_sections is pinned
+    sources = _package_sources()
+    text = sources["bundles"]
+    anchor = "    tree = validate_bundle(bundle)\n    paths = tree_paths(bundle, tree)\n"
+    assert anchor in text
+    sources["bundles"] = text.replace(anchor, anchor + "    _holonomies(bundle, tree)\n") + (
+        "\n\ndef _holonomies(bundle, tree):\n    return tree.cotree_edges\n"
+    )
+    found = _unreferenced(sources) - set(UNREFERENCED)
+    assert found == {"bundles._holonomies"}

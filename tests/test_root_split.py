@@ -898,7 +898,7 @@ def _null_space_by_scalars(field, rows, d):
     reduced, pivots = rref_by_scalars(field, rows, d)
     vectors = []
     for fc in sorted(set(range(d)).difference(pivots)):
-        v = [field.zero()] * d
+        v = [scalar(field, 0)] * d
         v[fc] = field.one()
         for row, pc in zip(reduced, pivots):
             v[pc] = -row[fc]
@@ -931,7 +931,7 @@ def test_scalar_spectrum_is_the_computed_one(field, monkeypatch):
             for num, den, _mult in roots:
                 lam = root_scalar(field, num, den)
                 shifted = [
-                    [x - (lam if i == j else field.zero()) for j, x in enumerate(r)]
+                    [x - (lam if i == j else scalar(field, 0)) for j, x in enumerate(r)]
                     for i, r in enumerate(m.rows)
                 ]
                 spaces.append(((num, den), _null_space_by_scalars(field, shifted, d)))
