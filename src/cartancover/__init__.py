@@ -49,7 +49,6 @@ from .factorization import (
 from .fields import GF, QQ, Fp, PrimeField, Rationals
 from .linalg import Matrix, Subspace, eigenspaces, kernel, min_poly, rref
 from .parabolic import (
-    LocalFlagModel,
     ParabolicBundleData,
     RamifiedCoverData,
     check_pardeg_conservation,

@@ -111,7 +111,3 @@ class NegativeGenus(CartanCoverError):
     """Ramification data forces a negative genus."""
 
     exit_code = 2
-
-
-class DegreeMismatch(CartanCoverError):
-    """Two independent evaluations of a pushforward degree disagree."""

@@ -78,6 +78,14 @@ def _entry_ints(field, value, where) -> int:
         raise ParseError(f"{where}: {exc}") from None
 
 
+def _weight(value, where):
+    """The parsed parabolic weight of one entry, or its error with its location."""
+    try:
+        return parse_weight(value)
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
 def parse_matrix(field, value, where) -> Matrix:
     """The matrix of a list of rows of entries, read straight into the
     canonical integer form by ``Matrix``."""
@@ -245,10 +253,7 @@ def _parse_parabolic(field, payload):
             raise ParseError(f"{where}: one component per profile entry required")
         sheets = []
         for k, (b, w, c) in enumerate(zip(profiles, weights, comps_of)):
-            try:
-                weight = parse_weight(w)
-            except ParseError as exc:
-                raise ParseError(f"{where}.weights[{k}]: {exc}") from None
+            weight = _weight(w, f"{where}.weights[{k}]")
             c = _expect_int(c, f"{where}.component_of_sheet[{k}]")
             sheets.append(RamifiedSheet(b, weight, c))
         branch.append(BranchPoint(tuple(sheets)))
@@ -256,14 +261,9 @@ def _parse_parabolic(field, payload):
     for i, weights in enumerate(
         _expect_list(payload.get("unramified_weights", []), "payload.unramified_weights")
     ):
-        weights = _expect_list(weights, f"payload.unramified_weights[{i}]")
-        parsed = []
-        for j, w in enumerate(weights):
-            try:
-                parsed.append(parse_weight(w))
-            except ParseError as exc:
-                raise ParseError(f"payload.unramified_weights[{i}][{j}]: {exc}") from None
-        extra.append(tuple(parsed))
+        where = f"payload.unramified_weights[{i}]"
+        weights = _expect_list(weights, where)
+        extra.append(tuple(_weight(w, f"{where}[{j}]") for j, w in enumerate(weights)))
     deg_l = _expect_int(_expect(payload, "degL", "payload"), "payload.degL")
     data = RamifiedCoverData(g_x, degree, degrees, tuple(branch), tuple(extra))
     return ParabolicInstance(field, data, deg_l)

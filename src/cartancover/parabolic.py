@@ -6,17 +6,18 @@ component assignment and an optional weight on each sheet. Over a branch
 point, a sheet of multiplicity b with weight w contributes a complete
 local flag whose step l carries weight (l + w)/b; merging all sheets (and
 any unramified parabolic sheets) gives the weighted filtration of the
-pushforward fiber. Degrees come out of the Euler characteristic and the
-genus of each component out of the ramification count, and the parabolic
-degree is conserved by the pushforward, which the toolkit checks exactly.
+pushforward fiber. The degree and the genus of each component come out
+of the ramification count, and the parabolic degree is conserved by the
+pushforward, which the toolkit checks exactly.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DegreeMismatch, DimensionMismatch, NegativeGenus, NonIntegralGenus, ParseError
+from .errors import DimensionMismatch, NegativeGenus, NonIntegralGenus, ParseError
 from .fields import QQ
 
 
@@ -72,18 +73,18 @@ class RamifiedCoverData(NamedTuple):
     extra_parabolic_points: tuple = ()
 
     def validate(self) -> tuple:
-        """Check the data and return its weights parsed, ``(branch, extra)``:
-        per branch point and per extra parabolic point, one weight per sheet."""
+        """Check the data and return ``(branch, extra, ramification)``: per
+        branch point and per extra parabolic point its weights parsed, one
+        per sheet, and per component the total of b - 1 over its sheets."""
         if self.base_genus < 0:
             raise ParseError("base genus must be nonnegative")
         if self.degree < 1:
             raise ParseError("degree must be positive")
-        if sum(self.component_degrees) != self.degree or any(
-            k < 1 for k in self.component_degrees
-        ):
+        if sum(self.component_degrees) != self.degree or any(k < 1 for k in self.component_degrees):
             raise ParseError("component degrees must be positive and sum to the degree")
         c = len(self.component_degrees)
         branch = []
+        ramification = [0] * c
         for bp in self.branch_points:
             if sum(s.multiplicity for s in bp.sheets) != self.degree:
                 raise DimensionMismatch("branch profile must sum to the degree")
@@ -94,6 +95,7 @@ class RamifiedCoverData(NamedTuple):
                 if not 0 <= s.component < c:
                     raise ParseError("sheet assigned to a nonexistent component")
                 weights.append(_parsed(s.weight))
+                ramification[s.component] += s.multiplicity - 1
             branch.append(tuple(weights))
             for j, dj in enumerate(self.component_degrees):
                 got = sum(s.multiplicity for s in bp.sheets if s.component == j)
@@ -106,61 +108,27 @@ class RamifiedCoverData(NamedTuple):
             if len(weights) != self.degree:
                 raise DimensionMismatch("one weight per sheet required away from branching")
             extra.append(tuple(_parsed(w) for w in weights))
-        for j in range(c):
-            if self.ramification_sum(j) % 2 != 0:
-                raise NonIntegralGenus(
-                    f"component {j} has odd total ramification"
-                )
-        return tuple(branch), tuple(extra)
-
-    def ramification_sum(self, component: int | None = None) -> int:
-        total = 0
-        for bp in self.branch_points:
-            for s in bp.sheets:
-                if component is None or s.component == component:
-                    total += s.multiplicity - 1
-        return total
+        for j, r in enumerate(ramification):
+            if r % 2 != 0:
+                raise NonIntegralGenus(f"component {j} has odd total ramification")
+        return tuple(branch), tuple(extra), tuple(ramification)
 
 
-class FlagStep(NamedTuple):
-    """The span of e_level .. e_(b-1), b = level + dimension, with its weight."""
-
-    level: int
-    weight: Fraction
-    dimension: int
-
-
-class LocalFlagModel(NamedTuple):
-    """Explicit local model of the pushforward flag for one ramified sheet."""
-
-    multiplicity: int
-    weight: Fraction
-    steps: tuple
-
-
-def local_flags(multiplicity: int, weight) -> LocalFlagModel:
-    """The complete flag of a sheet of multiplicity b with weight w.
-
-    Step l is the span of the last b - l coordinates and carries weight
-    (l + w)/b, which increases strictly with l and stays inside [0, 1).
-    """
+def local_flags(multiplicity: int, weight) -> tuple:
+    """The step weights of the complete flag of a sheet of multiplicity b
+    with weight w: step l, the span of the last b - l coordinates, carries
+    (l + w)/b, which increases strictly with l and stays inside [0, 1)."""
     b = int(multiplicity)
     if b < 1:
         raise DimensionMismatch("multiplicity must be positive")
     w = _parsed(weight)
-    steps = []
-    for level in range(b):
-        steps.append(FlagStep(level, (level + w) / b, b - level))
-    return LocalFlagModel(b, w, tuple(steps))
+    return tuple((level + w) / b for level in range(b))
 
 
 class WeightedFiltration(NamedTuple):
     """Decreasing (weight, dimension-jump) pairs with positive jumps."""
 
     jumps: tuple
-
-    def weight_sum(self) -> Fraction:
-        return sum((w * j for w, j in self.jumps), Fraction(0))
 
     def is_trivial(self) -> bool:
         return all(w == 0 for w, _j in self.jumps)
@@ -169,48 +137,35 @@ class WeightedFiltration(NamedTuple):
 def merge_fiber_filtration(flags, unramified_weights, rank: int) -> WeightedFiltration:
     """Merge per-sheet weight data into one filtration of the fiber.
 
-    Each ramified sheet contributes one line per flag step at that step's
-    weight; each unramified parabolic sheet contributes its single line.
-    Jumps at equal weights add up, and the result is sorted by strictly
-    decreasing weight.
+    Each ramified sheet's flag, the tuple of its step weights, contributes
+    one line per step at that step's weight; each unramified parabolic
+    sheet contributes its single line. Jumps at equal weights add up, and
+    the result is sorted by strictly decreasing weight.
     """
-    tally: dict[Fraction, int] = {}
-    total = 0
-    for flag in flags:
-        for step in flag.steps:
-            tally[step.weight] = tally.get(step.weight, 0) + 1
-            total += 1
-    for w in unramified_weights:
-        w = _parsed(w)
-        tally[w] = tally.get(w, 0) + 1
-        total += 1
+    tally = Counter(w for flag in flags for w in flag)
+    tally.update(map(_parsed, unramified_weights))
+    total = sum(tally.values())
     if total != rank:
         raise DimensionMismatch(f"fiber data spans dimension {total}, rank is {rank}")
-    jumps = tuple(sorted(tally.items(), key=lambda kv: kv[0], reverse=True))
-    return WeightedFiltration(jumps)
+    return WeightedFiltration(tuple(sorted(tally.items(), reverse=True)))
 
 
 class GenusReport(NamedTuple):
     per_component: tuple
     total: int
 
-    @property
-    def euler_characteristic(self) -> int:
-        return sum(1 - g for g in self.per_component)
-
 
 def riemann_hurwitz_genus(data: RamifiedCoverData) -> GenusReport:
     """Per-component genus from 2g - 2 = deg * (2g_X - 2) + total ramification."""
-    data.validate()
-    return _genus(data)
+    return _genus(data, data.validate()[2])
 
 
-def _genus(data: RamifiedCoverData) -> GenusReport:
-    """The genera of validated data, whose ramification is even on every
-    component, so 2g - 2 is."""
+def _genus(data: RamifiedCoverData, ramification: tuple) -> GenusReport:
+    """The genera of validated data from its per-component ramification,
+    which validation made even, so 2g - 2 is."""
     out = []
-    for j, dj in enumerate(data.component_degrees):
-        g = (dj * (2 * data.base_genus - 2) + data.ramification_sum(j)) // 2 + 1
+    for j, (dj, r) in enumerate(zip(data.component_degrees, ramification)):
+        g = (dj * (2 * data.base_genus - 2) + r) // 2 + 1
         if g < 0:
             raise NegativeGenus(f"component {j} would have genus {g}")
         out.append(g)
@@ -218,13 +173,8 @@ def _genus(data: RamifiedCoverData) -> GenusReport:
 
 
 def degree_direct_image(data: RamifiedCoverData, line_degree: int) -> int:
-    """Degree of the pushforward, computed two independent ways.
-
-    The Euler-characteristic route uses the component genera; the
-    ramification route subtracts half the total ramification from the
-    line-bundle degree. Riemann-Hurwitz makes the two agree; a
-    disagreement raises ``DegreeMismatch``.
-    """
+    """Degree of the pushforward: the line-bundle degree less half the
+    total ramification (see ``check_pardeg_conservation``)."""
     return check_pardeg_conservation(data, line_degree).pushforward.degree
 
 
@@ -253,10 +203,8 @@ def pushforward_parabolic(data: RamifiedCoverData, line_degree: int) -> Paraboli
 
 def parabolic_degree(bundle: ParabolicBundleData) -> Fraction:
     """Underlying degree plus the weighted sum of all dimension jumps."""
-    total = Fraction(bundle.degree)
-    for point in bundle.points:
-        total += point.filtration.weight_sum()
-    return total
+    jumps = (w * j for point in bundle.points for w, j in point.filtration.jumps)
+    return sum(jumps, Fraction(bundle.degree))
 
 
 class ConservationReport(NamedTuple):
@@ -278,16 +226,16 @@ def check_pardeg_conservation(data: RamifiedCoverData, line_degree: int) -> Cons
 
     The one pass over the data that the other entries read their results
     off: one validation, whose parsed weights the flags, the merges and
-    the upstairs degree reuse, the genus, the degree by both routes, the
-    parabolic points, then both parabolic degrees.
+    the upstairs degree reuse and whose ramification sums the genus and
+    the degree reuse, then the parabolic points and both parabolic degrees.
+
+    The degree is L - R/2 for a line bundle of degree L and a total
+    ramification R, which validation made even. Riemann-Hurwitz gives
+    g_j = d_j (g_X - 1) + R_j/2 + 1 on each component, so the Euler route
+    L + sum_j (1 - g_j) - d (1 - g_X) is L - R/2 too.
     """
-    branch, extra = data.validate()
-    genus = _genus(data)
-    euler_route = line_degree + genus.euler_characteristic - data.degree * (1 - data.base_genus)
-    # validation made each component's ramification even, so the total is
-    drop_route = line_degree - data.ramification_sum() // 2
-    if euler_route != drop_route:
-        raise DegreeMismatch(f"Euler route gives {euler_route}, ramification route {drop_route}")
+    branch, extra, ramification = data.validate()
+    genus = _genus(data, ramification)
     points = []
     for i, (bp, ws) in enumerate(zip(data.branch_points, branch)):
         flags = [local_flags(s.multiplicity, w) for s, w in zip(bp.sheets, ws)]
@@ -298,6 +246,7 @@ def check_pardeg_conservation(data: RamifiedCoverData, line_degree: int) -> Cons
         filt = merge_fiber_filtration((), ws, data.degree)
         if not filt.is_trivial():
             points.append(ParabolicPoint(f"u{i}", filt))
-    pushforward = ParabolicBundleData(euler_route, data.degree, tuple(points))
+    degree = line_degree - sum(ramification) // 2
+    pushforward = ParabolicBundleData(degree, data.degree, tuple(points))
     upstairs = sum((w for ws in (*branch, *extra) for w in ws), Fraction(line_degree))
     return ConservationReport(upstairs, parabolic_degree(pushforward), pushforward, genus)

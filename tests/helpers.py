@@ -534,17 +534,6 @@ def subalgebra_closure_defect(a: MatrixSubspace) -> Matrix | None:
     return None
 
 
-def step_basis_indices(step) -> tuple:
-    """The indices of the basis vectors e_level .. e_(b-1) spanning a step
-    of a ``parabolic.LocalFlagModel``, b = level + dimension."""
-    return tuple(range(step.level, step.level + step.dimension))
-
-
-def jump_weights(flag) -> tuple:
-    """The weights of the steps of a ``parabolic.LocalFlagModel``."""
-    return tuple(step.weight for step in flag.steps)
-
-
 def total_dimension(filtration) -> int:
     """The sum of the jumps of a ``parabolic.WeightedFiltration``."""
     return sum(j for _w, j in filtration.jumps)

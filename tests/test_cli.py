@@ -661,7 +661,6 @@ def test_every_error_type_has_one_exit_class():
         "NotABlockSystem": 1,
         "NotSplitCartan": 1,
         "SingularMatrix": 1,
-        "DegreeMismatch": 1,
     }
     concrete = {
         name: obj

@@ -510,6 +510,7 @@ UNREFERENCED = {
     "linalg.solve": BENCH,
     # ROADMAP item 20 deletes these with the pinned names that reach them
     "bundles.tree_paths": _via("bundles.flat_sections"),
+    "bundles.tree_paths.step": _via("bundles.flat_sections, in tree_paths"),
     "cartan.MatrixSubspace.coordinates_of": _via("bundles.flat_sections"),
     "linalg.kernel": _via("bundles.flat_sections"),
     "linalg.Matrix.zeros": _via("bundles.flat_sections"),
@@ -534,7 +535,9 @@ def _unreferenced(sources: dict) -> set:
     """The functions and methods of ``sources`` (module name to source text)
     that no code in them refers to outside their own body, or only
     unreferenced functions do: a method by attribute (``x.name``), a
-    function by name or attribute. ``__init__`` only re-exports, so its
+    function by name or attribute. A nested function is named by its
+    enclosing function (``bundles.tree_paths.step``), and only references
+    from inside that function count. ``__init__`` only re-exports, so its
     imports are no reference, and dunder methods are called by Python
     itself."""
     defined, refs = [], {}
@@ -545,9 +548,9 @@ def _unreferenced(sources: dict) -> set:
                 visit(child, module, node.name, owner)
             return
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            name = f"{module}.{cls}.{node.name}" if cls else f"{module}.{node.name}"
+            name = f"{module}.{cls}.{node.name}" if cls else f"{owner or module}.{node.name}"
             if not (node.name.startswith("__") and node.name.endswith("__")):
-                defined.append((name, node.name, cls is not None))
+                defined.append((name, node.name, cls is not None, owner))
             for child in ast.iter_child_nodes(node):
                 visit(child, module, None, name)
             return
@@ -562,10 +565,12 @@ def _unreferenced(sources: dict) -> set:
         if module != "__init__":
             visit(ast.parse(text), module, None, None)
     referrers = {}
-    for name, short, is_method in defined:
+    for name, short, is_method, scope in defined:
         owners = set(refs.get(("attr", short), ()))
         if not is_method:
             owners |= refs.get(("name", short), set())
+        if scope is not None:
+            owners = {o for o in owners if f"{o}.".startswith(f"{scope}.")}
         referrers[name] = owners - {name}
     # to a fixed point: what only unreferenced functions refer to is
     # unreferenced; starting from every function, so a cycle of orphans is too
@@ -620,3 +625,13 @@ def test_the_caller_guard_finds_a_re_added_orphan():
     )
     found = _unreferenced(sources) - set(UNREFERENCED)
     assert found == {"bundles._holonomies"}
+    # a nested function counts only references from inside its enclosing
+    # function: an uncalled nested step in cover_report is found, though the
+    # live nested step of tree_gauge, in the same module, shares its name
+    sources = _package_sources()
+    text = sources["covers"]
+    anchor = "def cover_report(cover: CoverRep) -> CoverReport:\n"
+    assert anchor in text
+    sources["covers"] = text.replace(anchor, anchor + "    def step(x):\n        return x\n\n")
+    found = _unreferenced(sources) - set(UNREFERENCED)
+    assert found == {"covers.cover_report.step"}
