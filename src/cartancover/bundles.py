@@ -37,7 +37,7 @@ from .linalg import Matrix, Subspace, kernel, ratio_matrix
 class BaseGraph:
     """A finite multigraph with oriented edges; loops and multi-edges allowed."""
 
-    __slots__ = ("num_vertices", "edges")
+    __slots__ = ("num_vertices", "edges", "_tree")
     num_vertices: int
     edges: tuple
 
@@ -50,6 +50,7 @@ class BaseGraph:
                 raise DimensionMismatch(f"edge ({u}, {v}) leaves the vertex range")
         self.num_vertices = num_vertices
         self.edges = edges
+        self._tree = None
 
     def __eq__(self, other):
         if type(other) is not BaseGraph:
@@ -63,7 +64,10 @@ class BaseGraph:
         return f"BaseGraph(num_vertices={self.num_vertices!r}, edges={self.edges!r})"
 
     def spanning_tree(self) -> "SpanningTree":
-        """BFS spanning tree rooted at vertex 0, taking edges in index order."""
+        """BFS spanning tree rooted at vertex 0, taking edges in index order,
+        built once per graph; a disconnected graph raises ``DisconnectedBase``."""
+        if self._tree is not None:
+            return self._tree
         incidence = [[] for _ in range(self.num_vertices)]
         for idx, (u, v) in enumerate(self.edges):
             incidence[u].append((idx, v, True))
@@ -85,7 +89,8 @@ class BaseGraph:
         if len(seen) != self.num_vertices:
             raise DisconnectedBase("base graph is not connected")
         cotree = tuple(i for i in range(len(self.edges)) if i not in used)
-        return SpanningTree(self, tuple(order), frozenset(used), cotree)
+        self._tree = SpanningTree(self, tuple(order), frozenset(used), cotree)
+        return self._tree
 
 
 class SpanningTree(NamedTuple):

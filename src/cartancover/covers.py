@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .bundles import BaseGraph, BundleRep, SubalgebraBundle, validate_cartan_bundle
 from .cartan import MatrixSubspace
-from .errors import DimensionMismatch, DisconnectedBase, EtaNotMonomial, ParseError
+from .errors import DimensionMismatch, EtaNotMonomial, ParseError
 from .linalg import Matrix, ratio_matrix
 
 
@@ -81,31 +81,6 @@ class CoverRep:
         if self._gauge is None:
             self._gauge = tree_gauge(self)
         return self._gauge
-
-    def total_components(self):
-        """Connected components of the total space, via union-find on (vertex, label)."""
-        n, d = self.base.num_vertices, self.degree
-        parent = list(range(n * d))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-
-        for e, (u, v) in enumerate(self.base.edges):
-            for t in range(d):
-                union(u * d + t, v * d + self.sigma[e][t])
-        comps = {}
-        for v in range(n):
-            for t in range(d):
-                comps.setdefault(find(v * d + t), []).append((v, t))
-        return sorted(comps.values(), key=lambda pts: pts[0])
 
 
 class LineBundleOnCover:
@@ -162,17 +137,27 @@ class CoverReport(NamedTuple):
 def cover_report(cover: CoverRep) -> CoverReport:
     """Component count and degrees; split means d disjoint copies of the base.
 
-    A component missing a vertex shows a disconnected base, which is refused.
+    The components are the orbits of the root fiber under the gauged cotree
+    permutations (``CoverRep.gauge``), and an orbit's size is its component's
+    degree. In the tree gauge every tree edge carries the identity, so over a
+    connected base the tree path joins each point (v, t) to the root point
+    that tau_v carries to it, and two root points are joined exactly when a
+    word in the cotree permutations carries one to the other. A disconnected
+    base has no spanning tree and is refused with ``DisconnectedBase``.
     """
-    comps = cover.total_components()
-    n = cover.base.num_vertices
+    generators = [g for _e, g in cover.gauge.generators]
+    unseen = set(range(cover.degree))
     degrees = []
-    for comp in comps:
-        if len({v for v, _t in comp}) != n:
-            raise DisconnectedBase("base graph is not connected")
-        degrees.append(len(comp) // n)
+    while unseen:
+        orbit = [unseen.pop()]
+        for t in orbit:
+            for g in generators:
+                if g[t] in unseen:
+                    unseen.remove(g[t])
+                    orbit.append(g[t])
+        degrees.append(len(orbit))
     degrees.sort(reverse=True)
-    return CoverReport(len(comps), tuple(degrees), all(k == 1 for k in degrees))
+    return CoverReport(len(degrees), tuple(degrees), all(k == 1 for k in degrees))
 
 
 def direct_image_line_bundle(line: LineBundleOnCover) -> BundleRep:
@@ -364,13 +349,14 @@ def cover_roundtrip(cover: CoverRep, line: LineBundleOnCover) -> CoverRoundtripR
 
 
 class TreeGauge(NamedTuple):
-    """A cover after tree gauge: per-vertex relabelings making every tree
+    """A cover after tree gauge: per-vertex relabelings tau making every tree
     edge carry the identity, so that its monodromy is one permutation per
-    cotree edge."""
+    cotree edge. ``sigma`` holds the gauged permutation
+    tau_v^-1 . sigma_e . tau_u of every edge e = (u, v), in edge order."""
 
     tree: object
     taus: tuple  # per vertex, a permutation: root labels -> vertex labels
-    gauged: CoverRep
+    sigma: tuple
 
     @property
     def tree_edge_indices(self) -> tuple:
@@ -379,7 +365,7 @@ class TreeGauge(NamedTuple):
     @property
     def generators(self) -> tuple:
         """(edge index, gauged permutation) per cotree edge."""
-        return tuple((e, self.gauged.sigma[e]) for e in self.tree.cotree_edges)
+        return tuple((e, self.sigma[e]) for e in self.tree.cotree_edges)
 
 
 def _invert_perm(p):
@@ -391,7 +377,7 @@ def _invert_perm(p):
 
 def _compose(p, q):
     """Permutation acting as p after q."""
-    return tuple(p[q[i]] for i in range(len(q)))
+    return tuple(p[x] for x in q)
 
 
 def tree_gauge(cover: CoverRep) -> TreeGauge:
@@ -403,11 +389,12 @@ def tree_gauge(cover: CoverRep) -> TreeGauge:
         return _compose(sigma if forward else _invert_perm(sigma), tau)
 
     taus = tree.transport(tuple(range(cover.degree)), step)
-    new_sigma = []
-    for e, (u, v) in enumerate(cover.base.edges):
-        new_sigma.append(_compose(_invert_perm(taus[v]), _compose(cover.sigma[e], taus[u])))
-    gauged = CoverRep(cover.base, cover.degree, tuple(new_sigma))
-    return TreeGauge(tree, tuple(taus), gauged)
+    inverses = [_invert_perm(tau) for tau in taus]
+    sigma = tuple(
+        tuple(inverses[v][s[x]] for x in taus[u])
+        for s, (u, v) in zip(cover.sigma, cover.base.edges)
+    )
+    return TreeGauge(tree, tuple(taus), sigma)
 
 
 def cover_isomorphisms(first: CoverRep, second: CoverRep):
@@ -427,8 +414,8 @@ def cover_isomorphisms(first: CoverRep, second: CoverRep):
     for beta in permutations(range(d)):
         ok = True
         for e in cotree:
-            s1 = g1.gauged.sigma[e]
-            s2 = g2.gauged.sigma[e]
+            s1 = g1.sigma[e]
+            s2 = g2.sigma[e]
             if any(beta[s1[t]] != s2[beta[t]] for t in range(d)):
                 ok = False
                 break

@@ -129,7 +129,7 @@ def block_systems(mono: TreeGauge) -> BlockSystemCatalog:
     Proper systems have block size strictly between 1 and the degree.
     Refuses degrees beyond the enumeration bound instead of sampling.
     """
-    d = mono.gauged.degree
+    d = len(mono.taus[0])
     if d > ENUMERATION_DEGREE_BOUND:
         raise DegreeTooLarge(f"degree {d} exceeds enumeration bound {ENUMERATION_DEGREE_BOUND}")
     gens = [g for _e, g in mono.generators]
@@ -161,7 +161,7 @@ def intermediate_cover(cover: CoverRep, system: BlockSystem) -> CoverRep:
     m = system.num_blocks
     quotient_sigma = []
     for e in range(len(cover.base.edges)):
-        g = gauge.gauged.sigma[e]
+        g = gauge.sigma[e]
         images = [None] * m
         for i, block in enumerate(system.blocks):
             images[i] = block_of[g[block[0]]]

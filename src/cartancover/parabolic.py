@@ -90,6 +90,8 @@ class RamifiedCoverData(NamedTuple):
                 raise DimensionMismatch("branch profile must sum to the degree")
             weights = []
             for s in bp.sheets:
+                if not isinstance(s.multiplicity, int):
+                    raise ParseError(f"sheet multiplicity {s.multiplicity!r} is not an integer")
                 if s.multiplicity < 1:
                     raise ParseError("sheet multiplicities must be positive")
                 if not 0 <= s.component < c:
@@ -118,11 +120,10 @@ def local_flags(multiplicity: int, weight) -> tuple:
     """The step weights of the complete flag of a sheet of multiplicity b
     with weight w: step l, the span of the last b - l coordinates, carries
     (l + w)/b, which increases strictly with l and stays inside [0, 1)."""
-    b = int(multiplicity)
-    if b < 1:
-        raise DimensionMismatch("multiplicity must be positive")
+    if not isinstance(multiplicity, int) or multiplicity < 1:
+        raise DimensionMismatch(f"multiplicity {multiplicity!r} is not a positive integer")
     w = _parsed(weight)
-    return tuple((level + w) / b for level in range(b))
+    return tuple((level + w) / multiplicity for level in range(multiplicity))
 
 
 class WeightedFiltration(NamedTuple):

@@ -19,7 +19,9 @@ bundle push forward to the input bundle. The checker accepts it when
   ``build_spectral_cover``;
 - ``component_count`` is the number of orbits of the points (v, t) of
   the cover under its edges, for a one-vertex base the orbit count of
-  the group generated by the sigma_e;
+  the group generated by the sigma_e; ``degree_profile`` lists each
+  orbit's degree, its size over the vertex count, in descending order,
+  and ``split`` says that the count is the degree;
 - ``checks.algebra_matches`` says whether, at every vertex, the
   eigenvalue vectors of the given matrices on eta's columns span k^d,
   which makes the fiber the diagonal algebra of those columns;
@@ -174,7 +176,9 @@ def _flat(m) -> list:
     return [x for row in m for x in row]
 
 
-def _orbit_count(vertices: int, edges, sigma, d: int) -> int:
+def _orbit_sizes(vertices: int, edges, sigma, d: int) -> list:
+    """The number of points in each orbit of the points (v, t) of the cover
+    under its edges, by union-find."""
     parent = list(range(vertices * d))
 
     def find(x):
@@ -186,7 +190,11 @@ def _orbit_count(vertices: int, edges, sigma, d: int) -> int:
     for (u, v), perm in zip(edges, sigma):
         for t in range(d):
             parent[find(u * d + t)] = find(v * d + perm[t])
-    return sum(find(x) == x for x in range(vertices * d))
+    sizes = {}
+    for x in range(vertices * d):
+        root = find(x)
+        sizes[root] = sizes.get(root, 0) + 1
+    return list(sizes.values())
 
 
 def _monomial(d: int, perm, scalars) -> list:
@@ -248,9 +256,15 @@ def check_cover_build(instance: dict, report: dict) -> list:
         monomial = _monomial(d, sigma[e], scalars[e])
         if _matmul(p, _matrix(p, t_e), eta[u]) != _matmul(p, eta[v], monomial):
             failures.append(f"T_e eta_u != eta_v P_e on edge {e}")
-    count = _orbit_count(vertices, edges, sigma, d)
+    sizes = _orbit_sizes(vertices, edges, sigma, d)
+    count = len(sizes)
     if report["component_count"] != count:
         failures.append(f"component_count {report['component_count']}, orbit count {count}")
+    profile = sorted((size // vertices for size in sizes), reverse=True)
+    if report["degree_profile"] != profile:
+        failures.append(f"degree_profile {report['degree_profile']}, orbit degrees {profile}")
+    if report["split"] != (count == d):
+        failures.append(f"split {report['split']}, but {count} components in degree {d}")
     sections = _flat_section_dim(p, d, edges, payload["transitions"], fibers)
     if report["flat_section_dim"] != sections:
         failures.append(f"flat_section_dim {report['flat_section_dim']}, solved {sections}")
@@ -323,7 +337,7 @@ def check_pushforward(instance: dict, report: dict) -> list:
         diagonals = [[m[i][i] for i in range(d)] for m in basis]
         if not diagonal or len(basis) != d or _rank(p, diagonals) != d:
             failures.append(f"the fiber at vertex {v} does not span the diagonal algebra")
-    count = _orbit_count(vertices, edges, sigma, d)
+    count = len(_orbit_sizes(vertices, edges, sigma, d))
     if report["component_count"] != count:
         failures.append(f"component_count {report['component_count']}, orbit count {count}")
     if report["split"] != (count == d):

@@ -227,7 +227,7 @@ def indicator_embedding_flat(
     for the first-of-block retraction p with p . i = I, which is defined
     for any equal-size partition of the fiber.
     """
-    gauged = cover.gauge.gauged
+    gauged = CoverRep(cover.base, cover.degree, cover.gauge.sigma)
     w = direct_image_line_bundle(trivial_line_bundle(gauged, field))
     v = None
     if quotient is not None:

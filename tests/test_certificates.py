@@ -251,6 +251,33 @@ def _pushforward_cases(tmp_path, capsys):
     return cases + [(MULTI_VERTEX_COVER, report)]
 
 
+def test_a_permuted_or_altered_profile_or_split_fails_the_certificate(tmp_path, capsys):
+    # the bundle pushed down from MULTI_VERTEX_COVER rebuilds a cover of
+    # profile [2, 1], whose reversal is another list
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(MULTI_VERTEX_COVER), encoding="utf-8")
+    code, doc = _machine(capsys, "pushforward", str(path))
+    assert code == 0
+    path = tmp_path / "multi_vertex_bundle.json"
+    path.write_text(json.dumps(doc["bundle"]), encoding="utf-8")
+    code, report = _machine(capsys, "cover-build", str(path))
+    assert code == 0 and report["degree_profile"] == [2, 1]
+    permuted = 0
+    for instance, report in _cover_build_cases(tmp_path, capsys) + [(doc["bundle"], report)]:
+        assert check_cover_build(instance, report) == []
+        profile = report["degree_profile"]
+        mutations = [profile[::-1], [profile[0] + 1, *profile[1:]], [*profile, 1]]
+        for mutated in mutations:
+            if mutated == profile:
+                continue
+            permuted += sorted(mutated) == sorted(profile)
+            failures = check_cover_build(instance, dict(report, degree_profile=mutated))
+            assert failures == [f"degree_profile {mutated}, orbit degrees {profile}"]
+        failures = check_cover_build(instance, dict(report, split=not report["split"]))
+        assert len(failures) == 1 and failures[0].startswith(f"split {not report['split']}, ")
+    assert permuted == 1
+
+
 @pytest.mark.parametrize("stem", PUSHFORWARD_STEMS)
 def test_golden_pushforward_certificates_hold(stem):
     assert check_pushforward(*_pushforward_golden(stem)) == []

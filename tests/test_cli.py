@@ -338,16 +338,26 @@ def test_pushforward_parity_violation_is_input_error(tmp_path, capsys):
 
 
 def test_pushforward_disconnected_base_is_input_error(tmp_path, capsys):
-    doc = {
-        "field": {"kind": "Q"},
-        "kind": "cover",
-        "payload": {"graph": {"vertices": 2, "edges": []}, "degree": 2, "sigma": []},
-    }
-    bad = tmp_path / "disconnected.json"
-    bad.write_text(json.dumps(doc))
-    code, out = run_cli(capsys, "--format", "machine", "pushforward", str(bad))
-    assert code == 2
-    assert json.loads(out)["error"]["type"] == "DisconnectedBase"
+    # two vertices and no edge fail the reader's edge-count guard; three
+    # vertices and two parallel edges pass it, and the cover's report
+    # refuses the base, which has no spanning tree
+    graphs = [
+        ({"vertices": 2, "edges": []}, []),
+        ({"vertices": 3, "edges": [[0, 1], [0, 1]]}, [[2, 1], [1, 2]]),
+    ]
+    for graph, sigma in graphs:
+        doc = {
+            "field": {"kind": "Q"},
+            "kind": "cover",
+            "payload": {"graph": graph, "degree": 2, "sigma": sigma},
+        }
+        bad = tmp_path / "disconnected.json"
+        bad.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "--format", "machine", "pushforward", str(bad))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "DisconnectedBase"
+        assert error["message"] == "base graph is not connected"
 
 
 def test_pushforward_of_a_cubic_report_is_refused(tmp_path, capsys):

@@ -24,10 +24,16 @@ from cartancover.covers import (
     trivial_line_bundle,
 )
 from cartancover.cli import run
-from cartancover.errors import DimensionMismatch, EtaNotMonomial, NonSplitAtVertex
+from cartancover.errors import (
+    DimensionMismatch,
+    DisconnectedBase,
+    EtaNotMonomial,
+    NonSplitAtVertex,
+)
 from cartancover.fields import GF, QQ
 from cartancover.linalg import Matrix
-from cartancover.randgen import random_cover_instance
+from cartancover.randgen import random_cover_instance, random_permutation
+from certificates import _orbit_sizes
 from helpers import pullback_scalars, roundtrip_witness_holds
 
 LOOP = BaseGraph(1, [(0, 0)])
@@ -172,6 +178,29 @@ def test_cover_report_mixed_cycle_type():
     assert report.component_count == 3
     assert report.degree_profile == (2, 1, 1)
     assert not report.split
+
+
+def test_cover_report_matches_the_orbit_oracle():
+    # seeded covers of random graphs, connected or not, with loops and
+    # parallel edges: the count and profile are those of the union-find
+    # oracle's orbits, and a disconnected base is refused
+    rng = Random(36)
+    disconnected = 0
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 7))]
+        d = rng.randint(1, 7)
+        sigma = [random_permutation(rng, d) for _ in edges]
+        cover = CoverRep(BaseGraph(n, edges), d, sigma)
+        if len(_orbit_sizes(n, edges, [(0,)] * len(edges), 1)) > 1:
+            disconnected += 1
+            with pytest.raises(DisconnectedBase, match="^base graph is not connected$"):
+                cover_report(cover)
+            continue
+        sizes = _orbit_sizes(n, edges, sigma, d)
+        profile = tuple(sorted((size // n for size in sizes), reverse=True))
+        assert cover_report(cover) == (len(sizes), profile, len(sizes) == d)
+    assert 500 < disconnected < 1500
 
 
 # --- round trips --------------------------------------------------------------------
@@ -408,7 +437,7 @@ def test_tree_gauge_makes_tree_edges_identities():
     cover, _ = random_cover_instance(rng, QQ)
     gauge = tree_gauge(cover)
     for e in gauge.tree.tree_edges:
-        assert gauge.gauged.sigma[e] == tuple(range(cover.degree))
+        assert gauge.sigma[e] == tuple(range(cover.degree))
 
 
 def test_pullback_scalars_through_identity_iso():

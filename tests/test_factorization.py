@@ -1,14 +1,16 @@
+import json
 from itertools import combinations
 from pathlib import Path
 from random import Random
 
 import pytest
 
-from cartancover import cli, covers, factorization, linalg
+from cartancover import bundles, cli, covers, factorization, linalg
 from cartancover.bundles import BaseGraph
 from cartancover.covers import (
     CoverRep,
     cover_isomorphisms,
+    cover_roundtrip,
     direct_image_line_bundle,
     trivial_line_bundle,
 )
@@ -23,7 +25,7 @@ from cartancover.factorization import (
     summand_embedding_check,
 )
 from cartancover.fields import GF, QQ
-from cartancover.instances import CoverInstance, load_instance
+from cartancover.instances import CoverInstance, cartan_bundle_instance_to_json, load_instance
 from cartancover.linalg import Matrix, Subspace
 from cartancover.randgen import (
     CoverInstanceConfig,
@@ -481,18 +483,61 @@ def test_factor_builds_each_intermediate_cover_once(monkeypatch):
     assert len(calls) == report.machine["proper_count"] == 2
 
 
-def test_factor_gauges_its_cover_once(monkeypatch):
-    # the monodromy, every quotient and every summand check read one gauge
-    calls = []
-    real = BaseGraph.spanning_tree
+def _factor_run(tmp_path):
+    cover = CoverRep(BaseGraph(1, [(0, 0)]), 8, [(1, 2, 3, 4, 5, 6, 7, 0)])
 
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        return real(self, *args, **kwargs)
+    def run():
+        report = cli.cmd_factor(CoverInstance(QQ, cover, None), 12)
+        assert report.exit_code == 0 and report.machine["proper_count"] == 2
 
-    monkeypatch.setattr(BaseGraph, "spanning_tree", counting)
-    cover = CoverRep(LOOP, 8, [(1, 2, 3, 4, 5, 6, 7, 0)])
-    report = cli.cmd_factor(CoverInstance(QQ, cover, None), 12)
-    assert report.exit_code == 0
-    assert report.machine["proper_count"] == 2
-    assert len(calls) == 1
+    return run
+
+
+def _cover_build_run(tmp_path):
+    # every shipped bundle lives on one vertex, so the instance is a gauged
+    # pushforward on three or more, whose tree has edges to cross
+    from test_root_split import gauged_bundle
+
+    _bundle, algebra = gauged_bundle(Random(41), QQ, min_vertices=3)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(cartan_bundle_instance_to_json(algebra)), encoding="utf-8")
+
+    def run():
+        report = cli.cmd_cover_build(load_instance(path))
+        assert report.exit_code == 0 and report.machine["ok"]
+
+    return run
+
+
+def _cover_roundtrip_run(tmp_path):
+    rng = Random(43)
+    while True:
+        cover, line = random_cover_instance(rng, QQ)
+        if cover.base.num_vertices >= 3:
+            break
+
+    def run():
+        assert cover_roundtrip(cover, line).all_ok()
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "prepare",
+    [_factor_run, _cover_build_run, _cover_roundtrip_run],
+    ids=["factor", "cover_build", "cover_roundtrip"],
+)
+def test_each_graph_builds_one_spanning_tree(tmp_path, monkeypatch, prepare):
+    # the monodromy, every quotient and every summand check read one gauge;
+    # the Cartan check and the rebuilt cover's report share the graph's tree
+    run = prepare(tmp_path)
+    built = []
+    real = bundles.SpanningTree
+
+    def counting(*args):
+        built.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(bundles, "SpanningTree", counting)
+    run()
+    assert len(built) == 1

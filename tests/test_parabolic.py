@@ -213,6 +213,24 @@ def test_odd_ramification_is_refused_by_validation(entry):
             entry(data, *args)
 
 
+@pytest.mark.parametrize("entry", (riemann_hurwitz_genus, check_pardeg_conservation))
+def test_non_integer_multiplicities_are_refused(entry):
+    # sheets (2.5, 1.5) sum to the degree 4 and ramify by 2.0, an even
+    # total, so only an integer check refuses them
+    args = () if entry is riemann_hurwitz_genus else (0,)
+    point = BranchPoint((RamifiedSheet(2.5, F(0), 0), RamifiedSheet(1.5, F(0), 0)))
+    data = RamifiedCoverData(0, 4, (4,), (point, point))
+    with pytest.raises(ParseError, match="^sheet multiplicity 2.5 is not an integer$"):
+        entry(data, *args)
+
+
+@pytest.mark.parametrize("multiplicity", (2.5, 2.0, F(2), 0))
+def test_local_flags_refuse_a_non_integer_multiplicity(multiplicity):
+    # 2.5 was once truncated to a flag of two steps
+    with pytest.raises(DimensionMismatch, match="is not a positive integer$"):
+        local_flags(multiplicity, F(0))
+
+
 def test_genus_rejects_impossible_cover():
     # a connected unramified double cover of genus zero cannot exist
     data = simple_data(0, 2, [])

@@ -53,6 +53,11 @@ def test_cover_equality_ignores_the_cached_gauge():
     a, b = cover(), cover()
     assert a.gauge is a.gauge
     assert a == b and hash(a) == hash(b)
+    # the gauge built the graph's tree, which the graph keeps and ignores
+    built, fresh = a.base, graph()
+    assert built.spanning_tree() is a.gauge.tree is built.spanning_tree()
+    assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
+    assert repr(built) == "BaseGraph(num_vertices=2, edges=((0, 1), (1, 1)))"
 
 
 def test_named_tuple_records_keep_their_repr_and_refuse_assignment():
