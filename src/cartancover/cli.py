@@ -49,7 +49,12 @@ from .instances import (
     load_instance,
 )
 from .parabolic import check_pardeg_conservation
-from .randgen import CoverInstanceConfig, random_cover_instance, random_ramified_cover_data
+from .randgen import (
+    DEFAULT_FIELDS,
+    CoverInstanceConfig,
+    random_cover_instance,
+    random_ramified_cover_data,
+)
 from .reports import (
     Report,
     filtration_oneline,
@@ -413,8 +418,6 @@ def run(argv=None) -> tuple[Report, str]:
         elif command == "factor":
             report = cmd_factor(_load(args.instance, CoverInstance, "cover"), args.max_degree)
         else:
-            from .randgen import DEFAULT_FIELDS
-
             fields = DEFAULT_FIELDS if args.field is None else _parse_field_flag(args.field)
             report = cmd_selftest(args.seed, args.count, fields, args.max_degree)
     except CartanCoverError as exc:

@@ -12,12 +12,13 @@ entry it fails on. Parsing failures name the offending location.
 from __future__ import annotations
 
 import json
+import sys
 from typing import NamedTuple
 
 from .bundles import BaseGraph, BundleRep, SubalgebraBundle
 from .cartan import MatrixSubspace
 from .covers import CoverRep, LineBundleOnCover
-from .errors import DisconnectedBase, ParseError
+from .errors import CartanCoverError, DisconnectedBase, ParseError
 from .fields import field_from_json, field_to_json
 from .linalg import Matrix
 from .parabolic import BranchPoint, RamifiedCoverData, RamifiedSheet, parse_weight
@@ -123,7 +124,7 @@ def parse_graph(value, where) -> BaseGraph:
         edges.append(tuple(_expect_int(x, f"{where}.edges[{i}][{k}]") for k, x in enumerate(e)))
     try:
         graph = BaseGraph(n, tuple(edges))
-    except Exception as exc:
+    except CartanCoverError as exc:
         raise ParseError(f"{where}: {exc}") from None
     # a connected graph on n vertices has at least n - 1 edges; refusing
     # here keeps a huge vertex count from reaching any per-vertex table
@@ -198,7 +199,7 @@ def _parse_cover(field, payload):
         sigma.append(tuple(x - 1 for x in vals))
     try:
         cover = CoverRep(graph, degree, tuple(sigma))
-    except Exception as exc:
+    except CartanCoverError as exc:
         raise ParseError(f"payload: {exc}") from None
     line = None
     if "scalars" in payload:
@@ -295,8 +296,6 @@ def parse_instance_text(text: str):
 
 
 def load_instance(path: str):
-    import sys
-
     try:
         if path == "-":
             text = sys.stdin.read()

@@ -40,6 +40,11 @@ def parse_weight(w) -> Fraction:
     return w
 
 
+def _is_int(x) -> bool:
+    """``x`` is an integer and not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parsed(w) -> Fraction:
     """``w`` itself when it is a parsed weight already, as the instance
     reader and validation return them, else ``parse_weight(w)``."""
@@ -75,7 +80,17 @@ class RamifiedCoverData(NamedTuple):
     def validate(self) -> tuple:
         """Check the data and return ``(branch, extra, ramification)``: per
         branch point and per extra parabolic point its weights parsed, one
-        per sheet, and per component the total of b - 1 over its sheets."""
+        per sheet, and per component the total of b - 1 over its sheets.
+        Every integer field is checked to be one before any is summed or
+        compared."""
+        named = [("base genus", self.base_genus), ("degree", self.degree)]
+        named += [("component degree", k) for k in self.component_degrees]
+        for bp in self.branch_points:
+            for s in bp.sheets:
+                named += [("sheet multiplicity", s.multiplicity), ("sheet component", s.component)]
+        for name, value in named:
+            if not _is_int(value):
+                raise ParseError(f"{name} {value!r} is not an integer")
         if self.base_genus < 0:
             raise ParseError("base genus must be nonnegative")
         if self.degree < 1:
@@ -90,8 +105,6 @@ class RamifiedCoverData(NamedTuple):
                 raise DimensionMismatch("branch profile must sum to the degree")
             weights = []
             for s in bp.sheets:
-                if not isinstance(s.multiplicity, int):
-                    raise ParseError(f"sheet multiplicity {s.multiplicity!r} is not an integer")
                 if s.multiplicity < 1:
                     raise ParseError("sheet multiplicities must be positive")
                 if not 0 <= s.component < c:
@@ -120,7 +133,7 @@ def local_flags(multiplicity: int, weight) -> tuple:
     """The step weights of the complete flag of a sheet of multiplicity b
     with weight w: step l, the span of the last b - l coordinates, carries
     (l + w)/b, which increases strictly with l and stays inside [0, 1)."""
-    if not isinstance(multiplicity, int) or multiplicity < 1:
+    if not _is_int(multiplicity) or multiplicity < 1:
         raise DimensionMismatch(f"multiplicity {multiplicity!r} is not a positive integer")
     w = _parsed(weight)
     return tuple((level + w) / multiplicity for level in range(multiplicity))

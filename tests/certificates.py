@@ -126,6 +126,7 @@ the report when
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -176,10 +177,11 @@ def _flat(m) -> list:
     return [x for row in m for x in row]
 
 
-def _orbit_sizes(vertices: int, edges, sigma, d: int) -> list:
-    """The number of points in each orbit of the points (v, t) of the cover
-    under its edges, by union-find."""
-    parent = list(range(vertices * d))
+def _orbits(size: int, maps) -> list:
+    """The orbit of each of 0..size-1, named by one of its members: the
+    classes of x ~ g[x] for every map g, by union-find. For permutations
+    these are the orbits of the group they generate."""
+    parent = list(range(size))
 
     def find(x):
         while parent[x] != x:
@@ -187,14 +189,22 @@ def _orbit_sizes(vertices: int, edges, sigma, d: int) -> list:
             x = parent[x]
         return x
 
+    for g in maps:
+        for x in range(size):
+            parent[find(x)] = find(g[x])
+    return [find(x) for x in range(size)]
+
+
+def _orbit_sizes(vertices: int, edges, sigma, d: int) -> list:
+    """The number of points in each orbit of the points (v, t) of the cover,
+    numbered v d + t, under its edges: edge e sends (u, t) to (v, sigma_e(t))
+    and fixes the points off its source."""
+    moves = []
     for (u, v), perm in zip(edges, sigma):
-        for t in range(d):
-            parent[find(u * d + t)] = find(v * d + perm[t])
-    sizes = {}
-    for x in range(vertices * d):
-        root = find(x)
-        sizes[root] = sizes.get(root, 0) + 1
-    return list(sizes.values())
+        move = list(range(vertices * d))
+        move[u * d : (u + 1) * d] = [v * d + image for image in perm]
+        moves.append(move)
+    return list(Counter(_orbits(vertices * d, moves)).values())
 
 
 def _monomial(d: int, perm, scalars) -> list:
@@ -744,22 +754,6 @@ def _equal_partitions(d: int, b: int):
                 yield ((first, *companions), *tail)
 
     yield from extend(list(range(d)))
-
-
-def _orbits(size: int, perms) -> list:
-    """The orbit index of each of 0..size-1 under the group the perms generate."""
-    parent = list(range(size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in perms:
-        for x in range(size):
-            parent[find(x)] = find(g[x])
-    return [find(x) for x in range(size)]
 
 
 def summand_exists(p: int, d: int, generators, blocks) -> bool:

@@ -3,14 +3,16 @@ classifier, the root-fiber refinement by eigenspace intersections, the
 minimal polynomial from flattened powers, the exhaustive root search, the
 field-scalar linear algebra and polynomial arithmetic the integer kernels
 replaced, the scalar views of integer forms, the verdict and flag
-readings only tests make, and the random matrices and subspaces of the
-property tests, used by tests only.
+readings only tests make, the random matrices and subspaces of the
+property tests, and the call counter that pins what a check costs, used by
+tests only.
 
 None of these is reached from the command line or from the package's own
 constructions; they check the package's outputs from the outside.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -868,3 +870,46 @@ def random_subspace_for_cartan_test(rng: Random, field, d: int) -> MatrixSubspac
     # random dimension, frequently wrong
     k = rng.randint(1, d + 1)
     return MatrixSubspace(field, d, [random_matrix(rng, field, d) for _ in range(k)])
+
+
+# --- call counting -----------------------------------------------------------------------
+
+
+def count_calls(patch, target, name: str | None = None) -> list:
+    """The argument tuples of the calls of a package callable, in call order,
+    as a list that grows while ``patch`` keeps the counter in place.
+
+    ``count_calls(patch, fn)`` replaces the package function or class
+    ``fn`` in every ``cartancover`` module that binds it, so a call through
+    another module's ``from`` import counts as well as one inside its own
+    module. ``count_calls(patch, owner, name)`` replaces the attribute
+    ``name`` of a class or module only; a method's tuple starts with
+    ``self``, and a classmethod stays one, its tuple starting with the
+    class. ``patch`` is ``monkeypatch`` or a ``monkeypatch.context()``,
+    whose undo puts the real objects back.
+    """
+    if name is None:
+        name, real = target.__name__, target
+        owners = [
+            module
+            for module_name, module in list(sys.modules.items())
+            if module_name.startswith("cartancover") and getattr(module, name, None) is real
+        ]
+        if not owners:
+            raise ValueError(f"no cartancover module binds {name}")
+    else:
+        owners, real = [target], getattr(target, name)
+    is_classmethod = isinstance(vars(owners[0]).get(name), classmethod)
+    if is_classmethod:
+        # the bound method's function, which takes the class first
+        real = real.__func__
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    replacement = classmethod(counting) if is_classmethod else counting
+    for owner in owners:
+        patch.setattr(owner, name, replacement)
+    return calls

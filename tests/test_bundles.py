@@ -25,6 +25,7 @@ from cartancover.linalg import Matrix
 from helpers import (
     bundle_iso_check,
     conjugation_operator,
+    count_calls,
     end_bundle,
     is_invertible,
     random_invertible_matrix,
@@ -220,14 +221,7 @@ def test_flat_sections_invert_no_matrix_once_transitions_are(monkeypatch):
     cases = [gauged_bundle(rng, (QQ, GF(5), GF(7))[i], min_vertices=3) for i in range(3)]
     for bundle, _algebra in cases:
         validate_bundle(bundle)
-    calls = []
-    real = Matrix.inverse
-
-    def counting(self):
-        calls.append(self)
-        return real(self)
-
-    monkeypatch.setattr(Matrix, "inverse", counting)
+    calls = count_calls(monkeypatch, Matrix, "inverse")
     for bundle, algebra in cases:
         flat_sections(bundle)
         flat_sections(algebra)

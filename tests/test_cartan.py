@@ -19,6 +19,7 @@ from cartancover.linalg import Matrix, Subspace, rref
 from cartancover.poly import Poly
 from helpers import (
     classify_by_min_polys,
+    count_calls,
     eigenline_scalars,
     field_elements,
     is_invertible,
@@ -108,14 +109,7 @@ def test_full_diagonal_is_split_cartan():
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(7), GF(2**61 - 1)], ids=str)
 def test_diagonal_algebra_is_built_without_elimination(field, monkeypatch):
-    calls = []
-    real = linalg._eliminate
-
-    def counting(*args):
-        calls.append(args[1])
-        return real(*args)
-
-    monkeypatch.setattr(linalg, "_eliminate", counting)
+    calls = count_calls(monkeypatch, linalg, "_eliminate")
     for d in range(1, 9):
         a = MatrixSubspace.diagonal_algebra(field, d)
         space, basis = a.space, a.basis_matrices()
@@ -123,7 +117,7 @@ def test_diagonal_algebra_is_built_without_elimination(field, monkeypatch):
         # the canonical form is the eliminated span of the unit matrices
         units = [[x for r in m.ints for x in r] for m in a.generators]
         assert space == Subspace._spanned(field, d * d, units)
-        assert calls == [d * d]
+        assert [args[1] for args in calls] == [d * d]
         calls.clear()
         assert basis == a.generators and a == MatrixSubspace(field, d, a.generators)
         calls.clear()

@@ -14,6 +14,7 @@ from cartancover.fields import field_from_json, field_to_json
 from cartancover.instances import load_instance, parse_instance_text
 from cartancover.linalg import Matrix
 from cartancover.reports import render_matrix
+from helpers import count_calls
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -148,18 +149,7 @@ def test_cover_build_nonsplit_reports_witness(capsys):
 
 def test_cover_build_reports_the_cover_once(capsys, monkeypatch):
     # the round trip's record carries the cover report the CLI prints
-    from cartancover import covers
-
-    calls = []
-    real = covers.cover_report
-
-    def counting(cover):
-        calls.append(cover)
-        return real(cover)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("cartancover") and getattr(module, "cover_report", None) is real:
-            monkeypatch.setattr(module, "cover_report", counting)
+    calls = count_calls(monkeypatch, covers.cover_report)
     code, _ = run_cli(capsys, "cover-build", str(INSTANCES / "bundle_rank3_trivial_q.json"))
     assert code == 0 and len(calls) == 1
 
@@ -280,17 +270,7 @@ def test_pushforward_cover_emits_reparseable_bundle(capsys):
 
 
 def test_pushforward_cover_builds_the_bundle_once(monkeypatch, capsys):
-    calls = []
-    real = covers.direct_image_line_bundle
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    # count every route the command has to the pushforward
-    for module in (covers, cli):
-        if hasattr(module, "direct_image_line_bundle"):
-            monkeypatch.setattr(module, "direct_image_line_bundle", counting)
+    calls = count_calls(monkeypatch, covers.direct_image_line_bundle)
     code, _out = run_cli(
         capsys, "--format", "machine", "pushforward", str(INSTANCES / "cover_c4_loop_q.json")
     )

@@ -1,5 +1,4 @@
 import json
-import sys
 from fractions import Fraction
 from itertools import permutations, product
 from random import Random
@@ -34,7 +33,7 @@ from cartancover.fields import GF, QQ
 from cartancover.linalg import Matrix
 from cartancover.randgen import random_cover_instance, random_permutation
 from certificates import _orbit_sizes
-from helpers import pullback_scalars, roundtrip_witness_holds
+from helpers import count_calls, pullback_scalars, roundtrip_witness_holds
 
 LOOP = BaseGraph(1, [(0, 0)])
 
@@ -235,23 +234,14 @@ def test_cover_roundtrip_random_instances():
 
 
 def test_valid_cover_roundtrip_searches_no_isomorphism(monkeypatch):
-    calls = []
-    for name in ("cover_isomorphisms", "line_bundles_gauge_equivalent"):
-        real = getattr(covers, name)
-
-        def counting(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("cartancover") and getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, counting)
+    searches = count_calls(monkeypatch, covers.cover_isomorphisms)
+    comparisons = count_calls(monkeypatch, covers.line_bundles_gauge_equivalent)
     rng = Random(61)
     fields = (QQ, GF(5), GF(7))
     for i in range(12):
         cover, line = random_cover_instance(rng, fields[i % 3])
         assert cover_roundtrip(cover, line).all_ok()
-    assert calls == []
+    assert searches == comparisons == []
 
 
 def _break_eta(monkeypatch, vertex, rows_of, at_call=None):

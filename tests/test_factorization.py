@@ -33,7 +33,7 @@ from cartancover.randgen import (
     random_cover_instance,
     random_permutation,
 )
-from helpers import composite_consistent, indicator_embedding_flat, scalar
+from helpers import composite_consistent, count_calls, indicator_embedding_flat, scalar
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -425,57 +425,22 @@ def test_indicator_embedding_is_flat_exactly_on_block_systems(field):
 # --- work done per check --------------------------------------------------------------
 
 
-@pytest.fixture
-def linalg_calls(monkeypatch):
-    """Counts ``linalg.solve`` calls and matrix products."""
-    calls = {"solve": 0, "matmul": 0}
-    real_solve, real_matmul = linalg.solve, Matrix.__matmul__
-
-    def solve(*args, **kwargs):
-        calls["solve"] += 1
-        return real_solve(*args, **kwargs)
-
-    def matmul(self, other):
-        calls["matmul"] += 1
-        return real_matmul(self, other)
-
-    monkeypatch.setattr(linalg, "solve", solve)
-    monkeypatch.setattr(Matrix, "__matmul__", matmul)
-    return calls
-
-
-def test_summand_check_work_on_the_4_cycle_instance(linalg_calls, monkeypatch):
+def test_summand_check_work_on_the_4_cycle_instance(monkeypatch):
     # one product per retraction, and no pushforward: the block system is
     # the flatness of the embedding
-    pushforwards = []
-    real = covers.direct_image_line_bundle
-
-    def counting(*args, **kwargs):
-        pushforwards.append(args)
-        return real(*args, **kwargs)
-
-    for module in (covers, factorization):
-        if hasattr(module, "direct_image_line_bundle"):
-            monkeypatch.setattr(module, "direct_image_line_bundle", counting)
+    pushforwards = count_calls(monkeypatch, covers.direct_image_line_bundle)
     cover = load_instance(str(INSTANCES / "cover_c4_loop_q.json")).cover
     (system,) = block_systems(monodromy_generators(cover)).proper
-    linalg_calls.update(solve=0, matmul=0)
+    solves = count_calls(monkeypatch, linalg.solve)
+    products = count_calls(monkeypatch, Matrix, "__matmul__")
     assert summand_embedding_check(cover, system, QQ).ok
-    assert linalg_calls["solve"] == 0
-    assert linalg_calls["matmul"] == 2
+    assert len(solves) == 0
+    assert len(products) == 2
     assert pushforwards == []
 
 
 def test_factor_builds_each_intermediate_cover_once(monkeypatch):
-    calls = []
-    real = factorization.intermediate_cover
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(factorization, "intermediate_cover", counting)
-    monkeypatch.setattr(cli, "intermediate_cover", counting)
+    calls = count_calls(monkeypatch, factorization.intermediate_cover)
     cover = CoverRep(LOOP, 8, [(1, 2, 3, 4, 5, 6, 7, 0)])
     instance = CoverInstance(QQ, cover, None)
     report = cli.cmd_factor(instance, 12)
@@ -531,13 +496,6 @@ def test_each_graph_builds_one_spanning_tree(tmp_path, monkeypatch, prepare):
     # the monodromy, every quotient and every summand check read one gauge;
     # the Cartan check and the rebuilt cover's report share the graph's tree
     run = prepare(tmp_path)
-    built = []
-    real = bundles.SpanningTree
-
-    def counting(*args):
-        built.append(args[0])
-        return real(*args)
-
-    monkeypatch.setattr(bundles, "SpanningTree", counting)
+    built = count_calls(monkeypatch, bundles.SpanningTree)
     run()
     assert len(built) == 1

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from cartancover import instances
 from cartancover.errors import ParseError
 from cartancover.fields import GF, QQ, Fp
 from cartancover.instances import parse_instance_text
@@ -199,6 +200,18 @@ def test_refused_graph_and_sigma_entries_name_their_location(text, message):
     with pytest.raises(ParseError) as info:
         parse_instance_text(text)
     assert str(info.value) == message
+
+
+def _fault(*args):
+    raise RuntimeError("fault")
+
+
+@pytest.mark.parametrize("constructor", ["BaseGraph", "CoverRep"])
+def test_a_fault_inside_the_toolkit_is_no_input_error(monkeypatch, constructor):
+    # only the toolkit's own refusals of the data become a ParseError
+    monkeypatch.setattr(instances, constructor, _fault)
+    with pytest.raises(RuntimeError, match="^fault$"):
+        parse_instance_text(_cover_text(Q))
 
 
 def _parabolic_text(

@@ -1,4 +1,3 @@
-import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +29,7 @@ from cartancover.parabolic import (
     riemann_hurwitz_genus,
 )
 from cartancover.randgen import random_ramified_cover_data
-from helpers import tameness_check, total_dimension
+from helpers import count_calls, tameness_check, total_dimension
 
 F = Fraction
 
@@ -224,7 +223,47 @@ def test_non_integer_multiplicities_are_refused(entry):
         entry(data, *args)
 
 
-@pytest.mark.parametrize("multiplicity", (2.5, 2.0, F(2), 0))
+def _one_sheet(**fields):
+    """P1_DOUBLE with its sheets' fields replaced."""
+    point = BranchPoint((RamifiedSheet(2, F(0), 0)._replace(**fields),))
+    return P1_DOUBLE._replace(branch_points=(point, point))
+
+
+def _two_sheets(first, second, components=(2,)):
+    """Degree-2 data with one branch point of the two sheets given."""
+    point = BranchPoint((RamifiedSheet(*first), RamifiedSheet(*second)))
+    return RamifiedCoverData(0, 2, components, (point,))
+
+
+NOT_INTEGERS = (
+    ("base genus", "0", P1_DOUBLE._replace(base_genus="0")),
+    ("base genus", 0.5, P1_DOUBLE._replace(base_genus=0.5)),
+    ("degree", "2", P1_DOUBLE._replace(degree="2")),
+    ("degree", True, RamifiedCoverData(0, True, (1,), ())),
+    ("component degree", "2", P1_DOUBLE._replace(component_degrees=("2",))),
+    ("component degree", True, RamifiedCoverData(0, 1, (True,), ())),
+    ("sheet multiplicity", "2", _one_sheet(multiplicity="2")),
+    ("sheet multiplicity", True, _two_sheets((True, F(0), 0), (True, F(0), 0))),
+    ("sheet component", "0", _one_sheet(component="0")),
+    ("sheet component", True, _two_sheets((1, F(0), 0), (1, F(0), True), (1, 1))),
+)
+
+
+@pytest.mark.parametrize(
+    "name, value, data",
+    [
+        pytest.param(name, value, data, id=f"{name.replace(' ', '_')}-{type(value).__name__}")
+        for name, value, data in NOT_INTEGERS
+    ],
+)
+def test_integer_fields_that_are_not_integers_are_refused(name, value, data):
+    # a string once raised a raw TypeError, a base genus of 0.5 gave a
+    # genus of 0.0, and a bool passed as 0 or 1
+    with pytest.raises(ParseError, match=f"^{name} {value!r} is not an integer$"):
+        riemann_hurwitz_genus(data)
+
+
+@pytest.mark.parametrize("multiplicity", (2.5, 2.0, F(2), 0, True))
 def test_local_flags_refuse_a_non_integer_multiplicity(multiplicity):
     # 2.5 was once truncated to a flag of two steps
     with pytest.raises(DimensionMismatch, match="is not a positive integer$"):
@@ -360,23 +399,11 @@ def test_conservation_single_component_single_point(b, lam, line_degree):
     assert report.equal
 
 
-def _count(monkeypatch, owner, name):
-    calls = []
-    real = getattr(owner, name)
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
-
-
 def test_each_entry_validates_its_data_once(monkeypatch, capsys):
     # a public entry validates once and runs its helpers on validated data;
     # the pushforward command builds one pushforward (one local flag per sheet)
-    validations = _count(monkeypatch, RamifiedCoverData, "validate")
-    flags = _count(monkeypatch, parabolic, "local_flags")
+    validations = count_calls(monkeypatch, RamifiedCoverData, "validate")
+    flags = count_calls(monkeypatch, parabolic.local_flags)
     data = simple_data(
         1, 4, [(2, 1, 1), (2, 1, 1), (2, 2)], [[F(1, 3), F(0), F(1, 2)], [F(0)] * 3, [F(0), F(1, 4)]]
     )
@@ -401,21 +428,8 @@ def test_each_weight_is_parsed_once(monkeypatch, capsys):
     # is) and hands the parsed weights to the flags, the merges and the
     # upstairs degree, which parse none again; every module binding of
     # parse_weight is counted
-    parses = []
-    real = parabolic.parse_weight
-
-    def counting(w):
-        parses.append(w)
-        return real(w)
-
-    bindings = [
-        module
-        for name, module in list(sys.modules.items())
-        if name.startswith("cartancover") and getattr(module, "parse_weight", None) is real
-    ]
-    assert {parabolic, instances} <= set(bindings)
-    for module in bindings:
-        monkeypatch.setattr(module, "parse_weight", counting)
+    assert instances.parse_weight is parabolic.parse_weight
+    parses = count_calls(monkeypatch, parabolic.parse_weight)
     data = RamifiedCoverData(
         1,
         4,

@@ -10,7 +10,6 @@ compared with, on faults away from the root and at it.
 
 import copy
 import json
-import sys
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -54,6 +53,7 @@ from cartancover.linalg import Matrix, Subspace
 from cartancover.randgen import CoverInstanceConfig, random_cover_instance
 from certificates import check_error_report
 from helpers import (
+    count_calls,
     eigenline_scalars,
     min_poly_by_scalars,
     random_invertible_matrix,
@@ -208,18 +208,9 @@ def test_wrong_dimension_fibers_match_the_per_vertex_oracle():
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_valid_roundtrip_conjugates_no_subspace(field, monkeypatch):
-    calls = []
-    real_conjugate = cartan.conjugate_subspace
-
-    def counting_conjugate(*args, **kwargs):
-        calls.append("conjugate_subspace")
-        return real_conjugate(*args, **kwargs)
-
     rng = Random(90 + getattr(field, "p", 0))
     cases = [gauged_bundle(rng, field, min_vertices=3) for _ in range(5)]
-    for name, module in list(sys.modules.items()):
-        if name.startswith("cartancover") and getattr(module, "conjugate_subspace", None) is real_conjugate:
-            monkeypatch.setattr(module, "conjugate_subspace", counting_conjugate)
+    calls = count_calls(monkeypatch, cartan.conjugate_subspace)
     for bundle, algebra in cases:
         record = roundtrip_verify(algebra)
         assert record.all_ok()
@@ -320,21 +311,6 @@ def test_transported_lines_equal_per_vertex_split(field):
             assert eta == Matrix.from_columns(field, expected)
 
 
-def count_calls(monkeypatch, real):
-    """Counts calls of the package function ``real`` from anywhere in the
-    package, calls inside its own module included."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("cartancover") and getattr(module, real.__name__, None) is real:
-            monkeypatch.setattr(module, real.__name__, counting)
-    return calls
-
-
 @pytest.fixture
 def classify_calls(monkeypatch):
     """Counts calls of ``classify_subspace`` from anywhere in the package."""
@@ -393,14 +369,7 @@ def test_split_restricts_each_matrix_to_its_block(monkeypatch, field):
     # restriction is diagonal, so none of them needs a minimal polynomial
     spectra = count_calls(monkeypatch, linalg.eigenspaces)
     min_polys = count_calls(monkeypatch, linalg.min_poly)
-    intersections = []
-    real_intersect = linalg.Subspace.intersect
-
-    def counting_intersect(self, other):
-        intersections.append(self)
-        return real_intersect(self, other)
-
-    monkeypatch.setattr(linalg.Subspace, "intersect", counting_intersect)
+    intersections = count_calls(monkeypatch, linalg.Subspace, "intersect")
     for d in range(2, 7):
         del spectra[:]
         lines = simultaneous_eigenlines(MatrixSubspace.diagonal_algebra(field, d))
@@ -471,28 +440,17 @@ def test_roundtrip_pushes_forward_once(monkeypatch):
     # only the input line bundle is pushed forward, to make the algebra
     # bundle; the rebuilt one is not, and the flat-section dimension is
     # read off the cover, with no tree paths and so no holonomy
-    calls = []
-
-    def counting(name, real):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(
-        covers, "direct_image_line_bundle", counting("pushforward", covers.direct_image_line_bundle)
-    )
-    monkeypatch.setattr(bundles, "tree_paths", counting("tree_paths", bundles.tree_paths))
+    pushforwards = count_calls(monkeypatch, covers.direct_image_line_bundle)
+    paths = count_calls(monkeypatch, bundles.tree_paths)
     rng = Random(9)
     for i in range(6):
         bundle, algebra = gauged_bundle(rng, FIELDS[i % 3], min_vertices=3)
-        del calls[:]
+        del pushforwards[:], paths[:]
         assert roundtrip_verify(algebra).all_ok()
-        assert calls == []
+        assert pushforwards == paths == []
         cover, line = random_cover_instance(rng, FIELDS[i % 3])
         assert cover_roundtrip(cover, line).all_ok()
-        assert calls == ["pushforward"]
+        assert (len(pushforwards), paths) == (1, [])
 
 
 @pytest.mark.parametrize("field", (QQ, GF(2), GF(3), GF(5), GF(7)), ids=str)
@@ -512,17 +470,7 @@ def fiber_checks(monkeypatch):
     every call of ``spans_diagonal_algebra``, the one test of A = D(L),
     whether a split certifies its lines by it or a vertex its transported
     ones."""
-    checks = []
-    real = cartan.spans_diagonal_algebra
-
-    def counting(fiber, lines):
-        checks.append((fiber, tuple(lines)))
-        return real(fiber, lines)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("cartancover") and getattr(module, real.__name__, None) is real:
-            monkeypatch.setattr(module, real.__name__, counting)
-    return checks
+    return count_calls(monkeypatch, cartan.spans_diagonal_algebra)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -818,13 +766,6 @@ def test_dependent_generators_are_ranked_not_counted():
 def test_valid_bundle_inverts_only_the_tree_edges_crossed_backwards(monkeypatch):
     # the transport inverts the tree edges it crosses against their
     # orientation, each once and in its order; the checks invert nothing
-    inverted = []
-    real_inverse = Matrix.inverse
-
-    def counting(self):
-        inverted.append(self)
-        return real_inverse(self)
-
     rng = Random(14)
     spared = 0
     for i in range(9):
@@ -832,10 +773,9 @@ def test_valid_bundle_inverts_only_the_tree_edges_crossed_backwards(monkeypatch)
         tree = bundle.graph.spanning_tree()
         backward = [bundle.transitions[e] for _v, e, forward in tree.order[1:] if not forward]
         with monkeypatch.context() as patch:
-            patch.setattr(Matrix, "inverse", counting)
-            del inverted[:]
+            inverted = count_calls(patch, Matrix, "inverse")
             validate_cartan_bundle(algebra)
-        assert inverted == backward
+        assert [m for (m,) in inverted] == backward
         spared += len(bundle.transitions) - len(backward)
     assert spared > 0
 
@@ -843,13 +783,6 @@ def test_valid_bundle_inverts_only_the_tree_edges_crossed_backwards(monkeypatch)
 def test_cover_build_of_a_gauged_bundle_builds_the_root_form_only(tmp_path, capsys, monkeypatch):
     # fibers keep their given matrices; only the root split builds a
     # canonical form, a span in k^(d^2)
-    spans = []
-    real_spanned = linalg.Subspace._spanned.__func__
-
-    def counting(cls, field, ambient, rows):
-        spans.append(ambient)
-        return real_spanned(cls, field, ambient, rows)
-
     rng = Random(15)
     for i in range(6):
         bundle, algebra = gauged_bundle(rng, FIELDS[i % 3], min_vertices=3)
@@ -858,11 +791,10 @@ def test_cover_build_of_a_gauged_bundle_builds_the_root_form_only(tmp_path, caps
         path = tmp_path / "bundle.json"
         path.write_text(json.dumps(instance), encoding="utf-8")
         with monkeypatch.context() as patch:
-            patch.setattr(linalg.Subspace, "_spanned", classmethod(counting))
-            del spans[:]
+            spans = count_calls(patch, linalg.Subspace, "_spanned")
             assert main(["--format", "machine", "cover-build", str(path)]) == 0
         capsys.readouterr()
-        assert spans.count(d * d) == 1
+        assert [ambient for _cls, _field, ambient, _rows in spans].count(d * d) == 1
 
 
 def _is_scalar(m):
